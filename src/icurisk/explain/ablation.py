@@ -19,7 +19,7 @@ from ..cohort import CohortTable
 from ..errors import ConfigError, DataError
 from ..metrics import auroc
 from ..models.cv import ModelSpec, predict_scores, train_model
-from ..preprocess import PipelineConfig, apply, class_weights, fit_pipeline
+from ..preprocess import PipelineConfig, apply, fit_pipeline
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ def _fit_and_score(spec, train, test, pipeline_config, seed):
     if spec.needs_raw_categories:
         pipeline_config = replace(pipeline_config, encode=())
     pipe = fit_pipeline(train, pipeline_config)
-    model = train_model(spec, apply(pipe, train), class_weights(train.y),
-                        seed=seed)
+    model = train_model(spec, pipe.fitted_table, pipe.weights, seed=seed)
     return predict_scores(model, apply(pipe, test))
 
 

@@ -114,6 +114,7 @@ def cross_validate(train, grid, k: int = 5, seed: int = 0,
     base_cfg = pipeline_config or PipelineConfig()
     raw_cfg = PipelineConfig(k_neighbors=base_cfg.k_neighbors, alpha=base_cfg.alpha,
                              encode=(), scale=base_cfg.scale)
+    variants = {s.needs_raw_categories for s in grid}
     plan = stratified_kfold(train.y, k, seed)
     n = train.n
     all_rows = np.arange(n)
@@ -125,17 +126,12 @@ def cross_validate(train, grid, k: int = 5, seed: int = 0,
         fold_train = train.subset(fit_rows)
         fold_val = train.subset(val_rows)
         transformed = {}
-        for variant, cfg in (("standard", base_cfg), ("raw", raw_cfg)):
-            if variant == "raw" and not any(s.needs_raw_categories for s in grid):
-                continue
-            pipe = fit_pipeline(fold_train, cfg, train_rows=fit_rows)
-            transformed[variant] = (
-                apply(pipe, fold_train),
-                apply(pipe, fold_val),
-                pipe.weights,
-            )
+        for raw in variants:
+            pipe = fit_pipeline(fold_train, raw_cfg if raw else base_cfg,
+                                train_rows=fit_rows)
+            transformed[raw] = (pipe.fitted_table, apply(pipe, fold_val), pipe.weights)
         for cfg_i, spec in enumerate(grid):
-            tr, va, wts = transformed["raw" if spec.needs_raw_categories else "standard"]
+            tr, va, wts = transformed[spec.needs_raw_categories]
             model = train_model(spec, tr, wts, seed=derive_int(seed, "cv", cfg_i, fold_i))
             scores = predict_scores(model, va)
             fold_aurocs[cfg_i, fold_i] = auroc(scores, fold_val.y)

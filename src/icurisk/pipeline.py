@@ -26,8 +26,7 @@ from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
 from .models import GbdtModel, predict_proba
 from .models.cv import ModelSpec, cross_validate, train_model
-from .preprocess import (FittedPipeline, PipelineConfig, apply, class_weights,
-                         fit_pipeline)
+from .preprocess import FittedPipeline, PipelineConfig, apply, fit_pipeline
 from .schema import load_schema
 from .select import CoverageFilterConfig, coverage_filter, rank_features
 from .synth import synth_default_cohort
@@ -271,6 +270,7 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     pipe_cfg = PipelineConfig(k_neighbors=config.k_neighbors, alpha=config.alpha)
     rows = []
     fitted = {}
+    pipes = {}   # PipelineConfig -> (fitted pipeline, transformed test table)
     has_discrete = any(s.kind in ("ordinal_score", "categorical")
                        for s in train.schema)
     for row_i, (label, grid) in enumerate(benchmark_grids(config.grid_preset)):
@@ -287,11 +287,14 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
         threshold = tune_threshold(search.oof_scores, train.y,
                                    policy=config.threshold_policy)
         fit_cfg = replace(pipe_cfg, encode=()) if spec.needs_raw_categories else pipe_cfg
-        pipe = fit_pipeline(train, fit_cfg)
-        model = train_model(spec, apply(pipe, train), class_weights(train.y),
+        if fit_cfg not in pipes:
+            pipe = fit_pipeline(train, fit_cfg)
+            pipes[fit_cfg] = (pipe, apply(pipe, test))
+        pipe, test_t = pipes[fit_cfg]
+        model = train_model(spec, pipe.fitted_table, pipe.weights,
                             seed=derive_int(config.seed, "cv", row_i, 9999))
-        train_scores = predict_proba(model, apply(pipe, train))
-        test_scores = predict_proba(model, apply(pipe, test))
+        train_scores = predict_proba(model, pipe.fitted_table)
+        test_scores = predict_proba(model, test_t)
         m_train = confusion_metrics(train_scores, train.y, threshold)
         ci = bootstrap_auroc_ci(test_scores, test.y, B=config.n_bootstrap,
                                 seed=derive_int(config.seed, "bootstrap", row_i))
@@ -329,7 +332,7 @@ def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
     fg_rows = np.sort(rng.permutation(test.n)[: config.shap_rows])
     shap = shap_tree(shap_model,
                      apply(shap_pipe, test.subset(fg_rows)),
-                     apply(shap_pipe, train.subset(bg_rows)))
+                     shap_pipe.fitted_table.subset(bg_rows))
 
     # ALE on raw measurement scale through the full predictor; the winner's
     # imputer fills other columns, the curve feature itself must be observed

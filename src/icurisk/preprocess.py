@@ -9,7 +9,7 @@ raw measurement space, while transformed values live in model space.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -280,6 +280,8 @@ class FittedPipeline:
     scaler: StandardScaler
     weights: ClassWeights
     train_rows: tuple  # provenance; row indices into the source table, or None
+    # the training table after every stage; equals apply(self, train)
+    fitted_table: CohortTable = field(default=None, compare=False, repr=False)
 
 
 def _encode_targets(schema, config: PipelineConfig) -> tuple:
@@ -295,7 +297,8 @@ def _encode_targets(schema, config: PipelineConfig) -> tuple:
 
 def fit_pipeline(train: CohortTable, config: PipelineConfig = PipelineConfig(),
                  train_rows=None) -> FittedPipeline:
-    """Fit impute -> encode -> scale on the training fold only."""
+    """Fit impute -> encode -> scale on the training fold only; the
+    transformed fold is kept as fitted_table."""
     imputer = fit_imputer(train, config.k_neighbors)
     current = impute(imputer, train)
     encoders = tuple(
@@ -304,6 +307,8 @@ def fit_pipeline(train: CohortTable, config: PipelineConfig = PipelineConfig(),
     for enc in encoders:
         current = encode(enc, current)
     scaler = fit_scaler(current) if config.scale else None
+    if scaler is not None:
+        current = scale(scaler, current)
     return FittedPipeline(
         schema=train.schema,
         config=config,
@@ -312,6 +317,7 @@ def fit_pipeline(train: CohortTable, config: PipelineConfig = PipelineConfig(),
         scaler=scaler,
         weights=class_weights(train.y),
         train_rows=tuple(int(i) for i in train_rows) if train_rows is not None else None,
+        fitted_table=current,
     )
 
 

@@ -266,17 +266,20 @@ def full_run():
     return result, manifest, out
 
 
+# Small config rerun by the determinism probe; tests pin its report digest.
+PROBE_CONFIG = RunConfig(seed=11, synth_n=400, top_k=8, cv_folds=3,
+                         n_bootstrap=150, ablation_resamples=20,
+                         shap_background=32, shap_rows=8, ale_top=2,
+                         posterior_chains=16, posterior_generations=400,
+                         out_dir="unused")
+
+
 @lru_cache(maxsize=1)
 def _determinism_probe():
-    base = RunConfig(seed=11, synth_n=400, top_k=8, cv_folds=3,
-                     n_bootstrap=150, ablation_resamples=20,
-                     shap_background=32, shap_rows=8, ale_top=2,
-                     posterior_chains=16, posterior_generations=400,
-                     out_dir="unused")
     sums = []
     for _ in range(2):
         out = tempfile.mkdtemp(prefix="icurisk_det_")
-        manifest = write_artifacts(run(replace(base, out_dir=out)), out_dir=out)
+        manifest = write_artifacts(run(replace(PROBE_CONFIG, out_dir=out)), out_dir=out)
         sums.append({name: digest for name, digest, _ in manifest.artifacts})
     return sums
 

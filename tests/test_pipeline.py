@@ -1,34 +1,88 @@
 """End-to-end orchestration on a scaled-down configuration."""
 
+import hashlib
 import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from icurisk import preprocess
 from icurisk.cohort import save_cohort
 from icurisk.errors import ConfigError, DataError
 from icurisk.pipeline import (RunConfig, benchmark_grids, load_run_config,
                               run, run_config_from_jsonable,
                               run_config_to_jsonable)
+from icurisk.report import (load_report_schema, validate_report,
+                            write_artifacts)
 from icurisk.schema import FeatureSpec, save_schema
+from icurisk.selftest import PROBE_CONFIG
 
 from conftest import make_table, small_schema
 
 _ROWS = ("boosted_trees_ordered", "boosted_trees", "boosted_trees_subsampled",
          "logistic_regression", "gaussian_nb", "mlp")
 
+# sha256 of report.json for PROBE_CONFIG. A change that moves a reported
+# number on purpose updates this and says why in CHANGES.md.
+_PROBE_REPORT_SHA256 = (
+    "600af21a1a5d663bf0c3e40cc47932dd64676fdcc2a7e0fb4c5587c3e170cb9c")
+
 
 def _small_config(**over):
-    base = dict(seed=11, synth_n=400, top_k=8, cv_folds=3, n_bootstrap=150,
-                ablation_resamples=20, shap_background=32, shap_rows=8,
-                ale_top=2, posterior_chains=16, posterior_generations=400)
-    base.update(over)
-    return RunConfig(**base)
+    return replace(PROBE_CONFIG, **over)
+
+
+def _impute_key(imputer, table) -> bytes:
+    h = hashlib.blake2b(digest_size=16)
+    for a in (imputer.reference, imputer.loc, imputer.scale,
+              imputer.fallback, table.X):
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.digest()
 
 
 @pytest.fixture(scope="module")
-def small_run():
-    return run(_small_config())
+def probe_run():
+    """PROBE_CONFIG run with impute wrapped at every import site; returns
+    the result and a content key per impute call (fitted imputer, table)."""
+    original = preprocess.impute
+    keys = []
+
+    def counted(imputer, table):
+        keys.append(_impute_key(imputer, table))
+        return original(imputer, table)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").split(".")[0] != "icurisk":
+                continue
+            for name, value in list(vars(mod).items()):
+                if value is original:
+                    mp.setattr(mod, name, counted)
+        result = run(PROBE_CONFIG)
+    return result, keys
+
+
+@pytest.fixture(scope="module")
+def small_run(probe_run):
+    return probe_run[0]
+
+
+def test_probe_report_digest(small_run, tmp_path):
+    write_artifacts(small_run, out_dir=str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == _PROBE_REPORT_SHA256
+
+
+def test_fitted_tables_are_not_reimputed(probe_run):
+    # fitted pipelines carry their transformed training table; what is left
+    # is an equal imputer fitted again on the full training table, which
+    # re-imputes train and test for the second pipeline config of the models
+    # stage and for the ablation baseline, and train once more for ALE
+    _, keys = probe_run
+    assert len(keys) - len(set(keys)) == 5
 
 
 def test_benchmark_has_six_labeled_rows(small_run):

@@ -228,6 +228,14 @@ def test_pipeline_fit_apply(table40):
     assert not np.isin(out.X[:, 3], table40.schema[3].grid()).all()
 
 
+def test_fitted_table_is_the_transformed_training_table(table40):
+    for cfg in (PipelineConfig(), PipelineConfig(encode=(), scale=False)):
+        pipe = fit_pipeline(table40, cfg)
+        assert pipe.fitted_table.equals(apply(pipe, table40))
+        assert "fitted_table" not in repr(pipe)
+        assert "fitted_table" not in pipeline_to_jsonable(pipe)
+
+
 def test_pipeline_encode_selection(table40):
     none = fit_pipeline(table40, PipelineConfig(encode=()))
     assert none.encoders == ()
