@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed (overrides the config file)")
         p.add_argument("--out", metavar="DIR", default=need_out_default,
                        help="output directory (overrides the config file)")
-        p.add_argument("--jobs", type=int, metavar="N",
-                       help="upper bound on worker parallelism")
 
     p_synth = sub.add_parser("synth", help="write a synthetic cohort CSV")
     p_synth.add_argument("--seed", type=int, default=0, metavar="U64")
@@ -89,8 +87,6 @@ def _resolve_config(args) -> RunConfig:
         raise ConfigError("provide --config or --seed (the seed is mandatory)")
     if args.out:
         config = replace(config, out_dir=args.out)
-    if args.jobs is not None:
-        config = replace(config, jobs=args.jobs)
     return config
 
 

@@ -270,44 +270,3 @@ def summarize(table: CohortTable, by_label: bool = True) -> CohortSummary:
         groups=groups,
         event_rate=float(table.y.mean()),
     )
-
-
-def summary_to_jsonable(summary: CohortSummary) -> dict:
-    def _arr(a):
-        return [None if (isinstance(v, float) and np.isnan(v)) else v for v in np.asarray(a).tolist()]
-
-    return {
-        "features": list(summary.features),
-        "event_rate": summary.event_rate,
-        "groups": {
-            name: {
-                "n_rows": int(g.n_rows),
-                "count": [int(c) for c in g.count],
-                "mean": _arr(g.mean),
-                "sd": _arr(g.sd),
-                "missing_frac": _arr(g.missing_frac),
-            }
-            for name, g in summary.groups.items()
-        },
-    }
-
-
-def summary_from_jsonable(payload: dict) -> CohortSummary:
-    def _arr(values):
-        return np.array([np.nan if v is None else float(v) for v in values])
-
-    groups = {
-        name: GroupStats(
-            count=np.array(g["count"], dtype=int),
-            mean=_arr(g["mean"]),
-            sd=_arr(g["sd"]),
-            missing_frac=_arr(g["missing_frac"]),
-            n_rows=int(g["n_rows"]),
-        )
-        for name, g in payload["groups"].items()
-    }
-    return CohortSummary(
-        features=tuple(payload["features"]),
-        groups=groups,
-        event_rate=float(payload["event_rate"]),
-    )

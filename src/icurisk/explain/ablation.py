@@ -18,7 +18,8 @@ from .._rng import derive_int, derive_rng
 from ..cohort import CohortTable
 from ..errors import ConfigError, DataError
 from ..metrics import auroc
-from ..models.cv import ModelSpec, predict_scores, train_model
+from ..models.cv import (ModelSpec, downgrade_ordered, predict_scores,
+                         train_model)
 from ..preprocess import PipelineConfig, apply, fit_pipeline
 
 
@@ -48,6 +49,7 @@ def _bootstrap_indices(labels: np.ndarray, B: int, seed: int):
 
 
 def _fit_and_score(spec, train, test, pipeline_config, seed):
+    spec = downgrade_ordered(spec, train.schema)
     if spec.needs_raw_categories:
         pipeline_config = replace(pipeline_config, encode=())
     pipe = fit_pipeline(train, pipeline_config)

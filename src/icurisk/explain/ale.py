@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..models import predict_proba
 from ..schema import FeatureSpec
 
 
@@ -29,12 +28,6 @@ class AleCurve:
     centered: np.ndarray     # (K+1,) effects minus the data-weighted mean
     counts: np.ndarray       # (K,) rows per bin
     edge_counts: np.ndarray  # (K+1,) rows assigned to each edge for centering
-
-
-def _predict_fn(model):
-    if callable(model):
-        return lambda X: np.asarray(model(X), dtype=float)
-    return lambda X: predict_proba(model, X)
 
 
 def _resolve_feature(table, feature):
@@ -59,7 +52,6 @@ def _is_binary(table, j, col):
 
 
 def ale(model, table, feature, n_bins: int = 20) -> AleCurve:
-    f = _predict_fn(model)
     X = np.asarray(getattr(table, "X", table), dtype=float)
     j, name = _resolve_feature(table, feature)
     col = X[:, j]
@@ -71,7 +63,7 @@ def ale(model, table, feature, n_bins: int = 20) -> AleCurve:
         lo, hi = np.unique(col)
         Xhi = X.copy(); Xhi[:, j] = hi
         Xlo = X.copy(); Xlo[:, j] = lo
-        delta = float(np.mean(f(Xhi) - f(Xlo)))
+        delta = float(np.mean(model(Xhi) - model(Xlo)))
         edges = np.array([lo, hi])
         effects = np.array([0.0, delta])
         edge_counts = np.array([np.sum(col == lo), np.sum(col == hi)], dtype=float)
@@ -106,7 +98,7 @@ def ale(model, table, feature, n_bins: int = 20) -> AleCurve:
         rows = np.flatnonzero(idx == k)
         Xu = X[rows].copy(); Xu[:, j] = edges[k + 1]
         Xl = X[rows].copy(); Xl[:, j] = edges[k]
-        deltas[k] = float(np.mean(f(Xu) - f(Xl)))
+        deltas[k] = float(np.mean(model(Xu) - model(Xl)))
     effects = np.concatenate([[0.0], np.cumsum(deltas)])
     edge_counts = np.concatenate([[0.0], counts])
     c = float(edge_counts @ effects / n)

@@ -81,13 +81,6 @@ def _summarize(risks: np.ndarray, result: DreamResult, mode: str,
     )
 
 
-def _predict_fn(model):
-    if callable(model):
-        return lambda X: np.asarray(model(X), dtype=float)
-    from ..models import predict_proba
-    return lambda X: predict_proba(model, X)
-
-
 def _snap_ordinal(values: np.ndarray, spec: FeatureSpec) -> np.ndarray:
     step = 1.0 if spec.step is None else spec.step
     snapped = spec.lower + np.rint((values - spec.lower) / step) * step
@@ -99,12 +92,11 @@ def posterior_risk_inputs(model, nonsurvivor_summary: CohortSummary,
                           schema=None) -> PosteriorRisk:
     """Risk distribution over feature vectors drawn from non-survivor priors.
 
-    model: callable mapping raw-space feature rows (m, d) to probabilities, or
-    a fitted model object operating directly on raw features. The summary must
+    model: callable mapping raw-space feature rows (m, d) to probabilities,
+    such as a pipeline Predictor. The summary must
     carry a "class1" group (or a single "all" group) with finite moments for
     every feature.
     """
-    f = _predict_fn(model)
     groups = nonsurvivor_summary.groups
     stats = groups.get("class1") or groups.get("all")
     if stats is None:
@@ -156,7 +148,7 @@ def posterior_risk_inputs(model, nonsurvivor_summary: CohortSummary,
 
     if not sampled:
         # degenerate prior: single deterministic feature vector
-        risks = _enumerate_flags(f, schema, means, binary, pinned, sampled,
+        risks = _enumerate_flags(model, schema, means, binary, pinned, sampled,
                                  np.empty((1, 0)))
         lo, hi = np.percentile(risks, config.ci_levels)
         return PosteriorRisk(risks, float(risks.mean()), float(lo), float(hi),
@@ -172,7 +164,7 @@ def posterior_risk_inputs(model, nonsurvivor_summary: CohortSummary,
     keep = _thin_indices(pooled.shape[0], config.max_eval_samples)
     draws = pooled[keep]
 
-    risks = _enumerate_flags(f, schema, means, binary, pinned, sampled, draws)
+    risks = _enumerate_flags(model, schema, means, binary, pinned, sampled, draws)
     return _summarize(risks, result, "inputs", config,
                       reference=dict(REFERENCE_INPUTS_POSTERIOR))
 

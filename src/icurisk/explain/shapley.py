@@ -22,7 +22,7 @@ from math import factorial
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..models import GbdtModel, model_margin, predict_proba
+from ..models import GbdtModel, model_margin
 from ..models.gbdt import _apply_cat_stats
 
 
@@ -39,19 +39,8 @@ def _as_matrix(obj) -> np.ndarray:
     return np.atleast_2d(np.asarray(obj, dtype=float))
 
 
-def _value_fn(model):
-    """Model output used as the game's payoff: margin where defined."""
-    if callable(model):
-        return lambda X: np.asarray(model(X), dtype=float)
-    try:
-        return lambda X: model_margin(model, X)
-    except TypeError:
-        return lambda X: predict_proba(model, X)
-
-
 def shap_exhaustive(model, row, background) -> np.ndarray:
     """Exact Shapley values by 2^d coalition enumeration (d <= 15)."""
-    f = _value_fn(model)
     Z = _as_matrix(background)
     x = np.asarray(row, dtype=float).ravel()
     d = x.size
@@ -68,7 +57,7 @@ def shap_exhaustive(model, row, background) -> np.ndarray:
     for start in range(0, n_coal, chunk):
         block = masks[start : start + chunk].astype(bool)
         composites = np.where(block[:, None, :], x, Z[None, :, :])
-        vals = f(composites.reshape(-1, d)).reshape(block.shape[0], m)
+        vals = model(composites.reshape(-1, d)).reshape(block.shape[0], m)
         V[start : start + chunk] = vals.mean(axis=1)
     sizes = masks.sum(axis=1)
     w = np.array([factorial(s) * factorial(d - s - 1) / factorial(d) for s in range(d)])

@@ -52,6 +52,15 @@ def multi_level_indices(schema) -> tuple:
                  if s.kind in ("ordinal_score", "categorical"))
 
 
+def downgrade_ordered(spec: ModelSpec, schema) -> ModelSpec:
+    """Ordered boosting needs a multi-level discrete column to order; on a
+    schema without one the spec is downgraded to plain boosting."""
+    if spec.needs_raw_categories and not multi_level_indices(schema):
+        return ModelSpec(spec.family, {**spec.params, "ordered_mode": False},
+                         label=spec.label)
+    return spec
+
+
 def train_model(spec: ModelSpec, table, weights, seed: int = 0):
     """Dispatch to the family trainer. For ordered-mode boosting without an
     explicit categorical_idx, the multi-level discrete columns are used."""

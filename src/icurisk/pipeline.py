@@ -25,7 +25,8 @@ from .explain.dream import DreamConfig
 from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
 from .models import GbdtModel, predict_proba
-from .models.cv import ModelSpec, cross_validate, train_model
+from .models.cv import (ModelSpec, cross_validate, downgrade_ordered,
+                        train_model)
 from .preprocess import FittedPipeline, PipelineConfig, apply, fit_pipeline
 from .schema import load_schema
 from .select import CoverageFilterConfig, coverage_filter, rank_features
@@ -83,7 +84,6 @@ class RunConfig:
     posterior_chains: int = 30
     posterior_generations: int = 3000
     posterior_burn_in: float = 0.5
-    jobs: int = 1
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -92,8 +92,6 @@ class RunConfig:
             raise ConfigError("train_fraction must be in (0, 1)")
         if self.grid_preset not in ("compact", "full"):
             raise ConfigError("grid_preset must be 'compact' or 'full'")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         for name in ("top_k", "mi_bins", "cv_folds", "n_bootstrap", "ale_bins",
                      "ale_top", "shap_background", "shap_rows",
                      "ablation_resamples", "posterior_chains",
@@ -271,14 +269,11 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     rows = []
     fitted = {}
     pipes = {}   # PipelineConfig -> (fitted pipeline, transformed test table)
-    has_discrete = any(s.kind in ("ordinal_score", "categorical")
-                       for s in train.schema)
     for row_i, (label, grid) in enumerate(benchmark_grids(config.grid_preset)):
         notes = []
-        if not has_discrete and any(s.needs_raw_categories for s in grid):
-            grid = tuple(ModelSpec(s.family,
-                                   {**s.params, "ordered_mode": False},
-                                   label=s.label) for s in grid)
+        runnable = tuple(downgrade_ordered(s, train.schema) for s in grid)
+        if runnable != grid:
+            grid = runnable
             notes.append("ordered encoding disabled: no multi-level discrete features")
         search = cross_validate(train, grid, k=config.cv_folds,
                                 seed=derive_int(config.seed, "cv", row_i),

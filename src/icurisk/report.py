@@ -51,9 +51,9 @@ def _metric_dict(m) -> dict:
     return _sanitize(asdict(m))
 
 
-# out_dir and jobs describe the machine, not the analysis: two runs that
-# differ only in these fields must produce byte-identical reports
-_ENV_FIELDS = ("out_dir", "jobs")
+# out_dir describes the machine, not the analysis: two runs that differ
+# only in it must produce byte-identical reports
+_ENV_FIELDS = ("out_dir",)
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -420,7 +420,6 @@ class RunManifest:
     artifacts: tuple            # (name, sha256, bytes) triples
     versions: dict
     stage_seconds: dict
-    jobs: int
 
     def checksum_of(self, name: str) -> str:
         for art, digest, _ in self.artifacts:
@@ -464,7 +463,6 @@ def _manifest_payload(m: RunManifest) -> dict:
                       for p, s, b in m.artifacts],
         "versions": m.versions,
         "stage_seconds": m.stage_seconds,
-        "jobs": m.jobs,
     }
 
 
@@ -501,7 +499,7 @@ def write_artifacts(result: RunResult, out_dir: str = None,
     manifest = RunManifest(config_hash=config_hash(result.config),
                            status="complete", failed_stage=None,
                            artifacts=artifacts, versions=_versions(),
-                           stage_seconds=seconds, jobs=result.config.jobs)
+                           stage_seconds=seconds)
     _write_manifest(manifest, out)
     return manifest
 
@@ -517,7 +515,7 @@ def write_failed_manifest(out_dir: str, config: RunConfig, stage: str,
     manifest = RunManifest(config_hash=config_hash(config), status="failed",
                            failed_stage=stage, artifacts=artifacts,
                            versions=_versions(),
-                           stage_seconds={"error": 0.0}, jobs=config.jobs)
+                           stage_seconds={"error": 0.0})
     _write_manifest(manifest, out_dir)
     return manifest
 
@@ -543,15 +541,13 @@ def emit_report(out_dir: str) -> RunManifest:
     try:
         prior = load_manifest(out_dir)
         stage_seconds = dict(prior.get("stage_seconds", {}))
-        jobs = prior.get("jobs", 1)
     except DataError:
         stage_seconds = {}
-        jobs = 1
     stage_seconds["report"] = time.perf_counter() - t0
     manifest = RunManifest(
         config_hash=hashlib.sha256(json.dumps(report["config"], sort_keys=True,
                                               separators=(",", ":")).encode()).hexdigest(),
         status="complete", failed_stage=None, artifacts=artifacts,
-        versions=_versions(), stage_seconds=stage_seconds, jobs=jobs)
+        versions=_versions(), stage_seconds=stage_seconds)
     _write_manifest(manifest, out_dir)
     return manifest

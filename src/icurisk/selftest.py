@@ -113,7 +113,7 @@ def _c04_shap_oracle() -> str:
     result = shap_tree(model, X[:5], background)
     worst = 0.0
     for r in range(5):
-        exact = shap_exhaustive(model, X[r], background)
+        exact = shap_exhaustive(lambda R: gbdt_margin(model, R), X[r], background)
         worst = max(worst, float(np.max(np.abs(result.values[r] - exact))))
     assert worst < 1e-9, f"tree vs exhaustive gap {worst:.3e}"
 

@@ -54,3 +54,13 @@ def test_feature_subset_and_validation():
         ablation(spec, train, test, n_resamples=0)
     with pytest.raises(DataError):
         ablation(spec, train, test.drop_features(["vent"]), n_resamples=5)
+
+
+def test_ordered_boosting_survives_dropping_its_last_discrete_feature():
+    # gcs is the only multi-level discrete feature; without it ordered
+    # boosting has nothing to order and must refit as plain boosting
+    train, test = _split(make_table(160, seed=57, informative=True), 110)
+    spec = ModelSpec("gbdt", {"depth": 2, "n_trees": 10, "ordered_mode": True})
+    rep = ablation(spec, train, test, features=["gcs"], n_resamples=5, seed=0)
+    assert rep.features == ("gcs",)
+    assert 0.0 <= rep.dropped_auroc["gcs"] <= 1.0

@@ -210,6 +210,20 @@ def test_ordered_row_downgrades_without_discrete_features(tmp_path):
     assert not ordered.spec.params.get("ordered_mode", False)
 
 
+def test_ablation_of_an_ordered_winner_writes_a_valid_report(tmp_path):
+    # the ordered-boosting row wins here, and ablating its last multi-level
+    # discrete feature must downgrade the refit rather than stop the run
+    cfg = RunConfig(seed=5, synth_n=300, top_k=6, cv_folds=3, n_bootstrap=100,
+                    ablation_resamples=10, shap_background=16, shap_rows=4,
+                    ale_top=1, posterior_chains=8, posterior_generations=200,
+                    out_dir=str(tmp_path))
+    result = run(cfg)
+    write_artifacts(result)
+    report = json.loads((tmp_path / "report.json").read_text())
+    validate_report(report, load_report_schema())
+    assert report["ablation"]
+
+
 def test_full_grid_preset_is_larger():
     compact = benchmark_grids("compact")
     full = benchmark_grids("full")
