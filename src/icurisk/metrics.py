@@ -8,10 +8,10 @@ from dataclasses import dataclass, replace
 from math import nan, sqrt
 
 import numpy as np
+from scipy.special import stdtr
 
 from ._rng import derive_rng
 from .errors import ConfigError, DataError
-from .special import student_t_two_sided_p
 
 __all__ = [
     "MetricReport",
@@ -227,7 +227,8 @@ def welch_t(m1, s1, n1, m2, s2, n2) -> WelchResult:
         )
     t = (m1 - m2) / sqrt(se2)
     df = se2 * se2 / (v1 * v1 / (n1 - 1) + v2 * v2 / (n2 - 1))
-    return WelchResult(t=float(t), df=float(df), p=student_t_two_sided_p(t, df))
+    p = np.minimum(1.0, 2.0 * stdtr(df, -abs(t)))  # NaN stays NaN; |t| = inf gives 0
+    return WelchResult(t=float(t), df=float(df), p=float(p))
 
 
 def compare_cohorts(table_a, table_b):

@@ -1,99 +1,10 @@
-"""Self-contained special functions for the statistics layer.
-
-The Student-t tail probability is computed from the regularized incomplete
-beta function, evaluated with a modified Lentz continued fraction. Accuracy
-is ~1e-12 over the ranges exercised here (tested against an independent
-reference at 1e-10).
-"""
+"""Numerically stable scalar and elementwise helpers for the models layer."""
 
 from __future__ import annotations
 
-from math import exp, lgamma, log, nan
+from math import log
 
 import numpy as np
-
-_TINY = 1e-300
-_EPS = 1e-16
-_MAX_ITER = 500
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz scheme."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    return h  # converged to working precision in practice long before this
-
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("betainc_reg requires a, b > 0")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = lgamma(a + b) - lgamma(a) - lgamma(b) + a * log(x) + b * log(1.0 - x)
-    front = exp(ln_front)
-    # continued fraction converges fastest for x < (a+1)/(a+b+2)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def student_t_sf(t: float, df: float) -> float:
-    """One-sided upper-tail probability P(T > t) for Student's t."""
-    if df <= 0.0:
-        raise ValueError("degrees of freedom must be positive")
-    if np.isnan(t):
-        return nan
-    if np.isinf(t):
-        return 0.0 if t > 0 else 1.0
-    x = df / (df + t * t)
-    p = 0.5 * betainc_reg(0.5 * df, 0.5, x)
-    return p if t >= 0 else 1.0 - p
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    return 1.0 - student_t_sf(t, df)
-
-
-def student_t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided p-value for an observed t statistic."""
-    if np.isnan(t):
-        return nan
-    return min(1.0, 2.0 * student_t_sf(abs(t), df))
 
 
 def sigmoid(z):

@@ -143,6 +143,12 @@ def test_welch_t_degenerate_inputs():
         welch_t(1.0, -1.0, 10, 2.0, 1.0, 10)
 
 
+def test_welch_t_nan_and_infinite_means():
+    assert np.isnan(welch_t(np.nan, 1.0, 10, 2.0, 1.0, 10).p)
+    assert welch_t(np.inf, 1.0, 10, 2.0, 1.0, 10).p == 0.0
+    assert welch_t(2.0, 1.0, 10, np.inf, 1.0, 10).p == 0.0
+
+
 def test_compare_cohorts_rows():
     schema = (FeatureSpec(name="hr", kind="continuous", unit="bpm"),
               FeatureSpec(name="rare", kind="continuous"))

@@ -1,37 +1,9 @@
-"""Native special functions against scipy references."""
+"""Native special functions against numpy references."""
 
 import numpy as np
 import pytest
-from scipy import special as sp
-from scipy import stats
 
-from icurisk.special import (betainc_reg, log1pexp, logit, sigmoid,
-                             student_t_sf, student_t_two_sided_p)
-
-
-def test_betainc_against_scipy():
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(300):
-        a = float(rng.uniform(0.1, 50.0))
-        b = float(rng.uniform(0.1, 50.0))
-        x = float(rng.uniform(0.0, 1.0))
-        worst = max(worst, abs(betainc_reg(a, b, x) - sp.betainc(a, b, x)))
-    assert worst < 1e-10
-
-
-def test_betainc_endpoints():
-    assert betainc_reg(2.0, 3.0, 0.0) == 0.0
-    assert betainc_reg(2.0, 3.0, 1.0) == 1.0
-
-
-def test_student_t_against_scipy():
-    for t in (-8.0, -2.1, -0.3, 0.0, 0.7, 3.3, 12.0):
-        for df in (1.0, 2.5, 10.0, 120.0, 1299.0):
-            assert student_t_sf(t, df) == pytest.approx(
-                stats.t.sf(t, df), abs=1e-12)
-            assert student_t_two_sided_p(t, df) == pytest.approx(
-                2 * stats.t.sf(abs(t), df), abs=1e-12)
+from icurisk.special import log1pexp, logit, sigmoid
 
 
 def test_sigmoid_stable_at_extremes():
