@@ -10,7 +10,7 @@ paired with the baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from .._rng import derive_int, derive_rng
 from ..cohort import CohortTable
 from ..errors import ConfigError, DataError
 from ..metrics import auroc
-from ..models.cv import (ModelSpec, downgrade_ordered, predict_scores,
-                         train_model)
-from ..preprocess import PipelineConfig, apply, fit_pipeline
+from ..models.cv import (ModelSpec, downgrade_ordered, fit_preprocessing,
+                         predict_scores, train_model)
+from ..preprocess import PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,9 @@ def _bootstrap_indices(labels: np.ndarray, B: int, seed: int):
 
 def _fit_and_score(spec, train, test, pipeline_config, seed):
     spec = downgrade_ordered(spec, train.schema)
-    if spec.needs_raw_categories:
-        pipeline_config = replace(pipeline_config, encode=())
-    pipe = fit_pipeline(train, pipeline_config)
+    [(pipe, test_t)] = fit_preprocessing((spec,), train, test, pipeline_config)
     model = train_model(spec, pipe.fitted_table, pipe.weights, seed=seed)
-    return predict_scores(model, apply(pipe, test))
+    return predict_scores(model, test_t)
 
 
 def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
@@ -65,8 +63,6 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
         raise ConfigError("n_resamples must be >= 1")
     if list(train.feature_names) != list(test.feature_names):
         raise DataError("train and test tables have different features")
-    if pipeline_config is None:
-        pipeline_config = PipelineConfig()
     names = list(features) if features is not None else list(train.feature_names)
     unknown = [n for n in names if n not in train.feature_names]
     if unknown:

@@ -9,6 +9,7 @@ from math import nan, sqrt
 
 import numpy as np
 from scipy.special import stdtr
+from scipy.stats import rankdata
 
 from ._rng import derive_rng
 from .errors import ConfigError, DataError
@@ -33,24 +34,6 @@ def _check_binary(labels) -> np.ndarray:
     return labels
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties given the average rank of their block."""
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    n = x.size
-    ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[i : j + 1] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    out = np.empty(n)
-    out[order] = ranks
-    return out
-
-
 def auroc(scores, labels) -> float:
     """Mann-Whitney AUROC: (concordant + half the ties) / (n1 * n0)."""
     scores = np.asarray(scores, dtype=float)
@@ -59,7 +42,7 @@ def auroc(scores, labels) -> float:
     n0 = labels.size - n1
     if n1 == 0 or n0 == 0:
         raise DataError("AUROC undefined: both classes must be present")
-    ranks = _midranks(scores)
+    ranks = rankdata(scores, method="average")
     r1 = ranks[labels == 1].sum()
     return float((r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 

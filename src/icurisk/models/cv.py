@@ -1,21 +1,23 @@
 """Stratified k-fold cross-validation with grid search.
 
 Preprocessing is refit inside every fold; a model config never sees
-statistics computed from its validation rows. The winner is the config with
-the highest mean out-of-fold AUROC (ties to the smaller config index), and
-its out-of-fold score vector is retained for threshold tuning.
+statistics computed from its validation rows. Every config is scored on the
+same fold plan, and every config's out-of-fold score vector is retained for
+threshold tuning. The best config of a slice of the grid is the one with the
+highest mean out-of-fold AUROC (ties to the smaller config index).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .._rng import derive_int, derive_rng
 from ..errors import ConfigError, DataError
 from ..metrics import auroc
-from ..preprocess import PipelineConfig, apply, fit_pipeline
+from ..preprocess import (PipelineConfig, fit_pipeline, impute,
+                          transform_imputed, with_encoding)
 from .gbdt import GbdtParams, train_gbdt
 from .linear import train_logreg
 from .mlp import MlpConfig, train_mlp
@@ -103,62 +105,66 @@ def stratified_kfold(labels, k: int, seed: int) -> CvPlan:
     return CvPlan(folds=tuple(np.sort(np.array(f)) for f in folds), seed=int(seed), k=k)
 
 
+def fit_preprocessing(grid, train, held_out, config: PipelineConfig = None) -> list:
+    """One (fitted pipeline, transformed held_out) pair per spec in grid.
+
+    train and held_out are imputed once each; the imputed tables then branch
+    into the target-encoded variant, and, for ordered boosting, which orders
+    raw category codes itself, the unencoded one. Specs that need the same
+    variant share one pair.
+    """
+    config = config or PipelineConfig()
+    encodes = [config.encode and not s.needs_raw_categories for s in grid]
+    base = fit_pipeline(train, replace(config, encode=encodes[0]))
+    held_imputed = impute(base.imputer, held_out)
+    variants = {}
+    for enc in dict.fromkeys(encodes):
+        pipe = with_encoding(base, enc)
+        variants[enc] = (pipe, transform_imputed(pipe, held_imputed))
+    return [variants[enc] for enc in encodes]
+
+
 @dataclass(frozen=True)
 class GridSearchResult:
     configs: tuple
     mean_auroc: np.ndarray
     sd_auroc: np.ndarray
     fold_aurocs: np.ndarray      # (n_configs, k)
-    best_index: int
-    best_spec: ModelSpec
-    oof_scores: np.ndarray       # winner's out-of-fold scores, aligned to train rows
+    oof: np.ndarray              # (n_configs, n) out-of-fold scores, aligned to train rows
     plan: CvPlan
+
+    def best_in(self, start: int = 0, stop: int = None) -> int:
+        """Index of the best config among configs[start:stop] by mean AUROC;
+        ties go to the smaller index."""
+        return start + int(np.argmax(self.mean_auroc[start:stop]))
 
 
 def cross_validate(train, grid, k: int = 5, seed: int = 0,
                    pipeline_config: PipelineConfig = None) -> GridSearchResult:
+    """Score every spec in grid on one fold plan; each fold's training and
+    validation rows are imputed once for the whole grid."""
     grid = tuple(grid)
     if not grid:
         raise ConfigError("model grid is empty")
-    base_cfg = pipeline_config or PipelineConfig()
-    raw_cfg = PipelineConfig(k_neighbors=base_cfg.k_neighbors, alpha=base_cfg.alpha,
-                             encode=(), scale=base_cfg.scale)
-    variants = {s.needs_raw_categories for s in grid}
     plan = stratified_kfold(train.y, k, seed)
-    n = train.n
-    all_rows = np.arange(n)
     fold_aurocs = np.zeros((len(grid), k))
-    oof = np.zeros((len(grid), n))
+    oof = np.zeros((len(grid), train.n))
 
     for fold_i, val_rows in enumerate(plan.folds):
-        fit_rows = np.setdiff1d(all_rows, val_rows)
-        fold_train = train.subset(fit_rows)
+        fit_rows = np.setdiff1d(np.arange(train.n), val_rows)
         fold_val = train.subset(val_rows)
-        transformed = {}
-        for raw in variants:
-            pipe = fit_pipeline(fold_train, raw_cfg if raw else base_cfg,
-                                train_rows=fit_rows)
-            transformed[raw] = (pipe.fitted_table, apply(pipe, fold_val), pipe.weights)
-        for cfg_i, spec in enumerate(grid):
-            tr, va, wts = transformed[spec.needs_raw_categories]
-            model = train_model(spec, tr, wts, seed=derive_int(seed, "cv", cfg_i, fold_i))
+        prepared = fit_preprocessing(grid, train.subset(fit_rows), fold_val,
+                                     pipeline_config)
+        for cfg_i, (spec, (pipe, va)) in enumerate(zip(grid, prepared)):
+            model = train_model(spec, pipe.fitted_table, pipe.weights,
+                                seed=derive_int(seed, "cv", cfg_i, fold_i))
             scores = predict_scores(model, va)
             fold_aurocs[cfg_i, fold_i] = auroc(scores, fold_val.y)
             oof[cfg_i, val_rows] = scores
 
-    mean = fold_aurocs.mean(axis=1)
-    sd = fold_aurocs.std(axis=1, ddof=1)
-    best = int(np.argmax(mean))  # first maximizer = smallest config index
-    return GridSearchResult(
-        configs=grid,
-        mean_auroc=mean,
-        sd_auroc=sd,
-        fold_aurocs=fold_aurocs,
-        best_index=best,
-        best_spec=grid[best],
-        oof_scores=oof[best].copy(),
-        plan=plan,
-    )
+    return GridSearchResult(configs=grid, mean_auroc=fold_aurocs.mean(axis=1),
+                            sd_auroc=fold_aurocs.std(axis=1, ddof=1),
+                            fold_aurocs=fold_aurocs, oof=oof, plan=plan)
 
 
 def predict_scores(model, table) -> np.ndarray:

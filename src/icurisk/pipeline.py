@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
 from .models import GbdtModel, predict_proba
 from .models.cv import (ModelSpec, cross_validate, downgrade_ordered,
-                        train_model)
-from .preprocess import FittedPipeline, PipelineConfig, apply, fit_pipeline
+                        fit_preprocessing, train_model)
+from .preprocess import FittedPipeline, PipelineConfig, apply
 from .schema import load_schema
 from .select import CoverageFilterConfig, coverage_filter, rank_features
 from .synth import synth_default_cohort
@@ -92,12 +92,17 @@ class RunConfig:
             raise ConfigError("train_fraction must be in (0, 1)")
         if self.grid_preset not in ("compact", "full"):
             raise ConfigError("grid_preset must be 'compact' or 'full'")
-        for name in ("top_k", "mi_bins", "cv_folds", "n_bootstrap", "ale_bins",
-                     "ale_top", "shap_background", "shap_rows",
-                     "ablation_resamples", "posterior_chains",
-                     "posterior_generations", "synth_n", "k_neighbors"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        minimum = dict.fromkeys(
+            ("top_k", "mi_bins", "cv_folds", "n_bootstrap", "ale_bins", "ale_top",
+             "shap_background", "shap_rows", "ablation_resamples", "synth_n",
+             "k_neighbors"), 1)
+        # the posterior sampler's own limits, checked before any model is fit
+        minimum.update(posterior_chains=3, posterior_generations=2)
+        for name, low in minimum.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
+        if not 0.0 <= self.posterior_burn_in < 1.0:
+            raise ConfigError("posterior_burn_in must be in [0, 1)")
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
@@ -265,27 +270,29 @@ def _select_stage(config: RunConfig, train: CohortTable, test: CohortTable):
 
 
 def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
+    """Cross-validate all six rows on one fold plan, then refit each row's
+    best spec on the full training table. Train and test are imputed once;
+    a row keeps (pipeline, transformed test, model, test scores)."""
     pipe_cfg = PipelineConfig(k_neighbors=config.k_neighbors, alpha=config.alpha)
+    grids = [(label, tuple(downgrade_ordered(s, train.schema) for s in grid), grid)
+             for label, grid in benchmark_grids(config.grid_preset)]
+    search = cross_validate(train, [s for _, grid, _ in grids for s in grid],
+                            k=config.cv_folds, seed=derive_int(config.seed, "cv"),
+                            pipeline_config=pipe_cfg)
+    stops = np.cumsum([len(grid) for _, grid, _ in grids])
+    best = [search.best_in(stop - len(grid), stop)
+            for (_, grid, _), stop in zip(grids, stops)]
+    prepared = fit_preprocessing([search.configs[i] for i in best], train, test,
+                                 pipe_cfg)
     rows = []
     fitted = {}
-    pipes = {}   # PipelineConfig -> (fitted pipeline, transformed test table)
-    for row_i, (label, grid) in enumerate(benchmark_grids(config.grid_preset)):
-        notes = []
-        runnable = tuple(downgrade_ordered(s, train.schema) for s in grid)
-        if runnable != grid:
-            grid = runnable
-            notes.append("ordered encoding disabled: no multi-level discrete features")
-        search = cross_validate(train, grid, k=config.cv_folds,
-                                seed=derive_int(config.seed, "cv", row_i),
-                                pipeline_config=pipe_cfg)
-        spec = search.best_spec
-        threshold = tune_threshold(search.oof_scores, train.y,
+    for row_i, ((label, grid, declared), i, (pipe, test_t)) in enumerate(
+            zip(grids, best, prepared)):
+        notes = () if grid == declared else (
+            "ordered encoding disabled: no multi-level discrete features",)
+        spec = search.configs[i]
+        threshold = tune_threshold(search.oof[i], train.y,
                                    policy=config.threshold_policy)
-        fit_cfg = replace(pipe_cfg, encode=()) if spec.needs_raw_categories else pipe_cfg
-        if fit_cfg not in pipes:
-            pipe = fit_pipeline(train, fit_cfg)
-            pipes[fit_cfg] = (pipe, apply(pipe, test))
-        pipe, test_t = pipes[fit_cfg]
         model = train_model(spec, pipe.fitted_table, pipe.weights,
                             seed=derive_int(config.seed, "cv", row_i, 9999))
         train_scores = predict_proba(model, pipe.fitted_table)
@@ -296,11 +303,11 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
         m_test = confusion_metrics(test_scores, test.y, threshold).with_ci(*ci)
         rows.append(BenchmarkRow(
             label=label, spec=spec, grid_size=len(grid),
-            cv_mean_auroc=float(search.mean_auroc[search.best_index]),
-            cv_sd_auroc=float(search.sd_auroc[search.best_index]),
+            cv_mean_auroc=float(search.mean_auroc[i]),
+            cv_sd_auroc=float(search.sd_auroc[i]),
             threshold=threshold, metrics_train=m_train, metrics_test=m_test,
-            notes=tuple(notes)))
-        fitted[label] = (pipe, model, test_scores)
+            notes=notes))
+        fitted[label] = (pipe, test_t, model, test_scores)
     winner = max(rows, key=lambda r: r.cv_mean_auroc).label
     tree_rows = [r.label for r in rows if r.spec.family == "gbdt"]
     shap_label = winner if winner in tree_rows else (tree_rows[0] if tree_rows else winner)
@@ -310,7 +317,7 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
 def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
                    train, test, ranking):
     win_row = next(r for r in result_rows if r.label == winner)
-    pipe, model, _ = fitted[winner]
+    pipe, _, model, _ = fitted[winner]
     predictor = Predictor(schema=train.schema, pipeline=pipe, model=model)
 
     abl = ablation(win_row.spec, train, test,
@@ -319,22 +326,19 @@ def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
                    pipeline_config=PipelineConfig(k_neighbors=config.k_neighbors,
                                                   alpha=config.alpha))
 
-    shap_pipe, shap_model, _ = fitted[shap_label]
+    shap_pipe, shap_test, shap_model, _ = fitted[shap_label]
     if not isinstance(shap_model, GbdtModel):
         raise DataError("no boosted-tree row available for attribution")
     rng = derive_rng(config.seed, "shap")
     bg_rows = rng.permutation(train.n)[: config.shap_background]
     fg_rows = np.sort(rng.permutation(test.n)[: config.shap_rows])
-    shap = shap_tree(shap_model,
-                     apply(shap_pipe, test.subset(fg_rows)),
+    shap = shap_tree(shap_model, shap_test.subset(fg_rows),
                      shap_pipe.fitted_table.subset(bg_rows))
 
     # ALE on raw measurement scale through the full predictor; the winner's
     # imputer fills other columns, the curve feature itself must be observed
-    from .preprocess import impute
-    train_imputed = impute(pipe.imputer, train)
     ranked = [n for n in ranking.selected if n in train.feature_names]
-    curves = [ale(predictor, train_imputed, name, n_bins=config.ale_bins)
+    curves = [ale(predictor, pipe.imputed_table, name, n_bins=config.ale_bins)
               for name in ranked[: config.ale_top]]
 
     dream_cfg = DreamConfig(n_chains=config.posterior_chains,
@@ -371,7 +375,7 @@ def run(config: RunConfig) -> RunResult:
         "models", _model_stage, config, train, test)
 
     def _eval():
-        win_scores = fitted[winner][2]
+        win_scores = fitted[winner][3]
         roc = roc_curve(win_scores, test.y)
         return roc, compare_cohorts(train, test), _outcome_ttest(cohort)
 

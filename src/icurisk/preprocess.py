@@ -9,7 +9,7 @@ raw measurement space, while transformed values live in model space.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -261,14 +261,13 @@ def class_weights(labels) -> ClassWeights:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """encode: "auto" encodes every multi-level discrete feature
-    (ordinal_score or categorical kinds); a tuple of names encodes exactly
-    those; () disables encoding. Binary flags are never encoded."""
+    """encode: target-encode every multi-level discrete feature (ordinal_score
+    or categorical kinds); False keeps their raw codes. Binary flags are never
+    encoded."""
 
     k_neighbors: int = 5
     alpha: float = 10.0
-    encode: object = "auto"
-    scale: bool = True
+    encode: bool = True
 
 
 @dataclass(frozen=True)
@@ -279,57 +278,61 @@ class FittedPipeline:
     encoders: tuple
     scaler: StandardScaler
     weights: ClassWeights
-    train_rows: tuple  # provenance; row indices into the source table, or None
-    # the training table after every stage; equals apply(self, train)
+    # the training table after imputation, and after every stage; the
+    # latter equals apply(self, train)
+    imputed_table: CohortTable = field(default=None, compare=False, repr=False)
     fitted_table: CohortTable = field(default=None, compare=False, repr=False)
 
 
-def _encode_targets(schema, config: PipelineConfig) -> tuple:
-    if config.encode == "auto":
-        return tuple(s.name for s in schema if s.kind in ("ordinal_score", "categorical"))
-    names = tuple(config.encode)
-    known = set(feature_names(schema))
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        raise SchemaError(f"encode list names unknown features: {unknown}")
-    return names
-
-
-def fit_pipeline(train: CohortTable, config: PipelineConfig = PipelineConfig(),
-                 train_rows=None) -> FittedPipeline:
-    """Fit impute -> encode -> scale on the training fold only; the
-    transformed fold is kept as fitted_table."""
+def fit_pipeline(train: CohortTable,
+                 config: PipelineConfig = PipelineConfig()) -> FittedPipeline:
+    """Fit impute -> encode -> scale on the training fold only; the imputed
+    and the transformed fold are kept as imputed_table and fitted_table."""
     imputer = fit_imputer(train, config.k_neighbors)
-    current = impute(imputer, train)
+    return _fit_after_impute(imputer, impute(imputer, train), config)
+
+
+def _fit_after_impute(imputer, imputed, config) -> FittedPipeline:
     encoders = tuple(
-        fit_encoder(current, name, config.alpha) for name in _encode_targets(train.schema, config)
-    )
+        fit_encoder(imputed, s.name, config.alpha) for s in imputed.schema
+        if config.encode and s.kind in ("ordinal_score", "categorical"))
+    current = imputed
     for enc in encoders:
         current = encode(enc, current)
-    scaler = fit_scaler(current) if config.scale else None
-    if scaler is not None:
-        current = scale(scaler, current)
+    scaler = fit_scaler(current)
     return FittedPipeline(
-        schema=train.schema,
+        schema=imputed.schema,
         config=config,
         imputer=imputer,
         encoders=encoders,
         scaler=scaler,
-        weights=class_weights(train.y),
-        train_rows=tuple(int(i) for i in train_rows) if train_rows is not None else None,
-        fitted_table=current,
+        weights=class_weights(imputed.y),
+        imputed_table=imputed,
+        fitted_table=scale(scaler, current),
     )
+
+
+def with_encoding(pipeline: FittedPipeline, enabled: bool) -> FittedPipeline:
+    """The pipeline with target encoding on or off; imputer and imputed
+    training table are shared, encode and scale are fitted again if they
+    change."""
+    if pipeline.config.encode == enabled:
+        return pipeline
+    return _fit_after_impute(pipeline.imputer, pipeline.imputed_table,
+                             replace(pipeline.config, encode=enabled))
+
+
+def transform_imputed(pipeline: FittedPipeline, table: CohortTable) -> CohortTable:
+    """Replay encode and scale on a table already imputed by pipeline.imputer."""
+    current = table
+    for enc in pipeline.encoders:
+        current = encode(enc, current)
+    return scale(pipeline.scaler, current)
 
 
 def apply(pipeline: FittedPipeline, table: CohortTable) -> CohortTable:
     """Replay the frozen stages; never reads labels of the transformed rows."""
-    _check_schema("apply", feature_names(pipeline.schema), table)
-    current = impute(pipeline.imputer, table)
-    for enc in pipeline.encoders:
-        current = encode(enc, current)
-    if pipeline.scaler is not None:
-        current = scale(pipeline.scaler, current)
-    return current
+    return transform_imputed(pipeline, impute(pipeline.imputer, table))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +351,7 @@ def pipeline_to_jsonable(p: FittedPipeline) -> dict:
         "config": {
             "k_neighbors": p.config.k_neighbors,
             "alpha": p.config.alpha,
-            "encode": p.config.encode if isinstance(p.config.encode, str) else list(p.config.encode),
-            "scale": p.config.scale,
+            "encode": p.config.encode,
         },
         "feature_names": list(feature_names(p.schema)),
         "imputer": {
@@ -371,12 +373,11 @@ def pipeline_to_jsonable(p: FittedPipeline) -> dict:
             }
             for e in p.encoders
         ],
-        "scaler": None if p.scaler is None else {
+        "scaler": {
             "loc": _arr(p.scaler.loc),
             "scale": _arr(p.scaler.scale),
         },
         "weights": {"w0": p.weights.w0, "w1": p.weights.w1},
-        "train_rows": list(p.train_rows) if p.train_rows is not None else None,
     }
 
 

@@ -41,6 +41,11 @@ _SPLIT_REFERENCE = {
 }
 _N_TRAIN, _N_TEST = 911, 390
 
+
+def _check(ok, message: str) -> None:
+    if not ok:  # unlike an assert statement, this also fails under python -O
+        raise AssertionError(message)
+
 # Published held-out confusion matrix of the winning model (n=390, 43
 # positives) and the six derived rates it must reproduce to 3 decimals.
 _CONFUSION = dict(tp=36, fn=7, tn=288, fp=59)
@@ -52,10 +57,10 @@ def _c01_welch_reference() -> str:
     ps = {}
     for name, (m1, s1, m2, s2, ref, tol) in _SPLIT_REFERENCE.items():
         res = welch_t(m1, s1, _N_TRAIN, m2, s2, _N_TEST)
-        assert abs(res.p - ref) <= tol, f"{name}: p={res.p:.4f}, published {ref}"
+        _check(abs(res.p - ref) <= tol, f"{name}: p={res.p:.4f}, published {ref}")
         ps[name] = res.p
     bun = welch_t(22.90, 17.85, _N_TRAIN, 20.03, 11.82, _N_TEST)
-    assert bun.p < 0.001, f"BUN: p={bun.p:.5f}, published < 0.001"
+    _check(bun.p < 0.001, f"BUN: p={bun.p:.5f}, published < 0.001")
     ps["BUN"] = bun.p
     return ", ".join(f"{k} p={v:.3g}" for k, v in ps.items())
 
@@ -67,10 +72,11 @@ def _c02_confusion_consistency() -> str:
     scores = np.concatenate([np.full(c["tp"], 0.9), np.full(c["fn"], 0.1),
                              np.full(c["fp"], 0.9), np.full(c["tn"], 0.1)])
     rep = confusion_metrics(scores, labels, threshold=0.5)
-    assert (rep.tp, rep.fn, rep.tn, rep.fp) == (c["tp"], c["fn"], c["tn"], c["fp"])
+    _check((rep.tp, rep.fn, rep.tn, rep.fp) == (c["tp"], c["fn"], c["tn"], c["fp"]),
+           "confusion counts do not round-trip")
     for key, want in _CONFUSION_RATES.items():
         got = round(getattr(rep, key), 3)
-        assert got == want, f"{key}: {got} != {want}"
+        _check(got == want, f"{key}: {got} != {want}")
     return ", ".join(f"{k}={v}" for k, v in _CONFUSION_RATES.items())
 
 
@@ -78,7 +84,7 @@ def _c03_class_weights() -> str:
     labels = np.zeros(1000, dtype=int)
     labels[:196] = 1
     cw = class_weights(labels)
-    assert abs(cw.w1 - 5.102) <= 0.001, f"w1={cw.w1:.4f}"
+    _check(abs(cw.w1 - 5.102) <= 0.001, f"w1={cw.w1:.4f}")
     rng = derive_rng(3, "split")
     for _ in range(20):
         n = int(rng.integers(10, 400))
@@ -87,9 +93,9 @@ def _c03_class_weights() -> str:
         lab[rng.permutation(n)[:k]] = 1
         w = class_weights(lab)
         # exact inverse-frequency identity, checked at the rational level
-        assert Fraction(w.n, w.n1) * Fraction(w.n1, w.n) == 1
-        assert Fraction(w.n, w.n0) * Fraction(w.n0, w.n) == 1
-        assert w.w1 == w.n / w.n1 and w.w0 == w.n / w.n0
+        _check(Fraction(w.n, w.n1) * Fraction(w.n1, w.n) == 1, f"n={n}: w1 * f1 != 1")
+        _check(Fraction(w.n, w.n0) * Fraction(w.n0, w.n) == 1, f"n={n}: w0 * f0 != 1")
+        _check(w.w1 == w.n / w.n1 and w.w0 == w.n / w.n0, f"n={n}: w != n / count")
     return f"w1={cw.w1:.4f} for event rate 0.196; identity exact on 20 vectors"
 
 
@@ -115,7 +121,7 @@ def _c04_shap_oracle() -> str:
     for r in range(5):
         exact = shap_exhaustive(lambda R: gbdt_margin(model, R), X[r], background)
         worst = max(worst, float(np.max(np.abs(result.values[r] - exact))))
-    assert worst < 1e-9, f"tree vs exhaustive gap {worst:.3e}"
+    _check(worst < 1e-9, f"tree vs exhaustive gap {worst:.3e}")
 
     rng = derive_rng(44, "shap")
     rows = rng.normal(size=(1000, 8))
@@ -123,7 +129,7 @@ def _c04_shap_oracle() -> str:
     res = shap_tree(model, rows, bg)
     recon = res.values.sum(axis=1) + res.base_value
     eff = float(np.max(np.abs(recon - gbdt_margin(model, rows))))
-    assert eff < 1e-6, f"efficiency gap {eff:.3e}"
+    _check(eff < 1e-6, f"efficiency gap {eff:.3e}")
     return f"max oracle gap {worst:.2e}; efficiency gap {eff:.2e} on 1000 rows"
 
 
@@ -153,9 +159,9 @@ def _c05_ale_oracle() -> str:
     f = lambda rows: gbdt_predict_proba(model, rows)
     curve = ale(f, X, 0, n_bins=8)
     edges, oracle = _ale_quadrature(f, X, 0, n_bins=8)
-    assert np.array_equal(curve.edges, edges), "edge grids differ"
+    _check(np.array_equal(curve.edges, edges), "edge grids differ")
     gap = float(np.max(np.abs(curve.centered - oracle)))
-    assert gap < 1e-6, f"quadrature gap {gap:.3e}"
+    _check(gap < 1e-6, f"quadrature gap {gap:.3e}")
 
     rng = derive_rng(55, "shap")
     Z = rng.normal(size=(300, 2))
@@ -163,7 +169,7 @@ def _c05_ale_oracle() -> str:
     c = ale(lin, Z, 0, n_bins=10)
     slopes = np.diff(c.centered) / np.diff(c.edges)
     err = float(np.max(np.abs(slopes - 2.0)))
-    assert err < 1e-9, f"linear slope error {err:.3e}"
+    _check(err < 1e-9, f"linear slope error {err:.3e}")
     return f"quadrature gap {gap:.2e}; linear slope error {err:.2e}"
 
 
@@ -185,10 +191,10 @@ def _c06_mi_oracle() -> str:
                     pj = counts[:, j].sum() / n
                     direct += pij * log(pij / (pi * pj))
             worst = max(worst, abs(got - direct))
-    assert worst < 1e-12, f"joint-histogram gap {worst:.3e}"
+    _check(worst < 1e-12, f"joint-histogram gap {worst:.3e}")
     x = np.tile([0, 1], 500)
     self_mi = mutual_information(x, x)
-    assert abs(self_mi - log(2.0)) < 1e-12, f"MI(x;x)={self_mi}"
+    _check(abs(self_mi - log(2.0)) < 1e-12, f"MI(x;x)={self_mi}")
     return f"max contingency gap {worst:.2e}; MI(x;x)=ln2 within 1e-12"
 
 
@@ -205,7 +211,7 @@ def _c07_auroc_oracle() -> str:
         neg = scores[labels == 0]
         diff = pos[:, None] - neg[None, :]
         pairwise = (np.sum(diff > 0) + 0.5 * np.sum(diff == 0)) / diff.size
-        assert got == pairwise, f"trial {trial}: {got!r} != {pairwise!r}"
+        _check(got == pairwise, f"trial {trial}: {got!r} != {pairwise!r}")
     return "midrank AUROC equals pairwise concordance on 100 fixtures"
 
 
@@ -236,7 +242,7 @@ def _c08_mlp_gradcheck() -> str:
             fd = (loss_with(pi, hi) - loss_with(pi, lo)) / (2 * eps)
             rel = abs(fd - g[idx]) / max(1.0, abs(fd), abs(g[idx]))
             worst = max(worst, rel)
-    assert worst < 1e-4, f"max relative gradient error {worst:.3e}"
+    _check(worst < 1e-4, f"max relative gradient error {worst:.3e}")
     return f"max relative gradient error {worst:.2e}"
 
 
@@ -249,9 +255,9 @@ def _c09_dream_gaussian() -> str:
     var = draws.var(axis=0)
     var_err = float(np.max(np.abs(var - 1.0)))
     rhat = float(np.max(res.split_rhat))
-    assert mean_err < 0.05, f"mean error {mean_err:.4f}"
-    assert var_err < 0.10, f"variance error {var_err:.4f}"
-    assert rhat < 1.05, f"split-rhat {rhat:.4f}"
+    _check(mean_err < 0.05, f"mean error {mean_err:.4f}")
+    _check(var_err < 0.10, f"variance error {var_err:.4f}")
+    _check(rhat < 1.05, f"split-rhat {rhat:.4f}")
     return (f"mean err {mean_err:.3f}, var err {var_err:.3f}, "
             f"split-rhat {rhat:.3f}, acceptance {res.acceptance_rate:.2f}")
 
@@ -288,14 +294,14 @@ def _c10_end_to_end() -> str:
     result, _, _ = full_run()
     tree_rows = [r for r in result.benchmark if r.spec.family == "gbdt"]
     tree_row = max(tree_rows, key=lambda r: r.cv_mean_auroc)
-    assert tree_row.metrics_test.auroc >= 0.85, (
-        f"boosted-tree test AUROC {tree_row.metrics_test.auroc:.3f} < 0.85")
-    assert result.posterior.mean > 0.196, (
-        f"posterior mean {result.posterior.mean:.3f} not above base rate")
-    assert tree_row.metrics_test.sensitivity >= 0.75, (
-        f"sensitivity {tree_row.metrics_test.sensitivity:.3f} < 0.75")
+    _check(tree_row.metrics_test.auroc >= 0.85,
+           f"boosted-tree test AUROC {tree_row.metrics_test.auroc:.3f} < 0.85")
+    _check(result.posterior.mean > 0.196,
+           f"posterior mean {result.posterior.mean:.3f} not above base rate")
+    _check(tree_row.metrics_test.sensitivity >= 0.75,
+           f"sensitivity {tree_row.metrics_test.sensitivity:.3f} < 0.75")
     a, b = _determinism_probe()
-    assert a == b, "rerun with identical config produced different checksums"
+    _check(a == b, "rerun with identical config produced different checksums")
     return (f"tree AUROC {tree_row.metrics_test.auroc:.3f}, "
             f"sens {tree_row.metrics_test.sensitivity:.3f}, "
             f"posterior mean {result.posterior.mean:.3f}, "
@@ -312,7 +318,7 @@ def _c11_leakage_probe() -> str:
         X[split.test_rows] = rng.normal(50.0, 80.0, size=X[split.test_rows].shape)
         mutated = cohort.with_matrix(X)
         after = pipeline_param_bytes(fit_pipeline(mutated.subset(split.train_rows)))
-        assert before == after, f"seed {seed}: pipeline parameters changed"
+        _check(before == after, f"seed {seed}: pipeline parameters changed")
     return "fitted parameters byte-identical across 20 seeds"
 
 

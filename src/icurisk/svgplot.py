@@ -120,21 +120,21 @@ def _jitter(i: int) -> float:
 
 def dot_rows_svg(row_labels, row_values, title, xlabel,
                  marker_values=None, baseline=None) -> str:
-    """One horizontal band of jittered dots per row; optional baseline line."""
+    """One horizontal band of jittered dots per row; optional baseline line.
+    With no rows, only the frame and the baseline are drawn."""
     rows = len(row_labels)
     height = max(160, 70 + 24 * rows)
     c = _Canvas(width=640, height=height, margin=(40, 25, 45, 170))
     c.title(title)
-    all_vals = np.concatenate([np.asarray(v, dtype=float) for v in row_values])
+    all_vals = np.concatenate([np.asarray(v, dtype=float) for v in row_values]
+                              + [[] if baseline is None else [baseline]])
     lo, hi = float(all_vals.min()), float(all_vals.max())
-    if baseline is not None:
-        lo, hi = min(lo, baseline), max(hi, baseline)
     pad = 0.05 * (hi - lo if hi > lo else 1.0)
     xlim = (lo - pad, hi + pad)
     c.frame()
     c.xlabel(xlabel)
     c.xticks(np.linspace(xlim[0], xlim[1], 5), *xlim, fmt=".3g")
-    band = c.plot_h / rows
+    band = c.plot_h / max(rows, 1)
     if baseline is not None:
         bx = _f(c.x(baseline, *xlim))
         c.add(f'<line x1="{bx}" y1="{c.top}" x2="{bx}" y2="{c.top + c.plot_h}" '

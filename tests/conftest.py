@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,16 @@ def make_table(n=40, seed=0, missing=0.0, schema=None, informative=False):
         mask[:2] = False  # keep every feature observed somewhere
         X = np.where(mask, np.nan, X)
     return CohortTable(schema, X, y)
+
+
+def wrap_everywhere(monkeypatch, original, wrapper):
+    """Replace original with wrapper at every icurisk import site."""
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] != "icurisk":
+            continue
+        for name, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, name, wrapper)
 
 
 @pytest.fixture

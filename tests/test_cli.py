@@ -1,5 +1,6 @@
 """Command-line interface: verbs, flag plumbing, and exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 
 from icurisk.cli import main
 from icurisk.cohort import load_cohort
-from icurisk.report import load_manifest
+from icurisk.report import load_manifest, load_report_schema, validate_report
 from icurisk.schema import default_schema
 
 _SMALL = dict(seed=11, synth_n=400, top_k=6, cv_folds=3, n_bootstrap=100,
@@ -41,6 +42,33 @@ def test_run_verb_produces_artifacts(tmp_path, capsys):
     assert manifest["status"] == "complete"
     names = {e["path"] for e in manifest["artifacts"]}
     assert "report.json" in names and "metrics_test.csv" in names
+
+
+def test_single_feature_run_writes_a_complete_report(tmp_path, capsys):
+    # with one selected feature there is nothing to drop: the ablation
+    # list is empty and its plot shows the baseline alone
+    out = tmp_path / "arts"
+    code = main(["run", "--config", _write_config(tmp_path, top_k=1),
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    manifest = load_manifest(str(out))
+    assert manifest["status"] == "complete"
+    for entry in manifest["artifacts"]:
+        blob = (out / entry["path"]).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
+    assert "ablation.svg" in {e["path"] for e in manifest["artifacts"]}
+    report = json.loads((out / "report.json").read_text())
+    validate_report(report, load_report_schema())
+    assert report["ablation"]["features"] == []
+
+
+def test_posterior_settings_fail_before_fitting(tmp_path, capsys):
+    for key, value in (("posterior_burn_in", 1.0), ("posterior_chains", 2)):
+        cfg = _write_config(tmp_path, **{key: value})
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "[stage:" not in err
 
 
 def test_explain_verb_emits_only_explanations(tmp_path, capsys):

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from icurisk import preprocess
 from icurisk.errors import ConfigError, DataError
 from icurisk.metrics import auroc
-from icurisk.models.cv import (ModelSpec, cross_validate, multi_level_indices,
-                               predict_scores, stratified_kfold, train_model)
+from icurisk.models.cv import (ModelSpec, cross_validate, fit_preprocessing,
+                               multi_level_indices, predict_scores,
+                               stratified_kfold, train_model)
 from icurisk.preprocess import PipelineConfig, class_weights
 
-from conftest import make_table, small_schema
+from conftest import make_table, small_schema, wrap_everywhere
 
 
 def test_kfold_is_a_partition():
@@ -77,11 +79,13 @@ def test_cross_validate_shapes_and_winner():
                             pipeline_config=PipelineConfig())
     assert result.fold_aurocs.shape == (3, 3)
     assert result.mean_auroc == pytest.approx(result.fold_aurocs.mean(axis=1))
-    assert result.best_index == int(np.argmax(result.mean_auroc))
-    assert result.best_spec is grid[result.best_index]
-    assert result.oof_scores.shape == (150,)
+    best = result.best_in()
+    assert best == int(np.argmax(result.mean_auroc))
+    assert result.configs[best] is grid[best]
+    assert result.oof.shape == (3, 150)
+    assert result.best_in(1, 3) == 1 + int(np.argmax(result.mean_auroc[1:]))
     # the winner beats chance out of fold on this informative fixture
-    assert auroc(result.oof_scores, table.y) > 0.7
+    assert auroc(result.oof[best], table.y) > 0.7
 
 
 def test_cross_validate_ties_pick_first_config():
@@ -89,7 +93,7 @@ def test_cross_validate_ties_pick_first_config():
     spec = ModelSpec(family="gnb")
     result = cross_validate(table, (spec, ModelSpec(family="gnb")), k=2, seed=0)
     assert result.mean_auroc[0] == result.mean_auroc[1]
-    assert result.best_index == 0
+    assert result.best_in() == 0
 
 
 def test_cross_validate_empty_grid():
@@ -120,3 +124,47 @@ def test_predict_scores_matches_family_output():
     from icurisk.models.linear import linear_predict_proba
     assert np.array_equal(predict_scores(model, table),
                           linear_predict_proba(model, table.X))
+
+
+_ORDERED = ModelSpec(family="gbdt",
+                     params={"ordered_mode": True, "n_trees": 5, "depth": 2})
+_PLAIN = ModelSpec(family="gbdt", params={"n_trees": 5, "depth": 2})
+
+
+def test_cross_validate_imputes_each_fold_table_once(monkeypatch):
+    # one imputation of each fold's training and validation rows serves
+    # both the encoded and the raw-category variant of every spec
+    calls = []
+    original = preprocess.impute
+
+    def counted(imputer, table):
+        calls.append(table.n)
+        return original(imputer, table)
+
+    wrap_everywhere(monkeypatch, original, counted)
+    table = make_table(90, seed=6, missing=0.1, informative=True)
+    grid = (_PLAIN, _ORDERED, ModelSpec(family="gnb"),
+            ModelSpec(family="logreg", params={"C": 1.0}))
+    result = cross_validate(table, grid, k=3, seed=1)
+    assert len(calls) == 2 * 3
+    # each row is imputed once as a validation row and k - 1 times as a
+    # training row
+    assert sum(calls) == 3 * table.n
+    assert np.isfinite(result.fold_aurocs).all()
+
+
+def test_fit_preprocessing_encodes_all_but_ordered_boosting():
+    train = make_table(80, seed=2, missing=0.1, informative=True)
+    test = make_table(30, seed=3, missing=0.1)
+    prepared = fit_preprocessing((_PLAIN, _ORDERED, ModelSpec(family="gnb")),
+                                 train, test)
+    (plain, plain_test), (ordered, ordered_test), gnb = prepared
+    assert gnb[0] is plain and gnb[1] is plain_test
+    assert [e.feature for e in plain.encoders] == ["gcs"]
+    assert ordered.encoders == ()
+    assert ordered.imputer is plain.imputer
+    assert plain_test.equals(preprocess.apply(plain, test))
+    assert ordered_test.equals(preprocess.apply(ordered, test))
+    [(raw_only, _)] = fit_preprocessing(
+        (_PLAIN,), train, test, PipelineConfig(encode=False))
+    assert raw_only.encoders == ()

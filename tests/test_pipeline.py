@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from icurisk import preprocess
 from icurisk.cohort import save_cohort
 from icurisk.errors import ConfigError, DataError
+from icurisk.models import cv
 from icurisk.pipeline import (RunConfig, benchmark_grids, load_run_config,
                               run, run_config_from_jsonable,
                               run_config_to_jsonable)
@@ -19,7 +19,7 @@ from icurisk.report import (load_report_schema, validate_report,
 from icurisk.schema import FeatureSpec, save_schema
 from icurisk.selftest import PROBE_CONFIG
 
-from conftest import make_table, small_schema
+from conftest import make_table, small_schema, wrap_everywhere
 
 _ROWS = ("boosted_trees_ordered", "boosted_trees", "boosted_trees_subsampled",
          "logistic_regression", "gaussian_nb", "mlp")
@@ -27,7 +27,7 @@ _ROWS = ("boosted_trees_ordered", "boosted_trees", "boosted_trees_subsampled",
 # sha256 of report.json for PROBE_CONFIG. A change that moves a reported
 # number on purpose updates this and says why in CHANGES.md.
 _PROBE_REPORT_SHA256 = (
-    "23777d8bdb223a51f78895f371639830d74185ff3888ca8d348ace5d36f9256d")
+    "de399e32e930f584fcc14abdf91d4979954ddbe92338719ff151d62d333482ee")
 
 
 def _small_config(**over):
@@ -45,24 +45,25 @@ def _impute_key(imputer, table) -> bytes:
 
 @pytest.fixture(scope="module")
 def probe_run():
-    """PROBE_CONFIG run with impute wrapped at every import site; returns
-    the result and a content key per impute call (fitted imputer, table)."""
-    original = preprocess.impute
-    keys = []
+    """PROBE_CONFIG run with impute and cross_validate wrapped at every
+    import site; returns the result, a content key per impute call (fitted
+    imputer, table) and the result of every cross_validate call."""
+    impute, cross_validate = preprocess.impute, cv.cross_validate
+    keys, searches = [], []
 
     def counted(imputer, table):
         keys.append(_impute_key(imputer, table))
-        return original(imputer, table)
+        return impute(imputer, table)
+
+    def recorded(*args, **kwargs):
+        searches.append(cross_validate(*args, **kwargs))
+        return searches[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").split(".")[0] != "icurisk":
-                continue
-            for name, value in list(vars(mod).items()):
-                if value is original:
-                    mp.setattr(mod, name, counted)
+        wrap_everywhere(mp, impute, counted)
+        wrap_everywhere(mp, cross_validate, recorded)
         result = run(PROBE_CONFIG)
-    return result, keys
+    return result, keys, searches
 
 
 @pytest.fixture(scope="module")
@@ -77,12 +78,26 @@ def test_probe_report_digest(small_run, tmp_path):
 
 
 def test_fitted_tables_are_not_reimputed(probe_run):
-    # fitted pipelines carry their transformed training table; what is left
-    # is an equal imputer fitted again on the full training table, which
-    # re-imputes train and test for the second pipeline config of the models
-    # stage and for the ablation baseline, and train once more for ALE
-    _, keys = probe_run
-    assert len(keys) - len(set(keys)) == 5
+    # each table is imputed once and shared by the encoded and the raw
+    # variant; what is left is the ablation baseline, whose own refit on the
+    # full training table re-imputes train and test
+    _, keys, _ = probe_run
+    assert len(keys) - len(set(keys)) == 2
+
+
+def test_all_rows_are_scored_on_one_fold_plan(probe_run):
+    result, _, searches = probe_run
+    [search] = searches
+    assert search.plan.k == PROBE_CONFIG.cv_folds
+    assert len(search.configs) == sum(r.grid_size for r in result.benchmark)
+    stop = 0
+    for row in result.benchmark:
+        start, stop = stop, stop + row.grid_size
+        best = search.best_in(start, stop)
+        assert {s.label for s in search.configs[start:stop]} == {row.label}
+        assert search.configs[best] == row.spec
+        assert row.cv_mean_auroc == search.mean_auroc[best]
+        assert row.cv_sd_auroc == search.sd_auroc[best]
 
 
 def test_benchmark_has_six_labeled_rows(small_run):
@@ -166,6 +181,10 @@ def test_run_config_round_trip_and_validation():
         RunConfig(seed=0, cv_folds=0)
     with pytest.raises(ConfigError):
         RunConfig(seed=-1)
+    for key, value in (("posterior_burn_in", 1.0), ("posterior_burn_in", -0.1),
+                       ("posterior_chains", 2), ("posterior_generations", 1)):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(seed=0, **{key: value})
 
 
 def test_load_run_config_errors(tmp_path):
@@ -213,7 +232,7 @@ def test_ordered_row_downgrades_without_discrete_features(tmp_path):
 def test_ablation_of_an_ordered_winner_writes_a_valid_report(tmp_path):
     # the ordered-boosting row wins here, and ablating its last multi-level
     # discrete feature must downgrade the refit rather than stop the run
-    cfg = RunConfig(seed=5, synth_n=300, top_k=6, cv_folds=3, n_bootstrap=100,
+    cfg = RunConfig(seed=10, synth_n=300, top_k=6, cv_folds=3, n_bootstrap=100,
                     ablation_resamples=10, shap_background=16, shap_rows=4,
                     ale_top=1, posterior_chains=8, posterior_generations=200,
                     out_dir=str(tmp_path))
@@ -221,6 +240,7 @@ def test_ablation_of_an_ordered_winner_writes_a_valid_report(tmp_path):
     write_artifacts(result)
     report = json.loads((tmp_path / "report.json").read_text())
     validate_report(report, load_report_schema())
+    assert result.winner == "boosted_trees_ordered"
     assert report["ablation"]
 
 

@@ -14,7 +14,7 @@ from icurisk.errors import ConfigError, DataError, OrderingError, SchemaError
 from icurisk.preprocess import (PipelineConfig, apply, class_weights, encode,
                                 fit_encoder, fit_imputer, fit_pipeline,
                                 fit_scaler, impute, pipeline_param_bytes,
-                                pipeline_to_jsonable, scale)
+                                pipeline_to_jsonable, scale, with_encoding)
 from icurisk.schema import FeatureSpec
 
 from conftest import make_table, small_schema
@@ -229,7 +229,7 @@ def test_pipeline_fit_apply(table40):
 
 
 def test_fitted_table_is_the_transformed_training_table(table40):
-    for cfg in (PipelineConfig(), PipelineConfig(encode=(), scale=False)):
+    for cfg in (PipelineConfig(), PipelineConfig(encode=False)):
         pipe = fit_pipeline(table40, cfg)
         assert pipe.fitted_table.equals(apply(pipe, table40))
         assert "fitted_table" not in repr(pipe)
@@ -237,12 +237,22 @@ def test_fitted_table_is_the_transformed_training_table(table40):
 
 
 def test_pipeline_encode_selection(table40):
-    none = fit_pipeline(table40, PipelineConfig(encode=()))
+    none = fit_pipeline(table40, PipelineConfig(encode=False))
     assert none.encoders == ()
-    named = fit_pipeline(table40, PipelineConfig(encode=("gcs",)))
-    assert [e.feature for e in named.encoders] == ["gcs"]
-    with pytest.raises(SchemaError):
-        fit_pipeline(table40, PipelineConfig(encode=("missing_feature",)))
+    encoded = fit_pipeline(table40, PipelineConfig())
+    assert [e.feature for e in encoded.encoders] == ["gcs"]
+
+
+def test_with_encoding_shares_the_imputation(table40):
+    encoded = fit_pipeline(table40)
+    raw = with_encoding(encoded, False)
+    assert raw.imputer is encoded.imputer
+    assert raw.imputed_table is encoded.imputed_table
+    assert pipeline_param_bytes(raw) == pipeline_param_bytes(
+        fit_pipeline(table40, PipelineConfig(encode=False)))
+    assert raw.fitted_table.equals(apply(raw, table40))
+    assert pipeline_param_bytes(with_encoding(raw, True)) == pipeline_param_bytes(encoded)
+    assert with_encoding(encoded, True) is encoded
 
 
 def test_pipeline_param_bytes_deterministic(table40):
