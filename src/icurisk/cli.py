@@ -96,7 +96,7 @@ def _run_with_manifest(config: RunConfig, groups=None):
     except IcuRiskError as exc:
         m = _STAGE_RE.match(str(exc))
         write_failed_manifest(config.out_dir, config,
-                              m.group(1) if m else "unknown", exc)
+                              m.group(1) if m else "unknown")
         raise
     return result, write_artifacts(result, groups=groups)
 

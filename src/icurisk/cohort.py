@@ -95,23 +95,26 @@ class CohortTable:
         return f"CohortTable(n={self.n}, d={self.d}, event_rate={self.y.mean():.3f}, missing={miss:.3f})"
 
 
-def validate_values(table: CohortTable) -> None:
+def validate_values(table: CohortTable, where=None) -> None:
     """Check raw-cohort value constraints (binary in {0,1}, discrete on grid,
-    values inside declared bounds). Transformed tables do not satisfy these."""
+    values inside declared bounds). Transformed tables do not satisfy these.
+    The error names the first offending row i as where(i), e.g. a CSV line."""
     for j, spec in enumerate(table.schema):
         col = table.X[:, j]
-        obs = col[~np.isnan(col)]
-        if obs.size == 0:
-            continue
-        if spec.lower is not None and obs.min() < spec.lower - 1e-9:
-            raise DataError(f"{spec.name!r}: value {obs.min()} below lower bound {spec.lower}")
-        if spec.upper is not None and obs.max() > spec.upper + 1e-9:
-            raise DataError(f"{spec.name!r}: value {obs.max()} above upper bound {spec.upper}")
+        rules = []
+        if spec.lower is not None:
+            rules.append((col < spec.lower - 1e-9, f"below lower bound {spec.lower}"))
+        if spec.upper is not None:
+            rules.append((col > spec.upper + 1e-9, f"above upper bound {spec.upper}"))
         if spec.kind in ("binary", "ordinal_score", "categorical"):
-            grid = spec.grid()
-            off = ~np.isin(obs, grid)
-            if off.any():
-                raise DataError(f"{spec.name!r}: {int(off.sum())} values off the declared grid")
+            rules.append((~np.isin(col, spec.grid()) & ~np.isnan(col),
+                          "off the declared grid"))
+        for bad, why in rules:
+            if bad.any():
+                i = int(np.argmax(bad))
+                at = where(i) if where else f"row {i}"
+                raise DataError(
+                    f"{at}: column {spec.name!r} value {float(col[i])} {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +156,13 @@ def _parse_cell(spec, text, where):
         except ValueError:
             raise DataError(f"{where}: {text!r} is not a level of {spec.name!r}") from None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise DataError(f"{where}: non-numeric cell {text!r} in column {spec.name!r}") from None
+        value = np.nan
+    if not np.isfinite(value):  # "nan" would otherwise pass for a missing cell
+        raise DataError(f"{where}: column {spec.name!r} cell {text!r} "
+                        "is not a finite number")
+    return value
 
 
 def load_cohort(path, schema) -> CohortTable:
@@ -178,12 +185,17 @@ def load_cohort(path, schema) -> CohortTable:
                 [_parse_cell(schema[j], cells[j], f"{path}:{lineno}") for j in range(len(schema))]
             )
             try:
-                labels.append(int(cells[-1]))
+                label = int(cells[-1])
             except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer label {cells[-1]!r}") from None
+                label = None
+            if label not in (0, 1):
+                raise DataError(f"{path}:{lineno}: label {cells[-1]!r} is not 0 or 1")
+            labels.append(label)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return CohortTable(schema, np.array(rows), np.array(labels))
+    table = CohortTable(schema, np.array(rows), np.array(labels))
+    validate_values(table, where=lambda i: f"{path}:{i + 2}")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +210,7 @@ class SplitIndex:
 
 def stratified_split(table: CohortTable, train_fraction: float, seed: int) -> SplitIndex:
     """Seeded per-class shuffle; each class contributes round(count x fraction)
-    rows to the train part (round-half-up)."""
+    rows to the train part (round-half-up) and must keep rows on both sides."""
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     y = table.y
@@ -209,10 +221,12 @@ def stratified_split(table: CohortTable, train_fraction: float, seed: int) -> Sp
     train_parts, test_parts = [], []
     for c in classes:
         idx = np.flatnonzero(y == c)
-        if idx.size < 2:
-            raise DataError(f"class {c} has fewer than 2 members; cannot stratify")
-        perm = rng.permutation(idx.size)
         n_train = int(np.floor(idx.size * train_fraction + 0.5))
+        if not 0 < n_train < idx.size:
+            part = "train" if n_train == 0 else "test"
+            raise DataError(f"train_fraction={train_fraction} leaves class {c} "
+                            f"({idx.size} rows) with no {part} rows")
+        perm = rng.permutation(idx.size)
         train_parts.append(idx[perm[:n_train]])
         test_parts.append(idx[perm[n_train:]])
     train_rows = np.sort(np.concatenate(train_parts))

@@ -1,8 +1,9 @@
 """Leave-one-feature-out ablation of test discrimination.
 
-For a fixed model family and hyperparameters, the pipeline and model are
-refit once on the full training table and once per dropped feature; each
-fitted predictor scores the test table once, and uncertainty comes from
+The baseline is the model already fitted on the full training table: the
+caller passes its test scores. For a fixed model family and hyperparameters
+the pipeline and model are refit once per dropped feature; each fitted
+predictor scores the test table once, and uncertainty comes from
 re-evaluating AUROC on stratified bootstrap resamples of the test rows. All
 variants share one resample index set so the per-feature distributions are
 paired with the baseline.
@@ -17,7 +18,7 @@ import numpy as np
 from .._rng import derive_int, derive_rng
 from ..cohort import CohortTable
 from ..errors import ConfigError, DataError
-from ..metrics import auroc
+from ..metrics import auroc, resampled_aurocs, stratified_bootstrap
 from ..models.cv import (ModelSpec, downgrade_ordered, fit_preprocessing,
                          predict_scores, train_model)
 from ..preprocess import PipelineConfig
@@ -39,15 +40,6 @@ class AblationReport:
         return float(np.mean(self.baseline_dist - self.dropped_dist[name]))
 
 
-def _bootstrap_indices(labels: np.ndarray, B: int, seed: int):
-    rng = derive_rng(seed, "ablation")
-    pos = np.flatnonzero(labels == 1)
-    neg = np.flatnonzero(labels == 0)
-    take_pos = pos[rng.integers(0, pos.size, size=(B, pos.size))]
-    take_neg = neg[rng.integers(0, neg.size, size=(B, neg.size))]
-    return np.concatenate([take_pos, take_neg], axis=1)
-
-
 def _fit_and_score(spec, train, test, pipeline_config, seed):
     spec = downgrade_ordered(spec, train.schema)
     [(pipe, test_t)] = fit_preprocessing((spec,), train, test, pipeline_config)
@@ -56,25 +48,27 @@ def _fit_and_score(spec, train, test, pipeline_config, seed):
 
 
 def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
-             features=None, n_resamples: int = 100, seed: int = 0,
+             base_scores, features=None, n_resamples: int = 100, seed: int = 0,
              pipeline_config: PipelineConfig = None) -> AblationReport:
-    """Paired bootstrap comparison of test AUROC with and without each feature."""
-    if n_resamples < 1:
-        raise ConfigError("n_resamples must be >= 1")
+    """Paired bootstrap comparison of test AUROC with and without each feature.
+
+    base_scores are the test scores of spec fitted on the full training
+    table; only the dropped-feature variants are refit here."""
     if list(train.feature_names) != list(test.feature_names):
         raise DataError("train and test tables have different features")
+    base_scores = np.asarray(base_scores, dtype=float)
+    if base_scores.shape != (test.n,):
+        raise DataError(f"base_scores has shape {base_scores.shape}, "
+                        f"expected one score per test row ({test.n})")
     names = list(features) if features is not None else list(train.feature_names)
     unknown = [n for n in names if n not in train.feature_names]
     if unknown:
         raise ConfigError(f"unknown features: {unknown}")
 
     labels = test.y
-    idx = _bootstrap_indices(labels, n_resamples, seed)
-
-    base_scores = _fit_and_score(spec, train, test, pipeline_config,
-                                 derive_int(seed, "ablation", 0))
+    idx = stratified_bootstrap(labels, n_resamples, derive_rng(seed, "ablation"))
     baseline = auroc(base_scores, labels)
-    base_dist = np.array([auroc(base_scores[r], labels[r]) for r in idx])
+    base_dist = resampled_aurocs(base_scores, labels, idx)
 
     dropped_dist = {}
     dropped_point = {}
@@ -87,7 +81,7 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
         scores = _fit_and_score(spec, tr, te, pipeline_config,
                                 derive_int(seed, "ablation", k + 1))
         dropped_point[name] = auroc(scores, labels)
-        dropped_dist[name] = np.array([auroc(scores[r], labels[r]) for r in idx])
+        dropped_dist[name] = resampled_aurocs(scores, labels, idx)
         ablated.append(name)
 
     return AblationReport(features=tuple(ablated), baseline_auroc=baseline,

@@ -19,6 +19,8 @@ __all__ = [
     "WelchResult",
     "auroc",
     "roc_curve",
+    "stratified_bootstrap",
+    "resampled_aurocs",
     "bootstrap_auroc_ci",
     "tune_threshold",
     "confusion_metrics",
@@ -71,28 +73,33 @@ def roc_curve(scores, labels):
     return fpr, tpr, thresholds
 
 
-def bootstrap_auroc_ci(scores, labels, B: int = 2000, seed: int = 0, levels=(2.5, 97.5)):
-    """Percentile bootstrap CI for AUROC, stratified within each class so
-    every replicate keeps both classes."""
-    scores = np.asarray(scores, dtype=float)
+def stratified_bootstrap(labels, B: int, rng) -> np.ndarray:
+    """(B, n) row indices of B bootstrap resamples, stratified within each
+    class so every replicate keeps both classes: each row holds the
+    positives drawn from the positive rows, then the negatives."""
     labels = _check_binary(labels)
     if B < 1:
         raise ConfigError("B must be >= 1")
     pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
     if pos.size == 0 or neg.size == 0:
-        raise DataError("bootstrap CI undefined: both classes must be present")
-    rng = derive_rng(seed, "bootstrap")
-    draws_pos = rng.integers(0, pos.size, size=(B, pos.size))
-    draws_neg = rng.integers(0, neg.size, size=(B, neg.size))
-    reps = np.empty(B)
-    ones = np.ones(pos.size, dtype=int)
-    zeros = np.zeros(neg.size, dtype=int)
-    lab = np.concatenate([ones, zeros])
-    for b in range(B):
-        sc = np.concatenate([scores[pos[draws_pos[b]]], scores[neg[draws_neg[b]]]])
-        reps[b] = auroc(sc, lab)
-    low, high = np.percentile(reps, levels)
+        raise DataError("bootstrap undefined: both classes must be present")
+    take_pos = pos[rng.integers(0, pos.size, size=(B, pos.size))]
+    take_neg = neg[rng.integers(0, neg.size, size=(B, neg.size))]
+    return np.concatenate([take_pos, take_neg], axis=1)
+
+
+def resampled_aurocs(scores, labels, idx) -> np.ndarray:
+    """AUROC of each resample; idx holds one row of indices per resample."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    return np.array([auroc(scores[r], labels[r]) for r in idx])
+
+
+def bootstrap_auroc_ci(scores, labels, B: int = 2000, seed: int = 0, levels=(2.5, 97.5)):
+    """Percentile CI for AUROC over B class-stratified bootstrap resamples."""
+    idx = stratified_bootstrap(labels, B, derive_rng(seed, "bootstrap"))
+    low, high = np.percentile(resampled_aurocs(scores, labels, idx), levels)
     return float(low), float(high)
 
 

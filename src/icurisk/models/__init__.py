@@ -13,15 +13,14 @@ import numpy as np
 from ..errors import SchemaError
 from .cv import (CvPlan, GridSearchResult, ModelSpec, cross_validate,
                  multi_level_indices, stratified_kfold, train_model)
-from .gbdt import (GbdtModel, GbdtParams, gbdt_from_jsonable, gbdt_margin,
-                   gbdt_predict_proba, gbdt_to_jsonable, train_gbdt)
-from .linear import (LinearModel, linear_from_jsonable, linear_margin,
-                     linear_predict_proba, linear_to_jsonable, logreg_objective,
-                     train_logreg)
-from .mlp import (MlpConfig, MlpModel, loss_and_grad, mlp_from_jsonable,
-                  mlp_margin, mlp_predict_proba, mlp_to_jsonable, train_mlp)
-from .naive_bayes import (GaussianNbModel, gnb_from_jsonable, gnb_posterior,
-                          gnb_predict_proba, gnb_to_jsonable, train_gnb)
+from .gbdt import (GbdtModel, GbdtParams, gbdt_margin, gbdt_predict_proba,
+                   train_gbdt)
+from .linear import (LinearModel, linear_margin, linear_predict_proba,
+                     logreg_objective, train_logreg)
+from .mlp import (MlpConfig, MlpModel, loss_and_grad, mlp_margin,
+                  mlp_predict_proba, train_mlp)
+from .naive_bayes import (GaussianNbModel, gnb_posterior, gnb_predict_proba,
+                          train_gnb)
 
 __all__ = [
     "GbdtModel", "GbdtParams", "train_gbdt", "gbdt_margin",
@@ -30,7 +29,7 @@ __all__ = [
     "MlpModel", "MlpConfig", "train_mlp", "loss_and_grad",
     "ModelSpec", "CvPlan", "GridSearchResult", "stratified_kfold",
     "cross_validate", "train_model", "multi_level_indices",
-    "predict_proba", "model_margin", "model_to_jsonable", "model_from_jsonable",
+    "predict_proba", "model_margin",
 ]
 
 _PREDICT = {
@@ -44,20 +43,6 @@ _MARGIN = {
     GbdtModel: gbdt_margin,
     LinearModel: linear_margin,
     MlpModel: mlp_margin,
-}
-
-_TO_JSON = {
-    GbdtModel: gbdt_to_jsonable,
-    LinearModel: linear_to_jsonable,
-    GaussianNbModel: gnb_to_jsonable,
-    MlpModel: mlp_to_jsonable,
-}
-
-_FROM_JSON = {
-    "gbdt": gbdt_from_jsonable,
-    "logreg": linear_from_jsonable,
-    "gnb": gnb_from_jsonable,
-    "mlp": mlp_from_jsonable,
 }
 
 
@@ -88,19 +73,3 @@ def model_margin(model, rows) -> np.ndarray:
     if fn is None:
         raise TypeError(f"{type(model).__name__} has no margin; use predict_proba")
     return fn(model, _as_matrix(model, rows))
-
-
-def model_to_jsonable(model) -> dict:
-    fn = _TO_JSON.get(type(model))
-    if fn is None:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    payload = fn(model)
-    payload["format_version"] = 1
-    return payload
-
-
-def model_from_jsonable(payload: dict):
-    fn = _FROM_JSON.get(payload.get("family"))
-    if fn is None:
-        raise ValueError(f"unknown model family {payload.get('family')!r}")
-    return fn(payload)

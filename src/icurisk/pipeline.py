@@ -317,10 +317,10 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
 def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
                    train, test, ranking):
     win_row = next(r for r in result_rows if r.label == winner)
-    pipe, _, model, _ = fitted[winner]
+    pipe, _, model, test_scores = fitted[winner]
     predictor = Predictor(schema=train.schema, pipeline=pipe, model=model)
 
-    abl = ablation(win_row.spec, train, test,
+    abl = ablation(win_row.spec, train, test, test_scores,
                    n_resamples=config.ablation_resamples,
                    seed=derive_int(config.seed, "ablation"),
                    pipeline_config=PipelineConfig(k_neighbors=config.k_neighbors,

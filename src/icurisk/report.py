@@ -429,17 +429,19 @@ class RunManifest:
 
 
 def _sha256(path) -> tuple:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
         data = fh.read()
-    h.update(data)
-    return h.hexdigest(), len(data)
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
+def _echo_hash(echo: dict) -> str:
+    """sha256 of a config echo (the report's "config" section)."""
+    blob = json.dumps(echo, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 def config_hash(config: RunConfig) -> str:
-    blob = json.dumps(_config_echo(config), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return _echo_hash(_config_echo(config))
 
 
 def _versions() -> dict:
@@ -453,8 +455,17 @@ def _versions() -> dict:
     }
 
 
-def _manifest_payload(m: RunManifest) -> dict:
-    return {
+def _write_manifest(out_dir: str, echo: dict, files, stage_seconds: dict,
+                    failed_stage: str = None) -> RunManifest:
+    """Checksum files (names inside out_dir) and write manifest.json."""
+    m = RunManifest(
+        config_hash=_echo_hash(echo),
+        status="failed" if failed_stage else "complete",
+        failed_stage=failed_stage,
+        artifacts=tuple((name, *_sha256(os.path.join(out_dir, name)))
+                        for name in files),
+        versions=_versions(), stage_seconds=stage_seconds)
+    payload = {
         "format_version": 1,
         "config_hash": m.config_hash,
         "status": m.status,
@@ -464,12 +475,9 @@ def _manifest_payload(m: RunManifest) -> dict:
         "versions": m.versions,
         "stage_seconds": m.stage_seconds,
     }
-
-
-def _write_manifest(m: RunManifest, out_dir: str) -> None:
-    payload = json.dumps(_manifest_payload(m), indent=1, sort_keys=True) + "\n"
     with open(os.path.join(out_dir, _MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    return m
 
 
 def load_manifest(out_dir: str) -> dict:
@@ -495,29 +503,17 @@ def write_artifacts(result: RunResult, out_dir: str = None,
     files = [_REPORT_NAME] + emit_projections(report, out, groups=groups)
     seconds = dict(result.stage_seconds)
     seconds["report"] = time.perf_counter() - t0
-    artifacts = tuple((name, *_sha256(os.path.join(out, name))) for name in files)
-    manifest = RunManifest(config_hash=config_hash(result.config),
-                           status="complete", failed_stage=None,
-                           artifacts=artifacts, versions=_versions(),
-                           stage_seconds=seconds)
-    _write_manifest(manifest, out)
-    return manifest
+    return _write_manifest(out, _config_echo(result.config), files, seconds)
 
 
-def write_failed_manifest(out_dir: str, config: RunConfig, stage: str,
-                          error: Exception) -> RunManifest:
+def write_failed_manifest(out_dir: str, config: RunConfig,
+                          stage: str) -> RunManifest:
     """Record a failed run: whatever artifacts exist are flagged partial."""
     os.makedirs(out_dir, exist_ok=True)
     present = sorted(n for n in os.listdir(out_dir)
                      if n.endswith((".csv", ".svg")) or n == _REPORT_NAME)
-    artifacts = tuple((name, *_sha256(os.path.join(out_dir, name)))
-                      for name in present)
-    manifest = RunManifest(config_hash=config_hash(config), status="failed",
-                           failed_stage=stage, artifacts=artifacts,
-                           versions=_versions(),
-                           stage_seconds={"error": 0.0})
-    _write_manifest(manifest, out_dir)
-    return manifest
+    return _write_manifest(out_dir, _config_echo(config), present,
+                           {"error": 0.0}, failed_stage=stage)
 
 
 def emit_report(out_dir: str) -> RunManifest:
@@ -537,17 +533,10 @@ def emit_report(out_dir: str) -> RunManifest:
     validate_report(report, load_report_schema())
     t0 = time.perf_counter()
     files = [_REPORT_NAME] + emit_projections(report, out_dir)
-    artifacts = tuple((name, *_sha256(os.path.join(out_dir, name))) for name in files)
     try:
         prior = load_manifest(out_dir)
         stage_seconds = dict(prior.get("stage_seconds", {}))
     except DataError:
         stage_seconds = {}
     stage_seconds["report"] = time.perf_counter() - t0
-    manifest = RunManifest(
-        config_hash=hashlib.sha256(json.dumps(report["config"], sort_keys=True,
-                                              separators=(",", ":")).encode()).hexdigest(),
-        status="complete", failed_stage=None, artifacts=artifacts,
-        versions=_versions(), stage_seconds=stage_seconds)
-    _write_manifest(manifest, out_dir)
-    return manifest
+    return _write_manifest(out_dir, report["config"], files, stage_seconds)

@@ -1,13 +1,17 @@
-"""Leave-one-feature-out refits scored by paired bootstrap AUROC."""
+"""Leave-one-feature-out refits scored by paired bootstrap AUROC against
+the baseline model's own test scores."""
 
 import numpy as np
 import pytest
 
+from icurisk import preprocess
 from icurisk.errors import ConfigError, DataError
 from icurisk.explain.ablation import ablation
-from icurisk.models.cv import ModelSpec
+from icurisk.metrics import auroc
+from icurisk.models.cv import (ModelSpec, fit_preprocessing, predict_scores,
+                               train_model)
 
-from conftest import make_table
+from conftest import make_table, wrap_everywhere
 
 
 def _split(table, n_train):
@@ -15,10 +19,18 @@ def _split(table, n_train):
     return table.subset(idx[:n_train]), table.subset(idx[n_train:])
 
 
+def _base_scores(spec, train, test):
+    """Test scores of spec fitted on the full training table."""
+    [(pipe, test_t)] = fit_preprocessing((spec,), train, test)
+    return predict_scores(train_model(spec, pipe.fitted_table, pipe.weights), test_t)
+
+
 def test_report_structure_and_determinism():
     train, test = _split(make_table(220, seed=51, informative=True), 150)
     spec = ModelSpec(family="logreg", params={"C": 1.0})
-    rep = ablation(spec, train, test, n_resamples=25, seed=3)
+    base = _base_scores(spec, train, test)
+    rep = ablation(spec, train, test, base, n_resamples=25, seed=3)
+    assert rep.baseline_auroc == auroc(base, test.y)
     assert rep.features == tuple(train.feature_names)
     assert rep.baseline_dist.shape == (25,)
     assert set(rep.dropped_dist) == set(rep.features)
@@ -26,7 +38,7 @@ def test_report_structure_and_determinism():
         assert rep.dropped_dist[name].shape == (25,)
         assert 0.0 <= rep.dropped_auroc[name] <= 1.0
     assert 0.0 <= rep.baseline_auroc <= 1.0
-    again = ablation(spec, train, test, n_resamples=25, seed=3)
+    again = ablation(spec, train, test, base, n_resamples=25, seed=3)
     assert np.array_equal(rep.baseline_dist, again.baseline_dist)
     for name in rep.features:
         assert np.array_equal(rep.dropped_dist[name], again.dropped_dist[name])
@@ -36,7 +48,8 @@ def test_informative_feature_costs_auroc():
     # conftest couples the label to age only, so removing age must hurt
     train, test = _split(make_table(400, seed=53, informative=True), 280)
     spec = ModelSpec(family="gnb")
-    rep = ablation(spec, train, test, n_resamples=40, seed=1)
+    rep = ablation(spec, train, test, _base_scores(spec, train, test),
+                   n_resamples=40, seed=1)
     assert rep.mean_drop("age") > 0.05
     others = [rep.mean_drop(n) for n in rep.features if n != "age"]
     assert rep.mean_drop("age") > max(others)
@@ -45,15 +58,25 @@ def test_informative_feature_costs_auroc():
 def test_feature_subset_and_validation():
     train, test = _split(make_table(120, seed=55, informative=True), 80)
     spec = ModelSpec(family="gnb")
-    rep = ablation(spec, train, test, features=["age", "vent"],
+    base = _base_scores(spec, train, test)
+    rep = ablation(spec, train, test, base, features=["age", "vent"],
                    n_resamples=10, seed=0)
     assert rep.features == ("age", "vent")
     with pytest.raises(ConfigError):
-        ablation(spec, train, test, features=["nope"], n_resamples=5)
+        ablation(spec, train, test, base, features=["nope"], n_resamples=5)
     with pytest.raises(ConfigError):
-        ablation(spec, train, test, n_resamples=0)
+        ablation(spec, train, test, base, n_resamples=0)
     with pytest.raises(DataError):
-        ablation(spec, train, test.drop_features(["vent"]), n_resamples=5)
+        ablation(spec, train, test.drop_features(["vent"]), base, n_resamples=5)
+
+
+def test_base_scores_must_cover_every_test_row():
+    train, test = _split(make_table(120, seed=55, informative=True), 80)
+    spec = ModelSpec(family="gnb")
+    base = _base_scores(spec, train, test)
+    for bad in (base[:-1], np.r_[base, 0.5], base[None, :]):
+        with pytest.raises(DataError, match="base_scores"):
+            ablation(spec, train, test, bad, n_resamples=5)
 
 
 def test_ordered_boosting_survives_dropping_its_last_discrete_feature():
@@ -61,6 +84,23 @@ def test_ordered_boosting_survives_dropping_its_last_discrete_feature():
     # boosting has nothing to order and must refit as plain boosting
     train, test = _split(make_table(160, seed=57, informative=True), 110)
     spec = ModelSpec("gbdt", {"depth": 2, "n_trees": 10, "ordered_mode": True})
-    rep = ablation(spec, train, test, features=["gcs"], n_resamples=5, seed=0)
+    rep = ablation(spec, train, test, _base_scores(spec, train, test),
+                   features=["gcs"], n_resamples=5, seed=0)
     assert rep.features == ("gcs",)
     assert 0.0 <= rep.dropped_auroc["gcs"] <= 1.0
+
+
+def test_only_the_dropped_feature_variants_are_refit(monkeypatch):
+    train, test = _split(make_table(120, seed=55, informative=True), 80)
+    spec = ModelSpec(family="gnb")
+    base = _base_scores(spec, train, test)
+    fit_pipeline, fits = preprocess.fit_pipeline, []
+
+    def counted(table, *args, **kwargs):
+        fits.append(table.feature_names)
+        return fit_pipeline(table, *args, **kwargs)
+
+    wrap_everywhere(monkeypatch, fit_pipeline, counted)
+    rep = ablation(spec, train, test, base, n_resamples=5)
+    assert len(fits) == len(rep.features) == train.d
+    assert all(len(names) == train.d - 1 for names in fits)

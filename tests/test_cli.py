@@ -128,3 +128,24 @@ def test_malformed_data_is_exit_3_with_failed_manifest(tmp_path, capsys):
     manifest = load_manifest(out)
     assert manifest["status"] == "failed"
     assert manifest["failed_stage"] == "dataset"
+
+
+def test_out_of_schema_cell_is_exit_3_with_failed_manifest(tmp_path, capsys):
+    # a negative BUN loads as a number but lies below the schema's bound
+    csv_path = tmp_path / "cohort.csv"
+    assert main(["synth", "--seed", "4", "--n", "200", "--out",
+                 str(csv_path)]) == 0
+    lines = csv_path.read_text().splitlines()
+    col = lines[0].split(",").index("BUN")
+    cells = lines[5].split(",")
+    cells[col] = "-5"
+    lines[5] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "arts")
+    cfg = _write_config(tmp_path, input_path=str(csv_path))
+    assert main(["run", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "cohort.csv:6: column 'BUN'" in err and "[stage:dataset]" in err
+    manifest = load_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["failed_stage"] == "dataset"

@@ -76,6 +76,59 @@ def test_load_rejects_bad_cells(tmp_path, schema4):
         load_cohort(path, schema4)
 
 
+def _csv_with_cell(tmp_path, column, text):
+    """A clean schema4 cohort CSV whose second data row (line 3) holds text
+    in column."""
+    path = tmp_path / "cohort.csv"
+    save_cohort(make_table(6, seed=8), path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_cells(tmp_path, schema4, text):
+    # float() parses these, and "nan" would pass for a missing cell
+    path = _csv_with_cell(tmp_path, "lactate", text)
+    with pytest.raises(DataError, match=r"cohort\.csv:3: column 'lactate'"):
+        load_cohort(path, schema4)
+
+
+@pytest.mark.parametrize("column,text,why", [
+    ("lactate", "-5", "below lower bound"),
+    ("age", "120.0", "above upper bound"),
+])
+def test_load_rejects_values_outside_schema_bounds(tmp_path, schema4, column,
+                                                   text, why):
+    path = _csv_with_cell(tmp_path, column, text)
+    with pytest.raises(DataError, match=rf"cohort\.csv:3: column '{column}'.*{why}"):
+        load_cohort(path, schema4)
+
+
+@pytest.mark.parametrize("column,text", [("gcs", "7.5"), ("vent", "0.5")])
+def test_load_rejects_discrete_values_off_the_grid(tmp_path, schema4, column,
+                                                    text):
+    path = _csv_with_cell(tmp_path, column, text)
+    with pytest.raises(DataError, match=rf"cohort\.csv:3: column '{column}'.*grid"):
+        load_cohort(path, schema4)
+
+
+@pytest.mark.parametrize("text", ["2", "-1"])
+def test_load_rejects_labels_other_than_0_and_1(tmp_path, schema4, text):
+    path = _csv_with_cell(tmp_path, "label", text)
+    with pytest.raises(DataError, match=r"cohort\.csv:3: label"):
+        load_cohort(path, schema4)
+
+
+def test_load_accepts_large_values_under_an_open_bound(tmp_path, schema4):
+    # lactate has no upper bound, so 1e308 is inside the schema
+    path = _csv_with_cell(tmp_path, "lactate", "1e308")
+    assert load_cohort(path, schema4).column("lactate")[1] == 1e308
+
+
 def test_validate_values_catches_off_grid(schema4):
     table = make_table(20, seed=2)
     validate_values(table)  # clean by construction
@@ -113,6 +166,13 @@ def test_split_determinism(table40):
 @given(n=st.integers(10, 120), frac=st.floats(0.2, 0.8), seed=st.integers(0, 50))
 def test_split_properties(n, frac, seed):
     table = make_table(n, seed=seed)
+    counts = np.bincount(table.y, minlength=2)
+    n_train = np.floor(counts * frac + 0.5)
+    if ((n_train == 0) | (n_train == counts)).any():
+        # rounding leaves a class on one side only: the split refuses
+        with pytest.raises(DataError, match="train_fraction"):
+            stratified_split(table, frac, seed)
+        return
     split = stratified_split(table, frac, seed)
     assert np.intersect1d(split.train_rows, split.test_rows).size == 0
     assert split.train_rows.size + split.test_rows.size == n
@@ -126,6 +186,17 @@ def test_split_rejects_degenerate(table40):
     one_class = CohortTable(table40.schema, table40.X, np.zeros(table40.n, dtype=int))
     with pytest.raises(DataError):
         stratified_split(one_class, 0.7, 0)
+
+
+def test_split_keeps_every_class_on_both_sides():
+    y = np.r_[np.zeros(30, dtype=int), np.ones(12, dtype=int)]
+    table = CohortTable(small_schema(), make_table(42, seed=1).X, y)
+    # 12 x 0.97 rounds to 12 positives in train and none in test
+    with pytest.raises(DataError, match="train_fraction=0.97 .* no test rows"):
+        stratified_split(table, 0.97, 0)
+    # 12 x 0.03 rounds to no positive in train
+    with pytest.raises(DataError, match="train_fraction=0.03 .* no train rows"):
+        stratified_split(table, 0.03, 0)
 
 
 def test_summarize_matches_nan_moments(table40):

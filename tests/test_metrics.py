@@ -6,10 +6,11 @@ import pytest
 from scipy import stats
 
 from icurisk.cohort import CohortTable
-from icurisk.errors import DataError
+from icurisk._rng import derive_rng
+from icurisk.errors import ConfigError, DataError
 from icurisk.metrics import (auroc, bootstrap_auroc_ci, compare_cohorts,
-                             confusion_metrics, roc_curve, tune_threshold,
-                             welch_t)
+                             confusion_metrics, resampled_aurocs, roc_curve,
+                             stratified_bootstrap, tune_threshold, welch_t)
 from icurisk.schema import FeatureSpec
 
 
@@ -85,6 +86,33 @@ def test_bootstrap_ci_deterministic_and_ordered():
     assert 0.0 <= lo1 <= hi1 <= 1.0
     point = auroc(scores, labels)
     assert lo1 <= point <= hi1
+
+
+def test_stratified_bootstrap_draws_positives_then_negatives():
+    labels = np.array([0, 1, 1, 0, 0, 1, 0])
+    idx = stratified_bootstrap(labels, 4, np.random.default_rng(3))
+    assert idx.shape == (4, 7)
+    # one draw matrix for the positive rows, then one for the negative rows
+    rng = np.random.default_rng(3)
+    pos, neg = np.array([1, 2, 5]), np.array([0, 3, 4, 6])
+    assert np.array_equal(idx[:, :3], pos[rng.integers(0, 3, size=(4, 3))])
+    assert np.array_equal(idx[:, 3:], neg[rng.integers(0, 4, size=(4, 4))])
+    with pytest.raises(DataError, match="both classes"):
+        stratified_bootstrap(np.zeros(5, dtype=int), 4, np.random.default_rng(3))
+    with pytest.raises(ConfigError):
+        stratified_bootstrap(labels, 0, np.random.default_rng(3))
+
+
+def test_bootstrap_ci_is_the_percentile_of_the_resampled_aurocs():
+    rng = np.random.default_rng(5)
+    scores = np.round(rng.random(80), 1)  # coarse grid forces ties
+    labels = (rng.random(80) < 0.3).astype(int)
+    labels[:2] = [0, 1]
+    idx = stratified_bootstrap(labels, 200, derive_rng(4, "bootstrap"))
+    reps = resampled_aurocs(scores, labels, idx)
+    assert reps[0] == auroc(scores[idx[0]], labels[idx[0]])
+    low, high = np.percentile(reps, (2.5, 97.5))
+    assert bootstrap_auroc_ci(scores, labels, B=200, seed=4) == (low, high)
 
 
 def test_confusion_metrics_fixture():

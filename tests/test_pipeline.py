@@ -79,10 +79,10 @@ def test_probe_report_digest(small_run, tmp_path):
 
 def test_fitted_tables_are_not_reimputed(probe_run):
     # each table is imputed once and shared by the encoded and the raw
-    # variant; what is left is the ablation baseline, whose own refit on the
-    # full training table re-imputes train and test
+    # variant, and the ablation scores the winner the models stage already
+    # fitted instead of refitting it on the full training table
     _, keys, _ = probe_run
-    assert len(keys) - len(set(keys)) == 2
+    assert len(keys) - len(set(keys)) == 0
 
 
 def test_all_rows_are_scored_on_one_fold_plan(probe_run):
@@ -211,6 +211,15 @@ def test_dataset_stage_tags_errors(tmp_path):
         run(cfg)
 
 
+def test_train_fraction_that_empties_a_class_fails_at_the_split():
+    # 0.97 of the ~12 positives rounds to all of them, leaving the test set
+    # without a positive; this must stop before any model is fit
+    cfg = _small_config(synth_n=60, top_k=4, min_documented_patients=10,
+                        train_fraction=0.97)
+    with pytest.raises(DataError, match=r"\[stage:dataset\] train_fraction"):
+        run(cfg)
+
+
 def test_ordered_row_downgrades_without_discrete_features(tmp_path):
     # a cohort of purely continuous and binary features leaves the ordered
     # encoder nothing to target-encode; the row must say so and still run
@@ -242,6 +251,10 @@ def test_ablation_of_an_ordered_winner_writes_a_valid_report(tmp_path):
     validate_report(report, load_report_schema())
     assert result.winner == "boosted_trees_ordered"
     assert report["ablation"]
+    # the ablation baseline is the benchmark's fitted winner, not a refit
+    # that draws another model seed
+    [win] = [r for r in report["benchmark"] if r["label"] == result.winner]
+    assert report["ablation"]["baseline_auroc"] == win["test"]["auroc"]
 
 
 def test_full_grid_preset_is_larger():

@@ -107,6 +107,7 @@ def test_reemission_is_byte_identical(run_out, tmp_path):
     before = {name: digest for name, digest, _ in manifest.artifacts}
     after = {name: digest for name, digest, _ in refreshed.artifacts}
     assert before == after
+    assert refreshed.config_hash == manifest.config_hash
 
 
 def test_emit_projections_group_filter(run_out, tmp_path):
@@ -122,8 +123,7 @@ def test_emit_projections_group_filter(run_out, tmp_path):
 def test_failed_manifest(tmp_path):
     (tmp_path / "partial.csv").write_text("a,b\n1,2\n")
     cfg = RunConfig(seed=9)
-    manifest = write_failed_manifest(str(tmp_path), cfg, "models",
-                                     RuntimeError("boom"))
+    manifest = write_failed_manifest(str(tmp_path), cfg, "models")
     stored = load_manifest(str(tmp_path))
     assert stored["status"] == "failed"
     assert stored["failed_stage"] == "models"
