@@ -22,7 +22,7 @@ from .errors import (ConfigError, ConvergenceError, DataError, IcuRiskError,
 from .explain import (AblationReport, AleCurve, DreamConfig, DreamResult,
                       PosteriorConfig, PosteriorRisk, ShapMatrix, ablation,
                       ale, dream_sample, posterior_risk_inputs,
-                      posterior_risk_params, shap_exhaustive, shap_tree)
+                      shap_exhaustive, shap_tree)
 from .metrics import (MetricReport, auroc, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold, welch_t)
 from .models import (GaussianNbModel, GbdtModel, GbdtParams, LinearModel,
@@ -62,7 +62,7 @@ __all__ = [
     # explanation
     "ablation", "AblationReport", "shap_tree", "shap_exhaustive",
     "ShapMatrix", "ale", "AleCurve", "dream_sample", "DreamConfig",
-    "DreamResult", "posterior_risk_inputs", "posterior_risk_params",
+    "DreamResult", "posterior_risk_inputs",
     "PosteriorConfig", "PosteriorRisk",
     # orchestration
     "RunConfig", "RunResult", "BenchmarkRow", "run", "load_run_config",

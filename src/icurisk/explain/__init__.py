@@ -6,8 +6,7 @@ from .ale import AleCurve, ale
 from .dream import (DreamConfig, DreamResult, dream_sample, metropolis_accept,
                     split_rhat)
 from .posterior import (REFERENCE_INPUTS_POSTERIOR, PosteriorConfig,
-                        PosteriorRisk, posterior_risk_inputs,
-                        posterior_risk_params)
+                        PosteriorRisk, posterior_risk_inputs)
 from .shapley import ShapMatrix, shap_exhaustive, shap_tree
 
 __all__ = [
@@ -16,6 +15,6 @@ __all__ = [
     "DreamConfig", "DreamResult", "dream_sample", "metropolis_accept",
     "split_rhat",
     "PosteriorConfig", "PosteriorRisk", "posterior_risk_inputs",
-    "posterior_risk_params", "REFERENCE_INPUTS_POSTERIOR",
+    "REFERENCE_INPUTS_POSTERIOR",
     "ShapMatrix", "shap_exhaustive", "shap_tree",
 ]

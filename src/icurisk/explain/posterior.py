@@ -1,4 +1,4 @@
-"""Posterior risk distributions via MCMC, in two constructions.
+"""Posterior risk distribution via MCMC.
 
 posterior_risk_inputs samples plausible non-survivor feature vectors from
 independent truncated Gaussians calibrated to class-conditional moments and
@@ -6,10 +6,6 @@ pushes them through a trained predictor; binary flags are integrated out by
 enumerating their combinations weighted by class prevalence. Ordinal features
 are sampled on their continuous relaxation and snapped to the measurement
 grid before prediction.
-
-posterior_risk_params samples logistic-regression coefficients from
-likelihood x Gaussian prior and returns the posterior predictive
-distribution of sigmoid(theta . row) for one row.
 """
 
 from __future__ import annotations
@@ -20,9 +16,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from ..cohort import CohortSummary
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError
 from ..schema import FeatureSpec
-from ..special import log1pexp, sigmoid
 from ..synth import recalibrated_loc
 from .dream import DreamConfig, DreamResult, dream_sample
 
@@ -34,13 +29,10 @@ REFERENCE_INPUTS_POSTERIOR = {"mean": 0.486, "ci_low": 0.248, "ci_high": 0.690}
 @dataclass(frozen=True)
 class PosteriorConfig:
     dream: DreamConfig = field(default=DreamConfig())
-    prior_sd: float = 10.0          # coefficient prior scale (params mode)
     max_eval_samples: int = 4000    # cap on retained draws pushed through the model
     ci_levels: tuple = (2.5, 97.5)
 
     def __post_init__(self):
-        if self.prior_sd < 0:
-            raise ConfigError("prior_sd must be >= 0")
         if self.max_eval_samples < 2:
             raise ConfigError("max_eval_samples must be >= 2")
 
@@ -54,7 +46,7 @@ class PosteriorRisk:
     acceptance_rate: float
     max_split_rhat: float
     reliable: bool           # all split-rhat <= 1.2
-    mode: str                # "inputs" or "params"
+    mode: str                # "inputs": draws over feature vectors
     reference: dict | None = None
 
 
@@ -64,7 +56,7 @@ def _thin_indices(n: int, cap: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
 
 
-def _summarize(risks: np.ndarray, result: DreamResult, mode: str,
+def _summarize(risks: np.ndarray, result: DreamResult,
                config: PosteriorConfig, reference=None) -> PosteriorRisk:
     lo, hi = np.percentile(risks, config.ci_levels)
     max_rhat = float(np.max(result.split_rhat))
@@ -76,7 +68,7 @@ def _summarize(risks: np.ndarray, result: DreamResult, mode: str,
         acceptance_rate=result.acceptance_rate,
         max_split_rhat=max_rhat,
         reliable=bool(max_rhat <= 1.2),
-        mode=mode,
+        mode="inputs",
         reference=reference,
     )
 
@@ -165,7 +157,7 @@ def posterior_risk_inputs(model, nonsurvivor_summary: CohortSummary,
     draws = pooled[keep]
 
     risks = _enumerate_flags(model, schema, means, binary, pinned, sampled, draws)
-    return _summarize(risks, result, "inputs", config,
+    return _summarize(risks, result, config,
                       reference=dict(REFERENCE_INPUTS_POSTERIOR))
 
 
@@ -197,47 +189,3 @@ def _enumerate_flags(f, schema, means, binary, pinned, sampled, draws):
         risks += w * f(X)
     return risks
 
-
-def posterior_risk_params(train, row,
-                          config: PosteriorConfig = PosteriorConfig(),
-                          weights=None) -> PosteriorRisk:
-    """Posterior predictive risk for one row under Bayesian logistic
-    regression on the (transformed) training table.
-
-    The sampler runs over theta = (coefficients..., bias) with independent
-    N(0, prior_sd^2) priors; prior_sd = 0 pins theta at zero.
-    """
-    X = np.asarray(train.X, dtype=float)
-    y = np.asarray(train.y, dtype=float)
-    if np.isnan(X).any():
-        raise DataError("training matrix has missing values; impute first")
-    n, d = X.shape
-    x_row = np.asarray(row, dtype=float).ravel()
-    if x_row.size != d:
-        raise ConfigError(f"row has {x_row.size} features, expected {d}")
-    Xd = np.column_stack([X, np.ones(n)])
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-
-    if config.prior_sd == 0.0:
-        risks = np.full(config.max_eval_samples, 0.5)
-        lo, hi = np.percentile(risks, config.ci_levels)
-        return PosteriorRisk(risks, 0.5, float(lo), float(hi),
-                             acceptance_rate=1.0, max_split_rhat=1.0,
-                             reliable=True, mode="params")
-
-    inv_two_var = 0.5 / (config.prior_sd ** 2)
-
-    def log_density(theta):
-        theta = np.atleast_2d(theta)
-        Z = theta @ Xd.T                                # (m, n)
-        loglik = (w * (y * Z - log1pexp(Z))).sum(axis=1)
-        return loglik - inv_two_var * np.sum(theta * theta, axis=1)
-
-    rng = np.random.default_rng(config.dream.seed)
-    init = 0.1 * rng.standard_normal((config.dream.n_chains, d + 1))
-    result = dream_sample(log_density, d + 1, config.dream, init=init)
-    pooled = result.samples
-    keep = _thin_indices(pooled.shape[0], config.max_eval_samples)
-    theta = pooled[keep]
-    risks = sigmoid(theta[:, :d] @ x_row + theta[:, d])
-    return _summarize(risks, result, "params", config)

@@ -111,13 +111,10 @@ def _threshold_candidates(scores: np.ndarray) -> np.ndarray:
     return np.r_[uniq[0] - 1.0, mids]
 
 
-def tune_threshold(oof_scores, oof_labels, policy: str = "youden") -> float:
-    """Pick a decision threshold from out-of-fold scores.
-
-    policy "youden" maximizes J = sensitivity + specificity - 1 (ties go to
-    the lower threshold). policy "sens_floor:<f>" returns the largest
-    threshold whose sensitivity still reaches the floor, i.e. maximizes
-    specificity subject to the floor.
+def tune_threshold(oof_scores, oof_labels) -> float:
+    """Pick a decision threshold from out-of-fold scores: the one that
+    maximizes Youden's J = sensitivity + specificity - 1 (ties go to the
+    lower threshold).
     """
     scores = np.asarray(oof_scores, dtype=float)
     labels = _check_binary(oof_labels)
@@ -130,19 +127,8 @@ def tune_threshold(oof_scores, oof_labels, policy: str = "youden") -> float:
     neg_scores = scores[labels == 0]
     sens = (pos_scores[None, :] >= cands[:, None]).mean(axis=1)
     spec = (neg_scores[None, :] < cands[:, None]).mean(axis=1)
-    if policy == "youden":
-        j = sens + spec - 1.0
-        return float(cands[int(np.argmax(j))])  # argmax takes the first (lowest) maximizer
-    if policy.startswith("sens_floor:"):
-        try:
-            floor = float(policy.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad sensitivity floor in policy {policy!r}") from None
-        ok = np.flatnonzero(sens >= floor)
-        if ok.size == 0:
-            raise ConfigError(f"no threshold reaches sensitivity {floor}")
-        return float(cands[ok[-1]])  # sens is non-increasing; last qualifying = max specificity
-    raise ConfigError(f"unknown threshold policy {policy!r}")
+    j = sens + spec - 1.0
+    return float(cands[int(np.argmax(j))])  # argmax takes the first (lowest) maximizer
 
 
 @dataclass(frozen=True)

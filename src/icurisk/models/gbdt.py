@@ -261,63 +261,3 @@ def gbdt_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
 def gbdt_predict_proba(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     return np.clip(sigmoid(gbdt_margin(model, X)), _PROB_CLIP, 1 - _PROB_CLIP)
 
-
-def gbdt_to_jsonable(model: GbdtModel) -> dict:
-    return {
-        "family": "gbdt",
-        "params": {
-            "depth": model.params.depth,
-            "n_trees": model.params.n_trees,
-            "learning_rate": model.params.learning_rate,
-            "l2_leaf": model.params.l2_leaf,
-            "min_child_weight": model.params.min_child_weight,
-            "subsample": model.params.subsample,
-            "ordered_mode": model.params.ordered_mode,
-            "categorical_idx": list(model.params.categorical_idx),
-            "ordered_alpha": model.params.ordered_alpha,
-        },
-        "base_score": model.base_score,
-        "feature_names": list(model.feature_names_),
-        "cat_stats": {
-            str(j): {"values": cats.tolist(), "encoded": enc.tolist(), "prior": prior}
-            for j, (cats, enc, prior) in model.cat_stats.items()
-        },
-        "trees": [
-            {
-                "feat": t.feat.tolist(),
-                "thr": t.thr.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-            }
-            for t in model.trees
-        ],
-        "loss_curve": model.loss_curve.tolist(),
-    }
-
-
-def gbdt_from_jsonable(payload: dict) -> GbdtModel:
-    params = GbdtParams(**{**payload["params"],
-                           "categorical_idx": tuple(payload["params"]["categorical_idx"])})
-    trees = tuple(
-        Tree(
-            feat=np.array(t["feat"], dtype=np.int64),
-            thr=np.array(t["thr"], dtype=float),
-            left=np.array(t["left"], dtype=np.int64),
-            right=np.array(t["right"], dtype=np.int64),
-            value=np.array(t["value"], dtype=float),
-        )
-        for t in payload["trees"]
-    )
-    cat_stats = {
-        int(j): (np.array(v["values"]), np.array(v["encoded"]), float(v["prior"]))
-        for j, v in payload["cat_stats"].items()
-    }
-    return GbdtModel(
-        params=params,
-        base_score=float(payload["base_score"]),
-        trees=trees,
-        feature_names_=tuple(payload["feature_names"]),
-        cat_stats=cat_stats,
-        loss_curve=np.array(payload["loss_curve"]),
-    )

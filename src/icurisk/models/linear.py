@@ -172,26 +172,3 @@ def linear_margin(model: LinearModel, X: np.ndarray) -> np.ndarray:
 def linear_predict_proba(model: LinearModel, X: np.ndarray) -> np.ndarray:
     return np.clip(sigmoid(linear_margin(model, X)), _PROB_CLIP, 1 - _PROB_CLIP)
 
-
-def linear_to_jsonable(model: LinearModel) -> dict:
-    return {
-        "family": "logreg",
-        "params": {"penalty": model.penalty, "C": model.C},
-        "weights": model.weights.tolist(),
-        "bias": model.bias,
-        "converged": model.converged,
-        "n_iter": model.n_iter,
-        "feature_names": list(model.feature_names_),
-    }
-
-
-def linear_from_jsonable(payload: dict) -> LinearModel:
-    return LinearModel(
-        weights=np.array(payload["weights"], dtype=float),
-        bias=float(payload["bias"]),
-        penalty=payload["params"]["penalty"],
-        C=float(payload["params"]["C"]),
-        converged=bool(payload["converged"]),
-        n_iter=int(payload["n_iter"]),
-        feature_names_=tuple(payload["feature_names"]),
-    )

@@ -1,7 +1,6 @@
 """Single-hidden-layer perceptron: ReLU hidden layer, sigmoid output,
-weighted binary cross-entropy, Adam updates, optional inverted dropout on
-the hidden activations, and early stopping on a stratified validation split
-of the training fold.
+weighted binary cross-entropy, Adam updates, and early stopping on a
+stratified validation split of the training fold.
 
 The batch loss is sum(w * bce) / sum(w), so class weights rescale per-sample
 influence without changing the step-size scale.
@@ -27,14 +26,11 @@ class MlpConfig:
     batch_size: int = 32
     epochs: int = 200
     patience: int = 20
-    dropout: float = 0.0
     val_fraction: float = 0.15
 
     def __post_init__(self):
         if self.hidden < 1:
             raise ConfigError("hidden must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
         if not 0.0 <= self.val_fraction < 0.5:
             raise ConfigError("val_fraction must be in [0, 0.5)")
         if self.batch_size < 1 or self.epochs < 1 or self.learning_rate <= 0:
@@ -54,31 +50,25 @@ class MlpModel:
     stopped_epoch: int
 
 
-def _forward(params, X, drop_mask=None):
+def _forward(params, X):
     W1, b1, W2, b2 = params
     Z1 = X @ W1 + b1
     A1 = np.maximum(Z1, 0.0)
-    if drop_mask is not None:
-        A1 = A1 * drop_mask
     z2 = A1 @ W2 + b2
     return Z1, A1, z2
 
 
-def loss_and_grad(params, X, y, w, drop_mask=None):
-    """Weighted BCE loss and analytic gradients (W1, b1, W2, b2 order).
-    Pass drop_mask=None for the deterministic (dropout-off) loss used in
-    gradient checking and validation."""
+def loss_and_grad(params, X, y, w):
+    """Weighted BCE loss and analytic gradients (W1, b1, W2, b2 order)."""
     W1, b1, W2, b2 = params
     y = np.asarray(y, dtype=float)
     w_sum = w.sum()
-    Z1, A1, z2 = _forward(params, X, drop_mask)
+    Z1, A1, z2 = _forward(params, X)
     loss = float(np.sum(w * (log1pexp(z2) - y * z2)) / w_sum)
     dz2 = w * (sigmoid(z2) - y) / w_sum
     dW2 = A1.T @ dz2
     db2 = dz2.sum()
     dA1 = np.outer(dz2, W2)
-    if drop_mask is not None:
-        dA1 = dA1 * drop_mask
     dZ1 = dA1 * (Z1 > 0)
     dW1 = X.T @ dZ1
     db1 = dZ1.sum(axis=0)
@@ -143,12 +133,7 @@ def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 
         order = rng.permutation(n_fit)
         for start in range(0, n_fit, config.batch_size):
             batch = order[start : start + config.batch_size]
-            if config.dropout > 0:
-                keep = rng.random((batch.size, h)) >= config.dropout
-                mask = keep / (1.0 - config.dropout)
-            else:
-                mask = None
-            loss, grads = loss_and_grad(tuple(params), Xf[batch], yf[batch], wf[batch], mask)
+            loss, grads = loss_and_grad(tuple(params), Xf[batch], yf[batch], wf[batch])
             if np.isnan(loss):
                 raise ConfigError("MLP training diverged (NaN loss)")
             step += 1
@@ -195,38 +180,3 @@ def mlp_margin(model: MlpModel, X: np.ndarray) -> np.ndarray:
 def mlp_predict_proba(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return np.clip(sigmoid(mlp_margin(model, X)), _PROB_CLIP, 1 - _PROB_CLIP)
 
-
-def mlp_to_jsonable(model: MlpModel) -> dict:
-    cfg = model.config
-    return {
-        "family": "mlp",
-        "params": {
-            "hidden": cfg.hidden,
-            "learning_rate": cfg.learning_rate,
-            "batch_size": cfg.batch_size,
-            "epochs": cfg.epochs,
-            "patience": cfg.patience,
-            "dropout": cfg.dropout,
-            "val_fraction": cfg.val_fraction,
-        },
-        "W1": model.W1.tolist(),
-        "b1": model.b1.tolist(),
-        "W2": model.W2.tolist(),
-        "b2": model.b2,
-        "feature_names": list(model.feature_names_),
-        "stopped_epoch": model.stopped_epoch,
-    }
-
-
-def mlp_from_jsonable(payload: dict) -> MlpModel:
-    return MlpModel(
-        W1=np.array(payload["W1"], dtype=float),
-        b1=np.array(payload["b1"], dtype=float),
-        W2=np.array(payload["W2"], dtype=float),
-        b2=float(payload["b2"]),
-        config=MlpConfig(**payload["params"]),
-        feature_names_=tuple(payload["feature_names"]),
-        train_loss=(),
-        val_loss=(),
-        stopped_epoch=int(payload["stopped_epoch"]),
-    )

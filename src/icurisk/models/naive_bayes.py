@@ -78,23 +78,3 @@ def gnb_posterior(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
 def gnb_predict_proba(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
     return np.clip(gnb_posterior(model, X)[:, 1], _PROB_CLIP, 1 - _PROB_CLIP)
 
-
-def gnb_to_jsonable(model: GaussianNbModel) -> dict:
-    return {
-        "family": "gnb",
-        "params": {"var_floor": model.var_floor},
-        "priors": model.priors.tolist(),
-        "means": model.means.tolist(),
-        "variances": model.variances.tolist(),
-        "feature_names": list(model.feature_names_),
-    }
-
-
-def gnb_from_jsonable(payload: dict) -> GaussianNbModel:
-    return GaussianNbModel(
-        priors=np.array(payload["priors"], dtype=float),
-        means=np.array(payload["means"], dtype=float),
-        variances=np.array(payload["variances"], dtype=float),
-        var_floor=float(payload["params"]["var_floor"]),
-        feature_names_=tuple(payload["feature_names"]),
-    )

@@ -64,7 +64,6 @@ class RunConfig:
     schema_path: str | None = None     # None: bundled default schema
     synth_n: int = 1301
     synth_event_rate: float = 0.196
-    synth_missing: bool = True
     train_fraction: float = 0.7
     k_neighbors: int = 5
     alpha: float = 10.0
@@ -75,7 +74,6 @@ class RunConfig:
     grid_preset: str = "compact"       # "compact" or "full"
     cv_folds: int = 5
     n_bootstrap: int = 2000
-    threshold_policy: str = "youden"
     ale_bins: int = 20
     ale_top: int = 3
     shap_background: int = 256
@@ -93,11 +91,13 @@ class RunConfig:
         if self.grid_preset not in ("compact", "full"):
             raise ConfigError("grid_preset must be 'compact' or 'full'")
         minimum = dict.fromkeys(
-            ("top_k", "mi_bins", "cv_folds", "n_bootstrap", "ale_bins", "ale_top",
-             "shap_background", "shap_rows", "ablation_resamples", "synth_n",
+            ("top_k", "mi_bins", "n_bootstrap", "ale_bins", "ale_top",
+             "shap_background", "shap_rows", "ablation_resamples",
              "k_neighbors"), 1)
-        # the posterior sampler's own limits, checked before any model is fit
-        minimum.update(posterior_chains=3, posterior_generations=2)
+        # the limits of the layers beneath, checked before any model is fit:
+        # k-fold CV, the cohort generator and the posterior sampler
+        minimum.update(cv_folds=2, synth_n=10, posterior_chains=3,
+                       posterior_generations=2)
         for name, low in minimum.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
@@ -244,8 +244,7 @@ def _load_stage(config: RunConfig):
     else:
         cohort = synth_default_cohort(n=config.synth_n,
                                       event_rate=config.synth_event_rate,
-                                      seed=derive_int(config.seed, "synth"),
-                                      with_missing=config.synth_missing)
+                                      seed=derive_int(config.seed, "synth"))
         schema = cohort.schema
     split = stratified_split(cohort, config.train_fraction,
                              derive_int(config.seed, "split"))
@@ -291,8 +290,7 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
         notes = () if grid == declared else (
             "ordered encoding disabled: no multi-level discrete features",)
         spec = search.configs[i]
-        threshold = tune_threshold(search.oof[i], train.y,
-                                   policy=config.threshold_policy)
+        threshold = tune_threshold(search.oof[i], train.y)
         model = train_model(spec, pipe.fitted_table, pipe.weights,
                             seed=derive_int(config.seed, "cv", row_i, 9999))
         train_scores = predict_proba(model, pipe.fitted_table)

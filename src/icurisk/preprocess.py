@@ -42,10 +42,13 @@ class KnnImputer:
     reference: np.ndarray        # training matrix snapshot, NaN = missing
     loc: np.ndarray              # per-feature observed training mean
     scale: np.ndarray            # per-feature observed training sd (population)
-    fallback: np.ndarray         # per-feature observed training mean
     kinds: tuple
     grids: tuple                 # value grid per feature (None for continuous)
-    distance: str = "euclidean_observed_dims"
+
+    @property
+    def fallback(self) -> np.ndarray:
+        """Alias of loc, which perfbench/tracer.py keys imputers on."""
+        return self.loc
 
 
 def fit_imputer(train: CohortTable, k: int = 5) -> KnnImputer:
@@ -69,7 +72,6 @@ def fit_imputer(train: CohortTable, k: int = 5) -> KnnImputer:
         reference=X.copy(),
         loc=loc,
         scale=scale,
-        fallback=loc.copy(),
         kinds=tuple(s.kind for s in train.schema),
         grids=grids,
     )
@@ -107,7 +109,7 @@ def impute(imputer: KnnImputer, table: CohortTable) -> CohortTable:
         for j in np.flatnonzero(~obs_q):
             eligible = order[ref_obs[order, j] & np.isfinite(d2[order])]
             if eligible.size == 0:
-                val = imputer.fallback[j]
+                val = imputer.loc[j]
             else:
                 val = float(imputer.reference[eligible[: imputer.k], j].mean())
             if imputer.grids[j] is not None:
@@ -356,10 +358,8 @@ def pipeline_to_jsonable(p: FittedPipeline) -> dict:
         "feature_names": list(feature_names(p.schema)),
         "imputer": {
             "k": p.imputer.k,
-            "distance": p.imputer.distance,
             "loc": _arr(p.imputer.loc),
             "scale": _arr(p.imputer.scale),
-            "fallback": _arr(p.imputer.fallback),
             "reference": _arr(p.imputer.reference),
         },
         "encoders": [

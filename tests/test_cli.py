@@ -111,10 +111,13 @@ def test_unreadable_config_is_exit_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
+    # configs written before those RunConfig fields were removed
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"seed": 1, "learning_rate": 0.1}))
-    assert main(["run", "--config", str(bad)]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    for extra in ({"learning_rate": 0.1}, {"threshold_policy": "youden"},
+                  {"synth_missing": False}):
+        bad.write_text(json.dumps({"seed": 1, **extra}))
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_malformed_data_is_exit_3_with_failed_manifest(tmp_path, capsys):

@@ -6,8 +6,7 @@ import pytest
 
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError
-from icurisk.models.gbdt import (GbdtParams, gbdt_from_jsonable, gbdt_margin,
-                                 gbdt_predict_proba, gbdt_to_jsonable,
+from icurisk.models.gbdt import (GbdtParams, gbdt_margin, gbdt_predict_proba,
                                  train_gbdt)
 from icurisk.schema import FeatureSpec
 
@@ -104,13 +103,6 @@ def test_plain_mode_has_no_cat_stats():
     table = make_table(50, seed=3)
     model = train_gbdt(table, GbdtParams(depth=2, n_trees=5), seed=0)
     assert model.cat_stats == {}
-
-
-def test_json_round_trip():
-    table = make_table(60, seed=13, informative=True)
-    model = train_gbdt(table, GbdtParams(depth=2, n_trees=8), seed=1)
-    back = gbdt_from_jsonable(gbdt_to_jsonable(model))
-    assert np.array_equal(gbdt_margin(model, table.X), gbdt_margin(back, table.X))
 
 
 def test_param_validation():

@@ -56,7 +56,7 @@ def test_tune_threshold_matches_enumeration():
     scores = np.round(rng.random(50), 2)
     labels = rng.integers(0, 2, 50)
     labels[:2] = [0, 1]
-    thr = tune_threshold(scores, labels, policy="youden")
+    thr = tune_threshold(scores, labels)
     # brute force over every threshold between -inf and +inf
     best_j, best_t = -np.inf, None
     for t in np.unique(np.r_[scores - 1e-9, scores + 1e-9, 0.0, 1.0]):

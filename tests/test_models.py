@@ -5,14 +5,12 @@ import pytest
 
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError
-from icurisk.models.linear import (LinearModel, linear_from_jsonable,
-                                   linear_margin, linear_predict_proba,
-                                   linear_to_jsonable, logreg_objective,
+from icurisk.models.linear import (LinearModel, linear_margin,
+                                   linear_predict_proba, logreg_objective,
                                    train_logreg)
-from icurisk.models.mlp import (MlpConfig, mlp_from_jsonable, mlp_margin,
-                                mlp_predict_proba, mlp_to_jsonable, train_mlp)
-from icurisk.models.naive_bayes import (gnb_from_jsonable, gnb_posterior,
-                                        gnb_predict_proba, gnb_to_jsonable,
+from icurisk.models.mlp import (MlpConfig, mlp_margin, mlp_predict_proba,
+                                train_mlp)
+from icurisk.models.naive_bayes import (gnb_posterior, gnb_predict_proba,
                                         train_gnb)
 from icurisk.preprocess import class_weights
 from icurisk.schema import FeatureSpec
@@ -96,10 +94,6 @@ def test_logreg_validation_and_round_trip():
         train_logreg(table, penalty="elastic")
     with pytest.raises(ConfigError):
         train_logreg(table, C=0.0)
-    model = train_logreg(table, penalty="l1", C=0.5)
-    back = linear_from_jsonable(linear_to_jsonable(model))
-    assert np.array_equal(linear_margin(model, table.X),
-                          linear_margin(back, table.X))
 
 
 # ------------------------------------------------------------------- gnb
@@ -164,8 +158,6 @@ def test_gnb_proba_clipped_and_round_trip():
     model = train_gnb(table)
     p = gnb_predict_proba(model, table.X)
     assert np.all(p >= 1e-7) and np.all(p <= 1 - 1e-7)
-    back = gnb_from_jsonable(gnb_to_jsonable(model))
-    assert np.array_equal(p, gnb_predict_proba(back, table.X))
 
 
 # ------------------------------------------------------------------- mlp
@@ -204,17 +196,8 @@ def test_mlp_early_stopping_bookkeeping():
     assert all(np.isfinite(v) for v in model.train_loss)
 
 
-def test_mlp_round_trip():
-    table = make_table(60, seed=9)
-    model = train_mlp(table, MlpConfig(hidden=3, epochs=5), seed=0)
-    back = mlp_from_jsonable(mlp_to_jsonable(model))
-    assert np.array_equal(mlp_margin(model, table.X), mlp_margin(back, table.X))
-
-
 def test_mlp_config_validation():
     with pytest.raises(ConfigError):
         MlpConfig(hidden=0)
-    with pytest.raises(ConfigError):
-        MlpConfig(dropout=1.0)
     with pytest.raises(ConfigError):
         MlpConfig(val_fraction=0.9)

@@ -17,7 +17,7 @@ from icurisk.pipeline import (RunConfig, benchmark_grids, load_run_config,
 from icurisk.report import (load_report_schema, validate_report,
                             write_artifacts)
 from icurisk.schema import FeatureSpec, save_schema
-from icurisk.selftest import PROBE_CONFIG
+from icurisk.selftest import PROBE_CONFIG, full_run
 
 from conftest import make_table, small_schema, wrap_everywhere
 
@@ -27,7 +27,10 @@ _ROWS = ("boosted_trees_ordered", "boosted_trees", "boosted_trees_subsampled",
 # sha256 of report.json for PROBE_CONFIG. A change that moves a reported
 # number on purpose updates this and says why in CHANGES.md.
 _PROBE_REPORT_SHA256 = (
-    "de399e32e930f584fcc14abdf91d4979954ddbe92338719ff151d62d333482ee")
+    "6b7676810d38af90d64accf959fce2b9764649b2c7a56e028effce2b4b82be16")
+# sha256 of report.json for RunConfig(seed=7), the default quick-start run.
+_SEED7_REPORT_SHA256 = (
+    "dd36024cd79939eb8ffbdbb80400f4e82d46cf40ff3cce2e4e37569c57bb5ef4")
 
 
 def _small_config(**over):
@@ -36,8 +39,7 @@ def _small_config(**over):
 
 def _impute_key(imputer, table) -> bytes:
     h = hashlib.blake2b(digest_size=16)
-    for a in (imputer.reference, imputer.loc, imputer.scale,
-              imputer.fallback, table.X):
+    for a in (imputer.reference, imputer.loc, imputer.scale, table.X):
         h.update(repr(a.shape).encode())
         h.update(np.ascontiguousarray(a).tobytes())
     return h.digest()
@@ -75,6 +77,12 @@ def test_probe_report_digest(small_run, tmp_path):
     write_artifacts(small_run, out_dir=str(tmp_path))
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == _PROBE_REPORT_SHA256
+
+
+def test_seed7_report_digest():
+    # the selftest's cached full-size run (criterion C10), so no extra fit
+    _, manifest, _ = full_run()
+    assert manifest.checksum_of("report.json") == _SEED7_REPORT_SHA256
 
 
 def test_fitted_tables_are_not_reimputed(probe_run):
@@ -182,7 +190,8 @@ def test_run_config_round_trip_and_validation():
     with pytest.raises(ConfigError):
         RunConfig(seed=-1)
     for key, value in (("posterior_burn_in", 1.0), ("posterior_burn_in", -0.1),
-                       ("posterior_chains", 2), ("posterior_generations", 1)):
+                       ("posterior_chains", 2), ("posterior_generations", 1),
+                       ("cv_folds", 1), ("synth_n", 5)):
         with pytest.raises(ConfigError, match=key):
             RunConfig(seed=0, **{key: value})
 

@@ -1,5 +1,5 @@
-"""Posterior risk distributions in both modes: feature-input sampling with
-flag enumeration and ordinal snapping, and coefficient-space sampling."""
+"""Posterior risk distribution by feature-input sampling with flag
+enumeration and ordinal snapping."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,7 @@ from icurisk.cohort import CohortSummary, GroupStats, summarize
 from icurisk.errors import ConfigError
 from icurisk.explain.dream import DreamConfig
 from icurisk.explain.posterior import (REFERENCE_INPUTS_POSTERIOR,
-                                       PosteriorConfig, posterior_risk_inputs,
-                                       posterior_risk_params)
+                                       PosteriorConfig, posterior_risk_inputs)
 from icurisk.schema import FeatureSpec
 
 from conftest import make_table, small_schema
@@ -131,24 +130,3 @@ def test_inputs_mode_from_real_cohort_summary():
     assert risk.ci_low <= risk.mean <= risk.ci_high
     assert risk.samples.size <= _FAST.max_eval_samples
 
-
-def test_params_mode_flat_prior_sd_zero():
-    table = make_table(120, seed=41, informative=True)
-    cfg = PosteriorConfig(dream=DreamConfig(n_chains=6, n_generations=400,
-                                            seed=1), prior_sd=0.0)
-    risk = posterior_risk_params(table, table.X[0], cfg)
-    assert risk.mode == "params"
-    assert np.all(risk.samples == 0.5)
-    assert risk.reference is None
-
-
-def test_params_mode_contracts_toward_the_fit():
-    from icurisk.models.linear import linear_predict_proba, train_logreg
-    table = make_table(400, seed=43, informative=True)
-    row = table.X[5]
-    cfg = PosteriorConfig(dream=DreamConfig(n_chains=10, n_generations=3000,
-                                            seed=7), prior_sd=10.0)
-    risk = posterior_risk_params(table, row, cfg)
-    point = linear_predict_proba(train_logreg(table, C=10.0), row[None, :])[0]
-    assert risk.ci_low - 0.05 <= point <= risk.ci_high + 0.05
-    assert 0.0 <= risk.ci_low <= risk.ci_high <= 1.0
