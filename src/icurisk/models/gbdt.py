@@ -2,6 +2,15 @@
 per-round gradients g = w(p - y) and hessians h = w p (1 - p), greedy splits
 by weighted gain with L2 leaf regularization, leaf values -G/(H + l2).
 
+Split search is exact greedy over a column block (Chen & Guestrin 2016,
+§4.1): each fit sorts every column of its table once, stably. A node carries
+an (n_node, d) index block whose column j lists the node's rows in that
+order, so one gather, one cumulative sum and one gain matrix score every
+threshold of every feature. Children filter the parent's block with a stable
+boolean partition; subsampled rounds filter the fit's presort by their row
+mask, and ordered rounds re-sort only the re-encoded categorical columns.
+The trees equal those of a per-node, per-feature stable argsort search.
+
 ordered_mode replaces declared categorical columns with ordered target
 statistics during training: a fresh seeded permutation each boosting round,
 each row encoded from the label prefix strictly before it (alpha-smoothed
@@ -83,66 +92,84 @@ def _weighted_logloss(margin, y, w):
     return float(np.sum(w * (log1pexp(margin) - y * margin)))
 
 
-def _best_split(X, g, h, l2, min_child_weight):
-    """Best (gain, feature, threshold) over all features; None if no valid
-    split. Ties: first feature index, then lowest threshold."""
-    G = g.sum()
-    H = h.sum()
+def _best_split(x_flat, col_start, gh, block, G, H, l2, min_child_weight):
+    """Best (feature, threshold) over all features of one node; None if no
+    split gains more than _MIN_SPLIT_GAIN.
+
+    x_flat is the table in column order, column j starting at col_start[j];
+    gh = g + 1j*h; block[:, j] lists the node's rows in stable order of
+    column j; G and H are the node's gradient and hessian sums. Ties: first
+    feature index, then lowest threshold; a gain must beat the running best
+    strictly.
+    """
     parent = G * G / (H + l2) if H + l2 > 0 else 0.0
-    best_gain = _MIN_SPLIT_GAIN
-    best = None
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        if xs[0] == xs[-1]:
-            continue  # constant feature in this node
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
-        gr = G - gl
-        hr = H - hl
-        ok = (xs[1:] > xs[:-1]) & (hl >= min_child_weight) & (hr >= min_child_weight)
-        if not ok.any():
-            continue
-        gain = 0.5 * (gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent)
-        gain[~ok] = -np.inf
-        i = int(np.argmax(gain))
-        if gain[i] > best_gain:
-            best_gain = float(gain[i])
-            best = (j, 0.5 * (xs[i] + xs[i + 1]))
-    return best_gain, best
+    xs = x_flat[block + col_start]
+    # one complex cumsum accumulates g (real) and h (imag) in sequence down
+    # each column, the same additions as two real cumsums
+    left_sums = np.cumsum(gh[block], axis=0)[:-1]
+    gl, hl = left_sums.real, left_sums.imag
+    gr = G - gl
+    hr = H - hl
+    ok = (xs[1:] > xs[:-1]) & (hl >= min_child_weight) & (hr >= min_child_weight)
+    gain = 0.5 * (gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent)
+    gain[~ok] = -np.inf
+    at = np.argmax(gain, axis=0)                        # lowest threshold per feature
+    col_best = gain[at, np.arange(block.shape[1])]
+    col_best[~(col_best > _MIN_SPLIT_GAIN)] = -np.inf   # also drops NaN columns
+    j = int(np.argmax(col_best))                        # first feature among ties
+    if col_best[j] == -np.inf:
+        return None
+    i = at[j]
+    return j, 0.5 * (xs[i, j] + xs[i + 1, j])
 
 
-def _grow_tree(X, g, h, depth, l2, min_child_weight) -> Tree:
+def _partition(block, side, size):
+    """The size rows of a Fortran-order block with side[row] set, each
+    column kept in its stable order. size may be 0."""
+    flat = block.ravel(order="F")
+    kept = flat[np.flatnonzero(side[flat])]
+    return kept.reshape(block.shape[1], size).T
+
+
+def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Tree:
+    """Grow one tree in preorder over rows (ascending) of the Fortran-order
+    table X; block is their (rows.size, d) column block."""
     feat, thr, left, right, value = [], [], [], [], []
+    x_flat = X.ravel(order="F")
+    col_start = X.shape[0] * np.arange(X.shape[1])
+    gh = g + 1j * h
 
-    def leaf(gs, hs):
-        feat.append(-1)
-        thr.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(-gs.sum() / max(hs.sum() + l2, 1e-12))
-        return len(feat) - 1
-
-    def grow(rows, d):
-        gs, hs = g[rows], h[rows]
-        if d == 0 or rows.size < 2:
-            return leaf(gs, hs)
-        gain, split = _best_split(X[rows], gs, hs, l2, min_child_weight)
-        if split is None:
-            return leaf(gs, hs)
-        j, t = split
-        node = len(feat)
+    def add(j, t, v):
         feat.append(j)
         thr.append(t)
         left.append(-1)
         right.append(-1)
-        value.append(0.0)
-        mask = X[rows, j] < t
-        left[node] = grow(rows[mask], d - 1)
-        right[node] = grow(rows[~mask], d - 1)
+        value.append(v)
+        return len(feat) - 1
+
+    def grow(rows, block, d):
+        G = g[rows].sum()
+        H = h[rows].sum()
+        split = None
+        if d > 0 and rows.size >= 2:
+            split = _best_split(x_flat, col_start, gh, block, G, H, l2,
+                                min_child_weight)
+        if split is None:
+            return add(-1, 0.0, -G / max(H + l2, 1e-12))
+        j, t = split
+        node = add(j, t, 0.0)
+        go_left = X[:, j] < t
+        to_left = go_left[rows]
+        lrows, rrows = rows[to_left], rows[~to_left]
+        lblock = rblock = None          # children at depth 0 are leaves
+        if d > 1:
+            lblock = _partition(block, go_left, lrows.size)
+            rblock = _partition(block, ~go_left, rrows.size)
+        left[node] = grow(lrows, lblock, d - 1)
+        right[node] = grow(rrows, rblock, d - 1)
         return node
 
-    grow(np.arange(X.shape[0]), depth)
+    grow(rows, block, depth)
     return Tree(
         feat=np.array(feat, dtype=np.int64),
         thr=np.array(thr),
@@ -154,18 +181,20 @@ def _grow_tree(X, g, h, depth, l2, min_child_weight) -> Tree:
 
 def _ordered_column(codes, y, perm, alpha, prior):
     """Ordered target statistic per row: smoothed mean of y over earlier
-    occurrences (in perm order) of the row's category."""
+    occurrences (in perm order) of the row's category. One stable sort by
+    category puts each category's rows together in perm order; counts and
+    0/1 label sums before each row are exact integers."""
     n = codes.shape[0]
+    order = perm[np.argsort(codes[perm], kind="stable")]
+    c = codes[order]
+    y_s = y[order].astype(float)
+    start = np.r_[True, c[1:] != c[:-1]]
+    first = np.maximum.accumulate(np.where(start, np.arange(n), 0))
+    csum = np.cumsum(y_s) - y_s               # label sum before each row
+    cnt = np.arange(n) - first
+    sm = csum - csum[first]
     enc = np.empty(n)
-    codes_p = codes[perm]
-    y_p = y[perm].astype(float)
-    for c in np.unique(codes_p):
-        mask = codes_p == c
-        cnt = np.cumsum(mask) - mask
-        sm = np.cumsum(mask * y_p) - mask * y_p
-        vals = (sm + alpha * prior) / (cnt + alpha)
-        rows = np.flatnonzero(mask)
-        enc[perm[rows]] = vals[rows]
+    enc[order] = (sm + alpha * prior) / (cnt + alpha)
     return enc
 
 
@@ -192,7 +221,7 @@ def _apply_cat_stats(X, cat_stats):
 def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int = 0) -> GbdtModel:
     """Stagewise fit of the weighted logistic loss. train is a CohortTable
     with no missing values; weights is a ClassWeights (None = unweighted)."""
-    X = np.asarray(train.X, dtype=float)
+    X = np.asfortranarray(train.X, dtype=float)
     y = np.asarray(train.y, dtype=float)
     if np.isnan(X).any():
         raise DataError("train_gbdt requires imputed (non-missing) inputs")
@@ -212,27 +241,30 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
             cat_stats[j] = (cats, enc, prior)
 
     n = X.shape[0]
+    # column block: presort[:, j] lists the rows in stable order of X[:, j];
+    # Fortran order keeps each column contiguous for the per-node filters
+    presort = np.asfortranarray(np.argsort(X, axis=0, kind="stable"))
     margin = np.full(n, base)
     trees = []
     losses = [_weighted_logloss(margin, y, w)]
     for _ in range(params.n_trees):
+        Xt, order = X, presort
         if params.ordered_mode:
-            Xt = X.copy()
+            Xt, order = X.copy(order="F"), presort.copy(order="F")
             perm = rng.permutation(n)
             for j in params.categorical_idx:
                 Xt[:, j] = _ordered_column(X[:, j], y, perm, params.ordered_alpha, prior)
-        else:
-            Xt = X
+                order[:, j] = np.argsort(Xt[:, j], kind="stable")
         p = sigmoid(margin)
         g = w * (p - y)
         h = w * p * (1.0 - p)
+        rows = np.arange(n)
         if params.subsample < 1.0:
-            rows = np.flatnonzero(rng.random(n) < params.subsample)
-            if rows.size < 2:
-                rows = np.arange(n)
-        else:
-            rows = np.arange(n)
-        tree = _grow_tree(Xt[rows], g[rows], h[rows], params.depth,
+            sampled = rng.random(n) < params.subsample
+            if np.count_nonzero(sampled) >= 2:
+                rows = np.flatnonzero(sampled)
+                order = _partition(order, sampled, rows.size)
+        tree = _grow_tree(Xt, g, h, rows, order, params.depth,
                           params.l2_leaf, params.min_child_weight)
         trees.append(tree)
         margin = margin + params.learning_rate * tree.predict(Xt)

@@ -1,11 +1,17 @@
 """Boosted-tree trainer: hand-computed split oracle, invariances, ordered
-target statistics."""
+target statistics, and the per-feature split search kept as a reference for
+the presorted one."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError
+from icurisk.models import gbdt
 from icurisk.models.gbdt import (GbdtParams, gbdt_margin, gbdt_predict_proba,
                                  train_gbdt)
 from icurisk.schema import FeatureSpec
@@ -112,3 +118,155 @@ def test_param_validation():
         GbdtParams(subsample=0.0)
     with pytest.raises(ConfigError):
         GbdtParams(learning_rate=-0.1)
+
+
+# ------------------------------------------- per-feature reference search
+
+def _ref_threshold(lo, hi):
+    return 0.5 * (lo + hi)
+
+
+def _ref_best_split(X, g, h, l2, min_child_weight):
+    """One stable argsort and one scan per feature, in feature order."""
+    G = g.sum()
+    H = h.sum()
+    parent = G * G / (H + l2) if H + l2 > 0 else 0.0
+    best_gain = gbdt._MIN_SPLIT_GAIN
+    best = None
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        gl = np.cumsum(g[order])[:-1]
+        hl = np.cumsum(h[order])[:-1]
+        gr = G - gl
+        hr = H - hl
+        ok = (xs[1:] > xs[:-1]) & (hl >= min_child_weight) & (hr >= min_child_weight)
+        if not ok.any():
+            continue
+        gain = 0.5 * (gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent)
+        gain[~ok] = -np.inf
+        i = int(np.argmax(gain))
+        if gain[i] > best_gain:
+            best_gain = float(gain[i])
+            best = (j, _ref_threshold(xs[i], xs[i + 1]))
+    return best
+
+
+def _ref_grow_tree(X, g, h, depth, l2, min_child_weight):
+    feat, thr, left, right, value = [], [], [], [], []
+
+    def add(j, t, v):
+        for arr, x in ((feat, j), (thr, t), (left, -1), (right, -1), (value, v)):
+            arr.append(x)
+        return len(feat) - 1
+
+    def grow(rows, d):
+        gs, hs = g[rows], h[rows]
+        split = None
+        if d > 0 and rows.size >= 2:
+            split = _ref_best_split(X[rows], gs, hs, l2, min_child_weight)
+        if split is None:
+            return add(-1, 0.0, -gs.sum() / max(hs.sum() + l2, 1e-12))
+        j, t = split
+        node = add(j, t, 0.0)
+        mask = X[rows, j] < t
+        left[node] = grow(rows[mask], d - 1)
+        right[node] = grow(rows[~mask], d - 1)
+        return node
+
+    grow(np.arange(X.shape[0]), depth)
+    return [np.array(a) for a in (feat, thr, left, right, value)]
+
+
+def _ref_ordered_column(codes, y, perm, alpha, prior):
+    """One cumulative pass per category."""
+    enc = np.empty(codes.shape[0])
+    codes_p = codes[perm]
+    y_p = y[perm].astype(float)
+    for c in np.unique(codes_p):
+        mask = codes_p == c
+        cnt = np.cumsum(mask) - mask
+        sm = np.cumsum(mask * y_p) - mask * y_p
+        rows = np.flatnonzero(mask)
+        enc[perm[rows]] = ((sm + alpha * prior) / (cnt + alpha))[rows]
+    return enc
+
+
+_A = 0.07142857142857142
+# few distinct values, adjacent floats and signed zeros make heavy ties
+_CELL = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, _A, float(np.nextafter(_A, 1.0))])
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    cols = []
+    for _ in range(d):
+        if draw(st.booleans()) and draw(st.booleans()):
+            cols.append([draw(_CELL)] * n)      # constant column
+        else:
+            cols.append(draw(st.lists(_CELL, min_size=n, max_size=n)))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    w = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
+    schema = tuple(FeatureSpec(name=f"x{j}", kind="continuous") for j in range(d))
+    return CohortTable(schema, np.array(cols).T, y), _RowWeights(np.array(w))
+
+
+class _RowWeights:
+    """Arbitrary per-row weights: uneven gradients make sums depend on the
+    order rows are added in, so a wrong tie order shows."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def per_row(self, labels):
+        return self.w
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_weights=_tables(), depth=st.integers(1, 4),
+       mode=st.sampled_from(["plain", "subsample", "ordered"]),
+       l2=st.sampled_from([0.0, 1.0]), mcw=st.sampled_from([0.0, 0.1, 1.0]),
+       weighted=st.booleans(), seed=st.integers(0, 3))
+def test_presorted_search_matches_per_feature_reference(
+        table_weights, depth, mode, l2, mcw, weighted, seed):
+    """Every tree equals the one the per-feature search grows on the same
+    round's table, gradients and rows, in all three modes."""
+    kw = dict(depth=depth, n_trees=3, l2_leaf=l2, min_child_weight=mcw)
+    if mode == "subsample":
+        kw["subsample"] = 0.7
+    if mode == "ordered":
+        kw.update(ordered_mode=True, categorical_idx=(0,))
+    table, weights = table_weights
+    weights = weights if weighted else None
+    grown = []
+    real = gbdt._grow_tree
+
+    def checked(X, g, h, rows, block, d, l2_, mcw_):
+        tree = real(X, g, h, rows, block, d, l2_, mcw_)
+        ref = _ref_grow_tree(X[rows], g[rows], h[rows], d, l2_, mcw_)
+        got = (tree.feat, tree.thr, tree.left, tree.right, tree.value)
+        for name, a, b in zip(("feat", "thr", "left", "right", "value"), got, ref):
+            assert np.array_equal(a, b), name
+        grown.append(tree)
+        return tree
+
+    with mock.patch.object(gbdt, "_grow_tree", checked):
+        train_gbdt(table, GbdtParams(**kw), weights, seed=seed)
+    assert len(grown) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes=st.lists(st.sampled_from([0.0, -0.0, 1.0, 3.0, 15.0]), min_size=1,
+                      max_size=50),
+       data=st.data(), alpha=st.sampled_from([0.5, 1.0, 10.0]))
+def test_ordered_column_matches_per_category_loop(codes, data, alpha):
+    n = len(codes)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    codes = np.array(codes)
+    prior = float(y.mean())
+    got = gbdt._ordered_column(codes, y, perm, alpha, prior)
+    want = _ref_ordered_column(codes, y, perm, alpha, prior)
+    assert np.array_equal(got, want, equal_nan=True)
