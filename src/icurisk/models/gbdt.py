@@ -119,8 +119,11 @@ def _best_split(x_flat, col_start, gh, block, G, H, l2, min_child_weight):
     j = int(np.argmax(col_best))                        # first feature among ties
     if col_best[j] == -np.inf:
         return None
-    i = at[j]
-    return j, 0.5 * (xs[i, j] + xs[i + 1, j])
+    lo, hi = xs[at[j], j], xs[at[j] + 1, j]
+    t = 0.5 * (lo + hi)
+    # adjacent floats can round the midpoint down to lo (or it can overflow),
+    # which would send the lo rows right; hi still splits lo from hi
+    return j, t if lo < t <= hi else hi
 
 
 def _partition(block, side, size):

@@ -19,31 +19,45 @@ from icurisk.schema import FeatureSpec
 from conftest import make_table
 
 
-def _table_1d():
+_A = 0.07142857142857142
+_B = float(np.nextafter(_A, 1.0))
+
+
+def _table_1d(x=(0.0, 1.0, 2.0, 3.0)):
     schema = (FeatureSpec(name="x", kind="continuous"),)
-    X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    return CohortTable(schema, X, [0, 0, 1, 1])
+    return CohortTable(schema, np.array(x)[:, None], [0, 0, 1, 1])
 
 
-def test_single_stump_hand_oracle():
-    """depth 1, one tree, lr 1, no regularization: every number is known.
-
-    At the 0.5 base rate, g = +-1/2 and h = 1/4 per row. The best split is
-    x < 1.5 (gain 2.0 beats 2/3 at the outer cuts) and the Newton leaf
-    values are -G/H = -+2.
-    """
-    model = train_gbdt(_table_1d(), GbdtParams(
+def _check_stump(x, thr):
+    """depth 1, one tree, lr 1, no regularization on four rows labelled
+    0, 0, 1, 1: the tree cuts at thr and the margins are -2 and 2."""
+    model = train_gbdt(_table_1d(x), GbdtParams(
         depth=1, n_trees=1, learning_rate=1.0, l2_leaf=0.0,
         min_child_weight=0.0))
     assert model.base_score == 0.0
     tree = model.trees[0]
     assert tree.feat[0] == 0
-    assert tree.thr[0] == pytest.approx(1.5)
-    margins = gbdt_margin(model, np.array([[0.0], [3.0]]))
+    assert tree.thr[0] == thr
+    ends = np.array([[x[0]], [x[-1]]])
+    margins = gbdt_margin(model, ends)
     assert margins == pytest.approx([-2.0, 2.0])
-    p = gbdt_predict_proba(model, np.array([[0.0], [3.0]]))
+    p = gbdt_predict_proba(model, ends)
     assert p[0] == pytest.approx(1 / (1 + np.e ** 2))
     assert p[1] == pytest.approx(1 / (1 + np.e ** -2))
+
+
+def test_single_stump_hand_oracle():
+    """Every number is known. At the 0.5 base rate, g = +-1/2 and h = 1/4
+    per row. The best split is x < 1.5 (gain 2.0 beats 2/3 at the outer
+    cuts) and the Newton leaf values are -G/H = -+2.
+    """
+    _check_stump((0.0, 1.0, 2.0, 3.0), 1.5)
+
+
+def test_stump_on_adjacent_floats_cuts_above_the_left_value():
+    # the midpoint of _A and the next float rounds to _A, and x < _A would
+    # send every row right
+    _check_stump((_A, _A, _B, _B), _B)
 
 
 def test_min_child_weight_blocks_thin_splits():
@@ -123,7 +137,8 @@ def test_param_validation():
 # ------------------------------------------- per-feature reference search
 
 def _ref_threshold(lo, hi):
-    return 0.5 * (lo + hi)
+    t = 0.5 * (lo + hi)
+    return t if lo < t <= hi else hi
 
 
 def _ref_best_split(X, g, h, l2, min_child_weight):
@@ -192,7 +207,6 @@ def _ref_ordered_column(codes, y, perm, alpha, prior):
     return enc
 
 
-_A = 0.07142857142857142
 # few distinct values, adjacent floats and signed zeros make heavy ties
 _CELL = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, _A, float(np.nextafter(_A, 1.0))])
 
