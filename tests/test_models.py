@@ -88,7 +88,7 @@ def test_logreg_warns_when_iteration_budget_too_small():
     assert not model.converged
 
 
-def test_logreg_validation_and_round_trip():
+def test_logreg_validation():
     table = _logistic_table(n=100, seed=2)
     with pytest.raises(ConfigError):
         train_logreg(table, penalty="elastic")
@@ -153,7 +153,7 @@ def test_gnb_rejects_bad_input():
         train_gnb(CohortTable(schema, np.array([[1.0], [2.0]]), [1, 1]))
 
 
-def test_gnb_proba_clipped_and_round_trip():
+def test_gnb_proba_clipped():
     table = make_table(100, seed=8, informative=True)
     model = train_gnb(table)
     p = gnb_predict_proba(model, table.X)
