@@ -208,7 +208,7 @@ def _ref_ordered_column(codes, y, perm, alpha, prior):
 
 
 # few distinct values, adjacent floats and signed zeros make heavy ties
-_CELL = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, _A, float(np.nextafter(_A, 1.0))])
+_CELL = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, _A, _B])
 
 
 @st.composite
@@ -228,8 +228,8 @@ def _tables(draw):
 
 
 class _RowWeights:
-    """Arbitrary per-row weights: uneven gradients make sums depend on the
-    order rows are added in, so a wrong tie order shows."""
+    """Arbitrary per-row weights, so gradients take many distinct values
+    and their sums round."""
 
     def __init__(self, w):
         self.w = w
