@@ -32,6 +32,43 @@ _PROBE_REPORT_SHA256 = (
 _SEED7_REPORT_SHA256 = (
     "dd36024cd79939eb8ffbdbb80400f4e82d46cf40ff3cce2e4e37569c57bb5ef4")
 
+# sha256 of every other artifact PROBE_CONFIG writes. The projection
+# writers must reproduce these bytes from the report alone.
+_PROBE_ARTIFACT_SHA256 = {
+    "ablation.csv":
+        "73ae98d19cb606578fc6c2c32ff920e9339ba445214066a228506b06ae12f804",
+    "ablation.svg":
+        "7946bbd88dedbd98b59fb4dcc9eefb7a5183ac0620c600f3cc26e9931620187f",
+    "ale_bun.csv":
+        "e7d460ed3475ece1496b5488ef885cb2f09468da9b49dfcf18f5a659be0aa585",
+    "ale_bun.svg":
+        "01a9e23236ca788b94d02f1bd20c2e94e34df8326bde3d29d634571ef3fe49fa",
+    "ale_total_bilirubin.csv":
+        "3625c44710fab4cf342f19448fe2d313e31d17b7442eabc77fa80a0e74becafb",
+    "ale_total_bilirubin.svg":
+        "e7f8c509ce8ae7355f1b16bf8f6d48cca0076539db99759ffaf47582c866eacf",
+    "cohort_ttest.csv":
+        "b86dc6b03d4e645ad7cebeacf122b760f5a34e19f6a3339e8dd6bbe53fc0fa63",
+    "metrics_test.csv":
+        "1c7867b72c70dde4c1f3149cc7f4608106d9670285483c87afed550269b206a2",
+    "metrics_train.csv":
+        "ac78eb12f875c2b648dd3d4e6f20e473430418dd720df76794abbc3804ae1132",
+    "posterior.csv":
+        "70729f78ae66bec603e7d98ab7ab0bbf5dbec5eb34136d98c767ccab3254b585",
+    "posterior.svg":
+        "c01cc522ab3fdd53ded3ce678d7552feabc7173a6a108677a159901798af794f",
+    "roc_test.csv":
+        "86d91f6fee2d302f56a1724648d990d83e39b262c9395ffeb4177fbceefb8d61",
+    "roc_test.svg":
+        "22296f15938069a613fa047c7f793f070e3e605328928671d8f399f0e78f29ca",
+    "selection.csv":
+        "03927ccd9eb459839f3b75770ab991bd54ddea59dff52e472ecd95817d54f40e",
+    "shap_summary.csv":
+        "be136a3eec260d08abdcca2678383355ea88d997ce1728683aee3e92d16eba25",
+    "shap_summary.svg":
+        "6511e6f86a98780758950311aa1b92f68e1cefb025ca43799595d4a111d26c68",
+}
+
 
 def _small_config(**over):
     return replace(PROBE_CONFIG, **over)
@@ -77,6 +114,15 @@ def test_probe_report_digest(small_run, tmp_path):
     write_artifacts(small_run, out_dir=str(tmp_path))
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == _PROBE_REPORT_SHA256
+
+
+def test_probe_artifact_digests(small_run, tmp_path):
+    manifest = write_artifacts(small_run, out_dir=str(tmp_path))
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir() if p.name != "manifest.json"}
+    assert written == {**_PROBE_ARTIFACT_SHA256,
+                       "report.json": _PROBE_REPORT_SHA256}
+    assert {name: digest for name, digest, _ in manifest.artifacts} == written
 
 
 def test_seed7_report_digest():
