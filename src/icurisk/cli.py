@@ -3,7 +3,6 @@
 Verbs:
   synth     generate a synthetic cohort CSV from the calibrated moments
   run       execute the full pipeline and write all artifacts
-  explain   execute the pipeline but emit only the explanation artifacts
   report    re-derive CSV/SVG projections from an existing report.json
   selftest  run the acceptance battery and print one line per criterion
 
@@ -23,8 +22,7 @@ from .cohort import save_cohort
 from .errors import (ConfigError, ConvergenceError, DataError, IcuRiskError,
                      OrderingError, SchemaError)
 from .pipeline import RunConfig, load_run_config, run
-from .report import (EXPLAIN_GROUPS, emit_report, write_artifacts,
-                     write_failed_manifest)
+from .report import emit_report, write_artifacts, write_failed_manifest
 from .synth import synth_default_cohort
 
 _STAGE_RE = re.compile(r"^\[stage:([a-z_]+)\]")
@@ -35,14 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="icurisk",
         description="Interpretable 30-day ICU mortality prediction pipeline")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, need_out_default=None):
-        p.add_argument("--config", metavar="PATH",
-                       help="JSON file with RunConfig fields")
-        p.add_argument("--seed", type=int, metavar="U64",
-                       help="master seed (overrides the config file)")
-        p.add_argument("--out", metavar="DIR", default=need_out_default,
-                       help="output directory (overrides the config file)")
 
     p_synth = sub.add_parser("synth", help="write a synthetic cohort CSV")
     p_synth.add_argument("--seed", type=int, default=0, metavar="U64")
@@ -55,13 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_run = sub.add_parser("run", help="full pipeline, all artifacts")
-    common(p_run)
+    p_run.add_argument("--config", metavar="PATH",
+                       help="JSON file with RunConfig fields")
+    p_run.add_argument("--seed", type=int, metavar="U64",
+                       help="master seed (overrides the config file)")
+    p_run.add_argument("--out", metavar="DIR",
+                       help="output directory (overrides the config file)")
     p_run.set_defaults(func=cmd_run)
-
-    p_explain = sub.add_parser("explain",
-                               help="pipeline run, explanation artifacts only")
-    common(p_explain)
-    p_explain.set_defaults(func=cmd_explain)
 
     p_report = sub.add_parser("report",
                               help="re-emit projections from report.json")
@@ -90,7 +80,7 @@ def _resolve_config(args) -> RunConfig:
     return config
 
 
-def _run_with_manifest(config: RunConfig, groups=None):
+def _run_with_manifest(config: RunConfig):
     try:
         result = run(config)
     except IcuRiskError as exc:
@@ -98,7 +88,7 @@ def _run_with_manifest(config: RunConfig, groups=None):
         write_failed_manifest(config.out_dir, config,
                               m.group(1) if m else "unknown")
         raise
-    return result, write_artifacts(result, groups=groups)
+    return result, write_artifacts(result)
 
 
 def cmd_synth(args) -> int:
@@ -117,18 +107,6 @@ def cmd_run(args) -> int:
     win = next(r for r in result.benchmark if r.label == result.winner)
     print(f"winner: {result.winner} "
           f"(cv auroc {win.cv_mean_auroc:.3f}, test auroc {win.metrics_test.auroc:.3f})")
-    print(f"artifacts: {config.out_dir} ({len(manifest.artifacts)} files)")
-    return 0
-
-
-def cmd_explain(args) -> int:
-    config = _resolve_config(args)
-    result, manifest = _run_with_manifest(config, groups=EXPLAIN_GROUPS)
-    post = result.posterior
-    print(f"explained model: {result.winner}; attribution model: "
-          f"{result.shap_model_label}")
-    print(f"posterior risk mean {post.mean:.3f} "
-          f"[{post.ci_low:.3f}, {post.ci_high:.3f}]")
     print(f"artifacts: {config.out_dir} ({len(manifest.artifacts)} files)")
     return 0
 

@@ -252,7 +252,7 @@ class GroupStats:
 @dataclass(frozen=True)
 class CohortSummary:
     features: tuple
-    groups: dict            # "all" or "class0"/"class1" -> GroupStats
+    groups: dict            # "class0"/"class1" -> GroupStats
     event_rate: float
 
 
@@ -271,16 +271,10 @@ def _group_stats(X: np.ndarray) -> GroupStats:
     return GroupStats(count=count, mean=mean, sd=sd, missing_frac=missing, n_rows=n)
 
 
-def summarize(table: CohortTable, by_label: bool = True) -> CohortSummary:
-    """Per-feature mean/sd/missing-fraction/document-count, overall or per class."""
-    groups = {}
-    if by_label:
-        for c in (0, 1):
-            groups[f"class{c}"] = _group_stats(table.X[table.y == c])
-    else:
-        groups["all"] = _group_stats(table.X)
+def summarize(table: CohortTable) -> CohortSummary:
+    """Per-feature mean/sd/missing-fraction/document-count per class."""
     return CohortSummary(
         features=table.feature_names,
-        groups=groups,
+        groups={f"class{c}": _group_stats(table.X[table.y == c]) for c in (0, 1)},
         event_rate=float(table.y.mean()),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .._rng import derive_int, derive_rng
 from ..cohort import CohortTable
-from ..errors import ConfigError, DataError
+from ..errors import DataError
 from ..metrics import auroc, resampled_aurocs, stratified_bootstrap
 from ..models.cv import (ModelSpec, downgrade_ordered, fit_preprocessing,
                          predict_scores, train_model)
@@ -48,7 +48,7 @@ def _fit_and_score(spec, train, test, pipeline_config, seed):
 
 
 def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
-             base_scores, features=None, n_resamples: int = 100, seed: int = 0,
+             base_scores, n_resamples: int = 100, seed: int = 0,
              pipeline_config: PipelineConfig = None) -> AblationReport:
     """Paired bootstrap comparison of test AUROC with and without each feature.
 
@@ -60,11 +60,6 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
     if base_scores.shape != (test.n,):
         raise DataError(f"base_scores has shape {base_scores.shape}, "
                         f"expected one score per test row ({test.n})")
-    names = list(features) if features is not None else list(train.feature_names)
-    unknown = [n for n in names if n not in train.feature_names]
-    if unknown:
-        raise ConfigError(f"unknown features: {unknown}")
-
     labels = test.y
     idx = stratified_bootstrap(labels, n_resamples, derive_rng(seed, "ablation"))
     baseline = auroc(base_scores, labels)
@@ -73,7 +68,7 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
     dropped_dist = {}
     dropped_point = {}
     ablated = []
-    for k, name in enumerate(names):
+    for k, name in enumerate(train.feature_names):
         if train.d <= 1:
             break  # dropping the sole feature leaves nothing to fit
         tr = train.drop_features([name])

@@ -10,7 +10,7 @@ grid before prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -19,22 +19,14 @@ from ..cohort import CohortSummary
 from ..errors import ConfigError
 from ..schema import FeatureSpec
 from ..synth import recalibrated_loc
-from .dream import DreamConfig, DreamResult, dream_sample
+from .dream import DreamConfig, dream_sample
 
 # Values reported for the same non-survivor construction on the original
 # restricted-access cohort. Comparison only; never a pass/fail target.
 REFERENCE_INPUTS_POSTERIOR = {"mean": 0.486, "ci_low": 0.248, "ci_high": 0.690}
 
-
-@dataclass(frozen=True)
-class PosteriorConfig:
-    dream: DreamConfig = field(default=DreamConfig())
-    max_eval_samples: int = 4000    # cap on retained draws pushed through the model
-    ci_levels: tuple = (2.5, 97.5)
-
-    def __post_init__(self):
-        if self.max_eval_samples < 2:
-            raise ConfigError("max_eval_samples must be >= 2")
+_EVAL_DRAW_CAP = 4000             # retained draws pushed through the model
+_CI_PERCENTILES = (2.5, 97.5)
 
 
 @dataclass(frozen=True)
@@ -46,8 +38,6 @@ class PosteriorRisk:
     acceptance_rate: float
     max_split_rhat: float
     reliable: bool           # all split-rhat <= 1.2
-    mode: str                # "inputs": draws over feature vectors
-    reference: dict | None = None
 
 
 def _thin_indices(n: int, cap: int) -> np.ndarray:
@@ -56,20 +46,17 @@ def _thin_indices(n: int, cap: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
 
 
-def _summarize(risks: np.ndarray, result: DreamResult,
-               config: PosteriorConfig, reference=None) -> PosteriorRisk:
-    lo, hi = np.percentile(risks, config.ci_levels)
-    max_rhat = float(np.max(result.split_rhat))
+def _summarize(risks: np.ndarray, acceptance_rate: float,
+               max_rhat: float) -> PosteriorRisk:
+    lo, hi = np.percentile(risks, _CI_PERCENTILES)
     return PosteriorRisk(
         samples=risks,
         mean=float(risks.mean()),
         ci_low=float(lo),
         ci_high=float(hi),
-        acceptance_rate=result.acceptance_rate,
+        acceptance_rate=acceptance_rate,
         max_split_rhat=max_rhat,
         reliable=bool(max_rhat <= 1.2),
-        mode="inputs",
-        reference=reference,
     )
 
 
@@ -79,29 +66,18 @@ def _snap_ordinal(values: np.ndarray, spec: FeatureSpec) -> np.ndarray:
     return np.clip(snapped, spec.lower, spec.upper)
 
 
-def posterior_risk_inputs(model, nonsurvivor_summary: CohortSummary,
-                          config: PosteriorConfig = PosteriorConfig(),
-                          schema=None) -> PosteriorRisk:
+def posterior_risk_inputs(model, nonsurvivor_summary: CohortSummary, schema,
+                          dream: DreamConfig = DreamConfig()) -> PosteriorRisk:
     """Risk distribution over feature vectors drawn from non-survivor priors.
 
     model: callable mapping raw-space feature rows (m, d) to probabilities,
-    such as a pipeline Predictor. The summary must
-    carry a "class1" group (or a single "all" group) with finite moments for
+    such as a pipeline Predictor. schema lists the summary's features in
+    order. The summary must carry a "class1" group with finite moments for
     every feature.
     """
-    groups = nonsurvivor_summary.groups
-    stats = groups.get("class1") or groups.get("all")
+    stats = nonsurvivor_summary.groups.get("class1")
     if stats is None:
-        raise ConfigError("summary must provide class1 (or all) group statistics")
-    if schema is None:
-        from ..schema import default_schema
-        full = {s.name: s for s in default_schema()}
-        try:
-            schema = tuple(full[n] for n in nonsurvivor_summary.features)
-        except KeyError as exc:
-            raise ConfigError(
-                f"no bundled schema entry for feature {exc.args[0]!r}; pass schema="
-            ) from exc
+        raise ConfigError("summary must provide class1 group statistics")
     names = [s.name for s in schema]
     if list(nonsurvivor_summary.features) != names:
         raise ConfigError("summary features and schema are ordered differently")
@@ -142,23 +118,19 @@ def posterior_risk_inputs(model, nonsurvivor_summary: CohortSummary,
         # degenerate prior: single deterministic feature vector
         risks = _enumerate_flags(model, schema, means, binary, pinned, sampled,
                                  np.empty((1, 0)))
-        lo, hi = np.percentile(risks, config.ci_levels)
-        return PosteriorRisk(risks, float(risks.mean()), float(lo), float(hi),
-                             acceptance_rate=1.0, max_split_rhat=1.0,
-                             reliable=True, mode="inputs",
-                             reference=dict(REFERENCE_INPUTS_POSTERIOR))
+        return _summarize(risks, acceptance_rate=1.0, max_rhat=1.0)
 
-    rng = np.random.default_rng(config.dream.seed)
-    init = loc + 0.1 * sd * rng.standard_normal((config.dream.n_chains, len(sampled)))
+    rng = np.random.default_rng(dream.seed)
+    init = loc + 0.1 * sd * rng.standard_normal((dream.n_chains, len(sampled)))
     init = np.clip(init, lower, upper)
-    result = dream_sample(log_density, len(sampled), config.dream, init=init)
+    result = dream_sample(log_density, len(sampled), dream, init=init)
     pooled = result.samples
-    keep = _thin_indices(pooled.shape[0], config.max_eval_samples)
+    keep = _thin_indices(pooled.shape[0], _EVAL_DRAW_CAP)
     draws = pooled[keep]
 
     risks = _enumerate_flags(model, schema, means, binary, pinned, sampled, draws)
-    return _summarize(risks, result, config,
-                      reference=dict(REFERENCE_INPUTS_POSTERIOR))
+    return _summarize(risks, result.acceptance_rate,
+                      float(np.max(result.split_rhat)))
 
 
 def _enumerate_flags(f, schema, means, binary, pinned, sampled, draws):

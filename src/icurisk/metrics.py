@@ -96,10 +96,10 @@ def resampled_aurocs(scores, labels, idx) -> np.ndarray:
     return np.array([auroc(scores[r], labels[r]) for r in idx])
 
 
-def bootstrap_auroc_ci(scores, labels, B: int = 2000, seed: int = 0, levels=(2.5, 97.5)):
-    """Percentile CI for AUROC over B class-stratified bootstrap resamples."""
+def bootstrap_auroc_ci(scores, labels, B: int = 2000, seed: int = 0):
+    """95% percentile CI for AUROC over B class-stratified bootstrap resamples."""
     idx = stratified_bootstrap(labels, B, derive_rng(seed, "bootstrap"))
-    low, high = np.percentile(resampled_aurocs(scores, labels, idx), levels)
+    low, high = np.percentile(resampled_aurocs(scores, labels, idx), (2.5, 97.5))
     return float(low), float(high)
 
 

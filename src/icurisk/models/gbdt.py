@@ -29,6 +29,7 @@ from ..special import log1pexp, logit, sigmoid
 
 _PROB_CLIP = 1e-7
 _MIN_SPLIT_GAIN = 1e-12
+_ORDERED_ALPHA = 10.0     # prior weight of the smoothed target statistic
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class GbdtParams:
     subsample: float = 1.0
     ordered_mode: bool = False
     categorical_idx: tuple = ()
-    ordered_alpha: float = 10.0
 
     def __post_init__(self):
         if self.depth < 1 or self.n_trees < 1:
@@ -240,7 +240,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
     cat_stats = {}
     if params.ordered_mode:
         for j in params.categorical_idx:
-            cats, enc = _full_stats(X[:, j], y, params.ordered_alpha, prior)
+            cats, enc = _full_stats(X[:, j], y, _ORDERED_ALPHA, prior)
             cat_stats[j] = (cats, enc, prior)
 
     n = X.shape[0]
@@ -256,7 +256,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
             Xt, order = X.copy(order="F"), presort.copy(order="F")
             perm = rng.permutation(n)
             for j in params.categorical_idx:
-                Xt[:, j] = _ordered_column(X[:, j], y, perm, params.ordered_alpha, prior)
+                Xt[:, j] = _ordered_column(X[:, j], y, perm, _ORDERED_ALPHA, prior)
                 order[:, j] = np.argsort(Xt[:, j], kind="stable")
         p = sigmoid(margin)
         g = w * (p - y)

@@ -18,9 +18,8 @@ import numpy as np
 from ._rng import derive_int, derive_rng
 from .cohort import (CohortTable, load_cohort, stratified_split, summarize)
 from .errors import ConfigError, DataError, IcuRiskError
-from .explain import (AblationReport, AleCurve, PosteriorConfig, PosteriorRisk,
-                      ShapMatrix, ablation, ale, posterior_risk_inputs,
-                      shap_tree)
+from .explain import (AblationReport, AleCurve, PosteriorRisk, ShapMatrix,
+                      ablation, ale, posterior_risk_inputs, shap_tree)
 from .explain.dream import DreamConfig
 from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
@@ -343,10 +342,8 @@ def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
                             n_generations=config.posterior_generations,
                             burn_in=config.posterior_burn_in,
                             seed=derive_int(config.seed, "posterior"))
-    post_cfg = PosteriorConfig(dream=dream_cfg)
-    summary = summarize(train, by_label=True)
-    posterior = posterior_risk_inputs(predictor, summary, post_cfg,
-                                      schema=train.schema)
+    posterior = posterior_risk_inputs(predictor, summarize(train), train.schema,
+                                      dream_cfg)
     return abl, shap, fg_rows, curves, posterior, predictor
 
 

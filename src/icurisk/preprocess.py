@@ -132,14 +132,6 @@ class TargetEncoder:
     category_counts: np.ndarray
     category_means: np.ndarray
 
-    def encoded_value(self, c: float) -> float:
-        i = np.searchsorted(self.category_values, c)
-        if i < self.category_values.size and self.category_values[i] == c:
-            n_c = self.category_counts[i]
-            ybar_c = self.category_means[i]
-            return float((n_c * ybar_c + self.alpha * self.global_mean) / (n_c + self.alpha))
-        return self.global_mean
-
 
 def fit_encoder(train: CohortTable, feature: str, alpha: float = 10.0) -> TargetEncoder:
     if alpha < 0:

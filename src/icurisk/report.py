@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import DataError
+from .explain import REFERENCE_INPUTS_POSTERIOR
 from .pipeline import RunConfig, RunResult, run_config_to_jsonable
 from .svgplot import ale_svg, dot_rows_svg, histogram_svg, roc_svg
 
@@ -149,7 +151,7 @@ def build_report(result: RunResult) -> dict:
             for c in result.ale_curves
         ],
         "posterior": {
-            "mode": post.mode,
+            "mode": "inputs",
             "mean": post.mean,
             "ci_low": post.ci_low,
             "ci_high": post.ci_high,
@@ -157,7 +159,7 @@ def build_report(result: RunResult) -> dict:
             "max_split_rhat": post.max_split_rhat,
             "reliable": post.reliable,
             "samples": _sanitize(post.samples),
-            "reference": _sanitize(post.reference),
+            "reference": _sanitize(REFERENCE_INPUTS_POSTERIOR),
         },
     }
     return report
@@ -230,64 +232,36 @@ def _cell(v):
     return "" if v is None else v
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(v) for v in row])
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_cell(v) for v in row])
+    return buf.getvalue()
 
 
 _METRIC_COLS = ("auroc", "accuracy", "f1", "sensitivity", "specificity",
                 "ppv", "npv", "threshold", "tp", "fp", "tn", "fn")
 
 
-PROJECTION_GROUPS = ("ttest", "metrics", "selection", "roc", "ablation",
-                     "shap", "ale", "posterior")
-EXPLAIN_GROUPS = ("ablation", "shap", "ale", "posterior")
-
-
-def emit_projections(report: dict, out_dir: str, groups=None) -> list:
-    """Write CSV/SVG artifacts from the report dict; returns filenames.
-
-    groups limits which artifact families are emitted (default: all of
-    PROJECTION_GROUPS).
-    """
-    wanted = PROJECTION_GROUPS if groups is None else tuple(groups)
-    unknown = set(wanted) - set(PROJECTION_GROUPS)
-    if unknown:
-        raise DataError(f"unknown projection groups: {sorted(unknown)}")
+def emit_projections(report: dict, out_dir: str) -> list:
+    """Write every CSV/SVG artifact from the report dict; returns filenames."""
     files = []
-
-    def emit(name, text):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(text)
-        files.append(name)
-
-    if "ttest" in wanted:
-        _emit_ttest(report, out_dir, files)
-    if "metrics" in wanted:
-        _emit_metrics(report, out_dir, files)
-    if "selection" in wanted:
-        _emit_selection(report, out_dir, files)
-    if "roc" in wanted:
-        _emit_roc(report, out_dir, files, emit)
-    if "ablation" in wanted:
-        _emit_ablation(report, out_dir, files, emit)
-    if "shap" in wanted:
-        _emit_shap(report, out_dir, files, emit)
-    if "ale" in wanted:
-        _emit_ale(report, out_dir, files, emit)
-    if "posterior" in wanted:
-        _emit_posterior(report, out_dir, files, emit)
+    for emitter in (_emit_ttest, _emit_metrics, _emit_selection, _emit_roc,
+                    _emit_ablation, _emit_shap, _emit_ale, _emit_posterior):
+        for name, text in emitter(report):
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+                      newline="") as fh:
+                fh.write(text)
+            files.append(name)
     return files
 
 
 _TTEST_ORDER = ("train_vs_test", "survivor_vs_nonsurvivor")
 
 
-def _emit_ttest(report, out_dir, files):
+def _emit_ttest(report):
     rows = []
     # fixed order: dict order differs between a fresh report and one parsed
     # back from the key-sorted JSON on disk
@@ -296,13 +270,12 @@ def _emit_ttest(report, out_dir, files):
             rows.append([comparison, r["feature"], r["unit"], r["n_a"], r["n_b"],
                          r["mean_a"], r["sd_a"], r["mean_b"], r["sd_b"],
                          r["t"], r["df"], r["p"], r["note"]])
-    path = os.path.join(out_dir, "cohort_ttest.csv")
-    _write_csv(path, ["comparison", "feature", "unit", "n_a", "n_b", "mean_a",
-                      "sd_a", "mean_b", "sd_b", "t", "df", "p", "note"], rows)
-    files.append("cohort_ttest.csv")
+    yield "cohort_ttest.csv", _csv_text(
+        ["comparison", "feature", "unit", "n_a", "n_b", "mean_a", "sd_a",
+         "mean_b", "sd_b", "t", "df", "p", "note"], rows)
 
 
-def _emit_metrics(report, out_dir, files):
+def _emit_metrics(report):
     # one row per model, benchmark (paper table) order
     for split in ("train", "test"):
         header = ["model"] + list(_METRIC_COLS)
@@ -316,11 +289,10 @@ def _emit_metrics(report, out_dir, files):
                 row += [m["auroc_ci_low"], m["auroc_ci_high"],
                         b["cv_mean_auroc"], b["cv_sd_auroc"]]
             rows.append(row)
-        _write_csv(os.path.join(out_dir, f"metrics_{split}.csv"), header, rows)
-        files.append(f"metrics_{split}.csv")
+        yield f"metrics_{split}.csv", _csv_text(header, rows)
 
 
-def _emit_selection(report, out_dir, files):
+def _emit_selection(report):
     mi = report["selection"]["mi"]
     filt = {r["feature"]: r for r in report["selection"]["filter"]}
     sel_rows = []
@@ -330,83 +302,73 @@ def _emit_selection(report, out_dir, files):
                          name in mi["excluded_near_zero"],
                          f.get("missing_frac"), f.get("documented"),
                          f.get("variance"), f.get("kept"), f.get("reason")])
-    _write_csv(os.path.join(out_dir, "selection.csv"),
-               ["feature", "mi_score", "selected", "near_zero", "missing_frac",
-                "documented", "variance", "passed_filter", "filter_reason"],
-               sel_rows)
-    files.append("selection.csv")
+    yield "selection.csv", _csv_text(
+        ["feature", "mi_score", "selected", "near_zero", "missing_frac",
+         "documented", "variance", "passed_filter", "filter_reason"], sel_rows)
 
 
-def _emit_roc(report, out_dir, files, emit):
+def _emit_roc(report):
     roc = report["roc_test"]
-    _write_csv(os.path.join(out_dir, "roc_test.csv"),
-               ["fpr", "tpr", "threshold"],
-               list(zip(roc["fpr"], roc["tpr"], roc["thresholds"])))
-    files.append("roc_test.csv")
+    yield "roc_test.csv", _csv_text(
+        ["fpr", "tpr", "threshold"],
+        zip(roc["fpr"], roc["tpr"], roc["thresholds"]))
     win = next(b for b in report["benchmark"] if b["label"] == report["winner"])
-    emit("roc_test.svg", roc_svg(roc["fpr"], roc["tpr"],
-                                 win["test"]["auroc"], label=report["winner"]))
+    yield "roc_test.svg", roc_svg(roc["fpr"], roc["tpr"], win["test"]["auroc"],
+                                  label=report["winner"])
 
 
-def _emit_ablation(report, out_dir, files, emit):
+def _emit_ablation(report):
     ab = report["ablation"]
     rows = [["<none>", i, v] for i, v in enumerate(ab["baseline_dist"])]
     for name in ab["features"]:
         rows += [[name, i, v] for i, v in enumerate(ab["distributions"][name])]
-    _write_csv(os.path.join(out_dir, "ablation.csv"),
-               ["dropped_feature", "resample", "auroc"], rows)
-    files.append("ablation.csv")
+    yield "ablation.csv", _csv_text(["dropped_feature", "resample", "auroc"], rows)
     order = sorted(ab["features"], key=lambda n: ab["mean_drop"][n], reverse=True)
-    emit("ablation.svg", dot_rows_svg(
+    yield "ablation.svg", dot_rows_svg(
         order, [ab["distributions"][n] for n in order],
         title=f"Test AUROC after dropping one feature ({ab['model']})",
-        xlabel="bootstrap AUROC", baseline=ab["baseline_auroc"]))
+        xlabel="bootstrap AUROC", baseline=ab["baseline_auroc"])
 
 
-def _emit_shap(report, out_dir, files, emit):
+def _emit_shap(report):
     sh = report["shap"]
     rows = []
     values = np.asarray(sh["values"], dtype=float)
     for r, row_id in enumerate(sh["row_ids"]):
         for j, feat in enumerate(sh["feature_names"]):
             rows.append([row_id, feat, values[r, j]])
-    _write_csv(os.path.join(out_dir, "shap_summary.csv"),
-               ["row", "feature", "phi"], rows)
-    files.append("shap_summary.csv")
+    yield "shap_summary.csv", _csv_text(["row", "feature", "phi"], rows)
     mean_abs = np.abs(values).mean(axis=0)
     order = np.argsort(-mean_abs)
     row_vals = np.asarray([[0.0 if v is None else v for v in r]
                            for r in sh["row_values"]], dtype=float)
-    emit("shap_summary.svg", dot_rows_svg(
+    yield "shap_summary.svg", dot_rows_svg(
         [sh["feature_names"][j] for j in order],
         [values[:, j] for j in order],
         title=f"Attribution summary ({sh['model']}, log-odds)",
         xlabel="Shapley value",
-        marker_values=[row_vals[:, j] for j in order]))
+        marker_values=[row_vals[:, j] for j in order])
 
 
-def _emit_ale(report, out_dir, files, emit):
+def _emit_ale(report):
     for curve in report["ale"]:
         slug = _slug(curve["feature"])
-        _write_csv(os.path.join(out_dir, f"ale_{slug}.csv"),
-                   ["edge", "effect", "count"],
-                   list(zip(curve["edges"], curve["centered"],
-                            curve["edge_counts"])))
-        files.append(f"ale_{slug}.csv")
-        emit(f"ale_{slug}.svg", ale_svg(curve["edges"], curve["centered"],
-                                        curve["edge_counts"], curve["feature"]))
+        yield f"ale_{slug}.csv", _csv_text(
+            ["edge", "effect", "count"],
+            zip(curve["edges"], curve["centered"], curve["edge_counts"]))
+        yield f"ale_{slug}.svg", ale_svg(curve["edges"], curve["centered"],
+                                         curve["edge_counts"], curve["feature"])
 
 
-def _emit_posterior(report, out_dir, files, emit):
+def _emit_posterior(report):
     post = report["posterior"]
-    _write_csv(os.path.join(out_dir, "posterior.csv"), ["sample", "risk"],
-               list(enumerate(post["samples"])))
-    files.append("posterior.csv")
+    yield "posterior.csv", _csv_text(["sample", "risk"],
+                                     enumerate(post["samples"]))
     vlines = [(post["mean"], "#c23b22", "6 3"),
               (post["ci_low"], "#777", "3 3"), (post["ci_high"], "#777", "3 3")]
-    emit("posterior.svg", histogram_svg(
+    yield "posterior.svg", histogram_svg(
         post["samples"], title="Posterior risk distribution (non-survivor priors)",
-        xlabel="predicted event probability", vlines=vlines))
+        xlabel="predicted event probability", vlines=vlines)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +451,8 @@ def load_manifest(out_dir: str) -> dict:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
 
 
-def write_artifacts(result: RunResult, out_dir: str = None,
-                    groups=None) -> RunManifest:
-    """Emit report.json, projections (all groups unless limited), and the
-    manifest (written last)."""
+def write_artifacts(result: RunResult, out_dir: str = None) -> RunManifest:
+    """Emit report.json, every projection, and the manifest (written last)."""
     out = out_dir or result.config.out_dir
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
@@ -500,7 +460,7 @@ def write_artifacts(result: RunResult, out_dir: str = None,
     validate_report(report, load_report_schema())
     with open(os.path.join(out, _REPORT_NAME), "wb") as fh:
         fh.write(report_json_bytes(report))
-    files = [_REPORT_NAME] + emit_projections(report, out, groups=groups)
+    files = [_REPORT_NAME] + emit_projections(report, out)
     seconds = dict(result.stage_seconds)
     seconds["report"] = time.perf_counter() - t0
     return _write_manifest(out, _config_echo(result.config), files, seconds)

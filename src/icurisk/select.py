@@ -30,18 +30,17 @@ __all__ = [
 class CoverageFilterConfig:
     max_missing_fraction: float = 0.20
     min_documented_patients: int = 100
-    min_variance: float = 0.0  # strictly-greater test; 0.0 drops constants only
 
     def __post_init__(self):
         if not 0.0 <= self.max_missing_fraction <= 1.0:
             raise ConfigError("max_missing_fraction must be in [0, 1]")
-        if self.min_documented_patients < 0 or self.min_variance < 0:
+        if self.min_documented_patients < 0:
             raise ConfigError("coverage thresholds must be nonnegative")
 
 
 def coverage_filter(table: CohortTable, cfg: CoverageFilterConfig = CoverageFilterConfig()):
     """Returns (kept feature names, report rows). Report rows carry the rule
-    that fired: missingness, low documentation, or zero/low variance."""
+    that fired: missingness, low documentation, or zero variance."""
     kept, report = [], []
     for j, spec in enumerate(table.schema):
         col = table.X[:, j]
@@ -54,8 +53,8 @@ def coverage_filter(table: CohortTable, cfg: CoverageFilterConfig = CoverageFilt
             reason = f"missingness {missing_frac:.3f} > {cfg.max_missing_fraction}"
         elif documented < cfg.min_documented_patients:
             reason = f"documented in {documented} < {cfg.min_documented_patients} patients"
-        elif variance <= cfg.min_variance:
-            reason = f"variance {variance:.3g} <= {cfg.min_variance}"
+        elif variance <= 0.0:
+            reason = f"variance {variance:.3g} <= 0.0"
         if not reason:
             kept.append(spec.name)
         report.append({
@@ -103,6 +102,10 @@ def decile_bin(values: np.ndarray, n_bins: int = 10) -> np.ndarray:
     return codes
 
 
+# MI in nats below which a feature counts as carrying no information
+_MI_EPSILON = 1e-3
+
+
 @dataclass(frozen=True)
 class MIRanking:
     features: tuple       # descending MI, ties alphabetical
@@ -113,18 +116,16 @@ class MIRanking:
     epsilon: float
 
 
-def rank_features(table: CohortTable, top_k: int, n_bins: int = 10,
-                  epsilon: float = 1e-3, features=None) -> MIRanking:
+def rank_features(table: CohortTable, top_k: int, n_bins: int = 10) -> MIRanking:
     """Rank features by MI with the label; continuous features are decile-
-    binned first. Features scoring below epsilon nats are flagged and left
-    out of the selection. top_k beyond the available count clamps."""
+    binned first. Features scoring below _MI_EPSILON nats are flagged and
+    left out of the selection. top_k beyond the available count clamps."""
     import warnings
 
-    names = tuple(features) if features is not None else table.feature_names
     if top_k < 1:
         raise ConfigError("top_k must be >= 1")
     scores = {}
-    for name in names:
+    for name in table.feature_names:
         j = table.index_of(name)
         col = table.X[:, j]
         if table.schema[j].kind == "continuous":
@@ -137,13 +138,13 @@ def rank_features(table: CohortTable, top_k: int, n_bins: int = 10,
         warnings.warn(f"top_k={top_k} exceeds {len(ranked)} surviving features; clamped")
         top_k = len(ranked)
     head = ranked[:top_k]
-    selected = tuple(f for f in head if scores[f] >= epsilon)
-    excluded = tuple(f for f in head if scores[f] < epsilon)
+    selected = tuple(f for f in head if scores[f] >= _MI_EPSILON)
+    excluded = tuple(f for f in head if scores[f] < _MI_EPSILON)
     return MIRanking(
         features=ranked,
         scores=scores,
         selected=selected,
         excluded_near_zero=excluded,
         n_bins=n_bins,
-        epsilon=epsilon,
+        epsilon=_MI_EPSILON,
     )

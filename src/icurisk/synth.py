@@ -158,7 +158,7 @@ def synth_cohort(summary, n, event_rate, missing_rates=None, seed=0, schema=None
     if not 0.0 < event_rate < 1.0:
         raise ConfigError(f"event_rate must be in (0, 1), got {event_rate}")
     if "class0" not in summary.groups or "class1" not in summary.groups:
-        raise ConfigError("synth_cohort needs a per-class summary (by_label=True)")
+        raise ConfigError("synth_cohort needs a per-class summary (class0 and class1)")
     missing_rates = dict(missing_rates or {})
     for name, rate in missing_rates.items():
         if not 0.0 <= rate < 1.0:

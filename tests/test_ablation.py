@@ -55,15 +55,10 @@ def test_informative_feature_costs_auroc():
     assert rep.mean_drop("age") > max(others)
 
 
-def test_feature_subset_and_validation():
+def test_ablation_input_validation():
     train, test = _split(make_table(120, seed=55, informative=True), 80)
     spec = ModelSpec(family="gnb")
     base = _base_scores(spec, train, test)
-    rep = ablation(spec, train, test, base, features=["age", "vent"],
-                   n_resamples=10, seed=0)
-    assert rep.features == ("age", "vent")
-    with pytest.raises(ConfigError):
-        ablation(spec, train, test, base, features=["nope"], n_resamples=5)
     with pytest.raises(ConfigError):
         ablation(spec, train, test, base, n_resamples=0)
     with pytest.raises(DataError):
@@ -85,8 +80,8 @@ def test_ordered_boosting_survives_dropping_its_last_discrete_feature():
     train, test = _split(make_table(160, seed=57, informative=True), 110)
     spec = ModelSpec("gbdt", {"depth": 2, "n_trees": 10, "ordered_mode": True})
     rep = ablation(spec, train, test, _base_scores(spec, train, test),
-                   features=["gcs"], n_resamples=5, seed=0)
-    assert rep.features == ("gcs",)
+                   n_resamples=5, seed=0)
+    assert rep.features == train.feature_names
     assert 0.0 <= rep.dropped_auroc["gcs"] <= 1.0
 
 

@@ -71,16 +71,11 @@ def test_posterior_settings_fail_before_fitting(tmp_path, capsys):
         assert key in err and "[stage:" not in err
 
 
-def test_explain_verb_emits_only_explanations(tmp_path, capsys):
-    out = str(tmp_path / "explain_arts")
-    code = main(["explain", "--config", _write_config(tmp_path), "--out", out])
-    assert code == 0
-    assert "posterior risk mean" in capsys.readouterr().out
-    names = {e["path"] for e in load_manifest(out)["artifacts"]}
-    assert "report.json" in names
-    assert not any(n.startswith("metrics_") for n in names)
-    assert any(n.startswith("shap") for n in names)
-    assert any(n.startswith("posterior") for n in names)
+def test_unknown_verb_is_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'explain'" in capsys.readouterr().err
 
 
 def test_report_verb_reemits(tmp_path, capsys):

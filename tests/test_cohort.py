@@ -200,7 +200,7 @@ def test_split_keeps_every_class_on_both_sides():
 
 
 def test_summarize_matches_nan_moments(table40):
-    summary = summarize(table40, by_label=True)
+    summary = summarize(table40)
     for c in (0, 1):
         Xc = table40.X[table40.y == c]
         g = summary.groups[f"class{c}"]

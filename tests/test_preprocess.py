@@ -132,11 +132,12 @@ def test_encoder_matches_smoothing_formula():
     train = CohortTable(schema, col[:, None], y)
     enc = fit_encoder(train, "gcs", alpha=10.0)
     ybar = y.mean()
-    assert enc.encoded_value(3.0) == pytest.approx((2 * 0.5 + 10 * ybar) / 12)
-    assert enc.encoded_value(7.0) == pytest.approx((3 * (2 / 3) + 10 * ybar) / 13)
-    assert enc.encoded_value(15.0) == pytest.approx((1 * 0.0 + 10 * ybar) / 11)
-    # unseen category falls back to the global mean
-    assert enc.encoded_value(9.0) == pytest.approx(ybar)
+    # 9 is an unseen category: it falls back to the global mean
+    levels = CohortTable(schema, np.array([[3.0], [7.0], [15.0], [9.0]]),
+                         [0, 0, 0, 0])
+    assert encode(enc, levels).X[:, 0] == pytest.approx(
+        [(2 * 0.5 + 10 * ybar) / 12, (3 * (2 / 3) + 10 * ybar) / 13,
+         (1 * 0.0 + 10 * ybar) / 11, ybar])
 
 
 def test_encode_column_replacement_and_missing_passthrough():
@@ -148,9 +149,9 @@ def test_encode_column_replacement_and_missing_passthrough():
     out = encode(enc, train)
     assert np.isnan(out.X[2, 0])  # missing stays missing
     assert np.array_equal(out.X[:, 1], X[:, 1])  # other columns untouched
-    for i, c in enumerate([3.0, 7.0, np.nan, 15.0]):
-        if not np.isnan(c):
-            assert out.X[i, 0] == pytest.approx(enc.encoded_value(c))
+    # alpha = 1, global mean 1/2: each seen level has one row
+    for i, y_c in ((0, 1.0), (1, 0.0), (3, 0.0)):
+        assert out.X[i, 0] == pytest.approx((y_c + 0.5) / 2)
 
 
 def test_encoder_rejects_continuous_feature(table40):

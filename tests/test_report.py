@@ -14,8 +14,8 @@ import pytest
 
 from icurisk.errors import DataError
 from icurisk.pipeline import RunConfig
-from icurisk.report import (config_hash, emit_projections, emit_report,
-                            load_manifest, load_report_schema, validate_report,
+from icurisk.report import (config_hash, emit_report, load_manifest,
+                            load_report_schema, validate_report,
                             write_failed_manifest)
 from icurisk.selftest import full_run
 
@@ -108,16 +108,6 @@ def test_reemission_is_byte_identical(run_out, tmp_path):
     after = {name: digest for name, digest, _ in refreshed.artifacts}
     assert before == after
     assert refreshed.config_hash == manifest.config_hash
-
-
-def test_emit_projections_group_filter(run_out, tmp_path):
-    _, _, out = run_out
-    report = _read_report(out)
-    files = emit_projections(report, str(tmp_path), groups=("roc", "posterior"))
-    assert all(f.startswith(("roc", "posterior")) for f in files)
-    assert not (tmp_path / "metrics_test.csv").exists()
-    with pytest.raises(DataError, match="unknown projection groups"):
-        emit_projections(report, str(tmp_path), groups=("nope",))
 
 
 def test_failed_manifest(tmp_path):

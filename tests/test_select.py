@@ -105,7 +105,7 @@ def test_coverage_filter_config_validation():
     with pytest.raises(ConfigError):
         CoverageFilterConfig(max_missing_fraction=1.5)
     with pytest.raises(ConfigError):
-        CoverageFilterConfig(min_variance=-0.1)
+        CoverageFilterConfig(min_documented_patients=-1)
 
 
 def test_rank_features_orders_by_information(table200):
@@ -118,9 +118,18 @@ def test_rank_features_orders_by_information(table200):
 
 
 def test_rank_features_near_zero_exclusion(table200):
-    ranking = rank_features(table200, top_k=4, epsilon=10.0)  # absurd bar
-    assert ranking.selected == ()
-    assert set(ranking.excluded_near_zero) == set(ranking.features[:4])
+    # a constant column carries exactly zero MI, below the 1e-3 nat bar
+    X = table200.X.copy()
+    X[:, table200.index_of("lactate")] = 1.0
+    ranking = rank_features(table200.with_matrix(X), top_k=4)
+    assert ranking.epsilon == 1e-3
+    assert ranking.scores["lactate"] == 0.0
+    assert "lactate" in ranking.excluded_near_zero
+    head = ranking.features[:4]
+    assert ranking.excluded_near_zero == tuple(
+        f for f in head if ranking.scores[f] < 1e-3)
+    assert ranking.selected == tuple(
+        f for f in head if ranking.scores[f] >= 1e-3)
 
 
 def test_rank_features_top_k_clamps_with_warning(table200):
