@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import replace
@@ -103,6 +104,10 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out_dir {config.out_dir}: {exc}") from exc
     result, manifest = _run_with_manifest(config)
     win = next(r for r in result.benchmark if r.label == result.winner)
     print(f"winner: {result.winner} "

@@ -41,14 +41,17 @@ def _resolve_feature(table, feature):
     return j, name
 
 
-def _is_binary(table, j, col):
+def _is_binary(table, j, levels):
+    """A two-level column that is binary by schema or holds only 0 and 1; a
+    binary column seen at one level is left to the constant-column path."""
+    if levels.size != 2:
+        return False
     schema = getattr(table, "schema", None)
     if schema is not None:
         spec: FeatureSpec = schema[j]
         if spec.kind == "binary":
             return True
-    vals = np.unique(col[~np.isnan(col)])
-    return vals.size == 2 and set(vals) <= {0.0, 1.0}
+    return set(levels) <= {0.0, 1.0}
 
 
 def ale(model, table, feature, n_bins: int = 20) -> AleCurve:
@@ -59,8 +62,9 @@ def ale(model, table, feature, n_bins: int = 20) -> AleCurve:
         raise DataError(f"feature {name!r} has missing values; impute first")
     n = X.shape[0]
 
-    if _is_binary(table, j, col):
-        lo, hi = np.unique(col)
+    levels = np.unique(col)
+    if _is_binary(table, j, levels):
+        lo, hi = levels
         Xhi = X.copy(); Xhi[:, j] = hi
         Xlo = X.copy(); Xlo[:, j] = lo
         delta = float(np.mean(model(Xhi) - model(Xlo)))

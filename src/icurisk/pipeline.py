@@ -9,6 +9,7 @@ in a fixed order and any failure is re-raised with a stage tag.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -53,6 +54,12 @@ class Predictor:
         return apply(self.pipeline, table)
 
 
+# the types a RunConfig field accepts, keyed by its annotation; bool is
+# refused separately although it is an int
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str,
+                "str | None": (str, type(None))}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one pipeline run depends on. seed is mandatory."""
@@ -83,7 +90,19 @@ class RunConfig:
     posterior_burn_in: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
+        # a JSON config can hold any type; reject the wrong one before any
+        # comparison below or any model fit can trip over it
+        for f in fields(self):
+            value = getattr(self, f.name)
+            ok = (not isinstance(value, bool)
+                  and isinstance(value, _FIELD_TYPES[f.type]))
+            if ok and f.type == "float":
+                ok = math.isfinite(value)
+            if not ok:
+                expected = "a finite number" if f.type == "float" else f.type
+                raise ConfigError(f"{f.name} must be {expected}, got "
+                                  f"{type(value).__name__} {value!r}")
+        if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")

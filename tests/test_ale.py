@@ -81,6 +81,19 @@ def test_constant_feature_is_flat():
     assert np.all(curve.centered == 0.0)
 
 
+def test_binary_feature_seen_at_one_level_is_flat():
+    # a schema-binary flag that is 0 in every row has no second level to
+    # difference against; it gets the constant-column curve
+    table = make_table(60, seed=6)
+    j = table.index_of("vent")
+    X = table.X.copy()
+    X[:, j] = 0.0
+    table = table.with_matrix(X)
+    curve = ale(lambda A: 3.0 * A[:, j], table, "vent")
+    assert np.all(curve.effects == 0.0)
+    assert curve.edge_counts.sum() == 60
+
+
 def test_input_validation():
     X = np.random.default_rng(5).normal(size=(40, 2))
     f = lambda A: A[:, 0]

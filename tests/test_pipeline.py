@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -86,7 +87,8 @@ def _impute_key(imputer, table) -> bytes:
 def probe_run():
     """PROBE_CONFIG run with impute and cross_validate wrapped at every
     import site; returns the result, a content key per impute call (fitted
-    imputer, table) and the result of every cross_validate call."""
+    imputer, table) and the result of every cross_validate call. Any
+    RuntimeWarning (a NaN or overflow on the way) fails the run."""
     impute, cross_validate = preprocess.impute, cv.cross_validate
     keys, searches = [], []
 
@@ -98,7 +100,8 @@ def probe_run():
         searches.append(cross_validate(*args, **kwargs))
         return searches[-1]
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         wrap_everywhere(mp, impute, counted)
         wrap_everywhere(mp, cross_validate, recorded)
         result = run(PROBE_CONFIG)
@@ -240,6 +243,14 @@ def test_run_config_round_trip_and_validation():
                        ("cv_folds", 1), ("synth_n", 5)):
         with pytest.raises(ConfigError, match=key):
             RunConfig(seed=0, **{key: value})
+    # mistyped values, as a JSON config can carry them
+    for key, value in (("top_k", "5"), ("cv_folds", 2.5),
+                       ("n_bootstrap", 20.0), ("seed", True),
+                       ("train_fraction", False), ("alpha", float("nan")),
+                       ("grid_preset", 1), ("input_path", 3)):
+        with pytest.raises(ConfigError, match=key):
+            run_config_from_jsonable({**payload, key: value})
+    assert RunConfig(seed=0, alpha=10, schema_path=None).alpha == 10
 
 
 def test_load_run_config_errors(tmp_path):
