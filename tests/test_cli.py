@@ -80,16 +80,6 @@ def test_out_naming_a_file_is_exit_2_before_fitting(tmp_path, capsys):
     assert "out_dir" in err and str(taken) in err and "[stage:" not in err
 
 
-def test_mistyped_config_value_is_exit_2(tmp_path, capsys):
-    for key, value in (("top_k", "5"), ("seed", True)):
-        cfg = _write_config(tmp_path, **{key: value})
-        assert main(["run", "--config", cfg,
-                     "--out", str(tmp_path / "x")]) == 2
-        err = capsys.readouterr().err
-        assert key in err and "[stage:" not in err
-    assert not (tmp_path / "x").exists()
-
-
 def test_unknown_verb_is_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["explain", "--seed", "1"])
