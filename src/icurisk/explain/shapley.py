@@ -4,14 +4,22 @@ The coalition value of S for a row x against a background set Z is the mean
 model output over Z of composites taking features in S from x and the rest
 from each background row. shap_exhaustive enumerates all 2^d coalitions with
 exact factorial weights; shap_tree computes the identical quantity for a
-boosted-tree ensemble in polynomial time by walking each tree once per
-(row, background-group) with the features constrained so far.
+boosted-tree ensemble from the leaf tables of its compiled forest, the
+leaf-wise form of interventional TreeSHAP (Lundberg et al. 2020; Laberge &
+Pequignot 2023).
 
-For a single (x, z) pair and a leaf of value v reached with k features
-forced to x's side and m forced to z's side, the leaf contributes
-v * (k-1)! m! / (k+m)! to each x-forced feature and -v * k! (m-1)! / (k+m)!
-to each z-forced feature; features on which x and z take the same branch are
-dummies for that pair. Tree attributions are on the margin (log-odds) scale.
+A leaf's path allows, per distinct feature it tests, an interval [lo, hi).
+For one (x, z) pair, the composite for S reaches the leaf iff every slot is
+satisfied by x (feature in S) or by z (feature not in S). So the leaf's
+game depends only on which slots x satisfies and which z satisfies, two
+codes of `depth` bits: it is dead if some slot fails both, and otherwise
+the leaf of value v, with k slots satisfied only by x and m only by z,
+contributes v * (k-1)! m! / (k+m)! to each x-only feature and
+-v * k! (m-1)! / (k+m)! to each z-only feature; features both satisfy are
+dummies. shap_tree therefore counts background rows per (leaf, code) once
+per call, and each explained row's own code per leaf picks its weights, so
+per-row work does not grow with the background. Tree attributions are on
+the margin (log-odds) scale.
 """
 
 from __future__ import annotations
@@ -23,7 +31,10 @@ import numpy as np
 
 from ..errors import ConfigError, DataError
 from ..models import GbdtModel, model_margin
+from ..models import _as_matrix as _model_matrix
 from ..models.gbdt import _apply_cat_stats
+
+_CHUNK = 1 << 16          # elements per temporary array, about 0.5 MB
 
 
 @dataclass(frozen=True)
@@ -88,73 +99,77 @@ def _pair_weights(max_depth: int):
     return w_in, w_out
 
 
-def _tree_row_shap(tree, x, Z, phi, w_in, w_out):
-    """Accumulate (unnormalized) attributions of one tree for row x against
-    all background rows Z into phi."""
-
-    def walk(node, zidx, forced, k, m):
-        f = tree.feat[node]
-        if f < 0:
-            if k + m == 0:
-                return
-            v = tree.value[node] * zidx.size
-            if v == 0.0:
-                return
-            win = v * w_in[k, m]
-            wout = v * w_out[k, m]
-            for feat_id, side in forced.items():
-                if side:
-                    phi[feat_id] += win
-                else:
-                    phi[feat_id] -= wout
-            return
-        t = tree.thr[node]
-        x_left = x[f] < t
-        x_child = tree.left[node] if x_left else tree.right[node]
-        o_child = tree.right[node] if x_left else tree.left[node]
-        if f in forced:
-            if forced[f]:  # forced to x's value: everyone follows x
-                walk(x_child, zidx, forced, k, m)
-            else:          # forced to z's value: split by each z's own branch
-                zl = Z[zidx, f] < t
-                if zl.any():
-                    walk(tree.left[node], zidx[zl], forced, k, m)
-                if not zl.all():
-                    walk(tree.right[node], zidx[~zl], forced, k, m)
-            return
-        zl = Z[zidx, f] < t
-        agree = zl == x_left
-        if agree.any():
-            walk(x_child, zidx[agree], forced, k, m)
-        dis = zidx[~agree]
-        if dis.size:
-            walk(x_child, dis, {**forced, f: True}, k + 1, m)
-            walk(o_child, dis, {**forced, f: False}, k, m + 1)
-
-    walk(0, np.arange(Z.shape[0]), {}, 0, 0)
+def _path_codes(forest, X) -> np.ndarray:
+    """(leaves, rows) code of the path slots each row of X satisfies: bit s
+    is set when slot s of the leaf allows the row's value."""
+    cols = np.ascontiguousarray(X.T)
+    n_leaves = forest.leaf_value.size
+    codes = np.zeros((n_leaves, X.shape[0]),
+                     dtype=np.min_scalar_type((1 << forest.depth) - 1))
+    step = max(1, _CHUNK // n_leaves)
+    for start in range(0, X.shape[0], step):
+        part = slice(start, start + step)
+        for s in range(forest.depth):
+            v = cols[forest.slot_feat[s], part]
+            ok = (v >= forest.slot_lo[s, :, None]) & (v < forest.slot_hi[s, :, None])
+            codes[:, part] |= ok.astype(codes.dtype) << s
+    return codes
 
 
 def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
     """Interventional tree Shapley values for every row, equal to
-    shap_exhaustive on the margin within floating-point error."""
+    shap_exhaustive on the margin within floating-point error. Rows and
+    background must have the model's width (or feature names, for tables)
+    and finite values."""
     if not isinstance(model, GbdtModel):
         raise ConfigError("shap_tree supports boosted-tree models only")
-    X = _as_matrix(rows)
-    Z = _as_matrix(background)
-    if Z.shape[0] == 0:
+    X = _apply_cat_stats(_model_matrix(model, rows), model.cat_stats)
+    Z_raw = _model_matrix(model, background)
+    if Z_raw.shape[0] == 0:
         raise DataError("background must be nonempty")
-    names = getattr(rows, "feature_names", None) or tuple(model.feature_names_)
-    Xe = _apply_cat_stats(X, model.cat_stats)
-    Ze = _apply_cat_stats(Z, model.cat_stats)
-    d = Xe.shape[1]
-    depth = model.params.depth
+    Z = _apply_cat_stats(Z_raw, model.cat_stats)
+    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
+        raise DataError("shap_tree needs finite rows and background")
+    forest = model.forest
+    depth = forest.depth
+    full = (1 << depth) - 1
     w_in, w_out = _pair_weights(depth)
-    values = np.zeros((Xe.shape[0], d))
-    lr = model.params.learning_rate
-    for r in range(Xe.shape[0]):
-        phi = np.zeros(d)
-        for tree in model.trees:
-            _tree_row_shap(tree, Xe[r], Ze, phi, w_in, w_out)
-        values[r] = lr * phi / Z.shape[0]
-    base = float(model_margin(model, Z).mean())
-    return ShapMatrix(values=values, base_value=base, feature_names=tuple(names))
+
+    # background rows per (leaf, code), kept where nonzero; leaves go in
+    # blocks so the dense count stays small at any depth
+    zc = _path_codes(forest, Z)
+    pairs = []
+    step = max(1, _CHUNK >> depth)
+    for start in range(0, zc.shape[0], step):
+        part = zc[start:start + step]
+        key = part + (np.arange(part.shape[0]) << depth)[:, None]
+        count = np.bincount(key.ravel(), minlength=part.shape[0] << depth)
+        at = np.flatnonzero(count)
+        pairs.append(((at >> depth) + start, at & full, count[at]))
+    leaf, b, count = (np.concatenate(p) for p in zip(*pairs))
+    weight = count * forest.leaf_value[leaf]
+    feat = forest.slot_feat[:, leaf]                    # (depth, pairs)
+    shift = np.arange(depth)[:, None]
+
+    n, d = X.shape
+    phi = np.zeros((n, d))
+    step = max(1, _CHUNK // (leaf.size * depth))
+    for start in range(0, n, step):
+        a = _path_codes(forest, X[start:start + step])[leaf].T[:, None, :]
+        x_only = (a & ~b) >> shift & 1                  # (rows, depth, pairs)
+        z_only = (b & ~a) >> shift & 1
+        k = x_only.sum(axis=1)
+        m = z_only.sum(axis=1)
+        # a pair is dead when some slot fails both rows
+        w = np.where((a[:, 0] | b) == full, weight, 0.0)
+        contrib = (x_only * (w * w_in[k, m])[:, None]
+                   - z_only * (w * w_out[k, m])[:, None])
+        rows_in = a.shape[0]
+        cell = np.arange(rows_in)[:, None, None] * d + feat
+        phi[start:start + rows_in] = np.bincount(
+            cell.ravel(), weights=contrib.ravel(),
+            minlength=rows_in * d).reshape(rows_in, d)
+    values = model.params.learning_rate * phi / Z.shape[0]
+    base = float(model_margin(model, Z_raw).mean())
+    return ShapMatrix(values=values, base_value=base,
+                      feature_names=tuple(model.feature_names_))

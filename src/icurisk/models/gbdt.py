@@ -11,6 +11,16 @@ boolean partition; subsampled rounds filter the fit's presort by their row
 mask, and ordered rounds re-sort only the re-encoded categorical columns.
 The trees equal those of a per-node, per-feature stable argsort search.
 
+Each fit compiles its trees once into a Forest kept on the model. All nodes
+sit in flat arrays, each tree's preorder block after the previous one, and
+every leaf tests feature 0 and points back to itself, so one vectorized
+descent of `depth` steps takes every row to its leaf in every tree at once.
+Margins add the per-tree leaf values in tree order, the same additions as a
+loop over trees. For Tree SHAP each leaf also keeps a table of its path:
+per distinct feature tested on the way down, the interval [lo, hi) the path
+allows, padded to `depth` slots with (-inf, inf). The grower records these
+as it recurses.
+
 ordered_mode replaces declared categorical columns with ordered target
 statistics during training: a fresh seeded permutation each boosting round,
 each row encoded from the label prefix strictly before it (alpha-smoothed
@@ -19,7 +29,7 @@ toward the training mean). Inference uses the full-training-data statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +40,7 @@ from ..special import log1pexp, logit, sigmoid
 _PROB_CLIP = 1e-7
 _MIN_SPLIT_GAIN = 1e-12
 _ORDERED_ALPHA = 10.0     # prior weight of the smoothed target statistic
+_CHUNK = 1 << 16          # (rows x trees) elements per margin chunk
 
 
 @dataclass(frozen=True)
@@ -55,27 +66,78 @@ class GbdtParams:
 
 @dataclass(frozen=True)
 class Tree:
-    """Array-coded binary tree; feat < 0 marks a leaf. Rows with feature
-    value < threshold go left."""
+    """Array-coded binary tree in preorder; feat < 0 marks a leaf. Rows with
+    feature value < threshold go left.
+
+    leaves lists the leaf node ids in preorder; column i of the slot arrays
+    holds leaf i's path slots: each distinct feature tested on the way down
+    and the interval [lo, hi) of it the path allows. Unused slots are
+    (0, -inf, inf)."""
 
     feat: np.ndarray
     thr: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    leaves: np.ndarray
+    slot_feat: np.ndarray      # (depth, leaves)
+    slot_lo: np.ndarray
+    slot_hi: np.ndarray
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        while True:
-            f = self.feat[idx]
-            at_leaf = f < 0
-            if at_leaf.all():
-                return self.value[idx]
-            f_safe = np.where(at_leaf, 0, f)
-            go_left = X[rows, f_safe] < self.thr[idx]
-            nxt = np.where(go_left, self.left[idx], self.right[idx])
-            idx = np.where(at_leaf, idx, nxt)
+
+@dataclass(frozen=True)
+class Forest:
+    """The trees of a model compiled for vectorized evaluation.
+
+    Node arrays are flat, tree t's nodes starting at roots[t]; node i's
+    children are child[2i] (left) and child[2i + 1] (right), and a leaf
+    tests feature 0 and points back to itself. Leaf arrays stack every
+    tree's leaves in tree order: leaf_value and the (depth, leaves) path
+    slots."""
+
+    roots: np.ndarray
+    feat: np.ndarray
+    thr: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    depth: int
+    leaf_value: np.ndarray
+    slot_feat: np.ndarray
+    slot_lo: np.ndarray
+    slot_hi: np.ndarray
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """(rows, trees) value of the leaf each row of X reaches."""
+        n, d = X.shape
+        x = np.ascontiguousarray(X).ravel()
+        row_start = d * np.arange(n)[:, None]
+        idx = np.broadcast_to(self.roots, (n, self.roots.size))
+        for _ in range(self.depth):
+            # not (x < thr) rather than x >= thr: a NaN goes right
+            go_right = ~(x.take(row_start + self.feat.take(idx)) < self.thr.take(idx))
+            idx = self.child.take(2 * idx + go_right)
+        return self.value.take(idx)
+
+
+def _compile(trees, depth: int) -> Forest:
+    sizes = np.array([t.feat.size for t in trees])
+    starts = np.r_[0, np.cumsum(sizes)[:-1]]
+    feat = np.concatenate([t.feat for t in trees])
+    leaf = feat < 0
+    own = np.arange(feat.size)
+    child = [np.where(leaf, own, np.concatenate(
+        [getattr(t, side) + s for t, s in zip(trees, starts)]))
+        for side in ("left", "right")]
+    return Forest(
+        roots=starts, feat=np.where(leaf, 0, feat),
+        thr=np.concatenate([t.thr for t in trees]),
+        child=np.stack(child, axis=1).ravel(),
+        value=np.concatenate([t.value for t in trees]), depth=depth,
+        leaf_value=np.concatenate([t.value[t.leaves] for t in trees]),
+        slot_feat=np.concatenate([t.slot_feat for t in trees], axis=1),
+        slot_lo=np.concatenate([t.slot_lo for t in trees], axis=1),
+        slot_hi=np.concatenate([t.slot_hi for t in trees], axis=1),
+    )
 
 
 @dataclass(frozen=True)
@@ -86,6 +148,7 @@ class GbdtModel:
     feature_names_: tuple
     cat_stats: dict            # col -> (sorted category values, encoded values, prior)
     loss_curve: np.ndarray     # weighted logistic training loss, n_trees + 1 entries
+    forest: Forest = field(compare=False, repr=False)   # the trees, compiled
 
 
 def _weighted_logloss(margin, y, w):
@@ -138,6 +201,7 @@ def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Tree:
     """Grow one tree in preorder over rows (ascending) of the Fortran-order
     table X; block is their (rows.size, d) column block."""
     feat, thr, left, right, value = [], [], [], [], []
+    leaves, slots = [], []
     x_flat = X.ravel(order="F")
     col_start = X.shape[0] * np.arange(X.shape[1])
     gh = g + 1j * h
@@ -150,7 +214,7 @@ def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Tree:
         value.append(v)
         return len(feat) - 1
 
-    def grow(rows, block, d):
+    def grow(rows, block, d, path):
         G = g[rows].sum()
         H = h[rows].sum()
         split = None
@@ -158,7 +222,9 @@ def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Tree:
             split = _best_split(x_flat, col_start, gh, block, G, H, l2,
                                 min_child_weight)
         if split is None:
-            return add(-1, 0.0, -G / max(H + l2, 1e-12))
+            leaves.append(add(-1, 0.0, -G / max(H + l2, 1e-12)))
+            slots.append(path)
+            return leaves[-1]
         j, t = split
         node = add(j, t, 0.0)
         go_left = X[:, j] < t
@@ -168,17 +234,26 @@ def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Tree:
         if d > 1:
             lblock = _partition(block, go_left, lrows.size)
             rblock = _partition(block, ~go_left, rrows.size)
-        left[node] = grow(lrows, lblock, d - 1)
-        right[node] = grow(rrows, rblock, d - 1)
+        lo, hi = path.get(j, (-np.inf, np.inf))
+        left[node] = grow(lrows, lblock, d - 1, {**path, j: (lo, min(hi, t))})
+        right[node] = grow(rrows, rblock, d - 1, {**path, j: (max(lo, t), hi)})
         return node
 
-    grow(rows, block, depth)
+    grow(rows, block, depth, {})
+    slot_feat = np.zeros((depth, len(leaves)), dtype=np.int64)
+    slot_lo = np.full((depth, len(leaves)), -np.inf)
+    slot_hi = np.full((depth, len(leaves)), np.inf)
+    for i, path in enumerate(slots):
+        for s, (j, (lo, hi)) in enumerate(path.items()):
+            slot_feat[s, i], slot_lo[s, i], slot_hi[s, i] = j, lo, hi
     return Tree(
         feat=np.array(feat, dtype=np.int64),
         thr=np.array(thr),
         left=np.array(left, dtype=np.int64),
         right=np.array(right, dtype=np.int64),
         value=np.array(value),
+        leaves=np.array(leaves, dtype=np.int64),
+        slot_feat=slot_feat, slot_lo=slot_lo, slot_hi=slot_hi,
     )
 
 
@@ -270,7 +345,8 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
         tree = _grow_tree(Xt, g, h, rows, order, params.depth,
                           params.l2_leaf, params.min_child_weight)
         trees.append(tree)
-        margin = margin + params.learning_rate * tree.predict(Xt)
+        leaf = _compile([tree], params.depth).leaf_values(Xt)[:, 0]
+        margin = margin + params.learning_rate * leaf
         losses.append(_weighted_logloss(margin, y, w))
 
     return GbdtModel(
@@ -280,16 +356,25 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
         feature_names_=tuple(train.feature_names),
         cat_stats=cat_stats,
         loss_curve=np.array(losses),
+        forest=_compile(trees, params.depth),
     )
 
 
 def gbdt_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
-    """Raw log-odds: base + lr * sum of leaf scores."""
+    """Raw log-odds: base + lr * sum of leaf scores, added in tree order.
+    Rows go through the forest in chunks that keep temporaries small."""
     X = np.asarray(X, dtype=float)
     X = _apply_cat_stats(X, model.cat_stats)
-    out = np.full(X.shape[0], model.base_score)
-    for tree in model.trees:
-        out += model.params.learning_rate * tree.predict(X)
+    forest = model.forest
+    out = np.empty(X.shape[0])
+    step = max(1, _CHUNK // forest.roots.size)
+    for start in range(0, X.shape[0], step):
+        leaf = forest.leaf_values(X[start:start + step])
+        terms = np.empty((leaf.shape[0], leaf.shape[1] + 1))
+        terms[:, 0] = model.base_score
+        terms[:, 1:] = model.params.learning_rate * leaf
+        # a running sum adds the trees one at a time, as a loop over them would
+        out[start:start + step] = np.cumsum(terms, axis=1)[:, -1]
     return out
 
 

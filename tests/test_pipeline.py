@@ -28,10 +28,10 @@ _ROWS = ("boosted_trees_ordered", "boosted_trees", "boosted_trees_subsampled",
 # sha256 of report.json for PROBE_CONFIG. A change that moves a reported
 # number on purpose updates this and says why in CHANGES.md.
 _PROBE_REPORT_SHA256 = (
-    "6b7676810d38af90d64accf959fce2b9764649b2c7a56e028effce2b4b82be16")
+    "63c931bd6f344727a3797287ff4bf1445e606adfc9f3357d9398081a03fdd37b")
 # sha256 of report.json for RunConfig(seed=7), the default quick-start run.
 _SEED7_REPORT_SHA256 = (
-    "dd36024cd79939eb8ffbdbb80400f4e82d46cf40ff3cce2e4e37569c57bb5ef4")
+    "eacf4084920a95feb7616cbfe76f4e8c20938cf212b407a5a5f2fff853678f54")
 
 # sha256 of every other artifact PROBE_CONFIG writes. The projection
 # writers must reproduce these bytes from the report alone.
@@ -65,7 +65,7 @@ _PROBE_ARTIFACT_SHA256 = {
     "selection.csv":
         "03927ccd9eb459839f3b75770ab991bd54ddea59dff52e472ecd95817d54f40e",
     "shap_summary.csv":
-        "be136a3eec260d08abdcca2678383355ea88d997ce1728683aee3e92d16eba25",
+        "8bd75c07ceeda088a14211609c01b10d42aa7d989ca49c7999bbee13d88069dd",
     "shap_summary.svg":
         "6511e6f86a98780758950311aa1b92f68e1cefb025ca43799595d4a111d26c68",
 }

@@ -1,12 +1,15 @@
 """Shapley attribution: exact axioms on the exhaustive game, agreement of
-the polynomial tree walk with brute-force enumeration."""
+the leaf-table Tree SHAP with brute-force enumeration."""
 
 import numpy as np
 import pytest
 
-from icurisk.errors import ConfigError, DataError
+from icurisk.cohort import CohortTable
+from icurisk.errors import ConfigError, DataError, SchemaError
+from icurisk.explain import shapley
 from icurisk.explain.shapley import ShapMatrix, shap_exhaustive, shap_tree
 from icurisk.models.gbdt import GbdtParams, gbdt_margin, train_gbdt
+from icurisk.schema import FeatureSpec
 
 from conftest import make_table
 
@@ -92,3 +95,60 @@ def test_tree_accepts_tables():
                           table.subset(np.arange(20, 50)))
     via_array = shap_tree(model, table.X[:5], table.X[20:50])
     assert np.array_equal(via_table.values, via_array.values)
+
+
+def test_tree_checks_input_width_and_values():
+    table = make_table(80, seed=31, informative=True)
+    model = train_gbdt(table, GbdtParams(depth=2, n_trees=5), seed=0)
+    Z = table.X[:20]
+    for narrow, wide in ((table.X[:3, :3], Z), (table.X[:3], Z[:, :3]),
+                         (np.c_[table.X[:3], table.X[:3, :1]], Z),
+                         (table.X[:3], np.c_[Z, Z[:, :1]])):
+        with pytest.raises(SchemaError):
+            shap_tree(model, narrow, wide)
+    rows = table.X[:3].copy()
+    rows[1, 0] = np.nan
+    with pytest.raises(DataError):
+        shap_tree(model, rows, Z)
+
+
+def _check_against_enumeration(model, rows, Z, tol=1e-10):
+    result = shap_tree(model, rows, Z)
+    margin_fn = lambda X: gbdt_margin(model, X)
+    for i in range(rows.shape[0]):
+        brute = shap_exhaustive(margin_fn, rows[i], Z)
+        assert np.max(np.abs(result.values[i] - brute)) < tol
+    return result
+
+
+def test_tree_matches_enumeration_at_depth_one():
+    table = make_table(100, seed=37, informative=True)
+    model = train_gbdt(table, GbdtParams(depth=1, n_trees=15), seed=0)
+    _check_against_enumeration(model, table.X[50:56], table.X[:30])
+
+
+def test_tree_matches_enumeration_with_repeated_features_and_ties():
+    """Depth-4 trees on a banded target split one feature more than once on
+    a path; background and explained rows sitting exactly on thresholds
+    must follow the strict x < t rule."""
+    rng = np.random.default_rng(41)
+    n = 300
+    X = np.column_stack([rng.uniform(0, 10, n), rng.uniform(0, 1, n),
+                         rng.integers(0, 3, n).astype(float)])
+    y = ((X[:, 0] > 3) & (X[:, 0] < 7)).astype(int) ^ (rng.random(n) < 0.1)
+    schema = tuple(FeatureSpec(name=f"x{j}", kind="continuous") for j in range(3))
+    model = train_gbdt(CohortTable(schema, X, y),
+                       GbdtParams(depth=4, n_trees=8), seed=0)
+    forest = model.forest
+    bounded = np.isfinite(forest.slot_lo) & np.isfinite(forest.slot_hi)
+    assert bounded.any()                    # a feature tested twice on a path
+    Z = X[:24].copy()
+    rows = X[100:104].copy()
+    for i, tree in enumerate(model.trees[:4]):
+        f, t = tree.feat[0], tree.thr[0]
+        Z[i, f] = t
+        rows[i, f] = t
+    before = _check_against_enumeration(model, rows, Z)
+    with pytest.MonkeyPatch.context() as mp:    # many small blocks
+        mp.setattr(shapley, "_CHUNK", 64)
+        assert np.array_equal(shap_tree(model, rows, Z).values, before.values)
