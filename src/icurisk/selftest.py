@@ -9,6 +9,8 @@ synthetic run, and a train/test leakage probe.
 
 from __future__ import annotations
 
+import atexit
+import shutil
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -264,8 +266,10 @@ def _c09_dream_gaussian() -> str:
 
 @lru_cache(maxsize=1)
 def full_run():
-    """One full-size end-to-end run, shared across criteria and tests."""
+    """One full-size end-to-end run, shared across criteria and tests. Its
+    artifact directory lives until the interpreter exits."""
     out = tempfile.mkdtemp(prefix="icurisk_run_")
+    atexit.register(shutil.rmtree, out, ignore_errors=True)
     config = RunConfig(seed=7, out_dir=out)
     result = run(config)
     manifest = write_artifacts(result)
@@ -284,8 +288,9 @@ PROBE_CONFIG = RunConfig(seed=11, synth_n=400, top_k=8, cv_folds=3,
 def _determinism_probe():
     sums = []
     for _ in range(2):
-        out = tempfile.mkdtemp(prefix="icurisk_det_")
-        manifest = write_artifacts(run(replace(PROBE_CONFIG, out_dir=out)), out_dir=out)
+        with tempfile.TemporaryDirectory(prefix="icurisk_det_") as out:
+            manifest = write_artifacts(run(replace(PROBE_CONFIG, out_dir=out)),
+                                       out_dir=out)
         sums.append({name: digest for name, digest, _ in manifest.artifacts})
     return sums
 

@@ -9,7 +9,9 @@ and `icurisk selftest` prints the same battery outside the test harness.
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,3 +42,30 @@ def test_a_failing_criterion_fails_under_optimize():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout.startswith("FAIL C02 published confusion-matrix rates: accuracy")
+
+
+def test_selftest_runs_clean_up_their_directories(monkeypatch, tmp_path):
+    # the end-to-end runs are stubbed out: only the directory handling runs
+    from icurisk import selftest
+
+    def fake_write(result, out_dir=None):
+        out = out_dir or result.out_dir
+        with open(os.path.join(out, "report.json"), "w") as fh:
+            fh.write("{}")
+        return SimpleNamespace(artifacts=(("report.json", "digest", 2),))
+
+    exit_hooks = []
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(selftest, "run", lambda config: config)
+    monkeypatch.setattr(selftest, "write_artifacts", fake_write)
+    monkeypatch.setattr(selftest.atexit, "register",
+                        lambda fn, *args, **kw: exit_hooks.append((fn, args, kw)))
+
+    assert selftest._determinism_probe.__wrapped__() == [{"report.json": "digest"}] * 2
+    assert list(tmp_path.iterdir()) == []
+
+    _, _, out = selftest.full_run.__wrapped__()
+    assert os.path.exists(os.path.join(out, "report.json"))
+    for fn, args, kw in exit_hooks:
+        fn(*args, **kw)
+    assert list(tmp_path.iterdir()) == []
