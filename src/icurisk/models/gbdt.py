@@ -13,8 +13,9 @@ The trees equal those of a per-node, per-feature stable argsort search.
 
 Each fit compiles its trees once into a Forest kept on the model. All nodes
 sit in flat arrays, each tree's preorder block after the previous one, and
-every leaf tests feature 0 and points back to itself, so one vectorized
-descent of `depth` steps takes every row to its leaf in every tree at once.
+every leaf is its own left and right child, so one vectorized descent of
+`depth` steps takes every row to its leaf in every tree at once; the
+training rounds use the same descent on their one new tree.
 Margins add the per-tree leaf values in tree order, the same additions as a
 loop over trees. For Tree SHAP each leaf also keeps a table of its path:
 per distinct feature tested on the way down, the interval [lo, hi) the path
@@ -41,6 +42,7 @@ _PROB_CLIP = 1e-7
 _MIN_SPLIT_GAIN = 1e-12
 _ORDERED_ALPHA = 10.0     # prior weight of the smoothed target statistic
 _CHUNK = 1 << 16          # (rows x trees) elements per margin chunk
+_ROOT = np.zeros(1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,9 @@ class GbdtParams:
 
 @dataclass(frozen=True)
 class Tree:
-    """Array-coded binary tree in preorder; feat < 0 marks a leaf. Rows with
-    feature value < threshold go left.
+    """Array-coded binary tree in preorder; feat < 0 marks a leaf, whose
+    left and right children are the leaf itself. Rows with feature value <
+    threshold go left.
 
     leaves lists the leaf node ids in preorder; column i of the slot arrays
     holds leaf i's path slots: each distinct feature tested on the way down
@@ -87,18 +90,16 @@ class Tree:
 
 @dataclass(frozen=True)
 class Forest:
-    """The trees of a model compiled for vectorized evaluation.
-
-    Node arrays are flat, tree t's nodes starting at roots[t]; node i's
-    children are child[2i] (left) and child[2i + 1] (right), and a leaf
-    tests feature 0 and points back to itself. Leaf arrays stack every
-    tree's leaves in tree order: leaf_value and the (depth, leaves) path
-    slots."""
+    """The trees of a model compiled for vectorized evaluation: their node
+    arrays laid end to end, tree t's nodes starting at roots[t] and child
+    ids offset to match, and their leaves stacked in tree order (leaf_value
+    and the (depth, leaves) path slots)."""
 
     roots: np.ndarray
     feat: np.ndarray
     thr: np.ndarray
-    child: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     value: np.ndarray
     depth: int
     leaf_value: np.ndarray
@@ -106,38 +107,39 @@ class Forest:
     slot_lo: np.ndarray
     slot_hi: np.ndarray
 
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(rows, trees) value of the leaf each row of X reaches."""
-        n, d = X.shape
-        x = np.ascontiguousarray(X).ravel()
-        row_start = d * np.arange(n)[:, None]
-        idx = np.broadcast_to(self.roots, (n, self.roots.size))
-        for _ in range(self.depth):
-            # not (x < thr) rather than x >= thr: a NaN goes right
-            go_right = ~(x.take(row_start + self.feat.take(idx)) < self.thr.take(idx))
-            idx = self.child.take(2 * idx + go_right)
-        return self.value.take(idx)
-
 
 def _compile(trees, depth: int) -> Forest:
-    sizes = np.array([t.feat.size for t in trees])
-    starts = np.r_[0, np.cumsum(sizes)[:-1]]
-    feat = np.concatenate([t.feat for t in trees])
-    leaf = feat < 0
-    own = np.arange(feat.size)
-    child = [np.where(leaf, own, np.concatenate(
-        [getattr(t, side) + s for t, s in zip(trees, starts)]))
-        for side in ("left", "right")]
+    sizes = [t.feat.size for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(roots, sizes)
+
+    def joined(name, axis=0):
+        return np.concatenate([getattr(t, name) for t in trees], axis=axis)
+
     return Forest(
-        roots=starts, feat=np.where(leaf, 0, feat),
-        thr=np.concatenate([t.thr for t in trees]),
-        child=np.stack(child, axis=1).ravel(),
-        value=np.concatenate([t.value for t in trees]), depth=depth,
+        roots=roots, feat=joined("feat"), thr=joined("thr"),
+        left=joined("left") + shift, right=joined("right") + shift,
+        value=joined("value"), depth=depth,
         leaf_value=np.concatenate([t.value[t.leaves] for t in trees]),
-        slot_feat=np.concatenate([t.slot_feat for t in trees], axis=1),
-        slot_lo=np.concatenate([t.slot_lo for t in trees], axis=1),
-        slot_hi=np.concatenate([t.slot_hi for t in trees], axis=1),
+        slot_feat=joined("slot_feat", 1), slot_lo=joined("slot_lo", 1),
+        slot_hi=joined("slot_hi", 1),
     )
+
+
+def _leaf_values(nodes, roots, X, depth) -> np.ndarray:
+    """(rows, trees) value of the leaf each row of X reaches in each tree
+    rooted at roots; nodes is a Tree or a Forest. Every row moves down one
+    level per step, and after depth steps all rows sit on their leaves."""
+    n, d = X.shape
+    x = np.ascontiguousarray(X).ravel()
+    row_start = d * np.arange(n)[:, None]
+    idx = np.broadcast_to(roots, (n, roots.size))
+    for _ in range(depth):
+        # at a leaf, feature -1 reads an arbitrary cell of x (index -1 for
+        # row 0); both branches lead back to the leaf
+        go_left = x.take(row_start + nodes.feat.take(idx)) < nodes.thr.take(idx)
+        idx = np.where(go_left, nodes.left.take(idx), nodes.right.take(idx))
+    return nodes.value.take(idx)
 
 
 @dataclass(frozen=True)
@@ -207,12 +209,13 @@ def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Tree:
     gh = g + 1j * h
 
     def add(j, t, v):
+        node = len(feat)
         feat.append(j)
         thr.append(t)
-        left.append(-1)
-        right.append(-1)
+        left.append(node)
+        right.append(node)
         value.append(v)
-        return len(feat) - 1
+        return node
 
     def grow(rows, block, d, path):
         G = g[rows].sum()
@@ -345,7 +348,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
         tree = _grow_tree(Xt, g, h, rows, order, params.depth,
                           params.l2_leaf, params.min_child_weight)
         trees.append(tree)
-        leaf = _compile([tree], params.depth).leaf_values(Xt)[:, 0]
+        leaf = _leaf_values(tree, _ROOT, Xt, params.depth)[:, 0]
         margin = margin + params.learning_rate * leaf
         losses.append(_weighted_logloss(margin, y, w))
 
@@ -369,7 +372,8 @@ def gbdt_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     out = np.empty(X.shape[0])
     step = max(1, _CHUNK // forest.roots.size)
     for start in range(0, X.shape[0], step):
-        leaf = forest.leaf_values(X[start:start + step])
+        leaf = _leaf_values(forest, forest.roots, X[start:start + step],
+                            forest.depth)
         terms = np.empty((leaf.shape[0], leaf.shape[1] + 1))
         terms[:, 0] = model.base_score
         terms[:, 1:] = model.params.learning_rate * leaf

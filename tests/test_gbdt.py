@@ -172,9 +172,10 @@ def _ref_grow_tree(X, g, h, depth, l2, min_child_weight):
     feat, thr, left, right, value = [], [], [], [], []
 
     def add(j, t, v):
-        for arr, x in ((feat, j), (thr, t), (left, -1), (right, -1), (value, v)):
+        node = len(feat)        # a leaf is its own left and right child
+        for arr, x in ((feat, j), (thr, t), (left, node), (right, node), (value, v)):
             arr.append(x)
-        return len(feat) - 1
+        return node
 
     def grow(rows, d):
         gs, hs = g[rows], h[rows]
