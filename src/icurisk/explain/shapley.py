@@ -4,7 +4,7 @@ The coalition value of S for a row x against a background set Z is the mean
 model output over Z of composites taking features in S from x and the rest
 from each background row. shap_exhaustive enumerates all 2^d coalitions with
 exact factorial weights; shap_tree computes the identical quantity for a
-boosted-tree ensemble from the leaf tables of its compiled forest, the
+boosted-tree ensemble from the leaf tables of its forest, the
 leaf-wise form of interventional TreeSHAP (Lundberg et al. 2020; Laberge &
 Pequignot 2023).
 
@@ -29,7 +29,7 @@ from math import factorial
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, SchemaError
 from ..models import GbdtModel, model_margin
 from ..models import _as_matrix as _model_matrix
 from ..models.gbdt import _apply_cat_stats
@@ -44,19 +44,15 @@ class ShapMatrix:
     feature_names: tuple
 
 
-def _as_matrix(obj) -> np.ndarray:
-    if hasattr(obj, "X"):
-        return np.asarray(obj.X, dtype=float)
-    return np.atleast_2d(np.asarray(obj, dtype=float))
-
-
 def shap_exhaustive(model, row, background) -> np.ndarray:
     """Exact Shapley values by 2^d coalition enumeration (d <= 15)."""
-    Z = _as_matrix(background)
+    Z = np.atleast_2d(np.asarray(background, dtype=float))
     x = np.asarray(row, dtype=float).ravel()
     d = x.size
     if d > 15:
         raise ConfigError(f"exhaustive enumeration refused for d={d} > 15")
+    if Z.ndim != 2 or Z.shape[1] != d:
+        raise SchemaError(f"row has {d} features, background has shape {Z.shape}")
     if Z.shape[0] == 0:
         raise DataError("background must be nonempty")
     n_coal = 1 << d

@@ -11,16 +11,11 @@ boolean partition; subsampled rounds filter the fit's presort by their row
 mask, and ordered rounds re-sort only the re-encoded categorical columns.
 The trees equal those of a per-node, per-feature stable argsort search.
 
-Each fit compiles its trees once into a Forest kept on the model. All nodes
-sit in flat arrays, each tree's preorder block after the previous one, and
-every leaf is its own left and right child, so one vectorized descent of
-`depth` steps takes every row to its leaf in every tree at once; the
-training rounds use the same descent on their one new tree.
-Margins add the per-tree leaf values in tree order, the same additions as a
-loop over trees. For Tree SHAP each leaf also keeps a table of its path:
-per distinct feature tested on the way down, the interval [lo, hi) the path
-allows, padded to `depth` slots with (-inf, inf). The grower records these
-as it recurses.
+The grower emits each tree in the Forest layout, as a forest of one tree,
+and records every leaf's path slots for Tree SHAP as it recurses. The
+training round descends that tree to update the margins, and the fit joins
+its trees into the one Forest the model keeps. Margins add the per-tree
+leaf values in tree order, the same additions as a loop over trees.
 
 ordered_mode replaces declared categorical columns with ordered target
 statistics during training: a fresh seeded permutation each boosting round,
@@ -67,33 +62,18 @@ class GbdtParams:
 
 
 @dataclass(frozen=True)
-class Tree:
-    """Array-coded binary tree in preorder; feat < 0 marks a leaf, whose
-    left and right children are the leaf itself. Rows with feature value <
-    threshold go left.
-
-    leaves lists the leaf node ids in preorder; column i of the slot arrays
-    holds leaf i's path slots: each distinct feature tested on the way down
-    and the interval [lo, hi) of it the path allows. Unused slots are
-    (0, -inf, inf)."""
-
-    feat: np.ndarray
-    thr: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    leaves: np.ndarray
-    slot_feat: np.ndarray      # (depth, leaves)
-    slot_lo: np.ndarray
-    slot_hi: np.ndarray
-
-
-@dataclass(frozen=True)
 class Forest:
-    """The trees of a model compiled for vectorized evaluation: their node
-    arrays laid end to end, tree t's nodes starting at roots[t] and child
-    ids offset to match, and their leaves stacked in tree order (leaf_value
-    and the (depth, leaves) path slots)."""
+    """Boosted trees laid out for vectorized evaluation. The node arrays
+    hold each tree in preorder, end to end, tree t starting at roots[t];
+    feat < 0 marks a leaf, and every leaf is its own left and right child,
+    so one descent of depth steps takes every row to its leaf in every tree
+    at once. Rows with feature value < thr go left.
+
+    The leaves are stacked in tree order, preorder within a tree:
+    leaf_value, and column i of the (depth, leaves) slot arrays, which holds
+    leaf i's path slots: each distinct feature tested on the way down and
+    the interval [lo, hi) of it the path allows. Unused slots are
+    (0, -inf, inf)."""
 
     roots: np.ndarray
     feat: np.ndarray
@@ -108,7 +88,8 @@ class Forest:
     slot_hi: np.ndarray
 
 
-def _compile(trees, depth: int) -> Forest:
+def _join(trees) -> Forest:
+    """One Forest of the one-tree forests trees, in order."""
     sizes = [t.feat.size for t in trees]
     roots = np.cumsum([0] + sizes[:-1])
     shift = np.repeat(roots, sizes)
@@ -119,38 +100,37 @@ def _compile(trees, depth: int) -> Forest:
     return Forest(
         roots=roots, feat=joined("feat"), thr=joined("thr"),
         left=joined("left") + shift, right=joined("right") + shift,
-        value=joined("value"), depth=depth,
-        leaf_value=np.concatenate([t.value[t.leaves] for t in trees]),
+        value=joined("value"), depth=trees[0].depth,
+        leaf_value=joined("leaf_value"),
         slot_feat=joined("slot_feat", 1), slot_lo=joined("slot_lo", 1),
         slot_hi=joined("slot_hi", 1),
     )
 
 
-def _leaf_values(nodes, roots, X, depth) -> np.ndarray:
-    """(rows, trees) value of the leaf each row of X reaches in each tree
-    rooted at roots; nodes is a Tree or a Forest. Every row moves down one
-    level per step, and after depth steps all rows sit on their leaves."""
+def _leaf_values(forest: Forest, X) -> np.ndarray:
+    """(rows, trees) value of the leaf each row of X reaches in each tree.
+    Every row moves down one level per step, and after depth steps all rows
+    sit on their leaves."""
     n, d = X.shape
     x = np.ascontiguousarray(X).ravel()
     row_start = d * np.arange(n)[:, None]
-    idx = np.broadcast_to(roots, (n, roots.size))
-    for _ in range(depth):
+    idx = np.broadcast_to(forest.roots, (n, forest.roots.size))
+    for _ in range(forest.depth):
         # at a leaf, feature -1 reads an arbitrary cell of x (index -1 for
         # row 0); both branches lead back to the leaf
-        go_left = x.take(row_start + nodes.feat.take(idx)) < nodes.thr.take(idx)
-        idx = np.where(go_left, nodes.left.take(idx), nodes.right.take(idx))
-    return nodes.value.take(idx)
+        go_left = x.take(row_start + forest.feat.take(idx)) < forest.thr.take(idx)
+        idx = np.where(go_left, forest.left.take(idx), forest.right.take(idx))
+    return forest.value.take(idx)
 
 
 @dataclass(frozen=True)
 class GbdtModel:
     params: GbdtParams
     base_score: float          # log-odds of the weighted training base rate
-    trees: tuple
     feature_names_: tuple
     cat_stats: dict            # col -> (sorted category values, encoded values, prior)
     loss_curve: np.ndarray     # weighted logistic training loss, n_trees + 1 entries
-    forest: Forest = field(compare=False, repr=False)   # the trees, compiled
+    forest: Forest = field(compare=False, repr=False)   # the trees
 
 
 def _weighted_logloss(margin, y, w):
@@ -199,9 +179,10 @@ def _partition(block, side, size):
     return kept.reshape(block.shape[1], size).T
 
 
-def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Tree:
+def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Forest:
     """Grow one tree in preorder over rows (ascending) of the Fortran-order
-    table X; block is their (rows.size, d) column block."""
+    table X, as a forest of that tree; block is their (rows.size, d) column
+    block."""
     feat, thr, left, right, value = [], [], [], [], []
     leaves, slots = [], []
     x_flat = X.ravel(order="F")
@@ -249,13 +230,14 @@ def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Tree:
     for i, path in enumerate(slots):
         for s, (j, (lo, hi)) in enumerate(path.items()):
             slot_feat[s, i], slot_lo[s, i], slot_hi[s, i] = j, lo, hi
-    return Tree(
+    value = np.array(value)
+    return Forest(
+        roots=_ROOT,
         feat=np.array(feat, dtype=np.int64),
         thr=np.array(thr),
         left=np.array(left, dtype=np.int64),
         right=np.array(right, dtype=np.int64),
-        value=np.array(value),
-        leaves=np.array(leaves, dtype=np.int64),
+        value=value, depth=depth, leaf_value=value[leaves],
         slot_feat=slot_feat, slot_lo=slot_lo, slot_hi=slot_hi,
     )
 
@@ -348,18 +330,17 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
         tree = _grow_tree(Xt, g, h, rows, order, params.depth,
                           params.l2_leaf, params.min_child_weight)
         trees.append(tree)
-        leaf = _leaf_values(tree, _ROOT, Xt, params.depth)[:, 0]
+        leaf = _leaf_values(tree, Xt)[:, 0]
         margin = margin + params.learning_rate * leaf
         losses.append(_weighted_logloss(margin, y, w))
 
     return GbdtModel(
         params=params,
         base_score=base,
-        trees=tuple(trees),
         feature_names_=tuple(train.feature_names),
         cat_stats=cat_stats,
         loss_curve=np.array(losses),
-        forest=_compile(trees, params.depth),
+        forest=_join(trees),
     )
 
 
@@ -372,8 +353,7 @@ def gbdt_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     out = np.empty(X.shape[0])
     step = max(1, _CHUNK // forest.roots.size)
     for start in range(0, X.shape[0], step):
-        leaf = _leaf_values(forest, forest.roots, X[start:start + step],
-                            forest.depth)
+        leaf = _leaf_values(forest, X[start:start + step])
         terms = np.empty((leaf.shape[0], leaf.shape[1] + 1))
         terms[:, 0] = model.base_score
         terms[:, 1:] = model.params.learning_rate * leaf

@@ -1,7 +1,7 @@
 """Boosted-tree trainer: hand-computed split oracle, invariances, ordered
 target statistics, the per-feature split search kept as a reference for
-the presorted one, and a per-tree, per-row walk kept as a reference for the
-compiled forest's margins."""
+the presorted one, and a per-tree, per-row walk over the grown trees kept
+as a reference for the joined forest's margins."""
 
 from unittest import mock
 
@@ -36,9 +36,9 @@ def _check_stump(x, thr):
         depth=1, n_trees=1, learning_rate=1.0, l2_leaf=0.0,
         min_child_weight=0.0))
     assert model.base_score == 0.0
-    tree = model.trees[0]
-    assert tree.feat[0] == 0
-    assert tree.thr[0] == thr
+    forest = model.forest       # its one tree starts at node 0
+    assert forest.feat[0] == 0
+    assert forest.thr[0] == thr
     ends = np.array([[x[0]], [x[-1]]])
     margins = gbdt_margin(model, ends)
     assert margins == pytest.approx([-2.0, 2.0])
@@ -66,7 +66,7 @@ def test_min_child_weight_blocks_thin_splits():
         depth=1, n_trees=1, learning_rate=1.0, l2_leaf=0.0,
         min_child_weight=1.0))
     # each side only has h = 0.5 < 1.0, so the tree stays a single leaf
-    assert model.trees[0].feat[0] == -1
+    assert model.forest.feat[0] == -1
 
 
 def test_row_duplication_leaves_model_unchanged():
@@ -290,11 +290,13 @@ def test_ordered_column_matches_per_category_loop(codes, data, alpha):
 
 # ------------------------------------------------ per-tree reference margin
 
-def _ref_margin(model, X):
-    """Walk every tree node by node for each row; add the trees in order."""
+def _ref_margin(model, trees, X):
+    """Walk every grown tree node by node from node 0 for each row; add the
+    trees in order. The trees are the grower's own, so this also checks
+    how the fit joins them into the model's forest."""
     X = gbdt._apply_cat_stats(np.asarray(X, dtype=float), model.cat_stats)
     out = np.full(X.shape[0], model.base_score)
-    for tree in model.trees:
+    for tree in trees:
         leaf = np.empty(X.shape[0])
         for i, x in enumerate(X):
             node = 0
@@ -320,19 +322,27 @@ def test_margin_matches_per_tree_reference(table_weights, depth, mode, chunk,
     if mode == "ordered":
         kw.update(ordered_mode=True, categorical_idx=(0,))
     table, weights = table_weights
-    with mock.patch.object(gbdt, "_CHUNK", chunk):
+    grown = []
+    real = gbdt._grow_tree
+
+    def kept(*args):
+        grown.append(real(*args))
+        return grown[-1]
+
+    with mock.patch.object(gbdt, "_CHUNK", chunk), \
+            mock.patch.object(gbdt, "_grow_tree", kept):
         model = train_gbdt(table, GbdtParams(**kw), weights, seed=seed)
         rows = [table.X]
-        for tree in model.trees:
-            for f, t in zip(tree.feat, tree.thr):
-                if f >= 0:
-                    on = table.X[:1].copy()
-                    on[0, f] = t
-                    rows.append(on)
+        for f, t in zip(model.forest.feat, model.forest.thr):
+            if f >= 0:
+                on = table.X[:1].copy()
+                on[0, f] = t
+                rows.append(on)
         unseen = table.X[:1].copy()
         unseen[0, 0] = 99.0
         X = np.vstack(rows + [unseen])
-        want = _ref_margin(model, X)
+        want = _ref_margin(model, grown, X)
+        assert len(grown) == 12
         assert np.array_equal(gbdt_margin(model, X), want)
         single = [gbdt_margin(model, X[i:i + 1])[0] for i in range(X.shape[0])]
         assert np.array_equal(np.array(single), want)

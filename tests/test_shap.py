@@ -60,6 +60,12 @@ def test_exhaustive_refuses_wide_inputs():
         shap_exhaustive(f, np.zeros(16), np.zeros((3, 16)))
     with pytest.raises(DataError):
         shap_exhaustive(f, np.zeros(3), np.zeros((0, 3)))
+    for row, background in ((np.zeros(3), np.zeros((5, 4))),
+                            (np.zeros(4), np.zeros((5, 3))),
+                            (np.zeros(4), np.zeros(3)),
+                            (np.zeros(2), np.zeros((2, 3, 2)))):
+        with pytest.raises(SchemaError, match=r"row has \d features"):
+            shap_exhaustive(f, row, background)
 
 
 def test_tree_walk_matches_enumeration():
@@ -144,8 +150,8 @@ def test_tree_matches_enumeration_with_repeated_features_and_ties():
     assert bounded.any()                    # a feature tested twice on a path
     Z = X[:24].copy()
     rows = X[100:104].copy()
-    for i, tree in enumerate(model.trees[:4]):
-        f, t = tree.feat[0], tree.thr[0]
+    for i, root in enumerate(forest.roots[:4]):
+        f, t = forest.feat[root], forest.thr[root]
         Z[i, f] = t
         rows[i, f] = t
     before = _check_against_enumeration(model, rows, Z)
