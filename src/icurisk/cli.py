@@ -96,7 +96,10 @@ def cmd_synth(args) -> int:
     table = synth_default_cohort(n=args.n, event_rate=args.event_rate,
                                  seed=args.seed,
                                  with_missing=not args.no_missing)
-    save_cohort(table, args.out)
+    try:
+        save_cohort(table, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
     print(f"wrote {args.out}: n={table.n} d={table.d} "
           f"event_rate={table.y.mean():.3f}")
     return 0

@@ -168,29 +168,31 @@ def _parse_cell(spec, text, where):
 def load_cohort(path, schema) -> CohortTable:
     """Read a cohort CSV whose header must match the schema names plus `label`."""
     schema = validate_schema(schema)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read cohort {path}: {exc}") from exc
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    header = lines[0]
+    expected = list(feature_names(schema)) + [LABEL_COLUMN]
+    if header != expected:
+        raise SchemaError(f"{path}: header {header!r} does not match schema {expected!r}")
+    rows, labels = [], []
+    for lineno, cells in enumerate(lines[1:], start=2):
+        if len(cells) != len(expected):
+            raise DataError(f"{path}:{lineno}: expected {len(expected)} cells, got {len(cells)}")
+        rows.append(
+            [_parse_cell(schema[j], cells[j], f"{path}:{lineno}") for j in range(len(schema))]
+        )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        expected = list(feature_names(schema)) + [LABEL_COLUMN]
-        if header != expected:
-            raise SchemaError(f"{path}: header {header!r} does not match schema {expected!r}")
-        rows, labels = [], []
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(expected):
-                raise DataError(f"{path}:{lineno}: expected {len(expected)} cells, got {len(cells)}")
-            rows.append(
-                [_parse_cell(schema[j], cells[j], f"{path}:{lineno}") for j in range(len(schema))]
-            )
-            try:
-                label = int(cells[-1])
-            except ValueError:
-                label = None
-            if label not in (0, 1):
-                raise DataError(f"{path}:{lineno}: label {cells[-1]!r} is not 0 or 1")
-            labels.append(label)
+            label = int(cells[-1])
+        except ValueError:
+            label = None
+        if label not in (0, 1):
+            raise DataError(f"{path}:{lineno}: label {cells[-1]!r} is not 0 or 1")
+        labels.append(label)
     if not rows:
         raise DataError(f"{path}: no data rows")
     table = CohortTable(schema, np.array(rows), np.array(labels))

@@ -19,15 +19,16 @@ import numpy as np
 from .._rng import derive_rng
 from ..errors import ConfigError, DataError
 
+_CROSSOVER_PROBS = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0])
+_P_GAMMA1 = 0.1           # share of proposals with gamma = 1 (mode jumps)
+_NOISE_SD = 1e-6
+
 
 @dataclass(frozen=True)
 class DreamConfig:
     n_chains: int = 8
     n_generations: int = 20000
     burn_in: float = 0.5
-    crossover_probs: tuple = (1.0 / 3.0, 2.0 / 3.0, 1.0)
-    p_gamma1: float = 0.1
-    noise_sd: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -37,10 +38,6 @@ class DreamConfig:
             raise ConfigError("n_generations must be >= 2")
         if not 0.0 <= self.burn_in < 1.0:
             raise ConfigError("burn_in must be in [0, 1)")
-        if not all(0.0 < c <= 1.0 for c in self.crossover_probs):
-            raise ConfigError("crossover probabilities must be in (0, 1]")
-        if not 0.0 <= self.p_gamma1 <= 1.0:
-            raise ConfigError("p_gamma1 must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -93,14 +90,13 @@ def split_rhat(chains: np.ndarray) -> np.ndarray:
 
 
 def _pick_pairs(rng, n_chains):
-    """For each chain i, two distinct other chains a != b != i."""
-    a = np.empty(n_chains, dtype=int)
-    b = np.empty(n_chains, dtype=int)
-    for i in range(n_chains):
-        others = rng.permutation(n_chains - 1)[:2]
-        others = np.where(others >= i, others + 1, others)
-        a[i], b[i] = others
-    return a, b
+    """For each chain i, two distinct other chains a != b != i.
+
+    Row i of the permuted tile draws the same stream as a per-chain
+    rng.permutation(n_chains - 1); shifting codes >= i skips chain i."""
+    others = rng.permuted(np.tile(np.arange(n_chains - 1), (n_chains, 1)), axis=1)[:, :2]
+    others = others + (others >= np.arange(n_chains)[:, None])
+    return others[:, 0], others[:, 1]
 
 
 def dream_sample(log_density, d: int, config: DreamConfig = DreamConfig(),
@@ -132,7 +128,6 @@ def dream_sample(log_density, d: int, config: DreamConfig = DreamConfig(),
     G = config.n_generations
     keep_from = int(np.floor(config.burn_in * G))
     kept = np.empty((C, G - keep_from, d))
-    cr_ladder = np.asarray(config.crossover_probs)
     n_accept = 0
     window_accept = 0
     window = 100
@@ -140,7 +135,7 @@ def dream_sample(log_density, d: int, config: DreamConfig = DreamConfig(),
 
     for gen in range(G):
         a, b = _pick_pairs(rng, C)
-        cr = cr_ladder[rng.integers(0, cr_ladder.size, size=C)]
+        cr = _CROSSOVER_PROBS[rng.integers(0, _CROSSOVER_PROBS.size, size=C)]
         mask = rng.random((C, d)) < cr[:, None]
         none_on = ~mask.any(axis=1)
         if none_on.any():
@@ -148,8 +143,8 @@ def dream_sample(log_density, d: int, config: DreamConfig = DreamConfig(),
             mask[np.flatnonzero(none_on), picks] = True
         d_sel = mask.sum(axis=1)
         gamma = 2.38 / np.sqrt(2.0 * d_sel)
-        gamma = np.where(rng.random(C) < config.p_gamma1, 1.0, gamma)
-        eps = rng.normal(0.0, config.noise_sd, size=(C, d))
+        gamma = np.where(rng.random(C) < _P_GAMMA1, 1.0, gamma)
+        eps = rng.normal(0.0, _NOISE_SD, size=(C, d))
         step = gamma[:, None] * (X[a] - X[b]) + eps
         prop = X + np.where(mask, step, 0.0)
         logp_prop = np.asarray(log_density(prop), dtype=float)

@@ -35,6 +35,7 @@ from ..special import log1pexp, logit, sigmoid
 
 _PROB_CLIP = 1e-7
 _MIN_SPLIT_GAIN = 1e-12
+_MIN_CHILD_WEIGHT = 1.0   # least hessian sum on each side of a split
 _ORDERED_ALPHA = 10.0     # prior weight of the smoothed target statistic
 _CHUNK = 1 << 16          # (rows x trees) elements per margin chunk
 _ROOT = np.zeros(1, dtype=np.int64)
@@ -46,7 +47,6 @@ class GbdtParams:
     n_trees: int = 100
     learning_rate: float = 0.1
     l2_leaf: float = 1.0
-    min_child_weight: float = 1.0
     subsample: float = 1.0
     ordered_mode: bool = False
     categorical_idx: tuple = ()
@@ -56,8 +56,8 @@ class GbdtParams:
             raise ConfigError("depth and n_trees must be >= 1")
         if not 0.0 < self.subsample <= 1.0:
             raise ConfigError("subsample must be in (0, 1]")
-        if self.learning_rate <= 0 or self.l2_leaf < 0 or self.min_child_weight < 0:
-            raise ConfigError("learning_rate > 0, l2_leaf >= 0, min_child_weight >= 0 required")
+        if self.learning_rate <= 0 or self.l2_leaf < 0:
+            raise ConfigError("learning_rate > 0 and l2_leaf >= 0 required")
         object.__setattr__(self, "categorical_idx", tuple(int(i) for i in self.categorical_idx))
 
 
@@ -137,7 +137,7 @@ def _weighted_logloss(margin, y, w):
     return float(np.sum(w * (log1pexp(margin) - y * margin)))
 
 
-def _best_split(x_flat, col_start, gh, block, G, H, l2, min_child_weight):
+def _best_split(x_flat, col_start, gh, block, G, H, l2):
     """Best (feature, threshold) over all features of one node; None if no
     split gains more than _MIN_SPLIT_GAIN.
 
@@ -155,7 +155,7 @@ def _best_split(x_flat, col_start, gh, block, G, H, l2, min_child_weight):
     gl, hl = left_sums.real, left_sums.imag
     gr = G - gl
     hr = H - hl
-    ok = (xs[1:] > xs[:-1]) & (hl >= min_child_weight) & (hr >= min_child_weight)
+    ok = (xs[1:] > xs[:-1]) & (hl >= _MIN_CHILD_WEIGHT) & (hr >= _MIN_CHILD_WEIGHT)
     gain = 0.5 * (gl * gl / (hl + l2) + gr * gr / (hr + l2) - parent)
     gain[~ok] = -np.inf
     at = np.argmax(gain, axis=0)                        # lowest threshold per feature
@@ -179,7 +179,7 @@ def _partition(block, side, size):
     return kept.reshape(block.shape[1], size).T
 
 
-def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Forest:
+def _grow_tree(X, g, h, rows, block, depth, l2) -> Forest:
     """Grow one tree in preorder over rows (ascending) of the Fortran-order
     table X, as a forest of that tree; block is their (rows.size, d) column
     block."""
@@ -203,8 +203,7 @@ def _grow_tree(X, g, h, rows, block, depth, l2, min_child_weight) -> Forest:
         H = h[rows].sum()
         split = None
         if d > 0 and rows.size >= 2:
-            split = _best_split(x_flat, col_start, gh, block, G, H, l2,
-                                min_child_weight)
+            split = _best_split(x_flat, col_start, gh, block, G, H, l2)
         if split is None:
             leaves.append(add(-1, 0.0, -G / max(H + l2, 1e-12)))
             slots.append(path)
@@ -327,8 +326,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
             if np.count_nonzero(sampled) >= 2:
                 rows = np.flatnonzero(sampled)
                 order = _partition(order, sampled, rows.size)
-        tree = _grow_tree(Xt, g, h, rows, order, params.depth,
-                          params.l2_leaf, params.min_child_weight)
+        tree = _grow_tree(Xt, g, h, rows, order, params.depth, params.l2_leaf)
         trees.append(tree)
         leaf = _leaf_values(tree, Xt)[:, 0]
         margin = margin + params.learning_rate * leaf

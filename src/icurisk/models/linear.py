@@ -4,7 +4,7 @@ Objective: sum_i w_i [log(1 + exp(z_i)) - y_i z_i] + penalty, with
 z = X beta + b and the bias b unpenalized. L2 penalty = ||beta||^2 / (2C),
 solved by damped Newton; L1 penalty = ||beta||_1 / C, solved by FISTA with
 soft-thresholding and function-value restarts. Convergence is declared when
-the (composite) gradient max-norm drops below tol; for L1 this is the
+the (composite) gradient max-norm drops below 1e-6; for L1 this is the
 gradient-mapping norm, which coincides with the plain gradient in the
 smooth case.
 """
@@ -20,6 +20,9 @@ from ..errors import ConfigError, DataError
 from ..special import log1pexp, sigmoid
 
 _PROB_CLIP = 1e-7
+_TOL = 1e-6
+_NEWTON_ITERS = 100       # L2 iteration budget
+_FISTA_ITERS = 20000      # L1 iteration budget
 
 
 @dataclass(frozen=True)
@@ -52,16 +55,16 @@ def _objective(beta, Xd, y, w, penalty, C):
     return _nll(beta, Xd, y, w) + pen
 
 
-def _newton_l2(Xd, y, w, C, tol, max_iter):
+def _newton_l2(Xd, y, w, C):
     d1 = Xd.shape[1]
     reg = np.ones(d1) / C
     reg[-1] = 0.0  # bias unpenalized
     beta = np.zeros(d1)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_ITERS + 1):
         z = Xd @ beta
         p = sigmoid(z)
         grad = Xd.T @ (w * (p - y)) + reg * beta
-        if np.abs(grad).max() < tol:
+        if np.abs(grad).max() < _TOL:
             return beta, True, it
         hw = w * p * (1.0 - p)
         H = Xd.T @ (Xd * hw[:, None]) + np.diag(reg) + 1e-10 * np.eye(d1)
@@ -76,7 +79,7 @@ def _newton_l2(Xd, y, w, C, tol, max_iter):
                 break
             t *= 0.5
         beta = beta - t * step
-    return beta, False, max_iter
+    return beta, False, _NEWTON_ITERS
 
 
 def _soft_threshold(v, t):
@@ -89,7 +92,7 @@ def _prox(v, step, C):
     return out
 
 
-def _fista_l1(Xd, y, w, C, tol, max_iter):
+def _fista_l1(Xd, y, w, C):
     # Lipschitz constant of the smooth part: lambda_max(X^T diag(w/4) X)
     M = Xd.T @ (Xd * (w / 4.0)[:, None])
     L = float(np.linalg.eigvalsh(M).max()) + 1e-12
@@ -100,7 +103,7 @@ def _fista_l1(Xd, y, w, C, tol, max_iter):
     best = beta.copy()
     best_obj = _objective(beta, Xd, y, w, "l1", C)
     prev_obj = best_obj
-    for it in range(1, max_iter + 1):
+    for it in range(1, _FISTA_ITERS + 1):
         grad_v = _nll_grad(v, Xd, y, w)
         beta_next = _prox(v - grad_v / L, 1.0 / L, C)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
@@ -114,17 +117,17 @@ def _fista_l1(Xd, y, w, C, tol, max_iter):
             v = beta.copy()
             t_k = 1.0
         prev_obj = obj
-        if it % 10 == 0 or it == max_iter:
+        if it % 10 == 0 or it == _FISTA_ITERS:
             grad_b = _nll_grad(best, Xd, y, w)
             mapped = _prox(best - grad_b / L, 1.0 / L, C)
             crit = L * np.abs(best - mapped).max()
-            if crit < tol:
+            if crit < _TOL:
                 return best, True, it
-    return best, False, max_iter
+    return best, False, _FISTA_ITERS
 
 
-def train_logreg(train, penalty: str = "l2", C: float = 1.0, weights=None,
-                 tol: float = 1e-6, max_iter: int = None) -> LinearModel:
+def train_logreg(train, penalty: str = "l2", C: float = 1.0,
+                 weights=None) -> LinearModel:
     """Fit the weighted penalized logistic model. weights is a ClassWeights
     (None = unit weights). Non-convergence returns the best iterate with a
     warning and converged=False."""
@@ -140,9 +143,9 @@ def train_logreg(train, penalty: str = "l2", C: float = 1.0, weights=None,
     w = weights.per_row(train.y) if weights is not None else np.ones(y.shape[0])
     Xd = _design(X)
     if penalty == "l2":
-        beta, ok, it = _newton_l2(Xd, y, w, C, tol, max_iter or 100)
+        beta, ok, it = _newton_l2(Xd, y, w, C)
     else:
-        beta, ok, it = _fista_l1(Xd, y, w, C, tol, max_iter or 20000)
+        beta, ok, it = _fista_l1(Xd, y, w, C)
     if not ok:
         warnings.warn(f"logreg ({penalty}, C={C}) did not converge in {it} iterations")
     return LinearModel(

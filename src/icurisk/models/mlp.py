@@ -17,24 +17,22 @@ from ..errors import ConfigError, DataError
 from ..special import log1pexp, sigmoid
 
 _PROB_CLIP = 1e-7
+_BATCH_SIZE = 32
+_PATIENCE = 20            # epochs without a better validation loss
+_VAL_FRACTION = 0.15      # per-class share of the fold held out for stopping
 
 
 @dataclass(frozen=True)
 class MlpConfig:
     hidden: int = 16
     learning_rate: float = 1e-3
-    batch_size: int = 32
     epochs: int = 200
-    patience: int = 20
-    val_fraction: float = 0.15
 
     def __post_init__(self):
         if self.hidden < 1:
             raise ConfigError("hidden must be >= 1")
-        if not 0.0 <= self.val_fraction < 0.5:
-            raise ConfigError("val_fraction must be in [0, 0.5)")
-        if self.batch_size < 1 or self.epochs < 1 or self.learning_rate <= 0:
-            raise ConfigError("batch_size, epochs >= 1 and learning_rate > 0 required")
+        if self.epochs < 1 or self.learning_rate <= 0:
+            raise ConfigError("epochs >= 1 and learning_rate > 0 required")
 
 
 @dataclass(frozen=True)
@@ -75,17 +73,17 @@ def loss_and_grad(params, X, y, w):
     return loss, (dW1, db1, dW2, db2)
 
 
-def _stratified_val_split(y, val_fraction, rng):
+def _stratified_val_split(y, rng):
     val = []
     for c in (0, 1):
         idx = np.flatnonzero(y == c)
-        n_val = int(np.floor(idx.size * val_fraction + 0.5))
+        n_val = int(np.floor(idx.size * _VAL_FRACTION + 0.5))
         if n_val == 0 or n_val == idx.size:
             continue
         perm = rng.permutation(idx.size)
         val.append(idx[perm[:n_val]])
     if not val:
-        return None, None
+        return np.arange(y.size), None
     val = np.sort(np.concatenate(val))
     fit = np.setdiff1d(np.arange(y.size), val)
     return fit, val
@@ -93,7 +91,8 @@ def _stratified_val_split(y, val_fraction, rng):
 
 def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 0) -> MlpModel:
     """Adam on the weighted BCE. Early stopping restores the parameters of
-    the best validation epoch; with val_fraction=0 all epochs run."""
+    the best validation epoch; when neither class has rows to hold out (at
+    most 3 each), there is no validation set and all epochs run."""
     X = np.asarray(train.X, dtype=float)
     y = np.asarray(train.y, dtype=float)
     if np.isnan(X).any():
@@ -101,13 +100,7 @@ def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 
     w = weights.per_row(train.y) if weights is not None else np.ones(y.shape[0])
     rng = derive_rng(seed, "mlp")
 
-    if config.val_fraction > 0:
-        fit_idx, val_idx = _stratified_val_split(train.y, config.val_fraction, rng)
-    else:
-        fit_idx = val_idx = None
-    if fit_idx is None:
-        fit_idx = np.arange(y.size)
-        val_idx = None
+    fit_idx, val_idx = _stratified_val_split(train.y, rng)
     Xf, yf, wf = X[fit_idx], y[fit_idx], w[fit_idx]
 
     d = X.shape[1]
@@ -131,8 +124,8 @@ def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_fit)
-        for start in range(0, n_fit, config.batch_size):
-            batch = order[start : start + config.batch_size]
+        for start in range(0, n_fit, _BATCH_SIZE):
+            batch = order[start : start + _BATCH_SIZE]
             loss, grads = loss_and_grad(tuple(params), Xf[batch], yf[batch], wf[batch])
             if np.isnan(loss):
                 raise ConfigError("MLP training diverged (NaN loss)")
@@ -155,7 +148,7 @@ def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 
                 since_best = 0
             else:
                 since_best += 1
-                if since_best >= config.patience:
+                if since_best >= _PATIENCE:
                     break
         else:
             best_params = [params[0].copy(), params[1].copy(), params[2].copy(), params[3]]

@@ -15,6 +15,7 @@ import numpy as np
 from ..errors import DataError
 
 _PROB_CLIP = 1e-7
+_VAR_FLOOR = 1e-9         # times max(largest feature variance, 1)
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class GaussianNbModel:
     feature_names_: tuple
 
 
-def train_gnb(train, weights=None, var_floor: float = None) -> GaussianNbModel:
+def train_gnb(train, weights=None) -> GaussianNbModel:
     X = np.asarray(train.X, dtype=float)
     y = np.asarray(train.y)
     if np.isnan(X).any():
@@ -34,8 +35,7 @@ def train_gnb(train, weights=None, var_floor: float = None) -> GaussianNbModel:
     if np.unique(y).size < 2:
         raise DataError("train_gnb needs both classes present")
     w = weights.per_row(y) if weights is not None else np.ones(y.shape[0])
-    if var_floor is None:
-        var_floor = 1e-9 * max(float(X.var(axis=0).max()), 1.0)
+    var_floor = _VAR_FLOOR * max(float(X.var(axis=0).max()), 1.0)
     priors = np.empty(2)
     means = np.empty((2, X.shape[1]))
     variances = np.empty((2, X.shape[1]))

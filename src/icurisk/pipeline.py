@@ -147,7 +147,7 @@ def load_run_config(path) -> RunConfig:
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     config = run_config_from_jsonable(payload)
     for attr in ("input_path", "schema_path"):

@@ -449,6 +449,8 @@ def load_manifest(out_dir: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    except ValueError as exc:  # bad UTF-8 or JSON
+        raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
 
 
 def write_artifacts(result: RunResult, out_dir: str = None) -> RunManifest:
@@ -488,7 +490,7 @@ def emit_report(out_dir: str) -> RunManifest:
             report = json.load(fh)
     except OSError as exc:
         raise DataError(f"no report at {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON
         raise DataError(f"report {path} is not valid JSON: {exc}") from exc
     validate_report(report, load_report_schema())
     t0 = time.perf_counter()

@@ -116,8 +116,10 @@ def schema_to_jsonable(schema) -> list:
 
 
 def schema_from_jsonable(rows) -> tuple:
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise SchemaError("schema must be a JSON list of feature objects")
     specs = []
-    for row in rows:
+    for i, row in enumerate(rows):
         try:
             specs.append(
                 FeatureSpec(
@@ -130,8 +132,8 @@ def schema_from_jsonable(rows) -> tuple:
                     levels=tuple(row["levels"]) if "levels" in row else None,
                 )
             )
-        except KeyError as exc:
-            raise SchemaError(f"schema row missing field {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:  # e.g. a string bound
+            raise SchemaError(f"schema row {i}: missing or malformed field: {exc!r}") from exc
     return validate_schema(specs)
 
 
@@ -142,8 +144,11 @@ def save_schema(schema, path) -> None:
 
 
 def load_schema(path) -> tuple:
-    with open(path, encoding="utf-8") as fh:
-        return schema_from_jsonable(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return schema_from_jsonable(json.load(fh))
+    except (OSError, ValueError, SchemaError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise SchemaError(f"cannot read schema {path}: {exc}") from exc
 
 
 def default_schema() -> tuple:

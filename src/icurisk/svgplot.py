@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 _GOLDEN = 0.6180339887498949
+_HIST_BINS = 30
 
 
 def _f(x: float) -> str:
@@ -191,9 +192,9 @@ def ale_svg(edges, centered, edge_counts, feature: str) -> str:
     return c.render()
 
 
-def histogram_svg(values, title, xlabel, bins=30, vlines=()) -> str:
+def histogram_svg(values, title, xlabel, vlines=()) -> str:
     values = np.asarray(values, dtype=float)
-    counts, edges = np.histogram(values, bins=bins)
+    counts, edges = np.histogram(values, bins=_HIST_BINS)
     c = _Canvas(margin=(40, 25, 50, 65))
     c.title(title)
     xlim = (float(edges[0]), float(edges[-1]))

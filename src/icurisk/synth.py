@@ -146,12 +146,13 @@ def _stochastic_round(rng, x, spec):
     return np.clip(base + step * up, spec.lower, spec.upper)
 
 
-def synth_cohort(summary, n, event_rate, missing_rates=None, seed=0, schema=None) -> CohortTable:
+def synth_cohort(summary, n, event_rate, missing_rates=None, seed=0) -> CohortTable:
     """Generate an n-row cohort whose class-conditional marginals match the
-    summary's per-class moments.
+    summary's per-class moments. Its schema is the bundled schema restricted
+    to summary.features.
 
     missing_rates: mapping feature name -> MCAR missing probability (absent =
-    0). schema defaults to the bundled schema restricted to summary.features.
+    0).
     """
     if n < 10:
         raise ConfigError(f"n must be at least 10, got {n}")
@@ -163,20 +164,14 @@ def synth_cohort(summary, n, event_rate, missing_rates=None, seed=0, schema=None
     for name, rate in missing_rates.items():
         if not 0.0 <= rate < 1.0:
             raise ConfigError(f"missing rate for {name!r} must be in [0, 1), got {rate}")
-    if schema is None:
-        by_name = {s.name: s for s in default_schema()}
-        try:
-            schema = tuple(by_name[name] for name in summary.features)
-        except KeyError as exc:
-            raise SchemaError(
-                f"summary feature {exc} is not in the bundled schema; pass schema="
-            ) from None
-    names = tuple(s.name for s in schema)
-    if names != tuple(summary.features):
-        raise SchemaError("schema feature order must match summary.features")
+    by_name = {s.name: s for s in default_schema()}
+    try:
+        schema = tuple(by_name[name] for name in summary.features)
+    except KeyError as exc:
+        raise SchemaError(f"summary feature {exc} is not in the bundled schema") from None
 
     g0, g1 = summary.groups["class0"], summary.groups["class1"]
-    for j, name in enumerate(names):
+    for j, name in enumerate(summary.features):
         if any(np.isnan(v) for v in (g0.mean[j], g0.sd[j], g1.mean[j], g1.sd[j])):
             raise ConfigError(f"summary lacks moments for feature {name!r}")
 

@@ -8,6 +8,7 @@ import pytest
 
 from icurisk.cli import main
 from icurisk.cohort import load_cohort
+from icurisk.errors import DataError
 from icurisk.report import load_manifest, load_report_schema, validate_report
 from icurisk.schema import default_schema
 
@@ -94,6 +95,19 @@ def test_report_verb_reemits(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--out", out]) == 0
     assert "re-emitted" in capsys.readouterr().out
+    # a corrupt manifest is replaced, as a missing one is
+    with open(os.path.join(out, "manifest.json"), "w") as fh:
+        fh.write("{truncated")
+    with pytest.raises(DataError, match="manifest.json"):
+        load_manifest(out)
+    assert main(["report", "--out", out]) == 0
+    assert load_manifest(out)["status"] == "complete"
+    # a report.json that is not UTF-8 is a data error
+    with open(os.path.join(out, "report.json"), "wb") as fh:
+        fh.write(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert main(["report", "--out", out]) == 3
+    assert "report.json" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -112,6 +126,10 @@ def test_missing_seed_and_config_is_exit_2(tmp_path, capsys):
 def test_unreadable_config_is_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"seed": 1, "out_dir": "caf\xe9"}')
+    assert main(["run", "--config", str(latin1)]) == 2
+    assert str(latin1) in capsys.readouterr().err
 
 
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
@@ -156,3 +174,35 @@ def test_out_of_schema_cell_is_exit_3_with_failed_manifest(tmp_path, capsys):
     manifest = load_manifest(out)
     assert manifest["status"] == "failed"
     assert manifest["failed_stage"] == "dataset"
+
+
+@pytest.mark.parametrize("key,content,code", [
+    ("schema_path", b"[{not json", 2),
+    ("schema_path", b'{"name": "age", "kind": "continuous"}', 2),
+    ("schema_path", b'[{"name": "age", "kind": "continuous", '
+                    b'"lower": "low", "upper": 90}]', 2),
+    ("input_path", None, 3),                        # a directory
+    ("input_path", b"age,label\n\xff\xfe,0\n", 3),  # not UTF-8
+])
+def test_unreadable_input_file_is_typed_with_failed_manifest(
+        tmp_path, capsys, key, content, code):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    out = str(tmp_path / "arts")
+    cfg = _write_config(tmp_path, **{key: str(path)})
+    assert main(["run", "--config", cfg, "--out", out]) == code
+    err = capsys.readouterr().err
+    assert str(path) in err and "[stage:dataset]" in err
+    manifest = load_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["failed_stage"] == "dataset"
+
+
+def test_synth_to_a_missing_directory_is_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "absent" / "x.csv")
+    assert main(["synth", "--n", "50", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and out in err

@@ -1,10 +1,13 @@
 """Differential-evolution MCMC: acceptance rule edge cases, convergence
 diagnostics, and sampling accuracy on known densities."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from icurisk.errors import ConfigError, DataError
+from icurisk.explain import dream
 from icurisk.explain.dream import (DreamConfig, dream_sample,
                                    metropolis_accept, split_rhat)
 
@@ -53,9 +56,29 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         DreamConfig(burn_in=1.0)
     with pytest.raises(ConfigError):
-        DreamConfig(crossover_probs=(0.0, 1.0))
-    with pytest.raises(ConfigError):
         DreamConfig(n_generations=1)
+
+
+def _ref_pick_pairs(rng, n_chains):
+    a = np.empty(n_chains, dtype=int)
+    b = np.empty(n_chains, dtype=int)
+    for i in range(n_chains):
+        others = rng.permutation(n_chains - 1)[:2]
+        a[i], b[i] = np.where(others >= i, others + 1, others)
+    return a, b
+
+
+@pytest.mark.parametrize("n_chains", [3, 4, 8, 31])
+def test_pick_pairs_matches_per_chain_permutations(n_chains):
+    """The one-call draw picks the pairs a per-chain loop of permutations
+    picks and leaves the generator in the same state."""
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10):
+            a, b = dream._pick_pairs(rng, n_chains)
+            ra, rb = _ref_pick_pairs(ref, n_chains)
+            assert np.array_equal(a, ra) and np.array_equal(b, rb)
+        assert rng.random() == ref.random()
 
 
 def test_one_dim_gaussian_moments():
@@ -74,8 +97,9 @@ def test_bimodal_mixing_via_full_jumps():
     # are visited and the pooled mean stays near zero
     logp = lambda x: np.logaddexp(-0.5 * (x[..., 0] - 3.0) ** 2,
                                   -0.5 * (x[..., 0] + 3.0) ** 2)
-    cfg = DreamConfig(n_chains=10, n_generations=4000, p_gamma1=0.2, seed=5)
-    res = dream_sample(logp, d=1, config=cfg)
+    cfg = DreamConfig(n_chains=10, n_generations=4000, seed=5)
+    with mock.patch.object(dream, "_P_GAMMA1", 0.2):
+        res = dream_sample(logp, d=1, config=cfg)
     pooled = res.samples[:, 0]
     assert (pooled > 1.0).mean() > 0.2
     assert (pooled < -1.0).mean() > 0.2

@@ -32,9 +32,9 @@ def _table_1d(x=(0.0, 1.0, 2.0, 3.0)):
 def _check_stump(x, thr):
     """depth 1, one tree, lr 1, no regularization on four rows labelled
     0, 0, 1, 1: the tree cuts at thr and the margins are -2 and 2."""
-    model = train_gbdt(_table_1d(x), GbdtParams(
-        depth=1, n_trees=1, learning_rate=1.0, l2_leaf=0.0,
-        min_child_weight=0.0))
+    with mock.patch.object(gbdt, "_MIN_CHILD_WEIGHT", 0.0):
+        model = train_gbdt(_table_1d(x), GbdtParams(
+            depth=1, n_trees=1, learning_rate=1.0, l2_leaf=0.0))
     assert model.base_score == 0.0
     forest = model.forest       # its one tree starts at node 0
     assert forest.feat[0] == 0
@@ -62,9 +62,9 @@ def test_stump_on_adjacent_floats_cuts_above_the_left_value():
 
 
 def test_min_child_weight_blocks_thin_splits():
-    model = train_gbdt(_table_1d(), GbdtParams(
-        depth=1, n_trees=1, learning_rate=1.0, l2_leaf=0.0,
-        min_child_weight=1.0))
+    with mock.patch.object(gbdt, "_MIN_CHILD_WEIGHT", 1.0):
+        model = train_gbdt(_table_1d(), GbdtParams(
+            depth=1, n_trees=1, learning_rate=1.0, l2_leaf=0.0))
     # each side only has h = 0.5 < 1.0, so the tree stays a single leaf
     assert model.forest.feat[0] == -1
 
@@ -73,11 +73,11 @@ def test_row_duplication_leaves_model_unchanged():
     # only true without absolute-scale regularizers: l2_leaf and
     # min_child_weight act on raw gradient sums, which duplication doubles
     table = make_table(60, seed=4, informative=True)
-    params = GbdtParams(depth=3, n_trees=20, learning_rate=0.1,
-                        l2_leaf=0.0, min_child_weight=0.0)
-    base = train_gbdt(table, params, seed=1)
+    params = GbdtParams(depth=3, n_trees=20, learning_rate=0.1, l2_leaf=0.0)
     doubled = table.subset(np.r_[np.arange(60), np.arange(60)])
-    dup = train_gbdt(doubled, params, seed=1)
+    with mock.patch.object(gbdt, "_MIN_CHILD_WEIGHT", 0.0):
+        base = train_gbdt(table, params, seed=1)
+        dup = train_gbdt(doubled, params, seed=1)
     assert gbdt_margin(base, table.X) == pytest.approx(
         gbdt_margin(dup, table.X), abs=1e-9)
 
@@ -249,7 +249,7 @@ def test_presorted_search_matches_per_feature_reference(
         table_weights, depth, mode, l2, mcw, weighted, seed):
     """Every tree equals the one the per-feature search grows on the same
     round's table, gradients and rows, in all three modes."""
-    kw = dict(depth=depth, n_trees=3, l2_leaf=l2, min_child_weight=mcw)
+    kw = dict(depth=depth, n_trees=3, l2_leaf=l2)
     if mode == "subsample":
         kw["subsample"] = 0.7
     if mode == "ordered":
@@ -259,16 +259,17 @@ def test_presorted_search_matches_per_feature_reference(
     grown = []
     real = gbdt._grow_tree
 
-    def checked(X, g, h, rows, block, d, l2_, mcw_):
-        tree = real(X, g, h, rows, block, d, l2_, mcw_)
-        ref = _ref_grow_tree(X[rows], g[rows], h[rows], d, l2_, mcw_)
+    def checked(X, g, h, rows, block, d, l2_):
+        tree = real(X, g, h, rows, block, d, l2_)
+        ref = _ref_grow_tree(X[rows], g[rows], h[rows], d, l2_, mcw)
         got = (tree.feat, tree.thr, tree.left, tree.right, tree.value)
         for name, a, b in zip(("feat", "thr", "left", "right", "value"), got, ref):
             assert np.array_equal(a, b), name
         grown.append(tree)
         return tree
 
-    with mock.patch.object(gbdt, "_grow_tree", checked):
+    with mock.patch.object(gbdt, "_MIN_CHILD_WEIGHT", mcw), \
+            mock.patch.object(gbdt, "_grow_tree", checked):
         train_gbdt(table, GbdtParams(**kw), weights, seed=seed)
     assert len(grown) == 3
 
@@ -316,7 +317,7 @@ def test_margin_matches_per_tree_reference(table_weights, depth, mode, chunk,
                                            seed):
     """Bit for bit, for single rows and batches, rows on a threshold, and
     ordered mode's category statistics (unseen levels included)."""
-    kw = dict(depth=depth, n_trees=12, min_child_weight=0.0)
+    kw = dict(depth=depth, n_trees=12)
     if mode == "subsample":
         kw["subsample"] = 0.7
     if mode == "ordered":
@@ -330,6 +331,7 @@ def test_margin_matches_per_tree_reference(table_weights, depth, mode, chunk,
         return grown[-1]
 
     with mock.patch.object(gbdt, "_CHUNK", chunk), \
+            mock.patch.object(gbdt, "_MIN_CHILD_WEIGHT", 0.0), \
             mock.patch.object(gbdt, "_grow_tree", kept):
         model = train_gbdt(table, GbdtParams(**kw), weights, seed=seed)
         rows = [table.X]

@@ -1,10 +1,13 @@
 """Logistic regression, Gaussian naive Bayes, and the small neural net."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError
+from icurisk.models import linear, mlp
 from icurisk.models.linear import (LinearModel, linear_margin,
                                    linear_predict_proba, logreg_objective,
                                    train_logreg)
@@ -83,8 +86,9 @@ def test_logreg_class_weights_shift_the_boundary():
 
 def test_logreg_warns_when_iteration_budget_too_small():
     table = _logistic_table(n=300, seed=11)
-    with pytest.warns(UserWarning, match="converge"):
-        model = train_logreg(table, penalty="l2", C=1.0, max_iter=1)
+    with pytest.warns(UserWarning, match="converge"), \
+            mock.patch.object(linear, "_NEWTON_ITERS", 1):
+        model = train_logreg(table, penalty="l2", C=1.0)
     assert not model.converged
 
 
@@ -164,8 +168,9 @@ def test_gnb_proba_clipped():
 
 def test_mlp_learns_an_informative_signal():
     table = make_table(300, seed=21, informative=True)
-    model = train_mlp(table, MlpConfig(hidden=8, epochs=120, patience=30,
-                                       learning_rate=0.01), seed=0)
+    with mock.patch.object(mlp, "_PATIENCE", 30):
+        model = train_mlp(table, MlpConfig(hidden=8, epochs=120,
+                                           learning_rate=0.01), seed=0)
     p = mlp_predict_proba(model, table.X)
     pos, neg = p[table.y == 1], p[table.y == 0]
     better = (pos[:, None] > neg[None, :]).mean()
@@ -175,23 +180,26 @@ def test_mlp_learns_an_informative_signal():
 
 def test_mlp_determinism_and_seed_sensitivity():
     table = make_table(80, seed=2, informative=True)
-    cfg = MlpConfig(hidden=4, epochs=15, val_fraction=0.2)
-    a = train_mlp(table, cfg, seed=3)
-    b = train_mlp(table, cfg, seed=3)
+    cfg = MlpConfig(hidden=4, epochs=15)
+    with mock.patch.object(mlp, "_VAL_FRACTION", 0.2):
+        a = train_mlp(table, cfg, seed=3)
+        b = train_mlp(table, cfg, seed=3)
+        c = train_mlp(table, cfg, seed=4)
     assert np.array_equal(mlp_margin(a, table.X), mlp_margin(b, table.X))
-    c = train_mlp(table, cfg, seed=4)
     assert not np.array_equal(mlp_margin(a, table.X), mlp_margin(c, table.X))
 
 
 def test_mlp_early_stopping_bookkeeping():
     table = make_table(120, seed=6, informative=True)
-    cfg = MlpConfig(hidden=4, epochs=60, patience=5, val_fraction=0.25)
-    model = train_mlp(table, cfg, seed=1)
+    cfg = MlpConfig(hidden=4, epochs=60)
+    with mock.patch.object(mlp, "_PATIENCE", 5), \
+            mock.patch.object(mlp, "_VAL_FRACTION", 0.25):
+        model = train_mlp(table, cfg, seed=1)
     # stopped_epoch is the epoch whose weights were kept; the histories
     # cover every epoch run, which exceeds it by at most the patience
     ran = len(model.train_loss)
     assert 1 <= model.stopped_epoch <= ran <= 60
-    assert ran - model.stopped_epoch <= cfg.patience
+    assert ran - model.stopped_epoch <= 5
     assert len(model.val_loss) == ran
     assert all(np.isfinite(v) for v in model.train_loss)
 
@@ -199,5 +207,3 @@ def test_mlp_early_stopping_bookkeeping():
 def test_mlp_config_validation():
     with pytest.raises(ConfigError):
         MlpConfig(hidden=0)
-    with pytest.raises(ConfigError):
-        MlpConfig(val_fraction=0.9)

@@ -311,7 +311,8 @@ def test_ablation_of_an_ordered_winner_writes_a_valid_report(tmp_path):
                     ablation_resamples=10, shap_background=16, shap_rows=4,
                     ale_top=1, posterior_chains=8, posterior_generations=200,
                     out_dir=str(tmp_path))
-    result = run(cfg)
+    with pytest.warns(UserWarning, match="8 chains for 6 dimensions"):
+        result = run(cfg)
     write_artifacts(result)
     report = json.loads((tmp_path / "report.json").read_text())
     validate_report(report, load_report_schema())
