@@ -9,7 +9,6 @@ from math import nan, sqrt
 
 import numpy as np
 from scipy.special import stdtr
-from scipy.stats import rankdata
 
 from ._rng import derive_rng
 from .errors import ConfigError, DataError
@@ -38,15 +37,10 @@ def _check_binary(labels) -> np.ndarray:
 
 def auroc(scores, labels) -> float:
     """Mann-Whitney AUROC: (concordant + half the ties) / (n1 * n0)."""
-    scores = np.asarray(scores, dtype=float)
-    labels = _check_binary(labels)
-    n1 = int((labels == 1).sum())
-    n0 = labels.size - n1
-    if n1 == 0 or n0 == 0:
-        raise DataError("AUROC undefined: both classes must be present")
-    ranks = rankdata(scores, method="average")
-    r1 = ranks[labels == 1].sum()
-    return float((r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+    labels = np.asarray(labels)
+    if np.shape(scores) != labels.shape or labels.ndim != 1:
+        raise DataError("AUROC needs one score per label")
+    return float(resampled_aurocs(scores, labels, np.arange(labels.size)[None, :])[0])
 
 
 def roc_curve(scores, labels):
@@ -89,11 +83,49 @@ def stratified_bootstrap(labels, B: int, rng) -> np.ndarray:
     return np.concatenate([take_pos, take_neg], axis=1)
 
 
+# Replicates per block are chosen so that each (replicates, n) or
+# (replicates, distinct scores) temporary holds at most this many elements,
+# about 94 KiB of int64: peak memory stays flat at any number of replicates.
+_BLOCK_CELLS = 12000
+
+
 def resampled_aurocs(scores, labels, idx) -> np.ndarray:
-    """AUROC of each resample; idx holds one row of indices per resample."""
+    """AUROC of each resample; idx holds one row of indices per resample.
+
+    Counts, per replicate, 2U = sum over positives of (2 * negatives scored
+    below + negatives tied), twice the Mann-Whitney U (Hanley & McNeil 1982),
+    as an exact integer: scores are coded once by their rank among the
+    distinct values, negatives are counted per (replicate, code) and summed
+    cumulatively over codes, and the positives gather from those sums. A
+    replicate that draws a NaN score gives NaN; one missing a class raises.
+    """
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    return np.array([auroc(scores[r], labels[r]) for r in idx])
+    labels = _check_binary(labels)
+    idx = np.asarray(idx)
+    uniq, code = np.unique(scores, return_inverse=True)  # NaNs share the last code
+    k = uniq.size
+    nan_code = k - 1 if k and np.isnan(uniq[-1]) else -1
+    n_rep, n = idx.shape
+    block = max(1, _BLOCK_CELLS // max(n, k))
+    out = np.empty(n_rep)
+    for start in range(0, n_rep, block):
+        rows = idx[start:start + block]
+        m = rows.shape[0]
+        pos = labels[rows] == 1
+        n1 = pos.sum(axis=1)
+        n0 = n - n1
+        if not (n1.all() and n0.all()):
+            raise DataError("AUROC undefined: both classes must be present")
+        codes = code[rows]
+        flat = codes + (k * np.arange(m))[:, None]
+        neg_count = np.bincount(flat[~pos], minlength=m * k).reshape(m, k)
+        below_twice_plus_tied = 2 * np.cumsum(neg_count, axis=1) - neg_count
+        two_u = np.where(pos, below_twice_plus_tied.ravel()[flat], 0).sum(axis=1)
+        auc = (two_u / 2.0) / (n1 * n0)
+        if nan_code >= 0:
+            auc[(codes == nan_code).any(axis=1)] = nan
+        out[start:start + m] = auc
+    return out
 
 
 def bootstrap_auroc_ci(scores, labels, B: int = 2000, seed: int = 0):

@@ -443,14 +443,24 @@ def _write_manifest(out_dir: str, echo: dict, files, stage_seconds: dict,
 
 
 def load_manifest(out_dir: str) -> dict:
+    """The manifest as a dict; DataError unless it is a JSON object whose
+    stage_seconds, when present, is an object of numbers."""
     path = os.path.join(out_dir, _MANIFEST_NAME)
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     except ValueError as exc:  # bad UTF-8 or JSON
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {path} is not a JSON object")
+    seconds = manifest.get("stage_seconds", {})
+    if not (isinstance(seconds, dict) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in seconds.values())):
+        raise DataError(f"manifest {path}: stage_seconds is not an object of numbers")
+    return manifest
 
 
 def write_artifacts(result: RunResult, out_dir: str = None) -> RunManifest:

@@ -16,9 +16,10 @@ injected completely at random per feature.
 
 from __future__ import annotations
 
+from math import exp, log, log1p, pi, sqrt
+
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import truncnorm
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._rng import derive_rng
 from .cohort import CohortSummary, CohortTable, GroupStats
@@ -86,6 +87,25 @@ def reference_summary() -> CohortSummary:
     return CohortSummary(features=names, groups=groups, event_rate=REFERENCE_EVENT_RATE)
 
 
+_SQRT_2PI = sqrt(2.0 * pi)
+_LOG_SQRT_2PI = 0.5 * log(2.0 * pi)
+
+
+def _std_truncnorm_mean(a, b):
+    """Mean of a standard normal truncated to [a, b], a < b (either may be
+    infinite): (phi(a) - phi(b)) / (Phi(b) - Phi(a))."""
+    if a > 0.0:  # upper tail: Phi(b) - Phi(a) would cancel, so reflect
+        return -_std_truncnorm_mean(-b, -a)
+    if b < 0.0:  # lower tail: in logs, so masses far out do not underflow
+        log_a, log_b = log_ndtr(a), log_ndtr(b)
+        log_z = log_b + log1p(-exp(log_a - log_b))
+        return (exp(-0.5 * a * a - _LOG_SQRT_2PI - log_z)
+                - exp(-0.5 * b * b - _LOG_SQRT_2PI - log_z))
+    pdf_a = exp(-0.5 * a * a) / _SQRT_2PI
+    pdf_b = exp(-0.5 * b * b) / _SQRT_2PI
+    return (pdf_a - pdf_b) / (ndtr(b) - ndtr(a))
+
+
 def recalibrated_loc(target_mean, sd, lower, upper):
     """Location mu such that a Normal(mu, sd) truncated to [lower, upper] has
     mean exactly target_mean. Solved by bisection; the truncated mean is
@@ -101,7 +121,7 @@ def recalibrated_loc(target_mean, sd, lower, upper):
         return float(target_mean)
 
     def trunc_mean(loc):
-        return truncnorm.mean((lo - loc) / sd, (hi - loc) / sd, loc=loc, scale=sd)
+        return loc + sd * _std_truncnorm_mean((lo - loc) / sd, (hi - loc) / sd)
 
     # bracket the root, expanding in sd-sized doubling steps
     a = b = float(target_mean)

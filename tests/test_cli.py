@@ -102,6 +102,14 @@ def test_report_verb_reemits(tmp_path, capsys):
         load_manifest(out)
     assert main(["report", "--out", out]) == 0
     assert load_manifest(out)["status"] == "complete"
+    # so is a manifest of the wrong shape
+    for bad in ([], {"stage_seconds": 5}, {"stage_seconds": [1, 2]}):
+        with open(os.path.join(out, "manifest.json"), "w") as fh:
+            json.dump(bad, fh)
+        with pytest.raises(DataError, match="manifest.json"):
+            load_manifest(out)
+        assert main(["report", "--out", out]) == 0
+        assert load_manifest(out)["status"] == "complete"
     # a report.json that is not UTF-8 is a data error
     with open(os.path.join(out, "report.json"), "wb") as fh:
         fh.write(b"\xff\xfe{}")
