@@ -3,6 +3,8 @@ test, cross-checked against closed forms and scipy."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from icurisk.cohort import CohortTable
@@ -113,6 +115,73 @@ def test_bootstrap_ci_is_the_percentile_of_the_resampled_aurocs():
     assert reps[0] == auroc(scores[idx[0]], labels[idx[0]])
     low, high = np.percentile(reps, (2.5, 97.5))
     assert bootstrap_auroc_ci(scores, labels, B=200, seed=4) == (low, high)
+
+
+def _rankdata_auroc(scores, labels):
+    """Reference AUROC: average ranks, as auroc computed them before the
+    counting kernel."""
+    n1 = int((labels == 1).sum())
+    n0 = labels.size - n1
+    if n1 == 0 or n0 == 0:
+        raise DataError("AUROC undefined: both classes must be present")
+    r1 = stats.rankdata(scores, method="average")[labels == 1].sum()
+    return float((r1 - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+
+
+def _rankdata_resampled(scores, labels, idx):
+    return np.array([_rankdata_auroc(scores[r], labels[r]) for r in idx])
+
+
+_SCORE_POOLS = {
+    "ties": np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+    "tied": np.array([0.3]),
+    "inf": np.array([-np.inf, -1.0, 0.0, 2.5, np.inf]),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 400), data=st.data(), B=st.integers(1, 150),
+       pool=st.sampled_from(["ties", "tied", "inf", "continuous"]),
+       with_nan=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_resampled_aurocs_match_rankdata_loop(n, data, B, pool, with_nan, seed):
+    n1 = data.draw(st.sampled_from([1, n - 1, max(1, n // 5)]))  # n1 = 1 included
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.r_[np.ones(n1, dtype=int), np.zeros(n - n1, dtype=int)])
+    if pool == "continuous":
+        scores = rng.standard_normal(n)
+    else:
+        scores = rng.choice(_SCORE_POOLS[pool], size=n)
+    nan_at = int(rng.integers(n))
+    if with_nan:
+        scores[nan_at] = np.nan
+    # up to 400 distinct scores: 30 replicates per block, so B crosses blocks
+    idx = stratified_bootstrap(labels, B, rng)
+    got = resampled_aurocs(scores, labels, idx)
+    assert np.array_equal(got, _rankdata_resampled(scores, labels, idx), equal_nan=True)
+    drew_nan = (idx == nan_at).any(axis=1) if with_nan else np.zeros(B, dtype=bool)
+    assert np.array_equal(np.isnan(got), drew_nan)
+    assert np.array_equal(auroc(scores, labels), _rankdata_auroc(scores, labels),
+                          equal_nan=True)
+    one_class = idx.copy()
+    one_class[B // 2] = np.flatnonzero(labels == int(rng.integers(2)))[0]
+    with pytest.raises(DataError, match="both classes"):
+        resampled_aurocs(scores, labels, one_class)
+
+
+def test_resampled_aurocs_at_the_default_bootstrap_size():
+    rng = np.random.default_rng(11)
+    scores = np.round(rng.random(390), 2)
+    labels = (rng.random(390) < 0.2).astype(int)
+    idx = stratified_bootstrap(labels, 2000, rng)
+    assert np.array_equal(resampled_aurocs(scores, labels, idx),
+                          _rankdata_resampled(scores, labels, idx))
+
+
+def test_auroc_rejects_bad_labels_and_lengths():
+    with pytest.raises(DataError, match="0/1"):
+        resampled_aurocs([0.1, 0.2], [0, 2], np.array([[0, 1]]))
+    with pytest.raises(DataError, match="one score per label"):
+        auroc([0.1, 0.2, 0.3], [0, 1])
 
 
 def test_confusion_metrics_fixture():

@@ -1,14 +1,18 @@
 """Synthetic cohort generator: moment recovery, bounds, missingness,
 determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
 from icurisk.cohort import validate_values
 from icurisk.errors import ConfigError
-from icurisk.synth import (recalibrated_loc, reference_summary, synth_cohort,
-                           synth_default_cohort)
+from icurisk.synth import (_std_truncnorm_mean, recalibrated_loc, reference_summary,
+                           synth_cohort, synth_default_cohort)
 
 
 def test_recalibrated_loc_hits_target_mean():
@@ -26,6 +30,33 @@ def test_recalibrated_loc_edge_cases():
     assert recalibrated_loc(7.0, 0.0, 0.0, 10.0) == 7.0
     with pytest.raises(ConfigError):
         recalibrated_loc(-1.0, 1.0, 0.0, 10.0)  # target outside the bounds
+
+
+def test_recalibrated_loc_far_below_a_lower_bound():
+    # a mean close to the bound with a wide sd puts loc ~970 sd below it,
+    # where truncnorm.mean warned "invalid value encountered in power"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loc = recalibrated_loc(0.4813, 465.94, 0.0, None)
+        mean = loc + 465.94 * _std_truncnorm_mean(-loc / 465.94, np.inf)
+    assert np.isfinite(loc) and loc < -900 * 465.94
+    # the log-density terms are ~4.7e5 there, so doubles carry about 1e-4
+    assert mean == pytest.approx(0.4813, rel=1e-3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-35.0, 35.0), width=st.floats(0.1, 70.0),
+       sides=st.sampled_from(["both", "lower", "upper"]))
+def test_truncated_mean_matches_truncnorm(x, width, sides):
+    """Standardized bounds out to 35 on either side, intervals at least a
+    tenth of an sd wide; truncnorm.mean(loc=, scale=) is loc + scale * this."""
+    if sides == "both":
+        a = min(x, 34.9)
+        b = min(a + width, 35.0)
+    else:
+        a, b = (x, np.inf) if sides == "lower" else (-np.inf, x)
+    ref = truncnorm.mean(a, b)
+    assert abs(_std_truncnorm_mean(a, b) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_default_cohort_shape_and_values():
