@@ -2,7 +2,8 @@
 
 The baseline is the model already fitted on the full training table: the
 caller passes its test scores. For a fixed model family and hyperparameters
-the pipeline and model are refit once per dropped feature; each fitted
+the pipeline and model are refit once per dropped feature, the refits side
+by side on the available CPUs (see icurisk._fanout); each fitted
 predictor scores the test table once, and uncertainty comes from
 re-evaluating AUROC on stratified bootstrap resamples of the test rows. All
 variants share one resample index set so the per-feature distributions are
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._fanout import fan_out
 from .._rng import derive_int, derive_rng
 from ..cohort import CohortTable
 from ..errors import DataError
@@ -65,19 +67,20 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
     baseline = auroc(base_scores, labels)
     base_dist = resampled_aurocs(base_scores, labels, idx)
 
+    # dropping the sole feature leaves nothing to fit
+    ablated = train.feature_names if train.d > 1 else ()
+
+    def refit_without(k):
+        name = ablated[k]
+        return _fit_and_score(spec, train.drop_features([name]),
+                              test.drop_features([name]), pipeline_config,
+                              derive_int(seed, "ablation", k + 1))
+
     dropped_dist = {}
     dropped_point = {}
-    ablated = []
-    for k, name in enumerate(train.feature_names):
-        if train.d <= 1:
-            break  # dropping the sole feature leaves nothing to fit
-        tr = train.drop_features([name])
-        te = test.drop_features([name])
-        scores = _fit_and_score(spec, tr, te, pipeline_config,
-                                derive_int(seed, "ablation", k + 1))
+    for name, scores in zip(ablated, fan_out(refit_without, range(len(ablated)))):
         dropped_point[name] = auroc(scores, labels)
         dropped_dist[name] = resampled_aurocs(scores, labels, idx)
-        ablated.append(name)
 
     return AblationReport(features=tuple(ablated), baseline_auroc=baseline,
                           baseline_dist=base_dist, dropped_dist=dropped_dist,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .._fanout import fan_out
 from .._rng import derive_int, derive_rng
 from ..errors import ConfigError, DataError
 from ..metrics import auroc
@@ -142,24 +143,33 @@ class GridSearchResult:
 def cross_validate(train, grid, k: int = 5, seed: int = 0,
                    pipeline_config: PipelineConfig = None) -> GridSearchResult:
     """Score every spec in grid on one fold plan; each fold's training and
-    validation rows are imputed once for the whole grid."""
+    validation rows are imputed once for the whole grid. The folds run side
+    by side on the available CPUs (see icurisk._fanout)."""
     grid = tuple(grid)
     if not grid:
         raise ConfigError("model grid is empty")
     plan = stratified_kfold(train.y, k, seed)
-    fold_aurocs = np.zeros((len(grid), k))
-    oof = np.zeros((len(grid), train.n))
 
-    for fold_i, val_rows in enumerate(plan.folds):
+    def score_fold(fold):
+        fold_i, val_rows = fold
         fit_rows = np.setdiff1d(np.arange(train.n), val_rows)
         fold_val = train.subset(val_rows)
         prepared = fit_preprocessing(grid, train.subset(fit_rows), fold_val,
                                      pipeline_config)
+        out = []
         for cfg_i, (spec, (pipe, va)) in enumerate(zip(grid, prepared)):
             model = train_model(spec, pipe.fitted_table, pipe.weights,
                                 seed=derive_int(seed, "cv", cfg_i, fold_i))
             scores = predict_scores(model, va)
-            fold_aurocs[cfg_i, fold_i] = auroc(scores, fold_val.y)
+            out.append((auroc(scores, fold_val.y), scores))
+        return out
+
+    fold_aurocs = np.zeros((len(grid), k))
+    oof = np.zeros((len(grid), train.n))
+    for fold_i, (val_rows, scored) in enumerate(
+            zip(plan.folds, fan_out(score_fold, enumerate(plan.folds)))):
+        for cfg_i, (fold_auroc, scores) in enumerate(scored):
+            fold_aurocs[cfg_i, fold_i] = fold_auroc
             oof[cfg_i, val_rows] = scores
 
     return GridSearchResult(configs=grid, mean_auroc=fold_aurocs.mean(axis=1),

@@ -105,13 +105,20 @@ def impute(imputer: KnnImputer, table: CohortTable) -> CohortTable:
             d2 = np.where(shared > 0, d2 / np.maximum(shared, 1), np.inf)
         else:
             d2 = np.full(imputer.reference.shape[0], np.inf)
-        order = np.argsort(d2, kind="stable")
+        finite = np.isfinite(d2)
         for j in np.flatnonzero(~obs_q):
-            eligible = order[ref_obs[order, j] & np.isfinite(d2[order])]
+            eligible = np.flatnonzero(ref_obs[:, j] & finite)
             if eligible.size == 0:
                 val = imputer.loc[j]
             else:
-                val = float(imputer.reference[eligible[: imputer.k], j].mean())
+                # keep the rows at or below the k-th smallest distance, then
+                # sort only those, stably, so ties go to the lower row index
+                dist = d2[eligible]
+                if eligible.size > imputer.k:
+                    kth = np.partition(dist, imputer.k - 1)[imputer.k - 1]
+                    eligible, dist = eligible[dist <= kth], dist[dist <= kth]
+                near = eligible[np.argsort(dist, kind="stable")[: imputer.k]]
+                val = float(imputer.reference[near, j].mean())
             if imputer.grids[j] is not None:
                 val = _snap_to_grid(val, imputer.grids[j])
             X[i, j] = val

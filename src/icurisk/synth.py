@@ -149,11 +149,16 @@ def _sample_truncnorm(rng, loc, sd, lower, upper, size):
     loc/sd may be arrays broadcast against size."""
     lo = -np.inf if lower is None else lower
     hi = np.inf if upper is None else upper
-    a = ndtr((lo - loc) / sd)
-    b = ndtr((hi - loc) / sd)
-    u = a + (b - a) * rng.random(size)
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    x = loc + sd * ndtri(u)
+    alpha, beta = (lo - loc) / sd, (hi - loc) / sd
+    # With the lower bound far above loc, ndtr(alpha) rounds to 1 and every
+    # draw would land on the bound; there, draw -z on [-beta, -alpha] instead.
+    flip = alpha > 5.0
+    a = ndtr(np.where(flip, -beta, alpha))
+    b = ndtr(np.where(flip, -alpha, beta))
+    r = rng.random(size)
+    z = np.where(flip, -ndtri(np.clip(b - (b - a) * r, 1e-300, 1.0 - 1e-16)),
+                 ndtri(np.clip(a + (b - a) * r, 1e-300, 1.0 - 1e-16)))
+    x = loc + sd * z
     return np.clip(x, lo, hi)
 
 

@@ -85,17 +85,20 @@ def test_ordered_boosting_survives_dropping_its_last_discrete_feature():
     assert 0.0 <= rep.dropped_auroc["gcs"] <= 1.0
 
 
-def test_only_the_dropped_feature_variants_are_refit(monkeypatch):
+def test_only_the_dropped_feature_variants_are_refit(monkeypatch, tmp_path):
     train, test = _split(make_table(120, seed=55, informative=True), 80)
     spec = ModelSpec(family="gnb")
     base = _base_scores(spec, train, test)
-    fit_pipeline, fits = preprocess.fit_pipeline, []
+    # logged to a file, so that refits in worker processes count too
+    fit_pipeline, log = preprocess.fit_pipeline, tmp_path / "fits"
 
     def counted(table, *args, **kwargs):
-        fits.append(table.feature_names)
+        with open(log, "a") as f:
+            f.write("\t".join(table.feature_names) + "\n")
         return fit_pipeline(table, *args, **kwargs)
 
     wrap_everywhere(monkeypatch, fit_pipeline, counted)
     rep = ablation(spec, train, test, base, n_resamples=5)
+    fits = [line.split("\t") for line in log.read_text().splitlines()]
     assert len(fits) == len(rep.features) == train.d
     assert all(len(names) == train.d - 1 for names in fits)

@@ -131,14 +131,16 @@ _ORDERED = ModelSpec(family="gbdt",
 _PLAIN = ModelSpec(family="gbdt", params={"n_trees": 5, "depth": 2})
 
 
-def test_cross_validate_imputes_each_fold_table_once(monkeypatch):
+def test_cross_validate_imputes_each_fold_table_once(monkeypatch, tmp_path):
     # one imputation of each fold's training and validation rows serves
-    # both the encoded and the raw-category variant of every spec
-    calls = []
+    # both the encoded and the raw-category variant of every spec; calls are
+    # logged to a file, so that folds run in worker processes count too
+    log = tmp_path / "calls"
     original = preprocess.impute
 
     def counted(imputer, table):
-        calls.append(table.n)
+        with open(log, "a") as f:
+            f.write(f"{table.n}\n")
         return original(imputer, table)
 
     wrap_everywhere(monkeypatch, original, counted)
@@ -146,6 +148,7 @@ def test_cross_validate_imputes_each_fold_table_once(monkeypatch):
     grid = (_PLAIN, _ORDERED, ModelSpec(family="gnb"),
             ModelSpec(family="logreg", params={"C": 1.0}))
     result = cross_validate(table, grid, k=3, seed=1)
+    calls = [int(n) for n in log.read_text().split()]
     assert len(calls) == 2 * 3
     # each row is imputed once as a validation row and k - 1 times as a
     # training row

@@ -76,6 +76,52 @@ def test_impute_python_loop_oracle():
             assert got[i, j] == pytest.approx(want, abs=1e-12)
 
 
+def _impute_by_full_sort(imputer, table):
+    """Reference: one stable argsort of all training rows per missing row,
+    then the first k eligible rows in that order."""
+    X = table.X.copy()
+    scale_safe = np.where(imputer.scale > 0, imputer.scale, 1.0)
+    ZR = (imputer.reference - imputer.loc) / scale_safe
+    ref_obs = ~np.isnan(imputer.reference)
+    for i in np.flatnonzero(np.isnan(X).any(axis=1)):
+        row = X[i]
+        obs_q = ~np.isnan(row)
+        if obs_q.any():
+            zq = (row[obs_q] - imputer.loc[obs_q]) / scale_safe[obs_q]
+            shared = ref_obs[:, obs_q].sum(axis=1)
+            with np.errstate(invalid="ignore"):
+                d2 = np.nansum((ZR[:, obs_q] - zq) ** 2, axis=1)
+            d2 = np.where(shared > 0, d2 / np.maximum(shared, 1), np.inf)
+        else:
+            d2 = np.full(imputer.reference.shape[0], np.inf)
+        order = np.argsort(d2, kind="stable")
+        for j in np.flatnonzero(~obs_q):
+            eligible = order[ref_obs[order, j] & np.isfinite(d2[order])]
+            X[i, j] = (imputer.loc[j] if eligible.size == 0 else
+                       float(imputer.reference[eligible[: imputer.k], j].mean()))
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_ref=st.integers(1, 40),
+       d=st.integers(1, 4), k=st.integers(1, 7),
+       missing=st.floats(0.0, 0.8), levels=st.integers(1, 4))
+def test_impute_matches_the_full_sort_reference(seed, n_ref, d, k, missing, levels):
+    # values on a grid of `levels` points tie distances; a high missing rate
+    # leaves rows with no eligible neighbour and rows with nothing observed
+    rng = np.random.default_rng(seed)
+    schema = _cont_schema(d)
+    R = rng.integers(0, levels, size=(n_ref, d)).astype(float)
+    R[rng.random(R.shape) < missing] = np.nan
+    R[0, np.isnan(R).all(axis=0)] = 0.0  # keep every feature observed
+    Q = rng.integers(0, levels, size=(12, d)).astype(float)
+    Q[rng.random(Q.shape) < missing] = np.nan
+    Q[-1] = np.nan
+    imp = fit_imputer(CohortTable(schema, R, rng.integers(0, 2, n_ref)), k=k)
+    query = CohortTable(schema, Q, np.zeros(12, dtype=int))
+    assert np.array_equal(impute(imp, query).X, _impute_by_full_sort(imp, query))
+
+
 def test_impute_snaps_discrete_features():
     table = make_table(60, seed=11, missing=0.2)
     imp = fit_imputer(table, k=5)

@@ -11,8 +11,9 @@ from scipy.stats import truncnorm
 
 from icurisk.cohort import validate_values
 from icurisk.errors import ConfigError
-from icurisk.synth import (_std_truncnorm_mean, recalibrated_loc, reference_summary,
-                           synth_cohort, synth_default_cohort)
+from icurisk.synth import (_sample_truncnorm, _std_truncnorm_mean,
+                           recalibrated_loc, reference_summary, synth_cohort,
+                           synth_default_cohort)
 
 
 def test_recalibrated_loc_hits_target_mean():
@@ -42,6 +43,15 @@ def test_recalibrated_loc_far_below_a_lower_bound():
     assert np.isfinite(loc) and loc < -900 * 465.94
     # the log-density terms are ~4.7e5 there, so doubles carry about 1e-4
     assert mean == pytest.approx(0.4813, rel=1e-3)
+
+
+def test_draws_far_below_a_lower_bound_keep_the_mean():
+    # loc lies ~20 sd below the bound, where ndtr(alpha) rounds to 1: the
+    # direct inverse-CDF draw put every value on the bound itself
+    loc = recalibrated_loc(0.5, 10.0, 0.0, None)
+    x = _sample_truncnorm(np.random.default_rng(0), loc, 10.0, 0.0, None, 10**5)
+    assert loc < -190 and (x >= 0.0).all()
+    assert x.mean() == pytest.approx(0.5, rel=0.01)
 
 
 @settings(max_examples=300, deadline=None)
