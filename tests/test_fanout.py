@@ -2,6 +2,7 @@
 loop's results, first error and warnings."""
 
 import os
+import signal
 import warnings
 
 import numpy as np
@@ -15,6 +16,22 @@ from icurisk.models.cv import (ModelSpec, cross_validate, fit_preprocessing,
                                predict_scores, train_model)
 
 from conftest import make_table
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """A test that waits on its workers for over a minute fails instead of
+    hanging; the timer is not inherited by forked children."""
+    def expire(*_):
+        raise TimeoutError("fan_out test ran over 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _cpus(monkeypatch, n):
