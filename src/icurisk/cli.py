@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from dataclasses import replace
 
@@ -25,8 +24,6 @@ from .errors import (ConfigError, ConvergenceError, DataError, IcuRiskError,
 from .pipeline import RunConfig, load_run_config, run
 from .report import emit_report, write_artifacts, write_failed_manifest
 from .synth import synth_default_cohort
-
-_STAGE_RE = re.compile(r"^\[stage:([a-z_]+)\]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,9 +82,8 @@ def _run_with_manifest(config: RunConfig):
     try:
         result = run(config)
     except IcuRiskError as exc:
-        m = _STAGE_RE.match(str(exc))
         write_failed_manifest(config.out_dir, config,
-                              m.group(1) if m else "unknown")
+                              getattr(exc, "stage", "unknown"))
         raise
     return result, write_artifacts(result)
 

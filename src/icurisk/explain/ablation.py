@@ -21,8 +21,7 @@ from .._rng import derive_int, derive_rng
 from ..cohort import CohortTable
 from ..errors import DataError
 from ..metrics import auroc, resampled_aurocs, stratified_bootstrap
-from ..models.cv import (ModelSpec, downgrade_ordered, fit_preprocessing,
-                         predict_scores, train_model)
+from ..models.cv import ModelSpec, downgrade_ordered, fit_and_score
 from ..preprocess import PipelineConfig
 
 
@@ -40,13 +39,6 @@ class AblationReport:
     def mean_drop(self, name: str) -> float:
         """Mean paired AUROC loss from removing one feature."""
         return float(np.mean(self.baseline_dist - self.dropped_dist[name]))
-
-
-def _fit_and_score(spec, train, test, pipeline_config, seed):
-    spec = downgrade_ordered(spec, train.schema)
-    [(pipe, test_t)] = fit_preprocessing((spec,), train, test, pipeline_config)
-    model = train_model(spec, pipe.fitted_table, pipe.weights, seed=seed)
-    return predict_scores(model, test_t)
 
 
 def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
@@ -71,10 +63,12 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
     ablated = train.feature_names if train.d > 1 else ()
 
     def refit_without(k):
-        name = ablated[k]
-        return _fit_and_score(spec, train.drop_features([name]),
-                              test.drop_features([name]), pipeline_config,
-                              derive_int(seed, "ablation", k + 1))
+        kept = train.drop_features([ablated[k]])
+        [(*_, scores)] = fit_and_score(
+            (downgrade_ordered(spec, kept.schema),), kept,
+            test.drop_features([ablated[k]]), pipeline_config,
+            (derive_int(seed, "ablation", k + 1),))
+        return scores
 
     dropped_dist = {}
     dropped_point = {}

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError, SchemaError
 from ..models import GbdtModel, model_margin
-from ..models import _as_matrix as _model_matrix
+from ..models.cv import _as_matrix as _model_matrix
 from ..models.gbdt import _apply_cat_stats
 
 _CHUNK = 1 << 16          # elements per temporary array, about 0.5 MB

@@ -1,10 +1,18 @@
-"""Stratified k-fold cross-validation with grid search.
+"""The model-family seam: training, prediction, and cross-validated search.
 
-Preprocessing is refit inside every fold; a model config never sees
-statistics computed from its validation rows. Every config is scored on the
-same fold plan, and every config's out-of-fold score vector is retained for
-threshold tuning. The best config of a slice of the grid is the one with the
-highest mean out-of-fold AUROC (ties to the smaller config index).
+train_model dispatches a ModelSpec to its family's trainer. predict_proba
+and model_margin dispatch on the fitted model's type and accept either a
+CohortTable (feature names are checked against the training schema) or a
+bare matrix (only the width is checked). fit_and_score is the one path from
+raw tables to held-out scores: cross-validation folds, the final refits and
+the ablation refits all run through it.
+
+Cross-validation is stratified k-fold with grid search. Preprocessing is
+refit inside every fold; a model config never sees statistics computed from
+its validation rows. Every config is scored on the same fold plan, and every
+config's out-of-fold score vector is retained for threshold tuning. The best
+config of a slice of the grid is the one with the highest mean out-of-fold
+AUROC (ties to the smaller config index).
 """
 
 from __future__ import annotations
@@ -15,16 +23,24 @@ import numpy as np
 
 from .._fanout import fan_out
 from .._rng import derive_int, derive_rng
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, SchemaError
 from ..metrics import auroc
 from ..preprocess import (PipelineConfig, fit_pipeline, impute,
                           transform_imputed, with_encoding)
-from .gbdt import GbdtParams, train_gbdt
-from .linear import train_logreg
-from .mlp import MlpConfig, train_mlp
-from .naive_bayes import train_gnb
+from ..special import sigmoid
+from .gbdt import GbdtModel, GbdtParams, gbdt_margin, train_gbdt
+from .linear import LinearModel, linear_margin, train_logreg
+from .mlp import MlpConfig, MlpModel, mlp_margin, train_mlp
+from .naive_bayes import GaussianNbModel, gnb_posterior, train_gnb
 
 FAMILIES = ("gbdt", "logreg", "gnb", "mlp")
+_PROB_CLIP = 1e-7
+
+_MARGIN = {
+    GbdtModel: gbdt_margin,
+    LinearModel: linear_margin,
+    MlpModel: mlp_margin,
+}
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,39 @@ def train_model(spec: ModelSpec, table, weights, seed: int = 0):
     raise ConfigError(f"unknown model family {spec.family!r}")
 
 
+def _as_matrix(model, rows) -> np.ndarray:
+    if hasattr(rows, "feature_names"):
+        if tuple(rows.feature_names) != tuple(model.feature_names_):
+            raise SchemaError("prediction schema does not match training schema")
+        return rows.X
+    X = np.atleast_2d(np.asarray(rows, dtype=float))
+    if X.shape[1] != len(model.feature_names_):
+        raise SchemaError(
+            f"expected {len(model.feature_names_)} features, got {X.shape[1]}"
+        )
+    return X
+
+
+def model_margin(model, rows) -> np.ndarray:
+    """Raw decision value (log-odds scale where the family defines one)."""
+    fn = _MARGIN.get(type(model))
+    if fn is None:
+        raise TypeError(f"{type(model).__name__} has no margin; use predict_proba")
+    return fn(model, _as_matrix(model, rows))
+
+
+def predict_proba(model, rows) -> np.ndarray:
+    """Mortality probability per row, clipped to [1e-7, 1 - 1e-7]: the
+    sigmoid of the margin, or the Gaussian NB class-1 posterior."""
+    if type(model) is GaussianNbModel:
+        p = gnb_posterior(model, _as_matrix(model, rows))[:, 1]
+    elif type(model) in _MARGIN:
+        p = sigmoid(model_margin(model, rows))
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    return np.clip(p, _PROB_CLIP, 1 - _PROB_CLIP)
+
+
 @dataclass(frozen=True)
 class CvPlan:
     folds: tuple  # k arrays of validation row indices; a partition
@@ -99,7 +148,8 @@ def stratified_kfold(labels, k: int, seed: int) -> CvPlan:
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         if idx.size < k:
-            raise DataError(f"class {c} has {idx.size} members; cannot make {k} stratified folds")
+            raise DataError(f"class {c} has {idx.size} members, fewer than "
+                            f"cv_folds={k}; cannot make stratified folds")
         idx = idx[rng.permutation(idx.size)]
         for pos, row in enumerate(idx):
             folds[pos % k].append(row)
@@ -123,6 +173,18 @@ def fit_preprocessing(grid, train, held_out, config: PipelineConfig = None) -> l
         pipe = with_encoding(base, enc)
         variants[enc] = (pipe, transform_imputed(pipe, held_imputed))
     return [variants[enc] for enc in encodes]
+
+
+def fit_and_score(grid, train, held_out, config: PipelineConfig, seeds) -> list:
+    """One (fitted pipeline, transformed held_out, model, held_out scores)
+    tuple per spec in grid; spec i is trained with seeds[i] on the pipeline
+    fit_preprocessing gives it."""
+    out = []
+    for spec, (pipe, held_t), seed in zip(
+            grid, fit_preprocessing(grid, train, held_out, config), seeds):
+        model = train_model(spec, pipe.fitted_table, pipe.weights, seed=seed)
+        out.append((pipe, held_t, model, predict_proba(model, held_t)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,15 +216,11 @@ def cross_validate(train, grid, k: int = 5, seed: int = 0,
         fold_i, val_rows = fold
         fit_rows = np.setdiff1d(np.arange(train.n), val_rows)
         fold_val = train.subset(val_rows)
-        prepared = fit_preprocessing(grid, train.subset(fit_rows), fold_val,
-                                     pipeline_config)
-        out = []
-        for cfg_i, (spec, (pipe, va)) in enumerate(zip(grid, prepared)):
-            model = train_model(spec, pipe.fitted_table, pipe.weights,
-                                seed=derive_int(seed, "cv", cfg_i, fold_i))
-            scores = predict_scores(model, va)
-            out.append((auroc(scores, fold_val.y), scores))
-        return out
+        fitted = fit_and_score(grid, train.subset(fit_rows), fold_val,
+                               pipeline_config,
+                               [derive_int(seed, "cv", cfg_i, fold_i)
+                                for cfg_i in range(len(grid))])
+        return [(auroc(scores, fold_val.y), scores) for *_, scores in fitted]
 
     fold_aurocs = np.zeros((len(grid), k))
     oof = np.zeros((len(grid), train.n))
@@ -175,10 +233,3 @@ def cross_validate(train, grid, k: int = 5, seed: int = 0,
     return GridSearchResult(configs=grid, mean_auroc=fold_aurocs.mean(axis=1),
                             sd_auroc=fold_aurocs.std(axis=1, ddof=1),
                             fold_aurocs=fold_aurocs, oof=oof, plan=plan)
-
-
-def predict_scores(model, table) -> np.ndarray:
-    # local import; models/__init__ imports this module
-    from . import predict_proba
-
-    return predict_proba(model, table)

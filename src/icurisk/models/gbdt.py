@@ -358,8 +358,3 @@ def gbdt_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
         # a running sum adds the trees one at a time, as a loop over them would
         out[start:start + step] = np.cumsum(terms, axis=1)[:, -1]
     return out
-
-
-def gbdt_predict_proba(model: GbdtModel, X: np.ndarray) -> np.ndarray:
-    return np.clip(sigmoid(gbdt_margin(model, X)), _PROB_CLIP, 1 - _PROB_CLIP)
-

@@ -19,7 +19,6 @@ import numpy as np
 from ..errors import ConfigError, DataError
 from ..special import log1pexp, sigmoid
 
-_PROB_CLIP = 1e-7
 _TOL = 1e-6
 _NEWTON_ITERS = 100       # L2 iteration budget
 _FISTA_ITERS = 20000      # L1 iteration budget
@@ -170,8 +169,3 @@ def logreg_objective(model: LinearModel, train, weights=None) -> float:
 
 def linear_margin(model: LinearModel, X: np.ndarray) -> np.ndarray:
     return np.asarray(X, dtype=float) @ model.weights + model.bias
-
-
-def linear_predict_proba(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    return np.clip(sigmoid(linear_margin(model, X)), _PROB_CLIP, 1 - _PROB_CLIP)
-

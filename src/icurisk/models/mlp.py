@@ -16,7 +16,6 @@ from .._rng import derive_rng
 from ..errors import ConfigError, DataError
 from ..special import log1pexp, sigmoid
 
-_PROB_CLIP = 1e-7
 _BATCH_SIZE = 32
 _PATIENCE = 20            # epochs without a better validation loss
 _VAL_FRACTION = 0.15      # per-class share of the fold held out for stopping
@@ -168,8 +167,3 @@ def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 
 def mlp_margin(model: MlpModel, X: np.ndarray) -> np.ndarray:
     _, _, z2 = _forward((model.W1, model.b1, model.W2, model.b2), np.asarray(X, dtype=float))
     return z2
-
-
-def mlp_predict_proba(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    return np.clip(sigmoid(mlp_margin(model, X)), _PROB_CLIP, 1 - _PROB_CLIP)
-

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..errors import DataError
 
-_PROB_CLIP = 1e-7
 _VAR_FLOOR = 1e-9         # times max(largest feature variance, 1)
 
 
@@ -73,8 +72,3 @@ def gnb_posterior(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
     m = lj.max(axis=1, keepdims=True)
     e = np.exp(lj - m)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def gnb_predict_proba(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
-    return np.clip(gnb_posterior(model, X)[:, 1], _PROB_CLIP, 1 - _PROB_CLIP)
-

@@ -3,7 +3,8 @@ benchmark, evaluation, and the explanation stack, driven by one RunConfig.
 
 All randomness descends from the single master seed through tagged
 substreams, so identical configs give byte-identical artifacts. Stages run
-in a fixed order and any failure is re-raised with a stage tag.
+in a fixed order and any failure is re-raised with a stage tag, both in
+its message and as its stage attribute.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
 from .models import GbdtModel, predict_proba
 from .models.cv import (ModelSpec, cross_validate, downgrade_ordered,
-                        fit_preprocessing, train_model)
+                        fit_and_score)
 from .preprocess import FittedPipeline, PipelineConfig, apply
 from .schema import load_schema
 from .select import CoverageFilterConfig, coverage_filter, rank_features
@@ -299,20 +300,19 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     stops = np.cumsum([len(grid) for _, grid, _ in grids])
     best = [search.best_in(stop - len(grid), stop)
             for (_, grid, _), stop in zip(grids, stops)]
-    prepared = fit_preprocessing([search.configs[i] for i in best], train, test,
-                                 pipe_cfg)
+    refits = fit_and_score([search.configs[i] for i in best], train, test,
+                           pipe_cfg, [derive_int(config.seed, "cv", row_i, 9999)
+                                      for row_i in range(len(best))])
     rows = []
     fitted = {}
-    for row_i, ((label, grid, declared), i, (pipe, test_t)) in enumerate(
-            zip(grids, best, prepared)):
+    for row_i, ((label, grid, declared), i, refit) in enumerate(
+            zip(grids, best, refits)):
         notes = () if grid == declared else (
             "ordered encoding disabled: no multi-level discrete features",)
         spec = search.configs[i]
         threshold = tune_threshold(search.oof[i], train.y)
-        model = train_model(spec, pipe.fitted_table, pipe.weights,
-                            seed=derive_int(config.seed, "cv", row_i, 9999))
+        pipe, _, model, test_scores = refit
         train_scores = predict_proba(model, pipe.fitted_table)
-        test_scores = predict_proba(model, test_t)
         m_train = confusion_metrics(train_scores, train.y, threshold)
         ci = bootstrap_auroc_ci(test_scores, test.y, B=config.n_bootstrap,
                                 seed=derive_int(config.seed, "bootstrap", row_i))
@@ -323,7 +323,7 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
             cv_sd_auroc=float(search.sd_auroc[i]),
             threshold=threshold, metrics_train=m_train, metrics_test=m_test,
             notes=notes))
-        fitted[label] = (pipe, test_t, model, test_scores)
+        fitted[label] = refit
     winner = max(rows, key=lambda r: r.cv_mean_auroc).label
     tree_rows = [r.label for r in rows if r.spec.family == "gbdt"]
     shap_label = winner if winner in tree_rows else (tree_rows[0] if tree_rows else winner)
@@ -378,7 +378,9 @@ def run(config: RunConfig) -> RunResult:
         try:
             out = fn(*args)
         except IcuRiskError as exc:
-            raise type(exc)(f"[stage:{name}] {exc}") from exc
+            tagged = type(exc)(f"[stage:{name}] {exc}")
+            tagged.stage = name
+            raise tagged from exc
         timings[name] = time.perf_counter() - t0
         return out
 

@@ -66,7 +66,11 @@ def coverage_filter(table: CohortTable, cfg: CoverageFilterConfig = CoverageFilt
             "reason": reason,
         })
     if not kept:
-        raise DataError("coverage filter dropped every feature")
+        raise DataError(
+            "coverage filter dropped every feature: "
+            f"max_missing_fraction={cfg.max_missing_fraction}, "
+            f"min_documented_patients={cfg.min_documented_patients}, "
+            f"{table.n} rows")
     return kept, report
 
 

@@ -24,8 +24,8 @@ from ._rng import derive_rng
 from .cohort import stratified_split
 from .explain import DreamConfig, ale, dream_sample, shap_exhaustive, shap_tree
 from .metrics import auroc, confusion_metrics, welch_t
-from .models.gbdt import (GbdtParams, gbdt_margin, gbdt_predict_proba,
-                          train_gbdt)
+from .models import predict_proba
+from .models.gbdt import GbdtParams, gbdt_margin, train_gbdt
 from .models.mlp import loss_and_grad
 from .pipeline import RunConfig, run
 from .preprocess import class_weights, fit_pipeline, pipeline_param_bytes
@@ -158,7 +158,7 @@ def _ale_quadrature(f, X, j, n_bins, micro=25):
 
 def _c05_ale_oracle() -> str:
     X, model = _shap_fixture(n=200, d=3, n_trees=40, seed=5)
-    f = lambda rows: gbdt_predict_proba(model, rows)
+    f = lambda rows: predict_proba(model, rows)
     curve = ale(f, X, 0, n_bins=8)
     edges, oracle = _ale_quadrature(f, X, 0, n_bins=8)
     _check(np.array_equal(curve.edges, edges), "edge grids differ")

@@ -8,8 +8,7 @@ from icurisk import preprocess
 from icurisk.errors import ConfigError, DataError
 from icurisk.explain.ablation import ablation
 from icurisk.metrics import auroc
-from icurisk.models.cv import (ModelSpec, fit_preprocessing, predict_scores,
-                               train_model)
+from icurisk.models.cv import ModelSpec, fit_and_score
 
 from conftest import make_table, wrap_everywhere
 
@@ -21,8 +20,8 @@ def _split(table, n_train):
 
 def _base_scores(spec, train, test):
     """Test scores of spec fitted on the full training table."""
-    [(pipe, test_t)] = fit_preprocessing((spec,), train, test)
-    return predict_scores(train_model(spec, pipe.fitted_table, pipe.weights), test_t)
+    [(*_, scores)] = fit_and_score((spec,), train, test, None, (0,))
+    return scores
 
 
 def test_report_structure_and_determinism():

@@ -184,6 +184,19 @@ def test_out_of_schema_cell_is_exit_3_with_failed_manifest(tmp_path, capsys):
     assert manifest["failed_stage"] == "dataset"
 
 
+def test_more_folds_than_positives_is_exit_3_at_the_models_stage(
+        tmp_path, capsys):
+    out = str(tmp_path / "arts")
+    cfg = _write_config(tmp_path, cv_folds=100)
+    assert main(["run", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "class 1 has" in err and "cv_folds=100" in err
+    assert "[stage:models]" in err
+    manifest = load_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["failed_stage"] == "models"
+
+
 @pytest.mark.parametrize("key,content,code", [
     ("schema_path", b"[{not json", 2),
     ("schema_path", b'{"name": "age", "kind": "continuous"}', 2),

@@ -6,10 +6,16 @@ import pytest
 from icurisk import preprocess
 from icurisk.errors import ConfigError, DataError
 from icurisk.metrics import auroc
-from icurisk.models.cv import (ModelSpec, cross_validate, fit_preprocessing,
-                               multi_level_indices, predict_scores,
+from icurisk.models.cv import (ModelSpec, cross_validate, fit_and_score,
+                               fit_preprocessing, model_margin,
+                               multi_level_indices, predict_proba,
                                stratified_kfold, train_model)
+from icurisk.models.gbdt import gbdt_margin
+from icurisk.models.linear import linear_margin
+from icurisk.models.mlp import mlp_margin
+from icurisk.models.naive_bayes import gnb_posterior
 from icurisk.preprocess import PipelineConfig, class_weights
+from icurisk.special import sigmoid
 
 from conftest import make_table, small_schema, wrap_everywhere
 
@@ -117,13 +123,27 @@ def test_ordered_spec_uses_raw_category_codes():
     assert np.isfinite(result.fold_aurocs).all()
 
 
-def test_predict_scores_matches_family_output():
+def test_predict_proba_matches_family_output():
+    # the clipped sigmoid of the family margin, or the clipped GNB class-1
+    # posterior, bit for bit; a model without a family is refused by type
     table = make_table(90, seed=5, informative=True)
-    spec = ModelSpec(family="logreg", params={"C": 2.0})
-    model = train_model(spec, table, class_weights(table.y), seed=0)
-    from icurisk.models.linear import linear_predict_proba
-    assert np.array_equal(predict_scores(model, table),
-                          linear_predict_proba(model, table.X))
+    weights = class_weights(table.y)
+    for spec, margin in (
+            (ModelSpec(family="gbdt", params={"n_trees": 5, "depth": 2}), gbdt_margin),
+            (ModelSpec(family="logreg", params={"C": 2.0}), linear_margin),
+            (ModelSpec(family="mlp", params={"hidden": 4, "epochs": 5}), mlp_margin)):
+        model = train_model(spec, table, weights, seed=0)
+        expect = np.clip(sigmoid(margin(model, table.X)), 1e-7, 1 - 1e-7)
+        assert np.array_equal(predict_proba(model, table), expect)
+        assert np.array_equal(predict_proba(model, table.X), expect)
+        assert np.array_equal(model_margin(model, table), margin(model, table.X))
+    gnb = train_model(ModelSpec(family="gnb"), table, weights)
+    expect = np.clip(gnb_posterior(gnb, table.X)[:, 1], 1e-7, 1 - 1e-7)
+    assert np.array_equal(predict_proba(gnb, table), expect)
+    with pytest.raises(TypeError, match="unknown model type object"):
+        predict_proba(object(), table.X)
+    with pytest.raises(TypeError, match="GaussianNbModel has no margin"):
+        model_margin(gnb, table.X)
 
 
 _ORDERED = ModelSpec(family="gbdt",
@@ -171,3 +191,18 @@ def test_fit_preprocessing_encodes_all_but_ordered_boosting():
     [(raw_only, _)] = fit_preprocessing(
         (_PLAIN,), train, test, PipelineConfig(encode=False))
     assert raw_only.encoders == ()
+
+
+def test_fit_and_score_trains_each_spec_with_its_seed():
+    train = make_table(80, seed=2, missing=0.1, informative=True)
+    test = make_table(30, seed=3, missing=0.1)
+    mlp = ModelSpec(family="mlp", params={"hidden": 4, "epochs": 5})
+    a, b, ordered = fit_and_score((mlp, mlp, _ORDERED), train, test, None,
+                                  (1, 2, 1))
+    assert a[0] is b[0] and a[1] is b[1]          # one shared pipeline
+    assert ordered[0].encoders == ()              # raw category codes
+    for pipe, test_t, model, scores in (a, b, ordered):
+        assert np.array_equal(scores, predict_proba(model, test_t))
+    assert not np.array_equal(a[3], b[3])
+    [again] = fit_and_score((mlp,), train, test, None, (1,))
+    assert np.array_equal(again[3], a[3])

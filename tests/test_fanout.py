@@ -12,8 +12,7 @@ from icurisk import _fanout
 from icurisk._fanout import fan_out
 from icurisk.errors import DataError
 from icurisk.explain.ablation import ablation
-from icurisk.models.cv import (ModelSpec, cross_validate, fit_preprocessing,
-                               predict_scores, train_model)
+from icurisk.models.cv import ModelSpec, cross_validate, fit_and_score
 
 from conftest import make_table
 
@@ -70,8 +69,7 @@ def test_ablation_forked_equals_serial(monkeypatch):
     table = make_table(160, seed=55, missing=0.1, informative=True)
     train, test = table.subset(np.arange(110)), table.subset(np.arange(110, 160))
     spec = _GRID[0]
-    [(pipe, test_t)] = fit_preprocessing((spec,), train, test)
-    base = predict_scores(train_model(spec, pipe.fitted_table, pipe.weights), test_t)
+    [(*_, base)] = fit_and_score((spec,), train, test, None, (0,))
     forked, serial = _forked_and_serial(
         monkeypatch, lambda: ablation(spec, train, test, base, n_resamples=20, seed=4))
     assert forked.features == serial.features == train.feature_names

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError
-from icurisk.models import gbdt
-from icurisk.models.gbdt import (GbdtParams, gbdt_margin, gbdt_predict_proba,
-                                 train_gbdt)
+from icurisk.models import gbdt, predict_proba
+from icurisk.models.gbdt import GbdtParams, gbdt_margin, train_gbdt
 from icurisk.schema import FeatureSpec
 
 from conftest import make_table
@@ -42,7 +41,7 @@ def _check_stump(x, thr):
     ends = np.array([[x[0]], [x[-1]]])
     margins = gbdt_margin(model, ends)
     assert margins == pytest.approx([-2.0, 2.0])
-    p = gbdt_predict_proba(model, ends)
+    p = predict_proba(model, ends)
     assert p[0] == pytest.approx(1 / (1 + np.e ** 2))
     assert p[1] == pytest.approx(1 / (1 + np.e ** -2))
 

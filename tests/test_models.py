@@ -7,14 +7,11 @@ import pytest
 
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError
-from icurisk.models import linear, mlp
+from icurisk.models import linear, mlp, predict_proba
 from icurisk.models.linear import (LinearModel, linear_margin,
-                                   linear_predict_proba, logreg_objective,
-                                   train_logreg)
-from icurisk.models.mlp import (MlpConfig, mlp_margin, mlp_predict_proba,
-                                train_mlp)
-from icurisk.models.naive_bayes import (gnb_posterior, gnb_predict_proba,
-                                        train_gnb)
+                                   logreg_objective, train_logreg)
+from icurisk.models.mlp import MlpConfig, mlp_margin, train_mlp
+from icurisk.models.naive_bayes import gnb_posterior, train_gnb
 from icurisk.preprocess import class_weights
 from icurisk.schema import FeatureSpec
 
@@ -46,7 +43,7 @@ def test_logreg_margin_is_affine():
     model = train_logreg(table, C=2.0)
     expect = table.X @ model.weights + model.bias
     assert linear_margin(model, table.X) == pytest.approx(expect)
-    p = linear_predict_proba(model, table.X)
+    p = predict_proba(model, table.X)
     assert np.all((p > 0) & (p < 1))
 
 
@@ -80,8 +77,8 @@ def test_logreg_class_weights_shift_the_boundary():
     weighted = train_logreg(table, C=1.0, weights=class_weights(table.y))
     # the weighted score equation pins the weighted mean of p at 1/2, so
     # upweighting the rare positive class raises predicted probabilities
-    assert (linear_predict_proba(weighted, table.X).mean()
-            > linear_predict_proba(plain, table.X).mean() + 0.1)
+    assert (predict_proba(weighted, table.X).mean()
+            > predict_proba(plain, table.X).mean() + 0.1)
 
 
 def test_logreg_warns_when_iteration_budget_too_small():
@@ -160,7 +157,7 @@ def test_gnb_rejects_bad_input():
 def test_gnb_proba_clipped():
     table = make_table(100, seed=8, informative=True)
     model = train_gnb(table)
-    p = gnb_predict_proba(model, table.X)
+    p = predict_proba(model, table.X)
     assert np.all(p >= 1e-7) and np.all(p <= 1 - 1e-7)
 
 
@@ -171,7 +168,7 @@ def test_mlp_learns_an_informative_signal():
     with mock.patch.object(mlp, "_PATIENCE", 30):
         model = train_mlp(table, MlpConfig(hidden=8, epochs=120,
                                            learning_rate=0.01), seed=0)
-    p = mlp_predict_proba(model, table.X)
+    p = predict_proba(model, table.X)
     pos, neg = p[table.y == 1], p[table.y == 0]
     better = (pos[:, None] > neg[None, :]).mean()
     assert better > 0.7

@@ -286,6 +286,16 @@ def test_train_fraction_that_empties_a_class_fails_at_the_split():
         run(cfg)
 
 
+def test_coverage_filter_that_drops_everything_names_its_keys():
+    # about 42 training rows can never reach 100 documented patients
+    with pytest.raises(DataError, match=r"\[stage:select\] coverage") as info:
+        run(RunConfig(seed=1, synth_n=60))
+    assert info.value.stage == "select"
+    msg = str(info.value)
+    assert "max_missing_fraction=0.2" in msg
+    assert "min_documented_patients=100" in msg and "42 rows" in msg
+
+
 def test_ordered_row_downgrades_without_discrete_features(tmp_path):
     # a cohort of purely continuous and binary features leaves the ordered
     # encoder nothing to target-encode; the row must say so and still run
