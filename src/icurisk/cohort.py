@@ -106,7 +106,7 @@ def validate_values(table: CohortTable, where=None) -> None:
             rules.append((col < spec.lower - 1e-9, f"below lower bound {spec.lower}"))
         if spec.upper is not None:
             rules.append((col > spec.upper + 1e-9, f"above upper bound {spec.upper}"))
-        if spec.kind in ("binary", "ordinal_score", "categorical"):
+        if spec.kind != "continuous":
             rules.append((~np.isin(col, spec.grid()) & ~np.isnan(col),
                           "off the declared grid"))
         for bad, why in rules:

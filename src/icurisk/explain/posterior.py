@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from ..cohort import CohortSummary
 from ..errors import ConfigError
-from ..schema import FeatureSpec
+from ..schema import MULTI_LEVEL, FeatureSpec
 from ..synth import recalibrated_loc
 from .dream import DreamConfig, dream_sample
 
@@ -143,7 +143,7 @@ def _enumerate_flags(f, schema, means, binary, pinned, sampled, draws):
         X[:, j] = means[j]
     for pos, j in enumerate(sampled):
         col = draws[:, pos]
-        if schema[j].kind in ("ordinal_score", "categorical"):
+        if schema[j].kind in MULTI_LEVEL:
             col = _snap_ordinal(col, schema[j])
         X[:, j] = col
     if not binary:

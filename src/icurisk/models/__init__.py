@@ -8,8 +8,7 @@ predict_proba and model_margin for fitted models. They are re-exported here.
 from __future__ import annotations
 
 from .cv import (CvPlan, GridSearchResult, ModelSpec, cross_validate,
-                 model_margin, multi_level_indices, predict_proba,
-                 stratified_kfold, train_model)
+                 model_margin, predict_proba, stratified_kfold, train_model)
 from .gbdt import GbdtModel, GbdtParams, gbdt_margin, train_gbdt
 from .linear import LinearModel, logreg_objective, train_logreg
 from .mlp import MlpConfig, MlpModel, loss_and_grad, train_mlp
@@ -21,6 +20,5 @@ __all__ = [
     "GaussianNbModel", "train_gnb", "gnb_posterior",
     "MlpModel", "MlpConfig", "train_mlp", "loss_and_grad",
     "ModelSpec", "CvPlan", "GridSearchResult", "stratified_kfold",
-    "cross_validate", "train_model", "multi_level_indices",
-    "predict_proba", "model_margin",
+    "cross_validate", "train_model", "predict_proba", "model_margin",
 ]

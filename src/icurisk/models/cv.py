@@ -5,7 +5,9 @@ and model_margin dispatch on the fitted model's type and accept either a
 CohortTable (feature names are checked against the training schema) or a
 bare matrix (only the width is checked). fit_and_score is the one path from
 raw tables to held-out scores: cross-validation folds, the final refits and
-the ablation refits all run through it.
+the ablation refits all run through it. The schema says which columns are
+multi-level: ordered boosting orders their raw codes, other specs get them
+target-encoded.
 
 Cross-validation is stratified k-fold with grid search. Preprocessing is
 refit inside every fold; a model config never sees statistics computed from
@@ -17,7 +19,7 @@ AUROC (ties to the smaller config index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +28,8 @@ from .._rng import derive_int, derive_rng
 from ..errors import ConfigError, DataError, SchemaError
 from ..metrics import auroc
 from ..preprocess import (PipelineConfig, fit_pipeline, impute,
-                          transform_imputed, with_encoding)
+                          transform_imputed, without_encoding)
+from ..schema import multi_level_indices
 from ..special import sigmoid
 from .gbdt import GbdtModel, GbdtParams, gbdt_margin, train_gbdt
 from .linear import LinearModel, linear_margin, train_logreg
@@ -66,11 +69,6 @@ class ModelSpec:
         return self.family == "gbdt" and bool(self.params.get("ordered_mode"))
 
 
-def multi_level_indices(schema) -> tuple:
-    return tuple(i for i, s in enumerate(schema)
-                 if s.kind in ("ordinal_score", "categorical"))
-
-
 def downgrade_ordered(spec: ModelSpec, schema) -> ModelSpec:
     """Ordered boosting needs a multi-level discrete column to order; on a
     schema without one the spec is downgraded to plain boosting."""
@@ -81,13 +79,9 @@ def downgrade_ordered(spec: ModelSpec, schema) -> ModelSpec:
 
 
 def train_model(spec: ModelSpec, table, weights, seed: int = 0):
-    """Dispatch to the family trainer. For ordered-mode boosting without an
-    explicit categorical_idx, the multi-level discrete columns are used."""
+    """Dispatch to the family trainer."""
     if spec.family == "gbdt":
-        params = dict(spec.params)
-        if params.get("ordered_mode") and not params.get("categorical_idx"):
-            params["categorical_idx"] = multi_level_indices(table.schema)
-        return train_gbdt(table, GbdtParams(**params), weights, seed=seed)
+        return train_gbdt(table, GbdtParams(**spec.params), weights, seed=seed)
     if spec.family == "logreg":
         return train_logreg(table, weights=weights, **spec.params)
     if spec.family == "gnb":
@@ -159,20 +153,18 @@ def stratified_kfold(labels, k: int, seed: int) -> CvPlan:
 def fit_preprocessing(grid, train, held_out, config: PipelineConfig = None) -> list:
     """One (fitted pipeline, transformed held_out) pair per spec in grid.
 
-    train and held_out are imputed once each; the imputed tables then branch
-    into the target-encoded variant, and, for ordered boosting, which orders
-    raw category codes itself, the unencoded one. Specs that need the same
-    variant share one pair.
+    train and held_out are imputed once each. Every spec gets the
+    target-encoded pipeline, except ordered boosting, which orders raw
+    category codes itself and gets its unencoded variant. Specs that need
+    the same variant share one pair.
     """
-    config = config or PipelineConfig()
-    encodes = [config.encode and not s.needs_raw_categories for s in grid]
-    base = fit_pipeline(train, replace(config, encode=encodes[0]))
+    base = fit_pipeline(train, config or PipelineConfig())
     held_imputed = impute(base.imputer, held_out)
     variants = {}
-    for enc in dict.fromkeys(encodes):
-        pipe = with_encoding(base, enc)
-        variants[enc] = (pipe, transform_imputed(pipe, held_imputed))
-    return [variants[enc] for enc in encodes]
+    for raw in dict.fromkeys(s.needs_raw_categories for s in grid):
+        pipe = without_encoding(base) if raw else base
+        variants[raw] = (pipe, transform_imputed(pipe, held_imputed))
+    return [variants[s.needs_raw_categories] for s in grid]
 
 
 def fit_and_score(grid, train, held_out, config: PipelineConfig, seeds) -> list:

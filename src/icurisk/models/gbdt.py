@@ -17,7 +17,8 @@ training round descends that tree to update the margins, and the fit joins
 its trees into the one Forest the model keeps. Margins add the per-tree
 leaf values in tree order, the same additions as a loop over trees.
 
-ordered_mode replaces declared categorical columns with ordered target
+ordered_mode replaces the multi-level discrete columns of the training
+table's schema (ordinal_score and categorical kinds) with ordered target
 statistics during training: a fresh seeded permutation each boosting round,
 each row encoded from the label prefix strictly before it (alpha-smoothed
 toward the training mean). Inference uses the full-training-data statistics.
@@ -31,6 +32,7 @@ import numpy as np
 
 from .._rng import derive_rng
 from ..errors import ConfigError, DataError
+from ..schema import multi_level_indices
 from ..special import log1pexp, logit, sigmoid
 
 _PROB_CLIP = 1e-7
@@ -49,7 +51,6 @@ class GbdtParams:
     l2_leaf: float = 1.0
     subsample: float = 1.0
     ordered_mode: bool = False
-    categorical_idx: tuple = ()
 
     def __post_init__(self):
         if self.depth < 1 or self.n_trees < 1:
@@ -58,7 +59,6 @@ class GbdtParams:
             raise ConfigError("subsample must be in (0, 1]")
         if self.learning_rate <= 0 or self.l2_leaf < 0:
             raise ConfigError("learning_rate > 0 and l2_leaf >= 0 required")
-        object.__setattr__(self, "categorical_idx", tuple(int(i) for i in self.categorical_idx))
 
 
 @dataclass(frozen=True)
@@ -282,14 +282,17 @@ def _apply_cat_stats(X, cat_stats):
 
 def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int = 0) -> GbdtModel:
     """Stagewise fit of the weighted logistic loss. train is a CohortTable
-    with no missing values; weights is a ClassWeights (None = unweighted)."""
+    with no missing values, whose schema names the columns ordered mode
+    orders; weights is a ClassWeights (None = unweighted)."""
     X = np.asfortranarray(train.X, dtype=float)
     y = np.asarray(train.y, dtype=float)
     if np.isnan(X).any():
         raise DataError("train_gbdt requires imputed (non-missing) inputs")
     w = weights.per_row(train.y) if weights is not None else np.ones(y.shape[0])
-    if params.ordered_mode and not params.categorical_idx:
-        raise ConfigError("ordered_mode needs categorical_idx")
+    ordered_cols = multi_level_indices(train.schema) if params.ordered_mode else ()
+    if params.ordered_mode and not ordered_cols:
+        raise ConfigError("ordered_mode needs a multi-level discrete feature "
+                          "(ordinal_score or categorical) in the schema")
 
     rng = derive_rng(seed, "gbdt")
     p_base = float(np.clip(np.sum(w * y) / np.sum(w), _PROB_CLIP, 1 - _PROB_CLIP))
@@ -297,10 +300,9 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
     prior = float(y.mean())
 
     cat_stats = {}
-    if params.ordered_mode:
-        for j in params.categorical_idx:
-            cats, enc = _full_stats(X[:, j], y, _ORDERED_ALPHA, prior)
-            cat_stats[j] = (cats, enc, prior)
+    for j in ordered_cols:
+        cats, enc = _full_stats(X[:, j], y, _ORDERED_ALPHA, prior)
+        cat_stats[j] = (cats, enc, prior)
 
     n = X.shape[0]
     # column block: presort[:, j] lists the rows in stable order of X[:, j];
@@ -314,7 +316,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
         if params.ordered_mode:
             Xt, order = X.copy(order="F"), presort.copy(order="F")
             perm = rng.permutation(n)
-            for j in params.categorical_idx:
+            for j in ordered_cols:
                 Xt[:, j] = _ordered_column(X[:, j], y, perm, _ORDERED_ALPHA, prior)
                 order[:, j] = np.argsort(Xt[:, j], kind="stable")
         p = sigmoid(margin)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import softmax
 
 from ..errors import DataError
 
@@ -67,8 +68,5 @@ def gnb_log_joint(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
 
 
 def gnb_posterior(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
-    """(n, 2) class posteriors via log-sum-exp; rows sum to 1."""
-    lj = gnb_log_joint(model, X)
-    m = lj.max(axis=1, keepdims=True)
-    e = np.exp(lj - m)
-    return e / e.sum(axis=1, keepdims=True)
+    """(n, 2) class posteriors, the softmax of the log joints; rows sum to 1."""
+    return softmax(gnb_log_joint(model, X), axis=1)

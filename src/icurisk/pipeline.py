@@ -260,13 +260,19 @@ def _load_stage(config: RunConfig):
         schema = default_schema()
     if config.input_path is not None:
         cohort = load_cohort(config.input_path, schema)
+        source = f"input_path {config.input_path}"
     else:
         cohort = synth_default_cohort(n=config.synth_n,
                                       event_rate=config.synth_event_rate,
                                       seed=derive_int(config.seed, "synth"))
         schema = cohort.schema
-    split = stratified_split(cohort, config.train_fraction,
-                             derive_int(config.seed, "split"))
+        source = (f"synthetic cohort, synth_n={config.synth_n}, "
+                  f"synth_event_rate={config.synth_event_rate}")
+    try:
+        split = stratified_split(cohort, config.train_fraction,
+                                 derive_int(config.seed, "split"))
+    except DataError as exc:
+        raise DataError(f"{exc} ({source})") from exc
     return schema, cohort, cohort.subset(split.train_rows), cohort.subset(split.test_rows)
 
 

@@ -3,7 +3,9 @@ data: KNN imputation, smoothed target encoding, z-scaling, class weights.
 
 Every stage is a frozen parameter object plus a pure transform. Transformed
 tables keep the original schema object; kinds and bounds always describe the
-raw measurement space, while transformed values live in model space.
+raw measurement space, while transformed values live in model space. Every
+multi-level discrete feature is target-encoded; without_encoding gives
+ordered boosting its raw codes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .cohort import CohortTable
 from .errors import ConfigError, DataError, OrderingError, SchemaError
-from .schema import feature_names
+from .schema import MULTI_LEVEL
 
 log = logging.getLogger(__name__)
 
@@ -62,10 +64,7 @@ def fit_imputer(train: CohortTable, k: int = 5) -> KnnImputer:
     with np.errstate(invalid="ignore"):
         loc = np.nanmean(X, axis=0)
         scale = np.nanstd(X, axis=0)
-    grids = tuple(
-        s.grid() if s.kind in ("binary", "ordinal_score", "categorical") else None
-        for s in train.schema
-    )
+    grids = tuple(s.grid() if s.kind != "continuous" else None for s in train.schema)
     return KnnImputer(
         k=int(k),
         feature_names_=train.feature_names,
@@ -145,7 +144,7 @@ def fit_encoder(train: CohortTable, feature: str, alpha: float = 10.0) -> Target
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     j = train.index_of(feature)
     spec = train.schema[j]
-    if spec.kind not in ("categorical", "ordinal_score"):
+    if spec.kind not in MULTI_LEVEL:
         raise ConfigError(f"{feature!r} is {spec.kind}; target encoding needs a discrete feature")
     col = train.X[:, j]
     obs = ~np.isnan(col)
@@ -262,19 +261,13 @@ def class_weights(labels) -> ClassWeights:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """encode: target-encode every multi-level discrete feature (ordinal_score
-    or categorical kinds); False keeps their raw codes. Binary flags are never
-    encoded."""
-
     k_neighbors: int = 5
     alpha: float = 10.0
-    encode: bool = True
 
 
 @dataclass(frozen=True)
 class FittedPipeline:
     schema: tuple
-    config: PipelineConfig
     imputer: KnnImputer
     encoders: tuple
     scaler: StandardScaler
@@ -287,23 +280,19 @@ class FittedPipeline:
 
 def fit_pipeline(train: CohortTable,
                  config: PipelineConfig = PipelineConfig()) -> FittedPipeline:
-    """Fit impute -> encode -> scale on the training fold only; the imputed
-    and the transformed fold are kept as imputed_table and fitted_table."""
+    """Fit impute -> encode -> scale on the training fold only, encoding the
+    schema's multi-level features; the imputed and the transformed fold are
+    kept as imputed_table and fitted_table."""
     imputer = fit_imputer(train, config.k_neighbors)
-    return _fit_after_impute(imputer, impute(imputer, train), config)
-
-
-def _fit_after_impute(imputer, imputed, config) -> FittedPipeline:
-    encoders = tuple(
-        fit_encoder(imputed, s.name, config.alpha) for s in imputed.schema
-        if config.encode and s.kind in ("ordinal_score", "categorical"))
+    imputed = impute(imputer, train)
+    encoders = tuple(fit_encoder(imputed, s.name, config.alpha)
+                     for s in imputed.schema if s.kind in MULTI_LEVEL)
     current = imputed
     for enc in encoders:
         current = encode(enc, current)
     scaler = fit_scaler(current)
     return FittedPipeline(
         schema=imputed.schema,
-        config=config,
         imputer=imputer,
         encoders=encoders,
         scaler=scaler,
@@ -313,14 +302,13 @@ def _fit_after_impute(imputer, imputed, config) -> FittedPipeline:
     )
 
 
-def with_encoding(pipeline: FittedPipeline, enabled: bool) -> FittedPipeline:
-    """The pipeline with target encoding on or off; imputer and imputed
-    training table are shared, encode and scale are fitted again if they
-    change."""
-    if pipeline.config.encode == enabled:
-        return pipeline
-    return _fit_after_impute(pipeline.imputer, pipeline.imputed_table,
-                             replace(pipeline.config, encode=enabled))
+def without_encoding(pipeline: FittedPipeline) -> FittedPipeline:
+    """The pipeline that keeps raw category codes, for ordered boosting,
+    which orders them itself: imputer, weights and imputed training table
+    are shared, and only the scaler is fitted again."""
+    scaler = fit_scaler(pipeline.imputed_table)
+    return replace(pipeline, encoders=(), scaler=scaler,
+                   fitted_table=scale(scaler, pipeline.imputed_table))
 
 
 def transform_imputed(pipeline: FittedPipeline, table: CohortTable) -> CohortTable:
@@ -334,54 +322,3 @@ def transform_imputed(pipeline: FittedPipeline, table: CohortTable) -> CohortTab
 def apply(pipeline: FittedPipeline, table: CohortTable) -> CohortTable:
     """Replay the frozen stages; never reads labels of the transformed rows."""
     return transform_imputed(pipeline, impute(pipeline.imputer, table))
-
-
-# ---------------------------------------------------------------------------
-# Serialization (audit/replay artifact)
-
-_FORMAT_VERSION = 1
-
-
-def _arr(a) -> list:
-    return np.asarray(a).tolist()
-
-
-def pipeline_to_jsonable(p: FittedPipeline) -> dict:
-    return {
-        "format_version": _FORMAT_VERSION,
-        "config": {
-            "k_neighbors": p.config.k_neighbors,
-            "alpha": p.config.alpha,
-            "encode": p.config.encode,
-        },
-        "feature_names": list(feature_names(p.schema)),
-        "imputer": {
-            "k": p.imputer.k,
-            "loc": _arr(p.imputer.loc),
-            "scale": _arr(p.imputer.scale),
-            "reference": _arr(p.imputer.reference),
-        },
-        "encoders": [
-            {
-                "feature": e.feature,
-                "alpha": e.alpha,
-                "global_mean": e.global_mean,
-                "category_values": _arr(e.category_values),
-                "category_counts": _arr(e.category_counts),
-                "category_means": _arr(e.category_means),
-            }
-            for e in p.encoders
-        ],
-        "scaler": {
-            "loc": _arr(p.scaler.loc),
-            "scale": _arr(p.scaler.scale),
-        },
-        "weights": {"w0": p.weights.w0, "w1": p.weights.w1},
-    }
-
-
-def pipeline_param_bytes(p: FittedPipeline) -> bytes:
-    """Canonical byte serialization of every fitted parameter (leakage probe)."""
-    import json
-
-    return json.dumps(pipeline_to_jsonable(p), sort_keys=True).encode()

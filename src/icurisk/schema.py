@@ -17,6 +17,7 @@ import numpy as np
 from .errors import SchemaError
 
 KINDS = ("continuous", "binary", "ordinal_score", "categorical")
+MULTI_LEVEL = ("ordinal_score", "categorical")   # discrete, more than two levels
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,10 @@ def validate_schema(specs) -> tuple:
 
 def feature_names(schema) -> tuple:
     return tuple(s.name for s in schema)
+
+
+def multi_level_indices(schema) -> tuple:
+    return tuple(i for i, s in enumerate(schema) if s.kind in MULTI_LEVEL)
 
 
 def schema_to_jsonable(schema) -> list:

@@ -24,7 +24,7 @@ from scipy.special import log_ndtr, ndtr, ndtri
 from ._rng import derive_rng
 from .cohort import CohortSummary, CohortTable, GroupStats
 from .errors import ConfigError, SchemaError
-from .schema import default_schema
+from .schema import MULTI_LEVEL, default_schema
 
 # Per-class reference moments for the bundled 17-feature schema:
 # feature -> ((class0 mean, sd), (class1 mean, sd)); class 1 = died.
@@ -216,7 +216,7 @@ def synth_cohort(summary, n, event_rate, missing_rates=None, seed=0) -> CohortTa
             sd_safe = np.where(s > 0, s, 1.0)
             x = _sample_truncnorm(rng, loc, sd_safe, spec.lower, spec.upper, n)
             x = np.where(s > 0, x, loc)
-            if spec.kind in ("ordinal_score", "categorical"):
+            if spec.kind in MULTI_LEVEL:
                 x = _stochastic_round(rng, x, spec)
             X[:, j] = x
 

@@ -11,12 +11,17 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import icurisk
-from icurisk.selftest import CRITERIA
+from icurisk.preprocess import fit_pipeline
+from icurisk.selftest import CRITERIA, _same_fit
+
+from conftest import make_table
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[c.cid for c in CRITERIA])
@@ -69,3 +74,25 @@ def test_selftest_runs_clean_up_their_directories(monkeypatch, tmp_path):
     for fn, args, kw in exit_hooks:
         fn(*args, **kw)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_leakage_probe_sees_a_one_bit_difference():
+    # C11 compares fitted pipelines with _same_fit; one bit of one encoder
+    # mean, or of one cell of either kept training table, must show
+    pipe = fit_pipeline(make_table(40, seed=3, missing=0.1))
+    [enc] = pipe.encoders
+
+    def nudged(a):
+        a = a.copy()
+        a.flat[0] = np.nextafter(a.flat[0], np.inf)
+        return a
+
+    assert _same_fit(pipe, replace(
+        pipe, encoders=(replace(enc, category_means=enc.category_means.copy()),)))
+    assert not _same_fit(pipe, replace(
+        pipe, encoders=(replace(enc, category_means=nudged(enc.category_means)),)))
+    for name in ("imputed_table", "fitted_table"):
+        table = getattr(pipe, name)
+        changed = replace(pipe, **{name: table.with_matrix(nudged(table.X))})
+        assert changed == pipe      # the kept tables are outside ==
+        assert not _same_fit(pipe, changed)

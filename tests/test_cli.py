@@ -163,6 +163,30 @@ def test_malformed_data_is_exit_3_with_failed_manifest(tmp_path, capsys):
     assert manifest["failed_stage"] == "dataset"
 
 
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+def test_one_class_cohort_is_exit_3_naming_its_source(source, tmp_path, capsys):
+    if source == "synthetic":
+        cfg = _write_config(tmp_path, synth_n=10, synth_event_rate=0.01)
+        named = ("synth_n=10", "synth_event_rate=0.01")
+    else:
+        csv_path = tmp_path / "cohort.csv"
+        assert main(["synth", "--seed", "4", "--n", "50", "--out",
+                     str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join(
+            [lines[0]] + [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]]) + "\n")
+        cfg = _write_config(tmp_path, input_path=str(csv_path))
+        named = (f"input_path {csv_path}",)
+    out = str(tmp_path / "arts")
+    assert main(["run", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "[stage:dataset]" in err and "both classes" in err
+    assert all(key in err for key in named), err
+    manifest = load_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["failed_stage"] == "dataset"
+
+
 def test_out_of_schema_cell_is_exit_3_with_failed_manifest(tmp_path, capsys):
     # a negative BUN loads as a number but lies below the schema's bound
     csv_path = tmp_path / "cohort.csv"

@@ -7,14 +7,14 @@ from icurisk import preprocess
 from icurisk.errors import ConfigError, DataError
 from icurisk.metrics import auroc
 from icurisk.models.cv import (ModelSpec, cross_validate, fit_and_score,
-                               fit_preprocessing, model_margin,
-                               multi_level_indices, predict_proba,
+                               fit_preprocessing, model_margin, predict_proba,
                                stratified_kfold, train_model)
 from icurisk.models.gbdt import gbdt_margin
 from icurisk.models.linear import linear_margin
 from icurisk.models.mlp import mlp_margin
 from icurisk.models.naive_bayes import gnb_posterior
 from icurisk.preprocess import PipelineConfig, class_weights
+from icurisk.schema import multi_level_indices
 from icurisk.special import sigmoid
 
 from conftest import make_table, small_schema, wrap_everywhere
@@ -188,9 +188,6 @@ def test_fit_preprocessing_encodes_all_but_ordered_boosting():
     assert ordered.imputer is plain.imputer
     assert plain_test.equals(preprocess.apply(plain, test))
     assert ordered_test.equals(preprocess.apply(ordered, test))
-    [(raw_only, _)] = fit_preprocessing(
-        (_PLAIN,), train, test, PipelineConfig(encode=False))
-    assert raw_only.encoders == ()
 
 
 def test_fit_and_score_trains_each_spec_with_its_seed():

@@ -16,7 +16,7 @@ from icurisk.models import gbdt, predict_proba
 from icurisk.models.gbdt import GbdtParams, gbdt_margin, train_gbdt
 from icurisk.schema import FeatureSpec
 
-from conftest import make_table
+from conftest import make_table, small_schema
 
 
 _A = 0.07142857142857142
@@ -103,8 +103,7 @@ def test_determinism_and_subsample_seed():
 def test_ordered_mode_encodes_categories():
     table = make_table(120, seed=11, informative=True)
     gcs_idx = table.index_of("gcs")
-    params = GbdtParams(depth=2, n_trees=10, ordered_mode=True,
-                        categorical_idx=(gcs_idx,))
+    params = GbdtParams(depth=2, n_trees=10, ordered_mode=True)
     model = train_gbdt(table, params, seed=2)
     assert gcs_idx in model.cat_stats
     cats, enc, prior = model.cat_stats[gcs_idx]
@@ -117,6 +116,11 @@ def test_ordered_mode_encodes_categories():
     row[0, gcs_idx] = -999.0
     m2 = gbdt_margin(model, row)
     assert m1 == pytest.approx(m2)
+    # the columns come from the schema; without a multi-level one there is
+    # nothing to order
+    flat = make_table(30, seed=1, schema=small_schema()[:3])
+    with pytest.raises(ConfigError, match="multi-level"):
+        train_gbdt(flat, params)
 
 
 def test_plain_mode_has_no_cat_stats():
@@ -224,7 +228,9 @@ def _tables(draw):
             cols.append(draw(st.lists(_CELL, min_size=n, max_size=n)))
     y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     w = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
-    schema = tuple(FeatureSpec(name=f"x{j}", kind="continuous") for j in range(d))
+    # x0 is the column ordered mode orders; the other modes ignore kinds
+    schema = (FeatureSpec(name="x0", kind="categorical", levels=("a", "b")),) + tuple(
+        FeatureSpec(name=f"x{j}", kind="continuous") for j in range(1, d))
     return CohortTable(schema, np.array(cols).T, y), _RowWeights(np.array(w))
 
 
@@ -252,7 +258,7 @@ def test_presorted_search_matches_per_feature_reference(
     if mode == "subsample":
         kw["subsample"] = 0.7
     if mode == "ordered":
-        kw.update(ordered_mode=True, categorical_idx=(0,))
+        kw["ordered_mode"] = True
     table, weights = table_weights
     weights = weights if weighted else None
     grown = []
@@ -320,7 +326,7 @@ def test_margin_matches_per_tree_reference(table_weights, depth, mode, chunk,
     if mode == "subsample":
         kw["subsample"] = 0.7
     if mode == "ordered":
-        kw.update(ordered_mode=True, categorical_idx=(0,))
+        kw["ordered_mode"] = True
     table, weights = table_weights
     grown = []
     real = gbdt._grow_tree

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError, OrderingError, SchemaError
-from icurisk.preprocess import (PipelineConfig, apply, class_weights, encode,
-                                fit_encoder, fit_imputer, fit_pipeline,
-                                fit_scaler, impute, pipeline_param_bytes,
-                                pipeline_to_jsonable, scale, with_encoding)
+from icurisk.preprocess import (apply, class_weights, encode, fit_encoder,
+                                fit_imputer, fit_pipeline, fit_scaler, impute,
+                                scale, without_encoding)
+from icurisk.selftest import _same_fit
 from icurisk.schema import FeatureSpec
 
 from conftest import make_table, small_schema
@@ -276,39 +276,37 @@ def test_pipeline_fit_apply(table40):
 
 
 def test_fitted_table_is_the_transformed_training_table(table40):
-    for cfg in (PipelineConfig(), PipelineConfig(encode=False)):
-        pipe = fit_pipeline(table40, cfg)
+    encoded = fit_pipeline(table40)
+    for pipe in (encoded, without_encoding(encoded)):
         assert pipe.fitted_table.equals(apply(pipe, table40))
         assert "fitted_table" not in repr(pipe)
-        assert "fitted_table" not in pipeline_to_jsonable(pipe)
 
 
 def test_pipeline_encode_selection(table40):
-    none = fit_pipeline(table40, PipelineConfig(encode=False))
-    assert none.encoders == ()
-    encoded = fit_pipeline(table40, PipelineConfig())
-    assert [e.feature for e in encoded.encoders] == ["gcs"]
-
-
-def test_with_encoding_shares_the_imputation(table40):
+    # the multi-level kinds are encoded, the binary flag and the
+    # continuous features are not
     encoded = fit_pipeline(table40)
-    raw = with_encoding(encoded, False)
+    assert [e.feature for e in encoded.encoders] == ["gcs"]
+    assert without_encoding(encoded).encoders == ()
+
+
+def test_without_encoding_shares_the_imputation(table40):
+    encoded = fit_pipeline(table40)
+    raw = without_encoding(encoded)
     assert raw.imputer is encoded.imputer
     assert raw.imputed_table is encoded.imputed_table
-    assert pipeline_param_bytes(raw) == pipeline_param_bytes(
-        fit_pipeline(table40, PipelineConfig(encode=False)))
+    assert raw.weights is encoded.weights
+    # only the scaler is fitted again, on the raw imputed codes
+    fresh = fit_scaler(encoded.imputed_table)
+    assert np.array_equal(raw.scaler.loc, fresh.loc)
+    assert np.array_equal(raw.scaler.scale, fresh.scale)
     assert raw.fitted_table.equals(apply(raw, table40))
-    assert pipeline_param_bytes(with_encoding(raw, True)) == pipeline_param_bytes(encoded)
-    assert with_encoding(encoded, True) is encoded
 
 
-def test_pipeline_param_bytes_deterministic(table40):
-    a = pipeline_param_bytes(fit_pipeline(table40))
-    b = pipeline_param_bytes(fit_pipeline(table40))
-    assert a == b
-    payload = pipeline_to_jsonable(fit_pipeline(table40))
-    assert payload["format_version"] == 1
-    assert len(payload["imputer"]["reference"]) == table40.n
+def test_pipeline_fit_deterministic(table40):
+    pipe = fit_pipeline(table40)
+    assert _same_fit(pipe, fit_pipeline(table40))
+    assert pipe.imputer.reference.shape == (table40.n, table40.d)
 
 
 def test_apply_never_uses_query_labels(table40):
