@@ -1,5 +1,5 @@
 """Cohort data model: the labeled feature table, CSV ingestion/emission,
-stratified splitting, and per-class summaries.
+stratified splitting, and per-class moment summaries.
 
 Missing values are NaN internally and empty cells in CSV. Tables are
 immutable after construction; every operation returns a new table.
@@ -44,6 +44,9 @@ class CohortTable:
 
     def __setattr__(self, *_):
         raise AttributeError("CohortTable is immutable")
+
+    def __reduce__(self):  # pickle and deepcopy rebuild through __init__
+        return CohortTable, (self.schema, self.X, self.y)
 
     @property
     def n(self) -> int:
@@ -207,7 +210,6 @@ def load_cohort(path, schema) -> CohortTable:
 class SplitIndex:
     train_rows: np.ndarray
     test_rows: np.ndarray
-    seed: int
 
 
 def stratified_split(table: CohortTable, train_fraction: float, seed: int) -> SplitIndex:
@@ -233,50 +235,41 @@ def stratified_split(table: CohortTable, train_fraction: float, seed: int) -> Sp
         test_parts.append(idx[perm[n_train:]])
     train_rows = np.sort(np.concatenate(train_parts))
     test_rows = np.sort(np.concatenate(test_parts))
-    return SplitIndex(train_rows=train_rows, test_rows=test_rows, seed=int(seed))
+    return SplitIndex(train_rows=train_rows, test_rows=test_rows)
 
 
 # ---------------------------------------------------------------------------
 # Summaries
 
 @dataclass(frozen=True)
-class GroupStats:
-    """Per-feature moments over one group of rows. mean/sd are NaN when the
-    document count is too small (0 for mean, <2 for sd)."""
-
-    count: np.ndarray       # non-missing documents per feature
-    mean: np.ndarray
-    sd: np.ndarray          # sample sd (ddof=1)
-    missing_frac: np.ndarray
-    n_rows: int
-
-
-@dataclass(frozen=True)
 class CohortSummary:
-    features: tuple
-    groups: dict            # "class0"/"class1" -> GroupStats
-    event_rate: float
+    """Per-class feature moments over a schema: row c of mean and sd, each
+    (2, len(schema)), holds class c. A moment is NaN where too few values are
+    documented (none for a mean, fewer than 2 for the sample sd)."""
 
+    schema: tuple
+    mean: np.ndarray
+    sd: np.ndarray
 
-def _group_stats(X: np.ndarray) -> GroupStats:
-    n = X.shape[0]
-    obs = ~np.isnan(X)
-    count = obs.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        mean = np.where(count > 0, np.nanmean(X, axis=0), np.nan)
-        sd = np.full(X.shape[1], np.nan)
-        enough = count >= 2
-        if enough.any():
-            sd_all = np.nanstd(X, axis=0, ddof=1)
-            sd = np.where(enough, sd_all, np.nan)
-    missing = 1.0 - count / n if n else np.ones(X.shape[1])
-    return GroupStats(count=count, mean=mean, sd=sd, missing_frac=missing, n_rows=n)
+    def __post_init__(self):
+        for name in ("mean", "sd"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.shape != (2, len(self.schema)):
+                raise ConfigError(f"summary {name} has shape {value.shape}, "
+                                  f"expected (2, {len(self.schema)})")
+            object.__setattr__(self, name, value)
 
 
 def summarize(table: CohortTable) -> CohortSummary:
-    """Per-feature mean/sd/missing-fraction/document-count per class."""
-    return CohortSummary(
-        features=table.feature_names,
-        groups={f"class{c}": _group_stats(table.X[table.y == c]) for c in (0, 1)},
-        event_rate=float(table.y.mean()),
-    )
+    """Per-class mean and sample sd (ddof=1) of every feature."""
+    mean = np.full((2, table.d), np.nan)
+    sd = np.full((2, table.d), np.nan)
+    for c in (0, 1):
+        X = table.X[table.y == c]
+        count = (~np.isnan(X)).sum(axis=0)
+        with np.errstate(invalid="ignore"):
+            mean[c] = np.where(count > 0, np.nanmean(X, axis=0), np.nan)
+            enough = count >= 2
+            if enough.any():
+                sd[c] = np.where(enough, np.nanstd(X, axis=0, ddof=1), np.nan)
+    return CohortSummary(schema=table.schema, mean=mean, sd=sd)

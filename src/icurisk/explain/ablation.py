@@ -32,9 +32,7 @@ class AblationReport:
     baseline_dist: np.ndarray       # (B,) bootstrap AUROCs, all features
     dropped_dist: dict              # name -> (B,) bootstrap AUROCs without it
     dropped_auroc: dict             # name -> point estimate without it
-    spec: ModelSpec
     n_resamples: int
-    seed: int
 
     def mean_drop(self, name: str) -> float:
         """Mean paired AUROC loss from removing one feature."""
@@ -78,5 +76,4 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
 
     return AblationReport(features=tuple(ablated), baseline_auroc=baseline,
                           baseline_dist=base_dist, dropped_dist=dropped_dist,
-                          dropped_auroc=dropped_point, spec=spec,
-                          n_resamples=n_resamples, seed=seed)
+                          dropped_auroc=dropped_point, n_resamples=n_resamples)

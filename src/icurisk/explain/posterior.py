@@ -1,11 +1,11 @@
 """Posterior risk distribution via MCMC.
 
 posterior_risk_inputs samples plausible non-survivor feature vectors from
-independent truncated Gaussians calibrated to class-conditional moments and
-pushes them through a trained predictor; binary flags are integrated out by
-enumerating their combinations weighted by class prevalence. Ordinal features
-are sampled on their continuous relaxation and snapped to the measurement
-grid before prediction.
+independent truncated Gaussians calibrated to the class-1 moments of a
+CohortSummary and pushes them through a trained predictor; binary flags are
+integrated out by enumerating their combinations weighted by class
+prevalence. Ordinal features are sampled on their continuous relaxation and
+snapped to the measurement grid before prediction.
 """
 
 from __future__ import annotations
@@ -66,27 +66,19 @@ def _snap_ordinal(values: np.ndarray, spec: FeatureSpec) -> np.ndarray:
     return np.clip(snapped, spec.lower, spec.upper)
 
 
-def posterior_risk_inputs(model, nonsurvivor_summary: CohortSummary, schema,
+def posterior_risk_inputs(model, summary: CohortSummary,
                           dream: DreamConfig = DreamConfig()) -> PosteriorRisk:
     """Risk distribution over feature vectors drawn from non-survivor priors.
 
     model: callable mapping raw-space feature rows (m, d) to probabilities,
-    such as a pipeline Predictor. schema lists the summary's features in
-    order. The summary must carry a "class1" group with finite moments for
-    every feature.
+    such as a pipeline Predictor, over summary.schema. The priors are the
+    summary's class-1 moments, which must be finite for every feature.
     """
-    stats = nonsurvivor_summary.groups.get("class1")
-    if stats is None:
-        raise ConfigError("summary must provide class1 group statistics")
-    names = [s.name for s in schema]
-    if list(nonsurvivor_summary.features) != names:
-        raise ConfigError("summary features and schema are ordered differently")
-
-    means = np.asarray(stats.mean, dtype=float)
-    sds = np.asarray(stats.sd, dtype=float)
-    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(sds))):
-        bad = [n for n, m, s in zip(names, means, sds)
-               if not (np.isfinite(m) and np.isfinite(s))]
+    schema = summary.schema
+    means, sds = summary.mean[1], summary.sd[1]
+    finite = np.isfinite(means) & np.isfinite(sds)
+    if not finite.all():
+        bad = [s.name for s, ok in zip(schema, finite) if not ok]
         raise ConfigError(f"missing class moments for features: {bad}")
 
     d = len(schema)

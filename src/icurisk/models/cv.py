@@ -127,7 +127,6 @@ def predict_proba(model, rows) -> np.ndarray:
 @dataclass(frozen=True)
 class CvPlan:
     folds: tuple  # k arrays of validation row indices; a partition
-    seed: int
     k: int
 
 
@@ -147,7 +146,7 @@ def stratified_kfold(labels, k: int, seed: int) -> CvPlan:
         idx = idx[rng.permutation(idx.size)]
         for pos, row in enumerate(idx):
             folds[pos % k].append(row)
-    return CvPlan(folds=tuple(np.sort(np.array(f)) for f in folds), seed=int(seed), k=k)
+    return CvPlan(folds=tuple(np.sort(np.array(f)) for f in folds), k=k)
 
 
 def fit_preprocessing(grid, train, held_out, config: PipelineConfig = None) -> list:

@@ -114,12 +114,23 @@ class RunConfig:
              "shap_background", "shap_rows", "ablation_resamples",
              "k_neighbors"), 1)
         # the limits of the layers beneath, checked before any model is fit:
-        # k-fold CV, the cohort generator and the posterior sampler
+        # k-fold CV, the coverage filter, the cohort generator and the
+        # posterior sampler
         minimum.update(cv_folds=2, synth_n=10, posterior_chains=3,
-                       posterior_generations=2)
+                       posterior_generations=2, min_documented_patients=0)
         for name, low in minimum.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
+        if not 0.0 <= self.max_missing_fraction <= 1.0:
+            raise ConfigError("max_missing_fraction must be in [0, 1]")
+        # a stratified split keeps at most n * train_fraction + 1 training
+        # rows, so the coverage filter would drop every feature
+        most = self.synth_n * self.train_fraction + 1
+        if self.input_path is None and most < self.min_documented_patients:
+            raise ConfigError(
+                f"min_documented_patients={self.min_documented_patients} exceeds "
+                f"the at most {int(most)} training rows of synth_n={self.synth_n} "
+                f"at train_fraction={self.train_fraction}")
         if not 0.0 <= self.posterior_burn_in < 1.0:
             raise ConfigError("posterior_burn_in must be in [0, 1)")
 
@@ -231,7 +242,6 @@ class RunResult:
     """In-memory bundle of everything the report stage serializes."""
 
     config: RunConfig
-    schema: tuple                   # schema of the loaded cohort
     cohort: CohortTable             # full raw cohort
     train: CohortTable              # raw, selected features
     test: CohortTable
@@ -265,7 +275,6 @@ def _load_stage(config: RunConfig):
         cohort = synth_default_cohort(n=config.synth_n,
                                       event_rate=config.synth_event_rate,
                                       seed=derive_int(config.seed, "synth"))
-        schema = cohort.schema
         source = (f"synthetic cohort, synth_n={config.synth_n}, "
                   f"synth_event_rate={config.synth_event_rate}")
     try:
@@ -273,7 +282,7 @@ def _load_stage(config: RunConfig):
                                  derive_int(config.seed, "split"))
     except DataError as exc:
         raise DataError(f"{exc} ({source})") from exc
-    return schema, cohort, cohort.subset(split.train_rows), cohort.subset(split.test_rows)
+    return cohort, cohort.subset(split.train_rows), cohort.subset(split.test_rows)
 
 
 def _select_stage(config: RunConfig, train: CohortTable, test: CohortTable):
@@ -367,8 +376,7 @@ def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
                             n_generations=config.posterior_generations,
                             burn_in=config.posterior_burn_in,
                             seed=derive_int(config.seed, "posterior"))
-    posterior = posterior_risk_inputs(predictor, summarize(train), train.schema,
-                                      dream_cfg)
+    posterior = posterior_risk_inputs(predictor, summarize(train), dream_cfg)
     return abl, shap, fg_rows, curves, posterior, predictor
 
 
@@ -390,7 +398,7 @@ def run(config: RunConfig) -> RunResult:
         timings[name] = time.perf_counter() - t0
         return out
 
-    schema, cohort, train_raw, test_raw = staged("dataset", _load_stage, config)
+    cohort, train_raw, test_raw = staged("dataset", _load_stage, config)
     train, test, filter_report, ranking = staged(
         "select", _select_stage, config, train_raw, test_raw)
     rows, fitted, winner, shap_label = staged(
@@ -407,7 +415,7 @@ def run(config: RunConfig) -> RunResult:
         train, test, ranking)
 
     return RunResult(
-        config=config, schema=schema, cohort=cohort, train=train, test=test,
+        config=config, cohort=cohort, train=train, test=test,
         filter_report=filter_report, ranking=ranking, benchmark=rows,
         winner=winner, shap_model_label=shap_label, roc=roc,
         ttest_split=ttest_split, ttest_outcome=ttest_outcome,

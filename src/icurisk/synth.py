@@ -1,4 +1,5 @@
-"""Synthetic cohort generator calibrated to per-class feature moments.
+"""Synthetic cohort generator calibrated to per-class feature moments: a
+CohortSummary, whose schema the generated cohort takes.
 
 Features are drawn independently per class from Gaussians truncated to the
 schema's physiologic bounds. Plain truncation shifts the mean, badly so for
@@ -22,12 +23,12 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._rng import derive_rng
-from .cohort import CohortSummary, CohortTable, GroupStats
-from .errors import ConfigError, SchemaError
+from .cohort import CohortSummary, CohortTable
+from .errors import ConfigError
 from .schema import MULTI_LEVEL, default_schema
 
 # Per-class reference moments for the bundled 17-feature schema:
-# feature -> ((class0 mean, sd), (class1 mean, sd)); class 1 = died.
+# feature -> ((class 0 mean, sd), (class 1 mean, sd)); class 1 = died.
 REFERENCE_MOMENTS = {
     "Richmond-RAS Scale": ((-0.90, 1.13), (-2.50, 1.68)),
     "BUN": ((20.71, 13.50), (40.40, 32.81)),
@@ -68,23 +69,9 @@ DEFAULT_MISSING_RATES = {
 def reference_summary() -> CohortSummary:
     """CohortSummary carrying the bundled per-class reference moments."""
     schema = default_schema()
-    names = tuple(s.name for s in schema)
-    n_total = 1301
-    n1 = int(round(REFERENCE_EVENT_RATE * n_total))
-    n0 = n_total - n1
-    groups = {}
-    for cls, n_rows in (("class0", n0), ("class1", n1)):
-        idx = 0 if cls == "class0" else 1
-        mean = np.array([REFERENCE_MOMENTS[name][idx][0] for name in names])
-        sd = np.array([REFERENCE_MOMENTS[name][idx][1] for name in names])
-        groups[cls] = GroupStats(
-            count=np.full(len(names), n_rows),
-            mean=mean,
-            sd=sd,
-            missing_frac=np.zeros(len(names)),
-            n_rows=n_rows,
-        )
-    return CohortSummary(features=names, groups=groups, event_rate=REFERENCE_EVENT_RATE)
+    moments = np.array([REFERENCE_MOMENTS[s.name] for s in schema])  # (d, 2, 2)
+    return CohortSummary(schema=schema, mean=moments[:, :, 0].T,
+                         sd=moments[:, :, 1].T)
 
 
 _SQRT_2PI = sqrt(2.0 * pi)
@@ -172,9 +159,8 @@ def _stochastic_round(rng, x, spec):
 
 
 def synth_cohort(summary, n, event_rate, missing_rates=None, seed=0) -> CohortTable:
-    """Generate an n-row cohort whose class-conditional marginals match the
-    summary's per-class moments. Its schema is the bundled schema restricted
-    to summary.features.
+    """Generate an n-row cohort over summary.schema whose class-conditional
+    marginals match the summary's per-class moments.
 
     missing_rates: mapping feature name -> MCAR missing probability (absent =
     0).
@@ -183,36 +169,28 @@ def synth_cohort(summary, n, event_rate, missing_rates=None, seed=0) -> CohortTa
         raise ConfigError(f"n must be at least 10, got {n}")
     if not 0.0 < event_rate < 1.0:
         raise ConfigError(f"event_rate must be in (0, 1), got {event_rate}")
-    if "class0" not in summary.groups or "class1" not in summary.groups:
-        raise ConfigError("synth_cohort needs a per-class summary (class0 and class1)")
     missing_rates = dict(missing_rates or {})
     for name, rate in missing_rates.items():
         if not 0.0 <= rate < 1.0:
             raise ConfigError(f"missing rate for {name!r} must be in [0, 1), got {rate}")
-    by_name = {s.name: s for s in default_schema()}
-    try:
-        schema = tuple(by_name[name] for name in summary.features)
-    except KeyError as exc:
-        raise SchemaError(f"summary feature {exc} is not in the bundled schema") from None
-
-    g0, g1 = summary.groups["class0"], summary.groups["class1"]
-    for j, name in enumerate(summary.features):
-        if any(np.isnan(v) for v in (g0.mean[j], g0.sd[j], g1.mean[j], g1.sd[j])):
-            raise ConfigError(f"summary lacks moments for feature {name!r}")
+    schema = summary.schema
+    for j, spec in enumerate(schema):
+        if np.isnan(summary.mean[:, j]).any() or np.isnan(summary.sd[:, j]).any():
+            raise ConfigError(f"summary lacks moments for feature {spec.name!r}")
 
     rng = derive_rng(seed, "synth")
     y = (rng.random(n) < event_rate).astype(np.int64)
     X = np.empty((n, len(schema)))
 
     for j, spec in enumerate(schema):
-        m = np.where(y == 1, g1.mean[j], g0.mean[j])
-        s = np.where(y == 1, g1.sd[j], g0.sd[j])
+        m = summary.mean[y, j]
+        s = summary.sd[y, j]
         if spec.kind == "binary":
             X[:, j] = (rng.random(n) < np.clip(m, 0.0, 1.0)).astype(float)
         else:
-            loc0 = recalibrated_loc(g0.mean[j], g0.sd[j], spec.lower, spec.upper)
-            loc1 = recalibrated_loc(g1.mean[j], g1.sd[j], spec.lower, spec.upper)
-            loc = np.where(y == 1, loc1, loc0)
+            loc = np.array([recalibrated_loc(summary.mean[c, j], summary.sd[c, j],
+                                             spec.lower, spec.upper)
+                            for c in (0, 1)])[y]
             sd_safe = np.where(s > 0, s, 1.0)
             x = _sample_truncnorm(rng, loc, sd_safe, spec.lower, spec.upper, n)
             x = np.where(s > 0, x, loc)

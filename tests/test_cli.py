@@ -72,6 +72,20 @@ def test_posterior_settings_fail_before_fitting(tmp_path, capsys):
         assert key in err and "[stage:" not in err
 
 
+def test_hopeless_coverage_settings_are_exit_2_before_any_stage(
+        tmp_path, capsys):
+    out = tmp_path / "x"
+    for over, named in (({"max_missing_fraction": 1.5}, "max_missing_fraction"),
+                        ({"min_documented_patients": -1},
+                         "min_documented_patients"),
+                        ({"synth_n": 60}, "synth_n=60")):
+        cfg = _write_config(tmp_path, **over)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "[stage:" not in err
+    assert not out.exists()
+
+
 def test_out_naming_a_file_is_exit_2_before_fitting(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
@@ -166,7 +180,8 @@ def test_malformed_data_is_exit_3_with_failed_manifest(tmp_path, capsys):
 @pytest.mark.parametrize("source", ["synthetic", "csv"])
 def test_one_class_cohort_is_exit_3_naming_its_source(source, tmp_path, capsys):
     if source == "synthetic":
-        cfg = _write_config(tmp_path, synth_n=10, synth_event_rate=0.01)
+        cfg = _write_config(tmp_path, synth_n=10, synth_event_rate=0.01,
+                            min_documented_patients=1)
         named = ("synth_n=10", "synth_event_rate=0.01")
     else:
         csv_path = tmp_path / "cohort.csv"

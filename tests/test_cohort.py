@@ -1,13 +1,17 @@
 """Cohort table invariants, CSV round trips, stratified splitting, and
 per-class summaries."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icurisk.cohort import (CohortTable, load_cohort, save_cohort,
-                            stratified_split, summarize, validate_values)
+from icurisk.cohort import (CohortSummary, CohortTable, load_cohort,
+                            save_cohort, stratified_split, summarize,
+                            validate_values)
 from icurisk.errors import ConfigError, DataError, SchemaError
 from icurisk.schema import FeatureSpec
 
@@ -201,10 +205,28 @@ def test_split_keeps_every_class_on_both_sides():
 
 def test_summarize_matches_nan_moments(table40):
     summary = summarize(table40)
+    assert summary.schema == table40.schema
+    assert summary.mean.shape == summary.sd.shape == (2, table40.d)
     for c in (0, 1):
         Xc = table40.X[table40.y == c]
-        g = summary.groups[f"class{c}"]
-        assert np.allclose(g.mean, np.nanmean(Xc, axis=0), equal_nan=True)
-        assert np.allclose(g.sd, np.nanstd(Xc, axis=0, ddof=1), equal_nan=True)
-        assert np.array_equal(g.count, (~np.isnan(Xc)).sum(axis=0))
-    assert summary.event_rate == table40.y.mean()
+        assert np.allclose(summary.mean[c], np.nanmean(Xc, axis=0), equal_nan=True)
+        assert np.allclose(summary.sd[c], np.nanstd(Xc, axis=0, ddof=1),
+                           equal_nan=True)
+
+
+def test_summary_of_the_wrong_shape_is_rejected(schema4):
+    good = np.zeros((2, 4))
+    with pytest.raises(ConfigError, match=r"mean has shape \(4,\)"):
+        CohortSummary(schema4, np.zeros(4), good)
+    with pytest.raises(ConfigError, match=r"sd has shape \(2, 3\)"):
+        CohortSummary(schema4, good, np.zeros((2, 3)))
+    with pytest.raises(ConfigError, match=r"expected \(2, 4\)"):
+        CohortSummary(schema4, np.zeros((3, 4)), good)
+
+
+def test_table_survives_pickle_and_deepcopy(table40):
+    for copied in (pickle.loads(pickle.dumps(table40)), copy.deepcopy(table40)):
+        assert copied.equals(table40) and copied is not table40
+        with pytest.raises(AttributeError):
+            copied.y = None
+        assert not copied.X.flags.writeable

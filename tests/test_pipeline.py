@@ -19,6 +19,7 @@ from icurisk.report import (load_report_schema, validate_report,
                             write_artifacts)
 from icurisk.schema import FeatureSpec, save_schema
 from icurisk.selftest import PROBE_CONFIG, full_run
+from icurisk.synth import synth_default_cohort
 
 from conftest import make_table, small_schema, wrap_everywhere
 
@@ -188,7 +189,7 @@ def test_selection_respects_top_k(small_run):
     assert small_run.train.d == 8
     # columns keep schema order but the selected set is the MI top slice
     assert set(small_run.train.feature_names) == set(small_run.ranking.selected)
-    schema_order = [s.name for s in small_run.schema]
+    schema_order = list(small_run.cohort.feature_names)
     positions = [schema_order.index(n) for n in small_run.train.feature_names]
     assert positions == sorted(positions)
     assert small_run.test.feature_names == small_run.train.feature_names
@@ -219,7 +220,7 @@ def test_ttest_tables_cover_features(small_run):
     split_feats = [r["feature"] for r in small_run.ttest_split]
     assert split_feats == list(small_run.train.feature_names)
     outcome_feats = [r["feature"] for r in small_run.ttest_outcome]
-    assert outcome_feats == [s.name for s in small_run.schema]
+    assert outcome_feats == list(small_run.cohort.feature_names)
 
 
 def test_run_config_round_trip_and_validation():
@@ -240,7 +241,10 @@ def test_run_config_round_trip_and_validation():
         RunConfig(seed=-1)
     for key, value in (("posterior_burn_in", 1.0), ("posterior_burn_in", -0.1),
                        ("posterior_chains", 2), ("posterior_generations", 1),
-                       ("cv_folds", 1), ("synth_n", 5)):
+                       ("cv_folds", 1), ("synth_n", 5),
+                       ("max_missing_fraction", -0.1),
+                       ("max_missing_fraction", 1.5),
+                       ("min_documented_patients", -1)):
         with pytest.raises(ConfigError, match=key):
             RunConfig(seed=0, **{key: value})
     # mistyped values, as a JSON config can carry them
@@ -286,14 +290,32 @@ def test_train_fraction_that_empties_a_class_fails_at_the_split():
         run(cfg)
 
 
-def test_coverage_filter_that_drops_everything_names_its_keys():
-    # about 42 training rows can never reach 100 documented patients
+def test_coverage_filter_that_drops_everything_names_its_keys(tmp_path):
+    # the 42 training rows of a 60-row CSV never reach 100 documented patients
+    csv = tmp_path / "cohort.csv"
+    save_cohort(synth_default_cohort(n=60, seed=1), csv)
     with pytest.raises(DataError, match=r"\[stage:select\] coverage") as info:
-        run(RunConfig(seed=1, synth_n=60))
+        run(RunConfig(seed=1, input_path=str(csv)))
     assert info.value.stage == "select"
     msg = str(info.value)
     assert "max_missing_fraction=0.2" in msg
     assert "min_documented_patients=100" in msg and "42 rows" in msg
+
+
+def test_synthetic_cohort_too_small_to_document_a_feature_is_a_config_error():
+    # 60 x 0.7 + 1 = 43 training rows at most, short of 100 documented
+    # patients; the config is refused before the cohort is generated
+    with pytest.raises(ConfigError) as info:
+        run(RunConfig(seed=1, synth_n=60))
+    msg = str(info.value)
+    assert "[stage:" not in msg
+    assert all(key in msg for key in ("min_documented_patients=100",
+                                      "synth_n=60", "train_fraction=0.7"))
+    # the same bound is fine once the cohort can reach it, or with a CSV
+    RunConfig(seed=1, synth_n=60, min_documented_patients=43)
+    RunConfig(seed=1, synth_n=60, input_path="cohort.csv")
+    with pytest.raises(ConfigError, match="min_documented_patients=44"):
+        RunConfig(seed=1, synth_n=60, min_documented_patients=44)
 
 
 def test_ordered_row_downgrades_without_discrete_features(tmp_path):

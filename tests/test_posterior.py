@@ -4,7 +4,7 @@ enumeration and ordinal snapping."""
 import numpy as np
 import pytest
 
-from icurisk.cohort import CohortSummary, GroupStats, summarize
+from icurisk.cohort import CohortSummary, summarize
 from icurisk.errors import ConfigError
 from icurisk.explain.dream import DreamConfig
 from icurisk.explain import posterior
@@ -16,20 +16,17 @@ from conftest import make_table, small_schema
 _FAST = DreamConfig(n_chains=8, n_generations=600, seed=0)
 
 
-def _summary(schema, means, sds, group="class1"):
-    d = len(schema)
-    stats = GroupStats(count=np.full(d, 50), mean=np.asarray(means, float),
-                       sd=np.asarray(sds, float),
-                       missing_frac=np.zeros(d), n_rows=50)
-    return CohortSummary(features=tuple(s.name for s in schema),
-                         groups={group: stats}, event_rate=0.2)
+def _summary(schema, means, sds):
+    """A summary whose class-1 row holds the given moments; class 0 is unused."""
+    return CohortSummary(schema, np.vstack([np.zeros(len(schema)), means]),
+                         np.vstack([np.ones(len(schema)), sds]))
 
 
 def test_constant_predictor_collapses_to_a_point():
     schema = small_schema()
     summary = _summary(schema, [60.0, 2.0, 0.3, 10.0], [10.0, 1.0, 0.46, 2.0])
     risk = posterior_risk_inputs(lambda X: np.full(X.shape[0], 0.3), summary,
-                                 schema, _FAST)
+                                 _FAST)
     assert risk.samples == pytest.approx(0.3, abs=1e-12)
     assert risk.mean == pytest.approx(0.3, abs=1e-12)
     assert risk.ci_low == pytest.approx(0.3, abs=1e-12)
@@ -47,7 +44,7 @@ def test_ordinal_draws_are_snapped_to_the_grid():
         return np.where(off, 1.0, 0.5)
 
     summary = _summary(schema, [60.0, 2.0, 0.3, 10.0], [10.0, 1.0, 0.46, 2.5])
-    risk = posterior_risk_inputs(detector, summary, schema, _FAST)
+    risk = posterior_risk_inputs(detector, summary, _FAST)
     assert np.all(risk.samples == 0.5)
 
 
@@ -59,7 +56,7 @@ def test_binary_flags_average_by_prevalence():
     prevalence = 0.35
     summary = _summary(schema, [60.0, 2.0, prevalence, 10.0],
                        [10.0, 1.0, 0.48, 2.0])
-    risk = posterior_risk_inputs(lambda X: X[:, vent], summary, schema, _FAST)
+    risk = posterior_risk_inputs(lambda X: X[:, vent], summary, _FAST)
     assert risk.samples == pytest.approx(prevalence, abs=1e-12)
 
 
@@ -72,7 +69,7 @@ def test_all_pinned_degenerate_prior():
         calls.append(X.copy())
         return np.full(X.shape[0], 0.7)
 
-    risk = posterior_risk_inputs(f, summary, schema, _FAST)
+    risk = posterior_risk_inputs(f, summary, _FAST)
     assert risk.reliable and risk.acceptance_rate == 1.0
     assert risk.max_split_rhat == 1.0
     assert risk.mean == pytest.approx(0.7)
@@ -91,7 +88,7 @@ def test_sampled_means_respect_truncation_target():
         seen.append(X.copy())
         return np.full(X.shape[0], 0.5)
 
-    posterior_risk_inputs(f, summary, schema,
+    posterior_risk_inputs(f, summary,
                           DreamConfig(n_chains=10, n_generations=4000, seed=2))
     draws = np.concatenate(seen, axis=0)
     assert np.all(draws[:, 1] >= 0.0)
@@ -101,24 +98,17 @@ def test_sampled_means_respect_truncation_target():
 
 def test_inputs_mode_error_paths():
     schema = small_schema()
-    good = _summary(schema, [60.0, 2.0, 0.3, 10.0], [10.0, 1.0, 0.46, 2.0])
     f = lambda X: np.full(X.shape[0], 0.5)
-    with pytest.raises(ConfigError, match="class1"):
-        bad = CohortSummary(good.features, {"class0": good.groups["class1"]},
-                            0.2)
-        posterior_risk_inputs(f, bad, schema, _FAST)
-    with pytest.raises(ConfigError, match="ordered differently"):
-        posterior_risk_inputs(f, good, tuple(reversed(schema)), _FAST)
     with pytest.raises(ConfigError, match="lactate"):
         nan = _summary(schema, [60.0, np.nan, 0.3, 10.0], [10.0, 1.0, 0.46, 2.0])
-        posterior_risk_inputs(f, nan, schema, _FAST)
+        posterior_risk_inputs(f, nan, _FAST)
 
 
 def test_inputs_mode_from_real_cohort_summary():
     table = make_table(300, seed=31, informative=True)
     summary = summarize(table)
     risk = posterior_risk_inputs(lambda X: 1 / (1 + np.exp(-(X[:, 0] - 55) / 10)),
-                                 summary, table.schema, _FAST)
+                                 summary, _FAST)
     assert 0.0 < risk.mean < 1.0
     assert risk.ci_low <= risk.mean <= risk.ci_high
     assert risk.samples.size <= posterior._EVAL_DRAW_CAP

@@ -2,6 +2,8 @@
 smoothed target encoding, z-scaling, class weights, and the fitted pipeline.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -307,6 +309,13 @@ def test_pipeline_fit_deterministic(table40):
     pipe = fit_pipeline(table40)
     assert _same_fit(pipe, fit_pipeline(table40))
     assert pipe.imputer.reference.shape == (table40.n, table40.d)
+
+
+def test_fitted_pipeline_survives_pickle_and_deepcopy(table40):
+    pipe = fit_pipeline(table40)
+    for copied in (pickle.loads(pickle.dumps(pipe)), copy.deepcopy(pipe)):
+        assert _same_fit(copied, pipe)
+        assert apply(copied, table40).equals(pipe.fitted_table)
 
 
 def test_apply_never_uses_query_labels(table40):

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
-from icurisk.cohort import validate_values
+from icurisk.cohort import summarize, validate_values
 from icurisk.errors import ConfigError
 from icurisk.synth import (_sample_truncnorm, _std_truncnorm_mean,
                            recalibrated_loc, reference_summary, synth_cohort,
                            synth_default_cohort)
+
+from conftest import make_table
 
 
 def test_recalibrated_loc_hits_target_mean():
@@ -86,12 +88,11 @@ def test_class_conditional_means_recovered():
     names = table.feature_names
     for c in (0, 1):
         Xc = table.X[table.y == c]
-        g = ref.groups[f"class{c}"]
         for j, name in enumerate(names):
             if table.schema[j].kind != "continuous":
                 continue
-            tol = 5.0 * g.sd[j] / np.sqrt(Xc.shape[0])
-            assert abs(Xc[:, j].mean() - g.mean[j]) < max(tol, 0.05), name
+            tol = 5.0 * ref.sd[c, j] / np.sqrt(Xc.shape[0])
+            assert abs(Xc[:, j].mean() - ref.mean[c, j]) < max(tol, 0.05), name
 
 
 def test_binary_prevalence_recovered():
@@ -102,8 +103,20 @@ def test_binary_prevalence_recovered():
             continue
         for c in (0, 1):
             got = table.X[table.y == c, j].mean()
-            want = ref.groups[f"class{c}"].mean[j]
+            want = ref.mean[c, j]
             assert abs(got - want) < 0.03
+
+
+def test_summary_of_any_schema_is_recovered():
+    # the generated cohort takes the summary's schema, here not the bundled one
+    source = make_table(4000, seed=6, informative=True)
+    summary = summarize(source)
+    table = synth_cohort(summary, 20000, 0.5, seed=7)
+    assert table.schema == source.schema
+    validate_values(table)
+    for c in (0, 1):
+        got = table.X[table.y == c].mean(axis=0)
+        assert np.allclose(got, summary.mean[c], atol=0.05 * summary.sd[c])
 
 
 def test_missing_rates_applied():
