@@ -1,13 +1,18 @@
 """Run the independent items of a loop side by side in forked processes.
 
-``fan_out(fn, items)`` returns ``[fn(item) for item in items]``. Item i runs
-in process i mod P, where P is the number of CPUs this process may use,
-capped at the number of items. Process 0 is the caller itself, which runs
-its own share instead of waiting, so no more processes are busy than there
-are CPUs. Each child sends one pickle of its outcomes over a pipe and ends
-with ``os._exit``; results need to pickle, ``fn`` and the items do not. The
-lowest-index failure is raised, as the serial loop would raise it, and the
-warnings the items issued are re-issued in item order.
+``fan_out(fn, items)`` returns ``[fn(item) for item in items]``. P is the
+number of CPUs this process may use, capped at the number of items, and the
+items are dealt to the P processes in snake order: 0, 1, ..., P-1, then
+P-1, ..., 1, 0, and again. Callers pass their items costliest first, so each
+round's costliest item goes to the process that got the cheapest one the
+round before; the shares come out about even, and the same on every run.
+Process 0 is the caller itself, which runs its own share instead of
+waiting, so no more processes are busy than there are CPUs; with P = 2, any
+three consecutive items include one of the caller's. Each child sends one
+pickle of its outcomes over a pipe and ends with ``os._exit``; results need
+to pickle, ``fn`` and the items do not. The lowest-index failure is raised,
+as the serial loop would raise it, and the warnings the items issued are
+re-issued in item order.
 
 The loop runs in-process when P = 1, where ``os.fork`` is missing, inside a
 child, and while the process has other threads, which fork would not copy.
@@ -31,6 +36,15 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
+
+
+def _deal(n: int, procs: int) -> list:
+    """The item indices of each of procs processes, dealt in snake order."""
+    shares = [[] for _ in range(procs)]
+    for i in range(n):
+        lap, seat = divmod(i, procs)
+        shares[procs - 1 - seat if lap % 2 else seat].append(i)
+    return shares
 
 
 def _share(fn, items, indices) -> dict:
@@ -74,6 +88,7 @@ def fan_out(fn, items) -> list:
     if (procs < 2 or _IN_CHILD or not hasattr(os, "fork")
             or threading.active_count() > 1):
         return _collect(_share(fn, items, range(n)), n)
+    shares = _deal(n, procs)
     children = []  # (pid, read end) of each child not yet reaped
     try:
         for p in range(1, procs):
@@ -86,10 +101,10 @@ def fan_out(fn, items) -> list:
                 raise
             if pid == 0:
                 os.close(read_fd)
-                _serve(write_fd, fn, items, range(p, n, procs))
+                _serve(write_fd, fn, items, shares[p])
             os.close(write_fd)
             children.append((pid, os.fdopen(read_fd, "rb")))
-        outcomes = _share(fn, items, range(0, n, procs))
+        outcomes = _share(fn, items, shares[0])
         while children:
             pid, pipe = children[0]
             with pipe:

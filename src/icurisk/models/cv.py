@@ -3,18 +3,21 @@
 train_model dispatches a ModelSpec to its family's trainer. predict_proba
 and model_margin dispatch on the fitted model's type and accept either a
 CohortTable (feature names are checked against the training schema) or a
-bare matrix (only the width is checked). fit_and_score is the one path from
-raw tables to held-out scores: cross-validation folds, the final refits and
-the ablation refits all run through it. The schema says which columns are
-multi-level: ordered boosting orders their raw codes, other specs get them
-target-encoded.
+bare matrix (only the width is checked). fit_preprocessing is the one path
+from raw tables to the pipelines the specs train on: cross-validation folds,
+the final refits and the ablation refits all run through it, and
+fit_and_score adds each spec's fit and held-out scores. The schema says
+which columns are multi-level: ordered boosting orders their raw codes,
+other specs get them target-encoded.
 
 Cross-validation is stratified k-fold with grid search. Preprocessing is
 refit inside every fold; a model config never sees statistics computed from
 its validation rows. Every config is scored on the same fold plan, and every
 config's out-of-fold score vector is retained for threshold tuning. The best
 config of a slice of the grid is the one with the highest mean out-of-fold
-AUROC (ties to the smaller config index).
+AUROC (ties to the smaller config index). Each fold is preprocessed once,
+then its (fold, config) fits run side by side on the available CPUs,
+costliest first (see icurisk._fanout and costliest_first).
 """
 
 from __future__ import annotations
@@ -67,6 +70,20 @@ class ModelSpec:
         """Ordered-statistics boosting consumes raw category codes, so the
         pipeline's global target encoding must be disabled for it."""
         return self.family == "gbdt" and bool(self.params.get("ordered_mode"))
+
+
+def _fit_cost_rank(spec: ModelSpec) -> tuple:
+    if spec.family == "gbdt":
+        return (1, -spec.params.get("depth", GbdtParams.depth))
+    return ({"mlp": 0, "logreg": 2, "gnb": 3}[spec.family],)
+
+
+def costliest_first(specs) -> list:
+    """Indices of specs, the costliest fit first by a fixed order: the MLP,
+    boosted trees by depth, deepest first, then logistic regression and
+    Gaussian NB; ties keep their order. A fan_out over fits in this order
+    deals even shares (see icurisk._fanout)."""
+    return sorted(range(len(specs)), key=lambda i: _fit_cost_rank(specs[i]))
 
 
 def downgrade_ordered(spec: ModelSpec, schema) -> ModelSpec:
@@ -195,31 +212,41 @@ class GridSearchResult:
 
 def cross_validate(train, grid, k: int = 5, seed: int = 0,
                    pipeline_config: PipelineConfig = None) -> GridSearchResult:
-    """Score every spec in grid on one fold plan; each fold's training and
-    validation rows are imputed once for the whole grid. The folds run side
-    by side on the available CPUs (see icurisk._fanout)."""
+    """Score every spec in grid on one fold plan. Each fold's training and
+    validation rows are imputed once for the whole grid, the folds side by
+    side; then the (fold, spec) fits run side by side, costliest first, each
+    seeded from its own indices (see icurisk._fanout)."""
     grid = tuple(grid)
     if not grid:
         raise ConfigError("model grid is empty")
     plan = stratified_kfold(train.y, k, seed)
 
-    def score_fold(fold):
-        fold_i, val_rows = fold
+    def prepare(val_rows):
+        """Per spec, what its fit and scoring read: the pipelines
+        themselves, with the imputer's reference rows, are dropped."""
         fit_rows = np.setdiff1d(np.arange(train.n), val_rows)
-        fold_val = train.subset(val_rows)
-        fitted = fit_and_score(grid, train.subset(fit_rows), fold_val,
-                               pipeline_config,
-                               [derive_int(seed, "cv", cfg_i, fold_i)
-                                for cfg_i in range(len(grid))])
-        return [(auroc(scores, fold_val.y), scores) for *_, scores in fitted]
+        return [(pipe.fitted_table, pipe.weights, val_t)
+                for pipe, val_t in fit_preprocessing(
+                    grid, train.subset(fit_rows), train.subset(val_rows),
+                    pipeline_config)]
 
+    prepared = fan_out(prepare, plan.folds)
+
+    def score(fit):
+        cfg_i, fold_i = fit
+        fit_t, weights, val_t = prepared[fold_i][cfg_i]
+        model = train_model(grid[cfg_i], fit_t, weights,
+                            seed=derive_int(seed, "cv", cfg_i, fold_i))
+        scores = predict_proba(model, val_t)
+        return auroc(scores, val_t.y), scores
+
+    fits = [(cfg_i, fold_i) for cfg_i in costliest_first(grid)
+            for fold_i in range(k)]
     fold_aurocs = np.zeros((len(grid), k))
     oof = np.zeros((len(grid), train.n))
-    for fold_i, (val_rows, scored) in enumerate(
-            zip(plan.folds, fan_out(score_fold, enumerate(plan.folds)))):
-        for cfg_i, (fold_auroc, scores) in enumerate(scored):
-            fold_aurocs[cfg_i, fold_i] = fold_auroc
-            oof[cfg_i, val_rows] = scores
+    for (cfg_i, fold_i), (fold_auroc, scores) in zip(fits, fan_out(score, fits)):
+        fold_aurocs[cfg_i, fold_i] = fold_auroc
+        oof[cfg_i, plan.folds[fold_i]] = scores
 
     return GridSearchResult(configs=grid, mean_auroc=fold_aurocs.mean(axis=1),
                             sd_auroc=fold_aurocs.std(axis=1, ddof=1),

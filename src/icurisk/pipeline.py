@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from ._fanout import fan_out
 from ._rng import derive_int, derive_rng
 from .cohort import (CohortTable, load_cohort, stratified_split, summarize)
 from .errors import ConfigError, DataError, IcuRiskError
@@ -26,10 +27,10 @@ from .explain.dream import DreamConfig
 from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
 from .models import GbdtModel, predict_proba
-from .models.cv import (ModelSpec, cross_validate, downgrade_ordered,
-                        fit_and_score)
+from .models.cv import (ModelSpec, costliest_first, cross_validate,
+                        downgrade_ordered, fit_preprocessing, train_model)
 from .preprocess import FittedPipeline, PipelineConfig, apply
-from .schema import load_schema
+from .schema import default_schema, load_schema
 from .select import CoverageFilterConfig, coverage_filter, rank_features
 from .synth import synth_default_cohort
 
@@ -133,6 +134,10 @@ class RunConfig:
                 f"at train_fraction={self.train_fraction}")
         if not 0.0 <= self.posterior_burn_in < 1.0:
             raise ConfigError("posterior_burn_in must be in [0, 1)")
+        # the synthetic cohort always has the bundled schema's features
+        if self.schema_path is not None and self.input_path is None:
+            raise ConfigError("schema_path needs an input_path: the synthetic "
+                              "cohort has the bundled schema's features")
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
@@ -263,12 +268,9 @@ class RunResult:
 
 
 def _load_stage(config: RunConfig):
-    if config.schema_path is not None:
-        schema = load_schema(config.schema_path)
-    else:
-        from .schema import default_schema
-        schema = default_schema()
     if config.input_path is not None:
+        schema = (default_schema() if config.schema_path is None
+                  else load_schema(config.schema_path))
         cohort = load_cohort(config.input_path, schema)
         source = f"input_path {config.input_path}"
     else:
@@ -304,7 +306,8 @@ def _select_stage(config: RunConfig, train: CohortTable, test: CohortTable):
 
 def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     """Cross-validate all six rows on one fold plan, then refit each row's
-    best spec on the full training table. Train and test are imputed once;
+    best spec on the full training table, the refits side by side,
+    costliest first (see icurisk._fanout). Train and test are imputed once;
     a row keeps (pipeline, transformed test, model, test scores)."""
     pipe_cfg = PipelineConfig(k_neighbors=config.k_neighbors, alpha=config.alpha)
     grids = [(label, tuple(downgrade_ordered(s, train.schema) for s in grid), grid)
@@ -315,30 +318,39 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     stops = np.cumsum([len(grid) for _, grid, _ in grids])
     best = [search.best_in(stop - len(grid), stop)
             for (_, grid, _), stop in zip(grids, stops)]
-    refits = fit_and_score([search.configs[i] for i in best], train, test,
-                           pipe_cfg, [derive_int(config.seed, "cv", row_i, 9999)
-                                      for row_i in range(len(best))])
-    rows = []
-    fitted = {}
-    for row_i, ((label, grid, declared), i, refit) in enumerate(
-            zip(grids, best, refits)):
-        notes = () if grid == declared else (
-            "ordered encoding disabled: no multi-level discrete features",)
-        spec = search.configs[i]
-        threshold = tune_threshold(search.oof[i], train.y)
-        pipe, _, model, test_scores = refit
-        train_scores = predict_proba(model, pipe.fitted_table)
-        m_train = confusion_metrics(train_scores, train.y, threshold)
+    specs = [search.configs[i] for i in best]
+    # the caller keeps the pipelines: sent back from a worker, the two
+    # variants would no longer share their imputed table
+    prepared = fit_preprocessing(specs, train, test, pipe_cfg)
+
+    def refit(row_i):
+        pipe, test_t = prepared[row_i]
+        model = train_model(specs[row_i], pipe.fitted_table, pipe.weights,
+                            seed=derive_int(config.seed, "cv", row_i, 9999))
+        test_scores = predict_proba(model, test_t)
         ci = bootstrap_auroc_ci(test_scores, test.y, B=config.n_bootstrap,
                                 seed=derive_int(config.seed, "bootstrap", row_i))
+        return model, test_scores, predict_proba(model, pipe.fitted_table), ci
+
+    order = costliest_first(specs)
+    refits = dict(zip(order, fan_out(refit, order)))
+    rows = []
+    fitted = {}
+    for row_i, ((label, grid, declared), i) in enumerate(zip(grids, best)):
+        notes = () if grid == declared else (
+            "ordered encoding disabled: no multi-level discrete features",)
+        threshold = tune_threshold(search.oof[i], train.y)
+        pipe, test_t = prepared[row_i]
+        model, test_scores, train_scores, ci = refits[row_i]
+        m_train = confusion_metrics(train_scores, train.y, threshold)
         m_test = confusion_metrics(test_scores, test.y, threshold).with_ci(*ci)
         rows.append(BenchmarkRow(
-            label=label, spec=spec, grid_size=len(grid),
+            label=label, spec=specs[row_i], grid_size=len(grid),
             cv_mean_auroc=float(search.mean_auroc[i]),
             cv_sd_auroc=float(search.sd_auroc[i]),
             threshold=threshold, metrics_train=m_train, metrics_test=m_test,
             notes=notes))
-        fitted[label] = refit
+        fitted[label] = (pipe, test_t, model, test_scores)
     winner = max(rows, key=lambda r: r.cv_mean_auroc).label
     tree_rows = [r.label for r in rows if r.spec.family == "gbdt"]
     shap_label = winner if winner in tree_rows else (tree_rows[0] if tree_rows else winner)

@@ -7,10 +7,11 @@ import os
 import pytest
 
 from icurisk.cli import main
-from icurisk.cohort import load_cohort
+from icurisk.cohort import load_cohort, save_cohort
 from icurisk.errors import DataError
 from icurisk.report import load_manifest, load_report_schema, validate_report
 from icurisk.schema import default_schema
+from icurisk.synth import synth_default_cohort
 
 _SMALL = dict(seed=11, synth_n=400, top_k=6, cv_folds=3, n_bootstrap=100,
               ablation_resamples=10, shap_background=24, shap_rows=6,
@@ -251,14 +252,31 @@ def test_unreadable_input_file_is_typed_with_failed_manifest(
         path.mkdir()
     else:
         path.write_bytes(content)
+    over = {key: str(path)}
+    if key == "schema_path":  # a schema describes an input CSV
+        csv_path = tmp_path / "cohort.csv"
+        save_cohort(synth_default_cohort(n=60, seed=2), csv_path)
+        over["input_path"] = str(csv_path)
     out = str(tmp_path / "arts")
-    cfg = _write_config(tmp_path, **{key: str(path)})
+    cfg = _write_config(tmp_path, **over)
     assert main(["run", "--config", cfg, "--out", out]) == code
     err = capsys.readouterr().err
     assert str(path) in err and "[stage:dataset]" in err
     manifest = load_manifest(out)
     assert manifest["status"] == "failed"
     assert manifest["failed_stage"] == "dataset"
+
+
+def test_schema_path_without_input_path_is_exit_2_before_any_stage(
+        tmp_path, capsys):
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text('[{"name": "age", "kind": "continuous"}]')
+    out = tmp_path / "arts"
+    cfg = _write_config(tmp_path, schema_path=str(schema_path))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "schema_path" in err and "input_path" in err
+    assert "[stage:" not in err and not out.exists()
 
 
 def test_synth_to_a_missing_directory_is_exit_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ loop's results, first error and warnings."""
 import os
 import signal
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from icurisk import _fanout
 from icurisk._fanout import fan_out
 from icurisk.errors import DataError
 from icurisk.explain.ablation import ablation
-from icurisk.models.cv import ModelSpec, cross_validate, fit_and_score
+from icurisk.models import predict_proba
+from icurisk.models.cv import (ModelSpec, costliest_first, cross_validate,
+                               fit_and_score)
+from icurisk.pipeline import _model_stage, run
+from icurisk.report import write_artifacts
+from icurisk.selftest import PROBE_CONFIG
+from icurisk.synth import synth_default_cohort
 
 from conftest import make_table
 
@@ -42,26 +49,86 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _forked_and_serial(monkeypatch, compute):
-    _cpus(monkeypatch, 3)
+def _forked_and_serial(monkeypatch, compute, cpus=3):
+    _cpus(monkeypatch, cpus)
     forked = compute()
     _cpus(monkeypatch, 1)
     return forked, compute()
 
 
+# every model family, in no particular cost order
 _GRID = (ModelSpec(family="gbdt", params={"n_trees": 5, "depth": 2}),
+         ModelSpec(family="gnb"),
          ModelSpec(family="gbdt", params={"ordered_mode": True, "n_trees": 5,
-                                          "depth": 2}),
+                                          "depth": 3}),
          ModelSpec(family="logreg", params={"C": 1.0}),
-         ModelSpec(family="gnb"))
+         ModelSpec(family="mlp", params={"hidden": 4, "epochs": 5}))
+
+
+def test_costliest_first_is_a_fixed_family_and_depth_order():
+    assert costliest_first(_GRID) == [4, 2, 0, 3, 1]
+    assert costliest_first(()) == []
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_items_are_dealt_in_snake_order(n):
+    assert _fanout._deal(n, 1) == [list(range(n))]
+    two = [[0, 3, 4, 7], [1, 2, 5, 6]]
+    assert _fanout._deal(n, 2) == [[i for i in s if i < n] for s in two]
+    three = [[0, 5, 6], [1, 4, 7], [2, 3]]
+    assert _fanout._deal(n, 3) == [[i for i in s if i < n] for s in three]
 
 
 def test_cross_validate_forked_equals_serial(monkeypatch):
     table = make_table(90, seed=6, missing=0.1, informative=True)
-    forked, serial = _forked_and_serial(
-        monkeypatch, lambda: cross_validate(table, _GRID, k=4, seed=2))
-    assert np.array_equal(forked.fold_aurocs, serial.fold_aurocs)
-    assert np.array_equal(forked.oof, serial.oof)
+    for cpus in (2, 3):
+        forked, serial = _forked_and_serial(
+            monkeypatch, lambda: cross_validate(table, _GRID, k=4, seed=2), cpus)
+        assert np.array_equal(forked.fold_aurocs, serial.fold_aurocs)
+        assert np.array_equal(forked.oof, serial.oof)
+        _no_child_left()
+
+
+_SMALL = replace(PROBE_CONFIG, synth_n=200, cv_folds=2, n_bootstrap=50,
+                 posterior_generations=200)
+
+
+def _model_stage_outputs(train, test):
+    """Rows bit for bit (repr round-trips every float), winner labels, and
+    each refit's test and training scores."""
+    rows, fitted, winner, shap_label = _model_stage(_SMALL, train, test)
+    return (repr(rows), winner, shap_label,
+            [(label, scores, predict_proba(model, pipe.fitted_table))
+             for label, (pipe, _, model, scores) in fitted.items()])
+
+
+def test_model_stage_rows_and_refits_forked_equal_serial(monkeypatch):
+    cohort = synth_default_cohort(n=200, seed=11)
+    cohort = cohort.drop_features(cohort.feature_names[_SMALL.top_k:])
+    train, test = cohort.subset(np.arange(140)), cohort.subset(np.arange(140, 200))
+    _cpus(monkeypatch, 1)
+    serial = _model_stage_outputs(train, test)
+    for cpus in (2, 3):
+        _cpus(monkeypatch, cpus)
+        forked = _model_stage_outputs(train, test)
+        assert forked[:3] == serial[:3]
+        assert len(forked[3]) == len(serial[3]) == 6
+        for (label, scores, train_scores), (label_1, scores_1, train_scores_1) in zip(
+                forked[3], serial[3]):
+            assert label == label_1
+            assert np.array_equal(scores, scores_1)
+            assert np.array_equal(train_scores, train_scores_1)
+        _no_child_left()
+
+
+def test_report_bytes_equal_at_one_two_and_three_cpus(monkeypatch, tmp_path):
+    reports = []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        write_artifacts(run(_SMALL), str(out))
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
     _no_child_left()
 
 
@@ -84,7 +151,7 @@ def test_results_come_back_in_item_order_from_every_process(monkeypatch):
     assert [v for v, _ in out] == [i * i for i in range(7)]
     pids = [pid for _, pid in out]
     assert pids[0] == os.getpid()  # the caller runs its own share
-    assert len(set(pids)) == 3 and pids[:3] == pids[3:6]  # item i in process i mod 3
+    assert len(set(pids)) == 3 and pids[:3] == pids[5:2:-1]  # snake order
     assert fan_out(lambda i: i, []) == []
     _no_child_left()
 
@@ -99,10 +166,10 @@ def _fail_at(bad):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_the_lowest_failing_item_is_raised(monkeypatch, cpus):
-    # item 1 fails in the first child, item 2 in the caller (with 2 CPUs)
+    # item 1 fails in the first child, item 3 in the caller (with 2 CPUs)
     _cpus(monkeypatch, cpus)
     with pytest.raises(DataError, match=r"^item 1 failed$"):
-        fan_out(_fail_at({1, 2, 5}), range(6))
+        fan_out(_fail_at({1, 3, 5}), range(6))
     _no_child_left()
 
 
