@@ -22,7 +22,6 @@ from ..cohort import CohortTable
 from ..errors import DataError
 from ..metrics import auroc, resampled_aurocs, stratified_bootstrap
 from ..models.cv import ModelSpec, downgrade_ordered, fit_and_score
-from ..preprocess import PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,8 @@ class AblationReport:
 
 
 def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
-             base_scores, n_resamples: int = 100, seed: int = 0,
-             pipeline_config: PipelineConfig = None) -> AblationReport:
+             base_scores, n_resamples: int = 100,
+             seed: int = 0) -> AblationReport:
     """Paired bootstrap comparison of test AUROC with and without each feature.
 
     base_scores are the test scores of spec fitted on the full training
@@ -64,7 +63,7 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
         kept = train.drop_features([ablated[k]])
         [(*_, scores)] = fit_and_score(
             (downgrade_ordered(spec, kept.schema),), kept,
-            test.drop_features([ablated[k]]), pipeline_config,
+            test.drop_features([ablated[k]]),
             (derive_int(seed, "ablation", k + 1),))
         return scores
 

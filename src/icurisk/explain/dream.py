@@ -22,13 +22,13 @@ from ..errors import ConfigError, DataError
 _CROSSOVER_PROBS = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0])
 _P_GAMMA1 = 0.1           # share of proposals with gamma = 1 (mode jumps)
 _NOISE_SD = 1e-6
+_BURN_IN = 0.5            # leading share of each chain's draws discarded
 
 
 @dataclass(frozen=True)
 class DreamConfig:
     n_chains: int = 8
     n_generations: int = 20000
-    burn_in: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -36,8 +36,6 @@ class DreamConfig:
             raise ConfigError("need at least 3 chains for differential proposals")
         if self.n_generations < 2:
             raise ConfigError("n_generations must be >= 2")
-        if not 0.0 <= self.burn_in < 1.0:
-            raise ConfigError("burn_in must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ def dream_sample(log_density, d: int, config: DreamConfig = DreamConfig(),
         raise DataError("log density not finite at initial states")
 
     G = config.n_generations
-    keep_from = int(np.floor(config.burn_in * G))
+    keep_from = int(np.floor(_BURN_IN * G))
     kept = np.empty((C, G - keep_from, d))
     n_accept = 0
     window_accept = 0

@@ -30,8 +30,8 @@ from .._fanout import fan_out
 from .._rng import derive_int, derive_rng
 from ..errors import ConfigError, DataError, SchemaError
 from ..metrics import auroc
-from ..preprocess import (PipelineConfig, fit_pipeline, impute,
-                          transform_imputed, without_encoding)
+from ..preprocess import (fit_pipeline, impute, transform_imputed,
+                          without_encoding)
 from ..schema import multi_level_indices
 from ..special import sigmoid
 from .gbdt import GbdtModel, GbdtParams, gbdt_margin, train_gbdt
@@ -166,7 +166,7 @@ def stratified_kfold(labels, k: int, seed: int) -> CvPlan:
     return CvPlan(folds=tuple(np.sort(np.array(f)) for f in folds), k=k)
 
 
-def fit_preprocessing(grid, train, held_out, config: PipelineConfig = None) -> list:
+def fit_preprocessing(grid, train, held_out) -> list:
     """One (fitted pipeline, transformed held_out) pair per spec in grid.
 
     train and held_out are imputed once each. Every spec gets the
@@ -174,7 +174,7 @@ def fit_preprocessing(grid, train, held_out, config: PipelineConfig = None) -> l
     category codes itself and gets its unencoded variant. Specs that need
     the same variant share one pair.
     """
-    base = fit_pipeline(train, config or PipelineConfig())
+    base = fit_pipeline(train)
     held_imputed = impute(base.imputer, held_out)
     variants = {}
     for raw in dict.fromkeys(s.needs_raw_categories for s in grid):
@@ -183,13 +183,13 @@ def fit_preprocessing(grid, train, held_out, config: PipelineConfig = None) -> l
     return [variants[s.needs_raw_categories] for s in grid]
 
 
-def fit_and_score(grid, train, held_out, config: PipelineConfig, seeds) -> list:
+def fit_and_score(grid, train, held_out, seeds) -> list:
     """One (fitted pipeline, transformed held_out, model, held_out scores)
     tuple per spec in grid; spec i is trained with seeds[i] on the pipeline
     fit_preprocessing gives it."""
     out = []
     for spec, (pipe, held_t), seed in zip(
-            grid, fit_preprocessing(grid, train, held_out, config), seeds):
+            grid, fit_preprocessing(grid, train, held_out), seeds):
         model = train_model(spec, pipe.fitted_table, pipe.weights, seed=seed)
         out.append((pipe, held_t, model, predict_proba(model, held_t)))
     return out
@@ -210,8 +210,7 @@ class GridSearchResult:
         return start + int(np.argmax(self.mean_auroc[start:stop]))
 
 
-def cross_validate(train, grid, k: int = 5, seed: int = 0,
-                   pipeline_config: PipelineConfig = None) -> GridSearchResult:
+def cross_validate(train, grid, k: int = 5, seed: int = 0) -> GridSearchResult:
     """Score every spec in grid on one fold plan. Each fold's training and
     validation rows are imputed once for the whole grid, the folds side by
     side; then the (fold, spec) fits run side by side, costliest first, each
@@ -227,8 +226,7 @@ def cross_validate(train, grid, k: int = 5, seed: int = 0,
         fit_rows = np.setdiff1d(np.arange(train.n), val_rows)
         return [(pipe.fitted_table, pipe.weights, val_t)
                 for pipe, val_t in fit_preprocessing(
-                    grid, train.subset(fit_rows), train.subset(val_rows),
-                    pipeline_config)]
+                    grid, train.subset(fit_rows), train.subset(val_rows))]
 
     prepared = fan_out(prepare, plan.folds)
 

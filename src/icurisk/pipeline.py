@@ -29,7 +29,7 @@ from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
 from .models import GbdtModel, predict_proba
 from .models.cv import (ModelSpec, costliest_first, cross_validate,
                         downgrade_ordered, fit_preprocessing, train_model)
-from .preprocess import FittedPipeline, PipelineConfig, apply
+from .preprocess import FittedPipeline, apply
 from .schema import default_schema, load_schema
 from .select import CoverageFilterConfig, coverage_filter, rank_features
 from .synth import synth_default_cohort
@@ -73,23 +73,17 @@ class RunConfig:
     synth_n: int = 1301
     synth_event_rate: float = 0.196
     train_fraction: float = 0.7
-    k_neighbors: int = 5
-    alpha: float = 10.0
     max_missing_fraction: float = 0.20
     min_documented_patients: int = 100
     top_k: int = 17
-    mi_bins: int = 10
-    grid_preset: str = "compact"       # "compact" or "full"
     cv_folds: int = 5
     n_bootstrap: int = 2000
-    ale_bins: int = 20
     ale_top: int = 3
     shap_background: int = 256
     shap_rows: int = 64
     ablation_resamples: int = 100
     posterior_chains: int = 30
     posterior_generations: int = 3000
-    posterior_burn_in: float = 0.5
 
     def __post_init__(self):
         # a JSON config can hold any type; reject the wrong one before any
@@ -108,12 +102,9 @@ class RunConfig:
             raise ConfigError("seed must be a non-negative integer")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
-        if self.grid_preset not in ("compact", "full"):
-            raise ConfigError("grid_preset must be 'compact' or 'full'")
         minimum = dict.fromkeys(
-            ("top_k", "mi_bins", "n_bootstrap", "ale_bins", "ale_top",
-             "shap_background", "shap_rows", "ablation_resamples",
-             "k_neighbors"), 1)
+            ("top_k", "n_bootstrap", "ale_top", "shap_background",
+             "shap_rows", "ablation_resamples"), 1)
         # the limits of the layers beneath, checked before any model is fit:
         # k-fold CV, the coverage filter, the cohort generator and the
         # posterior sampler
@@ -132,8 +123,6 @@ class RunConfig:
                 f"min_documented_patients={self.min_documented_patients} exceeds "
                 f"the at most {int(most)} training rows of synth_n={self.synth_n} "
                 f"at train_fraction={self.train_fraction}")
-        if not 0.0 <= self.posterior_burn_in < 1.0:
-            raise ConfigError("posterior_burn_in must be in [0, 1)")
         # the synthetic cohort always has the bundled schema's features
         if self.schema_path is not None and self.input_path is None:
             raise ConfigError("schema_path needs an input_path: the synthetic "
@@ -174,59 +163,36 @@ def load_run_config(path) -> RunConfig:
     return config
 
 
-def _gbdt_specs(label, ordered, subsample, depths, n_trees, rates, l2s):
-    specs = []
-    for depth in depths:
-        for nt in n_trees:
-            for lr in rates:
-                for l2 in l2s:
-                    specs.append(ModelSpec("gbdt", {
-                        "depth": depth, "n_trees": nt, "learning_rate": lr,
-                        "l2_leaf": l2, "subsample": subsample,
-                        "ordered_mode": ordered,
-                    }, label=label))
-    return tuple(specs)
+def _gbdt_specs(label, ordered, subsample):
+    return tuple(ModelSpec("gbdt", {
+        "depth": depth, "n_trees": 100, "learning_rate": 0.1, "l2_leaf": 1.0,
+        "subsample": subsample, "ordered_mode": ordered,
+    }, label=label) for depth in (2, 3))
 
 
-def benchmark_grids(preset: str) -> tuple:
+def benchmark_grids() -> tuple:
     """The six benchmark rows: three boosted-tree variants plus logistic
     regression, Gaussian naive Bayes, and the MLP. Each row carries its own
-    hyperparameter sub-grid for cross-validated search.
-
-    The compact preset keeps the full battery under a desk-scale runtime;
-    the full preset widens every sub-grid.
+    hyperparameter sub-grid for cross-validated search, kept small enough
+    that the full battery runs at desk scale.
     """
-    if preset == "full":
-        gb = dict(depths=(2, 3, 4), n_trees=(100, 300), rates=(0.05, 0.1),
-                  l2s=(1.0, 5.0))
-        logreg = tuple(ModelSpec("logreg", {"penalty": p, "C": c},
-                                 label="logistic_regression")
-                       for p in ("l1", "l2") for c in (0.01, 0.1, 1.0, 10.0))
-        mlp = tuple(ModelSpec("mlp", {"hidden": h, "learning_rate": lr},
-                              label="mlp")
-                    for h in (8, 16) for lr in (1e-3, 1e-2))
-    else:
-        gb = dict(depths=(2, 3), n_trees=(100,), rates=(0.1,), l2s=(1.0,))
-        logreg = (ModelSpec("logreg", {"penalty": "l2", "C": 1.0},
-                            label="logistic_regression"),
-                  ModelSpec("logreg", {"penalty": "l2", "C": 0.1},
-                            label="logistic_regression"),
-                  ModelSpec("logreg", {"penalty": "l1", "C": 1.0},
-                            label="logistic_regression"))
-        mlp = (ModelSpec("mlp", {"hidden": 16, "epochs": 120},
-                         label="mlp"),)
-    rows = (
+    logreg = (ModelSpec("logreg", {"penalty": "l2", "C": 1.0},
+                        label="logistic_regression"),
+              ModelSpec("logreg", {"penalty": "l2", "C": 0.1},
+                        label="logistic_regression"),
+              ModelSpec("logreg", {"penalty": "l1", "C": 1.0},
+                        label="logistic_regression"))
+    mlp = (ModelSpec("mlp", {"hidden": 16, "epochs": 120}, label="mlp"),)
+    return (
         ("boosted_trees_ordered",
-         _gbdt_specs("boosted_trees_ordered", True, 1.0, **gb)),
-        ("boosted_trees",
-         _gbdt_specs("boosted_trees", False, 1.0, **gb)),
+         _gbdt_specs("boosted_trees_ordered", True, 1.0)),
+        ("boosted_trees", _gbdt_specs("boosted_trees", False, 1.0)),
         ("boosted_trees_subsampled",
-         _gbdt_specs("boosted_trees_subsampled", False, 0.8, **gb)),
+         _gbdt_specs("boosted_trees_subsampled", False, 0.8)),
         ("logistic_regression", logreg),
         ("gaussian_nb", (ModelSpec("gnb", {}, label="gaussian_nb"),)),
         ("mlp", mlp),
     )
-    return rows
 
 
 @dataclass(frozen=True)
@@ -296,7 +262,7 @@ def _select_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     if dropped:
         train = train.drop_features(dropped)
         test = test.drop_features(dropped)
-    ranking = rank_features(train, top_k=config.top_k, n_bins=config.mi_bins)
+    ranking = rank_features(train, top_k=config.top_k)
     excluded = [n for n in train.feature_names if n not in ranking.selected]
     if excluded:
         train = train.drop_features(excluded)
@@ -309,19 +275,17 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     best spec on the full training table, the refits side by side,
     costliest first (see icurisk._fanout). Train and test are imputed once;
     a row keeps (pipeline, transformed test, model, test scores)."""
-    pipe_cfg = PipelineConfig(k_neighbors=config.k_neighbors, alpha=config.alpha)
     grids = [(label, tuple(downgrade_ordered(s, train.schema) for s in grid), grid)
-             for label, grid in benchmark_grids(config.grid_preset)]
+             for label, grid in benchmark_grids()]
     search = cross_validate(train, [s for _, grid, _ in grids for s in grid],
-                            k=config.cv_folds, seed=derive_int(config.seed, "cv"),
-                            pipeline_config=pipe_cfg)
+                            k=config.cv_folds, seed=derive_int(config.seed, "cv"))
     stops = np.cumsum([len(grid) for _, grid, _ in grids])
     best = [search.best_in(stop - len(grid), stop)
             for (_, grid, _), stop in zip(grids, stops)]
     specs = [search.configs[i] for i in best]
     # the caller keeps the pipelines: sent back from a worker, the two
     # variants would no longer share their imputed table
-    prepared = fit_preprocessing(specs, train, test, pipe_cfg)
+    prepared = fit_preprocessing(specs, train, test)
 
     def refit(row_i):
         pipe, test_t = prepared[row_i]
@@ -365,9 +329,7 @@ def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
 
     abl = ablation(win_row.spec, train, test, test_scores,
                    n_resamples=config.ablation_resamples,
-                   seed=derive_int(config.seed, "ablation"),
-                   pipeline_config=PipelineConfig(k_neighbors=config.k_neighbors,
-                                                  alpha=config.alpha))
+                   seed=derive_int(config.seed, "ablation"))
 
     shap_pipe, shap_test, shap_model, _ = fitted[shap_label]
     if not isinstance(shap_model, GbdtModel):
@@ -381,12 +343,11 @@ def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
     # ALE on raw measurement scale through the full predictor; the winner's
     # imputer fills other columns, the curve feature itself must be observed
     ranked = [n for n in ranking.selected if n in train.feature_names]
-    curves = [ale(predictor, pipe.imputed_table, name, n_bins=config.ale_bins)
+    curves = [ale(predictor, pipe.imputed_table, name)
               for name in ranked[: config.ale_top]]
 
     dream_cfg = DreamConfig(n_chains=config.posterior_chains,
                             n_generations=config.posterior_generations,
-                            burn_in=config.posterior_burn_in,
                             seed=derive_int(config.seed, "posterior"))
     posterior = posterior_risk_inputs(predictor, summarize(train), dream_cfg)
     return abl, shap, fg_rows, curves, posterior, predictor

@@ -261,6 +261,9 @@ def class_weights(labels) -> ClassWeights:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Its defaults are the pipeline's constants (5 neighbours, alpha 10);
+    it is kept for fit_pipeline's public signature."""
+
     k_neighbors: int = 5
     alpha: float = 10.0
 

@@ -108,6 +108,7 @@ def decile_bin(values: np.ndarray, n_bins: int = 10) -> np.ndarray:
 
 # MI in nats below which a feature counts as carrying no information
 _MI_EPSILON = 1e-3
+_MI_BINS = 10             # quantile bins of a continuous feature
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class MIRanking:
     epsilon: float
 
 
-def rank_features(table: CohortTable, top_k: int, n_bins: int = 10) -> MIRanking:
+def rank_features(table: CohortTable, top_k: int) -> MIRanking:
     """Rank features by MI with the label; continuous features are decile-
     binned first. Features scoring below _MI_EPSILON nats are flagged and
     left out of the selection. top_k beyond the available count clamps."""
@@ -133,7 +134,7 @@ def rank_features(table: CohortTable, top_k: int, n_bins: int = 10) -> MIRanking
         j = table.index_of(name)
         col = table.X[:, j]
         if table.schema[j].kind == "continuous":
-            x = decile_bin(col, n_bins)
+            x = decile_bin(col, _MI_BINS)
         else:
             x = np.where(np.isnan(col), -1.0, col)
         scores[name] = mutual_information(x, table.y)
@@ -149,6 +150,6 @@ def rank_features(table: CohortTable, top_k: int, n_bins: int = 10) -> MIRanking
         scores=scores,
         selected=selected,
         excluded_near_zero=excluded,
-        n_bins=n_bins,
+        n_bins=_MI_BINS,
         epsilon=_MI_EPSILON,
     )

@@ -251,7 +251,7 @@ def _c08_mlp_gradcheck() -> str:
 
 def _c09_dream_gaussian() -> str:
     target = lambda X: -0.5 * np.sum(np.atleast_2d(X) ** 2, axis=1)
-    cfg = DreamConfig(n_chains=8, n_generations=20000, burn_in=0.5, seed=9)
+    cfg = DreamConfig(n_chains=8, n_generations=20000, seed=9)
     res = dream_sample(target, 2, cfg)
     draws = res.samples
     mean_err = float(np.max(np.abs(draws.mean(axis=0))))

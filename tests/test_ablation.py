@@ -20,7 +20,7 @@ def _split(table, n_train):
 
 def _base_scores(spec, train, test):
     """Test scores of spec fitted on the full training table."""
-    [(*_, scores)] = fit_and_score((spec,), train, test, None, (0,))
+    [(*_, scores)] = fit_and_score((spec,), train, test, (0,))
     return scores
 
 

@@ -65,12 +65,10 @@ def test_single_feature_run_writes_a_complete_report(tmp_path, capsys):
 
 
 def test_posterior_settings_fail_before_fitting(tmp_path, capsys):
-    for key, value in (("posterior_burn_in", 1.0), ("posterior_chains", 2)):
-        cfg = _write_config(tmp_path, **{key: value})
-        assert main(["run", "--config", cfg,
-                     "--out", str(tmp_path / "x")]) == 2
-        err = capsys.readouterr().err
-        assert key in err and "[stage:" not in err
+    cfg = _write_config(tmp_path, posterior_chains=2)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "posterior_chains" in err and "[stage:" not in err
 
 
 def test_hopeless_coverage_settings_are_exit_2_before_any_stage(
@@ -137,7 +135,8 @@ def test_seed_flag_overrides_config(tmp_path):
     out = str(tmp_path / "arts")
     cfg = _write_config(tmp_path)
     assert main(["run", "--config", cfg, "--seed", "77", "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "report.json")))
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
     assert report["config"]["seed"] == 77
 
 
@@ -158,11 +157,15 @@ def test_unreadable_config_is_exit_2(tmp_path, capsys):
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     # configs written before those RunConfig fields were removed
     bad = tmp_path / "bad.json"
-    for extra in ({"learning_rate": 0.1}, {"threshold_policy": "youden"},
-                  {"synth_missing": False}):
-        bad.write_text(json.dumps({"seed": 1, **extra}))
+    for key, value in (("learning_rate", 0.1), ("threshold_policy", "youden"),
+                       ("synth_missing", False), ("k_neighbors", 5),
+                       ("alpha", 10.0), ("mi_bins", 10),
+                       ("grid_preset", "compact"), ("ale_bins", 20),
+                       ("posterior_burn_in", 0.5)):
+        bad.write_text(json.dumps({"seed": 1, key: value}))
         assert main(["run", "--config", str(bad)]) == 2
-        assert "unknown config keys" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and key in err
 
 
 def test_malformed_data_is_exit_3_with_failed_manifest(tmp_path, capsys):

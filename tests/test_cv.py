@@ -13,7 +13,7 @@ from icurisk.models.gbdt import gbdt_margin
 from icurisk.models.linear import linear_margin
 from icurisk.models.mlp import mlp_margin
 from icurisk.models.naive_bayes import gnb_posterior
-from icurisk.preprocess import PipelineConfig, class_weights
+from icurisk.preprocess import class_weights
 from icurisk.schema import multi_level_indices
 from icurisk.special import sigmoid
 
@@ -81,8 +81,7 @@ def test_cross_validate_shapes_and_winner():
         ModelSpec(family="logreg", params={"C": 1.0}),
         ModelSpec(family="gbdt", params={"n_trees": 10, "depth": 2}),
     )
-    result = cross_validate(table, grid, k=3, seed=2,
-                            pipeline_config=PipelineConfig())
+    result = cross_validate(table, grid, k=3, seed=2)
     assert result.fold_aurocs.shape == (3, 3)
     assert result.mean_auroc == pytest.approx(result.fold_aurocs.mean(axis=1))
     best = result.best_in()
@@ -118,8 +117,7 @@ def test_ordered_spec_uses_raw_category_codes():
         ModelSpec(family="gbdt",
                   params={"ordered_mode": True, "n_trees": 5, "depth": 2}),
     )
-    result = cross_validate(table, grid, k=3, seed=4,
-                            pipeline_config=PipelineConfig())
+    result = cross_validate(table, grid, k=3, seed=4)
     assert np.isfinite(result.fold_aurocs).all()
 
 
@@ -194,12 +192,12 @@ def test_fit_and_score_trains_each_spec_with_its_seed():
     train = make_table(80, seed=2, missing=0.1, informative=True)
     test = make_table(30, seed=3, missing=0.1)
     mlp = ModelSpec(family="mlp", params={"hidden": 4, "epochs": 5})
-    a, b, ordered = fit_and_score((mlp, mlp, _ORDERED), train, test, None,
+    a, b, ordered = fit_and_score((mlp, mlp, _ORDERED), train, test,
                                   (1, 2, 1))
     assert a[0] is b[0] and a[1] is b[1]          # one shared pipeline
     assert ordered[0].encoders == ()              # raw category codes
     for pipe, test_t, model, scores in (a, b, ordered):
         assert np.array_equal(scores, predict_proba(model, test_t))
     assert not np.array_equal(a[3], b[3])
-    [again] = fit_and_score((mlp,), train, test, None, (1,))
+    [again] = fit_and_score((mlp,), train, test, (1,))
     assert np.array_equal(again[3], a[3])

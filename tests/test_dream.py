@@ -54,8 +54,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         DreamConfig(n_chains=2)
     with pytest.raises(ConfigError):
-        DreamConfig(burn_in=1.0)
-    with pytest.raises(ConfigError):
         DreamConfig(n_generations=1)
 
 

@@ -136,7 +136,7 @@ def test_ablation_forked_equals_serial(monkeypatch):
     table = make_table(160, seed=55, missing=0.1, informative=True)
     train, test = table.subset(np.arange(110)), table.subset(np.arange(110, 160))
     spec = _GRID[0]
-    [(*_, base)] = fit_and_score((spec,), train, test, None, (0,))
+    [(*_, base)] = fit_and_score((spec,), train, test, (0,))
     forked, serial = _forked_and_serial(
         monkeypatch, lambda: ablation(spec, train, test, base, n_resamples=20, seed=4))
     assert forked.features == serial.features == train.feature_names

@@ -12,7 +12,7 @@ from icurisk import preprocess
 from icurisk.cohort import save_cohort
 from icurisk.errors import ConfigError, DataError
 from icurisk.models import cv
-from icurisk.pipeline import (RunConfig, benchmark_grids, load_run_config,
+from icurisk.pipeline import (RunConfig, load_run_config,
                               run, run_config_from_jsonable,
                               run_config_to_jsonable)
 from icurisk.report import (load_report_schema, validate_report,
@@ -29,10 +29,10 @@ _ROWS = ("boosted_trees_ordered", "boosted_trees", "boosted_trees_subsampled",
 # sha256 of report.json for PROBE_CONFIG. A change that moves a reported
 # number on purpose updates this and says why in CHANGES.md.
 _PROBE_REPORT_SHA256 = (
-    "63c931bd6f344727a3797287ff4bf1445e606adfc9f3357d9398081a03fdd37b")
+    "f7eeb84f00191c623360f7e8f1b1bfa5385cc3a8bbb3aba7755573305d1e2556")
 # sha256 of report.json for RunConfig(seed=7), the default quick-start run.
 _SEED7_REPORT_SHA256 = (
-    "eacf4084920a95feb7616cbfe76f4e8c20938cf212b407a5a5f2fff853678f54")
+    "57a948fec66374d08f4492ce6eb6d9d3b4542e8d17fbd54c545504cb3f6b28c6")
 
 # sha256 of every other artifact PROBE_CONFIG writes. The projection
 # writers must reproduce these bytes from the report alone.
@@ -239,8 +239,7 @@ def test_run_config_round_trip_and_validation():
         RunConfig(seed=0, cv_folds=0)
     with pytest.raises(ConfigError):
         RunConfig(seed=-1)
-    for key, value in (("posterior_burn_in", 1.0), ("posterior_burn_in", -0.1),
-                       ("posterior_chains", 2), ("posterior_generations", 1),
+    for key, value in (("posterior_chains", 2), ("posterior_generations", 1),
                        ("cv_folds", 1), ("synth_n", 5),
                        ("max_missing_fraction", -0.1),
                        ("max_missing_fraction", 1.5),
@@ -250,11 +249,12 @@ def test_run_config_round_trip_and_validation():
     # mistyped values, as a JSON config can carry them
     for key, value in (("top_k", "5"), ("cv_folds", 2.5),
                        ("n_bootstrap", 20.0), ("seed", True),
-                       ("train_fraction", False), ("alpha", float("nan")),
-                       ("grid_preset", 1), ("input_path", 3)):
+                       ("train_fraction", False),
+                       ("train_fraction", float("nan")), ("input_path", 3)):
         with pytest.raises(ConfigError, match=key):
             run_config_from_jsonable({**payload, key: value})
-    assert RunConfig(seed=0, alpha=10, schema_path=None).alpha == 10
+    assert RunConfig(seed=0, max_missing_fraction=1,
+                     schema_path=None).max_missing_fraction == 1
 
 
 def test_load_run_config_errors(tmp_path):
@@ -355,12 +355,3 @@ def test_ablation_of_an_ordered_winner_writes_a_valid_report(tmp_path):
     [win] = [r for r in report["benchmark"] if r["label"] == result.winner]
     assert report["ablation"]["baseline_auroc"] == win["test"]["auroc"]
 
-
-def test_full_grid_preset_is_larger():
-    compact = benchmark_grids("compact")
-    full = benchmark_grids("full")
-    assert [r[0] for r in compact] == [r[0] for r in full] == list(_ROWS)
-    for (_, small_grid), (_, big_grid) in zip(compact, full):
-        assert len(big_grid) >= len(small_grid)
-    with pytest.raises(ConfigError):
-        RunConfig(seed=0, grid_preset="huge")

@@ -57,8 +57,8 @@ def test_manifest_checksums_recompute(run_out):
     assert stored["failed_stage"] is None
     assert stored["config_hash"] == manifest.config_hash
     for entry in stored["artifacts"]:
-        path = os.path.join(out, entry["path"])
-        data = open(path, "rb").read()
+        with open(os.path.join(out, entry["path"]), "rb") as fh:
+            data = fh.read()
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
         assert len(data) == entry["bytes"]
     names = {e["path"] for e in stored["artifacts"]}
