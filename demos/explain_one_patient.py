@@ -7,16 +7,16 @@ efficiency identity by hand.
 
 import numpy as np
 
-from icurisk import (GbdtParams, PipelineConfig, apply, fit_pipeline,
-                     model_margin, shap_tree, stratified_split,
-                     synth_default_cohort, train_gbdt)
+from icurisk import (GbdtParams, apply, fit_pipeline, model_margin,
+                     shap_tree, stratified_split, synth_default_cohort,
+                     train_gbdt)
 
 cohort = synth_default_cohort(n=800, seed=7)
 split = stratified_split(cohort, train_fraction=0.7, seed=7)
 train = cohort.subset(split.train_rows)
 test = cohort.subset(split.test_rows)
 
-pipe = fit_pipeline(train, PipelineConfig())
+pipe = fit_pipeline(train)
 train_t, test_t = apply(pipe, train), apply(pipe, test)
 
 model = train_gbdt(train_t, GbdtParams(depth=3, n_trees=150), seed=1)

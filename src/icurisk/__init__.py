@@ -25,9 +25,9 @@ from .explain import (AblationReport, AleCurve, DreamConfig, DreamResult,
 from .metrics import (MetricReport, auroc, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold, welch_t)
 from .models import (GaussianNbModel, GbdtModel, GbdtParams, LinearModel,
-                     MlpConfig, MlpModel, cross_validate, model_margin,
-                     predict_proba, train_gbdt, train_gnb, train_logreg,
-                     train_mlp, train_model)
+                     MlpModel, cross_validate, model_margin, predict_proba,
+                     train_gbdt, train_gnb, train_logreg, train_mlp,
+                     train_model)
 from .pipeline import (BenchmarkRow, RunConfig, RunResult, load_run_config,
                        run)
 from .preprocess import (ClassWeights, FittedPipeline, PipelineConfig, apply,
@@ -53,7 +53,7 @@ __all__ = [
     "mutual_information", "rank_features",
     # models
     "GbdtModel", "GbdtParams", "train_gbdt", "LinearModel", "train_logreg",
-    "GaussianNbModel", "train_gnb", "MlpModel", "MlpConfig", "train_mlp",
+    "GaussianNbModel", "train_gnb", "MlpModel", "train_mlp",
     "train_model", "cross_validate", "predict_proba", "model_margin",
     # evaluation
     "auroc", "roc_curve", "bootstrap_auroc_ci", "tune_threshold",

@@ -23,6 +23,10 @@ _CROSSOVER_PROBS = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0])
 _P_GAMMA1 = 0.1           # share of proposals with gamma = 1 (mode jumps)
 _NOISE_SD = 1e-6
 _BURN_IN = 0.5            # leading share of each chain's draws discarded
+_MIN_CHAINS = 3           # a proposal needs two chains other than its own
+# split-rhat halves the kept draws and needs 2 per half; after the burn-in,
+# 7 generations keep ceil(7 / 2) = 4
+_MIN_GENERATIONS = 7
 
 
 @dataclass(frozen=True)
@@ -32,10 +36,11 @@ class DreamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_chains < 3:
-            raise ConfigError("need at least 3 chains for differential proposals")
-        if self.n_generations < 2:
-            raise ConfigError("n_generations must be >= 2")
+        if self.n_chains < _MIN_CHAINS:
+            raise ConfigError(f"need at least {_MIN_CHAINS} chains for "
+                              f"differential proposals")
+        if self.n_generations < _MIN_GENERATIONS:
+            raise ConfigError(f"n_generations must be >= {_MIN_GENERATIONS}")
 
 
 @dataclass(frozen=True)

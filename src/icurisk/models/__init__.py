@@ -11,14 +11,14 @@ from .cv import (CvPlan, GridSearchResult, ModelSpec, cross_validate,
                  model_margin, predict_proba, stratified_kfold, train_model)
 from .gbdt import GbdtModel, GbdtParams, gbdt_margin, train_gbdt
 from .linear import LinearModel, logreg_objective, train_logreg
-from .mlp import MlpConfig, MlpModel, loss_and_grad, train_mlp
+from .mlp import MlpModel, loss_and_grad, train_mlp
 from .naive_bayes import GaussianNbModel, gnb_posterior, train_gnb
 
 __all__ = [
     "GbdtModel", "GbdtParams", "train_gbdt", "gbdt_margin",
     "LinearModel", "train_logreg", "logreg_objective",
     "GaussianNbModel", "train_gnb", "gnb_posterior",
-    "MlpModel", "MlpConfig", "train_mlp", "loss_and_grad",
+    "MlpModel", "train_mlp", "loss_and_grad",
     "ModelSpec", "CvPlan", "GridSearchResult", "stratified_kfold",
     "cross_validate", "train_model", "predict_proba", "model_margin",
 ]

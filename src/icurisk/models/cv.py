@@ -13,11 +13,10 @@ other specs get them target-encoded.
 Cross-validation is stratified k-fold with grid search. Preprocessing is
 refit inside every fold; a model config never sees statistics computed from
 its validation rows. Every config is scored on the same fold plan, and every
-config's out-of-fold score vector is retained for threshold tuning. The best
-config of a slice of the grid is the one with the highest mean out-of-fold
-AUROC (ties to the smaller config index). Each fold is preprocessed once,
-then its (fold, config) fits run side by side on the available CPUs,
-costliest first (see icurisk._fanout and costliest_first).
+config's out-of-fold score vector is retained for threshold tuning. Each
+fold is preprocessed once, then its (fold, config) fits run side by side on
+the available CPUs, costliest first (see icurisk._fanout and
+costliest_first).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from ..schema import multi_level_indices
 from ..special import sigmoid
 from .gbdt import GbdtModel, GbdtParams, gbdt_margin, train_gbdt
 from .linear import LinearModel, linear_margin, train_logreg
-from .mlp import MlpConfig, MlpModel, mlp_margin, train_mlp
+from .mlp import MlpModel, mlp_margin, train_mlp
 from .naive_bayes import GaussianNbModel, gnb_posterior, train_gnb
 
 FAMILIES = ("gbdt", "logreg", "gnb", "mlp")
@@ -104,7 +103,7 @@ def train_model(spec: ModelSpec, table, weights, seed: int = 0):
     if spec.family == "gnb":
         return train_gnb(table, weights=weights, **spec.params)
     if spec.family == "mlp":
-        return train_mlp(table, MlpConfig(**spec.params), weights, seed=seed)
+        return train_mlp(table, weights=weights, seed=seed, **spec.params)
     raise ConfigError(f"unknown model family {spec.family!r}")
 
 
@@ -203,11 +202,6 @@ class GridSearchResult:
     fold_aurocs: np.ndarray      # (n_configs, k)
     oof: np.ndarray              # (n_configs, n) out-of-fold scores, aligned to train rows
     plan: CvPlan
-
-    def best_in(self, start: int = 0, stop: int = None) -> int:
-        """Index of the best config among configs[start:stop] by mean AUROC;
-        ties go to the smaller index."""
-        return start + int(np.argmax(self.mean_auroc[start:stop]))
 
 
 def cross_validate(train, grid, k: int = 5, seed: int = 0) -> GridSearchResult:

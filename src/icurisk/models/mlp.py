@@ -17,21 +17,9 @@ from ..errors import ConfigError, DataError
 from ..special import log1pexp, sigmoid
 
 _BATCH_SIZE = 32
+_LEARNING_RATE = 1e-3
 _PATIENCE = 20            # epochs without a better validation loss
 _VAL_FRACTION = 0.15      # per-class share of the fold held out for stopping
-
-
-@dataclass(frozen=True)
-class MlpConfig:
-    hidden: int = 16
-    learning_rate: float = 1e-3
-    epochs: int = 200
-
-    def __post_init__(self):
-        if self.hidden < 1:
-            raise ConfigError("hidden must be >= 1")
-        if self.epochs < 1 or self.learning_rate <= 0:
-            raise ConfigError("epochs >= 1 and learning_rate > 0 required")
 
 
 @dataclass(frozen=True)
@@ -40,7 +28,6 @@ class MlpModel:
     b1: np.ndarray
     W2: np.ndarray
     b2: float
-    config: MlpConfig
     feature_names_: tuple
     train_loss: tuple
     val_loss: tuple
@@ -88,10 +75,14 @@ def _stratified_val_split(y, rng):
     return fit, val
 
 
-def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 0) -> MlpModel:
+def train_mlp(train, hidden: int = 16, epochs: int = 200, weights=None,
+              seed: int = 0) -> MlpModel:
     """Adam on the weighted BCE. Early stopping restores the parameters of
     the best validation epoch; when neither class has rows to hold out (at
     most 3 each), there is no validation set and all epochs run."""
+    if hidden < 1 or epochs < 1:
+        raise ConfigError(f"hidden and epochs must be >= 1, got "
+                          f"hidden={hidden}, epochs={epochs}")
     X = np.asarray(train.X, dtype=float)
     y = np.asarray(train.y, dtype=float)
     if np.isnan(X).any():
@@ -103,10 +94,9 @@ def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 
     Xf, yf, wf = X[fit_idx], y[fit_idx], w[fit_idx]
 
     d = X.shape[1]
-    h = config.hidden
-    W1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, h))
-    b1 = np.zeros(h)
-    W2 = rng.normal(0.0, np.sqrt(1.0 / h), size=h)
+    W1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, hidden))
+    b1 = np.zeros(hidden)
+    W2 = rng.normal(0.0, np.sqrt(1.0 / hidden), size=hidden)
     b2 = 0.0
     params = [W1, b1, W2, b2]
     m = [np.zeros_like(W1), np.zeros_like(b1), np.zeros_like(W2), 0.0]
@@ -121,7 +111,7 @@ def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 
     since_best = 0
     n_fit = Xf.shape[0]
 
-    for epoch in range(1, config.epochs + 1):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n_fit)
         for start in range(0, n_fit, _BATCH_SIZE):
             batch = order[start : start + _BATCH_SIZE]
@@ -134,7 +124,7 @@ def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 
                 v[i] = beta2 * v[i] + (1 - beta2) * np.square(grads[i])
                 m_hat = m[i] / (1 - beta1 ** step)
                 v_hat = v[i] / (1 - beta2 ** step)
-                params[i] = params[i] - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                params[i] = params[i] - _LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
         ep_loss, _ = loss_and_grad(tuple(params), Xf, yf, wf)
         train_hist.append(ep_loss)
         if val_idx is not None:
@@ -156,7 +146,6 @@ def train_mlp(train, config: MlpConfig = MlpConfig(), weights=None, seed: int = 
     W1, b1, W2, b2 = best_params
     return MlpModel(
         W1=W1, b1=b1, W2=W2, b2=float(b2),
-        config=config,
         feature_names_=tuple(train.feature_names),
         train_loss=tuple(train_hist),
         val_loss=tuple(val_hist),

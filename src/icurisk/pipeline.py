@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .cohort import (CohortTable, load_cohort, stratified_split, summarize)
 from .errors import ConfigError, DataError, IcuRiskError
 from .explain import (AblationReport, AleCurve, PosteriorRisk, ShapMatrix,
                       ablation, ale, posterior_risk_inputs, shap_tree)
-from .explain.dream import DreamConfig
+from .explain.dream import _MIN_CHAINS, _MIN_GENERATIONS, DreamConfig
 from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
 from .models import GbdtModel, predict_proba
@@ -31,7 +31,7 @@ from .models.cv import (ModelSpec, costliest_first, cross_validate,
                         downgrade_ordered, fit_preprocessing, train_model)
 from .preprocess import FittedPipeline, apply
 from .schema import default_schema, load_schema
-from .select import CoverageFilterConfig, coverage_filter, rank_features
+from .select import coverage_filter, rank_features
 from .synth import synth_default_cohort
 
 
@@ -108,8 +108,9 @@ class RunConfig:
         # the limits of the layers beneath, checked before any model is fit:
         # k-fold CV, the coverage filter, the cohort generator and the
         # posterior sampler
-        minimum.update(cv_folds=2, synth_n=10, posterior_chains=3,
-                       posterior_generations=2, min_documented_patients=0)
+        minimum.update(cv_folds=2, synth_n=10, posterior_chains=_MIN_CHAINS,
+                       posterior_generations=_MIN_GENERATIONS,
+                       min_documented_patients=0)
         for name, low in minimum.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
@@ -130,10 +131,6 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
-
-
-def run_config_to_jsonable(config: RunConfig) -> dict:
-    return asdict(config)
 
 
 def run_config_from_jsonable(payload: dict) -> RunConfig:
@@ -163,36 +160,28 @@ def load_run_config(path) -> RunConfig:
     return config
 
 
-def _gbdt_specs(label, ordered, subsample):
-    return tuple(ModelSpec("gbdt", {
+def benchmark_grid() -> tuple:
+    """Every spec of the benchmark's cross-validated search. Specs sharing a
+    label form one of the six rows: three boosted-tree variants, each at
+    depth 2 and 3, then logistic regression with three penalties, Gaussian
+    naive Bayes and the MLP. Kept small enough that the full battery runs
+    at desk scale.
+    """
+    gbdt = [ModelSpec("gbdt", {
         "depth": depth, "n_trees": 100, "learning_rate": 0.1, "l2_leaf": 1.0,
         "subsample": subsample, "ordered_mode": ordered,
-    }, label=label) for depth in (2, 3))
-
-
-def benchmark_grids() -> tuple:
-    """The six benchmark rows: three boosted-tree variants plus logistic
-    regression, Gaussian naive Bayes, and the MLP. Each row carries its own
-    hyperparameter sub-grid for cross-validated search, kept small enough
-    that the full battery runs at desk scale.
-    """
-    logreg = (ModelSpec("logreg", {"penalty": "l2", "C": 1.0},
-                        label="logistic_regression"),
-              ModelSpec("logreg", {"penalty": "l2", "C": 0.1},
-                        label="logistic_regression"),
-              ModelSpec("logreg", {"penalty": "l1", "C": 1.0},
-                        label="logistic_regression"))
-    mlp = (ModelSpec("mlp", {"hidden": 16, "epochs": 120}, label="mlp"),)
-    return (
-        ("boosted_trees_ordered",
-         _gbdt_specs("boosted_trees_ordered", True, 1.0)),
-        ("boosted_trees", _gbdt_specs("boosted_trees", False, 1.0)),
-        ("boosted_trees_subsampled",
-         _gbdt_specs("boosted_trees_subsampled", False, 0.8)),
-        ("logistic_regression", logreg),
-        ("gaussian_nb", (ModelSpec("gnb", {}, label="gaussian_nb"),)),
-        ("mlp", mlp),
-    )
+    }, label=label)
+        for label, ordered, subsample in (
+            ("boosted_trees_ordered", True, 1.0),
+            ("boosted_trees", False, 1.0),
+            ("boosted_trees_subsampled", False, 0.8))
+        for depth in (2, 3)]
+    logreg = [ModelSpec("logreg", {"penalty": penalty, "C": C},
+                        label="logistic_regression")
+              for penalty, C in (("l2", 1.0), ("l2", 0.1), ("l1", 1.0))]
+    return (*gbdt, *logreg,
+            ModelSpec("gnb", {}, label="gaussian_nb"),
+            ModelSpec("mlp", {"hidden": 16, "epochs": 120}, label="mlp"))
 
 
 @dataclass(frozen=True)
@@ -254,10 +243,8 @@ def _load_stage(config: RunConfig):
 
 
 def _select_stage(config: RunConfig, train: CohortTable, test: CohortTable):
-    cfg = CoverageFilterConfig(
-        max_missing_fraction=config.max_missing_fraction,
-        min_documented_patients=config.min_documented_patients)
-    kept, filter_report = coverage_filter(train, cfg)
+    kept, filter_report = coverage_filter(
+        train, config.max_missing_fraction, config.min_documented_patients)
     dropped = [s.name for s in train.schema if s.name not in kept]
     if dropped:
         train = train.drop_features(dropped)
@@ -275,14 +262,16 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     best spec on the full training table, the refits side by side,
     costliest first (see icurisk._fanout). Train and test are imputed once;
     a row keeps (pipeline, transformed test, model, test scores)."""
-    grids = [(label, tuple(downgrade_ordered(s, train.schema) for s in grid), grid)
-             for label, grid in benchmark_grids()]
-    search = cross_validate(train, [s for _, grid, _ in grids for s in grid],
-                            k=config.cv_folds, seed=derive_int(config.seed, "cv"))
-    stops = np.cumsum([len(grid) for _, grid, _ in grids])
-    best = [search.best_in(stop - len(grid), stop)
-            for (_, grid, _), stop in zip(grids, stops)]
-    specs = [search.configs[i] for i in best]
+    declared = benchmark_grid()
+    grid = tuple(downgrade_ordered(s, train.schema) for s in declared)
+    search = cross_validate(train, grid, k=config.cv_folds,
+                            seed=derive_int(config.seed, "cv"))
+    members = {}
+    for i, spec in enumerate(grid):
+        members.setdefault(spec.label, []).append(i)
+    # per row, its best spec by mean CV AUROC; ties go to the first
+    best = [m[int(np.argmax(search.mean_auroc[m]))] for m in members.values()]
+    specs = [grid[i] for i in best]
     # the caller keeps the pipelines: sent back from a worker, the two
     # variants would no longer share their imputed table
     prepared = fit_preprocessing(specs, train, test)
@@ -300,8 +289,8 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     refits = dict(zip(order, fan_out(refit, order)))
     rows = []
     fitted = {}
-    for row_i, ((label, grid, declared), i) in enumerate(zip(grids, best)):
-        notes = () if grid == declared else (
+    for row_i, ((label, m), i) in enumerate(zip(members.items(), best)):
+        notes = () if grid[i] == declared[i] else (
             "ordered encoding disabled: no multi-level discrete features",)
         threshold = tune_threshold(search.oof[i], train.y)
         pipe, test_t = prepared[row_i]
@@ -309,7 +298,7 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
         m_train = confusion_metrics(train_scores, train.y, threshold)
         m_test = confusion_metrics(test_scores, test.y, threshold).with_ci(*ci)
         rows.append(BenchmarkRow(
-            label=label, spec=specs[row_i], grid_size=len(grid),
+            label=label, spec=specs[row_i], grid_size=len(m),
             cv_mean_auroc=float(search.mean_auroc[i]),
             cv_sd_auroc=float(search.sd_auroc[i]),
             threshold=threshold, metrics_train=m_train, metrics_test=m_test,

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .errors import DataError
 from .explain import REFERENCE_INPUTS_POSTERIOR
-from .pipeline import RunConfig, RunResult, run_config_to_jsonable
+from .pipeline import RunConfig, RunResult
 from .svgplot import ale_svg, dot_rows_svg, histogram_svg, roc_svg
 
 _REPORT_NAME = "report.json"
@@ -49,18 +49,13 @@ def _sanitize(obj):
     return obj
 
 
-def _metric_dict(m) -> dict:
-    return _sanitize(asdict(m))
-
-
 # out_dir describes the machine, not the analysis: two runs that differ
 # only in it must produce byte-identical reports
 _ENV_FIELDS = ("out_dir",)
 
 
 def _config_echo(config: RunConfig) -> dict:
-    payload = run_config_to_jsonable(config)
-    return {k: v for k, v in payload.items() if k not in _ENV_FIELDS}
+    return {k: v for k, v in asdict(config).items() if k not in _ENV_FIELDS}
 
 
 def build_report(result: RunResult) -> dict:
@@ -71,7 +66,6 @@ def build_report(result: RunResult) -> dict:
     abl = result.ablation_report
     dists = {name: abl.dropped_dist[name] for name in abl.features}
     shap_rows_raw = result.test.X[result.shap_row_ids]
-    post = result.posterior
     report = {
         "format_version": 1,
         "config": _sanitize(_config_echo(cfg)),
@@ -108,8 +102,8 @@ def build_report(result: RunResult) -> dict:
                 "cv_mean_auroc": row.cv_mean_auroc,
                 "cv_sd_auroc": _sanitize(row.cv_sd_auroc),
                 "threshold": row.threshold,
-                "train": _metric_dict(row.metrics_train),
-                "test": _metric_dict(row.metrics_test),
+                "train": _sanitize(asdict(row.metrics_train)),
+                "test": _sanitize(asdict(row.metrics_test)),
                 "notes": list(row.notes),
             }
             for row in result.benchmark
@@ -132,33 +126,15 @@ def build_report(result: RunResult) -> dict:
             "mean_drop": {n: abl.mean_drop(n) for n in abl.features},
         },
         "shap": {
+            **_sanitize(asdict(result.shap)),
             "model": result.shap_model_label,
-            "base_value": result.shap.base_value,
-            "feature_names": list(result.shap.feature_names),
             "row_ids": _sanitize(result.shap_row_ids),
-            "values": _sanitize(result.shap.values),
             "row_values": _sanitize(shap_rows_raw),
         },
-        "ale": [
-            {
-                "feature": c.feature,
-                "edges": _sanitize(c.edges),
-                "effects": _sanitize(c.effects),
-                "centered": _sanitize(c.centered),
-                "counts": _sanitize(c.counts),
-                "edge_counts": _sanitize(c.edge_counts),
-            }
-            for c in result.ale_curves
-        ],
+        "ale": [_sanitize(asdict(c)) for c in result.ale_curves],
         "posterior": {
+            **_sanitize(asdict(result.posterior)),
             "mode": "inputs",
-            "mean": post.mean,
-            "ci_low": post.ci_low,
-            "ci_high": post.ci_high,
-            "acceptance_rate": post.acceptance_rate,
-            "max_split_rhat": post.max_split_rhat,
-            "reliable": post.reliable,
-            "samples": _sanitize(post.samples),
             "reference": _sanitize(REFERENCE_INPUTS_POSTERIOR),
         },
     }
@@ -171,7 +147,8 @@ def report_json_bytes(report: dict) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# report schema (subset of JSON Schema: type/properties/required/items/enum)
+# report schema (subset of JSON Schema: type/properties/required/items/enum,
+# and $ref to a definition under the root's $defs)
 
 def load_report_schema() -> dict:
     from importlib import resources
@@ -198,9 +175,12 @@ def _type_ok(value, expected: str) -> bool:
     return isinstance(value, _TYPES[expected])
 
 
-def validate_report(report, schema, path="$") -> None:
+def validate_report(report, schema, path="$", root=None) -> None:
     """Check a document against the shipped schema subset; raises DataError
     with the offending path."""
+    root = schema if root is None else root
+    if "$ref" in schema:
+        schema = root["$defs"][schema["$ref"].removeprefix("#/$defs/")]
     expected = schema.get("type")
     if expected is not None:
         allowed = expected if isinstance(expected, list) else [expected]
@@ -214,10 +194,10 @@ def validate_report(report, schema, path="$") -> None:
                 raise DataError(f"{path}: missing required key {key!r}")
         for key, sub in schema.get("properties", {}).items():
             if key in report:
-                validate_report(report[key], sub, f"{path}.{key}")
+                validate_report(report[key], sub, f"{path}.{key}", root)
     if isinstance(report, list) and "items" in schema:
         for i, item in enumerate(report):
-            validate_report(item, schema["items"], f"{path}[{i}]")
+            validate_report(item, schema["items"], f"{path}[{i}]", root)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +226,18 @@ _METRIC_COLS = ("auroc", "accuracy", "f1", "sensitivity", "specificity",
 
 
 def emit_projections(report: dict, out_dir: str) -> list:
-    """Write every CSV/SVG artifact from the report dict; returns filenames."""
-    files = []
-    for emitter in (_emit_ttest, _emit_metrics, _emit_selection, _emit_roc,
-                    _emit_ablation, _emit_shap, _emit_ale, _emit_posterior):
-        for name, text in emitter(report):
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-                      newline="") as fh:
-                fh.write(text)
-            files.append(name)
-    return files
+    """Write every CSV/SVG artifact from the report dict; returns filenames.
+    Every projection is built before any is written, so a report they
+    cannot be built from leaves the directory as it was."""
+    texts = [item for emitter in (
+        _emit_ttest, _emit_metrics, _emit_selection, _emit_roc,
+        _emit_ablation, _emit_shap, _emit_ale, _emit_posterior)
+        for item in emitter(report)]
+    for name, text in texts:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(text)
+    return [name for name, _ in texts]
 
 
 _TTEST_ORDER = ("train_vs_test", "survivor_vs_nonsurvivor")
@@ -312,7 +294,10 @@ def _emit_roc(report):
     yield "roc_test.csv", _csv_text(
         ["fpr", "tpr", "threshold"],
         zip(roc["fpr"], roc["tpr"], roc["thresholds"]))
-    win = next(b for b in report["benchmark"] if b["label"] == report["winner"])
+    win = next((b for b in report["benchmark"]
+                if b["label"] == report["winner"]), None)
+    if win is None:
+        raise DataError(f"winner {report['winner']!r} names no benchmark row")
     yield "roc_test.svg", roc_svg(roc["fpr"], roc["tpr"], win["test"]["auroc"],
                                   label=report["winner"])
 
@@ -321,6 +306,9 @@ def _emit_ablation(report):
     ab = report["ablation"]
     rows = [["<none>", i, v] for i, v in enumerate(ab["baseline_dist"])]
     for name in ab["features"]:
+        if name not in ab["distributions"] or name not in ab["mean_drop"]:
+            raise DataError(f"ablation feature {name!r} has no entry in "
+                            f"distributions or mean_drop")
         rows += [[name, i, v] for i, v in enumerate(ab["distributions"][name])]
     yield "ablation.csv", _csv_text(["dropped_feature", "resample", "auroc"], rows)
     order = sorted(ab["features"], key=lambda n: ab["mean_drop"][n], reverse=True)
@@ -427,16 +415,9 @@ def _write_manifest(out_dir: str, echo: dict, files, stage_seconds: dict,
         artifacts=tuple((name, *_sha256(os.path.join(out_dir, name)))
                         for name in files),
         versions=_versions(), stage_seconds=stage_seconds)
-    payload = {
-        "format_version": 1,
-        "config_hash": m.config_hash,
-        "status": m.status,
-        "failed_stage": m.failed_stage,
-        "artifacts": [{"path": p, "sha256": s, "bytes": b}
-                      for p, s, b in m.artifacts],
-        "versions": m.versions,
-        "stage_seconds": m.stage_seconds,
-    }
+    payload = {**asdict(m), "format_version": 1,
+               "artifacts": [{"path": p, "sha256": s, "bytes": b}
+                             for p, s, b in m.artifacts]}
     with open(os.path.join(out_dir, _MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return m

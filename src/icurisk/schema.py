@@ -43,6 +43,10 @@ class FeatureSpec:
             raise SchemaError("feature name must be non-empty")
         if self.kind not in KINDS:
             raise SchemaError(f"unknown feature kind {self.kind!r} for {self.name!r}")
+        if not isinstance(self.unit, str):
+            # the report's cohort comparison carries every feature's unit
+            raise SchemaError(f"feature {self.name!r}: unit must be a string, "
+                              f"got {self.unit!r}")
         if self.kind == "binary":
             object.__setattr__(self, "lower", 0.0)
             object.__setattr__(self, "upper", 1.0)

@@ -17,7 +17,6 @@ from .cohort import CohortTable
 from .errors import ConfigError, DataError
 
 __all__ = [
-    "CoverageFilterConfig",
     "MIRanking",
     "coverage_filter",
     "mutual_information",
@@ -26,21 +25,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoverageFilterConfig:
-    max_missing_fraction: float = 0.20
-    min_documented_patients: int = 100
-
-    def __post_init__(self):
-        if not 0.0 <= self.max_missing_fraction <= 1.0:
-            raise ConfigError("max_missing_fraction must be in [0, 1]")
-        if self.min_documented_patients < 0:
-            raise ConfigError("coverage thresholds must be nonnegative")
-
-
-def coverage_filter(table: CohortTable, cfg: CoverageFilterConfig = CoverageFilterConfig()):
+def coverage_filter(table: CohortTable, max_missing_fraction: float = 0.20,
+                    min_documented_patients: int = 100):
     """Returns (kept feature names, report rows). Report rows carry the rule
     that fired: missingness, low documentation, or zero variance."""
+    if not 0.0 <= max_missing_fraction <= 1.0:
+        raise ConfigError("max_missing_fraction must be in [0, 1]")
+    if min_documented_patients < 0:
+        raise ConfigError("min_documented_patients must be nonnegative")
     kept, report = [], []
     for j, spec in enumerate(table.schema):
         col = table.X[:, j]
@@ -49,10 +41,10 @@ def coverage_filter(table: CohortTable, cfg: CoverageFilterConfig = CoverageFilt
         documented = int(obs.sum())
         variance = float(col[obs].var()) if documented else 0.0
         reason = ""
-        if missing_frac > cfg.max_missing_fraction:
-            reason = f"missingness {missing_frac:.3f} > {cfg.max_missing_fraction}"
-        elif documented < cfg.min_documented_patients:
-            reason = f"documented in {documented} < {cfg.min_documented_patients} patients"
+        if missing_frac > max_missing_fraction:
+            reason = f"missingness {missing_frac:.3f} > {max_missing_fraction}"
+        elif documented < min_documented_patients:
+            reason = f"documented in {documented} < {min_documented_patients} patients"
         elif variance <= 0.0:
             reason = f"variance {variance:.3g} <= 0.0"
         if not reason:
@@ -68,8 +60,8 @@ def coverage_filter(table: CohortTable, cfg: CoverageFilterConfig = CoverageFilt
     if not kept:
         raise DataError(
             "coverage filter dropped every feature: "
-            f"max_missing_fraction={cfg.max_missing_fraction}, "
-            f"min_documented_patients={cfg.min_documented_patients}, "
+            f"max_missing_fraction={max_missing_fraction}, "
+            f"min_documented_patients={min_documented_patients}, "
             f"{table.n} rows")
     return kept, report
 

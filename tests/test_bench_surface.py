@@ -1,10 +1,11 @@
-"""The package names the benchmark's tracer binds to (perfbench/tracer.py).
+"""The package surface the benchmark (perfbench/) binds to.
 
 The tracer wraps icurisk functions by module and attribute name and hashes
 fields of the fitted imputer, so renaming either here breaks only the
-benchmark's traced run unless this test catches it first. It counts only
+benchmark's traced run unless these tests catch it first. It counts only
 the calling process, so a layer that runs only in forked workers reads
-zero there too.
+zero there too. The serving workload calls the fitted Predictor and
+shap_tree once per request; a short serving session checks that path.
 """
 
 import collections
@@ -28,6 +29,12 @@ _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 def tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(_PERFBENCH))
     return importlib.import_module("tracer")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    return importlib.import_module("workloads")
 
 
 def test_every_traced_layer_resolves_and_has_an_import_site(tracer):
@@ -63,3 +70,14 @@ def test_the_caller_runs_every_traced_report_layer(tracer, monkeypatch, tmp_path
     # the eval stage's span is derived from the stages around it
     layers = set(workloads._REPORT_LAYERS) - {tracer.EVAL_STAGE}
     assert sorted(n for n in layers | {"cohort.load_cohort"} if not calls[n]) == []
+
+
+def test_a_short_serving_session_answers_every_request(workloads, tmp_path):
+    workload = workloads.WORKLOADS["score_patients"]
+    inputs = workloads.make_inputs(workload, 3, str(tmp_path))
+    server = workloads.fit_server(inputs.train, 3)
+    expected = workloads.expected_replies(server, inputs.test)
+    outcome = workloads.serve_phase(workload, server, inputs, expected,
+                                    seconds=0, min_requests=20)
+    assert outcome.attempted == 20
+    assert outcome.failures == []

@@ -65,10 +65,12 @@ def test_single_feature_run_writes_a_complete_report(tmp_path, capsys):
 
 
 def test_posterior_settings_fail_before_fitting(tmp_path, capsys):
-    cfg = _write_config(tmp_path, posterior_chains=2)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert "posterior_chains" in err and "[stage:" not in err
+    # 6 generations keep 3 draws per chain, too few for split-rhat
+    for key, value in (("posterior_chains", 2), ("posterior_generations", 6)):
+        cfg = _write_config(tmp_path, **{key: value})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be >=" in err and "[stage:" not in err
 
 
 def test_hopeless_coverage_settings_are_exit_2_before_any_stage(

@@ -84,11 +84,9 @@ def test_cross_validate_shapes_and_winner():
     result = cross_validate(table, grid, k=3, seed=2)
     assert result.fold_aurocs.shape == (3, 3)
     assert result.mean_auroc == pytest.approx(result.fold_aurocs.mean(axis=1))
-    best = result.best_in()
-    assert best == int(np.argmax(result.mean_auroc))
+    best = int(np.argmax(result.mean_auroc))
     assert result.configs[best] is grid[best]
     assert result.oof.shape == (3, 150)
-    assert result.best_in(1, 3) == 1 + int(np.argmax(result.mean_auroc[1:]))
     # the winner beats chance out of fold on this informative fixture
     assert auroc(result.oof[best], table.y) > 0.7
 
@@ -97,8 +95,9 @@ def test_cross_validate_ties_pick_first_config():
     table = make_table(60, seed=3, informative=True)
     spec = ModelSpec(family="gnb")
     result = cross_validate(table, (spec, ModelSpec(family="gnb")), k=2, seed=0)
+    # equal scores; the benchmark rows keep the first of tied specs
+    # (test_pipeline::test_a_row_tie_goes_to_its_first_spec)
     assert result.mean_auroc[0] == result.mean_auroc[1]
-    assert result.best_in() == 0
 
 
 def test_cross_validate_empty_grid():

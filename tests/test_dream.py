@@ -53,8 +53,12 @@ def test_split_rhat_needs_enough_draws():
 def test_config_validation():
     with pytest.raises(ConfigError):
         DreamConfig(n_chains=2)
-    with pytest.raises(ConfigError):
-        DreamConfig(n_generations=1)
+    with pytest.raises(ConfigError, match="n_generations must be >= 7"):
+        DreamConfig(n_generations=6)
+    # the fewest generations whose kept draws split-rhat accepts
+    result = dream_sample(lambda X: -0.5 * np.sum(X * X, axis=1), 2,
+                          DreamConfig(n_chains=4, n_generations=7))
+    assert result.chains.shape == (4, 4, 2)
 
 
 def _ref_pick_pairs(rng, n_chains):

@@ -10,7 +10,7 @@ from icurisk.errors import ConfigError, DataError
 from icurisk.models import linear, mlp, predict_proba
 from icurisk.models.linear import (LinearModel, linear_margin,
                                    logreg_objective, train_logreg)
-from icurisk.models.mlp import MlpConfig, mlp_margin, train_mlp
+from icurisk.models.mlp import mlp_margin, train_mlp
 from icurisk.models.naive_bayes import gnb_posterior, train_gnb
 from icurisk.preprocess import class_weights
 from icurisk.schema import FeatureSpec
@@ -165,9 +165,9 @@ def test_gnb_proba_clipped():
 
 def test_mlp_learns_an_informative_signal():
     table = make_table(300, seed=21, informative=True)
-    with mock.patch.object(mlp, "_PATIENCE", 30):
-        model = train_mlp(table, MlpConfig(hidden=8, epochs=120,
-                                           learning_rate=0.01), seed=0)
+    with mock.patch.object(mlp, "_PATIENCE", 30), \
+            mock.patch.object(mlp, "_LEARNING_RATE", 0.01):
+        model = train_mlp(table, hidden=8, epochs=120, seed=0)
     p = predict_proba(model, table.X)
     pos, neg = p[table.y == 1], p[table.y == 0]
     better = (pos[:, None] > neg[None, :]).mean()
@@ -177,21 +177,19 @@ def test_mlp_learns_an_informative_signal():
 
 def test_mlp_determinism_and_seed_sensitivity():
     table = make_table(80, seed=2, informative=True)
-    cfg = MlpConfig(hidden=4, epochs=15)
     with mock.patch.object(mlp, "_VAL_FRACTION", 0.2):
-        a = train_mlp(table, cfg, seed=3)
-        b = train_mlp(table, cfg, seed=3)
-        c = train_mlp(table, cfg, seed=4)
+        a = train_mlp(table, hidden=4, epochs=15, seed=3)
+        b = train_mlp(table, hidden=4, epochs=15, seed=3)
+        c = train_mlp(table, hidden=4, epochs=15, seed=4)
     assert np.array_equal(mlp_margin(a, table.X), mlp_margin(b, table.X))
     assert not np.array_equal(mlp_margin(a, table.X), mlp_margin(c, table.X))
 
 
 def test_mlp_early_stopping_bookkeeping():
     table = make_table(120, seed=6, informative=True)
-    cfg = MlpConfig(hidden=4, epochs=60)
     with mock.patch.object(mlp, "_PATIENCE", 5), \
             mock.patch.object(mlp, "_VAL_FRACTION", 0.25):
-        model = train_mlp(table, cfg, seed=1)
+        model = train_mlp(table, hidden=4, epochs=60, seed=1)
     # stopped_epoch is the epoch whose weights were kept; the histories
     # cover every epoch run, which exceeds it by at most the patience
     ran = len(model.train_loss)
@@ -202,5 +200,8 @@ def test_mlp_early_stopping_bookkeeping():
 
 
 def test_mlp_config_validation():
-    with pytest.raises(ConfigError):
-        MlpConfig(hidden=0)
+    table = make_table(40, seed=1, informative=True)
+    with pytest.raises(ConfigError, match="hidden=0"):
+        train_mlp(table, hidden=0)
+    with pytest.raises(ConfigError, match="epochs=0"):
+        train_mlp(table, epochs=0)

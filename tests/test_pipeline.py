@@ -3,18 +3,18 @@
 import hashlib
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from icurisk import preprocess
+from icurisk import pipeline, preprocess
 from icurisk.cohort import save_cohort
 from icurisk.errors import ConfigError, DataError
 from icurisk.models import cv
-from icurisk.pipeline import (RunConfig, load_run_config,
-                              run, run_config_from_jsonable,
-                              run_config_to_jsonable)
+from icurisk.models.cv import ModelSpec
+from icurisk.pipeline import (RunConfig, load_run_config, run,
+                              run_config_from_jsonable)
 from icurisk.report import (load_report_schema, validate_report,
                             write_artifacts)
 from icurisk.schema import FeatureSpec, save_schema
@@ -151,11 +151,25 @@ def test_all_rows_are_scored_on_one_fold_plan(probe_run):
     stop = 0
     for row in result.benchmark:
         start, stop = stop, stop + row.grid_size
-        best = search.best_in(start, stop)
+        best = start + int(np.argmax(search.mean_auroc[start:stop]))
         assert {s.label for s in search.configs[start:stop]} == {row.label}
         assert search.configs[best] == row.spec
         assert row.cv_mean_auroc == search.mean_auroc[best]
         assert row.cv_sd_auroc == search.sd_auroc[best]
+
+
+def test_a_row_tie_goes_to_its_first_spec(monkeypatch):
+    # two equal Gaussian NB specs under one label score the same on every
+    # fold; the row must keep the first of them
+    first, second = (ModelSpec("gnb", label="nb"), ModelSpec("gnb", label="nb"))
+    grid = (first, second, ModelSpec("logreg", {"C": 1.0}, label="lr"))
+    monkeypatch.setattr(pipeline, "benchmark_grid", lambda: grid)
+    table = make_table(120, seed=7, informative=True)
+    train, test = table.subset(np.arange(80)), table.subset(np.arange(80, 120))
+    config = _small_config(cv_folds=3, n_bootstrap=20)
+    rows, _, _, _ = pipeline._model_stage(config, train, test)
+    assert [(r.label, r.grid_size) for r in rows] == [("nb", 2), ("lr", 1)]
+    assert rows[0].spec is first
 
 
 def test_benchmark_has_six_labeled_rows(small_run):
@@ -225,7 +239,7 @@ def test_ttest_tables_cover_features(small_run):
 
 def test_run_config_round_trip_and_validation():
     cfg = _small_config()
-    payload = run_config_to_jsonable(cfg)
+    payload = asdict(cfg)
     assert run_config_from_jsonable(payload) == cfg
     with pytest.raises(ConfigError, match="unknown config keys"):
         run_config_from_jsonable({**payload, "bogus": 1})

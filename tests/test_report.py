@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from icurisk.cli import main
 from icurisk.errors import DataError
 from icurisk.pipeline import RunConfig
 from icurisk.report import (config_hash, emit_report, load_manifest,
@@ -127,3 +128,55 @@ def test_emit_report_requires_existing_report(tmp_path):
     (tmp_path / "report.json").write_text("{broken")
     with pytest.raises(DataError, match="not valid JSON"):
         emit_report(str(tmp_path))
+
+
+def _pop(*path):
+    """An edit that deletes the key at path and returns its name."""
+    def edit(report):
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return path[-1]
+    return edit
+
+
+def _drop_first_distribution(report):
+    name = report["ablation"]["features"][0]
+    del report["ablation"]["distributions"][name]
+    return name
+
+
+def _name_an_unknown_winner(report):
+    report["winner"] = "no_such_row"
+    return "no_such_row"
+
+
+# each edit returns the key or label the error message must name
+_INCOMPLETE = {
+    "mi_excluded": _pop("selection", "mi", "excluded_near_zero"),
+    "train_metric": _pop("benchmark", 0, "train", "ppv"),
+    "ttest_row_key": _pop("cohort_comparison", "survivor_vs_nonsurvivor", 0,
+                          "mean_a"),
+    "shap_row_values": _pop("shap", "row_values"),
+    "ablation_distribution": _drop_first_distribution,
+    "unknown_winner": _name_an_unknown_winner,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INCOMPLETE))
+def test_report_verb_refuses_an_incomplete_report(run_out, tmp_path, capsys,
+                                                  case):
+    # exit 3 naming what is missing, with every file on disk left as it was
+    _, _, out = run_out
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    report = _read_report(clone)
+    named = _INCOMPLETE[case](report)
+    (clone / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in clone.iterdir()}
+    capsys.readouterr()
+    assert main(["report", "--out", str(clone)]) == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in clone.iterdir()} == before

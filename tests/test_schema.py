@@ -36,6 +36,12 @@ def test_categorical_levels():
     assert np.array_equal(s.grid(), [0.0, 1.0, 2.0])
 
 
+def test_unit_must_be_a_string():
+    with pytest.raises(SchemaError, match="unit must be a string"):
+        schema_from_jsonable([{"name": "age", "kind": "continuous",
+                               "unit": None}])
+
+
 def test_unknown_kind_and_empty_name():
     with pytest.raises(SchemaError):
         FeatureSpec(name="x", kind="nominal")

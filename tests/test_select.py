@@ -6,8 +6,8 @@ import pytest
 
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError
-from icurisk.select import (CoverageFilterConfig, coverage_filter, decile_bin,
-                            mutual_information, rank_features)
+from icurisk.select import (coverage_filter, decile_bin, mutual_information,
+                            rank_features)
 from icurisk.schema import FeatureSpec
 
 from conftest import make_table
@@ -96,16 +96,17 @@ def test_coverage_filter_reasons():
 
 def test_coverage_filter_documentation_threshold():
     table = make_table(50, seed=5)
-    cfg = CoverageFilterConfig(min_documented_patients=51)
     with pytest.raises(DataError):
-        coverage_filter(table, cfg)  # every feature fails the count rule
+        # every feature fails the count rule
+        coverage_filter(table, min_documented_patients=51)
 
 
 def test_coverage_filter_config_validation():
-    with pytest.raises(ConfigError):
-        CoverageFilterConfig(max_missing_fraction=1.5)
-    with pytest.raises(ConfigError):
-        CoverageFilterConfig(min_documented_patients=-1)
+    table = make_table(50, seed=5)
+    with pytest.raises(ConfigError, match="max_missing_fraction"):
+        coverage_filter(table, max_missing_fraction=1.5)
+    with pytest.raises(ConfigError, match="min_documented_patients"):
+        coverage_filter(table, min_documented_patients=-1)
 
 
 def test_rank_features_orders_by_information(table200):
