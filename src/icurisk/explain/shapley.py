@@ -17,13 +17,18 @@ the leaf of value v, with k slots satisfied only by x and m only by z,
 contributes v * (k-1)! m! / (k+m)! to each x-only feature and
 -v * k! (m-1)! / (k+m)! to each z-only feature; features both satisfy are
 dummies. shap_tree therefore counts background rows per (leaf, code) once
-per call, and each explained row's own code per leaf picks its weights, so
-per-row work does not grow with the background. Tree attributions are on
-the margin (log-odds) scale.
+per (model, background), and each explained row's own code per leaf picks
+its weights, so per-row work does not grow with the background. The
+prepared background is kept for the next call until a call brings another
+model or background, so a server explaining one patient per request against
+a fixed background pays for it once. Tree attributions are on the margin
+(log-odds) scale.
 """
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass
 from math import factorial
 
@@ -112,27 +117,30 @@ def _path_codes(forest, X) -> np.ndarray:
     return codes
 
 
-def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
-    """Interventional tree Shapley values for every row, equal to
-    shap_exhaustive on the margin within floating-point error. Rows and
-    background must have the model's width (or feature names, for tables)
-    and finite values."""
-    if not isinstance(model, GbdtModel):
-        raise ConfigError("shap_tree supports boosted-tree models only")
-    X = _apply_cat_stats(_model_matrix(model, rows), model.cat_stats)
-    Z_raw = _model_matrix(model, background)
-    if Z_raw.shape[0] == 0:
-        raise DataError("background must be nonempty")
-    Z = _apply_cat_stats(Z_raw, model.cat_stats)
-    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
+@dataclass(frozen=True)
+class _Background:
+    """A background summarized for one model: every (leaf, code) pair that
+    some background row reaches, code being the leaf's slots the row
+    satisfies."""
+
+    leaf: np.ndarray         # (pairs,) leaf index
+    code: np.ndarray         # (pairs,) slot code
+    weight: np.ndarray       # (pairs,) background row count * leaf value
+    feat: np.ndarray         # (depth, pairs) feature of each slot
+    base_value: float        # mean margin over the background
+    size: int                # background rows
+
+
+def _prepare_background(model: GbdtModel, background) -> _Background:
+    """Count the background rows per (leaf, code) of the model's forest;
+    background is the model-width matrix before category encoding."""
+    Z = _apply_cat_stats(background, model.cat_stats)
+    if not np.isfinite(Z).all():
         raise DataError("shap_tree needs finite rows and background")
     forest = model.forest
     depth = forest.depth
     full = (1 << depth) - 1
-    w_in, w_out = _pair_weights(depth)
-
-    # background rows per (leaf, code), kept where nonzero; leaves go in
-    # blocks so the dense count stays small at any depth
+    # leaves go in blocks so the dense count stays small at any depth
     zc = _path_codes(forest, Z)
     pairs = []
     step = max(1, _CHUNK >> depth)
@@ -142,10 +150,57 @@ def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
         count = np.bincount(key.ravel(), minlength=part.shape[0] << depth)
         at = np.flatnonzero(count)
         pairs.append(((at >> depth) + start, at & full, count[at]))
-    leaf, b, count = (np.concatenate(p) for p in zip(*pairs))
-    weight = count * forest.leaf_value[leaf]
-    feat = forest.slot_feat[:, leaf]                    # (depth, pairs)
-    shift = np.arange(depth)[:, None]
+    leaf, code, count = (np.concatenate(p) for p in zip(*pairs))
+    return _Background(leaf=leaf, code=code,
+                       weight=count * forest.leaf_value[leaf],
+                       feat=forest.slot_feat[:, leaf],
+                       base_value=float(model_margin(model, background).mean()),
+                       size=background.shape[0])
+
+
+# the last prepared background: (weak reference to its model, digest of
+# its matrix, record). The reference is weak so that the memo never keeps a
+# model alive; the tuple is read and replaced whole, so callers in two
+# threads at worst prepare the same background twice.
+_memo = (None, None, None)
+
+
+def _prepared(model: GbdtModel, background) -> _Background:
+    """The prepared background, reused while the model and the background's
+    contents are those of the previous call. A background only ever gets a
+    record after passing the finite check, so a reused record stands for
+    that check."""
+    global _memo
+    Z = np.ascontiguousarray(background)
+    h = hashlib.blake2b(Z, digest_size=16)
+    h.update(repr(Z.shape).encode())
+    digest = h.digest()
+    ref, seen, record = _memo
+    if ref is None or ref() is not model or seen != digest:
+        record = _prepare_background(model, Z)
+        _memo = (weakref.ref(model), digest, record)
+    return record
+
+
+def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
+    """Interventional tree Shapley values for every row, equal to
+    shap_exhaustive on the margin within floating-point error. Rows and
+    background must have the model's width (or feature names, for tables)
+    and finite values."""
+    if not isinstance(model, GbdtModel):
+        raise ConfigError("shap_tree supports boosted-tree models only")
+    X = _apply_cat_stats(_model_matrix(model, rows), model.cat_stats)
+    Z = _model_matrix(model, background)
+    if Z.shape[0] == 0:
+        raise DataError("background must be nonempty")
+    if not np.isfinite(X).all():
+        raise DataError("shap_tree needs finite rows and background")
+    bg = _prepared(model, Z)
+    forest = model.forest
+    depth = forest.depth
+    full = (1 << depth) - 1
+    w_in, w_out = _pair_weights(depth)
+    leaf, b, shift = bg.leaf, bg.code, np.arange(depth)[:, None]
 
     n, d = X.shape
     phi = np.zeros((n, d))
@@ -157,15 +212,14 @@ def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
         k = x_only.sum(axis=1)
         m = z_only.sum(axis=1)
         # a pair is dead when some slot fails both rows
-        w = np.where((a[:, 0] | b) == full, weight, 0.0)
+        w = np.where((a[:, 0] | b) == full, bg.weight, 0.0)
         contrib = (x_only * (w * w_in[k, m])[:, None]
                    - z_only * (w * w_out[k, m])[:, None])
         rows_in = a.shape[0]
-        cell = np.arange(rows_in)[:, None, None] * d + feat
+        cell = np.arange(rows_in)[:, None, None] * d + bg.feat
         phi[start:start + rows_in] = np.bincount(
             cell.ravel(), weights=contrib.ravel(),
             minlength=rows_in * d).reshape(rows_in, d)
-    values = model.params.learning_rate * phi / Z.shape[0]
-    base = float(model_margin(model, Z_raw).mean())
-    return ShapMatrix(values=values, base_value=base,
+    values = model.params.learning_rate * phi / bg.size
+    return ShapMatrix(values=values, base_value=bg.base_value,
                       feature_names=tuple(model.feature_names_))

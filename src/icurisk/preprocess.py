@@ -165,11 +165,9 @@ def fit_encoder(train: CohortTable, feature: str, alpha: float = 10.0) -> Target
     )
 
 
-def encode(encoder: TargetEncoder, table: CohortTable) -> CohortTable:
-    """Replace the encoded feature's column with smoothed target means.
-    Unseen categories map to the global mean (logged, not an error)."""
-    j = table.index_of(encoder.feature)
-    col = table.X[:, j]
+def _encode_column(encoder: TargetEncoder, X: np.ndarray, j: int) -> None:
+    """Encode column j of X in place; missing cells stay missing."""
+    col = X[:, j]
     obs = ~np.isnan(col)
     values = col[obs]
     idx = np.searchsorted(encoder.category_values, values)
@@ -184,10 +182,15 @@ def encode(encoder: TargetEncoder, table: CohortTable) -> CohortTable:
         unseen = sorted(set(values[~known].tolist()))
         log.info("encoder %r: %d unseen categories %s mapped to global mean",
                  encoder.feature, len(unseen), unseen[:5])
+    col[obs] = enc
+
+
+def encode(encoder: TargetEncoder, table: CohortTable) -> CohortTable:
+    """Replace the encoded feature's column with smoothed target means.
+    Unseen categories map to the global mean (logged, not an error)."""
+    j = table.index_of(encoder.feature)
     X = table.X.copy()
-    out = col.copy()
-    out[obs] = enc
-    X[:, j] = out
+    _encode_column(encoder, X, j)
     return table.with_matrix(X)
 
 
@@ -211,14 +214,18 @@ def fit_scaler(train: CohortTable) -> StandardScaler:
     )
 
 
-def scale(scaler: StandardScaler, table: CohortTable) -> CohortTable:
-    _check_schema("scale", scaler.feature_names_, table)
-    if np.isnan(table.X).any():
+def _scale_matrix(scaler: StandardScaler, X: np.ndarray) -> np.ndarray:
+    if np.isnan(X).any():
         raise OrderingError("scale before imputation: missing values present")
     denom = np.where(scaler.scale > 0, scaler.scale, 1.0)
-    Z = (table.X - scaler.loc) / denom
+    Z = (X - scaler.loc) / denom
     Z[:, scaler.scale == 0] = 0.0
-    return table.with_matrix(Z)
+    return Z
+
+
+def scale(scaler: StandardScaler, table: CohortTable) -> CohortTable:
+    _check_schema("scale", scaler.feature_names_, table)
+    return table.with_matrix(_scale_matrix(scaler, table.X))
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +322,13 @@ def without_encoding(pipeline: FittedPipeline) -> FittedPipeline:
 
 
 def transform_imputed(pipeline: FittedPipeline, table: CohortTable) -> CohortTable:
-    """Replay encode and scale on a table already imputed by pipeline.imputer."""
-    current = table
+    """Replay encode and scale on a table already imputed by pipeline.imputer,
+    on one matrix, into one table."""
+    _check_schema("transform", pipeline.scaler.feature_names_, table)
+    X = table.X.copy()
     for enc in pipeline.encoders:
-        current = encode(enc, current)
-    return scale(pipeline.scaler, current)
+        _encode_column(enc, X, table.index_of(enc.feature))
+    return table.with_matrix(_scale_matrix(pipeline.scaler, X))
 
 
 def apply(pipeline: FittedPipeline, table: CohortTable) -> CohortTable:

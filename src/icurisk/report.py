@@ -318,8 +318,18 @@ def _emit_ablation(report):
         xlabel="bootstrap AUROC", baseline=ab["baseline_auroc"])
 
 
+def _check_rows(key, rows, n_rows, width):
+    """DataError naming key unless rows holds n_rows rows of width cells."""
+    if len(rows) != n_rows or any(len(r) != width for r in rows):
+        raise DataError(f"{key} must hold {n_rows} rows of {width} values, "
+                        f"one per row id and feature name")
+
+
 def _emit_shap(report):
     sh = report["shap"]
+    shape = len(sh["row_ids"]), len(sh["feature_names"])
+    _check_rows("shap.values", sh["values"], *shape)
+    _check_rows("shap.row_values", sh["row_values"], *shape)
     rows = []
     values = np.asarray(sh["values"], dtype=float)
     for r, row_id in enumerate(sh["row_ids"]):
@@ -339,7 +349,12 @@ def _emit_shap(report):
 
 
 def _emit_ale(report):
-    for curve in report["ale"]:
+    for i, curve in enumerate(report["ale"]):
+        n_edges = len(curve["edges"])
+        for key in ("edges", "centered", "edge_counts"):
+            if not curve[key] or len(curve[key]) != n_edges:
+                raise DataError(f"ale[{i}].{key} must hold one value per edge "
+                                f"of a nonempty edges list")
         slug = _slug(curve["feature"])
         yield f"ale_{slug}.csv", _csv_text(
             ["edge", "effect", "count"],

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icurisk.cohort import CohortTable
+from icurisk.cohort import CohortTable, stratified_split
 from icurisk.errors import ConfigError, DataError, OrderingError, SchemaError
 from icurisk.preprocess import (apply, class_weights, encode, fit_encoder,
                                 fit_imputer, fit_pipeline, fit_scaler, impute,
                                 scale, without_encoding)
 from icurisk.selftest import _same_fit
 from icurisk.schema import FeatureSpec
+from icurisk.synth import synth_default_cohort
 
 from conftest import make_table, small_schema
 
@@ -324,3 +325,17 @@ def test_apply_never_uses_query_labels(table40):
     a = apply(pipe, table40)
     b = apply(pipe, flipped)
     assert np.array_equal(a.X, b.X)
+
+
+def test_one_row_apply_replays_the_batch_bit_for_bit():
+    # the serving benchmark's seed-3 cohort and split: each held-out patient
+    # transformed alone must match its row of the batch transform exactly
+    cohort = synth_default_cohort(n=1301, seed=3)
+    split = stratified_split(cohort, 0.7, 3)
+    pipe = fit_pipeline(cohort.subset(split.train_rows))
+    test = cohort.subset(split.test_rows)
+    assert pipe.encoders and np.isnan(test.X).any(axis=1).any()
+    batch = apply(pipe, test).X
+    for i in range(test.n):
+        one = apply(pipe, test.subset([i])).X
+        assert one.tobytes() == batch[i:i + 1].tobytes(), i

@@ -152,6 +152,26 @@ def _name_an_unknown_winner(report):
     return "no_such_row"
 
 
+def _drop_last_shap_row(report):
+    report["shap"]["values"].pop()
+    return "shap.values"
+
+
+def _shorten_a_shap_row(report):
+    report["shap"]["values"][0].pop()
+    return "shap.values"
+
+
+def _ragged_row_values(report):
+    report["shap"]["row_values"][-1].append(0.0)
+    return "shap.row_values"
+
+
+def _empty_ale_curve(report):
+    report["ale"][0]["centered"] = []
+    return "ale[0].centered"
+
+
 # each edit returns the key or label the error message must name
 _INCOMPLETE = {
     "mi_excluded": _pop("selection", "mi", "excluded_near_zero"),
@@ -161,6 +181,10 @@ _INCOMPLETE = {
     "shap_row_values": _pop("shap", "row_values"),
     "ablation_distribution": _drop_first_distribution,
     "unknown_winner": _name_an_unknown_winner,
+    "shap_values_fewer_rows": _drop_last_shap_row,
+    "shap_values_short_row": _shorten_a_shap_row,
+    "shap_row_values_ragged": _ragged_row_values,
+    "ale_centered_empty": _empty_ale_curve,
 }
 
 

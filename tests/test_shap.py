@@ -1,6 +1,8 @@
 """Shapley attribution: exact axioms on the exhaustive game, agreement of
 the leaf-table Tree SHAP with brute-force enumeration."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -157,4 +159,75 @@ def test_tree_matches_enumeration_with_repeated_features_and_ties():
     before = _check_against_enumeration(model, rows, Z)
     with pytest.MonkeyPatch.context() as mp:    # many small blocks
         mp.setattr(shapley, "_CHUNK", 64)
+        mp.setattr(shapley, "_memo", (None, None, None))
         assert np.array_equal(shap_tree(model, rows, Z).values, before.values)
+
+
+def _counting_preparations(monkeypatch):
+    prepared = []
+    real = shapley._prepare_background
+
+    def prepare(model, background):
+        prepared.append(model)
+        return real(model, background)
+
+    monkeypatch.setattr(shapley, "_prepare_background", prepare)
+    return prepared
+
+
+def test_tree_prepares_a_background_once_per_model_and_contents(monkeypatch):
+    table = make_table(120, seed=43, informative=True)
+    params = GbdtParams(depth=3, n_trees=10)
+    model = train_gbdt(table, params, seed=0)
+    prepared = _counting_preparations(monkeypatch)
+    Z = table.X[:30].copy()
+    rows = table.X[60:66]
+    first = shap_tree(model, rows, Z)
+    record = shapley._memo[2]
+    again = shap_tree(model, rows, Z.copy())        # equal contents
+    assert len(prepared) == 1 and shapley._memo[2] is record
+    monkeypatch.setattr(shapley, "_memo", (None, None, None))
+    fresh = shap_tree(model, rows, Z)
+    assert len(prepared) == 2
+    for result in (first, again):
+        assert result.values.tobytes() == fresh.values.tobytes()
+        assert result.base_value == fresh.base_value
+    Z[:15] = Z[15:]                                 # changed in place
+    moved = shap_tree(model, rows, Z)
+    assert len(prepared) == 3
+    assert moved.base_value != fresh.base_value
+    assert moved.base_value == pytest.approx(gbdt_margin(model, Z).mean())
+    other = train_gbdt(table, params, seed=5)       # same background
+    shap_tree(other, rows, Z)
+    assert prepared[-1] is other and len(prepared) == 4
+
+
+def test_tree_checks_inputs_on_a_reused_background(monkeypatch):
+    table = make_table(80, seed=47, informative=True)
+    model = train_gbdt(table, GbdtParams(depth=2, n_trees=6), seed=0)
+    prepared = _counting_preparations(monkeypatch)
+    background = table.subset(np.arange(20, 50))
+    shap_tree(model, table.subset(np.arange(5)), background)
+    renamed = tuple(FeatureSpec(name=f"other{j}", kind="continuous")
+                    for j in range(table.d))
+    with pytest.raises(SchemaError):
+        shap_tree(model, CohortTable(renamed, table.X[:5], table.y[:5]),
+                  background)
+    with pytest.raises(SchemaError):
+        shap_tree(model, table.X[:5],
+                  CohortTable(renamed, background.X, background.y))
+    rows = table.X[:3].copy()
+    rows[1, 2] = np.nan
+    with pytest.raises(DataError):
+        shap_tree(model, rows, background)
+    assert len(prepared) == 1
+
+
+def test_tree_memo_does_not_keep_its_model_alive():
+    table = make_table(60, seed=53, informative=True)
+    model = train_gbdt(table, GbdtParams(depth=2, n_trees=4), seed=0)
+    shap_tree(model, table.X[:2], table.X[10:30])
+    assert shapley._memo[0]() is model
+    del model
+    gc.collect()
+    assert shapley._memo[0]() is None
