@@ -12,7 +12,9 @@ three consecutive items include one of the caller's. Each child sends one
 pickle of its outcomes over a pipe and ends with ``os._exit``; results need
 to pickle, ``fn`` and the items do not. The lowest-index failure is raised,
 as the serial loop would raise it, and the warnings the items issued are
-re-issued in item order.
+re-issued in item order. A child that dies without sending its outcomes
+(killed, or an outcome that does not pickle) raises WorkerError, naming its
+exit code or signal and its items.
 
 The loop runs in-process when P = 1, where ``os.fork`` is missing, inside a
 child, and while the process has other threads, which fork would not copy.
@@ -27,6 +29,8 @@ import signal
 import threading
 import traceback
 import warnings
+
+from .errors import WorkerError
 
 _IN_CHILD = False  # set in a forked child, so that nested calls run in it
 
@@ -89,7 +93,7 @@ def fan_out(fn, items) -> list:
             or threading.active_count() > 1):
         return _collect(_share(fn, items, range(n)), n)
     shares = _deal(n, procs)
-    children = []  # (pid, read end) of each child not yet reaped
+    children = []  # (pid, share, read end) of each child not yet reaped
     try:
         for p in range(1, procs):
             read_fd, write_fd = os.pipe()
@@ -103,25 +107,36 @@ def fan_out(fn, items) -> list:
                 os.close(read_fd)
                 _serve(write_fd, fn, items, shares[p])
             os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
+            children.append((pid, shares[p], os.fdopen(read_fd, "rb")))
         outcomes = _share(fn, items, shares[0])
         while children:
-            pid, pipe = children[0]
+            pid, share, pipe = children[0]
             with pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             children.pop(0)
             if status or not data:
-                code = os.waitstatus_to_exitcode(status)
-                raise ChildProcessError(f"worker process {pid} exited with "
-                                        f"code {code} and no result")
+                raise WorkerError(_death(pid, status, share))
             outcomes.update(pickle.loads(data))
     finally:
-        for pid, pipe in children:  # left early: the results are not needed
+        for pid, _, pipe in children:  # left early: the results are not needed
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return _collect(outcomes, n)
+
+
+def _death(pid, status, share) -> str:
+    """How worker pid, which ran the items at indices share, ended."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        try:
+            how = f"was killed by signal {signal.Signals(-code).name}"
+        except ValueError:
+            how = f"was killed by signal {-code}"
+    else:
+        how = f"exited with code {code}"
+    return f"worker process {pid} {how} and no result (its items: {share})"
 
 
 def _collect(outcomes, n) -> list:

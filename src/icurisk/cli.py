@@ -6,7 +6,8 @@ Verbs:
   report    re-derive CSV/SVG projections from an existing report.json
   selftest  run the acceptance battery and print one line per criterion
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure or a
+worker process that died.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .cohort import save_cohort
 from .errors import (ConfigError, ConvergenceError, DataError, IcuRiskError,
-                     OrderingError, SchemaError)
+                     OrderingError, SchemaError, WorkerError)
 from .pipeline import RunConfig, load_run_config, run
 from .report import emit_report, write_artifacts, write_failed_manifest
 from .synth import synth_default_cohort
@@ -140,6 +141,9 @@ def main(argv=None) -> int:
         return 3
     except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 4
+    except WorkerError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
         return 4
 
 

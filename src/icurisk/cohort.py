@@ -26,15 +26,8 @@ class CohortTable:
         schema = validate_schema(schema)
         X = np.array(X, dtype=np.float64)
         y = np.array(y, dtype=np.int64)
-        if X.ndim != 2:
-            raise DataError(f"feature matrix must be 2-d, got shape {X.shape}")
-        if X.shape[0] < 1:
-            raise DataError("cohort must contain at least one row")
-        if X.shape[1] != len(schema):
-            raise SchemaError(f"matrix has {X.shape[1]} columns for {len(schema)} features")
-        if y.shape != (X.shape[0],):
-            raise DataError("label vector length does not match row count")
-        if not np.isin(y, (0, 1)).all():
+        _check_shape(X, len(schema), y.shape)
+        if not ((y == 0) | (y == 1)).all():
             raise DataError("labels must be 0 or 1 with no missing entries")
         X.setflags(write=False)
         y.setflags(write=False)
@@ -84,7 +77,20 @@ class CohortTable:
         return CohortTable([self.schema[i] for i in keep], self.X[:, keep], self.y)
 
     def with_matrix(self, X) -> "CohortTable":
-        return CohortTable(self.schema, X, self.y)
+        """The same schema and labels over another matrix of the same width
+        and rows. Both were checked when this table was built, so only the
+        matrix is; the labels are copied, not shared, so that a pickle of
+        two such tables rebuilds as it was written."""
+        X = np.array(X, dtype=np.float64)
+        _check_shape(X, self.d, self.y.shape)
+        X.setflags(write=False)
+        y = self.y.copy()
+        y.setflags(write=False)
+        table = object.__new__(CohortTable)
+        object.__setattr__(table, "schema", self.schema)
+        object.__setattr__(table, "X", X)
+        object.__setattr__(table, "y", y)
+        return table
 
     def equals(self, other: "CohortTable") -> bool:
         return (
@@ -96,6 +102,18 @@ class CohortTable:
     def __repr__(self):
         miss = np.isnan(self.X).mean()
         return f"CohortTable(n={self.n}, d={self.d}, event_rate={self.y.mean():.3f}, missing={miss:.3f})"
+
+
+def _check_shape(X: np.ndarray, d: int, y_shape: tuple) -> None:
+    """Refuse a matrix that is not n x d, n >= 1, for n labels."""
+    if X.ndim != 2:
+        raise DataError(f"feature matrix must be 2-d, got shape {X.shape}")
+    if X.shape[0] < 1:
+        raise DataError("cohort must contain at least one row")
+    if X.shape[1] != d:
+        raise SchemaError(f"matrix has {X.shape[1]} columns for {d} features")
+    if y_shape != (X.shape[0],):
+        raise DataError("label vector length does not match row count")
 
 
 def validate_values(table: CohortTable, where=None) -> None:

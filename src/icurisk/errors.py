@@ -27,3 +27,7 @@ class OrderingError(IcuRiskError):
 
 class ConvergenceError(IcuRiskError):
     """An iterative routine failed to reach its convergence criterion."""
+
+
+class WorkerError(IcuRiskError, ChildProcessError):
+    """A forked worker process died before it sent its results."""

@@ -6,6 +6,16 @@ tables keep the original schema object; kinds and bounds always describe the
 raw measurement space, while transformed values live in model space. Every
 multi-level discrete feature is target-encoded; without_encoding gives
 ordered boosting its raw codes.
+
+What a transform reads but does not depend on its input is fixed when the
+stage is built, so that one served row costs little more than its own
+arithmetic: the imputer keeps its reference matrix z-scored, with the
+safe divisor and the observed mask; each encoder keeps one encoded value
+per training category; the fitted pipeline keeps the column of each
+encoder. They are derived in __post_init__, so every way of building a stage
+(fit, replace, pickle) has them, and are left out of eq and repr. A batch
+and a single row run the same float operations in the same order, so a row
+transformed alone equals its row of the batch bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import numpy as np
 
 from .cohort import CohortTable
 from .errors import ConfigError, DataError, OrderingError, SchemaError
-from .schema import MULTI_LEVEL
+from .schema import MULTI_LEVEL, feature_names
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +56,18 @@ class KnnImputer:
     scale: np.ndarray            # per-feature observed training sd (population)
     kinds: tuple
     grids: tuple                 # value grid per feature (None for continuous)
+    # fixed at fit: the divisor (sd, 1 where it is 0), the reference in
+    # z-units and where it is observed
+    scale_safe: np.ndarray = field(init=False, compare=False, repr=False)
+    z_reference: np.ndarray = field(init=False, compare=False, repr=False)
+    observed: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        scale_safe = np.where(self.scale > 0, self.scale, 1.0)
+        object.__setattr__(self, "scale_safe", scale_safe)
+        object.__setattr__(self, "z_reference",
+                           (self.reference - self.loc) / scale_safe)
+        object.__setattr__(self, "observed", ~np.isnan(self.reference))
 
     @property
     def fallback(self) -> np.ndarray:
@@ -89,9 +111,8 @@ def impute(imputer: KnnImputer, table: CohortTable) -> CohortTable:
     missing_rows = np.flatnonzero(np.isnan(X).any(axis=1))
     if missing_rows.size == 0:
         return table
-    scale_safe = np.where(imputer.scale > 0, imputer.scale, 1.0)
-    ZR = (imputer.reference - imputer.loc) / scale_safe
-    ref_obs = ~np.isnan(imputer.reference)
+    scale_safe, ZR = imputer.scale_safe, imputer.z_reference
+    ref_obs = imputer.observed
     for i in missing_rows:
         row = X[i]
         obs_q = ~np.isnan(row)
@@ -137,6 +158,14 @@ class TargetEncoder:
     category_values: np.ndarray   # sorted observed category values
     category_counts: np.ndarray
     category_means: np.ndarray
+    # fixed at fit: the encoded value of each category
+    table: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        counts = np.asarray(self.category_counts, dtype=np.float64)
+        object.__setattr__(self, "table", (
+            (counts * self.category_means + self.alpha * self.global_mean)
+            / np.maximum(counts + self.alpha, 1e-300)))
 
 
 def fit_encoder(train: CohortTable, feature: str, alpha: float = 10.0) -> TargetEncoder:
@@ -170,19 +199,14 @@ def _encode_column(encoder: TargetEncoder, X: np.ndarray, j: int) -> None:
     col = X[:, j]
     obs = ~np.isnan(col)
     values = col[obs]
-    idx = np.searchsorted(encoder.category_values, values)
-    idx_c = np.clip(idx, 0, encoder.category_values.size - 1)
-    known = encoder.category_values[idx_c] == values
-    n_c = np.where(known, encoder.category_counts[idx_c], 0.0)
-    ybar_c = np.where(known, encoder.category_means[idx_c], 0.0)
-    denom = np.maximum(n_c + encoder.alpha, 1e-300)
-    enc = (n_c * ybar_c + encoder.alpha * encoder.global_mean) / denom
-    enc = np.where(known, enc, encoder.global_mean)
-    if (~known).any():
+    idx = np.minimum(np.searchsorted(encoder.category_values, values),
+                     encoder.category_values.size - 1)
+    known = encoder.category_values[idx] == values
+    if not known.all():
         unseen = sorted(set(values[~known].tolist()))
         log.info("encoder %r: %d unseen categories %s mapped to global mean",
                  encoder.feature, len(unseen), unseen[:5])
-    col[obs] = enc
+    col[obs] = np.where(known, encoder.table[idx], encoder.global_mean)
 
 
 def encode(encoder: TargetEncoder, table: CohortTable) -> CohortTable:
@@ -286,6 +310,16 @@ class FittedPipeline:
     # latter equals apply(self, train)
     imputed_table: CohortTable = field(default=None, compare=False, repr=False)
     fitted_table: CohortTable = field(default=None, compare=False, repr=False)
+    # fixed at fit: the column each encoder replaces, in encoder order
+    encoded_columns: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        names = feature_names(self.schema)
+        missing = [e.feature for e in self.encoders if e.feature not in names]
+        if missing:
+            raise SchemaError(f"no feature named {missing[0]!r}")
+        object.__setattr__(self, "encoded_columns",
+                           tuple(names.index(e.feature) for e in self.encoders))
 
 
 def fit_pipeline(train: CohortTable,
@@ -326,8 +360,8 @@ def transform_imputed(pipeline: FittedPipeline, table: CohortTable) -> CohortTab
     on one matrix, into one table."""
     _check_schema("transform", pipeline.scaler.feature_names_, table)
     X = table.X.copy()
-    for enc in pipeline.encoders:
-        _encode_column(enc, X, table.index_of(enc.feature))
+    for enc, j in zip(pipeline.encoders, pipeline.encoded_columns):
+        _encode_column(enc, X, j)
     return table.with_matrix(_scale_matrix(pipeline.scaler, X))
 
 

@@ -6,9 +6,11 @@ import os
 
 import pytest
 
+from icurisk import _fanout
 from icurisk.cli import main
 from icurisk.cohort import load_cohort, save_cohort
 from icurisk.errors import DataError
+from icurisk.models import cv
 from icurisk.report import load_manifest, load_report_schema, validate_report
 from icurisk.schema import default_schema
 from icurisk.synth import synth_default_cohort
@@ -237,6 +239,29 @@ def test_more_folds_than_positives_is_exit_3_at_the_models_stage(
     err = capsys.readouterr().err
     assert "class 1 has" in err and "cv_folds=100" in err
     assert "[stage:models]" in err
+    manifest = load_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["failed_stage"] == "models"
+
+
+def test_a_dead_worker_is_exit_4_with_failed_manifest(
+        tmp_path, capsys, monkeypatch):
+    # every model fit in a forked worker ends its process, as the kernel's
+    # out-of-memory killer would, before the worker sends its results
+    train_model = cv.train_model
+
+    def dying(*args, **kwargs):
+        if _fanout._IN_CHILD:
+            os._exit(9)
+        return train_model(*args, **kwargs)
+
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(cv, "train_model", dying)
+    out = str(tmp_path / "arts")
+    assert main(["run", "--config", _write_config(tmp_path), "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert "worker failure" in err and "[stage:models]" in err
+    assert "exited with code 9" in err
     manifest = load_manifest(out)
     assert manifest["status"] == "failed"
     assert manifest["failed_stage"] == "models"

@@ -11,7 +11,7 @@ import pytest
 
 from icurisk import _fanout
 from icurisk._fanout import fan_out
-from icurisk.errors import DataError
+from icurisk.errors import DataError, WorkerError
 from icurisk.explain.ablation import ablation
 from icurisk.models import predict_proba
 from icurisk.models.cv import (ModelSpec, costliest_first, cross_validate,
@@ -223,4 +223,17 @@ def test_a_child_that_dies_is_reported_and_the_others_reaped(monkeypatch):
 
     with pytest.raises(ChildProcessError, match="code 7"):
         fan_out(fn, range(6))
+    _no_child_left()
+
+
+def test_a_killed_child_is_a_typed_error_naming_the_signal(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def fn(i):
+        if i == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(WorkerError, match=r"signal SIGKILL .*items: \[1, 2\]"):
+        fan_out(fn, range(3))
     _no_child_left()

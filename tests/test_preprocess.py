@@ -4,6 +4,7 @@ smoothed target encoding, z-scaling, class weights, and the fitted pipeline.
 
 import copy
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from icurisk.cohort import CohortTable, stratified_split
 from icurisk.errors import ConfigError, DataError, OrderingError, SchemaError
+from icurisk.models import GbdtParams, predict_proba, train_gbdt
+from icurisk.pipeline import Predictor
 from icurisk.preprocess import (apply, class_weights, encode, fit_encoder,
                                 fit_imputer, fit_pipeline, fit_scaler, impute,
                                 scale, without_encoding)
@@ -165,6 +168,25 @@ def test_imputer_rejects_unseen_feature_and_bad_k(table40):
         fit_imputer(table40.with_matrix(X))
 
 
+def test_imputer_fit_time_arrays_are_the_per_call_expressions():
+    # a zero-sd feature exercises the safe divisor
+    table = make_table(30, seed=2, missing=0.2)
+    X = table.X.copy()
+    X[:, 1] = np.where(np.isnan(X[:, 1]), np.nan, 4.0)
+    imp = fit_imputer(table.with_matrix(X))
+    assert imp.scale[1] == 0.0
+    safe = np.where(imp.scale > 0, imp.scale, 1.0)
+    assert imp.scale_safe.tobytes() == safe.tobytes()
+    assert imp.z_reference.tobytes() == ((imp.reference - imp.loc) / safe).tobytes()
+    assert np.array_equal(imp.observed, ~np.isnan(imp.reference))
+    # every way of building an imputer derives them again
+    for other in (replace(imp, k=2), pickle.loads(pickle.dumps(imp)),
+                  copy.deepcopy(imp)):
+        assert other.z_reference.tobytes() == imp.z_reference.tobytes()
+        assert np.array_equal(other.observed, imp.observed)
+    assert "z_reference" not in repr(imp)
+
+
 def test_impute_schema_mismatch(table40):
     imp = fit_imputer(table40)
     other = make_table(10, seed=1, schema=_cont_schema(4))
@@ -201,6 +223,35 @@ def test_encode_column_replacement_and_missing_passthrough():
     # alpha = 1, global mean 1/2: each seen level has one row
     for i, y_c in ((0, 1.0), (1, 0.0), (3, 0.0)):
         assert out.X[i, 0] == pytest.approx((y_c + 0.5) / 2)
+
+
+def test_encoder_table_is_the_smoothing_formula_of_each_row():
+    # the fit-time table against the formula evaluated per row, in the
+    # same float operations: every category, an unseen value and a NaN
+    schema = (FeatureSpec(name="gcs", kind="ordinal_score", lower=3, upper=15),)
+    rng = np.random.default_rng(4)
+    col = rng.choice([3.0, 4.0, 8.0, 11.0, 15.0], 60)
+    y = rng.integers(0, 2, 60)
+    enc = fit_encoder(CohortTable(schema, col[:, None], y), "gcs", alpha=7.0)
+    query = np.concatenate([enc.category_values, [9.0, np.nan]])
+    out = encode(enc, CohortTable(schema, query[:, None],
+                                  np.zeros(query.size, dtype=int))).X[:, 0]
+
+    def per_row(v):
+        if np.isnan(v):
+            return np.nan
+        if v not in enc.category_values:
+            return enc.global_mean
+        c = int(np.searchsorted(enc.category_values, v))
+        n_c = float(enc.category_counts[c])
+        ybar_c = float(enc.category_means[c])
+        return ((n_c * ybar_c + enc.alpha * enc.global_mean)
+                / max(n_c + enc.alpha, 1e-300))
+
+    expect = np.array([per_row(v) for v in query])
+    assert out.tobytes() == expect.tobytes()
+    assert enc.table.tobytes() == expect[:enc.category_values.size].tobytes()
+    assert out[-2] == y.mean()
 
 
 def test_encoder_rejects_continuous_feature(table40):
@@ -327,15 +378,66 @@ def test_apply_never_uses_query_labels(table40):
     assert np.array_equal(a.X, b.X)
 
 
-def test_one_row_apply_replays_the_batch_bit_for_bit():
-    # the serving benchmark's seed-3 cohort and split: each held-out patient
-    # transformed alone must match its row of the batch transform exactly
+@pytest.fixture(scope="module")
+def serving3():
+    """The serving benchmark's seed-3 cohort and split: the raw training
+    and held-out tables and the pipeline fitted on the former."""
     cohort = synth_default_cohort(n=1301, seed=3)
     split = stratified_split(cohort, 0.7, 3)
-    pipe = fit_pipeline(cohort.subset(split.train_rows))
-    test = cohort.subset(split.test_rows)
+    train = cohort.subset(split.train_rows)
+    return train, cohort.subset(split.test_rows), fit_pipeline(train)
+
+
+def test_one_row_apply_replays_the_batch_bit_for_bit(serving3):
+    # each held-out patient transformed alone must match its row of the
+    # batch transform exactly
+    _, test, pipe = serving3
     assert pipe.encoders and np.isnan(test.X).any(axis=1).any()
     batch = apply(pipe, test).X
     for i in range(test.n):
         one = apply(pipe, test.subset([i])).X
         assert one.tobytes() == batch[i:i + 1].tobytes(), i
+
+
+def test_a_predictor_reply_is_the_batch_probability_bit_for_bit(serving3):
+    # the serving benchmark's model: one patient per call, as a server
+    # answers, against predict_proba over the whole held-out table
+    train, test, pipe = serving3
+    model = train_gbdt(pipe.fitted_table, GbdtParams(depth=3, n_trees=100),
+                       class_weights(train.y), seed=3)
+    predictor = Predictor(schema=train.schema, pipeline=pipe, model=model)
+    batch = predict_proba(model, apply(pipe, test))
+    assert test.n == 390
+    for i in range(test.n):
+        assert predictor(test.X[i]).tobytes() == batch[i:i + 1].tobytes(), i
+
+
+@st.composite
+def _train_and_query(draw):
+    """A training table whose gcs values are a subset of the grid, and a
+    query table with other gcs values (unseen categories), missing cells
+    and one row with every cell missing."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    seen = draw(st.lists(st.sampled_from(np.arange(3.0, 16.0).tolist()),
+                         min_size=1, max_size=6, unique=True))
+    train = make_table(draw(st.integers(4, 30)), seed=seed,
+                       missing=draw(st.sampled_from([0.0, 0.15, 0.4])))
+    X = train.X.copy()
+    X[:, 3] = np.where(np.isnan(X[:, 3]), np.nan,
+                       np.array(seen)[np.arange(train.n) % len(seen)])
+    query = make_table(draw(st.integers(2, 12)), seed=seed + 1,
+                       missing=draw(st.sampled_from([0.0, 0.3, 0.7])))
+    Q = np.vstack([query.X, np.full((1, query.d), np.nan)])
+    return (train.with_matrix(X),
+            CohortTable(query.schema, Q, np.zeros(Q.shape[0], dtype=int)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_train_and_query())
+def test_one_row_apply_equals_its_batch_row_on_random_tables(tables):
+    train, query = tables
+    for pipe in (fit_pipeline(train), without_encoding(fit_pipeline(train))):
+        batch = apply(pipe, query).X
+        for i in range(query.n):
+            one = apply(pipe, query.subset([i])).X
+            assert one.tobytes() == batch[i:i + 1].tobytes(), i
