@@ -12,9 +12,10 @@ three consecutive items include one of the caller's. Each child sends one
 pickle of its outcomes over a pipe and ends with ``os._exit``; results need
 to pickle, ``fn`` and the items do not. The lowest-index failure is raised,
 as the serial loop would raise it, and the warnings the items issued are
-re-issued in item order. A child that dies without sending its outcomes
-(killed, or an outcome that does not pickle) raises WorkerError, naming its
-exit code or signal and its items.
+re-issued in item order. A failure whose exception does not pickle comes
+back as a WorkerError holding its type name and message. A child that dies
+without sending its outcomes (killed, or a result that does not pickle)
+raises WorkerError, naming its exit code or signal and its items.
 
 The loop runs in-process when P = 1, where ``os.fork`` is missing, inside a
 child, and while the process has other threads, which fork would not copy.
@@ -74,8 +75,19 @@ def _serve(write_fd, fn, items, indices):
     _IN_CHILD = True
     status = 1
     try:
+        outcomes = _share(fn, items, indices)
+        try:
+            data = pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            # a failed item's exception that does not pickle goes back as
+            # its type name and message; a result that does not still fails
+            outcomes = {i: (failed, WorkerError(
+                            f"{type(value).__name__}: {value} (item {i})")
+                            if failed else value, caught)
+                        for i, (failed, value, caught) in outcomes.items()}
+            data = pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL)
         with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(_share(fn, items, indices), pipe, pickle.HIGHEST_PROTOCOL)
+            pipe.write(data)
         status = 0
     except BaseException:
         traceback.print_exc()

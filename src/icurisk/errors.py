@@ -30,4 +30,6 @@ class ConvergenceError(IcuRiskError):
 
 
 class WorkerError(IcuRiskError, ChildProcessError):
-    """A forked worker process died before it sent its results."""
+    """A forked worker process died before it sent its results, or sent
+    back, by type name and message, an item's exception that does not
+    pickle."""

@@ -12,22 +12,29 @@ A leaf's path allows, per distinct feature it tests, an interval [lo, hi).
 For one (x, z) pair, the composite for S reaches the leaf iff every slot is
 satisfied by x (feature in S) or by z (feature not in S). So the leaf's
 game depends only on which slots x satisfies and which z satisfies, two
-codes of `depth` bits: it is dead if some slot fails both, and otherwise
-the leaf of value v, with k slots satisfied only by x and m only by z,
-contributes v * (k-1)! m! / (k+m)! to each x-only feature and
--v * k! (m-1)! / (k+m)! to each z-only feature; features both satisfy are
-dummies. shap_tree therefore counts background rows per (leaf, code) once
-per (model, background), and each explained row's own code per leaf picks
-its weights, so per-row work does not grow with the background. The
-prepared background is kept for the next call until a call brings another
-model or background, so a server explaining one patient per request against
-a fixed background pays for it once. Tree attributions are on the margin
-(log-odds) scale.
+codes a and b of `depth` bits: it is dead if some slot fails both
+(a | b is not every bit), and otherwise the leaf of value v, with k slots
+satisfied only by x and m only by z, contributes v * (k-1)! m! / (k+m)! to
+each x-only feature and -v * k! (m-1)! / (k+m)! to each z-only feature;
+features both satisfy are dummies. Those signed weights depend on nothing
+but (a, b), so one table per depth, of shape (depth, 4**depth), holds them
+for every slot and every column (a << depth) | b, with 0 for dummy slots and
+dead codes.
+
+shap_tree counts background rows per (leaf, code) once per (model,
+background). For an explained row it keeps the live pairs, those whose
+background code together with the row's code at that leaf covers every
+slot, and gathers each one's column of the table times the pair's weight
+(background count times leaf value), so per-row work does not grow with the
+background and involves no per-row weight arithmetic. The prepared
+background is kept for the next call, keyed on the model and a copy of the
+background's contents, until a call brings another model or background, so
+a server explaining one patient per request against a fixed background pays
+for it once. Tree attributions are on the margin (log-odds) scale.
 """
 
 from __future__ import annotations
 
-import hashlib
 import weakref
 from dataclasses import dataclass
 from math import factorial
@@ -40,6 +47,7 @@ from ..models.cv import _as_matrix as _model_matrix
 from ..models.gbdt import _apply_cat_stats
 
 _CHUNK = 1 << 16          # elements per temporary array, about 0.5 MB
+_MAX_TREE_DEPTH = 8       # the weight table holds depth * 4**depth cells
 
 
 @dataclass(frozen=True)
@@ -100,20 +108,45 @@ def _pair_weights(max_depth: int):
     return w_in, w_out
 
 
+_tables = {}  # depth -> signed weight table, see _signed_weights
+
+
+def _signed_weights(depth: int) -> np.ndarray:
+    """(depth, 4**depth) table: column (a << depth) | b holds, per slot, the
+    weight of a leaf pair whose explained row satisfies the slots of code a
+    and whose background row those of code b: w_in[k, m] for an x-only slot,
+    -w_out[k, m] for a z-only slot, 0 for a dummy slot or a dead pair."""
+    tab = _tables.get(depth)
+    if tab is None:
+        w_in, w_out = _pair_weights(depth)
+        full = (1 << depth) - 1
+        a, b = np.divmod(np.arange(1 << 2 * depth), 1 << depth)
+        shift = np.arange(depth)[:, None]
+        x_only = ((a & ~b) >> shift & 1).astype(bool)     # (depth, columns)
+        z_only = ((b & ~a) >> shift & 1).astype(bool)
+        k, m = x_only.sum(axis=0), z_only.sum(axis=0)
+        live = (a | b) == full
+        tab = np.where(x_only & live, w_in[k, m],
+                       np.where(z_only & live, -w_out[k, m], 0.0))
+        _tables[depth] = tab
+    return tab
+
+
 def _path_codes(forest, X) -> np.ndarray:
-    """(leaves, rows) code of the path slots each row of X satisfies: bit s
-    is set when slot s of the leaf allows the row's value."""
+    """(leaves, rows) uint8 code of the path slots each row of X satisfies:
+    bit s is set when slot s of the leaf allows the row's value. Trees may
+    be at most 8 deep."""
     cols = np.ascontiguousarray(X.T)
     n_leaves = forest.leaf_value.size
-    codes = np.zeros((n_leaves, X.shape[0]),
-                     dtype=np.min_scalar_type((1 << forest.depth) - 1))
-    step = max(1, _CHUNK // n_leaves)
+    bits = (1 << np.arange(forest.depth, dtype=np.uint8))[:, None, None]
+    lo, hi = forest.slot_lo[..., None], forest.slot_hi[..., None]
+    codes = np.empty((n_leaves, X.shape[0]), dtype=np.uint8)
+    step = max(1, _CHUNK // (n_leaves * forest.depth))
     for start in range(0, X.shape[0], step):
         part = slice(start, start + step)
-        for s in range(forest.depth):
-            v = cols[forest.slot_feat[s], part]
-            ok = (v >= forest.slot_lo[s, :, None]) & (v < forest.slot_hi[s, :, None])
-            codes[:, part] |= ok.astype(codes.dtype) << s
+        v = cols[forest.slot_feat, part]                 # (depth, leaves, rows)
+        ok = (v >= lo) & (v < hi)
+        np.sum(ok * bits, axis=0, dtype=np.uint8, out=codes[:, part])
     return codes
 
 
@@ -158,8 +191,8 @@ def _prepare_background(model: GbdtModel, background) -> _Background:
                        size=background.shape[0])
 
 
-# the last prepared background: (weak reference to its model, digest of
-# its matrix, record). The reference is weak so that the memo never keeps a
+# the last prepared background: (weak reference to its model, copy of its
+# matrix, record). The reference is weak so that the memo never keeps a
 # model alive; the tuple is read and replaced whole, so callers in two
 # threads at worst prepare the same background twice.
 _memo = (None, None, None)
@@ -167,18 +200,16 @@ _memo = (None, None, None)
 
 def _prepared(model: GbdtModel, background) -> _Background:
     """The prepared background, reused while the model and the background's
-    contents are those of the previous call. A background only ever gets a
-    record after passing the finite check, so a reused record stands for
-    that check."""
+    shape and contents are those of the previous call. A background only
+    ever gets a record after passing the finite check, so a reused record
+    stands for that check."""
     global _memo
     Z = np.ascontiguousarray(background)
-    h = hashlib.blake2b(Z, digest_size=16)
-    h.update(repr(Z.shape).encode())
-    digest = h.digest()
     ref, seen, record = _memo
-    if ref is None or ref() is not model or seen != digest:
+    if (ref is None or ref() is not model or seen.shape != Z.shape
+            or not np.array_equal(seen, Z)):
         record = _prepare_background(model, Z)
-        _memo = (weakref.ref(model), digest, record)
+        _memo = (weakref.ref(model), Z.copy(), record)
     return record
 
 
@@ -186,9 +217,15 @@ def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
     """Interventional tree Shapley values for every row, equal to
     shap_exhaustive on the margin within floating-point error. Rows and
     background must have the model's width (or feature names, for tables)
-    and finite values."""
+    and finite values; trees deeper than 8 are refused."""
     if not isinstance(model, GbdtModel):
         raise ConfigError("shap_tree supports boosted-tree models only")
+    forest = model.forest
+    depth = forest.depth
+    if depth > _MAX_TREE_DEPTH:
+        raise ConfigError(f"shap_tree refused for tree depth {depth} > "
+                          f"{_MAX_TREE_DEPTH}: its weight table would hold "
+                          f"depth * 4**depth cells")
     X = _apply_cat_stats(_model_matrix(model, rows), model.cat_stats)
     Z = _model_matrix(model, background)
     if Z.shape[0] == 0:
@@ -196,27 +233,24 @@ def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
     if not np.isfinite(X).all():
         raise DataError("shap_tree needs finite rows and background")
     bg = _prepared(model, Z)
-    forest = model.forest
-    depth = forest.depth
     full = (1 << depth) - 1
-    w_in, w_out = _pair_weights(depth)
-    leaf, b, shift = bg.leaf, bg.code, np.arange(depth)[:, None]
+    tab = _signed_weights(depth)
+    leaf, b = bg.leaf, bg.code
 
     n, d = X.shape
     phi = np.zeros((n, d))
     step = max(1, _CHUNK // (leaf.size * depth))
     for start in range(0, n, step):
-        a = _path_codes(forest, X[start:start + step])[leaf].T[:, None, :]
-        x_only = (a & ~b) >> shift & 1                  # (rows, depth, pairs)
-        z_only = (b & ~a) >> shift & 1
-        k = x_only.sum(axis=1)
-        m = z_only.sum(axis=1)
-        # a pair is dead when some slot fails both rows
-        w = np.where((a[:, 0] | b) == full, bg.weight, 0.0)
-        contrib = (x_only * (w * w_in[k, m])[:, None]
-                   - z_only * (w * w_out[k, m])[:, None])
+        # (rows, pairs) codes of the rows, as intp: a << depth would
+        # overflow their uint8; np.take gathers faster than fancy indexing
+        a = np.take(_path_codes(forest, X[start:start + step]), leaf,
+                    axis=0).T.astype(np.intp)
+        live = np.flatnonzero((a | b) == full)
+        r, p = np.divmod(live, leaf.size)                # row and pair
+        key = (np.take(a, live) << depth) | np.take(b, p)
+        contrib = np.take(tab, key, axis=1) * np.take(bg.weight, p)
         rows_in = a.shape[0]
-        cell = np.arange(rows_in)[:, None, None] * d + bg.feat
+        cell = r * d + np.take(bg.feat, p, axis=1)       # (depth, live)
         phi[start:start + rows_in] = np.bincount(
             cell.ravel(), weights=contrib.ravel(),
             minlength=rows_in * d).reshape(rows_in, d)

@@ -3,6 +3,7 @@ loop's results, first error and warnings."""
 
 import os
 import signal
+import threading
 import warnings
 from dataclasses import replace
 
@@ -236,4 +237,36 @@ def test_a_killed_child_is_a_typed_error_naming_the_signal(monkeypatch):
 
     with pytest.raises(WorkerError, match=r"signal SIGKILL .*items: \[1, 2\]"):
         fan_out(fn, range(3))
+    _no_child_left()
+
+
+class _HoldsALock(Exception):
+    """An exception that does not pickle: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def _fail_unpicklably(i):
+    if i == 1:
+        raise _HoldsALock("item 1 holds a lock")
+    return i
+
+
+def test_an_exception_that_does_not_pickle_arrives_by_name(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(WorkerError,
+                       match=r"^_HoldsALock: item 1 holds a lock \(item 1\)$"):
+        fan_out(_fail_unpicklably, range(3))
+    _no_child_left()
+    _cpus(monkeypatch, 1)
+    with pytest.raises(_HoldsALock, match="^item 1 holds a lock$"):
+        fan_out(_fail_unpicklably, range(3))
+
+
+def test_a_result_that_does_not_pickle_is_still_no_result(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(WorkerError, match=r"code 1 and no result .*items: \[1, 2\]"):
+        fan_out(lambda i: threading.Lock() if i == 1 else i, range(3))
     _no_child_left()

@@ -2,6 +2,7 @@
 the leaf-table Tree SHAP with brute-force enumeration."""
 
 import gc
+from math import factorial
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError, SchemaError
 from icurisk.explain import shapley
 from icurisk.explain.shapley import ShapMatrix, shap_exhaustive, shap_tree
-from icurisk.models.gbdt import GbdtParams, gbdt_margin, train_gbdt
+from icurisk.models.gbdt import (GbdtParams, _apply_cat_stats, gbdt_margin,
+                                 train_gbdt)
 from icurisk.schema import FeatureSpec
 
 from conftest import make_table
@@ -231,3 +233,84 @@ def test_tree_memo_does_not_keep_its_model_alive():
     del model
     gc.collect()
     assert shapley._memo[0]() is None
+
+
+def _per_pair_reference(model, rows, background):
+    """Tree SHAP's per-row arithmetic written out term by term: every
+    (row, slot, pair) product, dead pairs and dummy slots included, with the
+    pair weights recomputed on each call."""
+    X = _apply_cat_stats(np.asarray(rows, dtype=float), model.cat_stats)
+    bg = shapley._prepare_background(model, np.asarray(background, dtype=float))
+    depth = model.forest.depth
+    full = (1 << depth) - 1
+    w_in, w_out = shapley._pair_weights(depth)
+    leaf, b, shift = bg.leaf, bg.code, np.arange(depth)[:, None]
+    n, d = X.shape
+    phi = np.zeros((n, d))
+    step = max(1, shapley._CHUNK // (leaf.size * depth))
+    for start in range(0, n, step):
+        a = shapley._path_codes(model.forest, X[start:start + step])[leaf].T[:, None, :]
+        x_only = (a & ~b) >> shift & 1                  # (rows, depth, pairs)
+        z_only = (b & ~a) >> shift & 1
+        k = x_only.sum(axis=1)
+        m = z_only.sum(axis=1)
+        w = np.where((a[:, 0] | b) == full, bg.weight, 0.0)
+        contrib = (x_only * (w * w_in[k, m])[:, None]
+                   - z_only * (w * w_out[k, m])[:, None])
+        rows_in = a.shape[0]
+        cell = np.arange(rows_in)[:, None, None] * d + bg.feat
+        phi[start:start + rows_in] = np.bincount(
+            cell.ravel(), weights=contrib.ravel(),
+            minlength=rows_in * d).reshape(rows_in, d)
+    return model.params.learning_rate * phi / bg.size
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_tree_is_bit_identical_to_the_per_pair_arithmetic(monkeypatch, depth,
+                                                          ordered):
+    table = make_table(160, seed=59 + depth, informative=True)
+    model = train_gbdt(table, GbdtParams(depth=depth, n_trees=6,
+                                         ordered_mode=ordered), seed=depth)
+    assert model.forest.depth == depth and bool(model.cat_stats) == ordered
+    Z = table.X[:50]
+    for chunk in (shapley._CHUNK, 64):
+        monkeypatch.setattr(shapley, "_CHUNK", chunk)
+        for rows in (table.X[60:61], table.X[61:63], table.X[70:110]):
+            got = shap_tree(model, rows, Z).values
+            assert got.tobytes() == _per_pair_reference(model, rows, Z).tobytes()
+
+
+def test_tree_refuses_depth_over_eight_before_any_work(monkeypatch):
+    table = make_table(120, seed=61, informative=True)
+    model = train_gbdt(table, GbdtParams(depth=9, n_trees=1), seed=0)
+    assert model.forest.depth == 9
+    monkeypatch.setattr(shapley, "_memo", (None, None, None))
+    with pytest.raises(ConfigError, match="depth 9"):
+        shap_tree(model, table.X[:2], table.X[10:30])
+    assert shapley._memo == (None, None, None) and 9 not in shapley._tables
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_signed_weight_table_holds_the_closed_form_weights(depth):
+    tab = shapley._signed_weights(depth)
+    assert tab.shape == (depth, 4 ** depth)
+    assert shapley._signed_weights(depth) is tab
+    full = (1 << depth) - 1
+    for a in range(1 << depth):
+        for b in range(1 << depth):
+            column = tab[:, (a << depth) | b]
+            if a | b != full:
+                assert not column.any()                 # dead pair
+                continue
+            x_only = [(a >> s & 1) and not (b >> s & 1) for s in range(depth)]
+            z_only = [(b >> s & 1) and not (a >> s & 1) for s in range(depth)]
+            k, m = sum(x_only), sum(z_only)
+            for s in range(depth):
+                if x_only[s]:
+                    want = factorial(k - 1) * factorial(m) / factorial(k + m)
+                elif z_only[s]:
+                    want = -factorial(k) * factorial(m - 1) / factorial(k + m)
+                else:
+                    want = 0.0                          # dummy slot
+                assert column[s] == want
