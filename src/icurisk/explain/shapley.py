@@ -44,7 +44,7 @@ import numpy as np
 from ..errors import ConfigError, DataError, SchemaError
 from ..models import GbdtModel, model_margin
 from ..models.cv import _as_matrix as _model_matrix
-from ..models.gbdt import _apply_cat_stats
+from ..preprocess import encode_columns
 
 _CHUNK = 1 << 16          # elements per temporary array, about 0.5 MB
 _MAX_TREE_DEPTH = 8       # the weight table holds depth * 4**depth cells
@@ -167,7 +167,7 @@ class _Background:
 def _prepare_background(model: GbdtModel, background) -> _Background:
     """Count the background rows per (leaf, code) of the model's forest;
     background is the model-width matrix before category encoding."""
-    Z = _apply_cat_stats(background, model.cat_stats)
+    Z = encode_columns(model.encoders, background)
     if not np.isfinite(Z).all():
         raise DataError("shap_tree needs finite rows and background")
     forest = model.forest
@@ -226,7 +226,7 @@ def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
         raise ConfigError(f"shap_tree refused for tree depth {depth} > "
                           f"{_MAX_TREE_DEPTH}: its weight table would hold "
                           f"depth * 4**depth cells")
-    X = _apply_cat_stats(_model_matrix(model, rows), model.cat_stats)
+    X = encode_columns(model.encoders, _model_matrix(model, rows))
     Z = _model_matrix(model, background)
     if Z.shape[0] == 0:
         raise DataError("background must be nonempty")

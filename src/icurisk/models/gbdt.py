@@ -21,7 +21,9 @@ ordered_mode replaces the multi-level discrete columns of the training
 table's schema (ordinal_score and categorical kinds) with ordered target
 statistics during training: a fresh seeded permutation each boosting round,
 each row encoded from the label prefix strictly before it (alpha-smoothed
-toward the training mean). Inference uses the full-training-data statistics.
+toward the training mean). Inference encodes those columns with the
+pipeline's target encoders fitted on the whole training table, the
+full-training-data statistics.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ import numpy as np
 
 from .._rng import derive_rng
 from ..errors import ConfigError, DataError
-from ..schema import multi_level_indices
+from ..preprocess import encode_columns, fit_encoder
+from ..schema import MULTI_LEVEL
 from ..special import log1pexp, logit, sigmoid
 
 _PROB_CLIP = 1e-7
 _MIN_SPLIT_GAIN = 1e-12
 _MIN_CHILD_WEIGHT = 1.0   # least hessian sum on each side of a split
-_ORDERED_ALPHA = 10.0     # prior weight of the smoothed target statistic
 _CHUNK = 1 << 16          # (rows x trees) elements per margin chunk
 _ROOT = np.zeros(1, dtype=np.int64)
 
@@ -128,7 +130,7 @@ class GbdtModel:
     params: GbdtParams
     base_score: float          # log-odds of the weighted training base rate
     feature_names_: tuple
-    cat_stats: dict            # col -> (sorted category values, encoded values, prior)
+    encoders: tuple            # target encoders of the ordered columns, () if plain
     loss_curve: np.ndarray     # weighted logistic training loss, n_trees + 1 entries
     forest: Forest = field(compare=False, repr=False)   # the trees
 
@@ -260,26 +262,6 @@ def _ordered_column(codes, y, perm, alpha, prior):
     return enc
 
 
-def _full_stats(codes, y, alpha, prior):
-    cats, inverse = np.unique(codes, return_inverse=True)
-    counts = np.bincount(inverse)
-    sums = np.bincount(inverse, weights=y.astype(float))
-    enc = (sums + alpha * prior) / (counts + alpha)
-    return cats, enc
-
-
-def _apply_cat_stats(X, cat_stats):
-    if not cat_stats:
-        return X
-    X = X.copy()
-    for j, (cats, enc, prior) in cat_stats.items():
-        col = X[:, j]
-        idx = np.clip(np.searchsorted(cats, col), 0, cats.size - 1)
-        known = cats[idx] == col
-        X[:, j] = np.where(known, enc[idx], prior)
-    return X
-
-
 def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int = 0) -> GbdtModel:
     """Stagewise fit of the weighted logistic loss. train is a CohortTable
     with no missing values, whose schema names the columns ordered mode
@@ -289,20 +271,17 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
     if np.isnan(X).any():
         raise DataError("train_gbdt requires imputed (non-missing) inputs")
     w = weights.per_row(train.y) if weights is not None else np.ones(y.shape[0])
-    ordered_cols = multi_level_indices(train.schema) if params.ordered_mode else ()
-    if params.ordered_mode and not ordered_cols:
-        raise ConfigError("ordered_mode needs a multi-level discrete feature "
-                          "(ordinal_score or categorical) in the schema")
+    encoders = ()
+    if params.ordered_mode:
+        encoders = tuple(fit_encoder(train, s.name)
+                         for s in train.schema if s.kind in MULTI_LEVEL)
+        if not encoders:
+            raise ConfigError("ordered_mode needs a multi-level discrete feature "
+                              "(ordinal_score or categorical) in the schema")
 
     rng = derive_rng(seed, "gbdt")
     p_base = float(np.clip(np.sum(w * y) / np.sum(w), _PROB_CLIP, 1 - _PROB_CLIP))
     base = logit(p_base)
-    prior = float(y.mean())
-
-    cat_stats = {}
-    for j in ordered_cols:
-        cats, enc = _full_stats(X[:, j], y, _ORDERED_ALPHA, prior)
-        cat_stats[j] = (cats, enc, prior)
 
     n = X.shape[0]
     # column block: presort[:, j] lists the rows in stable order of X[:, j];
@@ -316,8 +295,10 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
         if params.ordered_mode:
             Xt, order = X.copy(order="F"), presort.copy(order="F")
             perm = rng.permutation(n)
-            for j in ordered_cols:
-                Xt[:, j] = _ordered_column(X[:, j], y, perm, _ORDERED_ALPHA, prior)
+            for enc in encoders:
+                j = enc.column
+                Xt[:, j] = _ordered_column(X[:, j], y, perm, enc.alpha,
+                                           enc.global_mean)
                 order[:, j] = np.argsort(Xt[:, j], kind="stable")
         p = sigmoid(margin)
         g = w * (p - y)
@@ -338,7 +319,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
         params=params,
         base_score=base,
         feature_names_=tuple(train.feature_names),
-        cat_stats=cat_stats,
+        encoders=encoders,
         loss_curve=np.array(losses),
         forest=_join(trees),
     )
@@ -347,8 +328,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
 def gbdt_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     """Raw log-odds: base + lr * sum of leaf scores, added in tree order.
     Rows go through the forest in chunks that keep temporaries small."""
-    X = np.asarray(X, dtype=float)
-    X = _apply_cat_stats(X, model.cat_stats)
+    X = encode_columns(model.encoders, np.asarray(X, dtype=float))
     forest = model.forest
     out = np.empty(X.shape[0])
     step = max(1, _CHUNK // forest.roots.size)

@@ -5,17 +5,18 @@ Every stage is a frozen parameter object plus a pure transform. Transformed
 tables keep the original schema object; kinds and bounds always describe the
 raw measurement space, while transformed values live in model space. Every
 multi-level discrete feature is target-encoded; without_encoding gives
-ordered boosting its raw codes.
+ordered boosting its raw codes, and the boosted trees score them with the
+same encoders (encode_columns).
 
 What a transform reads but does not depend on its input is fixed when the
 stage is built, so that one served row costs little more than its own
 arithmetic: the imputer keeps its reference matrix z-scored, with the
 safe divisor and the observed mask; each encoder keeps one encoded value
-per training category; the fitted pipeline keeps the column of each
-encoder. They are derived in __post_init__, so every way of building a stage
-(fit, replace, pickle) has them, and are left out of eq and repr. A batch
-and a single row run the same float operations in the same order, so a row
-transformed alone equals its row of the batch bit for bit.
+per training category. They are derived in __post_init__, so every way of
+building a stage (fit, replace, pickle) has them, and are left out of eq
+and repr. A batch and a single row run the same float operations in the
+same order, so a row transformed alone equals its row of the batch bit for
+bit.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ import numpy as np
 
 from .cohort import CohortTable
 from .errors import ConfigError, DataError, OrderingError, SchemaError
-from .schema import MULTI_LEVEL, feature_names
+from .schema import MULTI_LEVEL
 
 log = logging.getLogger(__name__)
+
+TARGET_ALPHA = 10.0   # prior weight of the smoothed target mean
 
 
 def _check_schema(stage, fitted_names, table: CohortTable) -> None:
@@ -153,6 +156,7 @@ class TargetEncoder:
     """Category c maps to (n_c * ybar_c + alpha * ybar) / (n_c + alpha)."""
 
     feature: str
+    column: int                   # the column of feature it replaces
     alpha: float
     global_mean: float
     category_values: np.ndarray   # sorted observed category values
@@ -165,10 +169,11 @@ class TargetEncoder:
         counts = np.asarray(self.category_counts, dtype=np.float64)
         object.__setattr__(self, "table", (
             (counts * self.category_means + self.alpha * self.global_mean)
-            / np.maximum(counts + self.alpha, 1e-300)))
+            / (counts + self.alpha)))
 
 
-def fit_encoder(train: CohortTable, feature: str, alpha: float = 10.0) -> TargetEncoder:
+def fit_encoder(train: CohortTable, feature: str,
+                alpha: float = TARGET_ALPHA) -> TargetEncoder:
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     j = train.index_of(feature)
@@ -186,6 +191,7 @@ def fit_encoder(train: CohortTable, feature: str, alpha: float = 10.0) -> Target
     sums = np.bincount(inverse, weights=y)
     return TargetEncoder(
         feature=feature,
+        column=j,
         alpha=float(alpha),
         global_mean=float(train.y.mean()),
         category_values=cats,
@@ -209,13 +215,16 @@ def _encode_column(encoder: TargetEncoder, X: np.ndarray, j: int) -> None:
     col[obs] = np.where(known, encoder.table[idx], encoder.global_mean)
 
 
-def encode(encoder: TargetEncoder, table: CohortTable) -> CohortTable:
-    """Replace the encoded feature's column with smoothed target means.
-    Unseen categories map to the global mean (logged, not an error)."""
-    j = table.index_of(encoder.feature)
-    X = table.X.copy()
-    _encode_column(encoder, X, j)
-    return table.with_matrix(X)
+def encode_columns(encoders, X: np.ndarray) -> np.ndarray:
+    """A copy of X with each encoder's column replaced by smoothed target
+    means, or X itself if there are no encoders. Unseen categories map to
+    the global mean (logged, not an error)."""
+    if not encoders:
+        return X
+    X = X.copy()
+    for enc in encoders:
+        _encode_column(enc, X, enc.column)
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +254,6 @@ def _scale_matrix(scaler: StandardScaler, X: np.ndarray) -> np.ndarray:
     Z = (X - scaler.loc) / denom
     Z[:, scaler.scale == 0] = 0.0
     return Z
-
-
-def scale(scaler: StandardScaler, table: CohortTable) -> CohortTable:
-    _check_schema("scale", scaler.feature_names_, table)
-    return table.with_matrix(_scale_matrix(scaler, table.X))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +300,7 @@ class PipelineConfig:
     it is kept for fit_pipeline's public signature."""
 
     k_neighbors: int = 5
-    alpha: float = 10.0
+    alpha: float = TARGET_ALPHA
 
 
 @dataclass(frozen=True)
@@ -310,16 +314,6 @@ class FittedPipeline:
     # latter equals apply(self, train)
     imputed_table: CohortTable = field(default=None, compare=False, repr=False)
     fitted_table: CohortTable = field(default=None, compare=False, repr=False)
-    # fixed at fit: the column each encoder replaces, in encoder order
-    encoded_columns: tuple = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        names = feature_names(self.schema)
-        missing = [e.feature for e in self.encoders if e.feature not in names]
-        if missing:
-            raise SchemaError(f"no feature named {missing[0]!r}")
-        object.__setattr__(self, "encoded_columns",
-                           tuple(names.index(e.feature) for e in self.encoders))
 
 
 def fit_pipeline(train: CohortTable,
@@ -331,10 +325,8 @@ def fit_pipeline(train: CohortTable,
     imputed = impute(imputer, train)
     encoders = tuple(fit_encoder(imputed, s.name, config.alpha)
                      for s in imputed.schema if s.kind in MULTI_LEVEL)
-    current = imputed
-    for enc in encoders:
-        current = encode(enc, current)
-    scaler = fit_scaler(current)
+    encoded = encode_columns(encoders, imputed.X)
+    scaler = fit_scaler(imputed.with_matrix(encoded))
     return FittedPipeline(
         schema=imputed.schema,
         imputer=imputer,
@@ -342,7 +334,7 @@ def fit_pipeline(train: CohortTable,
         scaler=scaler,
         weights=class_weights(imputed.y),
         imputed_table=imputed,
-        fitted_table=scale(scaler, current),
+        fitted_table=imputed.with_matrix(_scale_matrix(scaler, encoded)),
     )
 
 
@@ -350,18 +342,17 @@ def without_encoding(pipeline: FittedPipeline) -> FittedPipeline:
     """The pipeline that keeps raw category codes, for ordered boosting,
     which orders them itself: imputer, weights and imputed training table
     are shared, and only the scaler is fitted again."""
-    scaler = fit_scaler(pipeline.imputed_table)
+    imputed = pipeline.imputed_table
+    scaler = fit_scaler(imputed)
     return replace(pipeline, encoders=(), scaler=scaler,
-                   fitted_table=scale(scaler, pipeline.imputed_table))
+                   fitted_table=imputed.with_matrix(_scale_matrix(scaler, imputed.X)))
 
 
 def transform_imputed(pipeline: FittedPipeline, table: CohortTable) -> CohortTable:
     """Replay encode and scale on a table already imputed by pipeline.imputer,
     on one matrix, into one table."""
     _check_schema("transform", pipeline.scaler.feature_names_, table)
-    X = table.X.copy()
-    for enc, j in zip(pipeline.encoders, pipeline.encoded_columns):
-        _encode_column(enc, X, j)
+    X = encode_columns(pipeline.encoders, table.X)
     return table.with_matrix(_scale_matrix(pipeline.scaler, X))
 
 

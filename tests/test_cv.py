@@ -71,7 +71,7 @@ def test_train_model_dispatch_fills_categorical_idx():
     spec = ModelSpec(family="gbdt",
                      params={"ordered_mode": True, "n_trees": 5, "depth": 2})
     model = train_model(spec, table, class_weights(table.y), seed=0)
-    assert set(model.cat_stats) == {table.index_of("gcs")}
+    assert [e.column for e in model.encoders] == [table.index_of("gcs")]
 
 
 def test_cross_validate_shapes_and_winner():

@@ -3,6 +3,7 @@ target statistics, the per-feature split search kept as a reference for
 the presorted one, and a per-tree, per-row walk over the grown trees kept
 as a reference for the joined forest's margins."""
 
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError
 from icurisk.models import gbdt, predict_proba
 from icurisk.models.gbdt import GbdtParams, gbdt_margin, train_gbdt
+from icurisk.preprocess import encode_columns, fit_encoder
 from icurisk.schema import FeatureSpec
 
 from conftest import make_table, small_schema
@@ -105,10 +107,10 @@ def test_ordered_mode_encodes_categories():
     gcs_idx = table.index_of("gcs")
     params = GbdtParams(depth=2, n_trees=10, ordered_mode=True)
     model = train_gbdt(table, params, seed=2)
-    assert gcs_idx in model.cat_stats
-    cats, enc, prior = model.cat_stats[gcs_idx]
-    assert prior == pytest.approx(table.y.mean())
-    assert np.all(np.diff(cats) > 0)
+    (enc,) = model.encoders
+    assert enc.column == gcs_idx
+    assert enc.global_mean == pytest.approx(table.y.mean())
+    assert np.all(np.diff(enc.category_values) > 0)
     # unseen category values score with the prior, so any two of them agree
     row = table.X[:1].copy()
     row[0, gcs_idx] = 999.0
@@ -123,10 +125,30 @@ def test_ordered_mode_encodes_categories():
         train_gbdt(flat, params)
 
 
-def test_plain_mode_has_no_cat_stats():
+def test_plain_mode_has_no_encoders():
     table = make_table(50, seed=3)
     model = train_gbdt(table, GbdtParams(depth=2, n_trees=5), seed=0)
-    assert model.cat_stats == {}
+    assert model.encoders == ()
+
+
+def test_ordered_mode_keeps_the_pipelines_target_encoders():
+    # one encoder per multi-level column, in column order, each the one
+    # fit_encoder gives for that column of the training table
+    schema = small_schema() + (
+        FeatureSpec(name="unit", kind="categorical", levels=("a", "b", "c")),)
+    table = make_table(90, seed=17, schema=schema, informative=True)
+    model = train_gbdt(table, GbdtParams(depth=2, n_trees=4,
+                                         ordered_mode=True), seed=1)
+    names = ("gcs", "unit")
+    assert [e.feature for e in model.encoders] == list(names)
+    assert [e.column for e in model.encoders] == [table.index_of(n) for n in names]
+    want = tuple(fit_encoder(table, n) for n in names)
+    assert pickle.dumps(model.encoders) == pickle.dumps(want)
+    # a missing category stays missing; it is not scored as the prior
+    gcs = table.index_of("gcs")
+    row = table.X[:1].copy()
+    row[0, gcs] = np.nan
+    assert np.isnan(encode_columns(model.encoders, row)[0, gcs])
 
 
 def test_param_validation():
@@ -300,7 +322,7 @@ def _ref_margin(model, trees, X):
     """Walk every grown tree node by node from node 0 for each row; add the
     trees in order. The trees are the grower's own, so this also checks
     how the fit joins them into the model's forest."""
-    X = gbdt._apply_cat_stats(np.asarray(X, dtype=float), model.cat_stats)
+    X = encode_columns(model.encoders, np.asarray(X, dtype=float))
     out = np.full(X.shape[0], model.base_score)
     for tree in trees:
         leaf = np.empty(X.shape[0])

@@ -16,9 +16,10 @@ from icurisk.cohort import CohortTable, stratified_split
 from icurisk.errors import ConfigError, DataError, OrderingError, SchemaError
 from icurisk.models import GbdtParams, predict_proba, train_gbdt
 from icurisk.pipeline import Predictor
-from icurisk.preprocess import (apply, class_weights, encode, fit_encoder,
-                                fit_imputer, fit_pipeline, fit_scaler, impute,
-                                scale, without_encoding)
+from icurisk.preprocess import (_scale_matrix, apply, class_weights,
+                                encode_columns, fit_encoder, fit_imputer,
+                                fit_pipeline, fit_scaler, impute,
+                                without_encoding)
 from icurisk.selftest import _same_fit
 from icurisk.schema import FeatureSpec
 from icurisk.synth import synth_default_cohort
@@ -204,9 +205,8 @@ def test_encoder_matches_smoothing_formula():
     enc = fit_encoder(train, "gcs", alpha=10.0)
     ybar = y.mean()
     # 9 is an unseen category: it falls back to the global mean
-    levels = CohortTable(schema, np.array([[3.0], [7.0], [15.0], [9.0]]),
-                         [0, 0, 0, 0])
-    assert encode(enc, levels).X[:, 0] == pytest.approx(
+    levels = np.array([[3.0], [7.0], [15.0], [9.0]])
+    assert encode_columns((enc,), levels)[:, 0] == pytest.approx(
         [(2 * 0.5 + 10 * ybar) / 12, (3 * (2 / 3) + 10 * ybar) / 13,
          (1 * 0.0 + 10 * ybar) / 11, ybar])
 
@@ -217,12 +217,14 @@ def test_encode_column_replacement_and_missing_passthrough():
     X = np.array([[3.0, 50.0], [7.0, 60.0], [np.nan, 70.0], [15.0, 80.0]])
     train = CohortTable(schema, X, [1, 0, 1, 0])
     enc = fit_encoder(train, "gcs", alpha=1.0)
-    out = encode(enc, train)
-    assert np.isnan(out.X[2, 0])  # missing stays missing
-    assert np.array_equal(out.X[:, 1], X[:, 1])  # other columns untouched
+    assert enc.column == 0
+    out = encode_columns((enc,), train.X)
+    assert out is not train.X and np.isnan(out[2, 0])  # missing stays missing
+    assert np.array_equal(out[:, 1], X[:, 1])  # other columns untouched
     # alpha = 1, global mean 1/2: each seen level has one row
     for i, y_c in ((0, 1.0), (1, 0.0), (3, 0.0)):
-        assert out.X[i, 0] == pytest.approx((y_c + 0.5) / 2)
+        assert out[i, 0] == pytest.approx((y_c + 0.5) / 2)
+    assert encode_columns((), train.X) is train.X
 
 
 def test_encoder_table_is_the_smoothing_formula_of_each_row():
@@ -234,8 +236,7 @@ def test_encoder_table_is_the_smoothing_formula_of_each_row():
     y = rng.integers(0, 2, 60)
     enc = fit_encoder(CohortTable(schema, col[:, None], y), "gcs", alpha=7.0)
     query = np.concatenate([enc.category_values, [9.0, np.nan]])
-    out = encode(enc, CohortTable(schema, query[:, None],
-                                  np.zeros(query.size, dtype=int))).X[:, 0]
+    out = encode_columns((enc,), query[:, None])[:, 0]
 
     def per_row(v):
         if np.isnan(v):
@@ -266,9 +267,9 @@ def test_encoder_rejects_continuous_feature(table40):
 def test_scaler_zero_mean_unit_sd():
     table = make_table(50, seed=21)
     scaler = fit_scaler(table)
-    out = scale(scaler, table)
-    assert np.allclose(out.X.mean(axis=0), 0.0, atol=1e-12)
-    sds = out.X.std(axis=0)
+    out = _scale_matrix(scaler, table.X)
+    assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
+    sds = out.std(axis=0)
     assert np.allclose(sds[sds > 0], 1.0)
 
 
@@ -276,8 +277,8 @@ def test_scaler_constant_feature_maps_to_zero(schema4):
     X = np.random.default_rng(0).normal(size=(20, 4))
     X[:, 2] = 7.0
     table = CohortTable(schema4, X, [0, 1] * 10)
-    out = scale(fit_scaler(table), table)
-    assert np.array_equal(out.X[:, 2], np.zeros(20))
+    out = _scale_matrix(fit_scaler(table), table.X)
+    assert np.array_equal(out[:, 2], np.zeros(20))
 
 
 def test_scaler_requires_imputed_input(table40):

@@ -11,8 +11,8 @@ from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError, SchemaError
 from icurisk.explain import shapley
 from icurisk.explain.shapley import ShapMatrix, shap_exhaustive, shap_tree
-from icurisk.models.gbdt import (GbdtParams, _apply_cat_stats, gbdt_margin,
-                                 train_gbdt)
+from icurisk.models.gbdt import GbdtParams, gbdt_margin, train_gbdt
+from icurisk.preprocess import encode_columns
 from icurisk.schema import FeatureSpec
 
 from conftest import make_table
@@ -120,6 +120,26 @@ def test_tree_checks_input_width_and_values():
     rows[1, 0] = np.nan
     with pytest.raises(DataError):
         shap_tree(model, rows, Z)
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_tree_refuses_a_missing_category_in_rows_and_background(monkeypatch,
+                                                                ordered):
+    # encoding keeps a NaN category missing, so an ordered model refuses
+    # it as a plain one does instead of explaining it as the base rate
+    table = make_table(80, seed=37, informative=True)
+    model = train_gbdt(table, GbdtParams(depth=2, n_trees=5,
+                                         ordered_mode=ordered), seed=0)
+    monkeypatch.setattr(shapley, "_memo", (None, None, None))
+    gcs = table.index_of("gcs")
+    rows, Z = table.X[:3].copy(), table.X[10:30].copy()
+    rows[1, gcs] = np.nan
+    with pytest.raises(DataError, match="finite"):
+        shap_tree(model, rows, Z)
+    Z[4, gcs] = np.nan
+    with pytest.raises(DataError, match="finite"):
+        shap_tree(model, table.X[:3], Z)
+    assert shapley._memo == (None, None, None)
 
 
 def _check_against_enumeration(model, rows, Z, tol=1e-10):
@@ -239,7 +259,7 @@ def _per_pair_reference(model, rows, background):
     """Tree SHAP's per-row arithmetic written out term by term: every
     (row, slot, pair) product, dead pairs and dummy slots included, with the
     pair weights recomputed on each call."""
-    X = _apply_cat_stats(np.asarray(rows, dtype=float), model.cat_stats)
+    X = encode_columns(model.encoders, np.asarray(rows, dtype=float))
     bg = shapley._prepare_background(model, np.asarray(background, dtype=float))
     depth = model.forest.depth
     full = (1 << depth) - 1
@@ -272,7 +292,7 @@ def test_tree_is_bit_identical_to_the_per_pair_arithmetic(monkeypatch, depth,
     table = make_table(160, seed=59 + depth, informative=True)
     model = train_gbdt(table, GbdtParams(depth=depth, n_trees=6,
                                          ordered_mode=ordered), seed=depth)
-    assert model.forest.depth == depth and bool(model.cat_stats) == ordered
+    assert model.forest.depth == depth and bool(model.encoders) == ordered
     Z = table.X[:50]
     for chunk in (shapley._CHUNK, 64):
         monkeypatch.setattr(shapley, "_CHUNK", chunk)
