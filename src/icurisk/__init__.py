@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 from .cohort import (CohortTable, SplitIndex, load_cohort, save_cohort,
                      stratified_split, summarize)
-from .errors import (ConfigError, ConvergenceError, DataError, IcuRiskError,
-                     OrderingError, SchemaError)
+from .errors import (ConfigError, DataError, IcuRiskError, OrderingError,
+                     SchemaError)
 from .explain import (AblationReport, AleCurve, DreamConfig, DreamResult,
                       PosteriorRisk, ShapMatrix, ablation, ale, dream_sample,
                       posterior_risk_inputs, shap_exhaustive, shap_tree)
@@ -42,7 +42,7 @@ __all__ = [
     "__version__",
     # errors
     "IcuRiskError", "ConfigError", "SchemaError", "DataError",
-    "OrderingError", "ConvergenceError",
+    "OrderingError",
     # data
     "FeatureSpec", "default_schema", "load_schema", "save_schema",
     "CohortTable", "SplitIndex", "stratified_split", "summarize",

@@ -20,8 +20,8 @@ from dataclasses import replace
 import numpy as np
 
 from .cohort import save_cohort
-from .errors import (ConfigError, ConvergenceError, DataError, IcuRiskError,
-                     OrderingError, SchemaError, WorkerError)
+from .errors import (ConfigError, DataError, IcuRiskError, OrderingError,
+                     SchemaError, WorkerError)
 from .pipeline import RunConfig, load_run_config, run
 from .report import emit_report, write_artifacts, write_failed_manifest
 from .synth import synth_default_cohort
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     except (DataError, OrderingError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except WorkerError as exc:

@@ -25,10 +25,6 @@ class OrderingError(IcuRiskError):
     """A pipeline stage was invoked out of order (e.g. scale before impute)."""
 
 
-class ConvergenceError(IcuRiskError):
-    """An iterative routine failed to reach its convergence criterion."""
-
-
 class WorkerError(IcuRiskError, ChildProcessError):
     """A forked worker process died before it sent its results, or sent
     back, by type name and message, an item's exception that does not

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._rng import derive_rng
-from ..errors import ConfigError, DataError
-from ..preprocess import encode_columns, fit_encoder
+from ..errors import ConfigError
+from ..preprocess import encode_columns, fit_encoder, fit_inputs
 from ..schema import MULTI_LEVEL
 from ..special import log1pexp, logit, sigmoid
 
@@ -266,11 +266,8 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
     """Stagewise fit of the weighted logistic loss. train is a CohortTable
     with no missing values, whose schema names the columns ordered mode
     orders; weights is a ClassWeights (None = unweighted)."""
-    X = np.asfortranarray(train.X, dtype=float)
-    y = np.asarray(train.y, dtype=float)
-    if np.isnan(X).any():
-        raise DataError("train_gbdt requires imputed (non-missing) inputs")
-    w = weights.per_row(train.y) if weights is not None else np.ones(y.shape[0])
+    X, y, w = fit_inputs(train, weights, "train_gbdt")
+    X = np.asfortranarray(X)
     encoders = ()
     if params.ordered_mode:
         encoders = tuple(fit_encoder(train, s.name)

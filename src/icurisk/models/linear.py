@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError
+from ..preprocess import fit_inputs
 from ..special import log1pexp, sigmoid
 
 _TOL = 1e-6
@@ -135,11 +136,7 @@ def train_logreg(train, penalty: str = "l2", C: float = 1.0,
         raise ConfigError(f"penalty must be 'l1' or 'l2', got {penalty!r}")
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
-    X = np.asarray(train.X, dtype=float)
-    y = np.asarray(train.y, dtype=float)
-    if np.isnan(X).any():
-        raise DataError("train_logreg requires imputed (non-missing) inputs")
-    w = weights.per_row(train.y) if weights is not None else np.ones(y.shape[0])
+    X, y, w = fit_inputs(train, weights, "train_logreg")
     Xd = _design(X)
     if penalty == "l2":
         beta, ok, it = _newton_l2(Xd, y, w, C)
@@ -160,9 +157,7 @@ def train_logreg(train, penalty: str = "l2", C: float = 1.0,
 
 def logreg_objective(model: LinearModel, train, weights=None) -> float:
     """The trained objective evaluated at the model's coefficients."""
-    X = np.asarray(train.X, dtype=float)
-    y = np.asarray(train.y, dtype=float)
-    w = weights.per_row(train.y) if weights is not None else np.ones(y.shape[0])
+    X, y, w = fit_inputs(train, weights, "logreg_objective")
     beta = np.r_[model.weights, model.bias]
     return _objective(beta, _design(X), y, w, model.penalty, model.C)
 

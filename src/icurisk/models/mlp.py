@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._rng import derive_rng
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError
+from ..preprocess import fit_inputs
 from ..special import log1pexp, sigmoid
 
 _BATCH_SIZE = 32
@@ -83,11 +84,7 @@ def train_mlp(train, hidden: int = 16, epochs: int = 200, weights=None,
     if hidden < 1 or epochs < 1:
         raise ConfigError(f"hidden and epochs must be >= 1, got "
                           f"hidden={hidden}, epochs={epochs}")
-    X = np.asarray(train.X, dtype=float)
-    y = np.asarray(train.y, dtype=float)
-    if np.isnan(X).any():
-        raise DataError("train_mlp requires imputed (non-missing) inputs")
-    w = weights.per_row(train.y) if weights is not None else np.ones(y.shape[0])
+    X, y, w = fit_inputs(train, weights, "train_mlp")
     rng = derive_rng(seed, "mlp")
 
     fit_idx, val_idx = _stratified_val_split(train.y, rng)

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import softmax
 
 from ..errors import DataError
+from ..preprocess import fit_inputs
 
 _VAR_FLOOR = 1e-9         # times max(largest feature variance, 1)
 
@@ -28,13 +29,9 @@ class GaussianNbModel:
 
 
 def train_gnb(train, weights=None) -> GaussianNbModel:
-    X = np.asarray(train.X, dtype=float)
-    y = np.asarray(train.y)
-    if np.isnan(X).any():
-        raise DataError("train_gnb requires imputed (non-missing) inputs")
+    X, y, w = fit_inputs(train, weights, "train_gnb")
     if np.unique(y).size < 2:
         raise DataError("train_gnb needs both classes present")
-    w = weights.per_row(y) if weights is not None else np.ones(y.shape[0])
     var_floor = _VAR_FLOOR * max(float(X.var(axis=0).max()), 1.0)
     priors = np.empty(2)
     means = np.empty((2, X.shape[1]))

@@ -21,8 +21,8 @@ from ._fanout import fan_out
 from ._rng import derive_int, derive_rng
 from .cohort import (CohortTable, load_cohort, stratified_split, summarize)
 from .errors import ConfigError, DataError, IcuRiskError
-from .explain import (AblationReport, AleCurve, PosteriorRisk, ShapMatrix,
-                      ablation, ale, posterior_risk_inputs, shap_tree)
+from .explain import (AblationReport, PosteriorRisk, ShapMatrix, ablation, ale,
+                      posterior_risk_inputs, shap_tree)
 from .explain.dream import _MIN_CHAINS, _MIN_GENERATIONS, DreamConfig
 from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)

@@ -10,13 +10,13 @@ same encoders (encode_columns).
 
 What a transform reads but does not depend on its input is fixed when the
 stage is built, so that one served row costs little more than its own
-arithmetic: the imputer keeps its reference matrix z-scored, with the
-safe divisor and the observed mask; each encoder keeps one encoded value
-per training category. They are derived in __post_init__, so every way of
-building a stage (fit, replace, pickle) has them, and are left out of eq
-and repr. A batch and a single row run the same float operations in the
-same order, so a row transformed alone equals its row of the batch bit for
-bit.
+arithmetic. An encoder is its table: fit stores one encoded value per
+training category and nothing it was computed from. Only the imputer
+derives fields in __post_init__ (its reference matrix z-scored, with the
+safe divisor and the observed mask), so every way of building it (fit,
+replace, pickle) has them; they are left out of eq and repr. A batch and a
+single row run the same float operations in the same order, so a row
+transformed alone equals its row of the batch bit for bit.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ from .schema import MULTI_LEVEL
 log = logging.getLogger(__name__)
 
 TARGET_ALPHA = 10.0   # prior weight of the smoothed target mean
-
-
-def _check_schema(stage, fitted_names, table: CohortTable) -> None:
-    if tuple(table.feature_names) != tuple(fitted_names):
-        raise SchemaError(f"{stage}: table schema does not match fitted schema")
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +103,15 @@ def _snap_to_grid(value: float, grid: np.ndarray) -> float:
 def impute(imputer: KnnImputer, table: CohortTable) -> CohortTable:
     """Replace each missing entry with the mean of that feature over the k
     nearest training rows having it observed; training mean if none is
-    eligible. Discrete features are then snapped to their value grid."""
-    _check_schema("impute", imputer.feature_names_, table)
-    X = table.X.copy()
-    missing_rows = np.flatnonzero(np.isnan(X).any(axis=1))
+    eligible. Discrete features are then snapped to their value grid.
+    This is the one column check of the preprocessing path: a table whose
+    features differ from the training table's is a SchemaError."""
+    if tuple(table.feature_names) != tuple(imputer.feature_names_):
+        raise SchemaError("impute: table schema does not match fitted schema")
+    missing_rows = np.flatnonzero(np.isnan(table.X).any(axis=1))
     if missing_rows.size == 0:
         return table
+    X = table.X.copy()
     scale_safe, ZR = imputer.scale_safe, imputer.z_reference
     ref_obs = imputer.observed
     for i in missing_rows:
@@ -160,16 +158,7 @@ class TargetEncoder:
     alpha: float
     global_mean: float
     category_values: np.ndarray   # sorted observed category values
-    category_counts: np.ndarray
-    category_means: np.ndarray
-    # fixed at fit: the encoded value of each category
-    table: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        counts = np.asarray(self.category_counts, dtype=np.float64)
-        object.__setattr__(self, "table", (
-            (counts * self.category_means + self.alpha * self.global_mean)
-            / (counts + self.alpha)))
+    table: np.ndarray             # the encoded value of each category
 
 
 def fit_encoder(train: CohortTable, feature: str,
@@ -188,16 +177,11 @@ def fit_encoder(train: CohortTable, feature: str,
     y = train.y[obs].astype(float)
     cats, inverse = np.unique(values, return_inverse=True)
     counts = np.bincount(inverse)
-    sums = np.bincount(inverse, weights=y)
-    return TargetEncoder(
-        feature=feature,
-        column=j,
-        alpha=float(alpha),
-        global_mean=float(train.y.mean()),
-        category_values=cats,
-        category_counts=counts,
-        category_means=sums / counts,
-    )
+    means = np.bincount(inverse, weights=y) / counts
+    alpha, prior = float(alpha), float(train.y.mean())
+    return TargetEncoder(feature=feature, column=j, alpha=alpha,
+                         global_mean=prior, category_values=cats,
+                         table=(counts * means + alpha * prior) / (counts + alpha))
 
 
 def _encode_column(encoder: TargetEncoder, X: np.ndarray, j: int) -> None:
@@ -232,7 +216,6 @@ def encode_columns(encoders, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StandardScaler:
-    feature_names_: tuple
     loc: np.ndarray
     scale: np.ndarray  # population sd; zero-sd features transform to 0
 
@@ -241,7 +224,6 @@ def fit_scaler(train: CohortTable) -> StandardScaler:
     if np.isnan(train.X).any():
         raise OrderingError("fit_scaler before imputation: missing values present")
     return StandardScaler(
-        feature_names_=train.feature_names,
         loc=train.X.mean(axis=0),
         scale=train.X.std(axis=0),
     )
@@ -291,6 +273,18 @@ def class_weights(labels) -> ClassWeights:
     return ClassWeights(w0=n / (n - n1), w1=n / n1, n=n, n0=n - n1, n1=n1)
 
 
+def fit_inputs(train: CohortTable, weights, who: str):
+    """(X, y, w) of a model fit: the matrix, which must have no missing cell,
+    the labels as float64, and weights.per_row of the labels (ones when
+    weights is None)."""
+    X = np.asarray(train.X, dtype=float)
+    if np.isnan(X).any():
+        raise DataError(f"{who} requires imputed (non-missing) inputs")
+    y = np.asarray(train.y, dtype=float)
+    w = weights.per_row(train.y) if weights is not None else np.ones(y.shape[0])
+    return X, y, w
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 
@@ -305,7 +299,6 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class FittedPipeline:
-    schema: tuple
     imputer: KnnImputer
     encoders: tuple
     scaler: StandardScaler
@@ -328,7 +321,6 @@ def fit_pipeline(train: CohortTable,
     encoded = encode_columns(encoders, imputed.X)
     scaler = fit_scaler(imputed.with_matrix(encoded))
     return FittedPipeline(
-        schema=imputed.schema,
         imputer=imputer,
         encoders=encoders,
         scaler=scaler,
@@ -350,8 +342,8 @@ def without_encoding(pipeline: FittedPipeline) -> FittedPipeline:
 
 def transform_imputed(pipeline: FittedPipeline, table: CohortTable) -> CohortTable:
     """Replay encode and scale on a table already imputed by pipeline.imputer,
-    on one matrix, into one table."""
-    _check_schema("transform", pipeline.scaler.feature_names_, table)
+    on one matrix, into one table. Its columns are not checked again: each
+    caller passes the table that impute, with the same imputer, checked."""
     X = encode_columns(pipeline.encoders, table.X)
     return table.with_matrix(_scale_matrix(pipeline.scaler, X))
 

@@ -274,8 +274,21 @@ def _emit_metrics(report):
         yield f"metrics_{split}.csv", _csv_text(header, rows)
 
 
+def _check_lengths(lists):
+    """DataError naming the key at fault unless the lists, keyed by where
+    they sit in the report, are nonempty and of one length, so that zipping
+    them drops nothing."""
+    (first, head), *_ = lists.items()
+    for key, values in lists.items():
+        if not values or len(values) != len(head):
+            raise DataError(f"{key} must hold one value per entry of a "
+                            f"nonempty {first}")
+
+
 def _emit_selection(report):
     mi = report["selection"]["mi"]
+    _check_lengths({"selection.mi.features": mi["features"],
+                    "selection.mi.scores": mi["scores"]})
     filt = {r["feature"]: r for r in report["selection"]["filter"]}
     sel_rows = []
     for name, score in zip(mi["features"], mi["scores"]):
@@ -291,6 +304,7 @@ def _emit_selection(report):
 
 def _emit_roc(report):
     roc = report["roc_test"]
+    _check_lengths({f"roc_test.{k}": roc[k] for k in ("fpr", "tpr", "thresholds")})
     yield "roc_test.csv", _csv_text(
         ["fpr", "tpr", "threshold"],
         zip(roc["fpr"], roc["tpr"], roc["thresholds"]))
@@ -304,11 +318,13 @@ def _emit_roc(report):
 
 def _emit_ablation(report):
     ab = report["ablation"]
+    _check_lengths({"ablation.baseline_dist": ab["baseline_dist"],
+                    **{f"ablation.distributions.{n}": ab["distributions"].get(n)
+                       for n in ab["features"]}})
     rows = [["<none>", i, v] for i, v in enumerate(ab["baseline_dist"])]
     for name in ab["features"]:
-        if name not in ab["distributions"] or name not in ab["mean_drop"]:
-            raise DataError(f"ablation feature {name!r} has no entry in "
-                            f"distributions or mean_drop")
+        if name not in ab["mean_drop"]:
+            raise DataError(f"ablation.mean_drop has no entry for {name!r}")
         rows += [[name, i, v] for i, v in enumerate(ab["distributions"][name])]
     yield "ablation.csv", _csv_text(["dropped_feature", "resample", "auroc"], rows)
     order = sorted(ab["features"], key=lambda n: ab["mean_drop"][n], reverse=True)
@@ -318,18 +334,16 @@ def _emit_ablation(report):
         xlabel="bootstrap AUROC", baseline=ab["baseline_auroc"])
 
 
-def _check_rows(key, rows, n_rows, width):
-    """DataError naming key unless rows holds n_rows rows of width cells."""
-    if len(rows) != n_rows or any(len(r) != width for r in rows):
-        raise DataError(f"{key} must hold {n_rows} rows of {width} values, "
-                        f"one per row id and feature name")
-
-
 def _emit_shap(report):
     sh = report["shap"]
-    shape = len(sh["row_ids"]), len(sh["feature_names"])
-    _check_rows("shap.values", sh["values"], *shape)
-    _check_rows("shap.row_values", sh["row_values"], *shape)
+    _check_lengths({f"shap.{k}": sh[k] for k in ("row_ids", "values", "row_values")})
+    width = len(sh["feature_names"])
+    if not width:
+        raise DataError("shap.feature_names must name at least one feature")
+    for key in ("values", "row_values"):
+        if any(len(r) != width for r in sh[key]):
+            raise DataError(f"shap.{key} rows must hold {width} values, "
+                            f"one per feature name")
     rows = []
     values = np.asarray(sh["values"], dtype=float)
     for r, row_id in enumerate(sh["row_ids"]):
@@ -350,11 +364,8 @@ def _emit_shap(report):
 
 def _emit_ale(report):
     for i, curve in enumerate(report["ale"]):
-        n_edges = len(curve["edges"])
-        for key in ("edges", "centered", "edge_counts"):
-            if not curve[key] or len(curve[key]) != n_edges:
-                raise DataError(f"ale[{i}].{key} must hold one value per edge "
-                                f"of a nonempty edges list")
+        _check_lengths({f"ale[{i}].{k}": curve[k]
+                        for k in ("edges", "centered", "edge_counts")})
         slug = _slug(curve["feature"])
         yield f"ale_{slug}.csv", _csv_text(
             ["edge", "effect", "count"],

@@ -8,7 +8,7 @@ be loaded from JSON with the same field layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from math import isfinite
 

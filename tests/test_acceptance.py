@@ -77,8 +77,8 @@ def test_selftest_runs_clean_up_their_directories(monkeypatch, tmp_path):
 
 
 def test_leakage_probe_sees_a_one_bit_difference():
-    # C11 compares fitted pipelines with _same_fit; one bit of one encoder
-    # mean, or of one cell of either kept training table, must show
+    # C11 compares fitted pipelines with _same_fit; one bit of one encoded
+    # value, or of one cell of either kept training table, must show
     pipe = fit_pipeline(make_table(40, seed=3, missing=0.1))
     [enc] = pipe.encoders
 
@@ -88,9 +88,9 @@ def test_leakage_probe_sees_a_one_bit_difference():
         return a
 
     assert _same_fit(pipe, replace(
-        pipe, encoders=(replace(enc, category_means=enc.category_means.copy()),)))
+        pipe, encoders=(replace(enc, table=enc.table.copy()),)))
     assert not _same_fit(pipe, replace(
-        pipe, encoders=(replace(enc, category_means=nudged(enc.category_means)),)))
+        pipe, encoders=(replace(enc, table=nudged(enc.table)),)))
     for name in ("imputed_table", "fitted_table"):
         table = getattr(pipe, name)
         changed = replace(pipe, **{name: table.with_matrix(nudged(table.X))})

@@ -7,7 +7,7 @@ import pytest
 
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError
-from icurisk.models import linear, mlp, predict_proba
+from icurisk.models import GbdtParams, linear, mlp, predict_proba, train_gbdt
 from icurisk.models.linear import (LinearModel, linear_margin,
                                    logreg_objective, train_logreg)
 from icurisk.models.mlp import mlp_margin, train_mlp
@@ -26,6 +26,25 @@ def _logistic_table(n=4000, seed=0, beta=(1.5, -2.0), bias=0.25):
     schema = tuple(FeatureSpec(name=f"x{j}", kind="continuous")
                    for j in range(len(beta)))
     return CohortTable(schema, X, y)
+
+
+# ------------------------------------------------------ shared fit inputs
+
+@pytest.mark.parametrize("who, fit", [
+    ("train_gbdt", lambda t: train_gbdt(t, GbdtParams(n_trees=2))),
+    ("train_logreg", train_logreg),
+    ("train_mlp", lambda t: train_mlp(t, epochs=1)),
+    ("train_gnb", train_gnb),
+    ("logreg_objective",
+     lambda t: logreg_objective(train_logreg(make_table(30, seed=5)), t)),
+])
+def test_a_fit_refuses_a_missing_cell_and_names_itself(who, fit):
+    table = make_table(30, seed=5)
+    X = table.X.copy()
+    X[7, 1] = np.nan
+    with pytest.raises(DataError, match=f"^{who} requires imputed"):
+        fit(table.with_matrix(X))
+    fit(table)
 
 
 # ---------------------------------------------------------------- logreg

@@ -195,6 +195,12 @@ def test_impute_schema_mismatch(table40):
         impute(imp, other)
 
 
+def test_impute_returns_a_complete_table_itself():
+    complete = make_table(30, seed=4)
+    assert impute(fit_imputer(make_table(30, seed=5, missing=0.2)),
+                  complete) is complete
+
+
 # -- target encoding ---------------------------------------------------------
 
 def test_encoder_matches_smoothing_formula():
@@ -243,9 +249,9 @@ def test_encoder_table_is_the_smoothing_formula_of_each_row():
             return np.nan
         if v not in enc.category_values:
             return enc.global_mean
-        c = int(np.searchsorted(enc.category_values, v))
-        n_c = float(enc.category_counts[c])
-        ybar_c = float(enc.category_means[c])
+        in_c = col == v
+        n_c = float(in_c.sum())
+        ybar_c = float(y[in_c].sum()) / n_c
         return ((n_c * ybar_c + enc.alpha * enc.global_mean)
                 / max(n_c + enc.alpha, 1e-300))
 
@@ -369,6 +375,15 @@ def test_fitted_pipeline_survives_pickle_and_deepcopy(table40):
     for copied in (pickle.loads(pickle.dumps(pipe)), copy.deepcopy(pipe)):
         assert _same_fit(copied, pipe)
         assert apply(copied, table40).equals(pipe.fitted_table)
+
+
+def test_apply_refuses_other_columns_in_impute(table40):
+    # the same width under other names, and one column fewer
+    pipe = fit_pipeline(table40)
+    for other in (make_table(10, seed=1, schema=_cont_schema(4)),
+                  make_table(10, seed=1, schema=small_schema()[:3])):
+        with pytest.raises(SchemaError, match="^impute: "):
+            apply(pipe, other)
 
 
 def test_apply_never_uses_query_labels(table40):

@@ -172,6 +172,35 @@ def _empty_ale_curve(report):
     return "ale[0].centered"
 
 
+def _no_shap_rows(report):
+    for key in ("row_ids", "values", "row_values"):
+        report["shap"][key] = []
+    return "shap.row_ids"
+
+
+def _no_shap_features(report):
+    report["shap"]["feature_names"] = []
+    for key in ("values", "row_values"):
+        report["shap"][key] = [[] for _ in report["shap"][key]]
+    return "shap.feature_names"
+
+
+def _short_roc_tpr(report):
+    report["roc_test"]["tpr"].pop()
+    return "roc_test.tpr"
+
+
+def _short_mi_scores(report):
+    report["selection"]["mi"]["scores"].pop()
+    return "selection.mi.scores"
+
+
+def _empty_ablation_distribution(report):
+    name = report["ablation"]["features"][-1]
+    report["ablation"]["distributions"][name] = []
+    return f"ablation.distributions.{name}"
+
+
 # each edit returns the key or label the error message must name
 _INCOMPLETE = {
     "mi_excluded": _pop("selection", "mi", "excluded_near_zero"),
@@ -185,6 +214,11 @@ _INCOMPLETE = {
     "shap_values_short_row": _shorten_a_shap_row,
     "shap_row_values_ragged": _ragged_row_values,
     "ale_centered_empty": _empty_ale_curve,
+    "shap_no_rows": _no_shap_rows,
+    "shap_no_features": _no_shap_features,
+    "roc_tpr_short": _short_roc_tpr,
+    "mi_scores_short": _short_mi_scores,
+    "ablation_distribution_empty": _empty_ablation_distribution,
 }
 
 

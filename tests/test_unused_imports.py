@@ -1,0 +1,40 @@
+"""Every name a module of the package imports is used in that module.
+
+No linter is a dependency, so this is the check, on the standard library's
+ast. The package __init__ files are left out: their imports are the public
+re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "icurisk"
+MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each imported name that nothing else in source reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_check_sees_an_unused_import():
+    assert unused_imports("import os\nimport sys\nfrom a import (b, c as d)\n"
+                          "sys.exit(d)\n") == [(1, "os"), (3, "b")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
