@@ -18,9 +18,12 @@ from .schema import feature_names, validate_schema
 
 
 class CohortTable:
-    """n x d feature matrix (float64, NaN = missing) with a {0,1} label vector."""
+    """n x d feature matrix (float64, NaN = missing) with a {0,1} label vector.
 
-    __slots__ = ("schema", "X", "y")
+    feature_names is the schema's names, built once with the table and
+    carried by with_matrix."""
+
+    __slots__ = ("schema", "X", "y", "feature_names")
 
     def __init__(self, schema, X, y):
         schema = validate_schema(schema)
@@ -34,6 +37,7 @@ class CohortTable:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "feature_names", feature_names(schema))
 
     def __setattr__(self, *_):
         raise AttributeError("CohortTable is immutable")
@@ -48,10 +52,6 @@ class CohortTable:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def feature_names(self) -> tuple:
-        return feature_names(self.schema)
 
     def index_of(self, name: str) -> int:
         try:
@@ -90,6 +90,7 @@ class CohortTable:
         object.__setattr__(table, "schema", self.schema)
         object.__setattr__(table, "X", X)
         object.__setattr__(table, "y", y)
+        object.__setattr__(table, "feature_names", self.feature_names)
         return table
 
     def equals(self, other: "CohortTable") -> bool:

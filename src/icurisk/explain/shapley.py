@@ -167,7 +167,7 @@ class _Background:
 def _prepare_background(model: GbdtModel, background) -> _Background:
     """Count the background rows per (leaf, code) of the model's forest;
     background is the model-width matrix before category encoding."""
-    Z = encode_columns(model.encoders, background)
+    Z = encode_columns(model.lookup, background)
     if not np.isfinite(Z).all():
         raise DataError("shap_tree needs finite rows and background")
     forest = model.forest
@@ -226,7 +226,7 @@ def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
         raise ConfigError(f"shap_tree refused for tree depth {depth} > "
                           f"{_MAX_TREE_DEPTH}: its weight table would hold "
                           f"depth * 4**depth cells")
-    X = encode_columns(model.encoders, _model_matrix(model, rows))
+    X = encode_columns(model.lookup, _model_matrix(model, rows))
     Z = _model_matrix(model, background)
     if Z.shape[0] == 0:
         raise DataError("background must be nonempty")

@@ -23,7 +23,7 @@ statistics during training: a fresh seeded permutation each boosting round,
 each row encoded from the label prefix strictly before it (alpha-smoothed
 toward the training mean). Inference encodes those columns with the
 pipeline's target encoders fitted on the whole training table, the
-full-training-data statistics.
+full-training-data statistics, joined into one lookup when the fit ends.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .._rng import derive_rng
 from ..errors import ConfigError
-from ..preprocess import encode_columns, fit_encoder, fit_inputs
+from ..preprocess import EncoderLookup, encode_columns, fit_encoder, fit_inputs
 from ..schema import MULTI_LEVEL
 from ..special import log1pexp, logit, sigmoid
 
@@ -130,7 +130,7 @@ class GbdtModel:
     params: GbdtParams
     base_score: float          # log-odds of the weighted training base rate
     feature_names_: tuple
-    encoders: tuple            # target encoders of the ordered columns, () if plain
+    lookup: EncoderLookup      # target encoders of the ordered columns, none if plain
     loss_curve: np.ndarray     # weighted logistic training loss, n_trees + 1 entries
     forest: Forest = field(compare=False, repr=False)   # the trees
 
@@ -316,7 +316,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
         params=params,
         base_score=base,
         feature_names_=tuple(train.feature_names),
-        encoders=encoders,
+        lookup=EncoderLookup(encoders),
         loss_curve=np.array(losses),
         forest=_join(trees),
     )
@@ -325,7 +325,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
 def gbdt_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     """Raw log-odds: base + lr * sum of leaf scores, added in tree order.
     Rows go through the forest in chunks that keep temporaries small."""
-    X = encode_columns(model.encoders, np.asarray(X, dtype=float))
+    X = encode_columns(model.lookup, np.asarray(X, dtype=float))
     forest = model.forest
     out = np.empty(X.shape[0])
     step = max(1, _CHUNK // forest.roots.size)

@@ -11,11 +11,14 @@ same encoders (encode_columns).
 What a transform reads but does not depend on its input is fixed when the
 stage is built, so that one served row costs little more than its own
 arithmetic. An encoder is its table: fit stores one encoded value per
-training category and nothing it was computed from. Only the imputer
-derives fields in __post_init__ (its reference matrix z-scored, with the
-safe divisor and the observed mask), so every way of building it (fit,
-replace, pickle) has them; they are left out of eq and repr. A batch and a
-single row run the same float operations in the same order, so a row
+training category and nothing it was computed from. Three stages derive
+fields in __post_init__: the imputer (its reference matrix z-scored, with
+the safe divisor and the observed mask), the encoders' joined lookup
+(every table laid over the sorted union of their categories, so one
+searchsorted encodes every encoded column of a row) and the scaler (its
+divisor and zero-sd columns). So every way of building them (fit,
+replace, pickle) has them; they are left out of eq and repr. A batch and
+a single row run the same float operations in the same order, so a row
 transformed alone equals its row of the batch bit for bit.
 """
 
@@ -184,30 +187,65 @@ def fit_encoder(train: CohortTable, feature: str,
                          table=(counts * means + alpha * prior) / (counts + alpha))
 
 
-def _encode_column(encoder: TargetEncoder, X: np.ndarray, j: int) -> None:
-    """Encode column j of X in place; missing cells stay missing."""
-    col = X[:, j]
-    obs = ~np.isnan(col)
-    values = col[obs]
-    idx = np.minimum(np.searchsorted(encoder.category_values, values),
-                     encoder.category_values.size - 1)
-    known = encoder.category_values[idx] == values
-    if not known.all():
-        unseen = sorted(set(values[~known].tolist()))
-        log.info("encoder %r: %d unseen categories %s mapped to global mean",
-                 encoder.feature, len(unseen), unseen[:5])
-    col[obs] = np.where(known, encoder.table[idx], encoder.global_mean)
+@dataclass(frozen=True)
+class EncoderLookup:
+    """The encoders' tables joined over values, the sorted union of their
+    category values: table[i, p] is encoder i's value for values[p], or its
+    global mean where seen[i, p] says it never saw values[p]. A lookup
+    copies stored values and computes none."""
+
+    encoders: tuple
+    columns: np.ndarray = field(init=False, compare=False, repr=False)
+    values: np.ndarray = field(init=False, compare=False, repr=False)
+    table: np.ndarray = field(init=False, compare=False, repr=False)
+    seen: np.ndarray = field(init=False, compare=False, repr=False)
+    global_mean: np.ndarray = field(init=False, compare=False, repr=False)
+    # the flat index of row i of table, column p, is p + offsets[i]
+    offsets: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        cats = [enc.category_values for enc in self.encoders]
+        values = np.unique(np.concatenate(cats)) if cats else np.empty(0)
+        global_mean = np.array([enc.global_mean for enc in self.encoders])
+        table = np.repeat(global_mean[:, None], values.size, axis=1)
+        seen = np.zeros(table.shape, dtype=bool)
+        for i, enc in enumerate(self.encoders):
+            at = np.searchsorted(values, enc.category_values)
+            table[i, at] = enc.table
+            seen[i, at] = True
+        derived = dict(
+            columns=np.array([enc.column for enc in self.encoders], dtype=np.intp),
+            values=values, table=table, seen=seen, global_mean=global_mean,
+            offsets=values.size * np.arange(len(self.encoders)))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
-def encode_columns(encoders, X: np.ndarray) -> np.ndarray:
+def encode_columns(lookup: EncoderLookup, X: np.ndarray) -> np.ndarray:
     """A copy of X with each encoder's column replaced by smoothed target
-    means, or X itself if there are no encoders. Unseen categories map to
-    the global mean (logged, not an error)."""
-    if not encoders:
+    means, or X itself if there are no encoders. Missing cells stay
+    missing; unseen categories map to the global mean (logged, not an
+    error)."""
+    if not lookup.encoders:
         return X
     X = X.copy()
-    for enc in encoders:
-        _encode_column(enc, X, enc.column)
+    V = X[:, lookup.columns]
+    values = lookup.values
+    at = np.searchsorted(values, V)
+    np.minimum(at, values.size - 1, out=at)
+    known = values.take(at) == V
+    at += lookup.offsets                    # from here, the index into table
+    known &= lookup.seen.take(at)
+    observed = ~np.isnan(V)
+    unseen = observed & ~known
+    if unseen.any():
+        for i in np.flatnonzero(unseen.any(axis=0)):
+            cats = sorted(set(V[unseen[:, i], i].tolist()))
+            log.info("encoder %r: %d unseen categories %s mapped to global mean",
+                     lookup.encoders[i].feature, len(cats), cats[:5])
+    X[:, lookup.columns] = np.where(
+        known, lookup.table.take(at),
+        np.where(observed, lookup.global_mean, V))
     return X
 
 
@@ -218,6 +256,14 @@ def encode_columns(encoders, X: np.ndarray) -> np.ndarray:
 class StandardScaler:
     loc: np.ndarray
     scale: np.ndarray  # population sd; zero-sd features transform to 0
+    # fixed at fit: the divisor (sd, 1 where it is 0) and the zero-sd columns
+    denom: np.ndarray = field(init=False, compare=False, repr=False)
+    zero_sd: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "denom",
+                           np.where(self.scale > 0, self.scale, 1.0))
+        object.__setattr__(self, "zero_sd", np.flatnonzero(self.scale == 0))
 
 
 def fit_scaler(train: CohortTable) -> StandardScaler:
@@ -232,9 +278,8 @@ def fit_scaler(train: CohortTable) -> StandardScaler:
 def _scale_matrix(scaler: StandardScaler, X: np.ndarray) -> np.ndarray:
     if np.isnan(X).any():
         raise OrderingError("scale before imputation: missing values present")
-    denom = np.where(scaler.scale > 0, scaler.scale, 1.0)
-    Z = (X - scaler.loc) / denom
-    Z[:, scaler.scale == 0] = 0.0
+    Z = (X - scaler.loc) / scaler.denom
+    Z[:, scaler.zero_sd] = 0.0
     return Z
 
 
@@ -300,7 +345,7 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class FittedPipeline:
     imputer: KnnImputer
-    encoders: tuple
+    lookup: EncoderLookup
     scaler: StandardScaler
     weights: ClassWeights
     # the training table after imputation, and after every stage; the
@@ -316,13 +361,13 @@ def fit_pipeline(train: CohortTable,
     kept as imputed_table and fitted_table."""
     imputer = fit_imputer(train, config.k_neighbors)
     imputed = impute(imputer, train)
-    encoders = tuple(fit_encoder(imputed, s.name, config.alpha)
-                     for s in imputed.schema if s.kind in MULTI_LEVEL)
-    encoded = encode_columns(encoders, imputed.X)
+    lookup = EncoderLookup(tuple(fit_encoder(imputed, s.name, config.alpha)
+                                 for s in imputed.schema if s.kind in MULTI_LEVEL))
+    encoded = encode_columns(lookup, imputed.X)
     scaler = fit_scaler(imputed.with_matrix(encoded))
     return FittedPipeline(
         imputer=imputer,
-        encoders=encoders,
+        lookup=lookup,
         scaler=scaler,
         weights=class_weights(imputed.y),
         imputed_table=imputed,
@@ -336,7 +381,7 @@ def without_encoding(pipeline: FittedPipeline) -> FittedPipeline:
     are shared, and only the scaler is fitted again."""
     imputed = pipeline.imputed_table
     scaler = fit_scaler(imputed)
-    return replace(pipeline, encoders=(), scaler=scaler,
+    return replace(pipeline, lookup=EncoderLookup(()), scaler=scaler,
                    fitted_table=imputed.with_matrix(_scale_matrix(scaler, imputed.X)))
 
 
@@ -344,7 +389,7 @@ def transform_imputed(pipeline: FittedPipeline, table: CohortTable) -> CohortTab
     """Replay encode and scale on a table already imputed by pipeline.imputer,
     on one matrix, into one table. Its columns are not checked again: each
     caller passes the table that impute, with the same imputer, checked."""
-    X = encode_columns(pipeline.encoders, table.X)
+    X = encode_columns(pipeline.lookup, table.X)
     return table.with_matrix(_scale_matrix(pipeline.scaler, X))
 
 

@@ -318,6 +318,10 @@ def _emit_roc(report):
 
 def _emit_ablation(report):
     ab = report["ablation"]
+    # only a run on a single feature has none to drop
+    if not ab["features"] and len(report["selection"]["mi"]["selected"]) > 1:
+        raise DataError("ablation.features must name the features of a "
+                        "run that selected more than one")
     _check_lengths({"ablation.baseline_dist": ab["baseline_dist"],
                     **{f"ablation.distributions.{n}": ab["distributions"].get(n)
                        for n in ab["features"]}})
@@ -363,6 +367,8 @@ def _emit_shap(report):
 
 
 def _emit_ale(report):
+    if not report["ale"]:
+        raise DataError("ale must hold at least one curve")
     for i, curve in enumerate(report["ale"]):
         _check_lengths({f"ale[{i}].{k}": curve[k]
                         for k in ("edges", "centered", "edge_counts")})
@@ -376,6 +382,8 @@ def _emit_ale(report):
 
 def _emit_posterior(report):
     post = report["posterior"]
+    if not post["samples"]:
+        raise DataError("posterior.samples must hold at least one draw")
     yield "posterior.csv", _csv_text(["sample", "risk"],
                                      enumerate(post["samples"]))
     vlines = [(post["mean"], "#c23b22", "6 3"),

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import icurisk
-from icurisk.preprocess import fit_pipeline
+from icurisk.preprocess import EncoderLookup, fit_pipeline
 from icurisk.selftest import CRITERIA, _same_fit
 
 from conftest import make_table
@@ -80,7 +80,7 @@ def test_leakage_probe_sees_a_one_bit_difference():
     # C11 compares fitted pipelines with _same_fit; one bit of one encoded
     # value, or of one cell of either kept training table, must show
     pipe = fit_pipeline(make_table(40, seed=3, missing=0.1))
-    [enc] = pipe.encoders
+    [enc] = pipe.lookup.encoders
 
     def nudged(a):
         a = a.copy()
@@ -88,9 +88,9 @@ def test_leakage_probe_sees_a_one_bit_difference():
         return a
 
     assert _same_fit(pipe, replace(
-        pipe, encoders=(replace(enc, table=enc.table.copy()),)))
+        pipe, lookup=EncoderLookup((replace(enc, table=enc.table.copy()),))))
     assert not _same_fit(pipe, replace(
-        pipe, encoders=(replace(enc, table=nudged(enc.table)),)))
+        pipe, lookup=EncoderLookup((replace(enc, table=nudged(enc.table)),))))
     for name in ("imputed_table", "fitted_table"):
         table = getattr(pipe, name)
         changed = replace(pipe, **{name: table.with_matrix(nudged(table.X))})

@@ -35,6 +35,13 @@ def test_label_validation(schema4):
         CohortTable(schema4, np.zeros((3, 5)), [0, 1, 0])
 
 
+def test_feature_names_are_kept_with_the_table(table40):
+    assert table40.feature_names == tuple(s.name for s in table40.schema)
+    assert table40.with_matrix(table40.X).feature_names is table40.feature_names
+    assert table40.drop_features(["age"]).feature_names == tuple(
+        n for n in table40.feature_names if n != "age")
+
+
 def test_subset_and_drop(table40):
     sub = table40.subset([0, 5, 7])
     assert sub.n == 3
@@ -227,6 +234,7 @@ def test_summary_of_the_wrong_shape_is_rejected(schema4):
 def test_table_survives_pickle_and_deepcopy(table40):
     for copied in (pickle.loads(pickle.dumps(table40)), copy.deepcopy(table40)):
         assert copied.equals(table40) and copied is not table40
+        assert copied.feature_names == table40.feature_names
         with pytest.raises(AttributeError):
             copied.y = None
         assert not copied.X.flags.writeable

@@ -71,7 +71,7 @@ def test_train_model_dispatch_fills_categorical_idx():
     spec = ModelSpec(family="gbdt",
                      params={"ordered_mode": True, "n_trees": 5, "depth": 2})
     model = train_model(spec, table, class_weights(table.y), seed=0)
-    assert [e.column for e in model.encoders] == [table.index_of("gcs")]
+    assert [e.column for e in model.lookup.encoders] == [table.index_of("gcs")]
 
 
 def test_cross_validate_shapes_and_winner():
@@ -180,8 +180,8 @@ def test_fit_preprocessing_encodes_all_but_ordered_boosting():
                                  train, test)
     (plain, plain_test), (ordered, ordered_test), gnb = prepared
     assert gnb[0] is plain and gnb[1] is plain_test
-    assert [e.feature for e in plain.encoders] == ["gcs"]
-    assert ordered.encoders == ()
+    assert [e.feature for e in plain.lookup.encoders] == ["gcs"]
+    assert ordered.lookup.encoders == ()
     assert ordered.imputer is plain.imputer
     assert plain_test.equals(preprocess.apply(plain, test))
     assert ordered_test.equals(preprocess.apply(ordered, test))
@@ -194,7 +194,7 @@ def test_fit_and_score_trains_each_spec_with_its_seed():
     a, b, ordered = fit_and_score((mlp, mlp, _ORDERED), train, test,
                                   (1, 2, 1))
     assert a[0] is b[0] and a[1] is b[1]          # one shared pipeline
-    assert ordered[0].encoders == ()              # raw category codes
+    assert ordered[0].lookup.encoders == ()       # raw category codes
     for pipe, test_t, model, scores in (a, b, ordered):
         assert np.array_equal(scores, predict_proba(model, test_t))
     assert not np.array_equal(a[3], b[3])

@@ -107,7 +107,7 @@ def test_ordered_mode_encodes_categories():
     gcs_idx = table.index_of("gcs")
     params = GbdtParams(depth=2, n_trees=10, ordered_mode=True)
     model = train_gbdt(table, params, seed=2)
-    (enc,) = model.encoders
+    (enc,) = model.lookup.encoders
     assert enc.column == gcs_idx
     assert enc.global_mean == pytest.approx(table.y.mean())
     assert np.all(np.diff(enc.category_values) > 0)
@@ -128,7 +128,7 @@ def test_ordered_mode_encodes_categories():
 def test_plain_mode_has_no_encoders():
     table = make_table(50, seed=3)
     model = train_gbdt(table, GbdtParams(depth=2, n_trees=5), seed=0)
-    assert model.encoders == ()
+    assert model.lookup.encoders == ()
 
 
 def test_ordered_mode_keeps_the_pipelines_target_encoders():
@@ -140,15 +140,15 @@ def test_ordered_mode_keeps_the_pipelines_target_encoders():
     model = train_gbdt(table, GbdtParams(depth=2, n_trees=4,
                                          ordered_mode=True), seed=1)
     names = ("gcs", "unit")
-    assert [e.feature for e in model.encoders] == list(names)
-    assert [e.column for e in model.encoders] == [table.index_of(n) for n in names]
+    assert [e.feature for e in model.lookup.encoders] == list(names)
+    assert [e.column for e in model.lookup.encoders] == [table.index_of(n) for n in names]
     want = tuple(fit_encoder(table, n) for n in names)
-    assert pickle.dumps(model.encoders) == pickle.dumps(want)
+    assert pickle.dumps(model.lookup.encoders) == pickle.dumps(want)
     # a missing category stays missing; it is not scored as the prior
     gcs = table.index_of("gcs")
     row = table.X[:1].copy()
     row[0, gcs] = np.nan
-    assert np.isnan(encode_columns(model.encoders, row)[0, gcs])
+    assert np.isnan(encode_columns(model.lookup, row)[0, gcs])
 
 
 def test_param_validation():
@@ -322,7 +322,7 @@ def _ref_margin(model, trees, X):
     """Walk every grown tree node by node from node 0 for each row; add the
     trees in order. The trees are the grower's own, so this also checks
     how the fit joins them into the model's forest."""
-    X = encode_columns(model.encoders, np.asarray(X, dtype=float))
+    X = encode_columns(model.lookup, np.asarray(X, dtype=float))
     out = np.full(X.shape[0], model.base_score)
     for tree in trees:
         leaf = np.empty(X.shape[0])

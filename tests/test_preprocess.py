@@ -3,6 +3,7 @@ smoothed target encoding, z-scaling, class weights, and the fitted pipeline.
 """
 
 import copy
+import logging
 import pickle
 from dataclasses import replace
 from fractions import Fraction
@@ -12,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import icurisk.cohort
 from icurisk.cohort import CohortTable, stratified_split
 from icurisk.errors import ConfigError, DataError, OrderingError, SchemaError
 from icurisk.models import GbdtParams, predict_proba, train_gbdt
 from icurisk.pipeline import Predictor
-from icurisk.preprocess import (_scale_matrix, apply, class_weights,
-                                encode_columns, fit_encoder, fit_imputer,
-                                fit_pipeline, fit_scaler, impute,
-                                without_encoding)
+from icurisk.preprocess import (EncoderLookup, TargetEncoder, _scale_matrix,
+                                apply, class_weights, encode_columns,
+                                fit_encoder, fit_imputer, fit_pipeline,
+                                fit_scaler, impute, without_encoding)
 from icurisk.selftest import _same_fit
 from icurisk.schema import FeatureSpec
 from icurisk.synth import synth_default_cohort
@@ -212,7 +214,7 @@ def test_encoder_matches_smoothing_formula():
     ybar = y.mean()
     # 9 is an unseen category: it falls back to the global mean
     levels = np.array([[3.0], [7.0], [15.0], [9.0]])
-    assert encode_columns((enc,), levels)[:, 0] == pytest.approx(
+    assert encode_columns(EncoderLookup((enc,)), levels)[:, 0] == pytest.approx(
         [(2 * 0.5 + 10 * ybar) / 12, (3 * (2 / 3) + 10 * ybar) / 13,
          (1 * 0.0 + 10 * ybar) / 11, ybar])
 
@@ -224,13 +226,13 @@ def test_encode_column_replacement_and_missing_passthrough():
     train = CohortTable(schema, X, [1, 0, 1, 0])
     enc = fit_encoder(train, "gcs", alpha=1.0)
     assert enc.column == 0
-    out = encode_columns((enc,), train.X)
+    out = encode_columns(EncoderLookup((enc,)), train.X)
     assert out is not train.X and np.isnan(out[2, 0])  # missing stays missing
     assert np.array_equal(out[:, 1], X[:, 1])  # other columns untouched
     # alpha = 1, global mean 1/2: each seen level has one row
     for i, y_c in ((0, 1.0), (1, 0.0), (3, 0.0)):
         assert out[i, 0] == pytest.approx((y_c + 0.5) / 2)
-    assert encode_columns((), train.X) is train.X
+    assert encode_columns(EncoderLookup(()), train.X) is train.X
 
 
 def test_encoder_table_is_the_smoothing_formula_of_each_row():
@@ -242,7 +244,7 @@ def test_encoder_table_is_the_smoothing_formula_of_each_row():
     y = rng.integers(0, 2, 60)
     enc = fit_encoder(CohortTable(schema, col[:, None], y), "gcs", alpha=7.0)
     query = np.concatenate([enc.category_values, [9.0, np.nan]])
-    out = encode_columns((enc,), query[:, None])[:, 0]
+    out = encode_columns(EncoderLookup((enc,)), query[:, None])[:, 0]
 
     def per_row(v):
         if np.isnan(v):
@@ -266,6 +268,119 @@ def test_encoder_rejects_continuous_feature(table40):
         fit_encoder(table40, "age")
     with pytest.raises(ConfigError):
         fit_encoder(table40, "gcs", alpha=-1.0)
+
+
+# -- the joined lookup -------------------------------------------------------
+
+def _per_encoder_reference(encoders, X):
+    """Each encoder's column encoded cell by cell from its own table: a
+    category it saw gives its table value, any other observed value its
+    global mean, and a missing cell stays as it was."""
+    out = X.copy()
+    for enc in encoders:
+        for i, v in enumerate(X[:, enc.column]):
+            if np.isnan(v):
+                continue
+            hit = np.flatnonzero(enc.category_values == v)
+            out[i, enc.column] = enc.table[hit[0]] if hit.size else enc.global_mean
+    return out
+
+
+_CATEGORIES = (-7.5, -2.0, -0.25, 0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 15.0)
+# values no encoder sees, and -0.0, which equals the category 0.0
+_OTHERS = (-100.0, -0.0, 0.75, 4.25, 1e9, np.nan)
+
+
+@st.composite
+def _encoders_and_rows(draw):
+    """One to four encoders over distinct columns of a wider matrix, each
+    with its own sorted category set (overlapping, disjoint, negative,
+    fractional or of one category), and rows mixing seen categories,
+    unseen values and missing cells."""
+    n_enc = draw(st.integers(1, 4))
+    d = n_enc + draw(st.integers(0, 2))
+    columns = draw(st.permutations(range(d)))[:n_enc]
+    encoders = []
+    for j in columns:
+        cats = sorted(draw(st.lists(st.sampled_from(_CATEGORIES), min_size=1,
+                                    max_size=5, unique=True)))
+        table = draw(st.lists(st.floats(0.0, 1.0), min_size=len(cats),
+                              max_size=len(cats)))
+        encoders.append(TargetEncoder(
+            feature=f"x{j}", column=j, alpha=10.0,
+            global_mean=draw(st.floats(0.0, 1.0)),
+            category_values=np.array(cats), table=np.array(table)))
+    cell = st.sampled_from(_CATEGORIES + _OTHERS)
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                         min_size=1, max_size=8))
+    return tuple(encoders), np.array(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_encoders_and_rows())
+def test_joined_lookup_equals_each_encoder_alone(case):
+    encoders, X = case
+    lookup = EncoderLookup(encoders)
+    out = encode_columns(lookup, X)
+    assert out.tobytes() == _per_encoder_reference(encoders, X).tobytes()
+    for i in range(X.shape[0]):
+        assert encode_columns(lookup, X[i:i + 1]).tobytes() == out[i:i + 1].tobytes()
+
+
+def test_joined_lookup_keeps_each_encoders_table(serving3):
+    lookup = serving3[2].lookup
+    assert len(lookup.encoders) > 1
+    assert np.array_equal(lookup.columns, [e.column for e in lookup.encoders])
+    for enc, row, seen in zip(lookup.encoders, lookup.table, lookup.seen):
+        assert np.array_equal(lookup.values[seen], enc.category_values)
+        assert row[seen].tobytes() == enc.table.tobytes()
+        assert (row[~seen] == enc.global_mean).all()
+
+
+def _fit_time_arrays(stage, names):
+    return [getattr(stage, name).tobytes() for name in names]
+
+
+def test_lookup_and_scaler_fit_time_arrays_survive_replace_and_pickle(serving3):
+    lookup = serving3[2].lookup
+    table = make_table(20, seed=8)
+    X = table.X.copy()
+    X[:, 2] = 7.0                               # a zero-sd column
+    scaler = fit_scaler(table.with_matrix(X))
+    assert scaler.denom.tobytes() == np.where(scaler.scale > 0, scaler.scale,
+                                              1.0).tobytes()
+    assert scaler.zero_sd.tolist() == [2]
+    for stage, names, again in (
+            (lookup, ("columns", "values", "table", "seen", "global_mean",
+                      "offsets"), replace(lookup, encoders=lookup.encoders)),
+            (scaler, ("denom", "zero_sd"), replace(scaler, loc=scaler.loc))):
+        want = _fit_time_arrays(stage, names)
+        for other in (again, pickle.loads(pickle.dumps(stage)),
+                      copy.deepcopy(stage)):
+            assert _fit_time_arrays(other, names) == want
+        assert names[-1] not in repr(stage)
+
+
+def test_unseen_categories_log_one_line_per_encoder(caplog):
+    # 3.0 is a category of the joined lookup, but only the second encoder
+    # saw it; 1.0 only the first
+    first = TargetEncoder(feature="a", column=0, alpha=1.0, global_mean=0.5,
+                          category_values=np.array([1.0, 2.0]),
+                          table=np.array([0.25, 0.75]))
+    second = replace(first, feature="b", column=1,
+                     category_values=np.array([2.0, 3.0]))
+    lookup = EncoderLookup((first, second))
+    X = np.array([[3.0, 1.0], [5.0, 2.0], [1.0, np.nan], [3.0, 2.0]])
+    with caplog.at_level(logging.INFO, logger="icurisk.preprocess"):
+        out = encode_columns(lookup, X)
+        assert [r.getMessage() for r in caplog.records] == [
+            "encoder 'a': 2 unseen categories [3.0, 5.0] mapped to global mean",
+            "encoder 'b': 1 unseen categories [1.0] mapped to global mean"]
+        caplog.clear()
+        encode_columns(lookup, X[2:3])
+        assert caplog.records == []
+    assert out[:, 0].tolist() == [0.5, 0.5, 0.25, 0.5]
+    assert out[[0, 1, 3], 1].tolist() == [0.5, 0.25, 0.25] and np.isnan(out[2, 1])
 
 
 # -- scaling -----------------------------------------------------------------
@@ -347,8 +462,8 @@ def test_pipeline_encode_selection(table40):
     # the multi-level kinds are encoded, the binary flag and the
     # continuous features are not
     encoded = fit_pipeline(table40)
-    assert [e.feature for e in encoded.encoders] == ["gcs"]
-    assert without_encoding(encoded).encoders == ()
+    assert [e.feature for e in encoded.lookup.encoders] == ["gcs"]
+    assert without_encoding(encoded).lookup.encoders == ()
 
 
 def test_without_encoding_shares_the_imputation(table40):
@@ -408,11 +523,29 @@ def test_one_row_apply_replays_the_batch_bit_for_bit(serving3):
     # each held-out patient transformed alone must match its row of the
     # batch transform exactly
     _, test, pipe = serving3
-    assert pipe.encoders and np.isnan(test.X).any(axis=1).any()
+    assert pipe.lookup.encoders and np.isnan(test.X).any(axis=1).any()
     batch = apply(pipe, test).X
     for i in range(test.n):
         one = apply(pipe, test.subset([i])).X
         assert one.tobytes() == batch[i:i + 1].tobytes(), i
+
+
+def test_a_served_row_builds_its_feature_names_at_most_once(serving3,
+                                                            monkeypatch):
+    # the fitted stages and every table a request makes carry the names
+    train, test, pipe = serving3
+    model = train_gbdt(pipe.fitted_table, GbdtParams(depth=2, n_trees=5),
+                       class_weights(train.y), seed=3)
+    predictor = Predictor(schema=train.schema, pipeline=pipe, model=model)
+    built = []
+    names = icurisk.cohort.feature_names
+    monkeypatch.setattr(icurisk.cohort, "feature_names",
+                        lambda schema: built.append(1) or names(schema))
+    gaps = np.isnan(test.X).any(axis=1)
+    for i in (int(np.argmin(gaps)), int(np.argmax(gaps))):   # complete, missing
+        built.clear()
+        predictor(test.X[i])
+        assert len(built) <= 1, i
 
 
 def test_a_predictor_reply_is_the_batch_probability_bit_for_bit(serving3):

@@ -195,6 +195,21 @@ def _short_mi_scores(report):
     return "selection.mi.scores"
 
 
+def _no_posterior_samples(report):
+    report["posterior"]["samples"] = []
+    return "posterior.samples"
+
+
+def _no_ale_curves(report):
+    report["ale"] = []
+    return "ale"
+
+
+def _no_ablation_features(report):
+    report["ablation"]["features"] = []
+    return "ablation.features"
+
+
 def _empty_ablation_distribution(report):
     name = report["ablation"]["features"][-1]
     report["ablation"]["distributions"][name] = []
@@ -219,6 +234,9 @@ _INCOMPLETE = {
     "roc_tpr_short": _short_roc_tpr,
     "mi_scores_short": _short_mi_scores,
     "ablation_distribution_empty": _empty_ablation_distribution,
+    "posterior_no_samples": _no_posterior_samples,
+    "ale_no_curves": _no_ale_curves,
+    "ablation_no_features": _no_ablation_features,
 }
 
 

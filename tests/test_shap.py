@@ -259,7 +259,7 @@ def _per_pair_reference(model, rows, background):
     """Tree SHAP's per-row arithmetic written out term by term: every
     (row, slot, pair) product, dead pairs and dummy slots included, with the
     pair weights recomputed on each call."""
-    X = encode_columns(model.encoders, np.asarray(rows, dtype=float))
+    X = encode_columns(model.lookup, np.asarray(rows, dtype=float))
     bg = shapley._prepare_background(model, np.asarray(background, dtype=float))
     depth = model.forest.depth
     full = (1 << depth) - 1
@@ -292,7 +292,7 @@ def test_tree_is_bit_identical_to_the_per_pair_arithmetic(monkeypatch, depth,
     table = make_table(160, seed=59 + depth, informative=True)
     model = train_gbdt(table, GbdtParams(depth=depth, n_trees=6,
                                          ordered_mode=ordered), seed=depth)
-    assert model.forest.depth == depth and bool(model.encoders) == ordered
+    assert model.forest.depth == depth and bool(model.lookup.encoders) == ordered
     Z = table.X[:50]
     for chunk in (shapley._CHUNK, 64):
         monkeypatch.setattr(shapley, "_CHUNK", chunk)
