@@ -6,8 +6,9 @@ the pipeline and model are refit once per dropped feature, the refits side
 by side on the available CPUs (see icurisk._fanout); each fitted
 predictor scores the test table once, and uncertainty comes from
 re-evaluating AUROC on stratified bootstrap resamples of the test rows. All
-variants share one resample index set so the per-feature distributions are
-paired with the baseline.
+variants are scored on each block of resamples as it is drawn, so the
+per-feature distributions are paired with the baseline and the full
+resample index set is never held.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .._fanout import fan_out
 from .._rng import derive_int, derive_rng
 from ..cohort import CohortTable
 from ..errors import DataError
-from ..metrics import auroc, resampled_aurocs, stratified_bootstrap
+from ..metrics import _blocked_aurocs, _stratified_blocks, auroc
 from ..models.cv import ModelSpec, downgrade_ordered, fit_and_score
 
 
@@ -52,9 +53,7 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
         raise DataError(f"base_scores has shape {base_scores.shape}, "
                         f"expected one score per test row ({test.n})")
     labels = test.y
-    idx = stratified_bootstrap(labels, n_resamples, derive_rng(seed, "ablation"))
-    baseline = auroc(base_scores, labels)
-    base_dist = resampled_aurocs(base_scores, labels, idx)
+    blocks = _stratified_blocks(labels, n_resamples, derive_rng(seed, "ablation"))
 
     # dropping the sole feature leaves nothing to fit
     ablated = train.feature_names if train.d > 1 else ()
@@ -67,12 +66,13 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
             (derive_int(seed, "ablation", k + 1),))
         return scores
 
-    dropped_dist = {}
-    dropped_point = {}
-    for name, scores in zip(ablated, fan_out(refit_without, range(len(ablated)))):
-        dropped_point[name] = auroc(scores, labels)
-        dropped_dist[name] = resampled_aurocs(scores, labels, idx)
-
-    return AblationReport(features=tuple(ablated), baseline_auroc=baseline,
-                          baseline_dist=base_dist, dropped_dist=dropped_dist,
-                          dropped_auroc=dropped_point, n_resamples=n_resamples)
+    dropped = fan_out(refit_without, range(len(ablated)))
+    base_dist, *dropped_dists = _blocked_aurocs([base_scores, *dropped], labels,
+                                                blocks, n_resamples)
+    return AblationReport(features=tuple(ablated),
+                          baseline_auroc=auroc(base_scores, labels),
+                          baseline_dist=base_dist,
+                          dropped_dist=dict(zip(ablated, dropped_dists)),
+                          dropped_auroc={name: auroc(scores, labels)
+                                         for name, scores in zip(ablated, dropped)},
+                          n_resamples=n_resamples)

@@ -82,10 +82,13 @@ def split_rhat(chains: np.ndarray) -> np.ndarray:
     half = n // 2
     if half < 2:
         raise DataError("need at least 4 draws per chain for split-rhat")
-    parts = np.concatenate([chains[:, :half], chains[:, half : 2 * half]], axis=0)
-    means = parts.mean(axis=1)                      # (2C, d)
-    W = parts.var(axis=1, ddof=1).mean(axis=0)      # within
-    B = half * means.var(axis=0, ddof=1)            # between
+    # one (half, d) view per sequence, first halves then second halves: the
+    # per-view reductions equal those of the stacked halves bit for bit,
+    # without copying the chains
+    seqs = [chains[c, h * half:(h + 1) * half] for h in (0, 1) for c in range(C)]
+    means = np.array([s.mean(axis=0) for s in seqs])                # (2C, d)
+    W = np.array([s.var(axis=0, ddof=1) for s in seqs]).mean(axis=0)  # within
+    B = half * means.var(axis=0, ddof=1)                            # between
     var_plus = (half - 1) / half * W + B / half
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.sqrt(var_plus / W)

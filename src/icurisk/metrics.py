@@ -4,6 +4,7 @@ metrics, and Welch t-tests for cohort comparison tables.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from math import nan, sqrt
 
@@ -67,10 +68,15 @@ def roc_curve(scores, labels):
     return fpr, tpr, thresholds
 
 
-def stratified_bootstrap(labels, B: int, rng) -> np.ndarray:
-    """(B, n) row indices of B bootstrap resamples, stratified within each
-    class so every replicate keeps both classes: each row holds the
-    positives drawn from the positive rows, then the negatives."""
+def _stratified_blocks(labels, B: int, rng):
+    """The B class-stratified bootstrap resamples of stratified_bootstrap,
+    yielded as blocks of at most _BLOCK_CELLS index cells.
+
+    The stream stays (all positive draws, then all negative draws): the
+    classes are checked and rng is moved past the positive draws here, and
+    each block takes its positive rows again from a copy of rng made before
+    them. Row chunks of rng.integers continue one draw's stream, so the
+    blocks end to end hold exactly the indices of one (B, n) draw."""
     labels = _check_binary(labels)
     if B < 1:
         raise ConfigError("B must be >= 1")
@@ -78,15 +84,80 @@ def stratified_bootstrap(labels, B: int, rng) -> np.ndarray:
     neg = np.flatnonzero(labels == 0)
     if pos.size == 0 or neg.size == 0:
         raise DataError("bootstrap undefined: both classes must be present")
-    take_pos = pos[rng.integers(0, pos.size, size=(B, pos.size))]
-    take_neg = neg[rng.integers(0, neg.size, size=(B, neg.size))]
-    return np.concatenate([take_pos, take_neg], axis=1)
+    rows = _rows_per_block(labels.size)
+    sizes = [min(rows, B - start) for start in range(0, B, rows)]
+    pos_rng = copy.deepcopy(rng)
+    for m in sizes:
+        rng.integers(0, pos.size, size=(m, pos.size))
+
+    def blocks():
+        for m in sizes:
+            take_pos = pos[pos_rng.integers(0, pos.size, size=(m, pos.size))]
+            take_neg = neg[rng.integers(0, neg.size, size=(m, neg.size))]
+            yield np.concatenate([take_pos, take_neg], axis=1)
+
+    return blocks()
 
 
-# Replicates per block are chosen so that each (replicates, n) or
-# (replicates, distinct scores) temporary holds at most this many elements,
-# about 94 KiB of int64: peak memory stays flat at any number of replicates.
+def stratified_bootstrap(labels, B: int, rng) -> np.ndarray:
+    """(B, n) row indices of B bootstrap resamples, stratified within each
+    class so every replicate keeps both classes: each row holds the
+    positives drawn from the positive rows, then the negatives."""
+    return np.concatenate(list(_stratified_blocks(labels, B, rng)))
+
+
+# Each (replicates, n) or (replicates, distinct scores) temporary of a block
+# holds at most this many elements, about 94 KiB of int64. A bootstrap
+# streamed through _stratified_blocks holds one block at a time, so its
+# peak memory stays flat at any number of replicates.
 _BLOCK_CELLS = 12000
+
+
+def _rows_per_block(width: int) -> int:
+    return max(1, _BLOCK_CELLS // width)
+
+
+def _code(scores):
+    """Scores coded by their rank among the distinct values: (code, k,
+    nan_code), where nan_code is the code of NaN or -1 if none is present."""
+    uniq, code = np.unique(np.asarray(scores, dtype=float), return_inverse=True)
+    k = uniq.size  # NaNs share the last code
+    return code, k, (k - 1 if k and np.isnan(uniq[-1]) else -1)
+
+
+def _block_aurocs(coded, labels, rows) -> np.ndarray:
+    """AUROC of each resample in rows, by the count resampled_aurocs describes."""
+    code, k, nan_code = coded
+    m, n = rows.shape
+    pos = labels[rows] == 1
+    n1 = pos.sum(axis=1)
+    n0 = n - n1
+    if not (n1.all() and n0.all()):
+        raise DataError("AUROC undefined: both classes must be present")
+    codes = code[rows]
+    flat = codes + (k * np.arange(m))[:, None]
+    neg_count = np.bincount(flat[~pos], minlength=m * k).reshape(m, k)
+    below_twice_plus_tied = 2 * np.cumsum(neg_count, axis=1) - neg_count
+    two_u = np.where(pos, below_twice_plus_tied.ravel()[flat], 0).sum(axis=1)
+    auc = (two_u / 2.0) / (n1 * n0)
+    if nan_code >= 0:
+        auc[(codes == nan_code).any(axis=1)] = nan
+    return auc
+
+
+def _blocked_aurocs(score_sets, labels, blocks, n_rep) -> np.ndarray:
+    """(len(score_sets), n_rep) AUROCs: row v holds those of score_sets[v]
+    on each resample, the resamples taken block by block from blocks."""
+    labels = _check_binary(labels)
+    coded = [_code(scores) for scores in score_sets]
+    out = np.empty((len(coded), n_rep))
+    start = 0
+    for rows in blocks:
+        stop = start + rows.shape[0]
+        for dist, c in zip(out, coded):
+            dist[start:stop] = _block_aurocs(c, labels, rows)
+        start = stop
+    return out
 
 
 def resampled_aurocs(scores, labels, idx) -> np.ndarray:
@@ -99,39 +170,19 @@ def resampled_aurocs(scores, labels, idx) -> np.ndarray:
     cumulatively over codes, and the positives gather from those sums. A
     replicate that draws a NaN score gives NaN; one missing a class raises.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = _check_binary(labels)
     idx = np.asarray(idx)
-    uniq, code = np.unique(scores, return_inverse=True)  # NaNs share the last code
-    k = uniq.size
-    nan_code = k - 1 if k and np.isnan(uniq[-1]) else -1
     n_rep, n = idx.shape
-    block = max(1, _BLOCK_CELLS // max(n, k))
-    out = np.empty(n_rep)
-    for start in range(0, n_rep, block):
-        rows = idx[start:start + block]
-        m = rows.shape[0]
-        pos = labels[rows] == 1
-        n1 = pos.sum(axis=1)
-        n0 = n - n1
-        if not (n1.all() and n0.all()):
-            raise DataError("AUROC undefined: both classes must be present")
-        codes = code[rows]
-        flat = codes + (k * np.arange(m))[:, None]
-        neg_count = np.bincount(flat[~pos], minlength=m * k).reshape(m, k)
-        below_twice_plus_tied = 2 * np.cumsum(neg_count, axis=1) - neg_count
-        two_u = np.where(pos, below_twice_plus_tied.ravel()[flat], 0).sum(axis=1)
-        auc = (two_u / 2.0) / (n1 * n0)
-        if nan_code >= 0:
-            auc[(codes == nan_code).any(axis=1)] = nan
-        out[start:start + m] = auc
-    return out
+    rows = _rows_per_block(max(n, np.size(scores)))
+    blocks = (idx[start:start + rows] for start in range(0, n_rep, rows))
+    return _blocked_aurocs([scores], labels, blocks, n_rep)[0]
 
 
 def bootstrap_auroc_ci(scores, labels, B: int = 2000, seed: int = 0):
-    """95% percentile CI for AUROC over B class-stratified bootstrap resamples."""
-    idx = stratified_bootstrap(labels, B, derive_rng(seed, "bootstrap"))
-    low, high = np.percentile(resampled_aurocs(scores, labels, idx), (2.5, 97.5))
+    """95% percentile CI for AUROC over B class-stratified bootstrap
+    resamples, each block of resamples scored as soon as it is drawn."""
+    blocks = _stratified_blocks(labels, B, derive_rng(seed, "bootstrap"))
+    reps = _blocked_aurocs([scores], labels, blocks, B)[0]
+    low, high = np.percentile(reps, (2.5, 97.5))
     return float(low), float(high)
 
 

@@ -45,6 +45,30 @@ def test_split_rhat_flags_disjoint_chains():
     assert r[0] > 2.0
 
 
+def _stacked_split_rhat(chains):
+    """Reference: both halves stacked into one (2C, half, d) copy."""
+    half = chains.shape[1] // 2
+    parts = np.concatenate([chains[:, :half], chains[:, half:2 * half]], axis=0)
+    W = parts.var(axis=1, ddof=1).mean(axis=0)
+    B = half * parts.mean(axis=1).var(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(((half - 1) / half * W + B / half) / W)
+    return np.where(W > 0, r, 1.0)
+
+
+@pytest.mark.parametrize("C", [3, 4, 11, 30])
+@pytest.mark.parametrize("n", [7, 8, 301])   # n = 7 drops the middle draw
+@pytest.mark.parametrize("d", [1, 5])
+def test_split_rhat_matches_the_stacked_halves(C, n, d):
+    rng = np.random.default_rng(C * n * d)
+    chains = rng.normal(rng.normal(size=(C, 1, d)), 1.0 + rng.random(d), size=(C, n, d))
+    chains[:, :, 0] = np.round(chains[:, :, 0], 1)      # repeated values
+    if d > 1:
+        chains[:, :, 1] = 2.5                           # a constant dimension
+    got = split_rhat(chains)
+    assert got.tobytes() == _stacked_split_rhat(chains).tobytes()
+
+
 def test_split_rhat_needs_enough_draws():
     with pytest.raises(DataError):
         split_rhat(np.zeros((4, 3, 1)))

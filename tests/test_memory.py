@@ -1,0 +1,51 @@
+"""Peak Python-level memory of the report's heaviest numeric steps, measured
+with tracemalloc (numpy reports its array buffers to it)."""
+
+import tracemalloc
+
+import numpy as np
+
+from icurisk.explain.ablation import ablation
+from icurisk.explain.dream import split_rhat
+from icurisk.metrics import bootstrap_auroc_ci
+from icurisk.models.cv import ModelSpec, fit_and_score
+
+from conftest import make_table
+
+MB = 1e6
+
+
+def _peak_bytes(fn):
+    fn()  # warm-up: first-call allocations are not the step's own
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bootstrap_ci_streams_its_resamples():
+    # the default run's size: 2000 replicates of 390 test rows, a (2000, 390)
+    # index matrix alone being 6.2 MB of int64
+    rng = np.random.default_rng(0)
+    scores = rng.random(390)
+    labels = (rng.random(390) < 0.5).astype(int)
+    assert _peak_bytes(lambda: bootstrap_auroc_ci(scores, labels, B=2000)) <= 3 * MB
+
+
+def test_split_rhat_does_not_copy_the_chains():
+    # DREAM's kept draws at the default posterior settings; a half-chain
+    # temporary alone would be chains.nbytes / 2
+    chains = np.random.default_rng(1).normal(size=(30, 1500, 15))
+    assert _peak_bytes(lambda: split_rhat(chains)) < chains.nbytes / 4
+
+
+def test_ablation_resampling_is_bounded():
+    table = make_table(540, seed=51, informative=True)
+    idx = np.arange(table.n)
+    train, test = table.subset(idx[:150]), table.subset(idx[150:])
+    spec = ModelSpec(family="logreg", params={"C": 1.0})
+    [(*_, base)] = fit_and_score((spec,), train, test, (0,))
+    peak = _peak_bytes(lambda: ablation(spec, train, test, base, n_resamples=2000))
+    assert peak <= 3 * MB

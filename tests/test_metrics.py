@@ -117,6 +117,29 @@ def test_bootstrap_ci_is_the_percentile_of_the_resampled_aurocs():
     assert bootstrap_auroc_ci(scores, labels, B=200, seed=4) == (low, high)
 
 
+def _one_draw_bootstrap(labels, B, rng):
+    """Reference resamples: one (B, n1) draw for the positives, then one
+    (B, n0) draw for the negatives."""
+    pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+    take_pos = pos[rng.integers(0, pos.size, size=(B, pos.size))]
+    return np.concatenate([take_pos, neg[rng.integers(0, neg.size, size=(B, neg.size))]],
+                          axis=1)
+
+
+# 30 replicates per block at 390 and 400 rows: 2000 ends on a 20-row block,
+# 61 on a 1-row block
+@pytest.mark.parametrize("B, n", [(2000, 390), (61, 400)])
+def test_streamed_bootstrap_matches_one_draw(B, n):
+    rng = np.random.default_rng(n)
+    scores = np.round(rng.random(n), 2)
+    labels = (rng.random(n) < 0.2).astype(int)
+    labels[:2] = [0, 1]
+    idx = _one_draw_bootstrap(labels, B, derive_rng(6, "bootstrap"))
+    assert np.array_equal(stratified_bootstrap(labels, B, derive_rng(6, "bootstrap")), idx)
+    low, high = np.percentile(resampled_aurocs(scores, labels, idx), (2.5, 97.5))
+    assert bootstrap_auroc_ci(scores, labels, B=B, seed=6) == (low, high)
+
+
 def _rankdata_auroc(scores, labels):
     """Reference AUROC: average ranks, as auroc computed them before the
     counting kernel."""
