@@ -20,8 +20,9 @@ from .cohort import (CohortTable, SplitIndex, load_cohort, save_cohort,
 from .errors import (ConfigError, DataError, IcuRiskError, OrderingError,
                      SchemaError)
 from .explain import (AblationReport, AleCurve, DreamConfig, DreamResult,
-                      PosteriorRisk, ShapMatrix, ablation, ale, dream_sample,
-                      posterior_risk_inputs, shap_exhaustive, shap_tree)
+                      PosteriorDraws, PosteriorRisk, ShapMatrix, ablation, ale,
+                      dream_sample, posterior_draws, posterior_risk_inputs,
+                      shap_exhaustive, shap_tree)
 from .metrics import (MetricReport, auroc, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold, welch_t)
 from .models import (GaussianNbModel, GbdtModel, GbdtParams, LinearModel,
@@ -61,7 +62,8 @@ __all__ = [
     # explanation
     "ablation", "AblationReport", "shap_tree", "shap_exhaustive",
     "ShapMatrix", "ale", "AleCurve", "dream_sample", "DreamConfig",
-    "DreamResult", "posterior_risk_inputs", "PosteriorRisk",
+    "DreamResult", "posterior_draws", "PosteriorDraws",
+    "posterior_risk_inputs", "PosteriorRisk",
     # orchestration
     "RunConfig", "RunResult", "BenchmarkRow", "run", "load_run_config",
     "build_report", "validate_report", "write_artifacts", "emit_projections",

@@ -1,11 +1,12 @@
 """Posterior risk distribution via MCMC.
 
-posterior_risk_inputs samples plausible non-survivor feature vectors from
+posterior_draws samples plausible non-survivor feature vectors from
 independent truncated Gaussians calibrated to the class-1 moments of a
-CohortSummary and pushes them through a trained predictor; binary flags are
-integrated out by enumerating their combinations weighted by class
-prevalence. Ordinal features are sampled on their continuous relaxation and
-snapped to the measurement grid before prediction.
+CohortSummary; posterior_risk_inputs pushes them through a trained
+predictor, integrating binary flags out by enumerating their combinations
+weighted by class prevalence. Ordinal features are sampled on their
+continuous relaxation and snapped to the measurement grid before
+prediction. Sampling needs no model, so a run draws while it fits.
 """
 
 from __future__ import annotations
@@ -66,25 +67,44 @@ def _snap_ordinal(values: np.ndarray, spec: FeatureSpec) -> np.ndarray:
     return np.clip(snapped, spec.lower, spec.upper)
 
 
-def posterior_risk_inputs(model, summary: CohortSummary,
-                          dream: DreamConfig = DreamConfig()) -> PosteriorRisk:
-    """Risk distribution over feature vectors drawn from non-survivor priors.
+@dataclass(frozen=True)
+class PosteriorDraws:
+    """What posterior_draws keeps of a DREAM run: the thinned draws of the
+    sampled features and two diagnostics, not the chains."""
 
-    model: callable mapping raw-space feature rows (m, d) to probabilities,
-    such as a pipeline Predictor, over summary.schema. The priors are the
-    summary's class-1 moments, which must be finite for every feature.
-    """
+    summary: CohortSummary
+    draws: np.ndarray        # (draws, sampled features), thinned
+    acceptance_rate: float
+    max_split_rhat: float
+
+
+def _roles(summary: CohortSummary):
+    """Column indices of the binary flags, the sampled features (sd > 0)
+    and the pinned ones (sd <= 0)."""
+    schema, sds = summary.schema, summary.sd[1]
+    d = len(schema)
+    binary = [j for j in range(d) if schema[j].kind == "binary"]
+    sampled = [j for j in range(d) if schema[j].kind != "binary" and sds[j] > 0]
+    pinned = [j for j in range(d) if schema[j].kind != "binary" and sds[j] <= 0]
+    return binary, sampled, pinned
+
+
+def posterior_draws(summary: CohortSummary,
+                    dream: DreamConfig = DreamConfig()) -> PosteriorDraws:
+    """Feature vectors drawn from non-survivor priors by DREAM, thinned to
+    at most _EVAL_DRAW_CAP. The priors are the summary's class-1 moments,
+    which must be finite for every feature."""
     schema = summary.schema
     means, sds = summary.mean[1], summary.sd[1]
     finite = np.isfinite(means) & np.isfinite(sds)
     if not finite.all():
         bad = [s.name for s, ok in zip(schema, finite) if not ok]
         raise ConfigError(f"missing class moments for features: {bad}")
-
-    d = len(schema)
-    binary = [j for j in range(d) if schema[j].kind == "binary"]
-    sampled = [j for j in range(d) if schema[j].kind != "binary" and sds[j] > 0]
-    pinned = [j for j in range(d) if schema[j].kind != "binary" and sds[j] <= 0]
+    _, sampled, _ = _roles(summary)
+    if not sampled:
+        # degenerate prior: single deterministic feature vector
+        return PosteriorDraws(summary, np.empty((1, 0)), acceptance_rate=1.0,
+                              max_split_rhat=1.0)
 
     lower = np.array([schema[j].lower if schema[j].lower is not None else -np.inf
                       for j in sampled])
@@ -106,23 +126,28 @@ def posterior_risk_inputs(model, summary: CohortSummary,
         lp = np.sum(-0.5 * z * z + const, axis=1)
         return np.where(inside, lp, -np.inf)
 
-    if not sampled:
-        # degenerate prior: single deterministic feature vector
-        risks = _enumerate_flags(model, schema, means, binary, pinned, sampled,
-                                 np.empty((1, 0)))
-        return _summarize(risks, acceptance_rate=1.0, max_rhat=1.0)
-
     rng = np.random.default_rng(dream.seed)
     init = loc + 0.1 * sd * rng.standard_normal((dream.n_chains, len(sampled)))
     init = np.clip(init, lower, upper)
     result = dream_sample(log_density, len(sampled), dream, init=init)
     pooled = result.samples
-    keep = _thin_indices(pooled.shape[0], _EVAL_DRAW_CAP)
-    draws = pooled[keep]
+    # a copy: what is returned holds no reference to the chains
+    kept = pooled[_thin_indices(pooled.shape[0], _EVAL_DRAW_CAP)]
+    return PosteriorDraws(summary, kept, acceptance_rate=result.acceptance_rate,
+                          max_split_rhat=float(np.max(result.split_rhat)))
 
-    risks = _enumerate_flags(model, schema, means, binary, pinned, sampled, draws)
-    return _summarize(risks, result.acceptance_rate,
-                      float(np.max(result.split_rhat)))
+
+def posterior_risk_inputs(model, draws: PosteriorDraws) -> PosteriorRisk:
+    """Risk distribution over the feature vectors of posterior_draws.
+
+    model: callable mapping raw-space feature rows (m, d) to probabilities,
+    such as a pipeline Predictor, over draws.summary.schema.
+    """
+    summary = draws.summary
+    binary, sampled, pinned = _roles(summary)
+    risks = _enumerate_flags(model, summary.schema, summary.mean[1], binary,
+                             pinned, sampled, draws.draws)
+    return _summarize(risks, draws.acceptance_rate, draws.max_split_rhat)
 
 
 def _enumerate_flags(f, schema, means, binary, pinned, sampled, draws):

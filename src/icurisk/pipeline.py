@@ -14,6 +14,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from ._rng import derive_int, derive_rng
 from .cohort import (CohortTable, load_cohort, stratified_split, summarize)
 from .errors import ConfigError, DataError, IcuRiskError
 from .explain import (AblationReport, PosteriorRisk, ShapMatrix, ablation, ale,
-                      posterior_risk_inputs, shap_tree)
+                      posterior_draws, posterior_risk_inputs, shap_tree)
 from .explain.dream import _MIN_CHAINS, _MIN_GENERATIONS, DreamConfig
 from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
@@ -259,9 +260,15 @@ def _select_stage(config: RunConfig, train: CohortTable, test: CohortTable):
 
 def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     """Cross-validate all six rows on one fold plan, then refit each row's
-    best spec on the full training table, the refits side by side,
-    costliest first (see icurisk._fanout). Train and test are imputed once;
-    a row keeps (pipeline, transformed test, model, test scores)."""
+    best spec on the full training table. One fan-out (see icurisk._fanout)
+    runs the posterior's DREAM sampling, which needs only the training
+    table's class moments, as item 0, so in the calling process, and then
+    the refits, costliest first. Train and test are imputed once; a row
+    keeps (pipeline, transformed test, model, test scores). The posterior
+    draws come last in the result, or in their place the IcuRiskError that
+    sampling raised, for the explain stage to raise where it uses them: a
+    failed refit is still raised first.
+    """
     declared = benchmark_grid()
     grid = tuple(downgrade_ordered(s, train.schema) for s in declared)
     search = cross_validate(train, grid, k=config.cv_folds,
@@ -285,8 +292,20 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
                                 seed=derive_int(config.seed, "bootstrap", row_i))
         return model, test_scores, predict_proba(model, pipe.fitted_table), ci
 
+    dream = DreamConfig(n_chains=config.posterior_chains,
+                        n_generations=config.posterior_generations,
+                        seed=derive_int(config.seed, "posterior"))
+
+    def sample_posterior():
+        try:
+            return posterior_draws(summarize(train), dream)
+        except IcuRiskError as exc:
+            return exc
+
     order = costliest_first(specs)
-    refits = dict(zip(order, fan_out(refit, order)))
+    draws, *refitted = fan_out(lambda job: job(), [
+        sample_posterior, *(partial(refit, row_i) for row_i in order)])
+    refits = dict(zip(order, refitted))
     rows = []
     fitted = {}
     for row_i, ((label, m), i) in enumerate(zip(members.items(), best)):
@@ -307,11 +326,11 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     winner = max(rows, key=lambda r: r.cv_mean_auroc).label
     tree_rows = [r.label for r in rows if r.spec.family == "gbdt"]
     shap_label = winner if winner in tree_rows else (tree_rows[0] if tree_rows else winner)
-    return rows, fitted, winner, shap_label
+    return rows, fitted, winner, shap_label, draws
 
 
 def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
-                   train, test, ranking):
+                   train, test, ranking, draws):
     win_row = next(r for r in result_rows if r.label == winner)
     pipe, _, model, test_scores = fitted[winner]
     predictor = Predictor(schema=train.schema, pipeline=pipe, model=model)
@@ -335,10 +354,9 @@ def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
     curves = [ale(predictor, pipe.imputed_table, name)
               for name in ranked[: config.ale_top]]
 
-    dream_cfg = DreamConfig(n_chains=config.posterior_chains,
-                            n_generations=config.posterior_generations,
-                            seed=derive_int(config.seed, "posterior"))
-    posterior = posterior_risk_inputs(predictor, summarize(train), dream_cfg)
+    if isinstance(draws, IcuRiskError):
+        raise draws
+    posterior = posterior_risk_inputs(predictor, draws)
     return abl, shap, fg_rows, curves, posterior, predictor
 
 
@@ -363,7 +381,7 @@ def run(config: RunConfig) -> RunResult:
     cohort, train_raw, test_raw = staged("dataset", _load_stage, config)
     train, test, filter_report, ranking = staged(
         "select", _select_stage, config, train_raw, test_raw)
-    rows, fitted, winner, shap_label = staged(
+    rows, fitted, winner, shap_label, draws = staged(
         "models", _model_stage, config, train, test)
 
     def _eval():
@@ -374,7 +392,7 @@ def run(config: RunConfig) -> RunResult:
     roc, ttest_split, ttest_outcome = staged("eval", _eval)
     abl, shap, fg_rows, curves, posterior, predictor = staged(
         "explain", _explain_stage, config, rows, fitted, winner, shap_label,
-        train, test, ranking)
+        train, test, ranking, draws)
 
     return RunResult(
         config=config, cohort=cohort, train=train, test=test,

@@ -13,13 +13,19 @@ stage is built, so that one served row costs little more than its own
 arithmetic. An encoder is its table: fit stores one encoded value per
 training category and nothing it was computed from. Three stages derive
 fields in __post_init__: the imputer (its reference matrix z-scored, with
-the safe divisor and the observed mask), the encoders' joined lookup
-(every table laid over the sorted union of their categories, so one
-searchsorted encodes every encoded column of a row) and the scaler (its
-divisor and zero-sd columns). So every way of building them (fit,
-replace, pickle) has them; they are left out of eq and repr. A batch and
-a single row run the same float operations in the same order, so a row
-transformed alone equals its row of the batch bit for bit.
+the safe divisor and the observed mask, both matrices column-major), the
+encoders' joined lookup (every table laid over the sorted union of their
+categories, so one searchsorted encodes every encoded column of a row)
+and the scaler (its divisor and zero-sd columns). So every way of
+building them (fit, replace, pickle) has them; they are left out of eq
+and repr. A batch and a single row run the same float operations in the
+same order, so a row transformed alone equals its row of the batch bit
+for bit.
+
+The imputer works through a table's missing rows one missing pattern at a
+time: the rows that miss the same columns share the gather of the observed
+reference columns, and their distances are computed together in blocks of
+at most _BLOCK_CELLS cells, so memory stays flat however large a group is.
 """
 
 from __future__ import annotations
@@ -66,9 +72,12 @@ class KnnImputer:
     def __post_init__(self):
         scale_safe = np.where(self.scale > 0, self.scale, 1.0)
         object.__setattr__(self, "scale_safe", scale_safe)
-        object.__setattr__(self, "z_reference",
-                           (self.reference - self.loc) / scale_safe)
-        object.__setattr__(self, "observed", ~np.isnan(self.reference))
+        # column-major, so that the columns a missing pattern observes
+        # gather as whole rows of their transposes
+        object.__setattr__(self, "z_reference", np.asfortranarray(
+            (self.reference - self.loc) / scale_safe))
+        object.__setattr__(self, "observed",
+                           np.asfortranarray(~np.isnan(self.reference)))
 
     @property
     def fallback(self) -> np.ndarray:
@@ -103,50 +112,106 @@ def _snap_to_grid(value: float, grid: np.ndarray) -> float:
     return float(grid[np.argmin(np.abs(grid - value))])
 
 
+# Each (observed columns, rows, reference rows) distance block of impute
+# holds at most this many cells, 512 KiB of float64, so its peak memory
+# stays flat however many rows share a missing pattern.
+_BLOCK_CELLS = 1 << 16
+
+
+def _pattern_groups(missing: np.ndarray) -> list:
+    """The row positions of missing, a (rows, d) mask, grouped by equal
+    rows. Keys are integers built from 32 columns' bits at a time, each
+    word folded into the ranks of the words before it."""
+    if missing.shape[0] == 1:
+        return [np.zeros(1, dtype=np.intp)]
+    bits = np.left_shift(1, np.arange(32, dtype=np.int64))
+    key = np.zeros(missing.shape[0], dtype=np.int64)
+    for start in range(0, missing.shape[1], 32):
+        word = missing[:, start:start + 32]
+        key = np.unique((key << 32) | (word @ bits[:word.shape[1]]),
+                        return_inverse=True)[1]
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+
+
 def impute(imputer: KnnImputer, table: CohortTable) -> CohortTable:
     """Replace each missing entry with the mean of that feature over the k
     nearest training rows having it observed; training mean if none is
     eligible. Discrete features are then snapped to their value grid.
     This is the one column check of the preprocessing path: a table whose
-    features differ from the training table's is a SchemaError."""
+    features differ from the training table's is a SchemaError.
+
+    Rows are imputed by missing pattern: the rows that miss the same
+    columns share one gather of the reference's observed columns and one
+    count of the dimensions each reference row shares with them, and their
+    distances are computed in blocks of at most _BLOCK_CELLS cells. Each
+    row's distances are the same float operations in the same order as a
+    row imputed alone, so a row's values do not depend on the others."""
     if tuple(table.feature_names) != tuple(imputer.feature_names_):
         raise SchemaError("impute: table schema does not match fitted schema")
-    missing_rows = np.flatnonzero(np.isnan(table.X).any(axis=1))
+    nan = np.isnan(table.X)
+    missing_rows = np.flatnonzero(nan.any(axis=1))
     if missing_rows.size == 0:
         return table
     X = table.X.copy()
-    scale_safe, ZR = imputer.scale_safe, imputer.z_reference
-    ref_obs = imputer.observed
-    for i in missing_rows:
-        row = X[i]
-        obs_q = ~np.isnan(row)
-        if obs_q.any():
-            zq = (row[obs_q] - imputer.loc[obs_q]) / scale_safe[obs_q]
-            diff2 = (ZR[:, obs_q] - zq) ** 2
-            shared = ref_obs[:, obs_q].sum(axis=1)
-            with np.errstate(invalid="ignore"):
-                d2 = np.nansum(diff2, axis=1)
-            d2 = np.where(shared > 0, d2 / np.maximum(shared, 1), np.inf)
-        else:
-            d2 = np.full(imputer.reference.shape[0], np.inf)
-        finite = np.isfinite(d2)
-        for j in np.flatnonzero(~obs_q):
-            eligible = np.flatnonzero(ref_obs[:, j] & finite)
-            if eligible.size == 0:
-                val = imputer.loc[j]
-            else:
-                # keep the rows at or below the k-th smallest distance, then
-                # sort only those, stably, so ties go to the lower row index
-                dist = d2[eligible]
-                if eligible.size > imputer.k:
-                    kth = np.partition(dist, imputer.k - 1)[imputer.k - 1]
-                    eligible, dist = eligible[dist <= kth], dist[dist <= kth]
-                near = eligible[np.argsort(dist, kind="stable")[: imputer.k]]
-                val = float(imputer.reference[near, j].mean())
-            if imputer.grids[j] is not None:
-                val = _snap_to_grid(val, imputer.grids[j])
-            X[i, j] = val
+    for group in _pattern_groups(nan[missing_rows]):
+        _impute_group(imputer, X, missing_rows[group])
     return table.with_matrix(X)
+
+
+def _impute_group(imputer: KnnImputer, X: np.ndarray, rows: np.ndarray) -> None:
+    """Impute, in place, the rows of X that miss the same columns."""
+    obs_q = ~np.isnan(X[rows[0]])
+    unobserved = np.flatnonzero(~obs_q)
+    if not obs_q.any():
+        nowhere = np.full(imputer.reference.shape[0], np.inf)
+        for i in rows:
+            _fill_row(imputer, X[i], unobserved, nowhere)
+        return
+    # (observed columns, reference rows): whole rows of the column-major
+    # reference arrays
+    ZR = imputer.z_reference.T[obs_q]
+    shared = imputer.observed.T[obs_q].sum(axis=0)
+    divisor = np.maximum(shared, 1)
+    Zq = (X.take(rows, axis=0) - imputer.loc) / imputer.scale_safe
+    Zq = Zq.compress(obs_q, axis=1)
+    step = max(1, _BLOCK_CELLS // ZR.size)
+    for start in range(0, rows.size, step):
+        # (columns, rows, reference rows), summed over its first axis: one
+        # column after another, in column order, as numpy sums a single
+        # row's column-major (reference rows, columns) gather. Squared and
+        # NaN-zeroed in place: np.nansum, without its copy.
+        diff2 = ZR[:, None, :] - Zq[start:start + step].T[:, :, None]
+        np.square(diff2, out=diff2)
+        np.copyto(diff2, 0.0, where=np.isnan(diff2))
+        d2 = np.where(shared > 0, diff2.sum(axis=0) / divisor, np.inf)
+        for i, dist in zip(rows[start:start + step], d2):
+            _fill_row(imputer, X[i], unobserved, dist)
+
+
+def _fill_row(imputer: KnnImputer, row: np.ndarray, unobserved: np.ndarray,
+              d2: np.ndarray) -> None:
+    """Fill row's unobserved columns, in place, from its distances d2 to
+    the reference rows."""
+    finite = np.isfinite(d2)
+    for j in unobserved:
+        eligible = (imputer.observed[:, j] & finite).nonzero()[0]
+        if eligible.size == 0:
+            val = imputer.loc[j]
+        else:
+            # keep the rows at or below the k-th smallest distance, then
+            # sort only those, stably, so ties go to the lower row index
+            dist = d2[eligible]
+            if eligible.size > imputer.k:
+                kth = np.partition(dist, imputer.k - 1)[imputer.k - 1]
+                close = dist <= kth
+                eligible, dist = eligible[close], dist[close]
+            near = eligible[np.argsort(dist, kind="stable")[: imputer.k]]
+            # the mean as np.mean computes it: the sum over the count
+            val = float(imputer.reference[near, j].sum() / near.size)
+        if imputer.grids[j] is not None:
+            val = _snap_to_grid(val, imputer.grids[j])
+        row[j] = val
 
 
 # ---------------------------------------------------------------------------

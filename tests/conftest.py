@@ -5,6 +5,7 @@ import pytest
 
 from icurisk.cohort import CohortTable
 from icurisk.schema import FeatureSpec
+from icurisk.synth import synth_default_cohort
 
 
 def small_schema():
@@ -44,6 +45,17 @@ def make_table(n=40, seed=0, missing=0.0, schema=None, informative=False):
         mask[:2] = False  # keep every feature observed somewhere
         X = np.where(mask, np.nan, X)
     return CohortTable(schema, X, y)
+
+
+def pattern_group_table():
+    """The default cohort's 1301 rows, the first 400 of them completed and
+    then missing the same two columns: one missing pattern of 400 rows
+    beside the cohort's own patterns."""
+    table = synth_default_cohort(seed=3)
+    X = table.X.copy()
+    X[:400] = np.where(np.isnan(X[:400]), np.nanmean(X, axis=0), X[:400])
+    X[:400, [1, 4]] = np.nan
+    return table.with_matrix(X)
 
 
 def wrap_everywhere(monkeypatch, original, wrapper):

@@ -10,9 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from icurisk import _fanout
+from icurisk import _fanout, pipeline
 from icurisk._fanout import fan_out
 from icurisk.errors import DataError, WorkerError
+from icurisk.explain import posterior
 from icurisk.explain.ablation import ablation
 from icurisk.models import predict_proba
 from icurisk.models.cv import (ModelSpec, costliest_first, cross_validate,
@@ -95,10 +96,10 @@ _SMALL = replace(PROBE_CONFIG, synth_n=200, cv_folds=2, n_bootstrap=50,
 
 
 def _model_stage_outputs(train, test):
-    """Rows bit for bit (repr round-trips every float), winner labels, and
-    each refit's test and training scores."""
-    rows, fitted, winner, shap_label = _model_stage(_SMALL, train, test)
-    return (repr(rows), winner, shap_label,
+    """Rows bit for bit (repr round-trips every float), winner labels, the
+    posterior draws, and each refit's test and training scores."""
+    rows, fitted, winner, shap_label, draws = _model_stage(_SMALL, train, test)
+    return (repr(rows), winner, shap_label, draws.draws.tobytes(),
             [(label, scores, predict_proba(model, pipe.fitted_table))
              for label, (pipe, _, model, scores) in fitted.items()])
 
@@ -112,10 +113,10 @@ def test_model_stage_rows_and_refits_forked_equal_serial(monkeypatch):
     for cpus in (2, 3):
         _cpus(monkeypatch, cpus)
         forked = _model_stage_outputs(train, test)
-        assert forked[:3] == serial[:3]
-        assert len(forked[3]) == len(serial[3]) == 6
+        assert forked[:4] == serial[:4]
+        assert len(forked[4]) == len(serial[4]) == 6
         for (label, scores, train_scores), (label_1, scores_1, train_scores_1) in zip(
-                forked[3], serial[3]):
+                forked[4], serial[4]):
             assert label == label_1
             assert np.array_equal(scores, scores_1)
             assert np.array_equal(train_scores, train_scores_1)
@@ -130,6 +131,28 @@ def test_report_bytes_equal_at_one_two_and_three_cpus(monkeypatch, tmp_path):
         write_artifacts(run(_SMALL), str(out))
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1] == reports[2]
+    _no_child_left()
+
+
+def _raise(message):
+    def broken(*_args, **_kwargs):
+        raise DataError(message)
+    return broken
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_posterior_failure_is_raised_by_the_explain_stage(monkeypatch, cpus):
+    # DREAM samples inside the models stage's fan-out; its failure waits for
+    # the explain stage, and a failed refit is still raised first
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(posterior, "dream_sample", _raise("sampler broke"))
+    with pytest.raises(DataError, match=r"^\[stage:explain\] sampler broke$") as info:
+        run(_SMALL)
+    assert info.value.stage == "explain"
+    monkeypatch.setattr(pipeline, "train_model", _raise("refit broke"))
+    with pytest.raises(DataError, match=r"^\[stage:models\] refit broke$") as info:
+        run(_SMALL)
+    assert info.value.stage == "models"
     _no_child_left()
 
 

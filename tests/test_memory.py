@@ -5,12 +5,16 @@ import tracemalloc
 
 import numpy as np
 
+from icurisk.cohort import summarize
 from icurisk.explain.ablation import ablation
-from icurisk.explain.dream import split_rhat
+from icurisk.explain.dream import DreamConfig, split_rhat
+from icurisk.explain.posterior import posterior_draws
 from icurisk.metrics import bootstrap_auroc_ci
 from icurisk.models.cv import ModelSpec, fit_and_score
+from icurisk.preprocess import fit_imputer, impute
+from icurisk.synth import synth_default_cohort
 
-from conftest import make_table
+from conftest import make_table, pattern_group_table
 
 MB = 1e6
 
@@ -49,3 +53,29 @@ def test_ablation_resampling_is_bounded():
     [(*_, base)] = fit_and_score((spec,), train, test, (0,))
     peak = _peak_bytes(lambda: ablation(spec, train, test, base, n_resamples=2000))
     assert peak <= 3 * MB
+
+
+def test_impute_blocks_a_large_pattern_group():
+    # 400 rows missing the same 2 of 17 columns against 1301 reference rows:
+    # one (rows, reference rows, columns) block of the whole group would be
+    # 62 MB of float64
+    table = pattern_group_table()
+    imputer = fit_imputer(table)
+    assert _peak_bytes(lambda: impute(imputer, table)) <= 2 * MB
+
+
+def test_posterior_draws_hold_no_chains():
+    # the default run's sampler: 30 chains of 3000 generations, of which
+    # 1500 are kept, thinned to 4000 draws
+    summary = summarize(synth_default_cohort(n=400, seed=3))
+    config = DreamConfig(n_chains=30, n_generations=3000, seed=1)
+    tracemalloc.start()
+    try:
+        draws = posterior_draws(summary, config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kept_chains = 30 * 1500 * draws.draws.shape[1] * 8
+    assert draws.draws.shape[0] == 4000 and draws.draws.base is None
+    assert all(getattr(v, "ndim", 0) < 3 for v in vars(draws).values())
+    assert held < kept_chains / 4

@@ -167,7 +167,7 @@ def test_a_row_tie_goes_to_its_first_spec(monkeypatch):
     table = make_table(120, seed=7, informative=True)
     train, test = table.subset(np.arange(80)), table.subset(np.arange(80, 120))
     config = _small_config(cv_folds=3, n_bootstrap=20)
-    rows, _, _, _ = pipeline._model_stage(config, train, test)
+    rows, _, _, _, _ = pipeline._model_stage(config, train, test)
     assert [(r.label, r.grid_size) for r in rows] == [("nb", 2), ("lr", 1)]
     assert rows[0].spec is first
 

@@ -8,12 +8,16 @@ from icurisk.cohort import CohortSummary, summarize
 from icurisk.errors import ConfigError
 from icurisk.explain.dream import DreamConfig
 from icurisk.explain import posterior
-from icurisk.explain.posterior import posterior_risk_inputs
+from icurisk.explain.posterior import posterior_draws, posterior_risk_inputs
 from icurisk.schema import FeatureSpec
 
 from conftest import make_table, small_schema
 
 _FAST = DreamConfig(n_chains=8, n_generations=600, seed=0)
+
+
+def _risk(model, summary, dream=_FAST):
+    return posterior_risk_inputs(model, posterior_draws(summary, dream))
 
 
 def _summary(schema, means, sds):
@@ -25,8 +29,7 @@ def _summary(schema, means, sds):
 def test_constant_predictor_collapses_to_a_point():
     schema = small_schema()
     summary = _summary(schema, [60.0, 2.0, 0.3, 10.0], [10.0, 1.0, 0.46, 2.0])
-    risk = posterior_risk_inputs(lambda X: np.full(X.shape[0], 0.3), summary,
-                                 _FAST)
+    risk = _risk(lambda X: np.full(X.shape[0], 0.3), summary)
     assert risk.samples == pytest.approx(0.3, abs=1e-12)
     assert risk.mean == pytest.approx(0.3, abs=1e-12)
     assert risk.ci_low == pytest.approx(0.3, abs=1e-12)
@@ -44,7 +47,7 @@ def test_ordinal_draws_are_snapped_to_the_grid():
         return np.where(off, 1.0, 0.5)
 
     summary = _summary(schema, [60.0, 2.0, 0.3, 10.0], [10.0, 1.0, 0.46, 2.5])
-    risk = posterior_risk_inputs(detector, summary, _FAST)
+    risk = _risk(detector, summary)
     assert np.all(risk.samples == 0.5)
 
 
@@ -56,7 +59,7 @@ def test_binary_flags_average_by_prevalence():
     prevalence = 0.35
     summary = _summary(schema, [60.0, 2.0, prevalence, 10.0],
                        [10.0, 1.0, 0.48, 2.0])
-    risk = posterior_risk_inputs(lambda X: X[:, vent], summary, _FAST)
+    risk = _risk(lambda X: X[:, vent], summary)
     assert risk.samples == pytest.approx(prevalence, abs=1e-12)
 
 
@@ -69,7 +72,7 @@ def test_all_pinned_degenerate_prior():
         calls.append(X.copy())
         return np.full(X.shape[0], 0.7)
 
-    risk = posterior_risk_inputs(f, summary, _FAST)
+    risk = _risk(f, summary)
     assert risk.reliable and risk.acceptance_rate == 1.0
     assert risk.max_split_rhat == 1.0
     assert risk.mean == pytest.approx(0.7)
@@ -88,8 +91,7 @@ def test_sampled_means_respect_truncation_target():
         seen.append(X.copy())
         return np.full(X.shape[0], 0.5)
 
-    posterior_risk_inputs(f, summary,
-                          DreamConfig(n_chains=10, n_generations=4000, seed=2))
+    _risk(f, summary, DreamConfig(n_chains=10, n_generations=4000, seed=2))
     draws = np.concatenate(seen, axis=0)
     assert np.all(draws[:, 1] >= 0.0)
     assert draws[:, 1].mean() == pytest.approx(1.2, abs=0.12)
@@ -98,17 +100,15 @@ def test_sampled_means_respect_truncation_target():
 
 def test_inputs_mode_error_paths():
     schema = small_schema()
-    f = lambda X: np.full(X.shape[0], 0.5)
     with pytest.raises(ConfigError, match="lactate"):
         nan = _summary(schema, [60.0, np.nan, 0.3, 10.0], [10.0, 1.0, 0.46, 2.0])
-        posterior_risk_inputs(f, nan, _FAST)
+        posterior_draws(nan, _FAST)
 
 
 def test_inputs_mode_from_real_cohort_summary():
     table = make_table(300, seed=31, informative=True)
     summary = summarize(table)
-    risk = posterior_risk_inputs(lambda X: 1 / (1 + np.exp(-(X[:, 0] - 55) / 10)),
-                                 summary, _FAST)
+    risk = _risk(lambda X: 1 / (1 + np.exp(-(X[:, 0] - 55) / 10)), summary)
     assert 0.0 < risk.mean < 1.0
     assert risk.ci_low <= risk.mean <= risk.ci_high
     assert risk.samples.size <= posterior._EVAL_DRAW_CAP

@@ -7,6 +7,7 @@ import logging
 import pickle
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icurisk.cohort
+from icurisk import preprocess
 from icurisk.cohort import CohortTable, stratified_split
 from icurisk.errors import ConfigError, DataError, OrderingError, SchemaError
 from icurisk.models import GbdtParams, predict_proba, train_gbdt
@@ -26,7 +28,7 @@ from icurisk.selftest import _same_fit
 from icurisk.schema import FeatureSpec
 from icurisk.synth import synth_default_cohort
 
-from conftest import make_table, small_schema
+from conftest import make_table, pattern_group_table, small_schema
 
 
 def _cont_schema(d):
@@ -85,9 +87,11 @@ def test_impute_python_loop_oracle():
             assert got[i, j] == pytest.approx(want, abs=1e-12)
 
 
-def _impute_by_full_sort(imputer, table):
-    """Reference: one stable argsort of all training rows per missing row,
-    then the first k eligible rows in that order."""
+def _impute_by_full_sort(imputer, table, distances=None):
+    """Reference: each missing row on its own, one distance pass over its
+    observed columns and one stable argsort of all training rows, then the
+    first k eligible rows in that order, snapped to the grid if discrete.
+    Each row's distances are appended to distances if it is a list."""
     X = table.X.copy()
     scale_safe = np.where(imputer.scale > 0, imputer.scale, 1.0)
     ZR = (imputer.reference - imputer.loc) / scale_safe
@@ -103,11 +107,16 @@ def _impute_by_full_sort(imputer, table):
             d2 = np.where(shared > 0, d2 / np.maximum(shared, 1), np.inf)
         else:
             d2 = np.full(imputer.reference.shape[0], np.inf)
+        if distances is not None:
+            distances.append(d2)
         order = np.argsort(d2, kind="stable")
         for j in np.flatnonzero(~obs_q):
             eligible = order[ref_obs[order, j] & np.isfinite(d2[order])]
             X[i, j] = (imputer.loc[j] if eligible.size == 0 else
                        float(imputer.reference[eligible[: imputer.k], j].mean()))
+            grid = imputer.grids[j]
+            if grid is not None:
+                X[i, j] = grid[np.argmin(np.abs(grid - X[i, j]))]
     return X
 
 
@@ -129,6 +138,95 @@ def test_impute_matches_the_full_sort_reference(seed, n_ref, d, k, missing, leve
     imp = fit_imputer(CohortTable(schema, R, rng.integers(0, 2, n_ref)), k=k)
     query = CohortTable(schema, Q, np.zeros(12, dtype=int))
     assert np.array_equal(impute(imp, query).X, _impute_by_full_sort(imp, query))
+
+
+_IMPUTE_KINDS = {
+    "continuous": FeatureSpec(name="c", kind="continuous"),
+    "ordinal_score": FeatureSpec(name="o", kind="ordinal_score", lower=0.0,
+                                 upper=3.0),
+    "binary": FeatureSpec(name="b", kind="binary"),
+}
+
+
+@st.composite
+def _grouped_impute_case(draw):
+    """(imputer, query table): values on a few levels, so distances tie,
+    and the reference rows optionally twice over; query rows that share a
+    few missing patterns; a row missing everything, a row with one
+    observed column, and optionally a 1e308 cell, whose row's distances
+    are inf to every reference row observed in its column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # past 8 columns numpy would sum a contiguous row pairwise
+    d = draw(st.integers(1, 10))
+    schema = tuple(replace(_IMPUTE_KINDS[kind], name=f"x{j}") for j, kind in
+                   enumerate(draw(st.lists(st.sampled_from(sorted(_IMPUTE_KINDS)),
+                                           min_size=d, max_size=d))))
+    levels, missing = draw(st.integers(1, 4)), draw(st.floats(0.0, 0.7))
+    R = rng.integers(0, levels, size=(draw(st.integers(1, 25)), d)).astype(float)
+    if draw(st.booleans()):
+        R = np.vstack([R, R])
+    R[rng.random(R.shape) < missing] = np.nan
+    R[0, np.isnan(R).all(axis=0)] = 0.0  # keep every feature observed
+    n = draw(st.integers(1, 40))
+    Q = rng.integers(0, levels, size=(n, d)).astype(float)
+    patterns = rng.random((draw(st.integers(1, 4)), d)) < missing
+    Q[patterns[rng.integers(0, len(patterns), n)]] = np.nan
+    Q[0] = np.nan
+    if n > 1:
+        Q[1, 1:] = np.nan
+        Q[1, 0] = 1.0
+    if draw(st.booleans()):
+        Q[-1, -1] = 1e308
+    imp = fit_imputer(CohortTable(schema, R, rng.integers(0, 2, len(R))),
+                      k=draw(st.integers(1, 8)))
+    return imp, CohortTable(schema, Q, np.zeros(n, dtype=int))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_grouped_impute_case(), st.sampled_from([1, 5, 64, 1 << 16]))
+def test_grouped_impute_equals_the_per_row_reference(case, block_cells):
+    # a small block cap splits the pattern groups into many blocks; each
+    # row alone is a one-row table. Squaring a 1e308 cell overflows to inf,
+    # as numpy warns. The imputed values rarely depend on the last bit of a
+    # distance, so the distances each row is filled from are compared too.
+    imp, query = case
+    want_d2, got_d2 = [], []
+
+    def fill_row(imputer, row, unobserved, d2):
+        got_d2.append(d2.tobytes())
+        return fill(imputer, row, unobserved, d2)
+
+    fill = preprocess._fill_row
+    with np.errstate(over="ignore"):
+        want = _impute_by_full_sort(imp, query, want_d2)
+        with mock.patch.object(preprocess, "_BLOCK_CELLS", block_cells), \
+                mock.patch.object(preprocess, "_fill_row", fill_row):
+            assert impute(imp, query).X.tobytes() == want.tobytes()
+        assert sorted(got_d2) == sorted(d2.tobytes() for d2 in want_d2)
+        for i in range(query.n):
+            assert impute(imp, query.subset([i])).X.tobytes() == want[i].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 31, 32, 33, 70])
+def test_pattern_groups_are_the_distinct_missing_masks(d):
+    # past 32 columns a key takes more than one word
+    rng = np.random.default_rng(d)
+    patterns = rng.random((5, d)) < 0.5
+    patterns[1, -1] = ~patterns[0, -1]
+    patterns[1, :-1] = patterns[0, :-1]  # differs in the last column only
+    missing = patterns[rng.integers(0, 5, 200)]
+    groups = preprocess._pattern_groups(missing)
+    assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(200))
+    assert all(np.array_equal(g, np.sort(g)) for g in groups)
+    assert all((missing[g] == missing[g[0]]).all() for g in groups)
+    assert len(groups) == len(np.unique(missing, axis=0))
+
+
+def test_a_pattern_group_of_many_blocks_equals_the_per_row_reference():
+    # at the default cap, a block holds 3 of the 400 rows
+    table = pattern_group_table()
+    imp = fit_imputer(table)
+    assert impute(imp, table).X.tobytes() == _impute_by_full_sort(imp, table).tobytes()
 
 
 def test_impute_snaps_discrete_features():
