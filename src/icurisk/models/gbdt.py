@@ -243,23 +243,46 @@ def _grow_tree(X, g, h, rows, block, depth, l2) -> Forest:
     )
 
 
-def _ordered_column(codes, y, perm, alpha, prior):
-    """Ordered target statistic per row: smoothed mean of y over earlier
-    occurrences (in perm order) of the row's category. One stable sort by
-    category puts each category's rows together in perm order; counts and
-    0/1 label sums before each row are exact integers."""
-    n = codes.shape[0]
-    order = perm[np.argsort(codes[perm], kind="stable")]
-    c = codes[order]
-    y_s = y[order].astype(float)
-    start = np.r_[True, c[1:] != c[:-1]]
-    first = np.maximum.accumulate(np.where(start, np.arange(n), 0))
-    csum = np.cumsum(y_s) - y_s               # label sum before each row
-    cnt = np.arange(n) - first
-    sm = csum - csum[first]
-    enc = np.empty(n)
-    enc[order] = (sm + alpha * prior) / (cnt + alpha)
-    return enc
+def _category_ranks(codes):
+    """Each row of codes (columns, rows) as the ranks of its distinct values,
+    in the smallest unsigned integer type that holds them. Equal codes (0.0
+    and -0.0 too) share a rank and ranks keep the codes' order, so a stable
+    sort orders the rows as the codes would, and numpy radix-sorts them."""
+    ranks = np.array([np.unique(c, return_inverse=True)[1] for c in codes])
+    return ranks.astype(np.min_scalar_type(ranks.max(initial=0)))
+
+
+class _OrderedColumns:
+    """Ordered target statistics of one fit's multi-level columns, codes
+    (columns, rows), with alpha and prior of shape (columns, 1). Called
+    with a round's permutation perm, it gives each cell the smoothed mean
+    of y over the earlier occurrences (in perm order) of its category in
+    its column. One stable sort by category per column puts each
+    category's rows together in perm order; counts and 0/1 label sums
+    before each row are exact integers. Where each category's run lies in
+    a sorted column does not depend on perm, so it is fixed here once."""
+
+    def __init__(self, codes, y, alpha, prior):
+        self.ranks = _category_ranks(codes)
+        k, n = self.ranks.shape
+        self.y = np.asarray(y, dtype=float)
+        self.offset = n * np.arange(k)[:, None]   # row starts, flattened
+        c = np.sort(self.ranks, axis=1)
+        start = np.ones((k, n), dtype=bool)
+        start[:, 1:] = c[:, 1:] != c[:, :-1]
+        first = np.maximum.accumulate(np.where(start, np.arange(n), 0), axis=1)
+        self.first = first + self.offset
+        self.prior_term = alpha * prior
+        self.count_term = (np.arange(n) - first) + alpha   # count before, + alpha
+
+    def __call__(self, perm):
+        order = perm[np.argsort(self.ranks[:, perm], axis=1, kind="stable")]
+        y_s = self.y[order]
+        csum = np.cumsum(y_s, axis=1) - y_s       # label sum before each row
+        sm = csum - csum.take(self.first)
+        enc = np.empty(order.shape)
+        enc.put(order + self.offset, (sm + self.prior_term) / self.count_term)
+        return enc
 
 
 def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int = 0) -> GbdtModel:
@@ -284,19 +307,24 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
     # column block: presort[:, j] lists the rows in stable order of X[:, j];
     # Fortran order keeps each column contiguous for the per-node filters
     presort = np.asfortranarray(np.argsort(X, axis=0, kind="stable"))
+    Xt, sorted_rows = X, presort
+    if params.ordered_mode:
+        # one working copy of the table and its presort; each round
+        # overwrites only the ordered columns
+        cols = [enc.column for enc in encoders]
+        ordered = _OrderedColumns(X[:, cols].T, y,
+                                  np.array([[enc.alpha] for enc in encoders]),
+                                  np.array([[enc.global_mean] for enc in encoders]))
+        Xt, sorted_rows = X.copy(order="F"), presort.copy(order="F")
     margin = np.full(n, base)
     trees = []
     losses = [_weighted_logloss(margin, y, w)]
     for _ in range(params.n_trees):
-        Xt, order = X, presort
         if params.ordered_mode:
-            Xt, order = X.copy(order="F"), presort.copy(order="F")
-            perm = rng.permutation(n)
-            for enc in encoders:
-                j = enc.column
-                Xt[:, j] = _ordered_column(X[:, j], y, perm, enc.alpha,
-                                           enc.global_mean)
-                order[:, j] = np.argsort(Xt[:, j], kind="stable")
+            stats = ordered(rng.permutation(n))
+            Xt[:, cols] = stats.T
+            sorted_rows[:, cols] = np.argsort(stats, axis=1, kind="stable").T
+        order = sorted_rows
         p = sigmoid(margin)
         g = w * (p - y)
         h = w * p * (1.0 - p)

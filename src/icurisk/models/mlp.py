@@ -9,6 +9,7 @@ influence without changing the step-size scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 
 import numpy as np
 
@@ -43,21 +44,46 @@ def _forward(params, X):
     return Z1, A1, z2
 
 
-def loss_and_grad(params, X, y, w):
-    """Weighted BCE loss and analytic gradients (W1, b1, W2, b2 order)."""
-    W1, b1, W2, b2 = params
-    y = np.asarray(y, dtype=float)
+def _views(flat, d, hidden):
+    """(W1, b1, W2, b2) as views into one flat vector, in that order; b2 is
+    a length-1 view of its last element."""
+    k = d * hidden
+    return (flat[:k].reshape(d, hidden), flat[k:k + hidden],
+            flat[k + hidden:k + 2 * hidden], flat[k + 2 * hidden:])
+
+
+def _loss(params, X, y, w):
+    """The weighted BCE of loss_and_grad, without the gradients."""
+    return _bce(_forward(params, X)[2], y, w, w.sum())
+
+
+def _bce(z2, y, w, w_sum):
+    return float((w * (log1pexp(z2) - y * z2)).sum() / w_sum)
+
+
+def _loss_and_grad_into(params, X, y, w, grads):
+    """Weighted BCE loss; writes the analytic gradients into the arrays
+    grads = (dW1, db1, dW2, db2), db2 of length 1."""
+    dW1, db1, dW2, db2 = grads
     w_sum = w.sum()
     Z1, A1, z2 = _forward(params, X)
-    loss = float(np.sum(w * (log1pexp(z2) - y * z2)) / w_sum)
     dz2 = w * (sigmoid(z2) - y) / w_sum
-    dW2 = A1.T @ dz2
-    db2 = dz2.sum()
-    dA1 = np.outer(dz2, W2)
-    dZ1 = dA1 * (Z1 > 0)
-    dW1 = X.T @ dZ1
-    db1 = dZ1.sum(axis=0)
-    return loss, (dW1, db1, dW2, db2)
+    np.matmul(A1.T, dz2, out=dW2)
+    db2[0] = dz2.sum()
+    dZ1 = dz2[:, None] * params[2]
+    dZ1 *= Z1 > 0
+    np.matmul(X.T, dZ1, out=dW1)
+    dZ1.sum(axis=0, out=db1)
+    return _bce(z2, y, w, w_sum)
+
+
+def loss_and_grad(params, X, y, w):
+    """Weighted BCE loss and analytic gradients (W1, b1, W2, b2 order)."""
+    d, hidden = np.shape(params[0])
+    dW1, db1, dW2, db2 = _views(np.empty(d * hidden + 2 * hidden + 1), d, hidden)
+    loss = _loss_and_grad_into(params, X, np.asarray(y, dtype=float), w,
+                               (dW1, db1, dW2, db2))
+    return loss, (dW1, db1, dW2, db2[0])
 
 
 def _stratified_val_split(y, rng):
@@ -89,47 +115,55 @@ def train_mlp(train, hidden: int = 16, epochs: int = 200, weights=None,
 
     fit_idx, val_idx = _stratified_val_split(train.y, rng)
     Xf, yf, wf = X[fit_idx], y[fit_idx], w[fit_idx]
+    if val_idx is not None:
+        Xv, yv, wv = X[val_idx], y[val_idx], w[val_idx]
 
+    # W1, b1, W2, b2 are views into one parameter vector, and the gradient
+    # has the same layout, so Adam updates every parameter with one pass of
+    # each operation: element by element, the float operations of one
+    # update per tensor
     d = X.shape[1]
-    W1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, hidden))
-    b1 = np.zeros(hidden)
-    W2 = rng.normal(0.0, np.sqrt(1.0 / hidden), size=hidden)
-    b2 = 0.0
-    params = [W1, b1, W2, b2]
-    m = [np.zeros_like(W1), np.zeros_like(b1), np.zeros_like(W2), 0.0]
-    v = [np.zeros_like(W1), np.zeros_like(b1), np.zeros_like(W2), 0.0]
+    size = d * hidden + 2 * hidden + 1
+    theta = np.zeros(size)
+    params = _views(theta, d, hidden)
+    params[0][...] = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, hidden))
+    params[2][...] = rng.normal(0.0, np.sqrt(1.0 / hidden), size=hidden)
+    grad = np.empty(size)
+    grads = _views(grad, d, hidden)
+    m = np.zeros(size)
+    v = np.zeros(size)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
     train_hist, val_hist = [], []
     best_val = np.inf
-    best_params = [W1.copy(), b1.copy(), W2.copy(), b2]
+    best = theta.copy()
     best_epoch = 0
     since_best = 0
     n_fit = Xf.shape[0]
 
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n_fit)
+        Xe, ye, we = Xf[order], yf[order], wf[order]
         for start in range(0, n_fit, _BATCH_SIZE):
-            batch = order[start : start + _BATCH_SIZE]
-            loss, grads = loss_and_grad(tuple(params), Xf[batch], yf[batch], wf[batch])
-            if np.isnan(loss):
+            batch = slice(start, start + _BATCH_SIZE)
+            loss = _loss_and_grad_into(params, Xe[batch], ye[batch], we[batch], grads)
+            if isnan(loss):
                 raise ConfigError("MLP training diverged (NaN loss)")
             step += 1
-            for i in range(4):
-                m[i] = beta1 * m[i] + (1 - beta1) * grads[i]
-                v[i] = beta2 * v[i] + (1 - beta2) * np.square(grads[i])
-                m_hat = m[i] / (1 - beta1 ** step)
-                v_hat = v[i] / (1 - beta2 ** step)
-                params[i] = params[i] - _LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
-        ep_loss, _ = loss_and_grad(tuple(params), Xf, yf, wf)
-        train_hist.append(ep_loss)
+            m *= beta1
+            m += (1 - beta1) * grad
+            v *= beta2
+            v += (1 - beta2) * np.square(grad)
+            theta -= (_LEARNING_RATE * (m / (1 - beta1 ** step))
+                      / (np.sqrt(v / (1 - beta2 ** step)) + eps))
+        train_hist.append(_loss(params, Xf, yf, wf))
         if val_idx is not None:
-            vl, _ = loss_and_grad(tuple(params), X[val_idx], y[val_idx], w[val_idx])
+            vl = _loss(params, Xv, yv, wv)
             val_hist.append(vl)
             if vl < best_val - 1e-12:
                 best_val = vl
-                best_params = [params[0].copy(), params[1].copy(), params[2].copy(), params[3]]
+                best = theta.copy()
                 best_epoch = epoch
                 since_best = 0
             else:
@@ -137,12 +171,12 @@ def train_mlp(train, hidden: int = 16, epochs: int = 200, weights=None,
                 if since_best >= _PATIENCE:
                     break
         else:
-            best_params = [params[0].copy(), params[1].copy(), params[2].copy(), params[3]]
+            best = theta.copy()
             best_epoch = epoch
 
-    W1, b1, W2, b2 = best_params
+    W1, b1, W2, b2 = _views(best, d, hidden)
     return MlpModel(
-        W1=W1, b1=b1, W2=W2, b2=float(b2),
+        W1=W1, b1=b1, W2=W2, b2=float(b2[0]),
         feature_names_=tuple(train.feature_names),
         train_loss=tuple(train_hist),
         val_loss=tuple(val_hist),

@@ -263,11 +263,11 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     best spec on the full training table. One fan-out (see icurisk._fanout)
     runs the posterior's DREAM sampling, which needs only the training
     table's class moments, as item 0, so in the calling process, and then
-    the refits, costliest first. Train and test are imputed once; a row
-    keeps (pipeline, transformed test, model, test scores). The posterior
-    draws come last in the result, or in their place the IcuRiskError that
-    sampling raised, for the explain stage to raise where it uses them: a
-    failed refit is still raised first.
+    the refits in the dealing order of costliest_first. Train and test are
+    imputed once; a row keeps (pipeline, transformed test, model, test
+    scores). The posterior draws come last in the result, or in their place
+    the IcuRiskError that sampling raised, for the explain stage to raise
+    where it uses them: a failed refit is still raised first.
     """
     declared = benchmark_grid()
     grid = tuple(downgrade_ordered(s, train.schema) for s in declared)

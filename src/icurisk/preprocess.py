@@ -173,20 +173,24 @@ def _impute_group(imputer: KnnImputer, X: np.ndarray, rows: np.ndarray) -> None:
     ZR = imputer.z_reference.T[obs_q]
     shared = imputer.observed.T[obs_q].sum(axis=0)
     divisor = np.maximum(shared, 1)
-    Zq = (X.take(rows, axis=0) - imputer.loc) / imputer.scale_safe
-    Zq = Zq.compress(obs_q, axis=1)
     step = max(1, _BLOCK_CELLS // ZR.size)
-    for start in range(0, rows.size, step):
-        # (columns, rows, reference rows), summed over its first axis: one
-        # column after another, in column order, as numpy sums a single
-        # row's column-major (reference rows, columns) gather. Squared and
-        # NaN-zeroed in place: np.nansum, without its copy.
-        diff2 = ZR[:, None, :] - Zq[start:start + step].T[:, :, None]
-        np.square(diff2, out=diff2)
-        np.copyto(diff2, 0.0, where=np.isnan(diff2))
-        d2 = np.where(shared > 0, diff2.sum(axis=0) / divisor, np.inf)
-        for i, dist in zip(rows[start:start + step], d2):
-            _fill_row(imputer, X[i], unobserved, dist)
+    # a finite cell near the float limit overflows its distances to inf,
+    # which leaves the reference rows observed in its column ineligible
+    # (one errstate per group: entering one costs about a microsecond)
+    with np.errstate(over="ignore"):
+        Zq = (X.take(rows, axis=0) - imputer.loc) / imputer.scale_safe
+        Zq = Zq.compress(obs_q, axis=1)
+        for start in range(0, rows.size, step):
+            # (columns, rows, reference rows), summed over its first axis:
+            # one column after another, in column order, as numpy sums a
+            # single row's column-major (reference rows, columns) gather.
+            # Squared and NaN-zeroed in place: np.nansum, without its copy.
+            diff2 = ZR[:, None, :] - Zq[start:start + step].T[:, :, None]
+            np.square(diff2, out=diff2)
+            np.copyto(diff2, 0.0, where=np.isnan(diff2))
+            d2 = np.where(shared > 0, diff2.sum(axis=0) / divisor, np.inf)
+            for i, dist in zip(rows[start:start + step], d2):
+                _fill_row(imputer, X[i], unobserved, dist)
 
 
 def _fill_row(imputer: KnnImputer, row: np.ndarray, unobserved: np.ndarray,

@@ -250,9 +250,12 @@ def _tables(draw):
             cols.append(draw(st.lists(_CELL, min_size=n, max_size=n)))
     y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     w = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
-    # x0 is the column ordered mode orders; the other modes ignore kinds
-    schema = (FeatureSpec(name="x0", kind="categorical", levels=("a", "b")),) + tuple(
-        FeatureSpec(name=f"x{j}", kind="continuous") for j in range(1, d))
+    # x0, ..., x{cats - 1} are the columns ordered mode orders; the other
+    # modes ignore kinds
+    cats = draw(st.integers(1, d))
+    schema = tuple(FeatureSpec(name=f"x{j}", kind="categorical", levels=("a", "b"))
+                   if j < cats else FeatureSpec(name=f"x{j}", kind="continuous")
+                   for j in range(d))
     return CohortTable(schema, np.array(cols).T, y), _RowWeights(np.array(w))
 
 
@@ -269,17 +272,18 @@ class _RowWeights:
 
 @settings(max_examples=60, deadline=None)
 @given(table_weights=_tables(), depth=st.integers(1, 4),
-       mode=st.sampled_from(["plain", "subsample", "ordered"]),
+       mode=st.sampled_from(["plain", "subsample", "ordered",
+                             "ordered_subsample"]),
        l2=st.sampled_from([0.0, 1.0]), mcw=st.sampled_from([0.0, 0.1, 1.0]),
        weighted=st.booleans(), seed=st.integers(0, 3))
 def test_presorted_search_matches_per_feature_reference(
         table_weights, depth, mode, l2, mcw, weighted, seed):
     """Every tree equals the one the per-feature search grows on the same
-    round's table, gradients and rows, in all three modes."""
+    round's table, gradients and rows, in every mode."""
     kw = dict(depth=depth, n_trees=3, l2_leaf=l2)
-    if mode == "subsample":
+    if "subsample" in mode:
         kw["subsample"] = 0.7
-    if mode == "ordered":
+    if "ordered" in mode:
         kw["ordered_mode"] = True
     table, weights = table_weights
     weights = weights if weighted else None
@@ -301,19 +305,74 @@ def test_presorted_search_matches_per_feature_reference(
     assert len(grown) == 3
 
 
+class _PermutationSpy:
+    """A generator that records the permutations it draws."""
+
+    def __init__(self, rng, drawn):
+        self.rng, self.drawn = rng, drawn
+
+    def permutation(self, n):
+        self.drawn.append(self.rng.permutation(n))
+        return self.drawn[-1]
+
+    def random(self, n):
+        return self.rng.random(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_weights=_tables(), subsample=st.sampled_from([1.0, 0.7]),
+       seed=st.integers(0, 3))
+def test_each_ordered_round_encodes_the_per_category_loop(table_weights,
+                                                          subsample, seed):
+    """Every round's table holds, in each multi-level column, the per-column
+    reference statistic over that round's permutation, and the training
+    table's values in every other column."""
+    table, weights = table_weights
+    y = np.asarray(table.y, dtype=float)
+    encoders = [fit_encoder(table, s.name) for s in table.schema
+                if s.kind == "categorical"]
+    drawn, rounds = [], []
+    real_rng, real_grow = gbdt.derive_rng, gbdt._grow_tree
+
+    def grow(X, *args):
+        rounds.append(X.copy())
+        return real_grow(X, *args)
+
+    with mock.patch.object(gbdt, "derive_rng",
+                           lambda *a: _PermutationSpy(real_rng(*a), drawn)), \
+            mock.patch.object(gbdt, "_grow_tree", grow):
+        train_gbdt(table, GbdtParams(depth=2, n_trees=3, subsample=subsample,
+                                     ordered_mode=True), weights, seed=seed)
+    assert len(rounds) == len(drawn) == 3
+    for X, perm in zip(rounds, drawn):
+        want = table.X.copy()
+        for enc in encoders:
+            want[:, enc.column] = _ref_ordered_column(
+                table.X[:, enc.column], y, perm, enc.alpha, enc.global_mean)
+        assert X.tobytes() == want.tobytes()
+
+
+_CODE = st.sampled_from([0.0, -0.0, 1.0, 3.0, 15.0])
+
+
 @settings(max_examples=60, deadline=None)
-@given(codes=st.lists(st.sampled_from([0.0, -0.0, 1.0, 3.0, 15.0]), min_size=1,
-                      max_size=50),
-       data=st.data(), alpha=st.sampled_from([0.5, 1.0, 10.0]))
-def test_ordered_column_matches_per_category_loop(codes, data, alpha):
-    n = len(codes)
+@given(n=st.integers(1, 50), k=st.integers(1, 4), data=st.data())
+def test_ordered_column_matches_per_category_loop(n, k, data):
+    """k columns at once; a column may hold a single category, and 0.0 and
+    -0.0 are one."""
+    codes = np.array([data.draw(st.lists(_CODE, min_size=n, max_size=n)
+                                | _CODE.map(lambda c: [c] * n))
+                      for _ in range(k)])
+    alpha = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 10.0]),
+                                        min_size=k, max_size=k)))
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
-    codes = np.array(codes)
     prior = float(y.mean())
-    got = gbdt._ordered_column(codes, y, perm, alpha, prior)
-    want = _ref_ordered_column(codes, y, perm, alpha, prior)
-    assert np.array_equal(got, want, equal_nan=True)
+    want = np.array([_ref_ordered_column(c, y, perm, a, prior)
+                     for c, a in zip(codes, alpha)])
+    ordered = gbdt._OrderedColumns(codes, y, alpha[:, None], np.full((k, 1), prior))
+    assert ordered.ranks.dtype == np.uint8
+    assert np.array_equal(ordered(perm), want, equal_nan=True)
 
 
 # ------------------------------------------------ per-tree reference margin

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from icurisk._rng import derive_rng
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError
 from icurisk.models import GbdtParams, linear, mlp, predict_proba, train_gbdt
@@ -12,8 +13,9 @@ from icurisk.models.linear import (LinearModel, linear_margin,
                                    logreg_objective, train_logreg)
 from icurisk.models.mlp import mlp_margin, train_mlp
 from icurisk.models.naive_bayes import gnb_posterior, train_gnb
-from icurisk.preprocess import class_weights
+from icurisk.preprocess import class_weights, fit_inputs
 from icurisk.schema import FeatureSpec
+from icurisk.special import log1pexp, sigmoid
 
 from conftest import make_table
 
@@ -216,6 +218,118 @@ def test_mlp_early_stopping_bookkeeping():
     assert ran - model.stopped_epoch <= 5
     assert len(model.val_loss) == ran
     assert all(np.isfinite(v) for v in model.train_loss)
+
+
+def _ref_loss_and_grad(params, X, y, w):
+    """Loss and one fresh gradient array per tensor, (W1, b1, W2, b2)."""
+    W1, b1, W2, b2 = params
+    w_sum = w.sum()
+    Z1 = X @ W1 + b1
+    A1 = np.maximum(Z1, 0.0)
+    z2 = A1 @ W2 + b2
+    loss = float(np.sum(w * (log1pexp(z2) - y * z2)) / w_sum)
+    dz2 = w * (sigmoid(z2) - y) / w_sum
+    dZ1 = np.outer(dz2, W2) * (Z1 > 0)
+    return loss, (X.T @ dZ1, dZ1.sum(axis=0), A1.T @ dz2, dz2.sum())
+
+
+def _ref_train_mlp(train, hidden, epochs, weights, seed):
+    """The per-tensor trainer: gathered batches, four Adam updates per step
+    (one per tensor), epoch losses from a forward and backward pass.
+    Returns the kept (W1, b1, W2, b2), both loss histories and the epoch."""
+    X, y, w = fit_inputs(train, weights, "reference")
+    rng = derive_rng(seed, "mlp")
+    fit_idx, val_idx = mlp._stratified_val_split(train.y, rng)
+    Xf, yf, wf = X[fit_idx], y[fit_idx], w[fit_idx]
+    d = X.shape[1]
+    W1 = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, hidden))
+    W2 = rng.normal(0.0, np.sqrt(1.0 / hidden), size=hidden)
+    params = [W1, np.zeros(hidden), W2, 0.0]
+    m = [np.zeros_like(W1), np.zeros(hidden), np.zeros_like(W2), 0.0]
+    v = [np.zeros_like(W1), np.zeros(hidden), np.zeros_like(W2), 0.0]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step, since_best, best_epoch, best_val = 0, 0, 0, np.inf
+    best = list(params)
+    train_hist, val_hist = [], []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(Xf.shape[0])
+        for start in range(0, Xf.shape[0], mlp._BATCH_SIZE):
+            batch = order[start:start + mlp._BATCH_SIZE]
+            loss, grads = _ref_loss_and_grad(tuple(params), Xf[batch],
+                                             yf[batch], wf[batch])
+            if np.isnan(loss):
+                raise ConfigError("diverged")
+            step += 1
+            for i in range(4):
+                m[i] = beta1 * m[i] + (1 - beta1) * grads[i]
+                v[i] = beta2 * v[i] + (1 - beta2) * np.square(grads[i])
+                m_hat = m[i] / (1 - beta1 ** step)
+                v_hat = v[i] / (1 - beta2 ** step)
+                params[i] = params[i] - mlp._LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
+        train_hist.append(_ref_loss_and_grad(tuple(params), Xf, yf, wf)[0])
+        if val_idx is None:
+            best, best_epoch = list(params), epoch
+            continue
+        vl = _ref_loss_and_grad(tuple(params), X[val_idx], y[val_idx], w[val_idx])[0]
+        val_hist.append(vl)
+        if vl < best_val - 1e-12:
+            best, best_epoch, best_val, since_best = list(params), epoch, vl, 0
+        else:
+            since_best += 1
+            if since_best >= mlp._PATIENCE:
+                break
+    return best, train_hist, val_hist, best_epoch
+
+
+def _three_per_class():
+    table = make_table(6, seed=4, informative=True)
+    return CohortTable(table.schema, table.X, [0, 1, 0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("table, epochs, validated, rate", [
+    (make_table(120, seed=6, informative=True), 60, True, 1e-3),
+    (make_table(120, seed=6, informative=True), 60, True, 0.05),
+    (_three_per_class(), 25, False, 1e-3),
+], ids=["validation_split", "validation_split_large_steps", "no_validation_set"])
+def test_mlp_fit_equals_the_per_tensor_reference(table, epochs, validated, rate):
+    # the flat parameter vector and its whole-vector Adam step do each
+    # element's float operations in the per-tensor order, so every weight
+    # and loss is bit-equal; with a validation set the fit stops early.
+    # Steps near the weights' own size keep the last bits of each step in
+    # the weights, where a reordered step would show.
+    weights = class_weights(table.y)
+    with mock.patch.object(mlp, "_PATIENCE", 5), \
+            mock.patch.object(mlp, "_LEARNING_RATE", rate):
+        model = train_mlp(table, hidden=6, epochs=epochs, weights=weights, seed=2)
+        (W1, b1, W2, b2), train_hist, val_hist, epoch = _ref_train_mlp(
+            table, 6, epochs, weights, 2)
+    assert model.W1.tobytes() == W1.tobytes()
+    assert model.b1.tobytes() == b1.tobytes()
+    assert model.W2.tobytes() == W2.tobytes()
+    assert np.float64(model.b2).tobytes() == np.float64(b2).tobytes()
+    assert np.array(model.train_loss).tobytes() == np.array(train_hist).tobytes()
+    assert np.array(model.val_loss).tobytes() == np.array(val_hist).tobytes()
+    assert model.stopped_epoch == epoch
+    assert bool(val_hist) == validated
+    assert (len(train_hist) < epochs) == validated
+    # the public gradient, at the kept weights
+    X, y, w = fit_inputs(table, weights, "reference")
+    loss, grads = mlp.loss_and_grad((W1, b1, W2, b2), X, y, w)
+    want_loss, want = _ref_loss_and_grad((W1, b1, W2, b2), X, y, w)
+    assert loss == want_loss and type(loss) is float
+    for got, ref in zip(grads, want):
+        assert np.shape(got) == np.shape(ref)
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_a_diverging_mlp_fit_still_raises():
+    table = make_table(60, seed=3, informative=True)
+    with mock.patch.object(mlp, "_LEARNING_RATE", 1e300), \
+            np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigError):
+            _ref_train_mlp(table, 4, 20, None, 0)
+        with pytest.raises(ConfigError, match="diverged"):
+            train_mlp(table, hidden=4, epochs=20, seed=0)
 
 
 def test_mlp_config_validation():

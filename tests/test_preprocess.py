@@ -186,9 +186,10 @@ def _grouped_impute_case(draw):
 @given(_grouped_impute_case(), st.sampled_from([1, 5, 64, 1 << 16]))
 def test_grouped_impute_equals_the_per_row_reference(case, block_cells):
     # a small block cap splits the pattern groups into many blocks; each
-    # row alone is a one-row table. Squaring a 1e308 cell overflows to inf,
-    # as numpy warns. The imputed values rarely depend on the last bit of a
-    # distance, so the distances each row is filled from are compared too.
+    # row alone is a one-row table. Squaring a 1e308 cell overflows to inf:
+    # the reference lets numpy warn, impute must not. The imputed values
+    # rarely depend on the last bit of a distance, so the distances each row
+    # is filled from are compared too.
     imp, query = case
     want_d2, got_d2 = [], []
 
@@ -199,12 +200,12 @@ def test_grouped_impute_equals_the_per_row_reference(case, block_cells):
     fill = preprocess._fill_row
     with np.errstate(over="ignore"):
         want = _impute_by_full_sort(imp, query, want_d2)
-        with mock.patch.object(preprocess, "_BLOCK_CELLS", block_cells), \
-                mock.patch.object(preprocess, "_fill_row", fill_row):
-            assert impute(imp, query).X.tobytes() == want.tobytes()
-        assert sorted(got_d2) == sorted(d2.tobytes() for d2 in want_d2)
-        for i in range(query.n):
-            assert impute(imp, query.subset([i])).X.tobytes() == want[i].tobytes()
+    with mock.patch.object(preprocess, "_BLOCK_CELLS", block_cells), \
+            mock.patch.object(preprocess, "_fill_row", fill_row):
+        assert impute(imp, query).X.tobytes() == want.tobytes()
+    assert sorted(got_d2) == sorted(d2.tobytes() for d2 in want_d2)
+    for i in range(query.n):
+        assert impute(imp, query.subset([i])).X.tobytes() == want[i].tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 31, 32, 33, 70])
@@ -657,6 +658,24 @@ def test_a_predictor_reply_is_the_batch_probability_bit_for_bit(serving3):
     assert test.n == 390
     for i in range(test.n):
         assert predictor(test.X[i]).tobytes() == batch[i:i + 1].tobytes(), i
+
+
+def test_a_served_row_near_the_float_limit_imputes_without_a_warning(serving3):
+    # BUN is unbounded above; 1e308 overflows its squared distances to inf,
+    # which only makes those reference rows ineligible. pytest turns any
+    # warning into an error, so both calls below must stay silent.
+    train, test, pipe = serving3
+    model = train_gbdt(pipe.fitted_table, GbdtParams(depth=2, n_trees=5),
+                       class_weights(train.y), seed=3)
+    predictor = Predictor(schema=train.schema, pipeline=pipe, model=model)
+    bun = train.feature_names.index("BUN")
+    X = test.X.copy()
+    gaps = np.isnan(X).any(axis=1) & ~np.isnan(X[:, bun])
+    i = int(np.argmax(gaps))
+    assert gaps[i]
+    X[i, bun] = 1e308
+    batch = predict_proba(model, apply(pipe, test.with_matrix(X)))
+    assert predictor(X[i]).tobytes() == batch[i:i + 1].tobytes()
 
 
 @st.composite
