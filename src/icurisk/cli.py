@@ -6,8 +6,8 @@ Verbs:
   report    re-derive CSV/SVG projections from an existing report.json
   selftest  run the acceptance battery and print one line per criterion
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure or a
-worker process that died.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure, a
+warning raised as an error (python -W error) or a worker process that died.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import replace
 import numpy as np
 
 from .cohort import save_cohort
-from .errors import (ConfigError, DataError, IcuRiskError, OrderingError,
-                     SchemaError, WorkerError)
+from .errors import (ConfigError, DataError, IcuRiskError, NumericError,
+                     OrderingError, SchemaError, WorkerError)
 from .pipeline import RunConfig, load_run_config, run
 from .report import emit_report, write_artifacts, write_failed_manifest
 from .synth import synth_default_cohort
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     except (DataError, OrderingError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     except WorkerError as exc:

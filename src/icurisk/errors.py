@@ -25,6 +25,11 @@ class OrderingError(IcuRiskError):
     """A pipeline stage was invoked out of order (e.g. scale before impute)."""
 
 
+class NumericError(IcuRiskError):
+    """A run stage hit a floating-point trap, a singular matrix, or a warning
+    that a strict warnings filter raised as an error."""
+
+
 class WorkerError(IcuRiskError, ChildProcessError):
     """A forked worker process died before it sent its results, or sent
     back, by type name and message, an item's exception that does not

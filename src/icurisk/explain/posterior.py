@@ -42,8 +42,7 @@ class PosteriorRisk:
 
 
 def _thin_indices(n: int, cap: int) -> np.ndarray:
-    if n <= cap:
-        return np.arange(n)
+    """At most cap evenly spaced indices of range(n); all if n <= cap."""
     return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
 
 
@@ -163,8 +162,6 @@ def _enumerate_flags(f, schema, means, binary, pinned, sampled, draws):
         if schema[j].kind in MULTI_LEVEL:
             col = _snap_ordinal(col, schema[j])
         X[:, j] = col
-    if not binary:
-        return f(X)
     prev = np.clip(means[binary], 0.0, 1.0)
     risks = np.zeros(S)
     for combo in range(1 << len(binary)):

@@ -32,18 +32,18 @@ from ..metrics import auroc
 from ..preprocess import (fit_pipeline, impute, transform_imputed,
                           without_encoding)
 from ..schema import multi_level_indices
-from ..special import sigmoid
+from ..special import PROB_CLIP, sigmoid
 from .gbdt import GbdtModel, GbdtParams, gbdt_margin, train_gbdt
 from .linear import LinearModel, linear_margin, train_logreg
 from .mlp import MlpModel, mlp_margin, train_mlp
-from .naive_bayes import GaussianNbModel, gnb_posterior, train_gnb
+from .naive_bayes import GaussianNbModel, gnb_margin, train_gnb
 
 FAMILIES = ("gbdt", "logreg", "gnb", "mlp")
-_PROB_CLIP = 1e-7
 
 _MARGIN = {
     GbdtModel: gbdt_margin,
     LinearModel: linear_margin,
+    GaussianNbModel: gnb_margin,
     MlpModel: mlp_margin,
 }
 
@@ -98,16 +98,14 @@ def downgrade_ordered(spec: ModelSpec, schema) -> ModelSpec:
 
 
 def train_model(spec: ModelSpec, table, weights, seed: int = 0):
-    """Dispatch to the family trainer."""
+    """Dispatch to the family trainer (ModelSpec refuses unknown families)."""
     if spec.family == "gbdt":
         return train_gbdt(table, GbdtParams(**spec.params), weights, seed=seed)
     if spec.family == "logreg":
         return train_logreg(table, weights=weights, **spec.params)
     if spec.family == "gnb":
         return train_gnb(table, weights=weights, **spec.params)
-    if spec.family == "mlp":
-        return train_mlp(table, weights=weights, seed=seed, **spec.params)
-    raise ConfigError(f"unknown model family {spec.family!r}")
+    return train_mlp(table, weights=weights, seed=seed, **spec.params)
 
 
 def _as_matrix(model, rows) -> np.ndarray:
@@ -124,23 +122,17 @@ def _as_matrix(model, rows) -> np.ndarray:
 
 
 def model_margin(model, rows) -> np.ndarray:
-    """Raw decision value (log-odds scale where the family defines one)."""
+    """Raw decision value: the log-odds whose sigmoid predict_proba clips."""
     fn = _MARGIN.get(type(model))
     if fn is None:
-        raise TypeError(f"{type(model).__name__} has no margin; use predict_proba")
+        raise TypeError(f"unknown model type {type(model).__name__}")
     return fn(model, _as_matrix(model, rows))
 
 
 def predict_proba(model, rows) -> np.ndarray:
-    """Mortality probability per row, clipped to [1e-7, 1 - 1e-7]: the
-    sigmoid of the margin, or the Gaussian NB class-1 posterior."""
-    if type(model) is GaussianNbModel:
-        p = gnb_posterior(model, _as_matrix(model, rows))[:, 1]
-    elif type(model) in _MARGIN:
-        p = sigmoid(model_margin(model, rows))
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    return np.clip(p, _PROB_CLIP, 1 - _PROB_CLIP)
+    """Mortality probability per row: the sigmoid of the margin, clipped to
+    [PROB_CLIP, 1 - PROB_CLIP]."""
+    return np.clip(sigmoid(model_margin(model, rows)), PROB_CLIP, 1 - PROB_CLIP)
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,8 @@ from .._rng import derive_rng
 from ..errors import ConfigError
 from ..preprocess import EncoderLookup, encode_columns, fit_encoder, fit_inputs
 from ..schema import MULTI_LEVEL
-from ..special import log1pexp, logit, sigmoid
+from ..special import PROB_CLIP, logit, sigmoid, weighted_logloss
 
-_PROB_CLIP = 1e-7
 _MIN_SPLIT_GAIN = 1e-12
 _MIN_CHILD_WEIGHT = 1.0   # least hessian sum on each side of a split
 _CHUNK = 1 << 16          # (rows x trees) elements per margin chunk
@@ -133,10 +132,6 @@ class GbdtModel:
     lookup: EncoderLookup      # target encoders of the ordered columns, none if plain
     loss_curve: np.ndarray     # weighted logistic training loss, n_trees + 1 entries
     forest: Forest = field(compare=False, repr=False)   # the trees
-
-
-def _weighted_logloss(margin, y, w):
-    return float(np.sum(w * (log1pexp(margin) - y * margin)))
 
 
 def _best_split(x_flat, col_start, gh, block, G, H, l2):
@@ -300,7 +295,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
                               "(ordinal_score or categorical) in the schema")
 
     rng = derive_rng(seed, "gbdt")
-    p_base = float(np.clip(np.sum(w * y) / np.sum(w), _PROB_CLIP, 1 - _PROB_CLIP))
+    p_base = float(np.clip(np.sum(w * y) / np.sum(w), PROB_CLIP, 1 - PROB_CLIP))
     base = logit(p_base)
 
     n = X.shape[0]
@@ -318,7 +313,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
         Xt, sorted_rows = X.copy(order="F"), presort.copy(order="F")
     margin = np.full(n, base)
     trees = []
-    losses = [_weighted_logloss(margin, y, w)]
+    losses = [weighted_logloss(margin, y, w)]
     for _ in range(params.n_trees):
         if params.ordered_mode:
             stats = ordered(rng.permutation(n))
@@ -338,7 +333,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
         trees.append(tree)
         leaf = _leaf_values(tree, Xt)[:, 0]
         margin = margin + params.learning_rate * leaf
-        losses.append(_weighted_logloss(margin, y, w))
+        losses.append(weighted_logloss(margin, y, w))
 
     return GbdtModel(
         params=params,

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..preprocess import fit_inputs
-from ..special import log1pexp, sigmoid
+from ..special import sigmoid, weighted_logloss
 
 _TOL = 1e-6
 _NEWTON_ITERS = 100       # L2 iteration budget
@@ -41,8 +41,7 @@ def _design(X):
 
 
 def _nll(beta, Xd, y, w):
-    z = Xd @ beta
-    return float(np.sum(w * (log1pexp(z) - y * z)))
+    return weighted_logloss(Xd @ beta, y, w)
 
 
 def _nll_grad(beta, Xd, y, w):

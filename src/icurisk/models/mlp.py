@@ -16,7 +16,7 @@ import numpy as np
 from .._rng import derive_rng
 from ..errors import ConfigError
 from ..preprocess import fit_inputs
-from ..special import log1pexp, sigmoid
+from ..special import sigmoid, weighted_logloss
 
 _BATCH_SIZE = 32
 _LEARNING_RATE = 1e-3
@@ -58,7 +58,7 @@ def _loss(params, X, y, w):
 
 
 def _bce(z2, y, w, w_sum):
-    return float((w * (log1pexp(z2) - y * z2)).sum() / w_sum)
+    return float(weighted_logloss(z2, y, w) / w_sum)
 
 
 def _loss_and_grad_into(params, X, y, w, grads):

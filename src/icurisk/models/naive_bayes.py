@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax
 
 from ..errors import DataError
 from ..preprocess import fit_inputs
@@ -64,6 +63,8 @@ def gnb_log_joint(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def gnb_posterior(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
-    """(n, 2) class posteriors, the softmax of the log joints; rows sum to 1."""
-    return softmax(gnb_log_joint(model, X), axis=1)
+def gnb_margin(model: GaussianNbModel, X: np.ndarray) -> np.ndarray:
+    """The log posterior odds of class 1, log joint 1 minus log joint 0: its
+    sigmoid is the class-1 entry of the softmax of the log joints."""
+    lj = gnb_log_joint(model, X)
+    return lj[:, 1] - lj[:, 0]

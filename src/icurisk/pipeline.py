@@ -21,7 +21,7 @@ import numpy as np
 from ._fanout import fan_out
 from ._rng import derive_int, derive_rng
 from .cohort import (CohortTable, load_cohort, stratified_split, summarize)
-from .errors import ConfigError, DataError, IcuRiskError
+from .errors import ConfigError, DataError, IcuRiskError, NumericError
 from .explain import (AblationReport, PosteriorRisk, ShapMatrix, ablation, ale,
                       posterior_draws, posterior_risk_inputs, shap_tree)
 from .explain.dream import _MIN_CHAINS, _MIN_GENERATIONS, DreamConfig
@@ -247,14 +247,12 @@ def _select_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     kept, filter_report = coverage_filter(
         train, config.max_missing_fraction, config.min_documented_patients)
     dropped = [s.name for s in train.schema if s.name not in kept]
-    if dropped:
-        train = train.drop_features(dropped)
-        test = test.drop_features(dropped)
+    train = train.drop_features(dropped)
+    test = test.drop_features(dropped)
     ranking = rank_features(train, top_k=config.top_k)
     excluded = [n for n in train.feature_names if n not in ranking.selected]
-    if excluded:
-        train = train.drop_features(excluded)
-        test = test.drop_features(excluded)
+    train = train.drop_features(excluded)
+    test = test.drop_features(excluded)
     return train, test, filter_report, ranking
 
 
@@ -373,6 +371,11 @@ def run(config: RunConfig) -> RunResult:
             out = fn(*args)
         except IcuRiskError as exc:
             tagged = type(exc)(f"[stage:{name}] {exc}")
+            tagged.stage = name
+            raise tagged from exc
+        except (Warning, FloatingPointError, np.linalg.LinAlgError) as exc:
+            # a warning escapes only where a filter made it an error
+            tagged = NumericError(f"[stage:{name}] {type(exc).__name__}: {exc}")
             tagged.stage = name
             raise tagged from exc
         timings[name] = time.perf_counter() - t0

@@ -163,17 +163,14 @@ def _impute_group(imputer: KnnImputer, X: np.ndarray, rows: np.ndarray) -> None:
     """Impute, in place, the rows of X that miss the same columns."""
     obs_q = ~np.isnan(X[rows[0]])
     unobserved = np.flatnonzero(~obs_q)
-    if not obs_q.any():
-        nowhere = np.full(imputer.reference.shape[0], np.inf)
-        for i in rows:
-            _fill_row(imputer, X[i], unobserved, nowhere)
-        return
     # (observed columns, reference rows): whole rows of the column-major
     # reference arrays
     ZR = imputer.z_reference.T[obs_q]
     shared = imputer.observed.T[obs_q].sum(axis=0)
     divisor = np.maximum(shared, 1)
-    step = max(1, _BLOCK_CELLS // ZR.size)
+    # at most _BLOCK_CELLS differences and distances per block; with no
+    # column observed, every distance is inf and every fill is loc
+    step = max(1, _BLOCK_CELLS // max(ZR.size, ZR.shape[1]))
     # a finite cell near the float limit overflows its distances to inf,
     # which leaves the reference rows observed in its column ineligible
     # (one errstate per group: entering one costs about a microsecond)

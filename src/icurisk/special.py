@@ -6,6 +6,8 @@ from math import log
 
 import numpy as np
 
+PROB_CLIP = 1e-7    # probabilities are clipped to [PROB_CLIP, 1 - PROB_CLIP]
+
 
 def sigmoid(z):
     """Numerically stable logistic function, elementwise."""
@@ -29,3 +31,8 @@ def log1pexp(z):
     z = np.asarray(z, dtype=float)
     out = np.where(z > 30, z, np.log1p(np.exp(np.minimum(z, 30))))
     return out if out.ndim else float(out)
+
+
+def weighted_logloss(z, y, w) -> float:
+    """The weighted logistic loss sum_i w_i [log(1 + exp(z_i)) - y_i z_i]."""
+    return float(np.sum(w * (log1pexp(z) - y * z)))

@@ -45,6 +45,20 @@ def test_matches_independent_accumulation():
     assert np.all(np.diff(curve.edges) > 0)
 
 
+def test_an_empty_bin_is_merged_into_its_left_neighbour():
+    # the interpolated quantiles of this column at 20 bins are 0, 4, 10,
+    # 10.4 and 11; no row falls in (10, 10.4], so its left edge goes
+    col = np.array([0.0] * 6 + [10.0] * 6 + [11.0])
+    X = np.c_[col, np.arange(13.0)]
+    f = lambda A: 2.0 * A[:, 0] + A[:, 1]
+    curve = ale(f, X, 0, n_bins=20)
+    assert curve.edges == pytest.approx([0.0, 4.0, 10.4, 11.0])
+    assert np.array_equal(curve.counts, [6.0, 6.0, 1.0])
+    assert curve.effects == pytest.approx(2.0 * curve.edges, abs=1e-12)
+    assert curve.effects == pytest.approx(_loop_ale_effects(f, X, 0, curve.edges),
+                                          abs=1e-12)
+
+
 def test_centering_zeroes_the_weighted_mean():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(200, 2))

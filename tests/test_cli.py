@@ -3,9 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import icurisk
 from icurisk import _fanout
 from icurisk.cli import main
 from icurisk.cohort import load_cohort, save_cohort
@@ -231,6 +235,37 @@ def test_out_of_schema_cell_is_exit_3_with_failed_manifest(tmp_path, capsys):
     assert manifest["failed_stage"] == "dataset"
 
 
+def test_a_half_missing_csv_column_is_dropped_by_the_coverage_filter(
+        tmp_path, capsys):
+    # BUN is blank in every other row: the coverage filter drops it, and
+    # selection.filter says which rule fired. No section built after the
+    # filter names it; the survivor/non-survivor table describes every
+    # column of the loaded cohort, so it and its projection still do.
+    table = synth_default_cohort(n=400, seed=4)
+    X = table.X.copy()
+    X[::2, table.index_of("BUN")] = np.nan
+    csv_path = tmp_path / "cohort.csv"
+    save_cohort(table.with_matrix(X), csv_path)
+    out = tmp_path / "arts"
+    cfg = _write_config(tmp_path, input_path=str(csv_path))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    [row] = [r for r in report["selection"]["filter"] if r["feature"] == "BUN"]
+    assert row["missing_frac"] > 0.5 and not row["kept"]
+    assert row["reason"] == f"missingness {row['missing_frac']:.3f} > 0.2"
+    comparison = report["cohort_comparison"]
+    assert '"BUN"' in json.dumps(comparison["survivor_vs_nonsurvivor"])
+    after_filter = {**report, "selection": report["selection"]["mi"],
+                    "cohort_comparison": comparison["train_vs_test"]}
+    for key, section in after_filter.items():
+        assert '"BUN"' not in json.dumps(section), key
+    for path in out.iterdir():
+        if path.name not in ("report.json", "selection.csv",
+                             "cohort_ttest.csv", "manifest.json"):
+            assert "BUN" not in path.read_text(), path.name
+
+
 def test_more_folds_than_positives_is_exit_3_at_the_models_stage(
         tmp_path, capsys):
     out = str(tmp_path / "arts")
@@ -265,6 +300,32 @@ def test_a_dead_worker_is_exit_4_with_failed_manifest(
     manifest = load_manifest(out)
     assert manifest["status"] == "failed"
     assert manifest["failed_stage"] == "models"
+
+
+@pytest.mark.parametrize("over,stage,warning", [
+    ({"synth_n": 1301, "synth_event_rate": 0.01, "top_k": 8}, "models",
+     "UserWarning: logreg (l1, C=1.0) did not converge"),
+    ({"top_k": 1000000}, "select",
+     "UserWarning: top_k=1000000 exceeds 17 surviving features; clamped"),
+])
+def test_a_warning_raised_as_an_error_is_exit_4_with_failed_manifest(
+        tmp_path, over, stage, warning):
+    # under python -W error a warning stops the run; it is a numeric
+    # failure tagged with its stage, with a failed manifest, not a traceback
+    out = tmp_path / "arts"
+    cfg = _write_config(tmp_path, seed=3, **over)
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(icurisk.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "icurisk.cli", "run",
+         "--config", cfg, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"numeric failure: [stage:{stage}] {warning}" in proc.stderr
+    manifest = load_manifest(str(out))
+    assert manifest["status"] == "failed"
+    assert manifest["failed_stage"] == stage
 
 
 @pytest.mark.parametrize("key,content,code", [

@@ -134,6 +134,32 @@ def test_load_rejects_labels_other_than_0_and_1(tmp_path, schema4, text):
         load_cohort(path, schema4)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", r"cohort\.csv: empty file"),
+    ("{header}\n", r"cohort\.csv: no data rows"),
+    ("{header}\n20,1.0,0,3,1\n20,1.0,0,1\n",
+     r"cohort\.csv:3: expected 5 cells, got 4"),
+])
+def test_load_rejects_files_without_complete_rows(tmp_path, schema4, text,
+                                                  message):
+    header = ",".join([s.name for s in schema4] + ["label"])
+    path = tmp_path / "cohort.csv"
+    path.write_text(text.format(header=header))
+    with pytest.raises(DataError, match=message):
+        load_cohort(path, schema4)
+
+
+def test_load_rejects_an_unknown_categorical_level(tmp_path):
+    schema = (FeatureSpec(name="age", kind="continuous"),
+              FeatureSpec(name="unit", kind="categorical",
+                          levels=("micu", "sicu")))
+    path = tmp_path / "cohort.csv"
+    path.write_text("age,unit,label\n60,micu,0\n70,ccu,1\n")
+    with pytest.raises(DataError,
+                       match=r"cohort\.csv:3: 'ccu' is not a level of 'unit'"):
+        load_cohort(path, schema)
+
+
 def test_load_accepts_large_values_under_an_open_bound(tmp_path, schema4):
     # lactate has no upper bound, so 1e308 is inside the schema
     path = _csv_with_cell(tmp_path, "lactate", "1e308")

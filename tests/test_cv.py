@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from icurisk import preprocess
 from icurisk.errors import ConfigError, DataError
@@ -12,7 +13,7 @@ from icurisk.models.cv import (ModelSpec, cross_validate, fit_and_score,
 from icurisk.models.gbdt import gbdt_margin
 from icurisk.models.linear import linear_margin
 from icurisk.models.mlp import mlp_margin
-from icurisk.models.naive_bayes import gnb_posterior
+from icurisk.models.naive_bayes import gnb_log_joint, gnb_margin
 from icurisk.preprocess import class_weights
 from icurisk.schema import multi_level_indices
 from icurisk.special import sigmoid
@@ -121,13 +122,15 @@ def test_ordered_spec_uses_raw_category_codes():
 
 
 def test_predict_proba_matches_family_output():
-    # the clipped sigmoid of the family margin, or the clipped GNB class-1
-    # posterior, bit for bit; a model without a family is refused by type
+    # the clipped sigmoid of the family margin, bit for bit, for every
+    # family; for GNB also the clipped class-1 softmax of its log joints; a
+    # model without a family is refused by type
     table = make_table(90, seed=5, informative=True)
     weights = class_weights(table.y)
     for spec, margin in (
             (ModelSpec(family="gbdt", params={"n_trees": 5, "depth": 2}), gbdt_margin),
             (ModelSpec(family="logreg", params={"C": 2.0}), linear_margin),
+            (ModelSpec(family="gnb"), gnb_margin),
             (ModelSpec(family="mlp", params={"hidden": 4, "epochs": 5}), mlp_margin)):
         model = train_model(spec, table, weights, seed=0)
         expect = np.clip(sigmoid(margin(model, table.X)), 1e-7, 1 - 1e-7)
@@ -135,12 +138,13 @@ def test_predict_proba_matches_family_output():
         assert np.array_equal(predict_proba(model, table.X), expect)
         assert np.array_equal(model_margin(model, table), margin(model, table.X))
     gnb = train_model(ModelSpec(family="gnb"), table, weights)
-    expect = np.clip(gnb_posterior(gnb, table.X)[:, 1], 1e-7, 1 - 1e-7)
+    expect = np.clip(softmax(gnb_log_joint(gnb, table.X), axis=1)[:, 1],
+                     1e-7, 1 - 1e-7)
     assert np.array_equal(predict_proba(gnb, table), expect)
     with pytest.raises(TypeError, match="unknown model type object"):
         predict_proba(object(), table.X)
-    with pytest.raises(TypeError, match="GaussianNbModel has no margin"):
-        model_margin(gnb, table.X)
+    with pytest.raises(TypeError, match="unknown model type object"):
+        model_margin(object(), table.X)
 
 
 _ORDERED = ModelSpec(family="gbdt",

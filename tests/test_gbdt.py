@@ -17,6 +17,7 @@ from icurisk.models import gbdt, predict_proba
 from icurisk.models.gbdt import GbdtParams, gbdt_margin, train_gbdt
 from icurisk.preprocess import encode_columns, fit_encoder
 from icurisk.schema import FeatureSpec
+from icurisk.special import weighted_logloss
 
 from conftest import make_table, small_schema
 
@@ -438,5 +439,5 @@ def test_margin_matches_per_tree_reference(table_weights, depth, mode, chunk,
         # the training loop's own update reached the same final margins
         y = np.asarray(table.y, dtype=float)
         w = weights.per_row(table.y)
-        final = gbdt._weighted_logloss(want[:table.n], y, w)
+        final = weighted_logloss(want[:table.n], y, w)
         assert model.loss_curve[-1] == final

@@ -4,18 +4,23 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import softmax
 
 from icurisk._rng import derive_rng
 from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError
-from icurisk.models import GbdtParams, linear, mlp, predict_proba, train_gbdt
+from icurisk.models import (GbdtParams, linear, mlp, model_margin, predict_proba,
+                            train_gbdt)
 from icurisk.models.linear import (LinearModel, linear_margin,
                                    logreg_objective, train_logreg)
 from icurisk.models.mlp import mlp_margin, train_mlp
-from icurisk.models.naive_bayes import gnb_posterior, train_gnb
+from icurisk.models.naive_bayes import (GaussianNbModel, gnb_log_joint,
+                                        gnb_margin, train_gnb)
 from icurisk.preprocess import class_weights, fit_inputs
 from icurisk.schema import FeatureSpec
-from icurisk.special import log1pexp, sigmoid
+from icurisk.special import PROB_CLIP, log1pexp, sigmoid
 
 from conftest import make_table
 
@@ -104,10 +109,29 @@ def test_logreg_class_weights_shift_the_boundary():
 
 def test_logreg_warns_when_iteration_budget_too_small():
     table = _logistic_table(n=300, seed=11)
-    with pytest.warns(UserWarning, match="converge"), \
-            mock.patch.object(linear, "_NEWTON_ITERS", 1):
-        model = train_logreg(table, penalty="l2", C=1.0)
-    assert not model.converged
+    for penalty, budget in (("l2", "_NEWTON_ITERS"), ("l1", "_FISTA_ITERS")):
+        with pytest.warns(UserWarning, match=rf"logreg \({penalty}, C=1.0\) "
+                                             "did not converge in 3 iterations"), \
+                mock.patch.object(linear, budget, 3):
+            model = train_logreg(table, penalty=penalty, C=1.0)
+        assert not model.converged and model.n_iter == 3
+
+
+def test_logreg_backtracks_a_newton_step_that_overshoots():
+    # on these six rows a full Newton step raises the objective, so the line
+    # search halves it; the fit still ends at a stationary point
+    X = np.array([[130.0], [53.0], [-1.0], [-152.0], [224.0], [71.0]])
+    y = np.array([0, 1, 0, 1, 1, 1])
+    table = CohortTable((FeatureSpec(name="x", kind="continuous"),), X, y)
+    with mock.patch.object(linear, "_nll", wraps=linear._nll) as nll:
+        model = train_logreg(table, C=1.0)
+    assert model.converged
+    # two objective values per full step; more means a step was halved
+    assert nll.call_count > 2 * (model.n_iter - 1)
+    beta = np.r_[model.weights, model.bias]
+    grad = (linear._nll_grad(beta, linear._design(X), y, np.ones(6))
+            + np.r_[model.weights, 0.0])
+    assert np.abs(grad).max() < 1e-6
 
 
 def test_logreg_validation():
@@ -125,7 +149,7 @@ def test_gnb_identical_class_moments_give_half():
     X = np.array([[0.0], [1.0], [0.0], [1.0]])
     table = CohortTable(schema, X, [0, 0, 1, 1])
     model = train_gnb(table)
-    post = gnb_posterior(model, X)
+    post = softmax(gnb_log_joint(model, X), axis=1)
     assert post[:, 1] == pytest.approx(0.5)
 
 
@@ -147,7 +171,7 @@ def test_gnb_two_feature_hand_computation():
     x = np.array([3.0, 1.5])
     j0 = (2 / 5) * class_density(x, X[y == 0])
     j1 = (3 / 5) * class_density(x, X[y == 1])
-    assert gnb_posterior(model, x[None, :])[0, 1] == pytest.approx(
+    assert softmax(gnb_log_joint(model, x[None, :]), axis=1)[0, 1] == pytest.approx(
         j1 / (j0 + j1), abs=1e-12)
 
 
@@ -164,7 +188,7 @@ def test_gnb_variance_floor_on_constant_feature():
     table = CohortTable(schema, X, [0, 0, 1, 1])
     model = train_gnb(table)
     assert model.variances[0, 0] == model.var_floor
-    assert np.isfinite(gnb_posterior(model, X)).all()
+    assert np.isfinite(softmax(gnb_log_joint(model, X), axis=1)).all()
 
 
 def test_gnb_rejects_bad_input():
@@ -180,6 +204,63 @@ def test_gnb_proba_clipped():
     model = train_gnb(table)
     p = predict_proba(model, table.X)
     assert np.all(p >= 1e-7) and np.all(p <= 1 - 1e-7)
+
+
+_MARGIN_TARGETS = (-1e4, -800.0, -746.0, -740.0, -725.0, -710.0, -40.0,
+                   -1.0, 0.5, 37.0, 710.0, 746.0, 800.0, 1e4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), mirror=st.booleans(), data=st.data())
+def test_gnb_proba_is_the_clipped_softmax_of_the_log_joints(d, mirror, data):
+    # predict_proba, the clipped sigmoid of gnb_margin, equals the clipped
+    # class-1 softmax of the log joints bit for bit, and so does the sigmoid
+    # before the clip. The rows include exact ties (a mirrored model at the
+    # origin), margins beyond +-745, where exp(-|m|) is 0, and margins whose
+    # exp is subnormal.
+    def vector(lo, hi):
+        return np.array(data.draw(st.lists(
+            st.floats(lo, hi, allow_nan=False), min_size=d, max_size=d)))
+
+    gap = data.draw(st.floats(0.1, 5.0))
+    mean0, var0 = vector(-5.0, 5.0), vector(0.01, 10.0)
+    if mirror:
+        # the origin is an exact tie: equal priors, variances and distances
+        mean0[0] = -gap / 2
+        means, variances = np.array([mean0, -mean0]), np.array([var0, var0])
+        prior1 = 0.5
+    else:
+        mean1, var1 = vector(-5.0, 5.0), vector(0.01, 10.0)
+        mean1[0], var1[0] = mean0[0] + gap, var0[0]
+        means, variances = np.array([mean0, mean1]), np.array([var0, var1])
+        prior1 = data.draw(st.floats(0.01, 0.99))
+    model = GaussianNbModel(priors=np.array([1 - prior1, prior1]), means=means,
+                            variances=variances, var_floor=0.0,
+                            feature_names_=tuple(f"x{j}" for j in range(d)))
+    # feature 0 has one variance in both classes, so the margin is affine in
+    # it: move a random row along it to each target margin
+    base = vector(-20.0, 20.0)
+    base[0] = means[:, 0].mean()
+    lj = gnb_log_joint(model, base[None, :])[0]
+    targeted = np.repeat(base[None, :], len(_MARGIN_TARGETS), axis=0)
+    targeted[:, 0] += ((np.array(_MARGIN_TARGETS) - (lj[1] - lj[0]))
+                       * variances[0, 0] / (means[1, 0] - means[0, 0]))
+    random_rows = np.array(data.draw(st.lists(
+        st.lists(st.floats(-30.0, 30.0, allow_nan=False), min_size=d, max_size=d),
+        min_size=1, max_size=20)))
+    X = np.vstack([random_rows, targeted, np.zeros((1, d))])
+
+    softmax1 = softmax(gnb_log_joint(model, X), axis=1)[:, 1]
+    margin = model_margin(model, X)
+    assert np.array_equal(margin, gnb_margin(model, X))
+    assert np.array_equal(sigmoid(margin), softmax1)
+    assert np.array_equal(predict_proba(model, X),
+                          np.clip(softmax1, PROB_CLIP, 1 - PROB_CLIP))
+    # the inputs reach the cases named above
+    assert (np.abs(margin) > 745).any()
+    low = np.exp(margin[margin < 0])
+    assert ((low > 0) & (low < np.finfo(float).tiny)).any()
+    assert not mirror or margin[-1] == 0.0
 
 
 # ------------------------------------------------------------------- mlp

@@ -9,7 +9,6 @@ from icurisk.errors import ConfigError
 from icurisk.explain.dream import DreamConfig
 from icurisk.explain import posterior
 from icurisk.explain.posterior import posterior_draws, posterior_risk_inputs
-from icurisk.schema import FeatureSpec
 
 from conftest import make_table, small_schema
 

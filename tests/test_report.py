@@ -210,6 +210,12 @@ def _no_ablation_features(report):
     return "ablation.features"
 
 
+def _drop_first_mean_drop(report):
+    name = report["ablation"]["features"][0]
+    del report["ablation"]["mean_drop"][name]
+    return f"ablation.mean_drop has no entry for {name!r}"
+
+
 def _empty_ablation_distribution(report):
     name = report["ablation"]["features"][-1]
     report["ablation"]["distributions"][name] = []
@@ -237,6 +243,7 @@ _INCOMPLETE = {
     "posterior_no_samples": _no_posterior_samples,
     "ale_no_curves": _no_ale_curves,
     "ablation_no_features": _no_ablation_features,
+    "ablation_mean_drop": _drop_first_mean_drop,
 }
 
 

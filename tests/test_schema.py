@@ -26,6 +26,27 @@ def test_ordinal_requires_range_and_step():
     assert np.array_equal(s.grid(), np.arange(3.0, 16.0))
 
 
+@pytest.mark.parametrize("lower,upper", [
+    (5.0, 5.0), (10.0, 3.0), (0.0, float("inf")), (float("nan"), 10.0)])
+def test_ordinal_range_must_be_finite_and_increasing(lower, upper):
+    with pytest.raises(SchemaError,
+                       match="ordinal feature 'score' has invalid range"):
+        FeatureSpec(name="score", kind="ordinal_score", lower=lower, upper=upper)
+
+
+def test_lower_above_upper_is_refused():
+    with pytest.raises(SchemaError, match="feature 'hr': lower > upper"):
+        FeatureSpec(name="hr", kind="continuous", lower=200.0, upper=30.0)
+
+
+@pytest.mark.parametrize("specs", [[], ()])
+def test_empty_schema_is_refused(specs):
+    with pytest.raises(SchemaError, match="schema is empty"):
+        validate_schema(specs)
+    with pytest.raises(SchemaError, match="schema is empty"):
+        schema_from_jsonable(list(specs))
+
+
 def test_categorical_levels():
     with pytest.raises(SchemaError):
         FeatureSpec(name="unit", kind="categorical")

@@ -1,4 +1,3 @@
-import warnings
 from math import log
 
 import numpy as np

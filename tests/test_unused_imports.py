@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package, a test file or a demo imports is
+used in that file.
 
 No linter is a dependency, so this is the check, on the standard library's
 ast. The package __init__ files are left out: their imports are the public
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "icurisk"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "icurisk"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -37,4 +40,9 @@ def test_the_check_sees_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_test_or_demo_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
