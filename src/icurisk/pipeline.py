@@ -9,16 +9,15 @@ its message and as its stage attribute.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from ._fanout import fan_out
+from ._json import check_fields, from_mapping, read_json
 from ._rng import derive_int, derive_rng
 from .cohort import (CohortTable, load_cohort, stratified_split, summarize)
 from .errors import ConfigError, DataError, IcuRiskError, NumericError
@@ -57,12 +56,6 @@ class Predictor:
         return apply(self.pipeline, table)
 
 
-# the types a RunConfig field accepts, keyed by its annotation; bool is
-# refused separately although it is an int
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str,
-                "str | None": (str, type(None))}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one pipeline run depends on. seed is mandatory."""
@@ -89,16 +82,7 @@ class RunConfig:
     def __post_init__(self):
         # a JSON config can hold any type; reject the wrong one before any
         # comparison below or any model fit can trip over it
-        for f in fields(self):
-            value = getattr(self, f.name)
-            ok = (not isinstance(value, bool)
-                  and isinstance(value, _FIELD_TYPES[f.type]))
-            if ok and f.type == "float":
-                ok = math.isfinite(value)
-            if not ok:
-                expected = "a finite number" if f.type == "float" else f.type
-                raise ConfigError(f"{f.name} must be {expected}, got "
-                                  f"{type(value).__name__} {value!r}")
+        check_fields(self, ConfigError)
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if not 0.0 < self.train_fraction < 1.0:
@@ -131,29 +115,12 @@ class RunConfig:
                               "cohort has the bundled schema's features")
 
 
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
-
-
 def run_config_from_jsonable(payload: dict) -> RunConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError("run config must be a JSON object")
-    unknown = set(payload) - _CONFIG_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "seed" not in payload:
-        raise ConfigError("config is missing the mandatory 'seed' key")
-    return RunConfig(**payload)
+    return from_mapping(RunConfig, payload, "config", ConfigError)
 
 
 def load_run_config(path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # bad UTF-8 or JSON
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    config = run_config_from_jsonable(payload)
+    config = run_config_from_jsonable(read_json(path, "config", ConfigError))
     for attr in ("input_path", "schema_path"):
         p = getattr(config, attr)
         if p is not None and not os.path.exists(p):

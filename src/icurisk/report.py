@@ -18,11 +18,13 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass
+from importlib import resources
 
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .errors import DataError
+from ._json import is_number, read_json, write_json
+from .errors import ConfigError, DataError, IcuRiskError
 from .explain import REFERENCE_INPUTS_POSTERIOR
 from .pipeline import RunConfig, RunResult
 from .svgplot import ale_svg, dot_rows_svg, histogram_svg, roc_svg
@@ -33,19 +35,14 @@ _MANIFEST_NAME = "manifest.json"
 
 def _sanitize(obj):
     """JSON-safe copy: numpy scalars/arrays to python, NaN/inf to None."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if np.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
     return obj
 
 
@@ -60,15 +57,12 @@ def _config_echo(config: RunConfig) -> dict:
 
 def build_report(result: RunResult) -> dict:
     """Collect every reported number into one JSON-ready dictionary."""
-    cfg = result.config
     ranking = result.ranking
-    fpr, tpr, thr = result.roc
     abl = result.ablation_report
-    dists = {name: abl.dropped_dist[name] for name in abl.features}
-    shap_rows_raw = result.test.X[result.shap_row_ids]
-    report = {
+    # sanitized once, whole: a NaN anywhere reaches the schema check as null
+    return _sanitize({
         "format_version": 1,
-        "config": _sanitize(_config_echo(cfg)),
+        "config": _config_echo(result.config),
         "cohort": {
             "n": result.cohort.n,
             "event_rate": float(result.cohort.y.mean()),
@@ -79,10 +73,10 @@ def build_report(result: RunResult) -> dict:
             "features": list(result.train.feature_names),
         },
         "selection": {
-            "filter": _sanitize(result.filter_report),
+            "filter": result.filter_report,
             "mi": {
                 "features": list(ranking.features),
-                "scores": _sanitize([ranking.scores[n] for n in ranking.features]),
+                "scores": [ranking.scores[n] for n in ranking.features],
                 "selected": list(ranking.selected),
                 "excluded_near_zero": list(ranking.excluded_near_zero),
                 "n_bins": ranking.n_bins,
@@ -90,60 +84,50 @@ def build_report(result: RunResult) -> dict:
             },
         },
         "cohort_comparison": {
-            "train_vs_test": _sanitize(result.ttest_split),
-            "survivor_vs_nonsurvivor": _sanitize(result.ttest_outcome),
+            "train_vs_test": result.ttest_split,
+            "survivor_vs_nonsurvivor": result.ttest_outcome,
         },
         "benchmark": [
             {
                 "label": row.label,
                 "family": row.spec.family,
-                "params": _sanitize(row.spec.params),
+                "params": row.spec.params,
                 "grid_size": row.grid_size,
                 "cv_mean_auroc": row.cv_mean_auroc,
-                "cv_sd_auroc": _sanitize(row.cv_sd_auroc),
+                "cv_sd_auroc": row.cv_sd_auroc,
                 "threshold": row.threshold,
-                "train": _sanitize(asdict(row.metrics_train)),
-                "test": _sanitize(asdict(row.metrics_test)),
+                "train": asdict(row.metrics_train),
+                "test": asdict(row.metrics_test),
                 "notes": list(row.notes),
             }
             for row in result.benchmark
         ],
         "winner": result.winner,
         "shap_model": result.shap_model_label,
-        "roc_test": {
-            "fpr": _sanitize(fpr),
-            "tpr": _sanitize(tpr),
-            "thresholds": _sanitize(thr),
-        },
+        "roc_test": dict(zip(("fpr", "tpr", "thresholds"), result.roc)),
         "ablation": {
             "model": result.winner,
             "n_resamples": abl.n_resamples,
             "baseline_auroc": abl.baseline_auroc,
-            "baseline_dist": _sanitize(abl.baseline_dist),
+            "baseline_dist": abl.baseline_dist,
             "features": list(abl.features),
-            "dropped_auroc": _sanitize(abl.dropped_auroc),
-            "distributions": _sanitize(dists),
+            "dropped_auroc": abl.dropped_auroc,
+            "distributions": {n: abl.dropped_dist[n] for n in abl.features},
             "mean_drop": {n: abl.mean_drop(n) for n in abl.features},
         },
         "shap": {
-            **_sanitize(asdict(result.shap)),
+            **asdict(result.shap),
             "model": result.shap_model_label,
-            "row_ids": _sanitize(result.shap_row_ids),
-            "row_values": _sanitize(shap_rows_raw),
+            "row_ids": result.shap_row_ids,
+            "row_values": result.test.X[result.shap_row_ids],
         },
-        "ale": [_sanitize(asdict(c)) for c in result.ale_curves],
+        "ale": [asdict(c) for c in result.ale_curves],
         "posterior": {
-            **_sanitize(asdict(result.posterior)),
+            **asdict(result.posterior),
             "mode": "inputs",
-            "reference": _sanitize(REFERENCE_INPUTS_POSTERIOR),
+            "reference": REFERENCE_INPUTS_POSTERIOR,
         },
-    }
-    return report
-
-
-def report_json_bytes(report: dict) -> bytes:
-    return json.dumps(report, indent=1, sort_keys=True,
-                      allow_nan=False).encode("utf-8") + b"\n"
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +135,8 @@ def report_json_bytes(report: dict) -> bytes:
 # and $ref to a definition under the root's $defs)
 
 def load_report_schema() -> dict:
-    from importlib import resources
-
-    with resources.files("icurisk.data").joinpath("report_schema.json").open(
-            encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(resources.files("icurisk.data") / "report_schema.json",
+                     "report schema", DataError)
 
 
 _TYPES = {
@@ -169,7 +150,7 @@ _TYPES = {
 
 def _type_ok(value, expected: str) -> bool:
     if expected == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return is_number(value)
     if expected == "integer":
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, _TYPES[expected])
@@ -327,8 +308,8 @@ def _emit_ablation(report):
                        for n in ab["features"]}})
     rows = [["<none>", i, v] for i, v in enumerate(ab["baseline_dist"])]
     for name in ab["features"]:
-        if name not in ab["mean_drop"]:
-            raise DataError(f"ablation.mean_drop has no entry for {name!r}")
+        if not is_number(ab["mean_drop"].get(name)):  # the plot sorts by it
+            raise DataError(f"ablation.mean_drop has no entry for {name!r} that is a number")
         rows += [[name, i, v] for i, v in enumerate(ab["distributions"][name])]
     yield "ablation.csv", _csv_text(["dropped_feature", "resample", "auroc"], rows)
     order = sorted(ab["features"], key=lambda n: ab["mean_drop"][n], reverse=True)
@@ -452,28 +433,37 @@ def _write_manifest(out_dir: str, echo: dict, files, stage_seconds: dict,
     payload = {**asdict(m), "format_version": 1,
                "artifacts": [{"path": p, "sha256": s, "bytes": b}
                              for p, s, b in m.artifacts]}
-    with open(os.path.join(out_dir, _MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, _MANIFEST_NAME), payload)
     return m
+
+
+def _write_failed(out_dir: str, echo: dict, stage: str) -> RunManifest:
+    """A failed manifest over whatever artifact files exist."""
+    present = sorted(n for n in os.listdir(out_dir)
+                     if (n.endswith((".csv", ".svg")) or n == _REPORT_NAME)
+                     and os.path.isfile(os.path.join(out_dir, n)))
+    return _write_manifest(out_dir, echo, present, {"error": 0.0},
+                           failed_stage=stage)
+
+
+def _failed_report(out_dir: str, echo: dict, exc: Exception) -> Exception:
+    """The error to raise for exc once a failed manifest at the report stage
+    replaced the last run's; an OSError becomes a ConfigError."""
+    _write_failed(out_dir, echo, "report")
+    if isinstance(exc, OSError):
+        return ConfigError(f"cannot write artifacts to {out_dir}: {exc}")
+    return exc
 
 
 def load_manifest(out_dir: str) -> dict:
     """The manifest as a dict; DataError unless it is a JSON object whose
-    stage_seconds, when present, is an object of numbers."""
+    stage_seconds, when present, is an object of finite numbers."""
     path = os.path.join(out_dir, _MANIFEST_NAME)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    except ValueError as exc:  # bad UTF-8 or JSON
-        raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
+    manifest = read_json(path, "manifest", DataError)
     if not isinstance(manifest, dict):
         raise DataError(f"manifest {path} is not a JSON object")
     seconds = manifest.get("stage_seconds", {})
-    if not (isinstance(seconds, dict) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in seconds.values())):
+    if not (isinstance(seconds, dict) and all(map(is_number, seconds.values()))):
         raise DataError(f"manifest {path}: stage_seconds is not an object of numbers")
     return manifest
 
@@ -482,25 +472,25 @@ def write_artifacts(result: RunResult, out_dir: str = None) -> RunManifest:
     """Emit report.json, every projection, and the manifest (written last)."""
     out = out_dir or result.config.out_dir
     os.makedirs(out, exist_ok=True)
+    echo = _config_echo(result.config)
     t0 = time.perf_counter()
-    report = build_report(result)
-    validate_report(report, load_report_schema())
-    with open(os.path.join(out, _REPORT_NAME), "wb") as fh:
-        fh.write(report_json_bytes(report))
-    files = [_REPORT_NAME] + emit_projections(report, out)
+    try:
+        report = build_report(result)
+        validate_report(report, load_report_schema())
+        write_json(os.path.join(out, _REPORT_NAME), report)
+        files = [_REPORT_NAME] + emit_projections(report, out)
+    except (OSError, IcuRiskError) as exc:
+        raise _failed_report(out, echo, exc)
     seconds = dict(result.stage_seconds)
     seconds["report"] = time.perf_counter() - t0
-    return _write_manifest(out, _config_echo(result.config), files, seconds)
+    return _write_manifest(out, echo, files, seconds)
 
 
 def write_failed_manifest(out_dir: str, config: RunConfig,
                           stage: str) -> RunManifest:
     """Record a failed run: whatever artifacts exist are flagged partial."""
     os.makedirs(out_dir, exist_ok=True)
-    present = sorted(n for n in os.listdir(out_dir)
-                     if n.endswith((".csv", ".svg")) or n == _REPORT_NAME)
-    return _write_manifest(out_dir, _config_echo(config), present,
-                           {"error": 0.0}, failed_stage=stage)
+    return _write_failed(out_dir, _config_echo(config), stage)
 
 
 def emit_report(out_dir: str) -> RunManifest:
@@ -509,17 +499,13 @@ def emit_report(out_dir: str) -> RunManifest:
     Demonstrates the single-source property: projections carry no numbers of
     their own. The manifest is refreshed with new checksums.
     """
-    path = os.path.join(out_dir, _REPORT_NAME)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"no report at {path}: {exc}") from exc
-    except ValueError as exc:  # bad UTF-8 or JSON
-        raise DataError(f"report {path} is not valid JSON: {exc}") from exc
+    report = read_json(os.path.join(out_dir, _REPORT_NAME), "report", DataError)
     validate_report(report, load_report_schema())
     t0 = time.perf_counter()
-    files = [_REPORT_NAME] + emit_projections(report, out_dir)
+    try:
+        files = [_REPORT_NAME] + emit_projections(report, out_dir)
+    except OSError as exc:  # all are built before any is written
+        raise _failed_report(out_dir, report["config"], exc)
     try:
         prior = load_manifest(out_dir)
         stage_seconds = dict(prior.get("stage_seconds", {}))

@@ -7,13 +7,12 @@ be loaded from JSON with the same field layout.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
-from math import isfinite
 
 import numpy as np
 
+from ._json import check_fields, from_mapping, read_json, write_json
 from .errors import SchemaError
 
 KINDS = ("continuous", "binary", "ordinal_score", "categorical")
@@ -39,22 +38,21 @@ class FeatureSpec:
     levels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        # a JSON row can hold any type, NaN included: refuse it up front
+        check_fields(self, SchemaError, f"feature {self.name!r}: ")
         if not self.name:
             raise SchemaError("feature name must be non-empty")
         if self.kind not in KINDS:
             raise SchemaError(f"unknown feature kind {self.kind!r} for {self.name!r}")
-        if not isinstance(self.unit, str):
-            # the report's cohort comparison carries every feature's unit
-            raise SchemaError(f"feature {self.name!r}: unit must be a string, "
-                              f"got {self.unit!r}")
+        if self.levels is not None:  # a JSON list; a frozen record hashes
+            object.__setattr__(self, "levels", tuple(self.levels))
         if self.kind == "binary":
             object.__setattr__(self, "lower", 0.0)
             object.__setattr__(self, "upper", 1.0)
         elif self.kind == "ordinal_score":
-            if self.lower is None or self.upper is None:
-                raise SchemaError(f"ordinal feature {self.name!r} needs finite lower/upper")
-            if not (isfinite(self.lower) and isfinite(self.upper) and self.lower < self.upper):
-                raise SchemaError(f"ordinal feature {self.name!r} has invalid range")
+            if self.lower is None or self.upper is None or self.lower >= self.upper:
+                raise SchemaError(f"ordinal feature {self.name!r} has invalid range: "
+                                  "it needs finite lower < upper")
             step = 1.0 if self.step is None else float(self.step)
             if step <= 0:
                 raise SchemaError(f"ordinal feature {self.name!r} has non-positive step")
@@ -67,7 +65,6 @@ class FeatureSpec:
                 raise SchemaError(f"categorical feature {self.name!r} needs levels")
             if len(set(self.levels)) != len(self.levels):
                 raise SchemaError(f"categorical feature {self.name!r} has duplicate levels")
-            object.__setattr__(self, "levels", tuple(self.levels))
             object.__setattr__(self, "lower", 0.0)
             object.__setattr__(self, "upper", float(len(self.levels) - 1))
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
@@ -108,59 +105,32 @@ def multi_level_indices(schema) -> tuple:
 
 
 def schema_to_jsonable(schema) -> list:
-    out = []
-    for s in schema:
-        row = {"name": s.name, "kind": s.kind, "unit": s.unit}
-        if s.kind == "continuous":
-            if s.lower is not None:
-                row["lower"] = s.lower
-            if s.upper is not None:
-                row["upper"] = s.upper
-        elif s.kind == "ordinal_score":
-            row.update(lower=s.lower, upper=s.upper, step=s.step)
-        elif s.kind == "categorical":
-            row["levels"] = list(s.levels)
-        out.append(row)
-    return out
+    """One object per feature, of the fields that are set."""
+    return [{k: v for k, v in asdict(s).items() if v is not None}
+            for s in schema]
 
 
 def schema_from_jsonable(rows) -> tuple:
-    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+    """A list of JSON objects whose keys are FeatureSpec's fields."""
+    if not isinstance(rows, list):
         raise SchemaError("schema must be a JSON list of feature objects")
-    specs = []
-    for i, row in enumerate(rows):
-        try:
-            specs.append(
-                FeatureSpec(
-                    name=row["name"],
-                    kind=row["kind"],
-                    unit=row.get("unit", ""),
-                    lower=row.get("lower"),
-                    upper=row.get("upper"),
-                    step=row.get("step"),
-                    levels=tuple(row["levels"]) if "levels" in row else None,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:  # e.g. a string bound
-            raise SchemaError(f"schema row {i}: missing or malformed field: {exc!r}") from exc
-    return validate_schema(specs)
+    return validate_schema(
+        from_mapping(FeatureSpec, row, f"schema row {i}", SchemaError)
+        for i, row in enumerate(rows))
 
 
 def save_schema(schema, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema_to_jsonable(schema), fh, indent=2)
-        fh.write("\n")
+    write_json(path, schema_to_jsonable(schema))
 
 
 def load_schema(path) -> tuple:
+    rows = read_json(path, "schema", SchemaError)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return schema_from_jsonable(json.load(fh))
-    except (OSError, ValueError, SchemaError) as exc:  # ValueError: bad UTF-8 or JSON
-        raise SchemaError(f"cannot read schema {path}: {exc}") from exc
+        return schema_from_jsonable(rows)
+    except SchemaError as exc:
+        raise SchemaError(f"schema {path}: {exc}") from exc
 
 
 def default_schema() -> tuple:
     """The bundled 17-feature ICU schema."""
-    text = resources.files("icurisk.data").joinpath("schema_table1.json").read_text("utf-8")
-    return schema_from_jsonable(json.loads(text))
+    return load_schema(resources.files("icurisk.data") / "schema_table1.json")

@@ -49,6 +49,21 @@ def test_a_failing_criterion_fails_under_optimize():
     assert proc.stdout.startswith("FAIL C02 published confusion-matrix rates: accuracy")
 
 
+def test_the_fast_battery_passes_with_warnings_as_errors():
+    # a warning a criterion's code path emits would turn into an exception
+    # and a FAIL line under -W error
+    src = os.path.dirname(os.path.dirname(icurisk.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "icurisk.cli",
+                           "selftest", "--fast"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    ran = [c.cid for c in CRITERIA if c.cid != "C10"]
+    assert [line.split()[:2] for line in lines if not line.startswith("SKIP")] \
+        == [["PASS", cid] for cid in ran], proc.stdout
+
+
 def test_selftest_runs_clean_up_their_directories(monkeypatch, tmp_path):
     # the end-to-end runs are stubbed out: only the directory handling runs
     from icurisk import selftest

@@ -16,7 +16,7 @@ from icurisk.cohort import load_cohort, save_cohort
 from icurisk.errors import DataError
 from icurisk.models import cv
 from icurisk.report import load_manifest, load_report_schema, validate_report
-from icurisk.schema import default_schema
+from icurisk.schema import default_schema, schema_to_jsonable
 from icurisk.synth import synth_default_cohort
 
 _SMALL = dict(seed=11, synth_n=400, top_k=6, cv_folds=3, n_bootstrap=100,
@@ -124,7 +124,8 @@ def test_report_verb_reemits(tmp_path, capsys):
     assert main(["report", "--out", out]) == 0
     assert load_manifest(out)["status"] == "complete"
     # so is a manifest of the wrong shape
-    for bad in ([], {"stage_seconds": 5}, {"stage_seconds": [1, 2]}):
+    for bad in ([], {"stage_seconds": 5}, {"stage_seconds": [1, 2]},
+                {"stage_seconds": {"report": float("nan")}}):
         with open(os.path.join(out, "manifest.json"), "w") as fh:
             json.dump(bad, fh)
         with pytest.raises(DataError, match="manifest.json"):
@@ -356,6 +357,63 @@ def test_unreadable_input_file_is_typed_with_failed_manifest(
     manifest = load_manifest(out)
     assert manifest["status"] == "failed"
     assert manifest["failed_stage"] == "dataset"
+
+
+# one edited row of the bundled schema, and the names the refusal must hold:
+# the feature and its field, or the row and its key
+@pytest.mark.parametrize("feature,edit,named", [
+    ("BUN", {"lower": "5"}, ("feature 'BUN'", "lower")),
+    ("BUN", {"uppr": 5}, ("schema row 1", "uppr")),
+    ("Braden Nutrition", {"step": True}, ("feature 'Braden Nutrition'", "step")),
+    ("BUN", {"lower": float("nan")}, ("feature 'BUN'", "lower")),
+    ("Age", {"upper": float("inf")}, ("feature 'Age'", "upper")),
+    ("BUN", {"upper": 10**400}, ("feature 'BUN'", "upper")),
+], ids=["string_bound", "unknown_key", "boolean_step", "nan_bound",
+        "infinite_bound", "integer_beyond_float_range"])
+def test_malformed_schema_row_is_exit_2_at_the_dataset_stage(
+        tmp_path, capsys, feature, edit, named):
+    rows = schema_to_jsonable(default_schema())
+    next(r for r in rows if r["name"] == feature).update(edit)
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(rows))  # NaN and Infinity as JSON allows
+    csv_path = tmp_path / "cohort.csv"
+    save_cohort(synth_default_cohort(n=400, seed=2), csv_path)
+    out = str(tmp_path / "arts")
+    cfg = _write_config(tmp_path, input_path=str(csv_path),
+                        schema_path=str(schema_path))
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "[stage:dataset]" in err and str(schema_path) in err
+    assert all(name in err for name in named), err
+    assert "Traceback" not in err
+    manifest = load_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["failed_stage"] == "dataset"
+
+
+def test_an_artifact_that_cannot_be_written_is_exit_2_with_failed_manifest(
+        tmp_path, capsys):
+    # a projection's path taken by a directory: the write fails after
+    # report.json is rewritten, so the complete manifest must not stay
+    out = tmp_path / "arts"
+    cfg = _write_config(tmp_path)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    (out / "roc_test.csv").unlink()
+    (out / "roc_test.csv").mkdir()
+    for argv in (["report", "--out", str(out)],
+                 ["run", "--config", cfg, "--seed", "12", "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+        assert "roc_test.csv" in err and "Traceback" not in err
+        manifest = load_manifest(str(out))
+        assert manifest["status"] == "failed"
+        assert manifest["failed_stage"] == "report"
+        names = {e["path"] for e in manifest["artifacts"]}
+        assert "report.json" in names and "roc_test.csv" not in names
+    with open(out / "report.json", encoding="utf-8") as fh:
+        assert json.load(fh)["config"]["seed"] == 12
 
 
 def test_schema_path_without_input_path_is_exit_2_before_any_stage(

@@ -15,8 +15,9 @@ import pytest
 from icurisk.cli import main
 from icurisk.errors import DataError
 from icurisk.pipeline import RunConfig
-from icurisk.report import (config_hash, emit_report, load_manifest,
-                            load_report_schema, validate_report,
+from icurisk.report import (build_report, config_hash, emit_report,
+                            load_manifest, load_report_schema,
+                            validate_report, write_artifacts,
                             write_failed_manifest)
 from icurisk.selftest import full_run
 
@@ -123,11 +124,32 @@ def test_failed_manifest(tmp_path):
 
 
 def test_emit_report_requires_existing_report(tmp_path):
-    with pytest.raises(DataError, match="no report"):
+    with pytest.raises(DataError, match="cannot read report"):
         emit_report(str(tmp_path))
     (tmp_path / "report.json").write_text("{broken")
     with pytest.raises(DataError, match="not valid JSON"):
         emit_report(str(tmp_path))
+
+
+def test_a_nan_anywhere_in_a_result_is_refused_typed(run_out, tmp_path):
+    # the whole report is sanitized once, so a NaN in a field that is
+    # copied as it is reaches the schema check as null and is refused there
+    result, _, _ = run_out
+    row = replace(result.benchmark[0], cv_mean_auroc=float("nan"))
+    bad = replace(result, benchmark=(row, *result.benchmark[1:]))
+    report = build_report(bad)
+    assert report["benchmark"][0]["cv_mean_auroc"] is None
+    with pytest.raises(DataError, match=r"\$\.benchmark\[0\]\.cv_mean_auroc"):
+        validate_report(report, load_report_schema())
+    # and write_artifacts leaves a failed manifest, not a complete one
+    out = tmp_path / "arts"
+    out.mkdir()
+    (out / "manifest.json").write_text('{"status": "complete"}')
+    with pytest.raises(DataError, match="cv_mean_auroc"):
+        write_artifacts(bad, str(out))
+    stored = load_manifest(str(out))
+    assert (stored["status"], stored["failed_stage"]) == ("failed", "report")
+    assert stored["config_hash"] == config_hash(result.config)
 
 
 def _pop(*path):
@@ -205,6 +227,11 @@ def _no_ale_curves(report):
     return "ale"
 
 
+def _nan_posterior_mean(report):
+    report["posterior"]["mean"] = float("nan")  # json.dumps writes NaN
+    return "$.posterior.mean"
+
+
 def _no_ablation_features(report):
     report["ablation"]["features"] = []
     return "ablation.features"
@@ -213,6 +240,12 @@ def _no_ablation_features(report):
 def _drop_first_mean_drop(report):
     name = report["ablation"]["features"][0]
     del report["ablation"]["mean_drop"][name]
+    return f"ablation.mean_drop has no entry for {name!r}"
+
+
+def _null_first_mean_drop(report):
+    name = report["ablation"]["features"][0]
+    report["ablation"]["mean_drop"][name] = None  # as a NaN is written
     return f"ablation.mean_drop has no entry for {name!r}"
 
 
@@ -244,6 +277,8 @@ _INCOMPLETE = {
     "ale_no_curves": _no_ale_curves,
     "ablation_no_features": _no_ablation_features,
     "ablation_mean_drop": _drop_first_mean_drop,
+    "ablation_mean_drop_null": _null_first_mean_drop,
+    "posterior_mean_nan": _nan_posterior_mean,
 }
 
 

@@ -26,11 +26,19 @@ def test_ordinal_requires_range_and_step():
     assert np.array_equal(s.grid(), np.arange(3.0, 16.0))
 
 
-@pytest.mark.parametrize("lower,upper", [
-    (5.0, 5.0), (10.0, 3.0), (0.0, float("inf")), (float("nan"), 10.0)])
-def test_ordinal_range_must_be_finite_and_increasing(lower, upper):
-    with pytest.raises(SchemaError,
-                       match="ordinal feature 'score' has invalid range"):
+_INVALID = "ordinal feature 'score' has invalid range"
+
+
+# a bound that is not finite is refused by the field check, which names it
+@pytest.mark.parametrize("lower,upper,message", [
+    pytest.param(5.0, 5.0, _INVALID, id="5.0-5.0"),
+    pytest.param(10.0, 3.0, _INVALID, id="10.0-3.0"),
+    pytest.param(0.0, float("inf"),
+                 "feature 'score': upper must be a finite number", id="0.0-inf"),
+    pytest.param(float("nan"), 10.0,
+                 "feature 'score': lower must be a finite number", id="nan-10.0")])
+def test_ordinal_range_must_be_finite_and_increasing(lower, upper, message):
+    with pytest.raises(SchemaError, match=message):
         FeatureSpec(name="score", kind="ordinal_score", lower=lower, upper=upper)
 
 
