@@ -111,10 +111,10 @@ def fan_out(fn, items) -> list:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError as exc:
                 os.close(read_fd)
                 os.close(write_fd)
-                raise
+                raise WorkerError(f"cannot start a worker process: {exc}") from exc
             if pid == 0:
                 os.close(read_fd)
                 _serve(write_fd, fn, items, shares[p])

@@ -13,17 +13,16 @@ warning raised as an error (python -W error) or a worker process that died.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from .cohort import save_cohort
-from .errors import (ConfigError, DataError, IcuRiskError, NumericError,
-                     OrderingError, SchemaError, WorkerError)
+from .errors import (ConfigError, DataError, NumericError, OrderingError,
+                     SchemaError, WorkerError)
 from .pipeline import RunConfig, load_run_config, run
-from .report import emit_report, write_artifacts, write_failed_manifest
+from .report import _config_echo, artifact_dir, emit_report, write_artifacts
 from .synth import synth_default_cohort
 
 
@@ -79,16 +78,6 @@ def _resolve_config(args) -> RunConfig:
     return config
 
 
-def _run_with_manifest(config: RunConfig):
-    try:
-        result = run(config)
-    except IcuRiskError as exc:
-        write_failed_manifest(config.out_dir, config,
-                              getattr(exc, "stage", "unknown"))
-        raise
-    return result, write_artifacts(result)
-
-
 def cmd_synth(args) -> int:
     table = synth_default_cohort(n=args.n, event_rate=args.event_rate,
                                  seed=args.seed,
@@ -104,11 +93,9 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args)
-    try:
-        os.makedirs(config.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create out_dir {config.out_dir}: {exc}") from exc
-    result, manifest = _run_with_manifest(config)
+    with artifact_dir(config.out_dir, _config_echo(config)):
+        result = run(config)
+    manifest = write_artifacts(result)
     win = next(r for r in result.benchmark if r.label == result.winner)
     print(f"winner: {result.winner} "
           f"(cv auroc {win.cv_mean_auroc:.3f}, test auroc {win.metrics_test.auroc:.3f})")

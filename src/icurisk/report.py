@@ -17,6 +17,7 @@ import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -132,7 +133,7 @@ def build_report(result: RunResult) -> dict:
 
 # ---------------------------------------------------------------------------
 # report schema (subset of JSON Schema: type/properties/required/items/enum,
-# and $ref to a definition under the root's $defs)
+# additionalProperties, and $ref to a definition under the root's $defs)
 
 def load_report_schema() -> dict:
     return read_json(resources.files("icurisk.data") / "report_schema.json",
@@ -173,9 +174,11 @@ def validate_report(report, schema, path="$", root=None) -> None:
         for key in schema.get("required", []):
             if key not in report:
                 raise DataError(f"{path}: missing required key {key!r}")
-        for key, sub in schema.get("properties", {}).items():
-            if key in report:
-                validate_report(report[key], sub, f"{path}.{key}", root)
+        named = schema.get("properties", {})
+        for key, value in report.items():
+            sub = named.get(key, schema.get("additionalProperties"))
+            if sub is not None:
+                validate_report(value, sub, f"{path}.{key}", root)
     if isinstance(report, list) and "items" in schema:
         for i, item in enumerate(report):
             validate_report(item, schema["items"], f"{path}[{i}]", root)
@@ -206,19 +209,27 @@ _METRIC_COLS = ("auroc", "accuracy", "f1", "sensitivity", "specificity",
                 "ppv", "npv", "threshold", "tp", "fp", "tn", "fn")
 
 
-def emit_projections(report: dict, out_dir: str) -> list:
-    """Write every CSV/SVG artifact from the report dict; returns filenames.
-    Every projection is built before any is written, so a report they
-    cannot be built from leaves the directory as it was."""
-    texts = [item for emitter in (
+def _projections(report: dict) -> list:
+    """(file name, text) of every CSV/SVG artifact of the report dict."""
+    return [item for emitter in (
         _emit_ttest, _emit_metrics, _emit_selection, _emit_roc,
         _emit_ablation, _emit_shap, _emit_ale, _emit_posterior)
         for item in emitter(report)]
+
+
+def _write_texts(out_dir: str, texts) -> list:
     for name, text in texts:
         with open(os.path.join(out_dir, name), "w", encoding="utf-8",
                   newline="") as fh:
             fh.write(text)
     return [name for name, _ in texts]
+
+
+def emit_projections(report: dict, out_dir: str) -> list:
+    """Write every CSV/SVG artifact from the report dict; returns filenames.
+    Every projection is built before any is written, so a report they
+    cannot be built from leaves the directory as it was."""
+    return _write_texts(out_dir, _projections(report))
 
 
 _TTEST_ORDER = ("train_vs_test", "survivor_vs_nonsurvivor")
@@ -437,22 +448,36 @@ def _write_manifest(out_dir: str, echo: dict, files, stage_seconds: dict,
     return m
 
 
-def _write_failed(out_dir: str, echo: dict, stage: str) -> RunManifest:
-    """A failed manifest over whatever artifact files exist."""
-    present = sorted(n for n in os.listdir(out_dir)
-                     if (n.endswith((".csv", ".svg")) or n == _REPORT_NAME)
-                     and os.path.isfile(os.path.join(out_dir, n)))
-    return _write_manifest(out_dir, echo, present, {"error": 0.0},
-                           failed_stage=stage)
-
-
-def _failed_report(out_dir: str, echo: dict, exc: Exception) -> Exception:
-    """The error to raise for exc once a failed manifest at the report stage
-    replaced the last run's; an OSError becomes a ConfigError."""
-    _write_failed(out_dir, echo, "report")
-    if isinstance(exc, OSError):
-        return ConfigError(f"cannot write artifacts to {out_dir}: {exc}")
-    return exc
+@contextmanager
+def artifact_dir(out_dir: str, echo: dict):
+    """Create out_dir and run the body that writes into it. An IcuRiskError
+    from the body leaves a failed manifest at its stage ("report" if it has
+    none) over the artifact files present, and is re-raised; an OSError
+    from the body, or from that manifest's write, is a ConfigError naming
+    out_dir. echo is the config as report.json echoes it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out_dir {out_dir}: {exc}") from exc
+    try:
+        try:
+            yield
+        except IcuRiskError:  # first: a WorkerError is an OSError too
+            raise
+        except OSError as exc:
+            raise ConfigError(f"cannot write artifacts to out_dir {out_dir}: "
+                              f"{exc}") from exc
+    except IcuRiskError as exc:
+        try:
+            present = sorted(n for n in os.listdir(out_dir)
+                             if (n.endswith((".csv", ".svg")) or n == _REPORT_NAME)
+                             and os.path.isfile(os.path.join(out_dir, n)))
+            _write_manifest(out_dir, echo, present, {"error": 0.0},
+                            failed_stage=getattr(exc, "stage", "report"))
+        except OSError as err:
+            raise ConfigError(f"cannot write a failed manifest to out_dir "
+                              f"{out_dir}: {err}; it followed: {exc}") from err
+        raise
 
 
 def load_manifest(out_dir: str) -> dict:
@@ -471,26 +496,15 @@ def load_manifest(out_dir: str) -> dict:
 def write_artifacts(result: RunResult, out_dir: str = None) -> RunManifest:
     """Emit report.json, every projection, and the manifest (written last)."""
     out = out_dir or result.config.out_dir
-    os.makedirs(out, exist_ok=True)
     echo = _config_echo(result.config)
     t0 = time.perf_counter()
-    try:
+    with artifact_dir(out, echo):
         report = build_report(result)
         validate_report(report, load_report_schema())
         write_json(os.path.join(out, _REPORT_NAME), report)
         files = [_REPORT_NAME] + emit_projections(report, out)
-    except (OSError, IcuRiskError) as exc:
-        raise _failed_report(out, echo, exc)
-    seconds = dict(result.stage_seconds)
-    seconds["report"] = time.perf_counter() - t0
-    return _write_manifest(out, echo, files, seconds)
-
-
-def write_failed_manifest(out_dir: str, config: RunConfig,
-                          stage: str) -> RunManifest:
-    """Record a failed run: whatever artifacts exist are flagged partial."""
-    os.makedirs(out_dir, exist_ok=True)
-    return _write_failed(out_dir, _config_echo(config), stage)
+        seconds = {**result.stage_seconds, "report": time.perf_counter() - t0}
+        return _write_manifest(out, echo, files, seconds)
 
 
 def emit_report(out_dir: str) -> RunManifest:
@@ -502,14 +516,12 @@ def emit_report(out_dir: str) -> RunManifest:
     report = read_json(os.path.join(out_dir, _REPORT_NAME), "report", DataError)
     validate_report(report, load_report_schema())
     t0 = time.perf_counter()
+    texts = _projections(report)  # before the guard: a failure writes nothing
     try:
-        files = [_REPORT_NAME] + emit_projections(report, out_dir)
-    except OSError as exc:  # all are built before any is written
-        raise _failed_report(out_dir, report["config"], exc)
-    try:
-        prior = load_manifest(out_dir)
-        stage_seconds = dict(prior.get("stage_seconds", {}))
+        stage_seconds = dict(load_manifest(out_dir).get("stage_seconds", {}))
     except DataError:
         stage_seconds = {}
-    stage_seconds["report"] = time.perf_counter() - t0
-    return _write_manifest(out_dir, report["config"], files, stage_seconds)
+    with artifact_dir(out_dir, report["config"]):
+        files = [_REPORT_NAME] + _write_texts(out_dir, texts)
+        stage_seconds["report"] = time.perf_counter() - t0
+        return _write_manifest(out_dir, report["config"], files, stage_seconds)

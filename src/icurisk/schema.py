@@ -26,7 +26,9 @@ class FeatureSpec:
     lower/upper are physiologic truncation bounds (None = unbounded).
     ordinal_score features must declare a finite [lower, upper] and a grid
     step; categorical features declare their level order, and values are the
-    integer codes 0..len(levels)-1.
+    integer codes 0..len(levels)-1. Binary and categorical bounds are pinned
+    to their codes: a bound left out is set, any other value refused. A step
+    is refused on any kind but ordinal_score, levels on any but categorical.
     """
 
     name: str
@@ -46,9 +48,12 @@ class FeatureSpec:
             raise SchemaError(f"unknown feature kind {self.kind!r} for {self.name!r}")
         if self.levels is not None:  # a JSON list; a frozen record hashes
             object.__setattr__(self, "levels", tuple(self.levels))
+        for field, kind in (("step", "ordinal_score"), ("levels", "categorical")):
+            if getattr(self, field) is not None and self.kind != kind:
+                raise SchemaError(f"feature {self.name!r}: {field} is only for "
+                                  f"a {kind} feature, not a {self.kind} one")
         if self.kind == "binary":
-            object.__setattr__(self, "lower", 0.0)
-            object.__setattr__(self, "upper", 1.0)
+            self._pin_bounds(1.0)
         elif self.kind == "ordinal_score":
             if self.lower is None or self.upper is None or self.lower >= self.upper:
                 raise SchemaError(f"ordinal feature {self.name!r} has invalid range: "
@@ -65,10 +70,19 @@ class FeatureSpec:
                 raise SchemaError(f"categorical feature {self.name!r} needs levels")
             if len(set(self.levels)) != len(self.levels):
                 raise SchemaError(f"categorical feature {self.name!r} has duplicate levels")
-            object.__setattr__(self, "lower", 0.0)
-            object.__setattr__(self, "upper", float(len(self.levels) - 1))
+            self._pin_bounds(float(len(self.levels) - 1))
         if self.lower is not None and self.upper is not None and self.lower > self.upper:
             raise SchemaError(f"feature {self.name!r}: lower > upper")
+
+    def _pin_bounds(self, upper: float) -> None:
+        """Bounds 0 and upper, the first and last codes of a binary or
+        categorical feature; a declared bound must be that code."""
+        for field, code in (("lower", 0.0), ("upper", upper)):
+            given = getattr(self, field)
+            if given is not None and given != code:
+                raise SchemaError(f"feature {self.name!r}: {field} of a {self.kind} "
+                                  f"feature is {code:g}, not {given!r}")
+            object.__setattr__(self, field, code)
 
     def grid(self) -> np.ndarray:
         """Legal values for a discrete feature."""

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, flag plumbing, and exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -368,8 +369,12 @@ def test_unreadable_input_file_is_typed_with_failed_manifest(
     ("BUN", {"lower": float("nan")}, ("feature 'BUN'", "lower")),
     ("Age", {"upper": float("inf")}, ("feature 'Age'", "upper")),
     ("BUN", {"upper": 10**400}, ("feature 'BUN'", "upper")),
+    ("BUN", {"step": 1}, ("feature 'BUN'", "step")),
+    ("CefePIME", {"levels": ["no", "yes"]}, ("feature 'CefePIME'", "levels")),
+    ("CefePIME", {"upper": 2}, ("feature 'CefePIME'", "upper")),
 ], ids=["string_bound", "unknown_key", "boolean_step", "nan_bound",
-        "infinite_bound", "integer_beyond_float_range"])
+        "infinite_bound", "integer_beyond_float_range", "step_on_continuous",
+        "levels_on_binary", "binary_bound_off_its_code"])
 def test_malformed_schema_row_is_exit_2_at_the_dataset_stage(
         tmp_path, capsys, feature, edit, named):
     rows = schema_to_jsonable(default_schema())
@@ -414,6 +419,57 @@ def test_an_artifact_that_cannot_be_written_is_exit_2_with_failed_manifest(
         assert "report.json" in names and "roc_test.csv" not in names
     with open(out / "report.json", encoding="utf-8") as fh:
         assert json.load(fh)["config"]["seed"] == 12
+
+
+def test_a_manifest_that_cannot_be_written_is_exit_2_naming_out_dir(
+        tmp_path, capsys):
+    # manifest.json taken by a directory: the complete manifest, and the
+    # failed one written in its place, both fail; run and report say so
+    out = tmp_path / "arts"
+    (out / "manifest.json").mkdir(parents=True)
+    for argv in (["run", "--config", _write_config(tmp_path),
+                  "--out", str(out)],
+                 ["report", "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"out_dir {out}" in err, err
+        assert "manifest.json" in err and "Traceback" not in err
+    assert (out / "report.json").is_file()
+
+
+def test_a_data_error_is_kept_when_its_failed_manifest_cannot_be_written(
+        tmp_path, capsys):
+    out = tmp_path / "arts"
+    (out / "manifest.json").mkdir(parents=True)
+    csv_path = tmp_path / "cohort.csv"
+    csv_path.write_text("age,label\n50,0\n")
+    cfg = _write_config(tmp_path, input_path=str(csv_path))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write a failed manifest to out_dir {out}" in err, err
+    assert "[stage:dataset]" in err and "does not match schema" in err
+    assert "Traceback" not in err
+
+
+def test_a_fork_that_fails_is_exit_4_with_failed_manifest(
+        tmp_path, capsys, monkeypatch):
+    # no worker process can be started, as when the process limit is
+    # reached; no real process is asked for
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = str(tmp_path / "arts")
+    assert main(["run", "--config", _write_config(tmp_path), "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert ("worker failure: [stage:models] cannot start a worker process: "
+            "[Errno 11]") in err, err
+    assert "Traceback" not in err
+    manifest = load_manifest(out)
+    assert manifest["status"] == "failed"
+    assert manifest["failed_stage"] == "models"
 
 
 def test_schema_path_without_input_path_is_exit_2_before_any_stage(

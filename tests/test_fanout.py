@@ -1,6 +1,7 @@
 """fan_out: the items of a loop spread over forked processes, with the serial
 loop's results, first error and warnings."""
 
+import errno
 import os
 import signal
 import threading
@@ -247,6 +248,29 @@ def test_a_child_that_dies_is_reported_and_the_others_reaped(monkeypatch):
 
     with pytest.raises(ChildProcessError, match="code 7"):
         fan_out(fn, range(6))
+    _no_child_left()
+
+
+def test_a_fork_that_fails_is_a_worker_error_and_the_started_child_reaped(
+        monkeypatch):
+    # the first worker starts, the second cannot: one real child at most
+    _cpus(monkeypatch, 3)
+    fork = os.fork
+    started = []
+
+    def fork_once():
+        if started:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = fork()
+        started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(WorkerError, match=r"^cannot start a worker process: "
+                                          r"\[Errno 11\]") as raised:
+        fan_out(lambda i: i, range(6))
+    assert raised.value.__cause__.errno == errno.EAGAIN
+    assert len(started) == 1
     _no_child_left()
 
 

@@ -15,10 +15,10 @@ import pytest
 from icurisk.cli import main
 from icurisk.errors import DataError
 from icurisk.pipeline import RunConfig
-from icurisk.report import (build_report, config_hash, emit_report,
-                            load_manifest, load_report_schema,
-                            validate_report, write_artifacts,
-                            write_failed_manifest)
+from icurisk.report import (_config_echo, artifact_dir, build_report,
+                            config_hash, emit_report, load_manifest,
+                            load_report_schema, validate_report,
+                            write_artifacts)
 from icurisk.selftest import full_run
 
 
@@ -115,11 +115,17 @@ def test_reemission_is_byte_identical(run_out, tmp_path):
 def test_failed_manifest(tmp_path):
     (tmp_path / "partial.csv").write_text("a,b\n1,2\n")
     cfg = RunConfig(seed=9)
-    manifest = write_failed_manifest(str(tmp_path), cfg, "models")
+    error = DataError("[stage:models] no rows")
+    error.stage = "models"
+    with pytest.raises(DataError) as raised:
+        with artifact_dir(str(tmp_path), _config_echo(cfg)):
+            raise error
+    assert raised.value is error  # re-raised as it is
     stored = load_manifest(str(tmp_path))
     assert stored["status"] == "failed"
     assert stored["failed_stage"] == "models"
-    assert manifest.checksum_of("partial.csv")
+    digest = hashlib.sha256(b"a,b\n1,2\n").hexdigest()
+    assert {"path": "partial.csv", "sha256": digest, "bytes": 8} in stored["artifacts"]
     assert stored["config_hash"] == config_hash(cfg)
 
 
@@ -249,6 +255,12 @@ def _null_first_mean_drop(report):
     return f"ablation.mean_drop has no entry for {name!r}"
 
 
+def _null_in_an_ablation_distribution(report):
+    name = report["ablation"]["features"][0]
+    report["ablation"]["distributions"][name][0] = None  # as a NaN is written
+    return f"$.ablation.distributions.{name}[0]"
+
+
 def _empty_ablation_distribution(report):
     name = report["ablation"]["features"][-1]
     report["ablation"]["distributions"][name] = []
@@ -273,6 +285,7 @@ _INCOMPLETE = {
     "roc_tpr_short": _short_roc_tpr,
     "mi_scores_short": _short_mi_scores,
     "ablation_distribution_empty": _empty_ablation_distribution,
+    "ablation_distribution_null": _null_in_an_ablation_distribution,
     "posterior_no_samples": _no_posterior_samples,
     "ale_no_curves": _no_ale_curves,
     "ablation_no_features": _no_ablation_features,

@@ -8,9 +8,38 @@ from icurisk.schema import (FeatureSpec, default_schema, load_schema,
 
 
 def test_binary_bounds_are_pinned():
-    s = FeatureSpec(name="flag", kind="binary", lower=-5.0, upper=99.0)
+    s = FeatureSpec(name="flag", kind="binary")
     assert (s.lower, s.upper) == (0.0, 1.0)
     assert np.array_equal(s.grid(), [0.0, 1.0])
+    assert FeatureSpec(name="flag", kind="binary", lower=0, upper=1.0) == s
+    for bounds, field in (({"lower": -5.0, "upper": 99.0}, "lower"),
+                          ({"upper": 99.0}, "upper")):
+        with pytest.raises(SchemaError, match=f"feature 'flag': {field} of a "
+                                              f"binary feature is"):
+            FeatureSpec(name="flag", kind="binary", **bounds)
+
+
+@pytest.mark.parametrize("fields,named", [
+    ({"kind": "continuous", "step": 1.0}, "step"),
+    ({"kind": "binary", "step": 1.0}, "step"),
+    ({"kind": "categorical", "levels": ("a", "b"), "step": 1.0}, "step"),
+    ({"kind": "continuous", "levels": ("a", "b")}, "levels"),
+    ({"kind": "binary", "levels": ("no", "yes")}, "levels"),
+    ({"kind": "ordinal_score", "lower": 0.0, "upper": 3.0, "levels": ("a",)},
+     "levels"),
+    ({"kind": "categorical", "levels": ("a", "b", "c"), "upper": 3.0}, "upper"),
+    ({"kind": "categorical", "levels": ("a", "b"), "lower": 1.0}, "lower"),
+])
+def test_a_field_that_means_nothing_for_the_kind_is_refused(fields, named):
+    with pytest.raises(SchemaError, match=f"^feature 'x': {named} "):
+        FeatureSpec(name="x", **fields)
+
+
+def test_categorical_bounds_at_their_codes_round_trip():
+    s = FeatureSpec(name="unit", kind="categorical", levels=("a", "b", "c"),
+                    lower=0, upper=2)
+    assert (s.lower, s.upper) == (0.0, 2.0)
+    assert schema_from_jsonable(schema_to_jsonable([s])) == (s,)
 
 
 def test_ordinal_requires_range_and_step():
