@@ -3,10 +3,9 @@
 ``fan_out(fn, items)`` returns ``[fn(item) for item in items]``. P is the
 number of CPUs this process may use, capped at the number of items, and the
 items are dealt to the P processes in snake order: 0, 1, ..., P-1, then
-P-1, ..., 1, 0, and again. Callers pass their items costliest first, so each
-round's costliest item goes to the process that got the cheapest one the
-round before; the shares come out about even, and the same on every run.
-Process 0 is the caller itself, which runs its own share instead of
+P-1, ..., 1, 0, and again. Callers list their items in their natural order,
+and this deal alone decides which process runs an item, the same on every
+run. Process 0 is the caller itself, which runs its own share instead of
 waiting, so no more processes are busy than there are CPUs; with P = 2, any
 three consecutive items include one of the caller's. Each child sends one
 pickle of its outcomes over a pipe and ends with ``os._exit``; results need
@@ -108,12 +107,15 @@ def fan_out(fn, items) -> list:
     children = []  # (pid, share, read end) of each child not yet reaped
     try:
         for p in range(1, procs):
-            read_fd, write_fd = os.pipe()
             try:
-                pid = os.fork()
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
             except OSError as exc:
-                os.close(read_fd)
-                os.close(write_fd)
                 raise WorkerError(f"cannot start a worker process: {exc}") from exc
             if pid == 0:
                 os.close(read_fd)

@@ -31,6 +31,6 @@ class NumericError(IcuRiskError):
 
 
 class WorkerError(IcuRiskError, ChildProcessError):
-    """A worker process could not be forked, or died before it sent its
-    results, or sent back, by type name and message, an item's exception
-    that does not pickle."""
+    """A worker process could not be started (its pipe or its fork failed),
+    or died before it sent its results, or sent back, by type name and
+    message, an item's exception that does not pickle."""

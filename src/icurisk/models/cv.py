@@ -15,8 +15,7 @@ refit inside every fold; a model config never sees statistics computed from
 its validation rows. Every config is scored on the same fold plan, and every
 config's out-of-fold score vector is retained for threshold tuning. Each
 fold is preprocessed once, then its (fold, config) fits run side by side on
-the available CPUs, in a fixed dealing order (see icurisk._fanout and
-costliest_first).
+the available CPUs (see icurisk._fanout).
 """
 
 from __future__ import annotations
@@ -69,23 +68,6 @@ class ModelSpec:
         """Ordered-statistics boosting consumes raw category codes, so the
         pipeline's global target encoding must be disabled for it."""
         return self.family == "gbdt" and bool(self.params.get("ordered_mode"))
-
-
-def _fit_cost_rank(spec: ModelSpec) -> tuple:
-    if spec.family == "gbdt":
-        return (1, -spec.params.get("depth", GbdtParams.depth))
-    return ({"mlp": 0, "logreg": 2, "gnb": 3}[spec.family],)
-
-
-def costliest_first(specs) -> list:
-    """Indices of specs in a fixed dealing order: the MLP, boosted trees by
-    depth, deepest first, then logistic regression and Gaussian NB; ties
-    keep their order. A fan_out over fits in this order deals even shares
-    (see icurisk._fanout). The order puts the cheap linear and naive Bayes
-    fits last, but it is not a ranking by cost: an MLP fit now costs less
-    than an ordered boosted-tree fit, and ranking the fits by their measured
-    cost made a run no faster."""
-    return sorted(range(len(specs)), key=lambda i: _fit_cost_rank(specs[i]))
 
 
 def downgrade_ordered(spec: ModelSpec, schema) -> ModelSpec:
@@ -202,8 +184,7 @@ class GridSearchResult:
 def cross_validate(train, grid, k: int = 5, seed: int = 0) -> GridSearchResult:
     """Score every spec in grid on one fold plan. Each fold's training and
     validation rows are imputed once for the whole grid, the folds side by
-    side; then the (fold, spec) fits run side by side in the dealing order
-    of costliest_first, each
+    side; then the (spec, fold) fits run side by side in grid order, each
     seeded from its own indices (see icurisk._fanout)."""
     grid = tuple(grid)
     if not grid:
@@ -228,8 +209,7 @@ def cross_validate(train, grid, k: int = 5, seed: int = 0) -> GridSearchResult:
         scores = predict_proba(model, val_t)
         return auroc(scores, val_t.y), scores
 
-    fits = [(cfg_i, fold_i) for cfg_i in costliest_first(grid)
-            for fold_i in range(k)]
+    fits = [(cfg_i, fold_i) for cfg_i in range(len(grid)) for fold_i in range(k)]
     fold_aurocs = np.zeros((len(grid), k))
     oof = np.zeros((len(grid), train.n))
     for (cfg_i, fold_i), (fold_auroc, scores) in zip(fits, fan_out(score, fits)):

@@ -27,8 +27,8 @@ from .explain.dream import _MIN_CHAINS, _MIN_GENERATIONS, DreamConfig
 from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
 from .models import GbdtModel, predict_proba
-from .models.cv import (ModelSpec, costliest_first, cross_validate,
-                        downgrade_ordered, fit_preprocessing, train_model)
+from .models.cv import (ModelSpec, cross_validate, downgrade_ordered,
+                        fit_preprocessing, train_model)
 from .preprocess import FittedPipeline, apply
 from .schema import default_schema, load_schema
 from .select import coverage_filter, rank_features
@@ -228,11 +228,11 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     best spec on the full training table. One fan-out (see icurisk._fanout)
     runs the posterior's DREAM sampling, which needs only the training
     table's class moments, as item 0, so in the calling process, and then
-    the refits in the dealing order of costliest_first. Train and test are
-    imputed once; a row keeps (pipeline, transformed test, model, test
-    scores). The posterior draws come last in the result, or in their place
-    the IcuRiskError that sampling raised, for the explain stage to raise
-    where it uses them: a failed refit is still raised first.
+    the refits in row order. Train and test are imputed once; a row keeps
+    (pipeline, transformed test, model, test scores). The posterior draws
+    come last in the result, or in their place the IcuRiskError that
+    sampling raised, for the explain stage to raise where it uses them: a
+    failed refit is still raised first.
     """
     declared = benchmark_grid()
     grid = tuple(downgrade_ordered(s, train.schema) for s in declared)
@@ -267,10 +267,8 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
         except IcuRiskError as exc:
             return exc
 
-    order = costliest_first(specs)
-    draws, *refitted = fan_out(lambda job: job(), [
-        sample_posterior, *(partial(refit, row_i) for row_i in order)])
-    refits = dict(zip(order, refitted))
+    draws, *refits = fan_out(lambda job: job(), [sample_posterior] + [
+        partial(refit, row_i) for row_i in range(len(specs))])
     rows = []
     fitted = {}
     for row_i, ((label, m), i) in enumerate(zip(members.items(), best)):

@@ -1,8 +1,11 @@
+import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from icurisk import _fanout
 from icurisk.cohort import CohortTable
 from icurisk.schema import FeatureSpec
 from icurisk.synth import synth_default_cohort
@@ -66,6 +69,23 @@ def wrap_everywhere(monkeypatch, original, wrapper):
         for name, value in list(vars(mod).items()):
             if value is original:
                 monkeypatch.setattr(mod, name, wrapper)
+
+
+def fail_fanout_os(monkeypatch, name, err, works=0):
+    """Make icurisk._fanout's calls to os.<name> raise OSError(err) after the
+    first `works` calls, which go through; no other module's os is touched.
+    Returns the list of what the calls that went through returned."""
+    real = getattr(os, name)
+    passed = []
+
+    def call(*args):
+        if len(passed) >= works:
+            raise OSError(err, os.strerror(err))
+        passed.append(real(*args))
+        return passed[-1]
+
+    monkeypatch.setattr(_fanout, "os", SimpleNamespace(**{**vars(os), name: call}))
+    return passed
 
 
 @pytest.fixture

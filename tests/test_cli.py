@@ -20,6 +20,8 @@ from icurisk.report import load_manifest, load_report_schema, validate_report
 from icurisk.schema import default_schema, schema_to_jsonable
 from icurisk.synth import synth_default_cohort
 
+from conftest import fail_fanout_os
+
 _SMALL = dict(seed=11, synth_n=400, top_k=6, cv_folds=3, n_bootstrap=100,
               ablation_resamples=10, shap_background=24, shap_rows=6,
               ale_top=1, posterior_chains=12, posterior_generations=300)
@@ -454,22 +456,20 @@ def test_a_data_error_is_kept_when_its_failed_manifest_cannot_be_written(
 
 def test_a_fork_that_fails_is_exit_4_with_failed_manifest(
         tmp_path, capsys, monkeypatch):
-    # no worker process can be started, as when the process limit is
-    # reached; no real process is asked for
-    def no_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
+    # no worker process can be started, as when the process limit or the
+    # open-file limit is reached; no real process is asked for
     monkeypatch.setattr(_fanout, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(os, "fork", no_fork)
-    out = str(tmp_path / "arts")
-    assert main(["run", "--config", _write_config(tmp_path), "--out", out]) == 4
-    err = capsys.readouterr().err
-    assert ("worker failure: [stage:models] cannot start a worker process: "
-            "[Errno 11]") in err, err
-    assert "Traceback" not in err
-    manifest = load_manifest(out)
-    assert manifest["status"] == "failed"
-    assert manifest["failed_stage"] == "models"
+    for call, err in (("fork", errno.EAGAIN), ("pipe", errno.EMFILE)):
+        fail_fanout_os(monkeypatch, call, err)
+        out = str(tmp_path / call)
+        assert main(["run", "--config", _write_config(tmp_path), "--out", out]) == 4
+        stderr = capsys.readouterr().err
+        assert ("worker failure: [stage:models] cannot start a worker process: "
+                f"[Errno {err}]") in stderr, stderr
+        assert "Traceback" not in stderr
+        manifest = load_manifest(out)
+        assert manifest["status"] == "failed"
+        assert manifest["failed_stage"] == "models"
 
 
 def test_schema_path_without_input_path_is_exit_2_before_any_stage(

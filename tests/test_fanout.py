@@ -16,15 +16,14 @@ from icurisk._fanout import fan_out
 from icurisk.errors import DataError, WorkerError
 from icurisk.explain import posterior
 from icurisk.explain.ablation import ablation
-from icurisk.models import predict_proba
-from icurisk.models.cv import (ModelSpec, costliest_first, cross_validate,
-                               fit_and_score)
+from icurisk.models import cv, predict_proba
+from icurisk.models.cv import ModelSpec, cross_validate, fit_and_score
 from icurisk.pipeline import _model_stage, run
 from icurisk.report import write_artifacts
 from icurisk.selftest import PROBE_CONFIG
 from icurisk.synth import synth_default_cohort
 
-from conftest import make_table
+from conftest import fail_fanout_os, make_table
 
 
 @pytest.fixture(autouse=True)
@@ -59,18 +58,13 @@ def _forked_and_serial(monkeypatch, compute, cpus=3):
     return forked, compute()
 
 
-# every model family, in no particular cost order
+# every model family
 _GRID = (ModelSpec(family="gbdt", params={"n_trees": 5, "depth": 2}),
          ModelSpec(family="gnb"),
          ModelSpec(family="gbdt", params={"ordered_mode": True, "n_trees": 5,
                                           "depth": 3}),
          ModelSpec(family="logreg", params={"C": 1.0}),
          ModelSpec(family="mlp", params={"hidden": 4, "epochs": 5}))
-
-
-def test_costliest_first_is_a_fixed_family_and_depth_order():
-    assert costliest_first(_GRID) == [4, 2, 0, 3, 1]
-    assert costliest_first(()) == []
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -122,6 +116,30 @@ def test_model_stage_rows_and_refits_forked_equal_serial(monkeypatch):
             assert np.array_equal(scores, scores_1)
             assert np.array_equal(train_scores, train_scores_1)
         _no_child_left()
+
+
+def test_fan_outs_get_their_items_in_the_order_they_are_listed(monkeypatch):
+    # no caller reorders its items: _fanout alone decides who runs which
+    received = []
+
+    def recording(fn, items):
+        received.append(list(items))
+        return fan_out(fn, received[-1])
+
+    monkeypatch.setattr(cv, "fan_out", recording)
+    monkeypatch.setattr(pipeline, "fan_out", recording)
+    _cpus(monkeypatch, 1)
+    cohort = synth_default_cohort(n=200, seed=11)
+    cohort = cohort.drop_features(cohort.feature_names[_SMALL.top_k:])
+    _model_stage(_SMALL, cohort.subset(np.arange(140)),
+                 cohort.subset(np.arange(140, 200)))
+    folds, fits, jobs = received
+    k, grid = _SMALL.cv_folds, pipeline.benchmark_grid()
+    assert len(folds) == k
+    assert fits == [(c, f) for c in range(len(grid)) for f in range(k)]
+    assert jobs[0].__name__ == "sample_posterior"
+    assert [(job.func.__name__, job.args) for job in jobs[1:]] == [
+        ("refit", (row,)) for row in range(6)]
 
 
 def test_report_bytes_equal_at_one_two_and_three_cpus(monkeypatch, tmp_path):
@@ -253,25 +271,17 @@ def test_a_child_that_dies_is_reported_and_the_others_reaped(monkeypatch):
 
 def test_a_fork_that_fails_is_a_worker_error_and_the_started_child_reaped(
         monkeypatch):
-    # the first worker starts, the second cannot: one real child at most
+    # the first worker starts; the second cannot, because its fork or its
+    # pipe fails: one real child at most
     _cpus(monkeypatch, 3)
-    fork = os.fork
-    started = []
-
-    def fork_once():
-        if started:
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        pid = fork()
-        started.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork_once)
-    with pytest.raises(WorkerError, match=r"^cannot start a worker process: "
-                                          r"\[Errno 11\]") as raised:
-        fan_out(lambda i: i, range(6))
-    assert raised.value.__cause__.errno == errno.EAGAIN
-    assert len(started) == 1
-    _no_child_left()
+    for call, err in (("fork", errno.EAGAIN), ("pipe", errno.EMFILE)):
+        started = fail_fanout_os(monkeypatch, call, err, works=1)
+        with pytest.raises(WorkerError, match=r"^cannot start a worker process: "
+                                              rf"\[Errno {err}\]") as raised:
+            fan_out(lambda i: i, range(6))
+        assert raised.value.__cause__.errno == err
+        assert len(started) == 1
+        _no_child_left()
 
 
 def test_a_killed_child_is_a_typed_error_naming_the_signal(monkeypatch):

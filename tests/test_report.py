@@ -261,6 +261,12 @@ def _null_in_an_ablation_distribution(report):
     return f"$.ablation.distributions.{name}[0]"
 
 
+def _string_dropped_auroc(report):
+    name = report["ablation"]["features"][0]
+    report["ablation"]["dropped_auroc"][name] = "high"
+    return f"$.ablation.dropped_auroc.{name}"
+
+
 def _empty_ablation_distribution(report):
     name = report["ablation"]["features"][-1]
     report["ablation"]["distributions"][name] = []
@@ -286,6 +292,7 @@ _INCOMPLETE = {
     "mi_scores_short": _short_mi_scores,
     "ablation_distribution_empty": _empty_ablation_distribution,
     "ablation_distribution_null": _null_in_an_ablation_distribution,
+    "ablation_dropped_auroc_string": _string_dropped_auroc,
     "posterior_no_samples": _no_posterior_samples,
     "ale_no_curves": _no_ale_curves,
     "ablation_no_features": _no_ablation_features,
