@@ -26,7 +26,7 @@ from .explain import (AblationReport, PosteriorRisk, ShapMatrix, ablation, ale,
 from .explain.dream import _MIN_CHAINS, _MIN_GENERATIONS, DreamConfig
 from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
-from .models import GbdtModel, predict_proba
+from .models import predict_proba
 from .models.cv import (ModelSpec, cross_validate, downgrade_ordered,
                         fit_preprocessing, train_model)
 from .preprocess import FittedPipeline, apply
@@ -154,6 +154,8 @@ def benchmark_grid() -> tuple:
 
 @dataclass(frozen=True)
 class BenchmarkRow:
+    """One benchmark row and its refit; the refit stays out of repr and ==."""
+
     label: str
     spec: ModelSpec
     grid_size: int
@@ -162,7 +164,11 @@ class BenchmarkRow:
     threshold: float
     metrics_train: MetricReport
     metrics_test: MetricReport
-    notes: tuple = field(default=())
+    notes: tuple
+    pipeline: FittedPipeline = field(repr=False, compare=False)
+    test_table: CohortTable = field(repr=False, compare=False)  # transformed
+    model: object = field(repr=False, compare=False)
+    test_scores: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -175,7 +181,7 @@ class RunResult:
     test: CohortTable
     filter_report: list
     ranking: object
-    benchmark: list                 # BenchmarkRow, Table-5 row order
+    benchmark: list                 # BenchmarkRow with its refit, Table-5 order
     winner: str                     # label of the best row by CV AUROC
     shap_model_label: str
     roc: tuple                      # (fpr, tpr, thresholds) on test, winner
@@ -228,9 +234,8 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     best spec on the full training table. One fan-out (see icurisk._fanout)
     runs the posterior's DREAM sampling, which needs only the training
     table's class moments, as item 0, so in the calling process, and then
-    the refits in row order. Train and test are imputed once; a row keeps
-    (pipeline, transformed test, model, test scores). The posterior draws
-    come last in the result, or in their place the IcuRiskError that
+    the refits in row order. Train and test are imputed once. The posterior
+    draws come last in the result, or in their place the IcuRiskError that
     sampling raised, for the explain stage to raise where it uses them: a
     failed refit is still raised first.
     """
@@ -270,7 +275,6 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
     draws, *refits = fan_out(lambda job: job(), [sample_posterior] + [
         partial(refit, row_i) for row_i in range(len(specs))])
     rows = []
-    fitted = {}
     for row_i, ((label, m), i) in enumerate(zip(members.items(), best)):
         notes = () if grid[i] == declared[i] else (
             "ordered encoding disabled: no multi-level discrete features",)
@@ -284,37 +288,29 @@ def _model_stage(config: RunConfig, train: CohortTable, test: CohortTable):
             cv_mean_auroc=float(search.mean_auroc[i]),
             cv_sd_auroc=float(search.sd_auroc[i]),
             threshold=threshold, metrics_train=m_train, metrics_test=m_test,
-            notes=notes))
-        fitted[label] = (pipe, test_t, model, test_scores)
-    winner = max(rows, key=lambda r: r.cv_mean_auroc).label
-    tree_rows = [r.label for r in rows if r.spec.family == "gbdt"]
-    shap_label = winner if winner in tree_rows else (tree_rows[0] if tree_rows else winner)
-    return rows, fitted, winner, shap_label, draws
+            notes=notes, pipeline=pipe, test_table=test_t, model=model,
+            test_scores=test_scores))
+    return rows, draws
 
 
-def _explain_stage(config: RunConfig, result_rows, fitted, winner, shap_label,
-                   train, test, ranking, draws):
-    win_row = next(r for r in result_rows if r.label == winner)
-    pipe, _, model, test_scores = fitted[winner]
-    predictor = Predictor(schema=train.schema, pipeline=pipe, model=model)
+def _explain_stage(config: RunConfig, win: BenchmarkRow,
+                   explained: BenchmarkRow, train, test, ranking, draws):
+    predictor = Predictor(train.schema, win.pipeline, win.model)
 
-    abl = ablation(win_row.spec, train, test, test_scores,
+    abl = ablation(win.spec, train, test, win.test_scores,
                    n_resamples=config.ablation_resamples,
                    seed=derive_int(config.seed, "ablation"))
 
-    shap_pipe, shap_test, shap_model, _ = fitted[shap_label]
-    if not isinstance(shap_model, GbdtModel):
-        raise DataError("no boosted-tree row available for attribution")
     rng = derive_rng(config.seed, "shap")
     bg_rows = rng.permutation(train.n)[: config.shap_background]
     fg_rows = np.sort(rng.permutation(test.n)[: config.shap_rows])
-    shap = shap_tree(shap_model, shap_test.subset(fg_rows),
-                     shap_pipe.fitted_table.subset(bg_rows))
+    shap = shap_tree(explained.model, explained.test_table.subset(fg_rows),
+                     explained.pipeline.fitted_table.subset(bg_rows))
 
     # ALE on raw measurement scale through the full predictor; the winner's
     # imputer fills other columns, the curve feature itself must be observed
     ranked = [n for n in ranking.selected if n in train.feature_names]
-    curves = [ale(predictor, pipe.imputed_table, name)
+    curves = [ale(predictor, win.pipeline.imputed_table, name)
               for name in ranked[: config.ale_top]]
 
     if isinstance(draws, IcuRiskError):
@@ -349,23 +345,24 @@ def run(config: RunConfig) -> RunResult:
     cohort, train_raw, test_raw = staged("dataset", _load_stage, config)
     train, test, filter_report, ranking = staged(
         "select", _select_stage, config, train_raw, test_raw)
-    rows, fitted, winner, shap_label, draws = staged(
-        "models", _model_stage, config, train, test)
+    rows, draws = staged("models", _model_stage, config, train, test)
+    win = max(rows, key=lambda r: r.cv_mean_auroc)
+    # Shapley values need a tree row: the winner, else the first tree row
+    explained = next(r for r in (win, *rows) if r.spec.family == "gbdt")
 
     def _eval():
-        win_scores = fitted[winner][3]
-        roc = roc_curve(win_scores, test.y)
+        roc = roc_curve(win.test_scores, test.y)
         return roc, compare_cohorts(train, test), _outcome_ttest(cohort)
 
     roc, ttest_split, ttest_outcome = staged("eval", _eval)
     abl, shap, fg_rows, curves, posterior, predictor = staged(
-        "explain", _explain_stage, config, rows, fitted, winner, shap_label,
-        train, test, ranking, draws)
+        "explain", _explain_stage, config, win, explained, train, test,
+        ranking, draws)
 
     return RunResult(
         config=config, cohort=cohort, train=train, test=test,
         filter_report=filter_report, ranking=ranking, benchmark=rows,
-        winner=winner, shap_model_label=shap_label, roc=roc,
+        winner=win.label, shap_model_label=explained.label, roc=roc,
         ttest_split=ttest_split, ttest_outcome=ttest_outcome,
         ablation_report=abl, shap=shap, shap_row_ids=fg_rows,
         ale_curves=curves, posterior=posterior, predictor=predictor,

@@ -169,6 +169,8 @@ def synth_cohort(summary, n, event_rate, missing_rates=None, seed=0) -> CohortTa
         raise ConfigError(f"n must be at least 10, got {n}")
     if not 0.0 < event_rate < 1.0:
         raise ConfigError(f"event_rate must be in (0, 1), got {event_rate}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     missing_rates = dict(missing_rates or {})
     for name, rate in missing_rates.items():
         if not 0.0 <= rate < 1.0:

@@ -5,7 +5,9 @@ fields of the fitted imputer, so renaming either here breaks only the
 benchmark's traced run unless these tests catch it first. It counts only
 the calling process, so a layer that runs only in forked workers reads
 zero there too. The serving workload calls the fitted Predictor and
-shap_tree once per request; a short serving session checks that path.
+shap_tree once per request; a short serving session checks that path. The
+report phase reads the winner's row off each RunResult; one report checks
+that a correct run is not counted as a failed operation.
 """
 
 import collections
@@ -81,3 +83,11 @@ def test_a_short_serving_session_answers_every_request(workloads, tmp_path):
                                     seconds=0, min_requests=20)
     assert outcome.attempted == 20
     assert outcome.failures == []
+
+
+def test_one_report_phase_is_correct(workloads, tmp_path):
+    workload = workloads.WORKLOADS["score_patients"]
+    inputs = workloads.make_inputs(workload, 3, str(tmp_path))
+    outcome = workloads.report_phase(workload, 3, inputs, str(tmp_path), seconds=0)
+    assert outcome.failures == []
+    assert len(outcome.extra["winner_test_auroc"]) == 1

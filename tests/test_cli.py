@@ -489,3 +489,10 @@ def test_synth_to_a_missing_directory_is_exit_2(tmp_path, capsys):
     assert main(["synth", "--n", "50", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and out in err
+
+
+def test_synth_with_a_negative_seed_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["synth", "--seed", "-1", "--n", "50", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err and not out.exists()

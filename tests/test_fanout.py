@@ -91,12 +91,12 @@ _SMALL = replace(PROBE_CONFIG, synth_n=200, cv_folds=2, n_bootstrap=50,
 
 
 def _model_stage_outputs(train, test):
-    """Rows bit for bit (repr round-trips every float), winner labels, the
-    posterior draws, and each refit's test and training scores."""
-    rows, fitted, winner, shap_label, draws = _model_stage(_SMALL, train, test)
-    return (repr(rows), winner, shap_label, draws.draws.tobytes(),
-            [(label, scores, predict_proba(model, pipe.fitted_table))
-             for label, (pipe, _, model, scores) in fitted.items()])
+    """Rows bit for bit (repr round-trips every float), the posterior draws,
+    and each row's test and training scores."""
+    rows, draws = _model_stage(_SMALL, train, test)
+    return (repr(rows), draws.draws.tobytes(),
+            [(r.label, r.test_scores,
+              predict_proba(r.model, r.pipeline.fitted_table)) for r in rows])
 
 
 def test_model_stage_rows_and_refits_forked_equal_serial(monkeypatch):
@@ -108,10 +108,10 @@ def test_model_stage_rows_and_refits_forked_equal_serial(monkeypatch):
     for cpus in (2, 3):
         _cpus(monkeypatch, cpus)
         forked = _model_stage_outputs(train, test)
-        assert forked[:4] == serial[:4]
-        assert len(forked[4]) == len(serial[4]) == 6
+        assert forked[:2] == serial[:2]
+        assert len(forked[2]) == len(serial[2]) == 6
         for (label, scores, train_scores), (label_1, scores_1, train_scores_1) in zip(
-                forked[4], serial[4]):
+                forked[2], serial[2]):
             assert label == label_1
             assert np.array_equal(scores, scores_1)
             assert np.array_equal(train_scores, train_scores_1)

@@ -11,7 +11,8 @@ import pytest
 from icurisk import pipeline, preprocess
 from icurisk.cohort import save_cohort
 from icurisk.errors import ConfigError, DataError
-from icurisk.models import cv
+from icurisk.metrics import auroc, roc_curve
+from icurisk.models import cv, predict_proba
 from icurisk.models.cv import ModelSpec
 from icurisk.pipeline import (RunConfig, load_run_config, run,
                               run_config_from_jsonable)
@@ -167,7 +168,7 @@ def test_a_row_tie_goes_to_its_first_spec(monkeypatch):
     table = make_table(120, seed=7, informative=True)
     train, test = table.subset(np.arange(80)), table.subset(np.arange(80, 120))
     config = _small_config(cv_folds=3, n_bootstrap=20)
-    rows, _, _, _, _ = pipeline._model_stage(config, train, test)
+    rows, _ = pipeline._model_stage(config, train, test)
     assert [(r.label, r.grid_size) for r in rows] == [("nb", 2), ("lr", 1)]
     assert rows[0].spec is first
 
@@ -191,6 +192,21 @@ def test_winner_is_the_cv_argmax(small_run):
         assert small_run.shap_model_label == small_run.winner
     else:
         assert small_run.shap_model_label in tree_labels
+
+
+def test_every_row_keeps_its_refit(small_run):
+    # each row's model scores its own transformed test table, and the run's
+    # ROC and predictor are the winner row's
+    for row in small_run.benchmark:
+        assert np.array_equal(predict_proba(row.model, row.test_table),
+                              row.test_scores)
+        assert auroc(row.test_scores, small_run.test.y) == row.metrics_test.auroc
+        assert "array" not in repr(row)
+    [win] = [r for r in small_run.benchmark if r.label == small_run.winner]
+    for got, expected in zip(small_run.roc,
+                             roc_curve(win.test_scores, small_run.test.y)):
+        assert np.array_equal(got, expected)
+    assert small_run.predictor.model is win.model
 
 
 def test_stage_timings_cover_the_run(small_run):

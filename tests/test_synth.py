@@ -144,3 +144,5 @@ def test_config_validation():
         synth_cohort(reference_summary(), 100, 0.0)
     with pytest.raises(ConfigError):
         synth_cohort(reference_summary(), 100, 0.2, {"BUN": 1.5})
+    with pytest.raises(ConfigError, match="non-negative integer, got -1"):
+        synth_cohort(reference_summary(), 100, 0.2, seed=-1)
