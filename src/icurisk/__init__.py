@@ -33,8 +33,8 @@ from .pipeline import (BenchmarkRow, RunConfig, RunResult, load_run_config,
                        run)
 from .preprocess import (ClassWeights, FittedPipeline, PipelineConfig, apply,
                          class_weights, fit_pipeline)
-from .report import (RunManifest, build_report, emit_projections, emit_report,
-                     load_manifest, validate_report, write_artifacts)
+from .report import (RunManifest, build_report, emit_report, load_manifest,
+                     validate_report, write_artifacts)
 from .schema import FeatureSpec, default_schema, load_schema, save_schema
 from .select import coverage_filter, mutual_information, rank_features
 from .synth import synth_cohort, synth_default_cohort
@@ -66,6 +66,6 @@ __all__ = [
     "posterior_risk_inputs", "PosteriorRisk",
     # orchestration
     "RunConfig", "RunResult", "BenchmarkRow", "run", "load_run_config",
-    "build_report", "validate_report", "write_artifacts", "emit_projections",
-    "emit_report", "RunManifest", "load_manifest",
+    "build_report", "validate_report", "write_artifacts", "emit_report",
+    "RunManifest", "load_manifest",
 ]

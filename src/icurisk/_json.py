@@ -22,12 +22,14 @@ def read_json(path, what: str, error: type):
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def write_json(path, document) -> None:
-    """Sorted keys, indent 1 and no NaN, so equal documents give equal
-    bytes; a document that cannot be serialized leaves the file alone."""
-    text = json.dumps(document, indent=1, sort_keys=True, allow_nan=False)
+def write_json(path, document) -> bytes:
+    """Sorted keys, indent 1 and no NaN, so equal documents give equal bytes
+    (returned); a document that cannot be serialized leaves the file alone."""
+    data = json.dumps(document, indent=1, sort_keys=True,
+                      allow_nan=False).encode("utf-8") + b"\n"
     with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8") + b"\n")
+        fh.write(data)
+    return data
 
 
 def is_number(value) -> bool:

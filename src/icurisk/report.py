@@ -17,7 +17,7 @@ import os
 import re
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -217,19 +217,18 @@ def _projections(report: dict) -> list:
         for item in emitter(report)]
 
 
-def _write_texts(out_dir: str, texts) -> list:
+def _record(written: list, name: str, data: bytes) -> None:
+    """List a file of the run as (name, sha256, bytes) from the bytes in hand."""
+    written.append((name, hashlib.sha256(data).hexdigest(), len(data)))
+
+
+def _write_texts(out_dir: str, texts, written: list) -> None:
+    """Write each (name, text) as UTF-8, no newline translation, and list it."""
     for name, text in texts:
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(text)
-    return [name for name, _ in texts]
-
-
-def emit_projections(report: dict, out_dir: str) -> list:
-    """Write every CSV/SVG artifact from the report dict; returns filenames.
-    Every projection is built before any is written, so a report they
-    cannot be built from leaves the directory as it was."""
-    return _write_texts(out_dir, _projections(report))
+        data = text.encode("utf-8")
+        with open(os.path.join(out_dir, name), "wb") as fh:
+            fh.write(data)
+        _record(written, name, data)
 
 
 _TTEST_ORDER = ("train_vs_test", "survivor_vs_nonsurvivor")
@@ -404,12 +403,6 @@ class RunManifest:
         raise KeyError(name)
 
 
-def _sha256(path) -> tuple:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return hashlib.sha256(data).hexdigest(), len(data)
-
-
 def _echo_hash(echo: dict) -> str:
     """sha256 of a config echo (the report's "config" section)."""
     blob = json.dumps(echo, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -431,15 +424,13 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out_dir: str, echo: dict, files, stage_seconds: dict,
+def _write_manifest(out_dir: str, echo: dict, written, stage_seconds: dict,
                     failed_stage: str = None) -> RunManifest:
-    """Checksum files (names inside out_dir) and write manifest.json."""
+    """Write manifest.json over the (name, sha256, bytes) files the run wrote."""
     m = RunManifest(
         config_hash=_echo_hash(echo),
         status="failed" if failed_stage else "complete",
-        failed_stage=failed_stage,
-        artifacts=tuple((name, *_sha256(os.path.join(out_dir, name)))
-                        for name in files),
+        failed_stage=failed_stage, artifacts=tuple(written),
         versions=_versions(), stage_seconds=stage_seconds)
     payload = {**asdict(m), "format_version": 1,
                "artifacts": [{"path": p, "sha256": s, "bytes": b}
@@ -450,18 +441,23 @@ def _write_manifest(out_dir: str, echo: dict, files, stage_seconds: dict,
 
 @contextmanager
 def artifact_dir(out_dir: str, echo: dict):
-    """Create out_dir and run the body that writes into it. An IcuRiskError
-    from the body leaves a failed manifest at its stage ("report" if it has
-    none) over the artifact files present, and is re-raised; an OSError
-    from the body, or from that manifest's write, is a ConfigError naming
-    out_dir. echo is the config as report.json echoes it."""
+    """Create out_dir, remove its manifest (a directory without one is
+    incomplete) and run the body, yielding the list it records each file it
+    writes in (_record). An IcuRiskError from the body leaves a failed
+    manifest at its stage ("report" if it has none) over that list and is
+    re-raised; an OSError from the body, or from that manifest's write, is
+    a ConfigError naming out_dir. echo is the config report.json echoes."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create out_dir {out_dir}: {exc}") from exc
+    written = []
     try:
         try:
-            yield
+            # none yet, or a directory that the manifest's own write refuses
+            with suppress(FileNotFoundError, IsADirectoryError):
+                os.unlink(os.path.join(out_dir, _MANIFEST_NAME))
+            yield written
         except IcuRiskError:  # first: a WorkerError is an OSError too
             raise
         except OSError as exc:
@@ -469,10 +465,7 @@ def artifact_dir(out_dir: str, echo: dict):
                               f"{exc}") from exc
     except IcuRiskError as exc:
         try:
-            present = sorted(n for n in os.listdir(out_dir)
-                             if (n.endswith((".csv", ".svg")) or n == _REPORT_NAME)
-                             and os.path.isfile(os.path.join(out_dir, n)))
-            _write_manifest(out_dir, echo, present, {"error": 0.0},
+            _write_manifest(out_dir, echo, written, {"error": 0.0},
                             failed_stage=getattr(exc, "stage", "report"))
         except OSError as err:
             raise ConfigError(f"cannot write a failed manifest to out_dir "
@@ -498,20 +491,22 @@ def write_artifacts(result: RunResult, out_dir: str = None) -> RunManifest:
     out = out_dir or result.config.out_dir
     echo = _config_echo(result.config)
     t0 = time.perf_counter()
-    with artifact_dir(out, echo):
+    with artifact_dir(out, echo) as written:
         report = build_report(result)
         validate_report(report, load_report_schema())
-        write_json(os.path.join(out, _REPORT_NAME), report)
-        files = [_REPORT_NAME] + emit_projections(report, out)
+        _record(written, _REPORT_NAME,
+                write_json(os.path.join(out, _REPORT_NAME), report))
+        _write_texts(out, _projections(report), written)
         seconds = {**result.stage_seconds, "report": time.perf_counter() - t0}
-        return _write_manifest(out, echo, files, seconds)
+        return _write_manifest(out, echo, written, seconds)
 
 
 def emit_report(out_dir: str) -> RunManifest:
     """Re-derive every CSV/SVG projection from an existing report.json.
 
     Demonstrates the single-source property: projections carry no numbers of
-    their own. The manifest is refreshed with new checksums.
+    their own. The manifest is refreshed with new checksums; report.json is
+    listed as it is on disk, never rewritten.
     """
     report = read_json(os.path.join(out_dir, _REPORT_NAME), "report", DataError)
     validate_report(report, load_report_schema())
@@ -521,7 +516,9 @@ def emit_report(out_dir: str) -> RunManifest:
         stage_seconds = dict(load_manifest(out_dir).get("stage_seconds", {}))
     except DataError:
         stage_seconds = {}
-    with artifact_dir(out_dir, report["config"]):
-        files = [_REPORT_NAME] + _write_texts(out_dir, texts)
+    with artifact_dir(out_dir, report["config"]) as written:
+        with open(os.path.join(out_dir, _REPORT_NAME), "rb") as fh:
+            _record(written, _REPORT_NAME, fh.read())
+        _write_texts(out_dir, texts, written)
         stage_seconds["report"] = time.perf_counter() - t0
-        return _write_manifest(out_dir, report["config"], files, stage_seconds)
+        return _write_manifest(out_dir, report["config"], written, stage_seconds)

@@ -454,6 +454,22 @@ def test_a_data_error_is_kept_when_its_failed_manifest_cannot_be_written(
     assert "Traceback" not in err
 
 
+def test_a_failed_rerun_lists_no_file_of_the_run_before(tmp_path, capsys):
+    out = tmp_path / "arts"
+    assert main(["run", "--config", _write_config(tmp_path),
+                 "--out", str(out)]) == 0
+    csv_path = tmp_path / "cohort.csv"
+    csv_path.write_text("age,label\n50,0\n")
+    cfg = _write_config(tmp_path, input_path=str(csv_path))
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "[stage:dataset]" in capsys.readouterr().err
+    manifest = load_manifest(str(out))
+    assert (manifest["status"], manifest["failed_stage"]) == ("failed", "dataset")
+    assert manifest["artifacts"] == []
+    assert (out / "report.json").is_file()  # left on disk, unlisted
+
+
 def test_a_fork_that_fails_is_exit_4_with_failed_manifest(
         tmp_path, capsys, monkeypatch):
     # no worker process can be started, as when the process limit or the

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+from icurisk import report as report_module
 from icurisk.cli import main
 from icurisk.errors import DataError
 from icurisk.pipeline import RunConfig
@@ -124,9 +125,37 @@ def test_failed_manifest(tmp_path):
     stored = load_manifest(str(tmp_path))
     assert stored["status"] == "failed"
     assert stored["failed_stage"] == "models"
-    digest = hashlib.sha256(b"a,b\n1,2\n").hexdigest()
-    assert {"path": "partial.csv", "sha256": digest, "bytes": 8} in stored["artifacts"]
+    # a file the run did not write stays on disk, unlisted
+    assert (tmp_path / "partial.csv").read_text() == "a,b\n1,2\n"
+    assert stored["artifacts"] == []
     assert stored["config_hash"] == config_hash(cfg)
+
+
+def test_no_manifest_stands_while_a_run_writes(run_out, tmp_path):
+    result, _, out = run_out
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    with artifact_dir(str(clone), _config_echo(result.config)):
+        assert not (clone / "manifest.json").exists()
+
+
+def test_a_run_stopped_after_its_report_leaves_no_manifest(
+        run_out, tmp_path, monkeypatch):
+    # the complete manifest of the run before must not vouch for the new
+    # report.json
+    result, _, out = run_out
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    (clone / "report.json").unlink()
+
+    def interrupted(report):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(report_module, "_projections", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_artifacts(result, str(clone))
+    assert (clone / "report.json").is_file()
+    assert not (clone / "manifest.json").exists()
 
 
 def test_emit_report_requires_existing_report(tmp_path):
