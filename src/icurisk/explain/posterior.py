@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..cohort import CohortSummary
 from ..errors import ConfigError
@@ -93,6 +92,8 @@ def posterior_draws(summary: CohortSummary,
     """Feature vectors drawn from non-survivor priors by DREAM, thinned to
     at most _EVAL_DRAW_CAP. The priors are the summary's class-1 moments,
     which must be finite for every feature."""
+    from scipy.special import ndtr
+
     schema = summary.schema
     means, sds = summary.mean[1], summary.sd[1]
     finite = np.isfinite(means) & np.isfinite(sds)

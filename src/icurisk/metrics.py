@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 from math import nan, sqrt
 
 import numpy as np
-from scipy.special import stdtr
 
 from ._rng import derive_rng
 from .errors import ConfigError, DataError
@@ -272,6 +271,8 @@ class WelchResult:
 
 def welch_t(m1, s1, n1, m2, s2, n2) -> WelchResult:
     """Two-sided Welch t-test from summary statistics (sample sds)."""
+    from scipy.special import stdtr
+
     if n1 < 2 or n2 < 2:
         raise DataError("welch_t needs n >= 2 in both groups")
     if s1 < 0 or s2 < 0:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from math import exp, log, log1p, pi, sqrt
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._rng import derive_rng
 from .cohort import CohortSummary, CohortTable
@@ -81,6 +80,8 @@ _LOG_SQRT_2PI = 0.5 * log(2.0 * pi)
 def _std_truncnorm_mean(a, b):
     """Mean of a standard normal truncated to [a, b], a < b (either may be
     infinite): (phi(a) - phi(b)) / (Phi(b) - Phi(a))."""
+    from scipy.special import log_ndtr, ndtr
+
     if a > 0.0:  # upper tail: Phi(b) - Phi(a) would cancel, so reflect
         return -_std_truncnorm_mean(-b, -a)
     if b < 0.0:  # lower tail: in logs, so masses far out do not underflow
@@ -134,6 +135,8 @@ def recalibrated_loc(target_mean, sd, lower, upper):
 def _sample_truncnorm(rng, loc, sd, lower, upper, size):
     """Inverse-CDF draws from Normal(loc, sd) truncated to [lower, upper].
     loc/sd may be arrays broadcast against size."""
+    from scipy.special import ndtr, ndtri
+
     lo = -np.inf if lower is None else lower
     hi = np.inf if upper is None else upper
     alpha, beta = (lo - loc) / sd, (hi - loc) / sd
