@@ -21,12 +21,14 @@ but (a, b), so one table per depth, of shape (depth, 4**depth), holds them
 for every slot and every column (a << depth) | b, with 0 for dummy slots and
 dead codes.
 
-shap_tree counts background rows per (leaf, code) once per (model,
-background). For an explained row it keeps the live pairs, those whose
-background code together with the row's code at that leaf covers every
-slot, and gathers each one's column of the table times the pair's weight
-(background count times leaf value), so per-row work does not grow with the
-background and involves no per-row weight arithmetic. The prepared
+shap_tree folds the background into one table per (model, background):
+its row (leaf << depth) | a holds, per slot, the leaf's value times the sum
+over background codes b of the row count with code b times the (a, b)
+column of the table above. The weights are summed as integers, scaled by
+depth!, so the table is exact up to the one product with the leaf value.
+An explained row then costs one pass for its codes, one gather of one
+table row per leaf and one bincount of those into its features: per-row
+work is leaves * depth whatever the background's size. The prepared
 background is kept for the next call, keyed on the model and a copy of the
 background's contents, until a call brings another model or background, so
 a server explaining one patient per request against a fixed background pays
@@ -152,41 +154,44 @@ def _path_codes(forest, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Background:
-    """A background summarized for one model: every (leaf, code) pair that
-    some background row reaches, code being the leaf's slots the row
-    satisfies."""
+    """A background summarized for one model: row (leaf << depth) | a of
+    table holds, per slot, what a row with code a at that leaf gets from
+    the whole background, in units of 1 / depth!."""
 
-    leaf: np.ndarray         # (pairs,) leaf index
-    code: np.ndarray         # (pairs,) slot code
-    weight: np.ndarray       # (pairs,) background row count * leaf value
-    feat: np.ndarray         # (depth, pairs) feature of each slot
+    table: np.ndarray        # (leaves * 2**depth, depth)
     base_value: float        # mean margin over the background
     size: int                # background rows
 
 
 def _prepare_background(model: GbdtModel, background) -> _Background:
-    """Count the background rows per (leaf, code) of the model's forest;
-    background is the model-width matrix before category encoding."""
+    """Fold the background rows into the model's per-leaf contribution
+    table; background is the model-width matrix before category encoding."""
     Z = encode_columns(model.lookup, background)
     if not np.isfinite(Z).all():
         raise DataError("shap_tree needs finite rows and background")
     forest = model.forest
     depth = forest.depth
-    full = (1 << depth) - 1
-    # leaves go in blocks so the dense count stays small at any depth
+    n_codes = 1 << depth
+    # depth! times a signed weight is an integer, and so is every sum of
+    # such integers times row counts: the matrix product below is exact in
+    # any order of addition. w[b, a * depth + s] is slot s's weight for a
+    # row code a against a background code b.
+    w = np.rint(_signed_weights(depth) * factorial(depth))
+    w = w.reshape(depth, n_codes, n_codes).transpose(2, 1, 0).reshape(n_codes, -1)
     zc = _path_codes(forest, Z)
-    pairs = []
-    step = max(1, _CHUNK >> depth)
-    for start in range(0, zc.shape[0], step):
+    n_leaves = zc.shape[0]
+    table = np.empty((n_leaves * n_codes, depth))
+    # leaves go in blocks so the dense count and its product stay small
+    step = max(1, _CHUNK // (n_codes * depth))
+    for start in range(0, n_leaves, step):
         part = zc[start:start + step]
         key = part + (np.arange(part.shape[0]) << depth)[:, None]
         count = np.bincount(key.ravel(), minlength=part.shape[0] << depth)
-        at = np.flatnonzero(count)
-        pairs.append(((at >> depth) + start, at & full, count[at]))
-    leaf, code, count = (np.concatenate(p) for p in zip(*pairs))
-    return _Background(leaf=leaf, code=code,
-                       weight=count * forest.leaf_value[leaf],
-                       feat=forest.slot_feat[:, leaf],
+        block = count.reshape(-1, n_codes).astype(float) @ w
+        block *= forest.leaf_value[start:start + step, None]
+        table[start * n_codes:(start + part.shape[0]) * n_codes] = (
+            block.reshape(-1, depth))
+    return _Background(table=table,
                        base_value=float(model_margin(model, background).mean()),
                        size=background.shape[0])
 
@@ -233,27 +238,22 @@ def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
     if not np.isfinite(X).all():
         raise DataError("shap_tree needs finite rows and background")
     bg = _prepared(model, Z)
-    full = (1 << depth) - 1
-    tab = _signed_weights(depth)
-    leaf, b = bg.leaf, bg.code
-
     n, d = X.shape
-    phi = np.zeros((n, d))
-    step = max(1, _CHUNK // (leaf.size * depth))
+    n_leaves = forest.leaf_value.size
+    first = np.arange(n_leaves) << depth                 # each leaf's table rows
+    feat = forest.slot_feat.T                            # (leaves, depth)
+    phi = np.empty((n, d))
+    step = max(1, _CHUNK // (n_leaves * depth))
     for start in range(0, n, step):
-        # (rows, pairs) codes of the rows, as intp: a << depth would
-        # overflow their uint8; np.take gathers faster than fancy indexing
-        a = np.take(_path_codes(forest, X[start:start + step]), leaf,
-                    axis=0).T.astype(np.intp)
-        live = np.flatnonzero((a | b) == full)
-        r, p = np.divmod(live, leaf.size)                # row and pair
-        key = (np.take(a, live) << depth) | np.take(b, p)
-        contrib = np.take(tab, key, axis=1) * np.take(bg.weight, p)
+        # (rows, leaves, depth) contributions of each row's codes
+        a = _path_codes(forest, X[start:start + step]).T
+        contrib = np.take(bg.table, first + a, axis=0)
         rows_in = a.shape[0]
-        cell = r * d + np.take(bg.feat, p, axis=1)       # (depth, live)
+        cell = (np.arange(rows_in) * d)[:, None, None] + feat
         phi[start:start + rows_in] = np.bincount(
             cell.ravel(), weights=contrib.ravel(),
             minlength=rows_in * d).reshape(rows_in, d)
-    values = model.params.learning_rate * phi / bg.size
+    values = (model.params.learning_rate * phi
+              / (bg.size * factorial(depth)))
     return ShapMatrix(values=values, base_value=bg.base_value,
                       feature_names=tuple(model.feature_names_))

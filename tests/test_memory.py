@@ -7,10 +7,12 @@ import numpy as np
 
 from icurisk.cohort import summarize
 from icurisk.explain.ablation import ablation
+from icurisk.explain import shapley
 from icurisk.explain.dream import DreamConfig, split_rhat
 from icurisk.explain.posterior import posterior_draws
 from icurisk.metrics import bootstrap_auroc_ci
 from icurisk.models.cv import ModelSpec, fit_and_score
+from icurisk.models.gbdt import GbdtParams, train_gbdt
 from icurisk.preprocess import fit_imputer, impute
 from icurisk.synth import synth_default_cohort
 
@@ -79,3 +81,19 @@ def test_posterior_draws_hold_no_chains():
     assert draws.draws.shape[0] == 4000 and draws.draws.base is None
     assert all(getattr(v, "ndim", 0) < 3 for v in vars(draws).values())
     assert held < kept_chains / 4
+
+
+def test_prepared_shap_background_is_no_larger_than_its_pairs():
+    # the serving benchmark's shape: depth 3, 100 trees, 128 background
+    # rows. Summarized as its (leaf, code) pairs, the background held a
+    # leaf index, a code byte, a weight and depth slot features per pair.
+    table = synth_default_cohort(n=1301, seed=3, with_missing=False)
+    model = train_gbdt(table, GbdtParams(depth=3, n_trees=100), seed=3)
+    background = table.X[:128]
+    record = shapley._prepare_background(model, background)
+    codes = shapley._path_codes(model.forest, background)
+    leaf = np.repeat(np.arange(codes.shape[0]), codes.shape[1])
+    pairs = np.unique((leaf << 3) | codes.ravel()).size
+    held = sum(v.nbytes for v in vars(record).values()
+               if isinstance(v, np.ndarray))
+    assert held <= pairs * (8 + 1 + 8 + 3 * 8)

@@ -255,40 +255,94 @@ def test_tree_memo_does_not_keep_its_model_alive():
     assert shapley._memo[0]() is None
 
 
-def _per_pair_reference(model, rows, background):
-    """Tree SHAP's per-row arithmetic written out term by term: every
-    (row, slot, pair) product, dead pairs and dummy slots included, with the
-    pair weights recomputed on each call."""
+def _background_pairs(model, background):
+    """Every (leaf, background code) pair some background row reaches, in
+    leaf then code order, with its row count."""
+    Z = encode_columns(model.lookup, np.asarray(background, dtype=float))
+    codes = shapley._path_codes(model.forest, Z)
+    leaf = np.repeat(np.arange(codes.shape[0]), codes.shape[1])
+    pairs, count = np.unique(np.c_[leaf, codes.ravel()], axis=0,
+                             return_counts=True)
+    return pairs[:, 0], pairs[:, 1], count
+
+
+def _integer_weights(depth):
+    """(b, a, slot) signed pair weights times depth!, from the closed form
+    in exact integers."""
+    full = (1 << depth) - 1
+    w = np.zeros((1 << depth, 1 << depth, depth), dtype=np.int64)
+    for a in range(1 << depth):
+        for b in range(1 << depth):
+            if a | b != full:
+                continue
+            k, m = bin(a & ~b).count("1"), bin(b & ~a).count("1")
+            for s in range(depth):
+                if a >> s & 1 and not b >> s & 1:
+                    w[b, a, s] = (factorial(depth) * factorial(k - 1)
+                                  * factorial(m) // factorial(k + m))
+                elif b >> s & 1 and not a >> s & 1:
+                    w[b, a, s] = -(factorial(depth) * factorial(k)
+                                   * factorial(m - 1) // factorial(k + m))
+    return w
+
+
+def _table_reference(model, rows, background):
+    """Tree SHAP in the table's order, term by term: the table summed pair
+    by pair in exact integers and scaled by each leaf's value, then per row
+    one gather of its codes' table rows and one bincount over (leaf, slot)
+    into features."""
+    forest = model.forest
+    depth = forest.depth
+    w = _integer_weights(depth)
+    exact = np.zeros((forest.leaf_value.size, 1 << depth, depth), dtype=np.int64)
+    for leaf, b, count in zip(*_background_pairs(model, background)):
+        exact[leaf] += count * w[b]
+    table = (exact.astype(float) * forest.leaf_value[:, None, None]).reshape(-1, depth)
     X = encode_columns(model.lookup, np.asarray(rows, dtype=float))
-    bg = shapley._prepare_background(model, np.asarray(background, dtype=float))
-    depth = model.forest.depth
+    n, d = X.shape
+    first = np.arange(forest.leaf_value.size) << depth
+    phi = np.zeros((n, d))
+    for i in range(n):
+        a = shapley._path_codes(forest, X[i:i + 1])[:, 0]
+        phi[i] = np.bincount(forest.slot_feat.T.ravel(),
+                             weights=table[first + a].ravel(), minlength=d)
+    size = np.asarray(background).shape[0]
+    return model.params.learning_rate * phi / (size * factorial(depth))
+
+
+def _per_pair_reference(model, rows, background):
+    """Tree SHAP's arithmetic pair by pair: every (row, slot, pair) product,
+    dead pairs and dummy slots included, with the pair weights recomputed
+    on each call."""
+    X = encode_columns(model.lookup, np.asarray(rows, dtype=float))
+    forest = model.forest
+    depth = forest.depth
     full = (1 << depth) - 1
     w_in, w_out = shapley._pair_weights(depth)
-    leaf, b, shift = bg.leaf, bg.code, np.arange(depth)[:, None]
+    leaf, b, count = _background_pairs(model, background)
+    weight = count * forest.leaf_value[leaf]
+    shift = np.arange(depth)[:, None]
+    a = shapley._path_codes(forest, X)[leaf].T[:, None, :]
+    x_only = (a & ~b) >> shift & 1                      # (rows, depth, pairs)
+    z_only = (b & ~a) >> shift & 1
+    k = x_only.sum(axis=1)
+    m = z_only.sum(axis=1)
+    w = np.where((a[:, 0] | b) == full, weight, 0.0)
+    contrib = (x_only * (w * w_in[k, m])[:, None]
+               - z_only * (w * w_out[k, m])[:, None])
     n, d = X.shape
-    phi = np.zeros((n, d))
-    step = max(1, shapley._CHUNK // (leaf.size * depth))
-    for start in range(0, n, step):
-        a = shapley._path_codes(model.forest, X[start:start + step])[leaf].T[:, None, :]
-        x_only = (a & ~b) >> shift & 1                  # (rows, depth, pairs)
-        z_only = (b & ~a) >> shift & 1
-        k = x_only.sum(axis=1)
-        m = z_only.sum(axis=1)
-        w = np.where((a[:, 0] | b) == full, bg.weight, 0.0)
-        contrib = (x_only * (w * w_in[k, m])[:, None]
-                   - z_only * (w * w_out[k, m])[:, None])
-        rows_in = a.shape[0]
-        cell = np.arange(rows_in)[:, None, None] * d + bg.feat
-        phi[start:start + rows_in] = np.bincount(
-            cell.ravel(), weights=contrib.ravel(),
-            minlength=rows_in * d).reshape(rows_in, d)
-    return model.params.learning_rate * phi / bg.size
+    cell = np.arange(n)[:, None, None] * d + forest.slot_feat[:, leaf]
+    phi = np.bincount(cell.ravel(), weights=contrib.ravel(),
+                      minlength=n * d).reshape(n, d)
+    return model.params.learning_rate * phi / np.asarray(background).shape[0]
 
 
 @pytest.mark.parametrize("ordered", [False, True])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_tree_is_bit_identical_to_the_per_pair_arithmetic(monkeypatch, depth,
                                                           ordered):
+    """Bit for bit the table built pair by pair, then gathered per row; and
+    within 1e-12 of the largest value the per-row sum over every pair."""
     table = make_table(160, seed=59 + depth, informative=True)
     model = train_gbdt(table, GbdtParams(depth=depth, n_trees=6,
                                          ordered_mode=ordered), seed=depth)
@@ -296,9 +350,27 @@ def test_tree_is_bit_identical_to_the_per_pair_arithmetic(monkeypatch, depth,
     Z = table.X[:50]
     for chunk in (shapley._CHUNK, 64):
         monkeypatch.setattr(shapley, "_CHUNK", chunk)
+        monkeypatch.setattr(shapley, "_memo", (None, None, None))
         for rows in (table.X[60:61], table.X[61:63], table.X[70:110]):
             got = shap_tree(model, rows, Z).values
-            assert got.tobytes() == _per_pair_reference(model, rows, Z).tobytes()
+            assert got.tobytes() == _table_reference(model, rows, Z).tobytes()
+            pairwise = _per_pair_reference(model, rows, Z)
+            assert (np.max(np.abs(got - pairwise))
+                    <= 1e-12 * np.max(np.abs(pairwise)))
+        batch = shap_tree(model, table.X[70:110], Z).values
+        one = shap_tree(model, table.X[75:76], Z).values
+        assert one[0].tobytes() == batch[5].tobytes()
+
+
+def test_tree_table_shape_does_not_depend_on_the_background(monkeypatch):
+    table = make_table(200, seed=67, informative=True)
+    model = train_gbdt(table, GbdtParams(depth=3, n_trees=9), seed=0)
+    leaves = model.forest.leaf_value.size
+    for size in (1, 7, 150):
+        monkeypatch.setattr(shapley, "_memo", (None, None, None))
+        shap_tree(model, table.X[:2], table.X[:size])
+        assert shapley._memo[2].table.shape == (leaves << 3, 3)
+        assert shapley._memo[2].size == size
 
 
 def test_tree_refuses_depth_over_eight_before_any_work(monkeypatch):
