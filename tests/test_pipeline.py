@@ -30,10 +30,10 @@ _ROWS = ("boosted_trees_ordered", "boosted_trees", "boosted_trees_subsampled",
 # sha256 of report.json for PROBE_CONFIG. A change that moves a reported
 # number on purpose updates this and says why in CHANGES.md.
 _PROBE_REPORT_SHA256 = (
-    "f7eeb84f00191c623360f7e8f1b1bfa5385cc3a8bbb3aba7755573305d1e2556")
+    "443c0495dd3f6d9eb2d88e7df8f37472b84dbed468b98bf16064997094af637b")
 # sha256 of report.json for RunConfig(seed=7), the default quick-start run.
 _SEED7_REPORT_SHA256 = (
-    "57a948fec66374d08f4492ce6eb6d9d3b4542e8d17fbd54c545504cb3f6b28c6")
+    "4166ff3b0ab172fc6a656836e5c3a5ffee71193abb6415955582f73f44b3ed82")
 
 # sha256 of every other artifact PROBE_CONFIG writes. The projection
 # writers must reproduce these bytes from the report alone.
@@ -67,7 +67,7 @@ _PROBE_ARTIFACT_SHA256 = {
     "selection.csv":
         "03927ccd9eb459839f3b75770ab991bd54ddea59dff52e472ecd95817d54f40e",
     "shap_summary.csv":
-        "8bd75c07ceeda088a14211609c01b10d42aa7d989ca49c7999bbee13d88069dd",
+        "a07c593f1e48ba303ca6a96e7e85a75b88e1b11d77a411574cc761a33ff2c671",
     "shap_summary.svg":
         "6511e6f86a98780758950311aa1b92f68e1cefb025ca43799595d4a111d26c68",
 }
