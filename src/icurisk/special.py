@@ -12,11 +12,10 @@ PROB_CLIP = 1e-7    # probabilities are clipped to [PROB_CLIP, 1 - PROB_CLIP]
 def sigmoid(z):
     """Numerically stable logistic function, elementwise."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp(-|z|): exp(-z) where z >= 0, exp(z) elsewhere, and a NaN of z
+    # passed on as it came
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 
