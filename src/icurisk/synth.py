@@ -17,7 +17,8 @@ injected completely at random per feature.
 
 from __future__ import annotations
 
-from math import exp, log, log1p, pi, sqrt
+from functools import lru_cache
+from math import copysign, exp, log, log1p, pi, sqrt
 
 import numpy as np
 
@@ -97,7 +98,15 @@ def _std_truncnorm_mean(a, b):
 def recalibrated_loc(target_mean, sd, lower, upper):
     """Location mu such that a Normal(mu, sd) truncated to [lower, upper] has
     mean exactly target_mean. Solved by bisection; the truncated mean is
-    strictly increasing in mu."""
+    strictly increasing in mu. Solved once per argument set: -0.0 and 0.0
+    compare equal, so the signs go into the key too."""
+    signs = tuple(None if v is None else copysign(1.0, v)
+                  for v in (target_mean, sd, lower, upper))
+    return _solved_loc(target_mean, sd, lower, upper, signs)
+
+
+@lru_cache(maxsize=1024)
+def _solved_loc(target_mean, sd, lower, upper, _signs):
     lo = -np.inf if lower is None else float(lower)
     hi = np.inf if upper is None else float(upper)
     if sd == 0.0:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
+from icurisk import synth
 from icurisk.cohort import summarize, validate_values
 from icurisk.errors import ConfigError
 from icurisk.synth import (_sample_truncnorm, _std_truncnorm_mean,
@@ -33,6 +34,31 @@ def test_recalibrated_loc_edge_cases():
     assert recalibrated_loc(7.0, 0.0, 0.0, 10.0) == 7.0
     with pytest.raises(ConfigError):
         recalibrated_loc(-1.0, 1.0, 0.0, 10.0)  # target outside the bounds
+
+
+def test_a_second_cohort_solves_no_location_again(monkeypatch):
+    synth._solved_loc.cache_clear()
+    first = synth_default_cohort(n=200, seed=4)
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return _std_truncnorm_mean(a, b)
+
+    monkeypatch.setattr(synth, "_std_truncnorm_mean", counted)
+    second = synth_default_cohort(n=200, seed=4)
+    assert calls == []
+    assert first.X.tobytes() == second.X.tobytes()
+    assert first.y.tobytes() == second.y.tobytes()
+
+
+def test_recalibrated_loc_keeps_signed_zeros_apart():
+    for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+        for target in (first, second):
+            loc = recalibrated_loc(target, 0.0, None, None)
+            assert loc == 0.0 and np.signbit(loc) == np.signbit(target)
+    # a bound of -0.0 or 0.0 solves to the same location either way
+    assert recalibrated_loc(0.5, 1.0, -0.0, 1.0) == recalibrated_loc(0.5, 1.0, 0.0, 1.0)
 
 
 def test_recalibrated_loc_far_below_a_lower_bound():
