@@ -15,6 +15,7 @@ import io
 import json
 import os
 import re
+import stat
 import sys
 import time
 from contextlib import contextmanager, suppress
@@ -439,14 +440,47 @@ def _write_manifest(out_dir: str, echo: dict, written, stage_seconds: dict,
     return m
 
 
+def _is_plain_name(name) -> bool:
+    """A file name with no directory part: not absolute, "." or ".."."""
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and os.path.basename(name) == name and "/" not in name
+            and "\0" not in name and not os.path.isabs(name))
+
+
+def _listed_names(out_dir: str) -> list:
+    """The plain file names the manifest in out_dir lists, none if it is
+    missing or does not parse. The manifest is outside input, so any other
+    path it lists is ignored, and so is the manifest's own name."""
+    try:
+        manifest = read_json(os.path.join(out_dir, _MANIFEST_NAME), "manifest",
+                             DataError)
+    except DataError:
+        return []
+    entries = manifest.get("artifacts") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        return []
+    names = (e.get("path") for e in entries if isinstance(e, dict))
+    return [n for n in names if _is_plain_name(n) and n != _MANIFEST_NAME]
+
+
+def _unlink_regular_file(path: str) -> None:
+    """Remove path if it is a regular file, not a link or a directory."""
+    with suppress(FileNotFoundError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+
+
 @contextmanager
 def artifact_dir(out_dir: str, echo: dict):
     """Create out_dir, remove its manifest (a directory without one is
     incomplete) and run the body, yielding the list it records each file it
-    writes in (_record). An IcuRiskError from the body leaves a failed
-    manifest at its stage ("report" if it has none) over that list and is
-    re-raised; an OSError from the body, or from that manifest's write, is
-    a ConfigError naming out_dir. echo is the config report.json echoes."""
+    writes in (_record). When the body completes, every regular file the
+    removed manifest listed that the body did not write is removed too, so
+    the directory holds one run's files (and any of the user's own). An
+    IcuRiskError from the body leaves a failed manifest at its stage
+    ("report" if it has none) over that list and is re-raised; an OSError
+    from the body, or from that manifest's write, is a ConfigError naming
+    out_dir. echo is the config report.json echoes."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -454,10 +488,15 @@ def artifact_dir(out_dir: str, echo: dict):
     written = []
     try:
         try:
+            listed = _listed_names(out_dir)
             # none yet, or a directory that the manifest's own write refuses
             with suppress(FileNotFoundError, IsADirectoryError):
                 os.unlink(os.path.join(out_dir, _MANIFEST_NAME))
             yield written
+            ours = {name for name, _, _ in written}
+            for name in listed:
+                if name not in ours:
+                    _unlink_regular_file(os.path.join(out_dir, name))
         except IcuRiskError:  # first: a WorkerError is an OSError too
             raise
         except OSError as exc:

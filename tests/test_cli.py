@@ -470,6 +470,21 @@ def test_a_failed_rerun_lists_no_file_of_the_run_before(tmp_path, capsys):
     assert (out / "report.json").is_file()  # left on disk, unlisted
 
 
+def test_a_rerun_leaves_no_file_of_the_run_before(tmp_path):
+    out = tmp_path / "arts"
+    assert main(["run", "--config", _write_config(tmp_path, seed=3, ale_top=3),
+                 "--out", str(out)]) == 0
+    first = {a["path"] for a in load_manifest(str(out))["artifacts"]}
+    (out / "notes.txt").write_text("the user's own")
+    assert main(["run", "--config", _write_config(tmp_path, seed=5, ale_top=1),
+                 "--out", str(out)]) == 0
+    listed = {a["path"] for a in load_manifest(str(out))["artifacts"]}
+    assert len(first - listed) >= 4    # two ALE curves, a CSV and an SVG each
+    on_disk = {p.name for p in out.iterdir()}
+    assert on_disk == listed | {"manifest.json", "notes.txt"}
+    assert (out / "notes.txt").read_text() == "the user's own"
+
+
 def test_a_fork_that_fails_is_exit_4_with_failed_manifest(
         tmp_path, capsys, monkeypatch):
     # no worker process can be started, as when the process limit or the

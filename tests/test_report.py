@@ -158,6 +158,75 @@ def test_a_run_stopped_after_its_report_leaves_no_manifest(
     assert not (clone / "manifest.json").exists()
 
 
+def _previous_run(out, listed):
+    """A directory as a run left it: a manifest over the names listed, a
+    file for each plain name, and the user's own notes.txt."""
+    out.mkdir()
+    for name in ("old.csv", "kept.csv", "notes.txt"):
+        (out / name).write_text(name)
+    (out / "manifest.json").write_text(json.dumps(
+        {"status": "complete", "artifacts": [{"path": p} for p in listed]}))
+
+
+def test_a_completed_body_removes_the_files_the_manifest_listed(tmp_path):
+    out = tmp_path / "arts"
+    _previous_run(out, ["old.csv", "kept.csv"])
+    with artifact_dir(str(out), _config_echo(RunConfig(seed=9))) as written:
+        report_module._write_texts(str(out), [("kept.csv", "new")], written)
+    assert sorted(p.name for p in out.iterdir()) == ["kept.csv", "notes.txt"]
+    assert (out / "kept.csv").read_text() == "new"
+    assert (out / "notes.txt").read_text() == "notes.txt"
+
+
+def test_a_failed_body_removes_no_file_the_manifest_listed(tmp_path):
+    out = tmp_path / "arts"
+    _previous_run(out, ["old.csv", "kept.csv"])
+    with pytest.raises(DataError):
+        with artifact_dir(str(out), _config_echo(RunConfig(seed=9))):
+            raise DataError("no rows")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "kept.csv", "manifest.json", "notes.txt", "old.csv"]
+    assert load_manifest(str(out))["artifacts"] == []
+
+
+def test_a_manifest_is_outside_input(tmp_path):
+    # only plain names of regular files directly in out_dir are removed
+    out = tmp_path / "arts"
+    outside = tmp_path / "x.csv"
+    outside.write_text("x")
+    absolute = tmp_path / "abs.csv"
+    absolute.write_text("abs")
+    listed = ["../x.csv", str(absolute), str(out / "old.csv"), "sub/../old.csv",
+              ".", "..", "", "sub", "link.csv", "manifest.json", 5, None]
+    _previous_run(out, listed)
+    (out / "sub").mkdir()
+    (out / "link.csv").symlink_to(outside)
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    manifest["artifacts"] += ["old.csv", {"name": "old.csv"}]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    before = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    with artifact_dir(str(out), _config_echo(RunConfig(seed=9))):
+        pass
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert outside.read_text() == "x" and absolute.read_text() == "abs"
+
+
+def test_a_missing_or_corrupt_manifest_lists_nothing_to_remove(tmp_path):
+    for manifest in (None, "{truncated", "[]", '{"artifacts": 5}',
+                     '{"artifacts": {"path": "old.csv"}}'):
+        out = tmp_path / f"arts{len(list(tmp_path.iterdir()))}"
+        _previous_run(out, [])
+        if manifest is None:
+            (out / "manifest.json").unlink()
+        else:
+            (out / "manifest.json").write_text(manifest)
+        with artifact_dir(str(out), _config_echo(RunConfig(seed=9))):
+            pass
+        assert sorted(p.name for p in out.iterdir()) == [
+            "kept.csv", "notes.txt", "old.csv"]
+
+
 def test_emit_report_requires_existing_report(tmp_path):
     with pytest.raises(DataError, match="cannot read report"):
         emit_report(str(tmp_path))
