@@ -35,6 +35,24 @@ from .select import coverage_filter, rank_features
 from .synth import synth_default_cohort
 
 
+def _first_non_number(X, schema) -> str:
+    """What is wrong with rows X that numpy cannot read as floats: the
+    first cell that float() refuses, with its feature, when X is a table
+    of the schema's width."""
+    try:
+        cells = np.atleast_2d(np.asarray(X, dtype=object))
+    except ValueError:
+        cells = None
+    if cells is not None and cells.ndim == 2 and cells.shape[1] == len(schema):
+        for (i, j), cell in np.ndenumerate(cells):
+            try:
+                float(cell)
+            except (TypeError, ValueError, OverflowError):
+                return (f"row {i}: feature {schema[j].name!r} value {cell!r} "
+                        "is not a finite number")
+    return f"rows must be a table of {len(schema)} numbers per row"
+
+
 @dataclass(frozen=True)
 class Predictor:
     """Raw feature rows in, event probabilities out.
@@ -48,8 +66,18 @@ class Predictor:
     model: object
 
     def __call__(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Probabilities of the rows of X; NaN marks a missing cell, and a
+        cell that is no number or is infinite is a DataError naming its
+        feature."""
+        try:
+            X = np.atleast_2d(np.asarray(X, dtype=float))
+        except (TypeError, ValueError, OverflowError):
+            raise DataError(_first_non_number(X, self.schema)) from None
         table = CohortTable(self.schema, X, np.zeros(X.shape[0], dtype=int))
+        if np.isinf(table.X).any():
+            i, j = np.argwhere(np.isinf(table.X))[0]
+            raise DataError(f"row {i}: feature {table.feature_names[j]!r} "
+                            f"value {table.X[i, j]} is not a finite number")
         return predict_proba(self.model, apply(self.pipeline, table))
 
     def transform(self, table: CohortTable) -> CohortTable:

@@ -678,6 +678,34 @@ def test_a_served_row_near_the_float_limit_imputes_without_a_warning(serving3):
     assert predictor(X[i]).tobytes() == batch[i:i + 1].tobytes()
 
 
+def test_a_served_row_that_is_not_finite_numbers_is_a_data_error(serving3):
+    # NaN marks a missing cell; an infinite or non-numeric cell is refused,
+    # typed and naming its feature, as load_cohort refuses one
+    train, test, pipe = serving3
+    model = train_gbdt(pipe.fitted_table, GbdtParams(depth=2, n_trees=5),
+                       class_weights(train.y), seed=3)
+    predictor = Predictor(schema=train.schema, pipeline=pipe, model=model)
+    bun = train.feature_names.index("BUN")
+    row = np.nan_to_num(test.X[0], nan=1.0)
+    for bad in (np.inf, -np.inf):
+        X = np.vstack([row, row])
+        X[1, bun] = bad
+        with pytest.raises(DataError, match=rf"row 1: feature 'BUN' value "
+                                            rf"{bad} is not a finite number"):
+            predictor(X)
+    for bad in ("high", 1 + 2j, 10 ** 400, [1.0]):
+        cells = list(row)
+        cells[bun] = bad
+        with pytest.raises(DataError, match="row 0: feature 'BUN' value .* "
+                                            "is not a finite number"):
+            predictor(cells)
+    with pytest.raises(DataError, match="a table of 17 numbers per row"):
+        predictor([list(row), list(row[:5])])
+    gap = row.copy()
+    gap[bun] = np.nan
+    assert 0.0 < float(predictor(gap)[0]) < 1.0
+
+
 @st.composite
 def _train_and_query(draw):
     """A training table whose gcs values are a subset of the grid, and a
