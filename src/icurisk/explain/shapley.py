@@ -50,6 +50,7 @@ from ..preprocess import encode_columns
 
 _CHUNK = 1 << 16          # elements per temporary array, about 0.5 MB
 _MAX_TREE_DEPTH = 8       # the weight table holds depth * 4**depth cells
+_SLOT_BITS = (1 << np.arange(_MAX_TREE_DEPTH, dtype=np.uint8))[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,13 @@ def _path_codes(forest, X) -> np.ndarray:
     be at most 8 deep."""
     cols = np.ascontiguousarray(X.T)
     n_leaves = forest.leaf_value.size
-    bits = (1 << np.arange(forest.depth, dtype=np.uint8))[:, None, None]
+    bits = _SLOT_BITS[:forest.depth]
     lo, hi = forest.slot_lo[..., None], forest.slot_hi[..., None]
     codes = np.empty((n_leaves, X.shape[0]), dtype=np.uint8)
     step = max(1, _CHUNK // (n_leaves * forest.depth))
     for start in range(0, X.shape[0], step):
         part = slice(start, start + step)
-        v = cols[forest.slot_feat, part]                 # (depth, leaves, rows)
+        v = np.take(cols[:, part], forest.slot_feat, axis=0)  # (depth, leaves, rows)
         ok = (v >= lo) & (v < hi)
         np.sum(ok * bits, axis=0, dtype=np.uint8, out=codes[:, part])
     return codes
@@ -240,7 +241,7 @@ def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
     bg = _prepared(model, Z)
     n, d = X.shape
     n_leaves = forest.leaf_value.size
-    first = np.arange(n_leaves) << depth                 # each leaf's table rows
+    first = np.arange(0, n_leaves << depth, 1 << depth)  # each leaf's table rows
     feat = forest.slot_feat.T                            # (leaves, depth)
     phi = np.empty((n, d))
     step = max(1, _CHUNK // (n_leaves * depth))
