@@ -100,9 +100,10 @@ def recalibrated_loc(target_mean, sd, lower, upper):
     mean exactly target_mean. Solved by bisection; the truncated mean is
     strictly increasing in mu. Solved once per argument set: -0.0 and 0.0
     compare equal, so the signs go into the key too."""
-    signs = tuple(None if v is None else copysign(1.0, v)
-                  for v in (target_mean, sd, lower, upper))
-    return _solved_loc(target_mean, sd, lower, upper, signs)
+    args = tuple(None if v is None else float(v)
+                 for v in (target_mean, sd, lower, upper))
+    signs = tuple(None if v is None else copysign(1.0, v) for v in args)
+    return _solved_loc(*args, signs)
 
 
 @lru_cache(maxsize=1024)

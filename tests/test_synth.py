@@ -61,6 +61,11 @@ def test_recalibrated_loc_keeps_signed_zeros_apart():
     assert recalibrated_loc(0.5, 1.0, -0.0, 1.0) == recalibrated_loc(0.5, 1.0, 0.0, 1.0)
 
 
+def test_recalibrated_loc_takes_numpy_scalars_and_ints():
+    want = recalibrated_loc(12.5, 3.2, 0.0, 30.0)
+    assert recalibrated_loc(np.float64(12.5), np.array(3.2), 0, 30) == want
+
+
 def test_recalibrated_loc_far_below_a_lower_bound():
     # a mean close to the bound with a wide sd puts loc ~970 sd below it,
     # where truncnorm.mean warned "invalid value encountered in power"
