@@ -74,8 +74,9 @@ class Predictor:
         except (TypeError, ValueError, OverflowError):
             raise DataError(_first_non_number(X, self.schema)) from None
         table = CohortTable(self.schema, X, np.zeros(X.shape[0], dtype=int))
-        if np.isinf(table.X).any():
-            i, j = np.argwhere(np.isinf(table.X))[0]
+        infinite = np.isinf(table.X)
+        if infinite.any():
+            i, j = np.argwhere(infinite)[0]
             raise DataError(f"row {i}: feature {table.feature_names[j]!r} "
                             f"value {table.X[i, j]} is not a finite number")
         return predict_proba(self.model, apply(self.pipeline, table))
