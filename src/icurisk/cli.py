@@ -22,7 +22,7 @@ from .cohort import save_cohort
 from .errors import (ConfigError, DataError, NumericError, OrderingError,
                      SchemaError, WorkerError)
 from .pipeline import RunConfig, load_run_config, run
-from .report import _config_echo, artifact_dir, emit_report, write_artifacts
+from .report import artifact_dir, config_echo, emit_report, write_artifacts
 from .synth import synth_default_cohort
 
 
@@ -93,7 +93,7 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args)
-    with artifact_dir(config.out_dir, _config_echo(config)):
+    with artifact_dir(config.out_dir, config_echo(config)):
         result = run(config)
     manifest = write_artifacts(result)
     win = next(r for r in result.benchmark if r.label == result.winner)

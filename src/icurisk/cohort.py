@@ -17,19 +17,52 @@ from .errors import ConfigError, DataError, SchemaError
 from .schema import feature_names, validate_schema
 
 
+def _first_non_number(X, schema) -> str:
+    """What is wrong with rows X that numpy cannot read as floats: the
+    first cell that float() refuses, with its feature, when X is a table
+    of the schema's width."""
+    try:
+        cells = np.atleast_2d(np.asarray(X, dtype=object))
+    except ValueError:
+        cells = None
+    if cells is not None and cells.ndim == 2 and cells.shape[1] == len(schema):
+        for (i, j), cell in np.ndenumerate(cells):
+            try:
+                float(cell)
+            except (TypeError, ValueError, OverflowError):
+                return (f"row {i}: feature {schema[j].name!r} value {cell!r} "
+                        "is not a finite number")
+    return f"rows must be a table of {len(schema)} numbers per row"
+
+
+def float_cells(X, schema, copy: bool = False) -> np.ndarray:
+    """X as a float64 array, one row or many, a new one if copy is set; a
+    cell that is no number is a DataError naming its row and feature."""
+    try:
+        return (np.array if copy else np.asarray)(X, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(_first_non_number(X, schema)) from None
+
+
 class CohortTable:
     """n x d feature matrix (float64, NaN = missing) with a {0,1} label vector.
 
-    feature_names is the schema's names, built once with the table and
-    carried by with_matrix."""
+    A cell that is no number or is infinite is a DataError naming its row
+    and feature. feature_names is the schema's names, built once with the
+    table and carried by with_matrix."""
 
     __slots__ = ("schema", "X", "y", "feature_names")
 
     def __init__(self, schema, X, y):
         schema = validate_schema(schema)
-        X = np.array(X, dtype=np.float64)
+        X = float_cells(X, schema, copy=True)
         y = np.array(y, dtype=np.int64)
         _check_shape(X, len(schema), y.shape)
+        infinite = np.isinf(X)
+        if infinite.any():
+            i, j = np.argwhere(infinite)[0]
+            raise DataError(f"row {i}: feature {schema[j].name!r} "
+                            f"value {X[i, j]} is not a finite number")
         if not ((y == 0) | (y == 1)).all():
             raise DataError("labels must be 0 or 1 with no missing entries")
         X.setflags(write=False)

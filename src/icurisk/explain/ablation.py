@@ -21,7 +21,7 @@ from .._fanout import fan_out
 from .._rng import derive_int, derive_rng
 from ..cohort import CohortTable
 from ..errors import DataError
-from ..metrics import _blocked_aurocs, _stratified_blocks, auroc
+from ..metrics import auroc, paired_aurocs, stratified_bootstrap
 from ..models.cv import ModelSpec, downgrade_ordered, fit_and_score
 
 
@@ -53,22 +53,21 @@ def ablation(spec: ModelSpec, train: CohortTable, test: CohortTable,
         raise DataError(f"base_scores has shape {base_scores.shape}, "
                         f"expected one score per test row ({test.n})")
     labels = test.y
-    blocks = _stratified_blocks(labels, n_resamples, derive_rng(seed, "ablation"))
+    blocks = stratified_bootstrap(labels, n_resamples, derive_rng(seed, "ablation"))
 
     # dropping the sole feature leaves nothing to fit
     ablated = train.feature_names if train.d > 1 else ()
 
     def refit_without(k):
         kept = train.drop_features([ablated[k]])
-        [(*_, scores)] = fit_and_score(
-            (downgrade_ordered(spec, kept.schema),), kept,
-            test.drop_features([ablated[k]]),
-            (derive_int(seed, "ablation", k + 1),))
+        *_, scores = fit_and_score(downgrade_ordered(spec, kept.schema), kept,
+                                   test.drop_features([ablated[k]]),
+                                   derive_int(seed, "ablation", k + 1))
         return scores
 
     dropped = fan_out(refit_without, range(len(ablated)))
-    base_dist, *dropped_dists = _blocked_aurocs([base_scores, *dropped], labels,
-                                                blocks, n_resamples)
+    base_dist, *dropped_dists = paired_aurocs([base_scores, *dropped], labels,
+                                              blocks, n_resamples)
     return AblationReport(features=tuple(ablated),
                           baseline_auroc=auroc(base_scores, labels),
                           baseline_dist=base_dist,

@@ -29,10 +29,10 @@ depth!, so the table is exact up to the one product with the leaf value.
 An explained row then costs one pass for its codes, one gather of one
 table row per leaf and one bincount of those into its features: per-row
 work is leaves * depth whatever the background's size. The prepared
-background is kept for the next call, keyed on the model and a copy of the
-background's contents, until a call brings another model or background, so
-a server explaining one patient per request against a fixed background pays
-for it once. Tree attributions are on the margin (log-odds) scale.
+background is kept for the next call, keyed on the model and the bytes of
+the background's matrix, until a call brings another model or background,
+so a server explaining one patient per request against a fixed background
+pays for it once. Tree attributions are on the margin (log-odds) scale.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError, SchemaError
 from ..models import GbdtModel, model_margin
-from ..models.cv import _as_matrix as _model_matrix
+from ..models.cv import model_matrix
 from ..preprocess import encode_columns
 
 _CHUNK = 1 << 16          # elements per temporary array, about 0.5 MB
@@ -197,25 +197,24 @@ def _prepare_background(model: GbdtModel, background) -> _Background:
                        size=background.shape[0])
 
 
-# the last prepared background: (weak reference to its model, copy of its
-# matrix, record). The reference is weak so that the memo never keeps a
-# model alive; the tuple is read and replaced whole, so callers in two
-# threads at worst prepare the same background twice.
+# the last prepared background: (weak reference to its model, (shape,
+# bytes) of its float64 matrix, record). The reference is weak so that the
+# memo never keeps a model alive; the tuple is read and replaced whole, so
+# callers in two threads at worst prepare the same background twice.
 _memo = (None, None, None)
 
 
 def _prepared(model: GbdtModel, background) -> _Background:
     """The prepared background, reused while the model and the background's
-    shape and contents are those of the previous call. A background only
-    ever gets a record after passing the finite check, so a reused record
-    stands for that check."""
+    shape and bytes are those of the previous call. Equal bytes are equal
+    values, and a background only ever gets a record after passing the
+    finite check, so a reused record stands for that check."""
     global _memo
-    Z = np.ascontiguousarray(background)
+    key = (background.shape, background.tobytes())
     ref, seen, record = _memo
-    if (ref is None or ref() is not model or seen.shape != Z.shape
-            or not np.array_equal(seen, Z)):
-        record = _prepare_background(model, Z)
-        _memo = (weakref.ref(model), Z.copy(), record)
+    if ref is None or ref() is not model or seen != key:
+        record = _prepare_background(model, background)
+        _memo = (weakref.ref(model), key, record)
     return record
 
 
@@ -232,8 +231,8 @@ def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
         raise ConfigError(f"shap_tree refused for tree depth {depth} > "
                           f"{_MAX_TREE_DEPTH}: its weight table would hold "
                           f"depth * 4**depth cells")
-    X = encode_columns(model.lookup, _model_matrix(model, rows))
-    Z = _model_matrix(model, background)
+    X = encode_columns(model.lookup, model_matrix(model, rows))
+    Z = model_matrix(model, background)
     if Z.shape[0] == 0:
         raise DataError("background must be nonempty")
     if not np.isfinite(X).all():

@@ -19,7 +19,7 @@ __all__ = [
     "auroc",
     "roc_curve",
     "stratified_bootstrap",
-    "resampled_aurocs",
+    "paired_aurocs",
     "bootstrap_auroc_ci",
     "tune_threshold",
     "confusion_metrics",
@@ -40,7 +40,8 @@ def auroc(scores, labels) -> float:
     labels = np.asarray(labels)
     if np.shape(scores) != labels.shape or labels.ndim != 1:
         raise DataError("AUROC needs one score per label")
-    return float(resampled_aurocs(scores, labels, np.arange(labels.size)[None, :])[0])
+    identity = np.arange(labels.size)[None, :]  # the one resample: every row
+    return float(paired_aurocs([scores], labels, [identity], 1)[0, 0])
 
 
 def roc_curve(scores, labels):
@@ -67,15 +68,18 @@ def roc_curve(scores, labels):
     return fpr, tpr, thresholds
 
 
-def _stratified_blocks(labels, B: int, rng):
-    """The B class-stratified bootstrap resamples of stratified_bootstrap,
-    yielded as blocks of at most _BLOCK_CELLS index cells.
+def stratified_bootstrap(labels, B: int, rng):
+    """B bootstrap resamples of the rows, stratified within each class so
+    every replicate keeps both classes, yielded lazily as (replicates, n)
+    index blocks of at most _BLOCK_CELLS cells: each row holds the
+    positives drawn from the positive rows, then the negatives.
 
-    The stream stays (all positive draws, then all negative draws): the
-    classes are checked and rng is moved past the positive draws here, and
-    each block takes its positive rows again from a copy of rng made before
-    them. Row chunks of rng.integers continue one draw's stream, so the
-    blocks end to end hold exactly the indices of one (B, n) draw."""
+    The labels and B are checked when this is called, before any block is
+    drawn. The stream stays (all positive draws, then all negative draws):
+    rng is moved past the positive draws here, and each block takes its
+    positive rows again from a copy of rng made before them. Row chunks of
+    rng.integers continue one draw's stream, so the blocks end to end hold
+    exactly the indices of one (B, n) draw."""
     labels = _check_binary(labels)
     if B < 1:
         raise ConfigError("B must be >= 1")
@@ -98,16 +102,9 @@ def _stratified_blocks(labels, B: int, rng):
     return blocks()
 
 
-def stratified_bootstrap(labels, B: int, rng) -> np.ndarray:
-    """(B, n) row indices of B bootstrap resamples, stratified within each
-    class so every replicate keeps both classes: each row holds the
-    positives drawn from the positive rows, then the negatives."""
-    return np.concatenate(list(_stratified_blocks(labels, B, rng)))
-
-
 # Each (replicates, n) or (replicates, distinct scores) temporary of a block
 # holds at most this many elements, about 94 KiB of int64. A bootstrap
-# streamed through _stratified_blocks holds one block at a time, so its
+# streamed from stratified_bootstrap holds one block at a time, so its
 # peak memory stays flat at any number of replicates.
 _BLOCK_CELLS = 12000
 
@@ -125,7 +122,7 @@ def _code(scores):
 
 
 def _block_aurocs(coded, labels, rows) -> np.ndarray:
-    """AUROC of each resample in rows, by the count resampled_aurocs describes."""
+    """AUROC of each resample in rows, by the count paired_aurocs describes."""
     code, k, nan_code = coded
     m, n = rows.shape
     pos = labels[rows] == 1
@@ -144,23 +141,10 @@ def _block_aurocs(coded, labels, rows) -> np.ndarray:
     return auc
 
 
-def _blocked_aurocs(score_sets, labels, blocks, n_rep) -> np.ndarray:
-    """(len(score_sets), n_rep) AUROCs: row v holds those of score_sets[v]
-    on each resample, the resamples taken block by block from blocks."""
-    labels = _check_binary(labels)
-    coded = [_code(scores) for scores in score_sets]
-    out = np.empty((len(coded), n_rep))
-    start = 0
-    for rows in blocks:
-        stop = start + rows.shape[0]
-        for dist, c in zip(out, coded):
-            dist[start:stop] = _block_aurocs(c, labels, rows)
-        start = stop
-    return out
-
-
-def resampled_aurocs(scores, labels, idx) -> np.ndarray:
-    """AUROC of each resample; idx holds one row of indices per resample.
+def paired_aurocs(score_sets, labels, blocks, B) -> np.ndarray:
+    """(len(score_sets), B) AUROCs: row v holds those of score_sets[v] on
+    each of the B resamples, taken block by block from blocks, each block a
+    (replicates, n) array holding one row of indices per resample.
 
     Counts, per replicate, 2U = sum over positives of (2 * negatives scored
     below + negatives tied), twice the Mann-Whitney U (Hanley & McNeil 1982),
@@ -169,18 +153,27 @@ def resampled_aurocs(scores, labels, idx) -> np.ndarray:
     cumulatively over codes, and the positives gather from those sums. A
     replicate that draws a NaN score gives NaN; one missing a class raises.
     """
-    idx = np.asarray(idx)
-    n_rep, n = idx.shape
-    rows = _rows_per_block(max(n, np.size(scores)))
-    blocks = (idx[start:start + rows] for start in range(0, n_rep, rows))
-    return _blocked_aurocs([scores], labels, blocks, n_rep)[0]
+    labels = _check_binary(labels)
+    coded = [_code(scores) for scores in score_sets]
+    out = np.empty((len(coded), B))
+    start = 0
+    for rows in blocks:
+        stop = start + rows.shape[0]
+        if stop > B:
+            raise ConfigError(f"blocks hold more than B={B} resamples")
+        for dist, c in zip(out, coded):
+            dist[start:stop] = _block_aurocs(c, labels, rows)
+        start = stop
+    if start != B:
+        raise ConfigError(f"blocks hold {start} resamples, not B={B}")
+    return out
 
 
 def bootstrap_auroc_ci(scores, labels, B: int = 2000, seed: int = 0):
     """95% percentile CI for AUROC over B class-stratified bootstrap
     resamples, each block of resamples scored as soon as it is drawn."""
-    blocks = _stratified_blocks(labels, B, derive_rng(seed, "bootstrap"))
-    reps = _blocked_aurocs([scores], labels, blocks, B)[0]
+    blocks = stratified_bootstrap(labels, B, derive_rng(seed, "bootstrap"))
+    reps = paired_aurocs([scores], labels, blocks, B)[0]
     low, high = np.percentile(reps, (2.5, 97.5))
     return float(low), float(high)
 

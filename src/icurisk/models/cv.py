@@ -6,7 +6,7 @@ CohortTable (feature names are checked against the training schema) or a
 bare matrix (only the width is checked). fit_preprocessing is the one path
 from raw tables to the pipelines the specs train on: cross-validation folds,
 the final refits and the ablation refits all run through it, and
-fit_and_score adds each spec's fit and held-out scores. The schema says
+fit_and_score adds one spec's fit and held-out scores. The schema says
 which columns are multi-level: ordered boosting orders their raw codes,
 other specs get them target-encoded.
 
@@ -90,7 +90,8 @@ def train_model(spec: ModelSpec, table, weights, seed: int = 0):
     return train_mlp(table, weights=weights, seed=seed, **spec.params)
 
 
-def _as_matrix(model, rows) -> np.ndarray:
+def model_matrix(model, rows) -> np.ndarray:
+    """The matrix of rows the model reads, its feature names or width checked."""
     if hasattr(rows, "feature_names"):
         if tuple(rows.feature_names) != tuple(model.feature_names_):
             raise SchemaError("prediction schema does not match training schema")
@@ -108,7 +109,7 @@ def model_margin(model, rows) -> np.ndarray:
     fn = _MARGIN.get(type(model))
     if fn is None:
         raise TypeError(f"unknown model type {type(model).__name__}")
-    return fn(model, _as_matrix(model, rows))
+    return fn(model, model_matrix(model, rows))
 
 
 def predict_proba(model, rows) -> np.ndarray:
@@ -159,16 +160,12 @@ def fit_preprocessing(grid, train, held_out) -> list:
     return [variants[s.needs_raw_categories] for s in grid]
 
 
-def fit_and_score(grid, train, held_out, seeds) -> list:
-    """One (fitted pipeline, transformed held_out, model, held_out scores)
-    tuple per spec in grid; spec i is trained with seeds[i] on the pipeline
-    fit_preprocessing gives it."""
-    out = []
-    for spec, (pipe, held_t), seed in zip(
-            grid, fit_preprocessing(grid, train, held_out), seeds):
-        model = train_model(spec, pipe.fitted_table, pipe.weights, seed=seed)
-        out.append((pipe, held_t, model, predict_proba(model, held_t)))
-    return out
+def fit_and_score(spec, train, held_out, seed: int) -> tuple:
+    """(fitted pipeline, transformed held_out, model, held_out scores) of
+    spec trained with seed on the pipeline fit_preprocessing gives it."""
+    [(pipe, held_t)] = fit_preprocessing((spec,), train, held_out)
+    model = train_model(spec, pipe.fitted_table, pipe.weights, seed=seed)
+    return pipe, held_t, model, predict_proba(model, held_t)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,12 @@ import numpy as np
 from ._fanout import fan_out
 from ._json import check_fields, from_mapping, read_json
 from ._rng import derive_int, derive_rng
-from .cohort import (CohortTable, load_cohort, stratified_split, summarize)
+from .cohort import (CohortTable, float_cells, load_cohort, stratified_split,
+                     summarize)
 from .errors import ConfigError, DataError, IcuRiskError, NumericError
 from .explain import (AblationReport, PosteriorRisk, ShapMatrix, ablation, ale,
                       posterior_draws, posterior_risk_inputs, shap_tree)
-from .explain.dream import _MIN_CHAINS, _MIN_GENERATIONS, DreamConfig
+from .explain.dream import MIN_CHAINS, MIN_GENERATIONS, DreamConfig
 from .metrics import (MetricReport, bootstrap_auroc_ci, compare_cohorts,
                       confusion_metrics, roc_curve, tune_threshold)
 from .models import predict_proba
@@ -33,24 +34,6 @@ from .preprocess import FittedPipeline, apply
 from .schema import default_schema, load_schema
 from .select import coverage_filter, rank_features
 from .synth import synth_default_cohort
-
-
-def _first_non_number(X, schema) -> str:
-    """What is wrong with rows X that numpy cannot read as floats: the
-    first cell that float() refuses, with its feature, when X is a table
-    of the schema's width."""
-    try:
-        cells = np.atleast_2d(np.asarray(X, dtype=object))
-    except ValueError:
-        cells = None
-    if cells is not None and cells.ndim == 2 and cells.shape[1] == len(schema):
-        for (i, j), cell in np.ndenumerate(cells):
-            try:
-                float(cell)
-            except (TypeError, ValueError, OverflowError):
-                return (f"row {i}: feature {schema[j].name!r} value {cell!r} "
-                        "is not a finite number")
-    return f"rows must be a table of {len(schema)} numbers per row"
 
 
 @dataclass(frozen=True)
@@ -68,17 +51,9 @@ class Predictor:
     def __call__(self, X) -> np.ndarray:
         """Probabilities of the rows of X; NaN marks a missing cell, and a
         cell that is no number or is infinite is a DataError naming its
-        feature."""
-        try:
-            X = np.atleast_2d(np.asarray(X, dtype=float))
-        except (TypeError, ValueError, OverflowError):
-            raise DataError(_first_non_number(X, self.schema)) from None
+        feature (see CohortTable)."""
+        X = np.atleast_2d(float_cells(X, self.schema))
         table = CohortTable(self.schema, X, np.zeros(X.shape[0], dtype=int))
-        infinite = np.isinf(table.X)
-        if infinite.any():
-            i, j = np.argwhere(infinite)[0]
-            raise DataError(f"row {i}: feature {table.feature_names[j]!r} "
-                            f"value {table.X[i, j]} is not a finite number")
         return predict_proba(self.model, apply(self.pipeline, table))
 
     def transform(self, table: CohortTable) -> CohortTable:
@@ -122,8 +97,8 @@ class RunConfig:
         # the limits of the layers beneath, checked before any model is fit:
         # k-fold CV, the coverage filter, the cohort generator and the
         # posterior sampler
-        minimum.update(cv_folds=2, synth_n=10, posterior_chains=_MIN_CHAINS,
-                       posterior_generations=_MIN_GENERATIONS,
+        minimum.update(cv_folds=2, synth_n=10, posterior_chains=MIN_CHAINS,
+                       posterior_generations=MIN_GENERATIONS,
                        min_documented_patients=0)
         for name, low in minimum.items():
             if getattr(self, name) < low:

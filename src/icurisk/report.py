@@ -53,7 +53,8 @@ def _sanitize(obj):
 _ENV_FIELDS = ("out_dir",)
 
 
-def _config_echo(config: RunConfig) -> dict:
+def config_echo(config: RunConfig) -> dict:
+    """The config as the report and manifest echo it: all but _ENV_FIELDS."""
     return {k: v for k, v in asdict(config).items() if k not in _ENV_FIELDS}
 
 
@@ -64,7 +65,7 @@ def build_report(result: RunResult) -> dict:
     # sanitized once, whole: a NaN anywhere reaches the schema check as null
     return _sanitize({
         "format_version": 1,
-        "config": _config_echo(result.config),
+        "config": config_echo(result.config),
         "cohort": {
             "n": result.cohort.n,
             "event_rate": float(result.cohort.y.mean()),
@@ -411,7 +412,7 @@ def _echo_hash(echo: dict) -> str:
 
 
 def config_hash(config: RunConfig) -> str:
-    return _echo_hash(_config_echo(config))
+    return _echo_hash(config_echo(config))
 
 
 def _versions() -> dict:
@@ -528,7 +529,7 @@ def load_manifest(out_dir: str) -> dict:
 def write_artifacts(result: RunResult, out_dir: str = None) -> RunManifest:
     """Emit report.json, every projection, and the manifest (written last)."""
     out = out_dir or result.config.out_dir
-    echo = _config_echo(result.config)
+    echo = config_echo(result.config)
     t0 = time.perf_counter()
     with artifact_dir(out, echo) as written:
         report = build_report(result)

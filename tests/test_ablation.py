@@ -20,7 +20,7 @@ def _split(table, n_train):
 
 def _base_scores(spec, train, test):
     """Test scores of spec fitted on the full training table."""
-    [(*_, scores)] = fit_and_score((spec,), train, test, (0,))
+    *_, scores = fit_and_score(spec, train, test, 0)
     return scores
 
 
@@ -84,12 +84,11 @@ def test_ordered_boosting_survives_dropping_its_last_discrete_feature():
     assert 0.0 <= rep.dropped_auroc["gcs"] <= 1.0
 
 
-def test_only_the_dropped_feature_variants_are_refit(monkeypatch, tmp_path):
-    train, test = _split(make_table(120, seed=55, informative=True), 80)
-    spec = ModelSpec(family="gnb")
-    base = _base_scores(spec, train, test)
-    # logged to a file, so that refits in worker processes count too
+def _logged_fits(monkeypatch, tmp_path):
+    """Log the feature names of every fit_pipeline call to a file, so that
+    refits in worker processes count too; returns a reader of the log."""
     fit_pipeline, log = preprocess.fit_pipeline, tmp_path / "fits"
+    log.touch()
 
     def counted(table, *args, **kwargs):
         with open(log, "a") as f:
@@ -97,7 +96,28 @@ def test_only_the_dropped_feature_variants_are_refit(monkeypatch, tmp_path):
         return fit_pipeline(table, *args, **kwargs)
 
     wrap_everywhere(monkeypatch, fit_pipeline, counted)
+    return lambda: [line.split("\t") for line in log.read_text().splitlines()]
+
+
+def test_only_the_dropped_feature_variants_are_refit(monkeypatch, tmp_path):
+    train, test = _split(make_table(120, seed=55, informative=True), 80)
+    spec = ModelSpec(family="gnb")
+    base = _base_scores(spec, train, test)
+    fits = _logged_fits(monkeypatch, tmp_path)
     rep = ablation(spec, train, test, base, n_resamples=5)
-    fits = [line.split("\t") for line in log.read_text().splitlines()]
-    assert len(fits) == len(rep.features) == train.d
-    assert all(len(names) == train.d - 1 for names in fits)
+    assert len(fits()) == len(rep.features) == train.d
+    assert all(len(names) == train.d - 1 for names in fits())
+
+
+def test_resampling_is_checked_before_any_refit(monkeypatch, tmp_path):
+    train, test = _split(make_table(120, seed=55, informative=True), 80)
+    spec = ModelSpec(family="gnb")
+    base = _base_scores(spec, train, test)
+    survivors = test.subset(np.flatnonzero(test.y == 0))
+    fits = _logged_fits(monkeypatch, tmp_path)
+    with pytest.raises(ConfigError):
+        ablation(spec, train, test, base, n_resamples=0)
+    with pytest.raises(DataError, match="both classes"):
+        ablation(spec, train, survivors, np.full(survivors.n, 0.5),
+                 n_resamples=5)
+    assert fits() == []

@@ -35,6 +35,28 @@ def test_label_validation(schema4):
         CohortTable(schema4, np.zeros((3, 5)), [0, 1, 0])
 
 
+def test_cells_that_are_no_finite_number_are_data_errors(schema4):
+    # NaN marks a missing cell; a non-numeric or infinite cell is refused,
+    # typed and naming its row and feature, as load_cohort refuses one
+    row = [50.0, 2.0, 1.0, 9.0]
+    for bad in ("abc", 1 + 2j, 10 ** 400, [1.0]):
+        cells = [row, row[:1] + [bad] + row[2:]]
+        with pytest.raises(DataError, match="row 1: feature 'lactate' value "
+                                            ".* is not a finite number"):
+            CohortTable(schema4, cells, [0, 1])
+    for bad in (np.inf, -np.inf):
+        X = np.array([row, row])
+        X[1, 3] = bad
+        with pytest.raises(DataError, match=rf"row 1: feature 'gcs' value "
+                                            rf"{bad} is not a finite number"):
+            CohortTable(schema4, X, [0, 1])
+    with pytest.raises(DataError, match="a table of 4 numbers per row"):
+        CohortTable(schema4, [row, row[:2]], [0, 1])
+    gap = np.array([row, row])
+    gap[0, 1] = np.nan
+    assert np.isnan(CohortTable(schema4, gap, [0, 1]).X[0, 1])
+
+
 def test_feature_names_are_kept_with_the_table(table40):
     assert table40.feature_names == tuple(s.name for s in table40.schema)
     assert table40.with_matrix(table40.X).feature_names is table40.feature_names

@@ -195,12 +195,11 @@ def test_fit_and_score_trains_each_spec_with_its_seed():
     train = make_table(80, seed=2, missing=0.1, informative=True)
     test = make_table(30, seed=3, missing=0.1)
     mlp = ModelSpec(family="mlp", params={"hidden": 4, "epochs": 5})
-    a, b, ordered = fit_and_score((mlp, mlp, _ORDERED), train, test,
-                                  (1, 2, 1))
-    assert a[0] is b[0] and a[1] is b[1]          # one shared pipeline
+    a, b, ordered = (fit_and_score(spec, train, test, seed)
+                     for spec, seed in ((mlp, 1), (mlp, 2), (_ORDERED, 1)))
     assert ordered[0].lookup.encoders == ()       # raw category codes
     for pipe, test_t, model, scores in (a, b, ordered):
         assert np.array_equal(scores, predict_proba(model, test_t))
     assert not np.array_equal(a[3], b[3])
-    [again] = fit_and_score((mlp,), train, test, (1,))
+    again = fit_and_score(mlp, train, test, 1)
     assert np.array_equal(again[3], a[3])

@@ -52,7 +52,7 @@ def test_ablation_resampling_is_bounded():
     idx = np.arange(table.n)
     train, test = table.subset(idx[:150]), table.subset(idx[150:])
     spec = ModelSpec(family="logreg", params={"C": 1.0})
-    [(*_, base)] = fit_and_score((spec,), train, test, (0,))
+    *_, base = fit_and_score(spec, train, test, 0)
     peak = _peak_bytes(lambda: ablation(spec, train, test, base, n_resamples=2000))
     assert peak <= 3 * MB
 

@@ -11,7 +11,7 @@ from icurisk.cohort import CohortTable
 from icurisk._rng import derive_rng
 from icurisk.errors import ConfigError, DataError
 from icurisk.metrics import (auroc, bootstrap_auroc_ci, compare_cohorts,
-                             confusion_metrics, resampled_aurocs, roc_curve,
+                             confusion_metrics, paired_aurocs, roc_curve,
                              stratified_bootstrap, tune_threshold, welch_t)
 from icurisk.schema import FeatureSpec
 
@@ -90,9 +90,19 @@ def test_bootstrap_ci_deterministic_and_ordered():
     assert lo1 <= point <= hi1
 
 
+def _drawn(labels, B, rng):
+    """The (B, n) indices of stratified_bootstrap's blocks end to end."""
+    return np.concatenate(list(stratified_bootstrap(labels, B, rng)))
+
+
+def _resampled(scores, labels, idx):
+    """paired_aurocs of one score set on the resamples idx, one block."""
+    return paired_aurocs([scores], labels, [np.asarray(idx)], len(idx))[0]
+
+
 def test_stratified_bootstrap_draws_positives_then_negatives():
     labels = np.array([0, 1, 1, 0, 0, 1, 0])
-    idx = stratified_bootstrap(labels, 4, np.random.default_rng(3))
+    idx = _drawn(labels, 4, np.random.default_rng(3))
     assert idx.shape == (4, 7)
     # one draw matrix for the positive rows, then one for the negative rows
     rng = np.random.default_rng(3)
@@ -105,13 +115,28 @@ def test_stratified_bootstrap_draws_positives_then_negatives():
         stratified_bootstrap(labels, 0, np.random.default_rng(3))
 
 
+@pytest.mark.parametrize("labels, B, error", [
+    (np.zeros(7, dtype=int), 4, DataError),
+    (np.ones(7, dtype=int), 4, DataError),
+    (np.array([0, 1, 1, 0, 0, 1, 0]), 0, ConfigError),
+    (np.array([0, 1, 2, 0]), 4, DataError),
+])
+def test_stratified_bootstrap_checks_before_it_draws(labels, B, error):
+    # the call raises, not the first block, and no draw has moved rng
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        stratified_bootstrap(labels, B, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_bootstrap_ci_is_the_percentile_of_the_resampled_aurocs():
     rng = np.random.default_rng(5)
     scores = np.round(rng.random(80), 1)  # coarse grid forces ties
     labels = (rng.random(80) < 0.3).astype(int)
     labels[:2] = [0, 1]
-    idx = stratified_bootstrap(labels, 200, derive_rng(4, "bootstrap"))
-    reps = resampled_aurocs(scores, labels, idx)
+    idx = _drawn(labels, 200, derive_rng(4, "bootstrap"))
+    reps = _resampled(scores, labels, idx)
     assert reps[0] == auroc(scores[idx[0]], labels[idx[0]])
     low, high = np.percentile(reps, (2.5, 97.5))
     assert bootstrap_auroc_ci(scores, labels, B=200, seed=4) == (low, high)
@@ -135,8 +160,8 @@ def test_streamed_bootstrap_matches_one_draw(B, n):
     labels = (rng.random(n) < 0.2).astype(int)
     labels[:2] = [0, 1]
     idx = _one_draw_bootstrap(labels, B, derive_rng(6, "bootstrap"))
-    assert np.array_equal(stratified_bootstrap(labels, B, derive_rng(6, "bootstrap")), idx)
-    low, high = np.percentile(resampled_aurocs(scores, labels, idx), (2.5, 97.5))
+    assert np.array_equal(_drawn(labels, B, derive_rng(6, "bootstrap")), idx)
+    low, high = np.percentile(_resampled(scores, labels, idx), (2.5, 97.5))
     assert bootstrap_auroc_ci(scores, labels, B=B, seed=6) == (low, high)
 
 
@@ -178,8 +203,9 @@ def test_resampled_aurocs_match_rankdata_loop(n, data, B, pool, with_nan, seed):
     if with_nan:
         scores[nan_at] = np.nan
     # up to 400 distinct scores: 30 replicates per block, so B crosses blocks
-    idx = stratified_bootstrap(labels, B, rng)
-    got = resampled_aurocs(scores, labels, idx)
+    blocks = list(stratified_bootstrap(labels, B, rng))
+    idx = np.concatenate(blocks)
+    got = paired_aurocs([scores], labels, blocks, B)[0]
     assert np.array_equal(got, _rankdata_resampled(scores, labels, idx), equal_nan=True)
     drew_nan = (idx == nan_at).any(axis=1) if with_nan else np.zeros(B, dtype=bool)
     assert np.array_equal(np.isnan(got), drew_nan)
@@ -188,21 +214,39 @@ def test_resampled_aurocs_match_rankdata_loop(n, data, B, pool, with_nan, seed):
     one_class = idx.copy()
     one_class[B // 2] = np.flatnonzero(labels == int(rng.integers(2)))[0]
     with pytest.raises(DataError, match="both classes"):
-        resampled_aurocs(scores, labels, one_class)
+        _resampled(scores, labels, one_class)
 
 
 def test_resampled_aurocs_at_the_default_bootstrap_size():
     rng = np.random.default_rng(11)
     scores = np.round(rng.random(390), 2)
     labels = (rng.random(390) < 0.2).astype(int)
-    idx = stratified_bootstrap(labels, 2000, rng)
-    assert np.array_equal(resampled_aurocs(scores, labels, idx),
+    blocks = list(stratified_bootstrap(labels, 2000, rng))
+    idx = np.concatenate(blocks)
+    assert np.array_equal(paired_aurocs([scores], labels, blocks, 2000)[0],
                           _rankdata_resampled(scores, labels, idx))
+
+
+def test_paired_aurocs_score_every_set_on_the_same_resamples():
+    rng = np.random.default_rng(13)
+    labels = (rng.random(300) < 0.25).astype(int)
+    sets = [np.round(rng.random(300), 2), rng.random(300), np.zeros(300)]
+    blocks = list(stratified_bootstrap(labels, 95, rng))  # 40 rows per block
+    assert len(blocks) == 3
+    paired = paired_aurocs(sets, labels, blocks, 95)
+    assert paired.shape == (3, 95)
+    idx = np.concatenate(blocks)
+    for row, scores in zip(paired, sets):
+        assert np.array_equal(row, _resampled(scores, labels, idx))
+    assert (paired[2] == 0.5).all()
+    for B in (94, 96):  # the blocks hold 95 resamples, not B
+        with pytest.raises(ConfigError, match="resamples"):
+            paired_aurocs(sets, labels, blocks, B)
 
 
 def test_auroc_rejects_bad_labels_and_lengths():
     with pytest.raises(DataError, match="0/1"):
-        resampled_aurocs([0.1, 0.2], [0, 2], np.array([[0, 1]]))
+        _resampled([0.1, 0.2], [0, 2], [[0, 1]])
     with pytest.raises(DataError, match="one score per label"):
         auroc([0.1, 0.2, 0.3], [0, 1])
 

@@ -16,7 +16,7 @@ from icurisk import report as report_module
 from icurisk.cli import main
 from icurisk.errors import DataError
 from icurisk.pipeline import RunConfig
-from icurisk.report import (_config_echo, artifact_dir, build_report,
+from icurisk.report import (artifact_dir, build_report, config_echo,
                             config_hash, emit_report, load_manifest,
                             load_report_schema, validate_report,
                             write_artifacts)
@@ -119,7 +119,7 @@ def test_failed_manifest(tmp_path):
     error = DataError("[stage:models] no rows")
     error.stage = "models"
     with pytest.raises(DataError) as raised:
-        with artifact_dir(str(tmp_path), _config_echo(cfg)):
+        with artifact_dir(str(tmp_path), config_echo(cfg)):
             raise error
     assert raised.value is error  # re-raised as it is
     stored = load_manifest(str(tmp_path))
@@ -135,7 +135,7 @@ def test_no_manifest_stands_while_a_run_writes(run_out, tmp_path):
     result, _, out = run_out
     clone = tmp_path / "clone"
     shutil.copytree(out, clone)
-    with artifact_dir(str(clone), _config_echo(result.config)):
+    with artifact_dir(str(clone), config_echo(result.config)):
         assert not (clone / "manifest.json").exists()
 
 
@@ -171,7 +171,7 @@ def _previous_run(out, listed):
 def test_a_completed_body_removes_the_files_the_manifest_listed(tmp_path):
     out = tmp_path / "arts"
     _previous_run(out, ["old.csv", "kept.csv"])
-    with artifact_dir(str(out), _config_echo(RunConfig(seed=9))) as written:
+    with artifact_dir(str(out), config_echo(RunConfig(seed=9))) as written:
         report_module._write_texts(str(out), [("kept.csv", "new")], written)
     assert sorted(p.name for p in out.iterdir()) == ["kept.csv", "notes.txt"]
     assert (out / "kept.csv").read_text() == "new"
@@ -182,7 +182,7 @@ def test_a_failed_body_removes_no_file_the_manifest_listed(tmp_path):
     out = tmp_path / "arts"
     _previous_run(out, ["old.csv", "kept.csv"])
     with pytest.raises(DataError):
-        with artifact_dir(str(out), _config_echo(RunConfig(seed=9))):
+        with artifact_dir(str(out), config_echo(RunConfig(seed=9))):
             raise DataError("no rows")
     assert sorted(p.name for p in out.iterdir()) == [
         "kept.csv", "manifest.json", "notes.txt", "old.csv"]
@@ -206,7 +206,7 @@ def test_a_manifest_is_outside_input(tmp_path):
     manifest["artifacts"] += ["old.csv", {"name": "old.csv"}]
     (out / "manifest.json").write_text(json.dumps(manifest))
     before = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
-    with artifact_dir(str(out), _config_echo(RunConfig(seed=9))):
+    with artifact_dir(str(out), config_echo(RunConfig(seed=9))):
         pass
     assert sorted(p.name for p in out.iterdir()) == before
     assert outside.read_text() == "x" and absolute.read_text() == "abs"
@@ -221,7 +221,7 @@ def test_a_missing_or_corrupt_manifest_lists_nothing_to_remove(tmp_path):
             (out / "manifest.json").unlink()
         else:
             (out / "manifest.json").write_text(manifest)
-        with artifact_dir(str(out), _config_echo(RunConfig(seed=9))):
+        with artifact_dir(str(out), config_echo(RunConfig(seed=9))):
             pass
         assert sorted(p.name for p in out.iterdir()) == [
             "kept.csv", "notes.txt", "old.csv"]
