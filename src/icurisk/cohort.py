@@ -37,7 +37,13 @@ def _first_non_number(X, schema) -> str:
 
 def float_cells(X, schema, copy: bool = False) -> np.ndarray:
     """X as a float64 array, one row or many, a new one if copy is set; a
-    cell that is no number is a DataError naming its row and feature."""
+    cell that is no number is a DataError naming its row and feature. An
+    array of complex dtype is refused as a list of complex cells is, naming
+    its first cell with an imaginary part, where numpy would keep only the
+    real parts."""
+    if getattr(X, "dtype", None) is not None and X.dtype.kind == "c":
+        cells = np.where(X.imag == 0, X.real.astype(object), X.astype(object))
+        raise DataError(_first_non_number(cells, schema))
     try:
         return (np.array if copy else np.asarray)(X, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
@@ -49,7 +55,7 @@ class CohortTable:
 
     A cell that is no number or is infinite is a DataError naming its row
     and feature. feature_names is the schema's names, built once with the
-    table and carried by with_matrix."""
+    table and carried by with_matrix and passed to unlabeled."""
 
     __slots__ = ("schema", "X", "y", "feature_names")
 
@@ -57,20 +63,21 @@ class CohortTable:
         schema = validate_schema(schema)
         X = float_cells(X, schema, copy=True)
         y = np.array(y, dtype=np.int64)
-        _check_shape(X, len(schema), y.shape)
-        infinite = np.isinf(X)
-        if infinite.any():
-            i, j = np.argwhere(infinite)[0]
-            raise DataError(f"row {i}: feature {schema[j].name!r} "
-                            f"value {X[i, j]} is not a finite number")
+        _check_cells(X, schema, y.shape)
         if not ((y == 0) | (y == 1)).all():
             raise DataError("labels must be 0 or 1 with no missing entries")
-        X.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "feature_names", feature_names(schema))
+        _fill(self, schema, X, y, feature_names(schema))
+
+    @classmethod
+    def unlabeled(cls, schema, names, X) -> "CohortTable":
+        """Rows X, one or many, of a schema validated before, whose feature
+        names are names, each labelled 0. Only the cells are checked, as
+        the constructor checks them: for rows served against a fixed
+        schema."""
+        X = np.atleast_2d(float_cells(X, schema, copy=True))
+        y = np.zeros(X.shape[0], dtype=np.int64)
+        _check_cells(X, schema, y.shape)
+        return _fill(object.__new__(cls), schema, X, y, names)
 
     def __setattr__(self, *_):
         raise AttributeError("CohortTable is immutable")
@@ -116,15 +123,8 @@ class CohortTable:
         two such tables rebuilds as it was written."""
         X = np.array(X, dtype=np.float64)
         _check_shape(X, self.d, self.y.shape)
-        X.setflags(write=False)
-        y = self.y.copy()
-        y.setflags(write=False)
-        table = object.__new__(CohortTable)
-        object.__setattr__(table, "schema", self.schema)
-        object.__setattr__(table, "X", X)
-        object.__setattr__(table, "y", y)
-        object.__setattr__(table, "feature_names", self.feature_names)
-        return table
+        return _fill(object.__new__(CohortTable), self.schema, X,
+                     self.y.copy(), self.feature_names)
 
     def equals(self, other: "CohortTable") -> bool:
         return (
@@ -136,6 +136,26 @@ class CohortTable:
     def __repr__(self):
         miss = np.isnan(self.X).mean()
         return f"CohortTable(n={self.n}, d={self.d}, event_rate={self.y.mean():.3f}, missing={miss:.3f})"
+
+
+def _fill(table: CohortTable, schema, X, y, names) -> CohortTable:
+    """Set the checked parts of table, its matrix and labels read-only."""
+    X.setflags(write=False)
+    y.setflags(write=False)
+    for slot, value in zip(CohortTable.__slots__, (schema, X, y, names)):
+        object.__setattr__(table, slot, value)
+    return table
+
+
+def _check_cells(X: np.ndarray, schema, y_shape: tuple) -> None:
+    """Refuse a float matrix that is not n x len(schema) for n labels, or
+    has an infinite cell."""
+    _check_shape(X, len(schema), y_shape)
+    infinite = np.isinf(X)
+    if infinite.any():
+        i, j = np.argwhere(infinite)[0]
+        raise DataError(f"row {i}: feature {schema[j].name!r} "
+                        f"value {X[i, j]} is not a finite number")
 
 
 def _check_shape(X: np.ndarray, d: int, y_shape: tuple) -> None:

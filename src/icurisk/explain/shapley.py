@@ -46,11 +46,12 @@ import numpy as np
 from ..errors import ConfigError, DataError, SchemaError
 from ..models import GbdtModel, model_margin
 from ..models.cv import model_matrix
+from ..models.gbdt import slots_hold
 from ..preprocess import encode_columns
 
 _CHUNK = 1 << 16          # elements per temporary array, about 0.5 MB
 _MAX_TREE_DEPTH = 8       # the weight table holds depth * 4**depth cells
-_SLOT_BITS = (1 << np.arange(_MAX_TREE_DEPTH, dtype=np.uint8))[:, None, None]
+_SLOT_BITS = (1 << np.arange(_MAX_TREE_DEPTH, dtype=np.uint8))[:, None]
 
 
 @dataclass(frozen=True)
@@ -138,19 +139,17 @@ def _signed_weights(depth: int) -> np.ndarray:
 def _path_codes(forest, X) -> np.ndarray:
     """(leaves, rows) uint8 code of the path slots each row of X satisfies:
     bit s is set when slot s of the leaf allows the row's value. Trees may
-    be at most 8 deep."""
-    cols = np.ascontiguousarray(X.T)
+    be at most 8 deep. The codes are laid out rows first, as the slot test
+    gives them, and returned transposed."""
     n_leaves = forest.leaf_value.size
     bits = _SLOT_BITS[:forest.depth]
-    lo, hi = forest.slot_lo[..., None], forest.slot_hi[..., None]
-    codes = np.empty((n_leaves, X.shape[0]), dtype=np.uint8)
+    codes = np.empty((X.shape[0], n_leaves), dtype=np.uint8)
     step = max(1, _CHUNK // (n_leaves * forest.depth))
     for start in range(0, X.shape[0], step):
         part = slice(start, start + step)
-        v = np.take(cols[:, part], forest.slot_feat, axis=0)  # (depth, leaves, rows)
-        ok = (v >= lo) & (v < hi)
-        np.sum(ok * bits, axis=0, dtype=np.uint8, out=codes[:, part])
-    return codes
+        ok = slots_hold(forest, X[part])           # (rows, depth, leaves)
+        np.sum(ok * bits, axis=1, dtype=np.uint8, out=codes[part])
+    return codes.T
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,14 @@ training round descends that tree to update the margins, and the fit joins
 its trees into the one Forest the model keeps. Margins add the per-tree
 leaf values in tree order, the same additions as a loop over trees.
 
+One row, as a server scores it, skips the descent when its cells are all
+finite: in each tree it takes the one leaf whose path slots all allow it,
+which is the leaf the descent reaches, in a few whole-forest array
+operations instead of a few per level. A row with a NaN or infinite cell
+descends, and so does every matrix of more rows: the box test's cost grows
+with rows times leaves, and on the benchmark's serving forest it takes
+1.6x the descent's time at 10 rows and 2.9x at 182.
+
 ordered_mode replaces the multi-level discrete columns of the training
 table's schema (ordinal_score and categorical kinds) with ordered target
 statistics during training: a fresh seeded permutation each boosting round,
@@ -106,6 +114,13 @@ def _join(trees) -> Forest:
         slot_feat=joined("slot_feat", 1), slot_lo=joined("slot_lo", 1),
         slot_hi=joined("slot_hi", 1),
     )
+
+
+def slots_hold(forest: Forest, X) -> np.ndarray:
+    """Whether each path slot of each leaf allows X, one row (d,) or rows
+    (n, d): (depth, leaves) for a row, (n, depth, leaves) for rows."""
+    v = X.take(forest.slot_feat, axis=-1)
+    return (v >= forest.slot_lo) & (v < forest.slot_hi)
 
 
 def _leaf_values(forest: Forest, X) -> np.ndarray:
@@ -347,16 +362,26 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
 
 def gbdt_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     """Raw log-odds: base + lr * sum of leaf scores, added in tree order.
-    Rows go through the forest in chunks that keep temporaries small."""
+    Rows go through the forest in chunks that keep temporaries small; one
+    row of finite cells takes, in each tree, the one leaf whose every path
+    slot allows it."""
     X = encode_columns(model.lookup, np.asarray(X, dtype=float))
     forest = model.forest
+    if X.shape[0] == 1 and np.isfinite(X).all():
+        return _add_trees(model, forest.leaf_value[
+            slots_hold(forest, X[0]).all(axis=0)][None])
     out = np.empty(X.shape[0])
     step = max(1, _CHUNK // forest.roots.size)
     for start in range(0, X.shape[0], step):
-        leaf = _leaf_values(forest, X[start:start + step])
-        terms = np.empty((leaf.shape[0], leaf.shape[1] + 1))
-        terms[:, 0] = model.base_score
-        terms[:, 1:] = model.params.learning_rate * leaf
-        # a running sum adds the trees one at a time, as a loop over them would
-        out[start:start + step] = np.cumsum(terms, axis=1)[:, -1]
+        out[start:start + step] = _add_trees(
+            model, _leaf_values(forest, X[start:start + step]))
     return out
+
+
+def _add_trees(model: GbdtModel, leaf) -> np.ndarray:
+    """(rows,) margins of the (rows, trees) leaf values leaf."""
+    terms = np.empty((leaf.shape[0], leaf.shape[1] + 1))
+    terms[:, 0] = model.base_score
+    terms[:, 1:] = model.params.learning_rate * leaf
+    # a running sum adds the trees one at a time, as a loop over them would
+    return np.cumsum(terms, axis=1)[:, -1]

@@ -19,8 +19,7 @@ import numpy as np
 from ._fanout import fan_out
 from ._json import check_fields, from_mapping, read_json
 from ._rng import derive_int, derive_rng
-from .cohort import (CohortTable, float_cells, load_cohort, stratified_split,
-                     summarize)
+from .cohort import CohortTable, load_cohort, stratified_split, summarize
 from .errors import ConfigError, DataError, IcuRiskError, NumericError
 from .explain import (AblationReport, PosteriorRisk, ShapMatrix, ablation, ale,
                       posterior_draws, posterior_risk_inputs, shap_tree)
@@ -31,7 +30,7 @@ from .models import predict_proba
 from .models.cv import (ModelSpec, cross_validate, downgrade_ordered,
                         fit_preprocessing, train_model)
 from .preprocess import FittedPipeline, apply
-from .schema import default_schema, load_schema
+from .schema import default_schema, feature_names, load_schema, validate_schema
 from .select import coverage_filter, rank_features
 from .synth import synth_default_cohort
 
@@ -42,18 +41,25 @@ class Predictor:
 
     Bundles the fitted preprocessing with a trained model so downstream
     consumers (ALE, posterior sampling) can work in raw measurement space.
+    The schema is validated, and its feature names built, once, when the
+    Predictor is; a call checks only the cells of its rows.
     """
 
     schema: tuple
     pipeline: FittedPipeline
     model: object
+    feature_names: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        schema = validate_schema(self.schema)
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "feature_names", feature_names(schema))
 
     def __call__(self, X) -> np.ndarray:
         """Probabilities of the rows of X; NaN marks a missing cell, and a
         cell that is no number or is infinite is a DataError naming its
         feature (see CohortTable)."""
-        X = np.atleast_2d(float_cells(X, self.schema))
-        table = CohortTable(self.schema, X, np.zeros(X.shape[0], dtype=int))
+        table = CohortTable.unlabeled(self.schema, self.feature_names, X)
         return predict_proba(self.model, apply(self.pipeline, table))
 
     def transform(self, table: CohortTable) -> CohortTable:

@@ -13,14 +13,14 @@ stage is built, so that one served row costs little more than its own
 arithmetic. An encoder is its table: fit stores one encoded value per
 training category and nothing it was computed from. Three stages derive
 fields in __post_init__: the imputer (its reference matrix z-scored, with
-the safe divisor and the observed mask, both matrices column-major), the
-encoders' joined lookup (every table laid over the sorted union of their
-categories, so one searchsorted encodes every encoded column of a row)
-and the scaler (its divisor and zero-sd columns). So every way of
-building them (fit, replace, pickle) has them; they are left out of eq
-and repr. A batch and a single row run the same float operations in the
-same order, so a row transformed alone equals its row of the batch bit
-for bit.
+the safe divisor, the observed mask, both matrices column-major, and each
+reference row's count of observed columns), the encoders' joined lookup
+(every table laid over the sorted union of their categories, so one
+searchsorted encodes every encoded column of a row) and the scaler (its
+divisor and zero-sd columns). So every way of building them (fit,
+replace, pickle) has them; they are left out of eq and repr. A batch and
+a single row run the same float operations in the same order, so a row
+transformed alone equals its row of the batch bit for bit.
 
 The imputer works through a table's missing rows one missing pattern at a
 time: the rows that miss the same columns share the gather of the observed
@@ -64,10 +64,11 @@ class KnnImputer:
     kinds: tuple
     grids: tuple                 # value grid per feature (None for continuous)
     # fixed at fit: the divisor (sd, 1 where it is 0), the reference in
-    # z-units and where it is observed
+    # z-units, where it is observed and how many columns each row observes
     scale_safe: np.ndarray = field(init=False, compare=False, repr=False)
     z_reference: np.ndarray = field(init=False, compare=False, repr=False)
     observed: np.ndarray = field(init=False, compare=False, repr=False)
+    obs_count: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         scale_safe = np.where(self.scale > 0, self.scale, 1.0)
@@ -78,6 +79,7 @@ class KnnImputer:
             (self.reference - self.loc) / scale_safe))
         object.__setattr__(self, "observed",
                            np.asfortranarray(~np.isnan(self.reference)))
+        object.__setattr__(self, "obs_count", self.observed.sum(axis=1))
 
     @property
     def fallback(self) -> np.ndarray:
@@ -166,7 +168,8 @@ def _impute_group(imputer: KnnImputer, X: np.ndarray, rows: np.ndarray) -> None:
     # (observed columns, reference rows): whole rows of the column-major
     # reference arrays
     ZR = imputer.z_reference.T[obs_q]
-    shared = imputer.observed.T[obs_q].sum(axis=0)
+    # a served row misses few columns: subtract those, in exact integers
+    shared = imputer.obs_count - imputer.observed.T[~obs_q].sum(axis=0)
     divisor = np.maximum(shared, 1)
     # at most _BLOCK_CELLS differences and distances per block; with no
     # column observed, every distance is inf and every fill is loc

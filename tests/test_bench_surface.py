@@ -5,9 +5,10 @@ fields of the fitted imputer, so renaming either here breaks only the
 benchmark's traced run unless these tests catch it first. It counts only
 the calling process, so a layer that runs only in forked workers reads
 zero there too. The serving workload calls the fitted Predictor and
-shap_tree once per request; a short serving session checks that path. The
-report phase reads the winner's row off each RunResult; one report checks
-that a correct run is not counted as a failed operation.
+shap_tree once per request; a short serving session checks that path, and
+one request that it still goes through the traced apply and predict_proba.
+The report phase reads the winner's row off each RunResult; one report
+checks that a correct run is not counted as a failed operation.
 """
 
 import collections
@@ -18,8 +19,9 @@ import pytest
 
 from icurisk import _fanout, report
 from icurisk.cohort import save_cohort
+from icurisk.models import predict_proba
 from icurisk.pipeline import run
-from icurisk.preprocess import fit_imputer
+from icurisk.preprocess import apply, fit_imputer
 from icurisk.synth import synth_default_cohort
 
 from conftest import make_table, wrap_everywhere
@@ -83,6 +85,29 @@ def test_a_short_serving_session_answers_every_request(workloads, tmp_path):
                                     seconds=0, min_requests=20)
     assert outcome.attempted == 20
     assert outcome.failures == []
+
+
+def test_a_served_request_is_traced_through_apply_and_predict_proba(
+        workloads, monkeypatch, tmp_path):
+    # the tracer counts these two layers at their import sites; a request
+    # that reached its rows another way would read zero calls there, and
+    # its traced counts would not compare with an earlier run's
+    workload = workloads.WORKLOADS["score_patients"]
+    inputs = workloads.make_inputs(workload, 3, str(tmp_path))
+    server = workloads.fit_server(inputs.train, 3)
+    expected = workloads.expected_replies(server, inputs.test)
+    calls = collections.Counter()
+    for name, original in (("apply", apply), ("predict_proba", predict_proba)):
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        wrap_everywhere(monkeypatch, original, counted)
+    outcome = workloads.serve_phase(workload, server, inputs, expected,
+                                    seconds=0, min_requests=1)
+    assert outcome.attempted == 1 and outcome.failures == []
+    # the Predictor's call and its transform apply; the call scores
+    assert calls == {"apply": 2, "predict_proba": 1}
 
 
 def test_one_report_phase_is_correct(workloads, tmp_path):

@@ -3,6 +3,7 @@ per-class summaries."""
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ def test_cells_that_are_no_finite_number_are_data_errors(schema4):
             CohortTable(schema4, X, [0, 1])
     with pytest.raises(DataError, match="a table of 4 numbers per row"):
         CohortTable(schema4, [row, row[:2]], [0, 1])
+    # an array of complex cells is refused as the list of them is, naming
+    # the cell with an imaginary part, not cast to its real parts
+    with pytest.raises(DataError, match=r"row 0: feature 'lactate' value "
+                                        r"\(2\+3j\) is not a finite number"):
+        CohortTable(schema4, np.array([[50, 2 + 3j, 1, 9]]), [1])
+    with pytest.raises(DataError, match="a table of 4 numbers per row"):
+        CohortTable(schema4, np.array([[50, 2, 1, 9]], dtype=complex), [1])
     gap = np.array([row, row])
     gap[0, 1] = np.nan
     assert np.isnan(CohortTable(schema4, gap, [0, 1]).X[0, 1])
@@ -60,6 +68,9 @@ def test_cells_that_are_no_finite_number_are_data_errors(schema4):
 def test_feature_names_are_kept_with_the_table(table40):
     assert table40.feature_names == tuple(s.name for s in table40.schema)
     assert table40.with_matrix(table40.X).feature_names is table40.feature_names
+    rows = CohortTable.unlabeled(table40.schema, table40.feature_names,
+                                 table40.X[0])
+    assert rows.feature_names is table40.feature_names
     assert table40.drop_features(["age"]).feature_names == tuple(
         n for n in table40.feature_names if n != "age")
 
@@ -277,6 +288,26 @@ def test_summary_of_the_wrong_shape_is_rejected(schema4):
         CohortSummary(schema4, good, np.zeros((2, 3)))
     with pytest.raises(ConfigError, match=r"expected \(2, 4\)"):
         CohortSummary(schema4, np.zeros((3, 4)), good)
+
+
+def test_unlabeled_rows_check_their_cells_as_the_constructor_does(schema4):
+    # the same refusals, with the same messages, labels all 0 and the
+    # matrix a read-only copy of the caller's rows
+    names = tuple(s.name for s in schema4)
+    row = np.array([50.0, 2.0, 1.0, 9.0])
+    bad_rows = ([row, row[:2]], [[row]], np.array([[1.0, np.inf, 1.0, 9.0]]),
+                [[50, "abc", 1, 9]], np.array([[50, 2 + 3j, 1, 9]]),
+                np.zeros((0, 4)), np.zeros((2, 5)))
+    for X in bad_rows:
+        with pytest.raises((DataError, SchemaError)) as want:
+            CohortTable(schema4, X, np.zeros(len(X), dtype=int))
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            CohortTable.unlabeled(schema4, names, X)
+    table = CohortTable.unlabeled(schema4, names, row)
+    assert table.equals(CohortTable(schema4, row[None], [0]))
+    assert table.X is not row and not table.X.flags.writeable
+    assert not table.y.flags.writeable
+    assert pickle.loads(pickle.dumps(table)).equals(table)
 
 
 def test_table_survives_pickle_and_deepcopy(table40):

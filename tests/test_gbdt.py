@@ -240,15 +240,15 @@ _CELL = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, _A, _B])
 
 
 @st.composite
-def _tables(draw):
+def _tables(draw, cell=_CELL):
     n = draw(st.integers(2, 40))
     d = draw(st.integers(1, 4))
     cols = []
     for _ in range(d):
         if draw(st.booleans()) and draw(st.booleans()):
-            cols.append([draw(_CELL)] * n)      # constant column
+            cols.append([draw(cell)] * n)      # constant column
         else:
-            cols.append(draw(st.lists(_CELL, min_size=n, max_size=n)))
+            cols.append(draw(st.lists(cell, min_size=n, max_size=n)))
     y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     w = draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n))
     # x0, ..., x{cats - 1} are the columns ordered mode orders; the other
@@ -441,3 +441,63 @@ def test_margin_matches_per_tree_reference(table_weights, depth, mode, chunk,
         w = weights.per_row(table.y)
         final = weighted_logloss(want[:table.n], y, w)
         assert model.loss_curve[-1] == final
+
+
+# +-1 and +-2.5 split at 0.0, so +-0.0 cells meet a threshold of zero
+_SIGNED_CELL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, _A, _B])
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_weights=_tables(cell=_SIGNED_CELL), depth=st.integers(1, 5),
+       mode=st.sampled_from(["plain", "subsample", "ordered"]),
+       seed=st.integers(0, 3))
+def test_one_row_through_the_leaf_boxes_is_its_batch_margin(table_weights,
+                                                          depth, mode, seed):
+    """A one-row matrix takes each tree's leaf by its path slots, a batch
+    descends the trees: bit for bit the same margins, rows on a threshold
+    and +-0.0 cells included."""
+    kw = dict(depth=depth, n_trees=12)
+    if mode == "subsample":
+        kw["subsample"] = 0.7
+    if mode == "ordered":
+        kw["ordered_mode"] = True
+    table, weights = table_weights
+    with mock.patch.object(gbdt, "_MIN_CHILD_WEIGHT", 0.0):
+        model = train_gbdt(table, GbdtParams(**kw), weights, seed=seed)
+    rows = [table.X]
+    for f, t in zip(model.forest.feat, model.forest.thr):
+        if f >= 0:
+            on = table.X[:1].copy()
+            on[0, f] = t
+            rows.append(on)
+    for j in range(table.d):
+        for zero in (0.0, -0.0):
+            at = table.X[:1].copy()
+            at[0, j] = zero
+            rows.append(at)
+    X = np.vstack(rows)
+    batch = gbdt_margin(model, X)
+    with mock.patch.object(gbdt, "slots_hold", wraps=gbdt.slots_hold) as boxes:
+        single = np.concatenate([gbdt_margin(model, X[i:i + 1])
+                                 for i in range(X.shape[0])])
+    assert boxes.call_count == X.shape[0]
+    assert single.tobytes() == batch.tobytes()
+
+
+def test_a_one_row_matrix_with_a_cell_not_finite_descends_the_trees():
+    # a NaN cell goes right at every test of its feature, as in a batch;
+    # no leaf box holds it, so the row must not take the box path
+    table = make_table(120, seed=4, informative=True)
+    model = train_gbdt(table, GbdtParams(depth=3, n_trees=30), seed=4)
+    rows = []
+    for j in range(table.d):
+        for bad in (np.nan, np.inf, -np.inf):
+            row = table.X[j:j + 1].copy()
+            row[0, j] = bad
+            rows.append(row)
+    X = np.vstack(rows)
+    batch = gbdt_margin(model, X)
+    with mock.patch.object(gbdt, "slots_hold", wraps=gbdt.slots_hold) as boxes:
+        single = np.concatenate([gbdt_margin(model, row) for row in rows])
+    assert boxes.call_count == 0
+    assert single.tobytes() == batch.tobytes()

@@ -140,6 +140,28 @@ def test_impute_matches_the_full_sort_reference(seed, n_ref, d, k, missing, leve
     assert np.array_equal(impute(imp, query).X, _impute_by_full_sort(imp, query))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), missing=st.floats(0.0, 1.0))
+def test_shared_dimensions_counted_from_the_unobserved_columns(seed, missing):
+    # each reference row's observed count less its observed cells in the
+    # query's missing columns: exact integers, the per-row reference's
+    # count over the observed ones. Row 0 misses everything, row 1 nothing.
+    rng = np.random.default_rng(seed)
+    d = 16
+    schema = _cont_schema(d)
+    R = rng.normal(size=(60, d))
+    R[rng.random(R.shape) < 0.3] = np.nan
+    R[0, np.isnan(R).all(axis=0)] = 0.0  # keep every feature observed
+    Q = rng.normal(size=(20, d))
+    Q[rng.random(Q.shape) < missing] = np.nan
+    Q[0] = np.nan
+    Q[1] = rng.normal(size=d)
+    imp = fit_imputer(CohortTable(schema, R, rng.integers(0, 2, 60)), k=4)
+    assert np.array_equal(imp.obs_count, (~np.isnan(R)).sum(axis=1))
+    query = CohortTable(schema, Q, np.zeros(20, dtype=int))
+    assert impute(imp, query).X.tobytes() == _impute_by_full_sort(imp, query).tobytes()
+
+
 _IMPUTE_KINDS = {
     "continuous": FeatureSpec(name="c", kind="continuous"),
     "ordinal_score": FeatureSpec(name="o", kind="ordinal_score", lower=0.0,
@@ -282,10 +304,12 @@ def test_imputer_fit_time_arrays_are_the_per_call_expressions():
     assert imp.z_reference.tobytes() == ((imp.reference - imp.loc) / safe).tobytes()
     assert np.array_equal(imp.observed, ~np.isnan(imp.reference))
     # every way of building an imputer derives them again
+    assert np.array_equal(imp.obs_count, imp.observed.sum(axis=1))
     for other in (replace(imp, k=2), pickle.loads(pickle.dumps(imp)),
                   copy.deepcopy(imp)):
         assert other.z_reference.tobytes() == imp.z_reference.tobytes()
         assert np.array_equal(other.observed, imp.observed)
+        assert np.array_equal(other.obs_count, imp.obs_count)
     assert "z_reference" not in repr(imp)
 
 
@@ -660,6 +684,35 @@ def test_a_predictor_reply_is_the_batch_probability_bit_for_bit(serving3):
         assert predictor(test.X[i]).tobytes() == batch[i:i + 1].tobytes(), i
 
 
+def test_a_predictor_call_is_predict_proba_of_its_applied_table(serving3):
+    # the call checks only the cells; the reply is what the checked table
+    # path gives, one row at a time, with and without gaps
+    train, test, pipe = serving3
+    model = train_gbdt(pipe.fitted_table, GbdtParams(depth=3, n_trees=20),
+                       class_weights(train.y), seed=3)
+    predictor = Predictor(schema=train.schema, pipeline=pipe, model=model)
+    gaps = np.isnan(test.X).any(axis=1)
+    picked = np.concatenate([np.flatnonzero(gaps)[:8], np.flatnonzero(~gaps)[:8]])
+    assert picked.size == 16
+    for i in picked:
+        table = CohortTable(train.schema, test.X[i:i + 1], [0])
+        want = predict_proba(model, apply(pipe, table))
+        assert predictor(test.X[i]).tobytes() == want.tobytes(), i
+    both = predict_proba(model, apply(pipe, CohortTable(train.schema,
+                                                        test.X[picked], test.y[picked])))
+    assert predictor(test.X[picked]).tobytes() == both.tobytes()
+
+
+def test_a_predictor_checks_its_schema_when_it_is_built(serving3):
+    train, _, pipe = serving3
+    with pytest.raises(SchemaError, match="duplicate feature names"):
+        Predictor(schema=train.schema + train.schema[:1], pipeline=pipe,
+                  model=None)
+    predictor = Predictor(schema=list(train.schema), pipeline=pipe, model=None)
+    assert predictor.schema == train.schema
+    assert predictor.feature_names == train.feature_names
+
+
 def test_a_served_row_near_the_float_limit_imputes_without_a_warning(serving3):
     # BUN is unbounded above; 1e308 overflows its squared distances to inf,
     # which only makes those reference rows ineligible. pytest turns any
@@ -701,6 +754,11 @@ def test_a_served_row_that_is_not_finite_numbers_is_a_data_error(serving3):
             predictor(cells)
     with pytest.raises(DataError, match="a table of 17 numbers per row"):
         predictor([list(row), list(row[:5])])
+    cells = row.astype(complex)
+    cells[bun] = 2 + 3j
+    with pytest.raises(DataError, match=r"row 0: feature 'BUN' value \(2\+3j\) "
+                                        "is not a finite number"):
+        predictor(cells)
     gap = row.copy()
     gap[bun] = np.nan
     assert 0.0 < float(predictor(gap)[0]) < 1.0
