@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 from .cohort import (CohortTable, SplitIndex, load_cohort, save_cohort,
                      stratified_split, summarize)
-from .errors import (ConfigError, DataError, IcuRiskError, OrderingError,
-                     SchemaError)
+from .errors import (ConfigError, DataError, IcuRiskError, NumericError,
+                     OrderingError, SchemaError, WorkerError)
 from .explain import (AblationReport, AleCurve, DreamConfig, DreamResult,
                       PosteriorDraws, PosteriorRisk, ShapMatrix, ablation, ale,
                       dream_sample, posterior_draws, posterior_risk_inputs,
@@ -43,7 +43,7 @@ __all__ = [
     "__version__",
     # errors
     "IcuRiskError", "ConfigError", "SchemaError", "DataError",
-    "OrderingError",
+    "OrderingError", "NumericError", "WorkerError",
     # data
     "FeatureSpec", "default_schema", "load_schema", "save_schema",
     "CohortTable", "SplitIndex", "stratified_split", "summarize",

@@ -8,6 +8,7 @@ immutable after construction; every operation returns a new table.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,35 +20,38 @@ from .schema import feature_names, validate_schema
 
 def _first_non_number(X, schema) -> str:
     """What is wrong with rows X that numpy cannot read as floats: the
-    first cell that float() refuses, with its feature, when X is a table
-    of the schema's width."""
+    first cell that is no number, with its feature, when X is a table of
+    the schema's width."""
     try:
         cells = np.atleast_2d(np.asarray(X, dtype=object))
     except ValueError:
         cells = None
     if cells is not None and cells.ndim == 2 and cells.shape[1] == len(schema):
         for (i, j), cell in np.ndenumerate(cells):
-            try:
-                float(cell)
+            try:    # unlike float(), complex() keeps an imaginary part
+                if complex(cell).imag == 0:
+                    continue
             except (TypeError, ValueError, OverflowError):
-                return (f"row {i}: feature {schema[j].name!r} value {cell!r} "
-                        "is not a finite number")
+                pass
+            return (f"row {i}: feature {schema[j].name!r} value {cell!r} "
+                    "is not a finite number")
     return f"rows must be a table of {len(schema)} numbers per row"
 
 
-def float_cells(X, schema, copy: bool = False) -> np.ndarray:
-    """X as a float64 array, one row or many, a new one if copy is set; a
-    cell that is no number is a DataError naming its row and feature. An
-    array of complex dtype is refused as a list of complex cells is, naming
-    its first cell with an imaginary part, where numpy would keep only the
-    real parts."""
-    if getattr(X, "dtype", None) is not None and X.dtype.kind == "c":
-        cells = np.where(X.imag == 0, X.real.astype(object), X.astype(object))
-        raise DataError(_first_non_number(cells, schema))
+def float_cells(X, schema) -> np.ndarray:
+    """X as a new float64 array, one row or many; a cell that is no number
+    is a DataError naming its row and feature. A complex cell is refused,
+    whether a complex array, a list or an object array holds it, where
+    numpy would keep only its real part; a float64 array is copied once."""
     try:
-        return (np.array if copy else np.asarray)(X, dtype=np.float64)
+        cells = X if isinstance(X, np.ndarray) else np.asarray(X)
+        kind = cells.dtype.kind
+        if kind != "c" and (kind != "O" or not any(   # np.complex64 is not a complex
+                isinstance(c, (complex, np.complexfloating)) for c in cells.flat)):
+            return np.array(cells, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        raise DataError(_first_non_number(X, schema)) from None
+        pass
+    raise DataError(_first_non_number(X, schema))
 
 
 class CohortTable:
@@ -61,12 +65,10 @@ class CohortTable:
 
     def __init__(self, schema, X, y):
         schema = validate_schema(schema)
-        X = float_cells(X, schema, copy=True)
-        y = np.array(y, dtype=np.int64)
+        X = float_cells(X, schema)
+        y = y if isinstance(y, np.ndarray) else np.asarray(y, dtype=object)
         _check_cells(X, schema, y.shape)
-        if not ((y == 0) | (y == 1)).all():
-            raise DataError("labels must be 0 or 1 with no missing entries")
-        _fill(self, schema, X, y, feature_names(schema))
+        _fill(self, schema, X, _labels(y), feature_names(schema))
 
     @classmethod
     def unlabeled(cls, schema, names, X) -> "CohortTable":
@@ -74,7 +76,7 @@ class CohortTable:
         names are names, each labelled 0. Only the cells are checked, as
         the constructor checks them: for rows served against a fixed
         schema."""
-        X = np.atleast_2d(float_cells(X, schema, copy=True))
+        X = np.atleast_2d(float_cells(X, schema))
         y = np.zeros(X.shape[0], dtype=np.int64)
         _check_cells(X, schema, y.shape)
         return _fill(object.__new__(cls), schema, X, y, names)
@@ -145,6 +147,18 @@ def _fill(table: CohortTable, schema, X, y, names) -> CohortTable:
     for slot, value in zip(CohortTable.__slots__, (schema, X, y, names)):
         object.__setattr__(table, slot, value)
     return table
+
+
+def _labels(y: np.ndarray) -> np.ndarray:
+    """The labels y, one per row (an object array holds each as the caller
+    gave it), as a new int64 array; a label that is not exactly the number 0
+    or 1 (0.5, NaN, 2, "1") is a DataError naming its row."""
+    good = ((y == 0) | (y == 1) if y.dtype.kind in "biuf" else np.array(
+        [isinstance(v, numbers.Real) and v in (0, 1) for v in y], dtype=bool))
+    if not good.all():
+        i = int(np.argmin(good))
+        raise DataError(f"row {i}: label {y.tolist()[i]!r} is not 0 or 1")
+    return np.array(y, dtype=np.int64)
 
 
 def _check_cells(X: np.ndarray, schema, y_shape: tuple) -> None:

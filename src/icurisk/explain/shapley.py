@@ -46,12 +46,11 @@ import numpy as np
 from ..errors import ConfigError, DataError, SchemaError
 from ..models import GbdtModel, model_margin
 from ..models.cv import model_matrix
-from ..models.gbdt import slots_hold
+from ..models.gbdt import MAX_DEPTH, slots_hold
 from ..preprocess import encode_columns
 
 _CHUNK = 1 << 16          # elements per temporary array, about 0.5 MB
-_MAX_TREE_DEPTH = 8       # the weight table holds depth * 4**depth cells
-_SLOT_BITS = (1 << np.arange(_MAX_TREE_DEPTH, dtype=np.uint8))[:, None]
+_SLOT_BITS = (1 << np.arange(MAX_DEPTH, dtype=np.uint8))[:, None]
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,9 @@ def _signed_weights(depth: int) -> np.ndarray:
 
 def _path_codes(forest, X) -> np.ndarray:
     """(leaves, rows) uint8 code of the path slots each row of X satisfies:
-    bit s is set when slot s of the leaf allows the row's value. Trees may
-    be at most 8 deep. The codes are laid out rows first, as the slot test
-    gives them, and returned transposed."""
+    bit s is set when slot s of the leaf allows the row's value; trees are
+    at most MAX_DEPTH = 8 deep, so a code fits. The codes are laid out rows
+    first, as the slot test gives them, and returned transposed."""
     n_leaves = forest.leaf_value.size
     bits = _SLOT_BITS[:forest.depth]
     codes = np.empty((X.shape[0], n_leaves), dtype=np.uint8)
@@ -221,15 +220,11 @@ def shap_tree(model: GbdtModel, rows, background) -> ShapMatrix:
     """Interventional tree Shapley values for every row, equal to
     shap_exhaustive on the margin within floating-point error. Rows and
     background must have the model's width (or feature names, for tables)
-    and finite values; trees deeper than 8 are refused."""
+    and finite values."""
     if not isinstance(model, GbdtModel):
         raise ConfigError("shap_tree supports boosted-tree models only")
     forest = model.forest
     depth = forest.depth
-    if depth > _MAX_TREE_DEPTH:
-        raise ConfigError(f"shap_tree refused for tree depth {depth} > "
-                          f"{_MAX_TREE_DEPTH}: its weight table would hold "
-                          f"depth * 4**depth cells")
     X = encode_columns(model.lookup, model_matrix(model, rows))
     Z = model_matrix(model, background)
     if Z.shape[0] == 0:

@@ -11,19 +11,17 @@ boolean partition; subsampled rounds filter the fit's presort by their row
 mask, and ordered rounds re-sort only the re-encoded categorical columns.
 The trees equal those of a per-node, per-feature stable argsort search.
 
-The grower emits each tree in the Forest layout, as a forest of one tree,
-and records every leaf's path slots for Tree SHAP as it recurses. The
-training round descends that tree to update the margins, and the fit joins
-its trees into the one Forest the model keeps. Margins add the per-tree
-leaf values in tree order, the same additions as a loop over trees.
+Each tree is a complete binary heap, the children of node k being 2k + 1
+and 2k + 2. The grower writes it in place into the forest's arrays and
+records every leaf's path slots for Tree SHAP as it recurses; the round
+descends it to update the margins. Margins add the per-tree leaf values in
+tree order, the same additions as a loop over trees.
 
-One row, as a server scores it, skips the descent when its cells are all
-finite: in each tree it takes the one leaf whose path slots all allow it,
-which is the leaf the descent reaches, in a few whole-forest array
-operations instead of a few per level. A row with a NaN or infinite cell
-descends, and so does every matrix of more rows: the box test's cost grows
-with rows times leaves, and on the benchmark's serving forest it takes
-1.6x the descent's time at 10 rows and 2.9x at 182.
+One row of finite cells, as a server scores it, skips the descent: in each
+tree it takes the one leaf whose path slots all allow it, the leaf the
+descent reaches, in a few whole-forest array operations. A row with a NaN
+or infinite cell descends, and so does a matrix of more rows: the box
+test's cost grows with rows times leaves (see README for timings).
 
 ordered_mode replaces the multi-level discrete columns of the training
 table's schema (ordinal_score and categorical kinds) with ordered target
@@ -49,7 +47,7 @@ from ..special import PROB_CLIP, logit, sigmoid, weighted_logloss
 _MIN_SPLIT_GAIN = 1e-12
 _MIN_CHILD_WEIGHT = 1.0   # least hessian sum on each side of a split
 _CHUNK = 1 << 16          # (rows x trees) elements per margin chunk
-_ROOT = np.zeros(1, dtype=np.int64)
+MAX_DEPTH = 8             # 2**depth slots per tree, depth * 4**depth SHAP weights
 
 
 @dataclass(frozen=True)
@@ -64,6 +62,8 @@ class GbdtParams:
     def __post_init__(self):
         if self.depth < 1 or self.n_trees < 1:
             raise ConfigError("depth and n_trees must be >= 1")
+        if self.depth > MAX_DEPTH:
+            raise ConfigError(f"tree depth {self.depth} > {MAX_DEPTH} refused")
         if not 0.0 < self.subsample <= 1.0:
             raise ConfigError("subsample must be in (0, 1]")
         if self.learning_rate <= 0 or self.l2_leaf < 0:
@@ -72,11 +72,13 @@ class GbdtParams:
 
 @dataclass(frozen=True)
 class Forest:
-    """Boosted trees laid out for vectorized evaluation. The node arrays
-    hold each tree in preorder, end to end, tree t starting at roots[t];
-    feat < 0 marks a leaf, and every leaf is its own left and right child,
-    so one descent of depth steps takes every row to its leaf in every tree
-    at once. Rows with feature value < thr go left.
+    """Boosted trees laid out for vectorized evaluation. Row t of feat and
+    thr, (trees, 2**depth - 1), holds tree t as a complete binary heap: rows
+    with feature feat[t, k] < thr[t, k] go from node k to 2k + 1, the others
+    to 2k + 2, and row t of heap_value, (trees, 2**depth), holds the values
+    of the bottom level. A leaf above full depth fills every bottom slot
+    under it, so the nodes below it (feature 0, threshold 0.0) lead to its
+    value either way.
 
     The leaves are stacked in tree order, preorder within a tree:
     leaf_value, and column i of the (depth, leaves) slot arrays, which holds
@@ -84,36 +86,14 @@ class Forest:
     the interval [lo, hi) of it the path allows. Unused slots are
     (0, -inf, inf)."""
 
-    roots: np.ndarray
     feat: np.ndarray
     thr: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
+    heap_value: np.ndarray
     depth: int
     leaf_value: np.ndarray
     slot_feat: np.ndarray
     slot_lo: np.ndarray
     slot_hi: np.ndarray
-
-
-def _join(trees) -> Forest:
-    """One Forest of the one-tree forests trees, in order."""
-    sizes = [t.feat.size for t in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    shift = np.repeat(roots, sizes)
-
-    def joined(name, axis=0):
-        return np.concatenate([getattr(t, name) for t in trees], axis=axis)
-
-    return Forest(
-        roots=roots, feat=joined("feat"), thr=joined("thr"),
-        left=joined("left") + shift, right=joined("right") + shift,
-        value=joined("value"), depth=trees[0].depth,
-        leaf_value=joined("leaf_value"),
-        slot_feat=joined("slot_feat", 1), slot_lo=joined("slot_lo", 1),
-        slot_hi=joined("slot_hi", 1),
-    )
 
 
 def slots_hold(forest: Forest, X) -> np.ndarray:
@@ -123,20 +103,22 @@ def slots_hold(forest: Forest, X) -> np.ndarray:
     return (v >= forest.slot_lo) & (v < forest.slot_hi)
 
 
-def _leaf_values(forest: Forest, X) -> np.ndarray:
-    """(rows, trees) value of the leaf each row of X reaches in each tree.
-    Every row moves down one level per step, and after depth steps all rows
-    sit on their leaves."""
+def _leaf_values(feat, thr, heap_value, X) -> np.ndarray:
+    """(rows, trees) value of the leaf each row of X reaches in each tree
+    of the heaps feat, thr and heap_value (see Forest); every row moves
+    down one level per step."""
     n, d = X.shape
+    trees, nodes = feat.shape
     x = np.ascontiguousarray(X).ravel()
     row_start = d * np.arange(n)[:, None]
-    idx = np.broadcast_to(forest.roots, (n, forest.roots.size))
-    for _ in range(forest.depth):
-        # at a leaf, feature -1 reads an arbitrary cell of x (index -1 for
-        # row 0); both branches lead back to the leaf
-        go_left = x.take(row_start + forest.feat.take(idx)) < forest.thr.take(idx)
-        idx = np.where(go_left, forest.left.take(idx), forest.right.take(idx))
-    return forest.value.take(idx)
+    root = np.arange(0, trees * nodes, nodes)   # flat index of each node 0
+    step = 2 - root     # node i = root + k goes to root + 2k + 2 - (x < thr)
+    i = np.broadcast_to(root, (n, trees))
+    for _ in range(nodes.bit_length()):
+        go_left = x.take(row_start + feat.take(i)) < thr.take(i)
+        i = 2 * i + step - go_left
+    # bottom node k of tree t is heap_value[t, k - nodes]
+    return heap_value.take(i + (np.arange(trees) - nodes))
 
 
 @dataclass(frozen=True)
@@ -191,37 +173,29 @@ def _partition(block, side, size):
     return kept.reshape(block.shape[1], size).T
 
 
-def _grow_tree(X, g, h, rows, block, depth, l2) -> Forest:
-    """Grow one tree in preorder over rows (ascending) of the Fortran-order
-    table X, as a forest of that tree; block is their (rows.size, d) column
-    block."""
-    feat, thr, left, right, value = [], [], [], [], []
-    leaves, slots = [], []
+def _grow_tree(X, g, h, rows, block, depth, l2, feat, thr, heap_value) -> list:
+    """Grow one tree over rows (ascending) of the Fortran-order table X into
+    its heap rows feat, thr and heap_value (see Forest); block is the rows'
+    (rows.size, d) column block. Returns its leaves in preorder as (value,
+    path) pairs, path mapping each feature tested to the [lo, hi) allowed."""
+    leaves = []
     x_flat = X.ravel(order="F")
     col_start = X.shape[0] * np.arange(X.shape[1])
     gh = g + 1j * h
 
-    def add(j, t, v):
-        node = len(feat)
-        feat.append(j)
-        thr.append(t)
-        left.append(node)
-        right.append(node)
-        value.append(v)
-        return node
-
-    def grow(rows, block, d, path):
+    def grow(rows, block, k, d, path):
         G = g[rows].sum()
         H = h[rows].sum()
         split = None
         if d > 0 and rows.size >= 2:
             split = _best_split(x_flat, col_start, gh, block, G, H, l2)
         if split is None:
-            leaves.append(add(-1, 0.0, -G / max(H + l2, 1e-12)))
-            slots.append(path)
-            return leaves[-1]
+            leaves.append((-G / max(H + l2, 1e-12), path))
+            first = ((k + 1) << d) - heap_value.size    # k's first bottom slot
+            heap_value[first:first + (1 << d)] = leaves[-1][0]
+            return
         j, t = split
-        node = add(j, t, 0.0)
+        feat[k], thr[k] = j, t
         go_left = X[:, j] < t
         to_left = go_left[rows]
         lrows, rrows = rows[to_left], rows[~to_left]
@@ -230,27 +204,11 @@ def _grow_tree(X, g, h, rows, block, depth, l2) -> Forest:
             lblock = _partition(block, go_left, lrows.size)
             rblock = _partition(block, ~go_left, rrows.size)
         lo, hi = path.get(j, (-np.inf, np.inf))
-        left[node] = grow(lrows, lblock, d - 1, {**path, j: (lo, min(hi, t))})
-        right[node] = grow(rrows, rblock, d - 1, {**path, j: (max(lo, t), hi)})
-        return node
+        grow(lrows, lblock, 2 * k + 1, d - 1, {**path, j: (lo, min(hi, t))})
+        grow(rrows, rblock, 2 * k + 2, d - 1, {**path, j: (max(lo, t), hi)})
 
-    grow(rows, block, depth, {})
-    slot_feat = np.zeros((depth, len(leaves)), dtype=np.int64)
-    slot_lo = np.full((depth, len(leaves)), -np.inf)
-    slot_hi = np.full((depth, len(leaves)), np.inf)
-    for i, path in enumerate(slots):
-        for s, (j, (lo, hi)) in enumerate(path.items()):
-            slot_feat[s, i], slot_lo[s, i], slot_hi[s, i] = j, lo, hi
-    value = np.array(value)
-    return Forest(
-        roots=_ROOT,
-        feat=np.array(feat, dtype=np.int64),
-        thr=np.array(thr),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=value, depth=depth, leaf_value=value[leaves],
-        slot_feat=slot_feat, slot_lo=slot_lo, slot_hi=slot_hi,
-    )
+    grow(rows, block, 0, depth, {})
+    return leaves
 
 
 def _category_ranks(codes):
@@ -327,9 +285,13 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
                                   np.array([[enc.global_mean] for enc in encoders]))
         Xt, sorted_rows = X.copy(order="F"), presort.copy(order="F")
     margin = np.full(n, base)
-    trees = []
+    nodes = (1 << params.depth) - 1
+    feat = np.zeros((params.n_trees, nodes), dtype=np.int64)
+    thr = np.zeros((params.n_trees, nodes))
+    heap_value = np.empty((params.n_trees, nodes + 1))
+    leaves = []
     losses = [weighted_logloss(margin, y, w)]
-    for _ in range(params.n_trees):
+    for t in range(params.n_trees):
         if params.ordered_mode:
             stats = ordered(rng.permutation(n))
             Xt[:, cols] = stats.T
@@ -344,19 +306,28 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
             if np.count_nonzero(sampled) >= 2:
                 rows = np.flatnonzero(sampled)
                 order = _partition(order, sampled, rows.size)
-        tree = _grow_tree(Xt, g, h, rows, order, params.depth, params.l2_leaf)
-        trees.append(tree)
-        leaf = _leaf_values(tree, Xt)[:, 0]
+        leaves += _grow_tree(Xt, g, h, rows, order, params.depth, params.l2_leaf,
+                             feat[t], thr[t], heap_value[t])
+        leaf = _leaf_values(feat[t:t + 1], thr[t:t + 1], heap_value[t:t + 1], Xt)[:, 0]
         margin = margin + params.learning_rate * leaf
         losses.append(weighted_logloss(margin, y, w))
 
+    slot_feat = np.zeros((params.depth, len(leaves)), dtype=np.int64)
+    slot_lo = np.full((params.depth, len(leaves)), -np.inf)
+    slot_hi = np.full((params.depth, len(leaves)), np.inf)
+    for i, (_, path) in enumerate(leaves):
+        for s, (j, (lo, hi)) in enumerate(path.items()):
+            slot_feat[s, i], slot_lo[s, i], slot_hi[s, i] = j, lo, hi
     return GbdtModel(
         params=params,
         base_score=base,
         feature_names_=tuple(train.feature_names),
         lookup=EncoderLookup(encoders),
         loss_curve=np.array(losses),
-        forest=_join(trees),
+        forest=Forest(feat=feat, thr=thr, heap_value=heap_value,
+                      depth=params.depth,
+                      leaf_value=np.array([v for v, _ in leaves]),
+                      slot_feat=slot_feat, slot_lo=slot_lo, slot_hi=slot_hi),
     )
 
 
@@ -371,10 +342,10 @@ def gbdt_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
         return _add_trees(model, forest.leaf_value[
             slots_hold(forest, X[0]).all(axis=0)][None])
     out = np.empty(X.shape[0])
-    step = max(1, _CHUNK // forest.roots.size)
+    step = max(1, _CHUNK // forest.feat.shape[0])
     for start in range(0, X.shape[0], step):
-        out[start:start + step] = _add_trees(
-            model, _leaf_values(forest, X[start:start + step]))
+        out[start:start + step] = _add_trees(model, _leaf_values(
+            forest.feat, forest.thr, forest.heap_value, X[start:start + step]))
     return out
 
 

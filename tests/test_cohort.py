@@ -4,15 +4,16 @@ per-class summaries."""
 import copy
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icurisk.cohort import (CohortSummary, CohortTable, load_cohort,
-                            save_cohort, stratified_split, summarize,
-                            validate_values)
+from icurisk.cohort import (CohortSummary, CohortTable, float_cells,
+                            load_cohort, save_cohort, stratified_split,
+                            summarize, validate_values)
 from icurisk.errors import ConfigError, DataError, SchemaError
 from icurisk.schema import FeatureSpec
 
@@ -34,6 +35,49 @@ def test_label_validation(schema4):
         CohortTable(schema4, X, [0, 1])
     with pytest.raises(SchemaError):
         CohortTable(schema4, np.zeros((3, 5)), [0, 1, 0])
+
+
+def test_labels_that_are_not_exactly_0_or_1_are_data_errors(schema4):
+    # a fractional label is not truncated to 0, and a missing one is a
+    # typed error naming its row, as load_cohort names its line
+    X = np.zeros((2, 4))
+    for y, want in (([0.5, 1], "row 0: label 0.5"), ([1, np.nan], "row 1: label nan"),
+                    ([0, "1"], "row 1: label '1'"), ([None, 1], "row 0: label None"),
+                    ([1, 1 + 0j], r"row 1: label \(1\+0j\)"),
+                    (np.array([0.0, -1.0]), "row 1: label -1.0")):
+        with pytest.raises(DataError, match=want + " is not 0 or 1"):
+            CohortTable(schema4, X, y)
+    for y in ([1.0, 0.0], [True, False], np.array([1, 0], dtype=np.uint8)):
+        table = CohortTable(schema4, X, y)
+        assert table.y.dtype == np.int64 and table.y.tolist() == [1, 0]
+
+
+def test_complex_scalars_in_lists_are_refused_as_complex_arrays_are(schema4):
+    # numpy would keep the real part with only a ComplexWarning, which the
+    # test suite raises as an error
+    row = [50.0, 2.0, 1.0, 9.0]
+    for scalar in (np.complex128, np.complex64):
+        cells = [row, [50.0, scalar(2 + 3j), 1.0, 9.0]]
+        for X in (cells, np.array(cells, dtype=object)):
+            with pytest.raises(DataError, match=r"row 1: feature 'lactate' "
+                                                r"value .*\(2\+3j\)"):
+                CohortTable(schema4, X, [0, 1])
+            with pytest.raises(DataError, match=r"row 1: feature 'lactate'"):
+                CohortTable.unlabeled(schema4, tuple(s.name for s in schema4), X)
+        with pytest.raises(DataError, match="a table of 4 numbers per row"):
+            CohortTable(schema4, [row, [50.0, scalar(2), 1.0, 9.0]], [0, 1])
+
+
+def test_a_float64_matrix_is_copied_once(schema4):
+    X = np.random.default_rng(0).normal(size=(20000, 4))
+    tracemalloc.start()
+    try:
+        cells = float_cells(X, schema4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(cells, X) is False and cells.tobytes() == X.tobytes()
+    assert peak < 1.5 * X.nbytes
 
 
 def test_cells_that_are_no_finite_number_are_data_errors(schema4):

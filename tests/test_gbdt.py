@@ -1,7 +1,7 @@
 """Boosted-tree trainer: hand-computed split oracle, invariances, ordered
 target statistics, the per-feature split search kept as a reference for
-the presorted one, and a per-tree, per-row walk over the grown trees kept
-as a reference for the joined forest's margins."""
+the presorted one, and a per-tree, per-row walk over the grown heaps kept
+as a reference for the forest's margins."""
 
 import pickle
 from unittest import mock
@@ -38,9 +38,9 @@ def _check_stump(x, thr):
         model = train_gbdt(_table_1d(x), GbdtParams(
             depth=1, n_trees=1, learning_rate=1.0, l2_leaf=0.0))
     assert model.base_score == 0.0
-    forest = model.forest       # its one tree starts at node 0
-    assert forest.feat[0] == 0
-    assert forest.thr[0] == thr
+    forest = model.forest       # its one tree's root is heap node 0
+    assert forest.feat[0, 0] == 0
+    assert forest.thr[0, 0] == thr
     ends = np.array([[x[0]], [x[-1]]])
     margins = gbdt_margin(model, ends)
     assert margins == pytest.approx([-2.0, 2.0])
@@ -67,8 +67,11 @@ def test_min_child_weight_blocks_thin_splits():
     with mock.patch.object(gbdt, "_MIN_CHILD_WEIGHT", 1.0):
         model = train_gbdt(_table_1d(), GbdtParams(
             depth=1, n_trees=1, learning_rate=1.0, l2_leaf=0.0))
-    # each side only has h = 0.5 < 1.0, so the tree stays a single leaf
-    assert model.forest.feat[0] == -1
+    # each side only has h = 0.5 < 1.0, so the tree stays a single leaf,
+    # whose value fills both bottom slots
+    forest = model.forest
+    assert forest.leaf_value.size == 1
+    assert np.array_equal(forest.heap_value, np.full((1, 2), forest.leaf_value[0]))
 
 
 def test_row_duplication_leaves_model_unchanged():
@@ -221,6 +224,28 @@ def _ref_grow_tree(X, g, h, depth, l2, min_child_weight):
     return [np.array(a) for a in (feat, thr, left, right, value)]
 
 
+def _ref_heap(tree, depth):
+    """The reference's preorder tree read in preorder into heap rows feat,
+    thr and heap_value (see gbdt.Forest). A leaf is its own left and right
+    child, so it carries its value down to every bottom slot under it;
+    nodes at and below a leaf test feature 0 against 0.0."""
+    feat, thr, left, right, value = tree
+    nodes = (1 << depth) - 1
+    heap = np.zeros(nodes, dtype=np.int64), np.zeros(nodes), np.empty(nodes + 1)
+
+    def place(node, k, d):
+        if d == 0:
+            heap[2][k - nodes] = value[node]
+            return
+        if feat[node] >= 0:
+            heap[0][k], heap[1][k] = feat[node], thr[node]
+        place(left[node], 2 * k + 1, d - 1)
+        place(right[node], 2 * k + 2, d - 1)
+
+    place(0, 0, depth)
+    return heap
+
+
 def _ref_ordered_column(codes, y, perm, alpha, prior):
     """One cumulative pass per category."""
     enc = np.empty(codes.shape[0])
@@ -291,14 +316,16 @@ def test_presorted_search_matches_per_feature_reference(
     grown = []
     real = gbdt._grow_tree
 
-    def checked(X, g, h, rows, block, d, l2_):
-        tree = real(X, g, h, rows, block, d, l2_)
+    def checked(X, g, h, rows, block, d, l2_, *heap):
+        leaves = real(X, g, h, rows, block, d, l2_, *heap)
         ref = _ref_grow_tree(X[rows], g[rows], h[rows], d, l2_, mcw)
-        got = (tree.feat, tree.thr, tree.left, tree.right, tree.value)
-        for name, a, b in zip(("feat", "thr", "left", "right", "value"), got, ref):
+        for name, a, b in zip(("feat", "thr", "heap_value"), heap,
+                              _ref_heap(ref, d)):
             assert np.array_equal(a, b), name
-        grown.append(tree)
-        return tree
+        ref_feat, ref_value = ref[0], ref[-1]
+        assert np.array_equal([v for v, _ in leaves], ref_value[ref_feat < 0])
+        grown.append(leaves)
+        return leaves
 
     with mock.patch.object(gbdt, "_MIN_CHILD_WEIGHT", mcw), \
             mock.patch.object(gbdt, "_grow_tree", checked):
@@ -379,19 +406,20 @@ def test_ordered_column_matches_per_category_loop(n, k, data):
 # ------------------------------------------------ per-tree reference margin
 
 def _ref_margin(model, trees, X):
-    """Walk every grown tree node by node from node 0 for each row; add the
-    trees in order. The trees are the grower's own, so this also checks
-    how the fit joins them into the model's forest."""
+    """Walk every grown heap node by node from node 0 for each row, down to
+    its bottom level; add the trees in order. The heaps are copies taken as
+    each round grew them, so this also checks that later rounds leave the
+    model's earlier trees as they were."""
     X = encode_columns(model.lookup, np.asarray(X, dtype=float))
     out = np.full(X.shape[0], model.base_score)
-    for tree in trees:
+    for feat, thr, heap_value in trees:
         leaf = np.empty(X.shape[0])
         for i, x in enumerate(X):
             node = 0
-            while tree.feat[node] >= 0:
-                go_left = x[tree.feat[node]] < tree.thr[node]
-                node = tree.left[node] if go_left else tree.right[node]
-            leaf[i] = tree.value[node]
+            while node < feat.size:
+                go_left = x[feat[node]] < thr[node]
+                node = 2 * node + 1 if go_left else 2 * node + 2
+            leaf[i] = heap_value[node - feat.size]
         out += model.params.learning_rate * leaf
     return out
 
@@ -414,19 +442,19 @@ def test_margin_matches_per_tree_reference(table_weights, depth, mode, chunk,
     real = gbdt._grow_tree
 
     def kept(*args):
-        grown.append(real(*args))
-        return grown[-1]
+        leaves = real(*args)
+        grown.append([a.copy() for a in args[-3:]])
+        return leaves
 
     with mock.patch.object(gbdt, "_CHUNK", chunk), \
             mock.patch.object(gbdt, "_MIN_CHILD_WEIGHT", 0.0), \
             mock.patch.object(gbdt, "_grow_tree", kept):
         model = train_gbdt(table, GbdtParams(**kw), weights, seed=seed)
         rows = [table.X]
-        for f, t in zip(model.forest.feat, model.forest.thr):
-            if f >= 0:
-                on = table.X[:1].copy()
-                on[0, f] = t
-                rows.append(on)
+        for f, t in zip(model.forest.feat.ravel(), model.forest.thr.ravel()):
+            on = table.X[:1].copy()
+            on[0, f] = t
+            rows.append(on)
         unseen = table.X[:1].copy()
         unseen[0, 0] = 99.0
         X = np.vstack(rows + [unseen])
@@ -465,11 +493,10 @@ def test_one_row_through_the_leaf_boxes_is_its_batch_margin(table_weights,
     with mock.patch.object(gbdt, "_MIN_CHILD_WEIGHT", 0.0):
         model = train_gbdt(table, GbdtParams(**kw), weights, seed=seed)
     rows = [table.X]
-    for f, t in zip(model.forest.feat, model.forest.thr):
-        if f >= 0:
-            on = table.X[:1].copy()
-            on[0, f] = t
-            rows.append(on)
+    for f, t in zip(model.forest.feat.ravel(), model.forest.thr.ravel()):
+        on = table.X[:1].copy()
+        on[0, f] = t
+        rows.append(on)
     for j in range(table.d):
         for zero in (0.0, -0.0):
             at = table.X[:1].copy()

@@ -1,6 +1,7 @@
 """Peak Python-level memory of the report's heaviest numeric steps, measured
 with tracemalloc (numpy reports its array buffers to it)."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -97,3 +98,20 @@ def test_prepared_shap_background_is_no_larger_than_its_pairs():
     held = sum(v.nbytes for v in vars(record).values()
                if isinstance(v, np.ndarray))
     assert held <= pairs * (8 + 1 + 8 + 3 * 8)
+
+
+def test_a_depth_eight_forest_holds_its_heaps_and_leaf_tables():
+    # at the deepest depth GbdtParams allows, each tree's heaps hold 255
+    # tests (a feature and a threshold) and 256 bottom values, 3 * 256
+    # numbers, and each leaf its value and 8 path slots of 3 numbers; the
+    # fit keeps nothing else but a few kB of model
+    table = make_table(200, seed=71, informative=True)
+    tracemalloc.start()
+    try:
+        model = train_gbdt(table, GbdtParams(depth=8, n_trees=100), seed=0)
+        gc.collect()    # the grower's recursive closures are cycles
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    leaves = model.forest.leaf_value.size
+    assert held <= (100 * 3 * 256 + leaves * (1 + 3 * 8)) * 8 + 64 * 1024

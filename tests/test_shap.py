@@ -11,6 +11,8 @@ from icurisk.cohort import CohortTable
 from icurisk.errors import ConfigError, DataError, SchemaError
 from icurisk.explain import shapley
 from icurisk.explain.shapley import ShapMatrix, shap_exhaustive, shap_tree
+from icurisk.models import gbdt
+from icurisk.models.cv import ModelSpec, train_model
 from icurisk.models.gbdt import GbdtParams, gbdt_margin, train_gbdt
 from icurisk.preprocess import encode_columns
 from icurisk.schema import FeatureSpec
@@ -174,8 +176,7 @@ def test_tree_matches_enumeration_with_repeated_features_and_ties():
     assert bounded.any()                    # a feature tested twice on a path
     Z = X[:24].copy()
     rows = X[100:104].copy()
-    for i, root in enumerate(forest.roots[:4]):
-        f, t = forest.feat[root], forest.thr[root]
+    for i, (f, t) in enumerate(zip(forest.feat[:4, 0], forest.thr[:4, 0])):
         Z[i, f] = t
         rows[i, f] = t
     before = _check_against_enumeration(model, rows, Z)
@@ -374,13 +375,16 @@ def test_tree_table_shape_does_not_depend_on_the_background(monkeypatch):
 
 
 def test_tree_refuses_depth_over_eight_before_any_work(monkeypatch):
-    table = make_table(120, seed=61, informative=True)
-    model = train_gbdt(table, GbdtParams(depth=9, n_trees=1), seed=0)
-    assert model.forest.depth == 9
-    monkeypatch.setattr(shapley, "_memo", (None, None, None))
+    """The boosting parameters refuse the depth, so no tree that deep is
+    ever fitted or explained."""
+    fits = []
+    monkeypatch.setattr(gbdt, "_grow_tree", lambda *a: fits.append(a))
     with pytest.raises(ConfigError, match="depth 9"):
-        shap_tree(model, table.X[:2], table.X[10:30])
-    assert shapley._memo == (None, None, None) and 9 not in shapley._tables
+        GbdtParams(depth=9, n_trees=1)
+    with pytest.raises(ConfigError, match="depth 9"):
+        train_model(ModelSpec("gbdt", {"depth": 9}), make_table(40, seed=61), None)
+    assert fits == [] and 9 not in shapley._tables
+    assert GbdtParams(depth=8).depth == gbdt.MAX_DEPTH == shapley._SLOT_BITS.size
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
