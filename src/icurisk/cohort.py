@@ -42,12 +42,15 @@ def float_cells(X, schema) -> np.ndarray:
     """X as a new float64 array, one row or many; a cell that is no number
     is a DataError naming its row and feature. A complex cell is refused,
     whether a complex array, a list or an object array holds it, where
-    numpy would keep only its real part; a float64 array is copied once."""
+    numpy would keep only its real part, and so is a None cell, which numpy
+    would read as NaN: NaN is the one missing marker. A float64 array is
+    copied once."""
     try:
         cells = X if isinstance(X, np.ndarray) else np.asarray(X)
         kind = cells.dtype.kind
         if kind != "c" and (kind != "O" or not any(   # np.complex64 is not a complex
-                isinstance(c, (complex, np.complexfloating)) for c in cells.flat)):
+                c is None or isinstance(c, (complex, np.complexfloating))
+                for c in cells.flat)):
             return np.array(cells, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -114,8 +114,10 @@ def model_margin(model, rows) -> np.ndarray:
 
 def predict_proba(model, rows) -> np.ndarray:
     """Mortality probability per row: the sigmoid of the margin, clipped to
-    [PROB_CLIP, 1 - PROB_CLIP]."""
-    return np.clip(sigmoid(model_margin(model, rows)), PROB_CLIP, 1 - PROB_CLIP)
+    [PROB_CLIP, 1 - PROB_CLIP]: np.clip's result, without its Python
+    wrapper."""
+    p = sigmoid(model_margin(model, rows))
+    return np.minimum(np.maximum(p, PROB_CLIP), 1 - PROB_CLIP)
 
 
 @dataclass(frozen=True)

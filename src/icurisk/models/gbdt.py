@@ -13,9 +13,11 @@ The trees equal those of a per-node, per-feature stable argsort search.
 
 Each tree is a complete binary heap, the children of node k being 2k + 1
 and 2k + 2. The grower writes it in place into the forest's arrays and
-records every leaf's path slots for Tree SHAP as it recurses; the round
-descends it to update the margins. Margins add the per-tree leaf values in
-tree order, the same additions as a loop over trees.
+records every leaf's path slots for Tree SHAP as it recurses. It also
+sends every training row, sampled in the round or not, down the splits it
+makes and writes the value of the leaf each row reaches, with which the
+round updates the margins. Margins add the per-tree leaf values in tree
+order, the same additions as a loop over trees.
 
 One row of finite cells, as a server scores it, skips the descent: in each
 tree it takes the one leaf whose path slots all allow it, the leaf the
@@ -60,6 +62,11 @@ class GbdtParams:
     ordered_mode: bool = False
 
     def __post_init__(self):
+        for name in ("depth", "n_trees"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got "
+                                  f"{type(value).__name__} {value!r}")
         if self.depth < 1 or self.n_trees < 1:
             raise ConfigError("depth and n_trees must be >= 1")
         if self.depth > MAX_DEPTH:
@@ -173,17 +180,22 @@ def _partition(block, side, size):
     return kept.reshape(block.shape[1], size).T
 
 
-def _grow_tree(X, g, h, rows, block, depth, l2, feat, thr, heap_value) -> list:
+def _grow_tree(X, g, h, rows, block, depth, l2, feat, thr, heap_value,
+               row_value) -> list:
     """Grow one tree over rows (ascending) of the Fortran-order table X into
     its heap rows feat, thr and heap_value (see Forest); block is the rows'
-    (rows.size, d) column block. Returns its leaves in preorder as (value,
-    path) pairs, path mapping each feature tested to the [lo, hi) allowed."""
+    (rows.size, d) column block. row_value[i] is set to the value of the
+    leaf that row i of X reaches, whether rows holds it or not. Returns the
+    leaves in preorder as (value, path) pairs, path mapping each feature
+    tested to the [lo, hi) allowed."""
     leaves = []
     x_flat = X.ravel(order="F")
     col_start = X.shape[0] * np.arange(X.shape[1])
     gh = g + 1j * h
 
-    def grow(rows, block, k, d, path):
+    def grow(rows, reach, block, k, d, path):
+        """reach: the rows of X at node k, rows the sampled ones; both
+        are one array when the round samples every row."""
         G = g[rows].sum()
         H = h[rows].sum()
         split = None
@@ -192,22 +204,27 @@ def _grow_tree(X, g, h, rows, block, depth, l2, feat, thr, heap_value) -> list:
         if split is None:
             leaves.append((-G / max(H + l2, 1e-12), path))
             first = ((k + 1) << d) - heap_value.size    # k's first bottom slot
-            heap_value[first:first + (1 << d)] = leaves[-1][0]
+            heap_value[first:first + (1 << d)] = row_value[reach] = leaves[-1][0]
             return
         j, t = split
         feat[k], thr[k] = j, t
         go_left = X[:, j] < t
         to_left = go_left[rows]
         lrows, rrows = rows[to_left], rows[~to_left]
+        lreach, rreach = lrows, rrows
+        if reach is not rows:
+            to_left = go_left[reach]
+            lreach, rreach = reach[to_left], reach[~to_left]
         lblock = rblock = None          # children at depth 0 are leaves
         if d > 1:
             lblock = _partition(block, go_left, lrows.size)
             rblock = _partition(block, ~go_left, rrows.size)
         lo, hi = path.get(j, (-np.inf, np.inf))
-        grow(lrows, lblock, 2 * k + 1, d - 1, {**path, j: (lo, min(hi, t))})
-        grow(rrows, rblock, 2 * k + 2, d - 1, {**path, j: (max(lo, t), hi)})
+        grow(lrows, lreach, lblock, 2 * k + 1, d - 1, {**path, j: (lo, min(hi, t))})
+        grow(rrows, rreach, rblock, 2 * k + 2, d - 1, {**path, j: (max(lo, t), hi)})
 
-    grow(rows, block, 0, depth, {})
+    grow(rows, rows if rows.size == X.shape[0] else np.arange(X.shape[0]),
+         block, 0, depth, {})
     return leaves
 
 
@@ -289,6 +306,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
     feat = np.zeros((params.n_trees, nodes), dtype=np.int64)
     thr = np.zeros((params.n_trees, nodes))
     heap_value = np.empty((params.n_trees, nodes + 1))
+    leaf = np.empty(n)          # each row's leaf value in the round's tree
     leaves = []
     losses = [weighted_logloss(margin, y, w)]
     for t in range(params.n_trees):
@@ -307,8 +325,7 @@ def train_gbdt(train, params: GbdtParams = GbdtParams(), weights=None, seed: int
                 rows = np.flatnonzero(sampled)
                 order = _partition(order, sampled, rows.size)
         leaves += _grow_tree(Xt, g, h, rows, order, params.depth, params.l2_leaf,
-                             feat[t], thr[t], heap_value[t])
-        leaf = _leaf_values(feat[t:t + 1], thr[t:t + 1], heap_value[t:t + 1], Xt)[:, 0]
+                             feat[t], thr[t], heap_value[t], leaf)
         margin = margin + params.learning_rate * leaf
         losses.append(weighted_logloss(margin, y, w))
 

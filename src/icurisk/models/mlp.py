@@ -61,29 +61,37 @@ def _bce(z2, y, w, w_sum):
     return float(weighted_logloss(z2, y, w) / w_sum)
 
 
-def _loss_and_grad_into(params, X, y, w, grads):
-    """Weighted BCE loss; writes the analytic gradients into the arrays
-    grads = (dW1, db1, dW2, db2), db2 of length 1."""
+def _diverged(z2, y, w) -> bool:
+    """Whether the weighted BCE of the margins z2 is NaN. Where the margin
+    is finite, its term w (log(1 + e^z) - y z) is finite and not below 0
+    but by rounding (w > 0, y 0 or 1), so a sum of such terms is finite or
+    +inf: only a non-finite margin can make the loss NaN, and only then is
+    it computed."""
+    return not np.isfinite(z2).all() and isnan(_bce(z2, y, w, w.sum()))
+
+
+def _grad_into(params, X, y, w, grads):
+    """Write the analytic gradients of the weighted BCE into the arrays
+    grads = (dW1, db1, dW2, db2), db2 of length 1; return the margins."""
     dW1, db1, dW2, db2 = grads
-    w_sum = w.sum()
     Z1, A1, z2 = _forward(params, X)
-    dz2 = w * (sigmoid(z2) - y) / w_sum
+    dz2 = w * (sigmoid(z2) - y) / w.sum()
     np.matmul(A1.T, dz2, out=dW2)
     db2[0] = dz2.sum()
     dZ1 = dz2[:, None] * params[2]
     dZ1 *= Z1 > 0
     np.matmul(X.T, dZ1, out=dW1)
     dZ1.sum(axis=0, out=db1)
-    return _bce(z2, y, w, w_sum)
+    return z2
 
 
 def loss_and_grad(params, X, y, w):
     """Weighted BCE loss and analytic gradients (W1, b1, W2, b2 order)."""
     d, hidden = np.shape(params[0])
     dW1, db1, dW2, db2 = _views(np.empty(d * hidden + 2 * hidden + 1), d, hidden)
-    loss = _loss_and_grad_into(params, X, np.asarray(y, dtype=float), w,
-                               (dW1, db1, dW2, db2))
-    return loss, (dW1, db1, dW2, db2[0])
+    y = np.asarray(y, dtype=float)
+    z2 = _grad_into(params, X, y, w, (dW1, db1, dW2, db2))
+    return _bce(z2, y, w, w.sum()), (dW1, db1, dW2, db2[0])
 
 
 def _stratified_val_split(y, rng):
@@ -147,8 +155,8 @@ def train_mlp(train, hidden: int = 16, epochs: int = 200, weights=None,
         Xe, ye, we = Xf[order], yf[order], wf[order]
         for start in range(0, n_fit, _BATCH_SIZE):
             batch = slice(start, start + _BATCH_SIZE)
-            loss = _loss_and_grad_into(params, Xe[batch], ye[batch], we[batch], grads)
-            if isnan(loss):
+            yb, wb = ye[batch], we[batch]
+            if _diverged(_grad_into(params, Xe[batch], yb, wb, grads), yb, wb):
                 raise ConfigError("MLP training diverged (NaN loss)")
             step += 1
             m *= beta1

@@ -16,16 +16,22 @@ fields in __post_init__: the imputer (its reference matrix z-scored, with
 the safe divisor, the observed mask, both matrices column-major, and each
 reference row's count of observed columns), the encoders' joined lookup
 (every table laid over the sorted union of their categories, so one
-searchsorted encodes every encoded column of a row) and the scaler (its
-divisor and zero-sd columns). So every way of building them (fit,
-replace, pickle) has them; they are left out of eq and repr. A batch and
-a single row run the same float operations in the same order, so a row
-transformed alone equals its row of the batch bit for bit.
+searchsorted encodes every encoded column of a batch, and one dict per
+encoder from category value to encoded value, so a one-row matrix encodes
+each cell by lookup) and the scaler (its divisor and zero-sd columns). So
+every way of building them (fit, replace, pickle) has them; they are left
+out of eq and repr. A row transformed alone gets the same stored values
+and the same float operations in the same order as its row of a batch, so
+it equals that row bit for bit.
 
 The imputer works through a table's missing rows one missing pattern at a
-time: the rows that miss the same columns share the gather of the observed
-reference columns, and their distances are computed together in blocks of
-at most _BLOCK_CELLS cells, so memory stays flat however large a group is.
+time: the rows that miss the same columns share one count of the
+dimensions each reference row shares with them, and their distances are
+computed together in blocks of at most _BLOCK_CELLS cells, so memory stays
+flat however large a group is. A block subtracts the rows from the whole
+column-major reference, without gathering its observed columns: a
+difference that a missing cell makes NaN is squared and zeroed to +0.0,
+which leaves every column-order sum as it was.
 """
 
 from __future__ import annotations
@@ -73,8 +79,8 @@ class KnnImputer:
     def __post_init__(self):
         scale_safe = np.where(self.scale > 0, self.scale, 1.0)
         object.__setattr__(self, "scale_safe", scale_safe)
-        # column-major, so that the columns a missing pattern observes
-        # gather as whole rows of their transposes
+        # column-major: each column contiguous, and each transpose a
+        # C-ordered (columns, reference rows) view
         object.__setattr__(self, "z_reference", np.asfortranarray(
             (self.reference - self.loc) / scale_safe))
         object.__setattr__(self, "observed",
@@ -144,17 +150,17 @@ def impute(imputer: KnnImputer, table: CohortTable) -> CohortTable:
     features differ from the training table's is a SchemaError.
 
     Rows are imputed by missing pattern: the rows that miss the same
-    columns share one gather of the reference's observed columns and one
-    count of the dimensions each reference row shares with them, and their
-    distances are computed in blocks of at most _BLOCK_CELLS cells. Each
-    row's distances are the same float operations in the same order as a
-    row imputed alone, so a row's values do not depend on the others."""
+    columns share one count of the dimensions each reference row shares
+    with them, and their distances are computed in blocks of at most
+    _BLOCK_CELLS cells. Each row's distances are the same float operations
+    in the same order as a row imputed alone, so a row's values do not
+    depend on the others."""
     if tuple(table.feature_names) != tuple(imputer.feature_names_):
         raise SchemaError("impute: table schema does not match fitted schema")
     nan = np.isnan(table.X)
-    missing_rows = np.flatnonzero(nan.any(axis=1))
-    if missing_rows.size == 0:
+    if not nan.any():
         return table
+    missing_rows = np.flatnonzero(nan.any(axis=1))
     X = table.X.copy()
     for group in _pattern_groups(nan[missing_rows]):
         _impute_group(imputer, X, missing_rows[group])
@@ -163,31 +169,30 @@ def impute(imputer: KnnImputer, table: CohortTable) -> CohortTable:
 
 def _impute_group(imputer: KnnImputer, X: np.ndarray, rows: np.ndarray) -> None:
     """Impute, in place, the rows of X that miss the same columns."""
-    obs_q = ~np.isnan(X[rows[0]])
-    unobserved = np.flatnonzero(~obs_q)
-    # (observed columns, reference rows): whole rows of the column-major
-    # reference arrays
-    ZR = imputer.z_reference.T[obs_q]
+    unobserved = np.flatnonzero(np.isnan(X[rows[0]]))
+    # (columns, reference rows), a view: each row one contiguous column
+    ZR = imputer.z_reference.T
     # a served row misses few columns: subtract those, in exact integers
-    shared = imputer.obs_count - imputer.observed.T[~obs_q].sum(axis=0)
+    shared = imputer.obs_count - imputer.observed.T[unobserved].sum(axis=0)
     divisor = np.maximum(shared, 1)
     # at most _BLOCK_CELLS differences and distances per block; with no
     # column observed, every distance is inf and every fill is loc
-    step = max(1, _BLOCK_CELLS // max(ZR.size, ZR.shape[1]))
+    step = max(1, _BLOCK_CELLS // ZR.size)
     # a finite cell near the float limit overflows its distances to inf,
     # which leaves the reference rows observed in its column ineligible
     # (one errstate per group: entering one costs about a microsecond)
     with np.errstate(over="ignore"):
         Zq = (X.take(rows, axis=0) - imputer.loc) / imputer.scale_safe
-        Zq = Zq.compress(obs_q, axis=1)
         for start in range(0, rows.size, step):
             # (columns, rows, reference rows), summed over its first axis:
             # one column after another, in column order, as numpy sums a
-            # single row's column-major (reference rows, columns) gather.
-            # Squared and NaN-zeroed in place: np.nansum, without its copy.
+            # single row's column-major (reference rows, columns) matrix.
+            # A difference with a missing cell on either side is NaN;
+            # squared in place, fmax makes it +0.0, and adding +0.0 to a
+            # sum of squares leaves its bits: np.nansum, without its copy.
             diff2 = ZR[:, None, :] - Zq[start:start + step].T[:, :, None]
             np.square(diff2, out=diff2)
-            np.copyto(diff2, 0.0, where=np.isnan(diff2))
+            np.fmax(diff2, 0.0, out=diff2)
             d2 = np.where(shared > 0, diff2.sum(axis=0) / divisor, np.inf)
             for i, dist in zip(rows[start:start + step], d2):
                 _fill_row(imputer, X[i], unobserved, dist)
@@ -260,8 +265,9 @@ def fit_encoder(train: CohortTable, feature: str,
 class EncoderLookup:
     """The encoders' tables joined over values, the sorted union of their
     category values: table[i, p] is encoder i's value for values[p], or its
-    global mean where seen[i, p] says it never saw values[p]. A lookup
-    copies stored values and computes none."""
+    global mean where seen[i, p] says it never saw values[p]. maps[i] is
+    encoder i's table as a dict, from category value to encoded value, for
+    a one-row matrix. A lookup copies stored values and computes none."""
 
     encoders: tuple
     columns: np.ndarray = field(init=False, compare=False, repr=False)
@@ -271,6 +277,7 @@ class EncoderLookup:
     global_mean: np.ndarray = field(init=False, compare=False, repr=False)
     # the flat index of row i of table, column p, is p + offsets[i]
     offsets: np.ndarray = field(init=False, compare=False, repr=False)
+    maps: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cats = [enc.category_values for enc in self.encoders]
@@ -285,7 +292,9 @@ class EncoderLookup:
         derived = dict(
             columns=np.array([enc.column for enc in self.encoders], dtype=np.intp),
             values=values, table=table, seen=seen, global_mean=global_mean,
-            offsets=values.size * np.arange(len(self.encoders)))
+            offsets=values.size * np.arange(len(self.encoders)),
+            maps=tuple(dict(zip(enc.category_values.tolist(), enc.table.tolist()))
+                       for enc in self.encoders))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -294,10 +303,14 @@ def encode_columns(lookup: EncoderLookup, X: np.ndarray) -> np.ndarray:
     """A copy of X with each encoder's column replaced by smoothed target
     means, or X itself if there are no encoders. Missing cells stay
     missing; unseen categories map to the global mean (logged, not an
-    error)."""
+    error). A batch is encoded with one searchsorted over the joined
+    table, a one-row matrix cell by cell from the encoders' dicts."""
     if not lookup.encoders:
         return X
     X = X.copy()
+    if X.shape[0] == 1:
+        _encode_row(lookup, X[0])
+        return X
     V = X[:, lookup.columns]
     values = lookup.values
     at = np.searchsorted(values, V)
@@ -316,6 +329,22 @@ def encode_columns(lookup: EncoderLookup, X: np.ndarray) -> np.ndarray:
         known, lookup.table.take(at),
         np.where(observed, lookup.global_mean, V))
     return X
+
+
+def _encode_row(lookup: EncoderLookup, row: np.ndarray) -> None:
+    """Encode row, in place, one dict lookup per encoded cell: the stored
+    values the batch path takes, and its log line for an unseen category."""
+    cells = row.tolist()
+    for enc, encoded in zip(lookup.encoders, lookup.maps):
+        value = cells[enc.column]
+        new = encoded.get(value)
+        if new is None:
+            if value != value:          # NaN: missing stays missing
+                continue
+            log.info("encoder %r: %d unseen categories %s mapped to global mean",
+                     enc.feature, 1, [value])
+            new = enc.global_mean
+        row[enc.column] = new
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +377,8 @@ def _scale_matrix(scaler: StandardScaler, X: np.ndarray) -> np.ndarray:
     if np.isnan(X).any():
         raise OrderingError("scale before imputation: missing values present")
     Z = (X - scaler.loc) / scaler.denom
-    Z[:, scaler.zero_sd] = 0.0
+    if scaler.zero_sd.size:
+        Z[:, scaler.zero_sd] = 0.0
     return Z
 
 

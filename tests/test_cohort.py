@@ -68,6 +68,23 @@ def test_complex_scalars_in_lists_are_refused_as_complex_arrays_are(schema4):
             CohortTable(schema4, [row, [50.0, scalar(2), 1.0, 9.0]], [0, 1])
 
 
+def test_a_none_cell_is_refused_and_nan_is_the_missing_marker(schema4):
+    # numpy would read None as NaN, a missing cell that is then imputed
+    names = tuple(s.name for s in schema4)
+    row = [50.0, 2.0, 1.0, 9.0]
+    cells = [row, [50.0, 2.0, 1.0, None]]
+    for X in (cells, np.array(cells, dtype=object)):
+        with pytest.raises(DataError, match=r"row 1: feature 'gcs' value None "
+                                            "is not a finite number"):
+            CohortTable(schema4, X, [0, 1])
+        with pytest.raises(DataError, match=r"row 1: feature 'gcs' value None"):
+            CohortTable.unlabeled(schema4, names, X)
+    with pytest.raises(DataError, match=r"row 0: feature 'age' value None"):
+        CohortTable.unlabeled(schema4, names, [None, 2.0, 1.0, 9.0])
+    gap = CohortTable(schema4, [row, [50.0, 2.0, 1.0, np.nan]], [0, 1])
+    assert np.isnan(gap.X[1, 3]) and not np.isnan(gap.X[0]).any()
+
+
 def test_a_float64_matrix_is_copied_once(schema4):
     X = np.random.default_rng(0).normal(size=(20000, 4))
     tracemalloc.start()

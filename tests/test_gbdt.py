@@ -164,6 +164,15 @@ def test_param_validation():
         GbdtParams(learning_rate=-0.1)
 
 
+@pytest.mark.parametrize("field", ["depth", "n_trees"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_a_tree_count_or_depth_that_is_no_integer_is_refused(field, value):
+    # a float or a bool would reach the fit and fail there untyped
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got "):
+        GbdtParams(**{field: value})
+    assert getattr(GbdtParams(**{field: np.int64(2)}), field) == 2
+
+
 # ------------------------------------------- per-feature reference search
 
 def _ref_threshold(lo, hi):
@@ -322,6 +331,10 @@ def test_presorted_search_matches_per_feature_reference(
         for name, a, b in zip(("feat", "thr", "heap_value"), heap,
                               _ref_heap(ref, d)):
             assert np.array_equal(a, b), name
+        # every row of X, sampled or not, holds the leaf the heap sends it to
+        feat, thr, heap_value, row_value = heap
+        assert row_value.tobytes() == gbdt._leaf_values(
+            feat[None], thr[None], heap_value[None], X)[:, 0].tobytes()
         ref_feat, ref_value = ref[0], ref[-1]
         assert np.array_equal([v for v, _ in leaves], ref_value[ref_feat < 0])
         grown.append(leaves)
@@ -443,7 +456,7 @@ def test_margin_matches_per_tree_reference(table_weights, depth, mode, chunk,
 
     def kept(*args):
         leaves = real(*args)
-        grown.append([a.copy() for a in args[-3:]])
+        grown.append([a.copy() for a in args[7:10]])   # feat, thr, heap_value
         return leaves
 
     with mock.patch.object(gbdt, "_CHUNK", chunk), \

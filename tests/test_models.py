@@ -413,6 +413,22 @@ def test_a_diverging_mlp_fit_still_raises():
             train_mlp(table, hidden=4, epochs=20, seed=0)
 
 
+_MARGIN_CELL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -3.0, 40.0, 1e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_MARGIN_CELL, st.integers(0, 1),
+                          st.sampled_from([0.5, 1.0, 4.0])), min_size=1, max_size=6))
+def test_a_batch_diverges_exactly_when_its_full_loss_is_nan(cells):
+    # the loss is computed only for a batch with a non-finite margin
+    z2, y, w = (np.array(c, dtype=float) for c in zip(*cells))
+    with np.errstate(over="ignore", invalid="ignore"):
+        nan_loss = np.isnan(mlp._bce(z2, y, w, w.sum()))
+        assert mlp._diverged(z2, y, w) == nan_loss
+    if np.isfinite(z2).all():
+        assert not nan_loss
+
+
 def test_mlp_config_validation():
     table = make_table(40, seed=1, informative=True)
     with pytest.raises(ConfigError, match="hidden=0"):

@@ -506,6 +506,80 @@ def test_unseen_categories_log_one_line_per_encoder(caplog):
     assert out[[0, 1, 3], 1].tolist() == [0.5, 0.25, 0.25] and np.isnan(out[2, 1])
 
 
+# categories, and cells below, between and above them, at the float limit
+# and on the other side of zero
+_ROW_CATEGORIES = (-3.0, -0.5, 0.0, 1.0, 2.5, 7.0)
+_ROW_CELLS = _ROW_CATEGORIES + (-1e300, -4.0, -0.0, 0.25, 1.5, 5.0, 9.0,
+                                1e300, np.nan)
+
+
+@st.composite
+def _lookup_and_row(draw):
+    """One to five encoders over columns with unencoded columns between
+    them, and one row of seen, unseen and missing cells."""
+    n_enc = draw(st.integers(1, 5))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=n_enc + 1, max_size=n_enc + 1))
+    columns = np.cumsum(gaps[:-1]) + np.arange(n_enc)
+    d = int(columns[-1]) + 1 + gaps[-1]
+    encoders = []
+    for i, j in enumerate(columns.tolist()):
+        cats = sorted(draw(st.lists(st.sampled_from(_ROW_CATEGORIES), min_size=1,
+                                    max_size=4, unique=True)))
+        table = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(cats),
+                              max_size=len(cats)))
+        encoders.append(TargetEncoder(
+            feature=f"x{i}", column=j, alpha=10.0,
+            global_mean=draw(st.floats(-1.0, 1.0)),
+            category_values=np.array(cats), table=np.array(table)))
+    row = draw(st.lists(st.sampled_from(_ROW_CELLS), min_size=d, max_size=d))
+    return EncoderLookup(tuple(encoders)), np.array([row])
+
+
+def _encode_and_log(lookup, X):
+    """encode_columns(lookup, X) and the messages it logs."""
+    records = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = records.append
+    logger = logging.getLogger("icurisk.preprocess")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        out = encode_columns(lookup, X)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return out, [r.getMessage() for r in records]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lookup_and_row())
+def test_one_row_encodes_by_lookup_as_its_row_of_a_batch(case):
+    # the row twice is a batch whose unseen categories are the row's own,
+    # so the batch path logs the lines the row alone must log
+    lookup, row = case
+    batch, batch_lines = _encode_and_log(lookup, np.vstack([row, row]))
+    one, one_lines = _encode_and_log(lookup, row)
+    assert one.tobytes() == batch[:1].tobytes() == batch[1:].tobytes()
+    assert one.tobytes() == _per_encoder_reference(lookup.encoders, row).tobytes()
+    assert one_lines == batch_lines
+
+
+def _maps_of(lookup):
+    return [(list(m), np.array(list(m.values())).tobytes()) for m in lookup.maps]
+
+
+def test_the_lookup_dicts_survive_replace_and_pickle(serving3):
+    lookup = serving3[2].lookup
+    want = [(enc.category_values.tolist(), enc.table.tobytes())
+            for enc in lookup.encoders]
+    assert _maps_of(lookup) == want
+    for other in (replace(lookup, encoders=lookup.encoders),
+                  pickle.loads(pickle.dumps(lookup)), copy.deepcopy(lookup)):
+        assert _maps_of(other) == want
+    assert "maps" not in repr(lookup)
+
+
 # -- scaling -----------------------------------------------------------------
 
 def test_scaler_zero_mean_unit_sd():
@@ -682,6 +756,18 @@ def test_a_predictor_reply_is_the_batch_probability_bit_for_bit(serving3):
     assert test.n == 390
     for i in range(test.n):
         assert predictor(test.X[i]).tobytes() == batch[i:i + 1].tobytes(), i
+    # the rows with a gap, each given one more in an encoded column or a
+    # category its encoder never saw (off the grid, -0.0, at the float
+    # limit): the imputer fills the first, the second encodes to the mean
+    columns = [enc.column for enc in pipe.lookup.encoders]
+    gaps = np.flatnonzero(np.isnan(test.X).any(axis=1))
+    assert gaps.size > 100
+    X = test.X[gaps].copy()
+    for i, row in enumerate(X):
+        row[columns[i % len(columns)]] = (np.nan, 2.5, -0.0, 1e300, -40.0)[i % 5]
+    batch = predict_proba(model, apply(pipe, test.subset(gaps).with_matrix(X)))
+    for i, row in enumerate(X):
+        assert predictor(row).tobytes() == batch[i:i + 1].tobytes(), i
 
 
 def test_a_predictor_call_is_predict_proba_of_its_applied_table(serving3):
